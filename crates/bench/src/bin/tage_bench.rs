@@ -595,6 +595,12 @@ fn run_checkpointable_campaign(
         "checkpoint {dir}: {} cells restored, {} executed, {} remaining",
         run.restored, run.executed, run.remaining
     );
+    if run.store_errors > 0 {
+        eprintln!(
+            "checkpoint {dir}: {} executed cells could not be stored; a resumed run recomputes them",
+            run.store_errors
+        );
+    }
     if run.remaining > 0 {
         println!(
             "stopping with {} cells unexecuted (--max-cells); resume with --resume {dir}",

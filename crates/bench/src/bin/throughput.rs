@@ -449,7 +449,7 @@ fn main() {
     //    warm-start ratio. No allocation gate — segment workers and the
     //    cache's file I/O allocate by design.
     {
-        use tage_sim::segment::{run_suite_segmented, run_suite_segmented_cached, SegmentOptions};
+        use tage_sim::segment::{run_suite_segmented, SegmentOptions};
         use tage_sim::warmcache::WarmCache;
 
         let source_suite = SourceSuite::from_suite(&suite);
@@ -468,6 +468,7 @@ fn main() {
                 &warm_options,
                 &segment_options,
                 workers,
+                None,
             )
             .expect("synthetic sources are infallible")
         });
@@ -486,7 +487,7 @@ fn main() {
         match WarmCache::new(&cache_dir) {
             Ok(cache) => {
                 // Priming run: every warm segment misses, replays and stores.
-                run_suite_segmented_cached(
+                run_suite_segmented(
                     &config,
                     &source_suite,
                     per_trace,
@@ -498,7 +499,7 @@ fn main() {
                 .expect("synthetic sources are infallible");
                 let primed_misses = cache.misses();
                 let (warmed, seconds, allocations) = timed_counting(|| {
-                    run_suite_segmented_cached(
+                    run_suite_segmented(
                         &config,
                         &source_suite,
                         per_trace,

@@ -3,12 +3,12 @@
 //! A campaign is a declarative grid — predictor × confidence-scheme × suite
 //! × scenario — expanded into [`SweepPoint`]s and executed through the
 //! generic engine
-//! with a **work-stealing queue over whole points**: each worker owns a
-//! deque of point indices, drains its own front, and steals from the back of
-//! the most-loaded sibling when it runs dry. This is the scheduling layer
-//! the per-trace `par_map` sharding cannot provide: a grid mixes 256 Kbit
-//! TAGE points with tiny bimodal points, so static round-robin placement
-//! alone would leave workers idle behind the heavy tail.
+//! with a **work-stealing queue over whole points**
+//! ([`tage_sim::engine::steal_map`]): each worker owns a deque of point
+//! indices, drains its own front, and steals from the back of the
+//! most-loaded sibling when it runs dry. A grid mixes 256 Kbit TAGE points
+//! with tiny bimodal points, so static round-robin placement alone would
+//! leave workers idle behind the heavy tail.
 //!
 //! Results land in per-point slots and are reported in grid-expansion order,
 //! so the campaign report is **deterministic**: the same grid produces a
@@ -28,18 +28,16 @@
 //! died and the resumed timing-free report byte-matches an uninterrupted
 //! one. The same store backs the `tage-serve` campaign daemon
 //! ([`crate::service`]), so CLI runs and daemon campaigns memoize into one
-//! cache.
+//! cache, and both run their cells through one executor
+//! (`execute_cells`): same scheduler, same persistence, same predictor
+//! warm cache for phase-sampled cells.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use tage_confidence::ConfidenceLevel;
-use tage_sim::point::{
-    run_point_with_engine, run_point_with_engine_cached, PointError, PointResult, PredictorSpec,
-    SchemeSpec, SweepPoint,
-};
+use tage_sim::engine::{steal_map, StealStats};
+use tage_sim::point::{run_point, PointError, PointResult, PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::scenarios::{ScenarioSpec, BASELINE_TOKEN};
 use tage_sim::warmcache::WarmCache;
 use tage_sim::EngineKind;
@@ -135,105 +133,6 @@ impl CampaignSpec {
             }
         }
         (points, skipped)
-    }
-}
-
-/// Scheduling statistics of one [`steal_map`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealStats {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Tasks executed by a worker other than the one they were placed on.
-    pub steals: u64,
-}
-
-/// Applies `f` to every item across `workers` scoped threads with **work
-/// stealing**, returning results in input order.
-///
-/// Items are dealt round-robin onto per-worker deques; a worker pops its own
-/// queue from the front and, when empty, steals from the *back* of the
-/// most-loaded sibling. Because every result is written to its own slot, the
-/// output is identical for any worker count — only the schedule (reported in
-/// [`StealStats`]) varies. With `workers <= 1` the closure runs inline.
-pub fn steal_map<T, R, F>(items: &[T], workers: usize, f: F) -> (Vec<R>, StealStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        let results = items.iter().map(&f).collect();
-        return (
-            results,
-            StealStats {
-                workers: 1,
-                steals: 0,
-            },
-        );
-    }
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..items.len()).step_by(workers).collect()))
-        .collect();
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let steals = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let steals = &steals;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(index) = next_task(queues, me, steals) {
-                    let result = f(&items[index]);
-                    *slots[index].lock().expect("result slot poisoned") = Some(result);
-                }
-            });
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every task executed")
-        })
-        .collect();
-    (
-        results,
-        StealStats {
-            workers,
-            steals: steals.load(Ordering::Relaxed),
-        },
-    )
-}
-
-/// Pops the worker's own queue, or steals from the back of the most-loaded
-/// sibling. Returns `None` only when every queue is empty (tasks never
-/// re-enter a queue, so that means the tail of the campaign is already
-/// running elsewhere).
-fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize, steals: &AtomicU64) -> Option<usize> {
-    if let Some(index) = queues[me].lock().expect("queue poisoned").pop_front() {
-        return Some(index);
-    }
-    loop {
-        let mut victim: Option<(usize, usize)> = None;
-        for (q, queue) in queues.iter().enumerate() {
-            if q == me {
-                continue;
-            }
-            let len = queue.lock().expect("queue poisoned").len();
-            if len > 0 && victim.is_none_or(|(_, best)| len > best) {
-                victim = Some((q, len));
-            }
-        }
-        let (q, _) = victim?;
-        // The victim may have been drained between the scan and this lock;
-        // rescan in that case.
-        if let Some(index) = queues[q].lock().expect("queue poisoned").pop_back() {
-            steals.fetch_add(1, Ordering::Relaxed);
-            return Some(index);
-        }
     }
 }
 
@@ -387,31 +286,17 @@ pub fn run_campaign_with_engine(
     workers: usize,
     engine: EngineKind,
 ) -> Result<CampaignReport, PointError> {
-    let (points, skipped) = spec.expand();
-    let start = Instant::now();
-    let (results, stats) = steal_map(&points, workers, |point| {
-        let point_start = Instant::now();
-        run_point_with_engine(point, spec.branches_per_trace, engine).map(|result| {
-            CampaignPointReport {
-                result,
-                wall_seconds: point_start.elapsed().as_secs_f64(),
-            }
-        })
-    });
-    let mut cells = Vec::with_capacity(results.len());
-    for result in results {
-        cells.push(CampaignCell::Computed(Box::new(result?)));
-    }
-    Ok(assemble_report(spec, cells, skipped, stats, start))
+    run_grid(spec, workers, engine, None, None).map(|run| run.report)
 }
 
-/// Builds a [`CampaignReport`] from a run's cells and scheduling stats.
-fn assemble_report(
+/// A report over `spec`'s grid with the given cells, in grid-expansion
+/// order, and scheduling figures.
+pub(crate) fn assemble_report(
     spec: &CampaignSpec,
     cells: Vec<CampaignCell>,
     skipped: Vec<SkippedPoint>,
     stats: StealStats,
-    start: Instant,
+    wall_seconds: f64,
 ) -> CampaignReport {
     CampaignReport {
         label: spec.label.clone(),
@@ -428,7 +313,7 @@ fn assemble_report(
         skipped,
         workers: stats.workers,
         steals: stats.steals,
-        wall_seconds: start.elapsed().as_secs_f64(),
+        wall_seconds,
         explore: None,
     }
 }
@@ -443,8 +328,12 @@ pub struct CheckpointedRun {
     pub report: CampaignReport,
     /// Cells restored from the cell store instead of executed.
     pub restored: usize,
-    /// Cells executed (and stored) by this run.
+    /// Cells executed by this run.
     pub executed: usize,
+    /// Executed cells the store failed to persist (a full disk, a vanished
+    /// or read-only store directory). Their bytes are still correct and in
+    /// the report; a resumed run recomputes them.
+    pub store_errors: usize,
     /// Cells still unexecuted because `max_cells` capped this run; resume
     /// with the same store directory to continue.
     pub remaining: usize,
@@ -466,8 +355,9 @@ pub struct CheckpointedRun {
 /// # Errors
 ///
 /// Returns the first [`PointError`] in grid-expansion order among the cells
-/// this run executed. Cell *store* failures are deliberately swallowed — a
-/// read-only store directory degrades to an ordinary run.
+/// this run executed. Cell *store* failures never fail the run — a
+/// read-only store directory degrades to an ordinary run — and are counted
+/// in [`CheckpointedRun::store_errors`].
 pub fn run_campaign_checkpointed(
     spec: &CampaignSpec,
     workers: usize,
@@ -475,65 +365,137 @@ pub fn run_campaign_checkpointed(
     store: &CellStore,
     max_cells: Option<usize>,
 ) -> Result<CheckpointedRun, PointError> {
+    run_grid(spec, workers, engine, Some(store), max_cells)
+}
+
+/// The campaign runner behind both public entry points: expands the grid,
+/// restores what `store` holds, and runs up to `max_cells` of the rest, in
+/// grid order, through [`execute_cells`].
+fn run_grid(
+    spec: &CampaignSpec,
+    workers: usize,
+    engine: EngineKind,
+    store: Option<&CellStore>,
+    max_cells: Option<usize>,
+) -> Result<CheckpointedRun, PointError> {
     let (points, skipped) = spec.expand();
     let start = Instant::now();
-    let keys: Vec<u64> = points
-        .iter()
-        .map(|point| cell_key(spec.branches_per_trace, point))
-        .collect();
     let mut cells: Vec<Option<CampaignCell>> = Vec::with_capacity(points.len());
-    let mut pending: Vec<usize> = Vec::new();
-    for (index, point) in points.iter().enumerate() {
-        match store.load_cell(keys[index], point) {
-            Some(rendered) => cells.push(Some(CampaignCell::Restored(rendered))),
-            None => {
-                cells.push(None);
-                pending.push(index);
-            }
+    let mut pending = Vec::new();
+    for point in points {
+        let key = cell_key(spec.branches_per_trace, &point);
+        let restored = store.and_then(|store| store.load_cell(key, &point));
+        if restored.is_none() {
+            pending.push(CellJob {
+                key,
+                point,
+                branches_per_trace: spec.branches_per_trace,
+            });
         }
+        cells.push(restored.map(CampaignCell::Restored));
     }
-    let restored = points.len() - pending.len();
+    let restored = cells.len() - pending.len();
     let cap = max_cells.unwrap_or(pending.len()).min(pending.len());
-    let remaining = pending.len() - cap;
-    let to_run = &pending[..cap];
-    // Phase-sampled cells checkpoint predictor warm state next to the cell
-    // store, so a resumed (or repeated) campaign simulates only the
-    // representative slices. Cell bytes are identical either way — an
-    // uncreatable warm directory just degrades to gap replays.
-    let warm = WarmCache::new(store.dir().join("warm")).ok();
-    let (results, stats) = steal_map(to_run, workers, |&index| {
-        let point_start = Instant::now();
-        run_point_with_engine_cached(
-            &points[index],
-            spec.branches_per_trace,
-            engine,
-            warm.as_ref(),
-        )
-        .map(|result| {
-            let point = CampaignPointReport {
-                result,
-                wall_seconds: point_start.elapsed().as_secs_f64(),
-            };
-            let _ = store.store_cell(keys[index], &render_point_json(&point, false));
-            point
-        })
-    });
-    let executed = results.len();
-    for (&index, result) in to_run.iter().zip(results) {
-        cells[index] = Some(CampaignCell::Computed(Box::new(result?)));
+    let run = execute_cells(&pending[..cap], workers, engine, store, None);
+    // Executed cells fill the unrestored slots in grid order; slots past the
+    // cap stay empty and drop out of the report.
+    let mut executed = run.cells.into_iter();
+    for slot in cells.iter_mut().filter(|slot| slot.is_none()).take(cap) {
+        let cell = executed
+            .next()
+            .flatten()
+            .expect("no cancel flag, no skipped cell")?;
+        *slot = Some(CampaignCell::Computed(Box::new(cell.report)));
     }
     Ok(CheckpointedRun {
         report: assemble_report(
             spec,
             cells.into_iter().flatten().collect(),
             skipped,
-            stats,
-            start,
+            run.stats,
+            start.elapsed().as_secs_f64(),
         ),
         restored,
-        executed,
-        remaining,
+        executed: cap,
+        store_errors: run.store_errors,
+        remaining: pending.len() - cap,
     })
+}
+
+/// One grid cell handed to [`execute_cells`].
+#[derive(Clone)]
+pub(crate) struct CellJob {
+    /// The cell's [`cell_key`]: where a store persists it.
+    pub(crate) key: u64,
+    /// The cell itself.
+    pub(crate) point: SweepPoint,
+    /// Conditional branches per synthetic trace.
+    pub(crate) branches_per_trace: usize,
+}
+
+/// One cell [`execute_cells`] ran: its report and its rendered
+/// timing-free bytes (what a store persists and a report pastes).
+pub(crate) struct ExecutedCell {
+    pub(crate) report: CampaignPointReport,
+    pub(crate) rendered: String,
+}
+
+/// What [`execute_cells`] did with a list of cells.
+pub(crate) struct Execution {
+    /// One entry per job, in job order: `None` for a cell the cancel flag
+    /// skipped before it started.
+    pub(crate) cells: Vec<Option<Result<ExecutedCell, PointError>>>,
+    /// The scheduler's statistics.
+    pub(crate) stats: StealStats,
+    /// Executed cells whose store write failed.
+    pub(crate) store_errors: usize,
+}
+
+/// The one cell executor, shared by `tage-bench` campaigns and the
+/// `tage-serve` daemon: runs `jobs` through [`steal_map`] on `engine`
+/// (which deals them to workers in job order) and renders each finished
+/// cell's timing-free bytes. With a `store`, every cell is persisted as it
+/// finishes, and phase-sampled cells restore and store predictor
+/// checkpoints in the [`WarmCache`] at `<store>/warm`; a failed store write
+/// is counted, never fatal — the cell's bytes are still correct. Once
+/// `cancel` is set, cells that have not started are skipped.
+pub(crate) fn execute_cells(
+    jobs: &[CellJob],
+    workers: usize,
+    engine: EngineKind,
+    store: Option<&CellStore>,
+    cancel: Option<&AtomicBool>,
+) -> Execution {
+    // Only phase-sampled cells checkpoint predictor state; an uncreatable
+    // warm directory just degrades to gap replays.
+    let sampled = jobs.iter().any(|job| job.point.suite.sampling().is_some());
+    let warm = store
+        .filter(|_| sampled)
+        .and_then(|store| WarmCache::new(store.dir().join("warm")).ok());
+    let store_errors = AtomicUsize::new(0);
+    let (cells, stats) = steal_map(jobs, workers, |job| {
+        if cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
+            return None;
+        }
+        let start = Instant::now();
+        let result = run_point(&job.point, job.branches_per_trace, engine, warm.as_ref());
+        Some(result.map(|result| {
+            let report = CampaignPointReport {
+                result,
+                wall_seconds: start.elapsed().as_secs_f64(),
+            };
+            let rendered = render_point_json(&report, false);
+            if store.is_some_and(|store| store.store_cell(job.key, &rendered).is_err()) {
+                store_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            ExecutedCell { report, rendered }
+        }))
+    });
+    Execution {
+        cells,
+        stats,
+        store_errors: store_errors.into_inner(),
+    }
 }
 
 fn render_token_array(tokens: &[String]) -> String {
@@ -922,39 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_map_is_order_preserving_and_worker_count_independent() {
-        let items: Vec<u64> = (0..53).collect();
-        let (serial, stats) = steal_map(&items, 1, |&x| x * 3);
-        assert_eq!(stats.steals, 0);
-        for workers in [2, 3, 8, 64] {
-            let (parallel, stats) = steal_map(&items, workers, |&x| x * 3);
-            assert_eq!(parallel, serial, "workers = {workers}");
-            assert!(stats.workers <= items.len());
-        }
-        let empty: Vec<u64> = Vec::new();
-        let (results, _) = steal_map(&empty, 4, |&x: &u64| x);
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn steal_map_steals_from_loaded_workers() {
-        // Worker 0's items are slow, the rest are instant: the only way the
-        // fast workers stay busy is by stealing worker 0's backlog.
-        let items: Vec<usize> = (0..32).collect();
-        let (results, stats) = steal_map(&items, 4, |&i| {
-            if i % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            i * 2
-        });
-        assert_eq!(results, (0..32).map(|i| i * 2).collect::<Vec<_>>());
-        assert!(
-            stats.steals > 0,
-            "uneven per-worker load must trigger steals (got {stats:?})"
-        );
-    }
-
-    #[test]
     fn multilane_campaign_renders_byte_identical_reports() {
         // The engine axis must not show up anywhere in a timing-free
         // report: scalar and multilane runs of a mixed grid (batchable
@@ -1146,6 +1075,59 @@ mod tests {
             (repaired.restored, repaired.executed, repaired.remaining),
             (1, 2, 0)
         );
+        assert_eq!(repaired.report.render_json(false), clean);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_write_failures_are_counted_not_fatal() {
+        let dir =
+            std::env::temp_dir().join(format!("tage-campaign-store-errors-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CellStore::new(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let clean = run_campaign_with_engine(&tiny_spec(), 2, EngineKind::Multilane)
+            .unwrap()
+            .render_json(false);
+        let run = run_campaign_checkpointed(&tiny_spec(), 2, EngineKind::Multilane, &store, None)
+            .unwrap();
+        assert_eq!(run.report.render_json(false), clean);
+        assert_eq!((run.executed, run.store_errors), (3, 3));
+        assert!(!dir.exists(), "nothing recreated the vanished store");
+    }
+
+    #[test]
+    fn a_flipped_digit_in_a_stored_cell_is_recomputed() {
+        let dir =
+            std::env::temp_dir().join(format!("tage-campaign-flipped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CellStore::new(&dir).unwrap();
+        let spec = tiny_spec();
+        let clean = run_campaign_with_engine(&spec, 2, EngineKind::Multilane)
+            .unwrap()
+            .render_json(false);
+        let first =
+            run_campaign_checkpointed(&spec, 2, EngineKind::Multilane, &store, None).unwrap();
+        assert_eq!((first.executed, first.store_errors), (3, 0));
+
+        let (points, _) = spec.expand();
+        let path = dir.join(format!(
+            "{:016x}.cell",
+            cell_key(spec.branches_per_trace, &points[0])
+        ));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let field = b"\"mean_mpki\": ";
+        let at = bytes
+            .windows(field.len())
+            .position(|window| window == field)
+            .expect("the cell carries mean_mpki")
+            + field.len();
+        bytes[at] = if bytes[at] == b'9' { b'8' } else { b'9' };
+        std::fs::write(&path, &bytes).unwrap();
+
+        let repaired =
+            run_campaign_checkpointed(&spec, 2, EngineKind::Multilane, &store, None).unwrap();
+        assert_eq!((repaired.restored, repaired.executed), (2, 1));
         assert_eq!(repaired.report.render_json(false), clean);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -21,10 +21,12 @@
 //! Each `<fnv64 key>.cell` file stores the **exact rendered bytes** of the
 //! point's timing-free JSON report element (what
 //! [`CampaignReport::render_json`](crate::campaign::CampaignReport::render_json)
-//! emits for the point with `include_timing == false`). Restored cells are
-//! pasted verbatim into reports, which is what makes a resumed or
-//! cache-served report byte-identical to a clean one-shot run's — the CI
-//! campaign- and service-smoke jobs `cmp` the two.
+//! emits for the point with `include_timing == false`), wrapped in the
+//! checksummed snapshot framing of [`tage_traces::snapshot`] with the cell
+//! key as spec digest. Restored cells are pasted verbatim into reports,
+//! which is what makes a resumed or cache-served report byte-identical to a
+//! clean one-shot run's — the CI campaign- and service-smoke jobs `cmp` the
+//! two.
 //!
 //! # Keying and validation
 //!
@@ -36,20 +38,21 @@
 //! key — it only appears in the report header, so differently-labelled
 //! campaigns share cells.
 //!
-//! On load the stored cell's identity fields are checked against the
-//! requesting point; a mismatch (key collision, stale or corrupt file) is
-//! treated as absent and the cell is recomputed and rewritten. Stores are
-//! atomic (temp-file-plus-rename), so a kill can never leave a torn cell
-//! behind and concurrent writers of the same cell are harmless (either
-//! complete file wins — the bytes are identical).
+//! On load the framing (checksum, key) and then the stored cell's identity
+//! fields are checked against the requesting point; a mismatch — a key
+//! collision, a stale, torn or bit-flipped file, or an unframed cell from
+//! an older build — is treated as absent and the cell is recomputed and
+//! rewritten. Stores go through
+//! [`write_atomic`], so a kill can
+//! never leave a torn cell behind and concurrent writers of the same cell
+//! are harmless (either complete file wins — the bytes are identical).
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tage_sim::point::SweepPoint;
-use tage_traces::snapshot::fnv1a64;
+use tage_traces::snapshot::{fnv1a64, write_atomic, SnapshotReader, SnapshotWriter};
 
 use crate::jsonish;
 
@@ -100,12 +103,15 @@ impl CellStore {
         self.dir.join(format!("{key:016x}.{CELL_EXTENSION}"))
     }
 
-    /// Loads the finished cell stored under `key`, if it exists and its
-    /// identity fields match `point`. A missing, unreadable, corrupt or
-    /// mismatched cell returns `None` — the caller recomputes (and
-    /// rewrites) it.
+    /// Loads the finished cell stored under `key`, if it exists, its
+    /// framing is intact and its identity fields match `point`. A missing,
+    /// unreadable, corrupt or mismatched cell returns `None` — the caller
+    /// recomputes (and rewrites) it.
     pub fn load_cell(&self, key: u64, point: &SweepPoint) -> Option<String> {
-        let Some(rendered) = fs::read_to_string(self.path_for(key)).ok() else {
+        let Some(rendered) = fs::read(self.path_for(key))
+            .ok()
+            .and_then(|bytes| unframe(&bytes, key))
+        else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
@@ -125,28 +131,24 @@ impl CellStore {
         Some(rendered)
     }
 
-    /// Atomically stores a finished cell's rendered bytes under `key`: the
-    /// cell is written to a process-unique temp file in the store directory
-    /// and renamed into place, so concurrent workers and killed runs only
-    /// ever leave complete cells.
+    /// Atomically stores a finished cell's rendered bytes under `key`,
+    /// framed and checksummed, through
+    /// [`write_atomic`]: concurrent
+    /// workers and killed runs only ever leave complete cells.
     pub fn store_cell(&self, key: u64, rendered: &str) -> std::io::Result<()> {
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let temp = self.dir.join(format!(
-            "{key:016x}.tmp.{}.{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut file = fs::File::create(&temp)?;
-            file.write_all(rendered.as_bytes())?;
-            file.sync_all()?;
-        }
-        let result = fs::rename(&temp, self.path_for(key));
-        if result.is_err() {
-            let _ = fs::remove_file(&temp);
-        }
-        result
+        let mut framed = SnapshotWriter::new(key);
+        framed.write_bytes(rendered.as_bytes());
+        write_atomic(&self.path_for(key), &framed.finish())
     }
+}
+
+/// The rendered cell inside a framed cell file, if the framing is intact
+/// and was written under `key`.
+fn unframe(bytes: &[u8], key: u64) -> Option<String> {
+    let mut reader = SnapshotReader::new(bytes, key).ok()?;
+    let rendered = reader.read_bytes().ok()?.to_vec();
+    reader.finish().ok()?;
+    String::from_utf8(rendered).ok()
 }
 
 /// The content-addressed cell key: everything that determines a cell's
@@ -239,6 +241,34 @@ mod tests {
         store.store_cell(key, &rendered_for(&other)).unwrap();
         assert!(store.load_cell(key, &point).is_none());
         assert_eq!(store.hits(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unframed_torn_and_misfiled_cells_read_as_absent() {
+        let dir = temp_dir("framing");
+        let store = CellStore::new(&dir).unwrap();
+        let point = point();
+        let key = cell_key(1_000, &point);
+        let rendered = rendered_for(&point);
+        let path = dir.join(format!("{key:016x}.cell"));
+        // A bare cell, as older builds wrote it.
+        fs::write(&path, &rendered).unwrap();
+        assert!(store.load_cell(key, &point).is_none());
+        // A torn cell.
+        store.store_cell(key, &rendered).unwrap();
+        let framed = fs::read(&path).unwrap();
+        fs::write(&path, &framed[..framed.len() - 3]).unwrap();
+        assert!(store.load_cell(key, &point).is_none());
+        // An intact cell filed under another key.
+        store.store_cell(key ^ 1, &rendered).unwrap();
+        fs::rename(dir.join(format!("{:016x}.cell", key ^ 1)), &path).unwrap();
+        assert!(store.load_cell(key, &point).is_none());
+        // Rewritten, it restores verbatim; no temp file is left behind.
+        store.store_cell(key, &rendered).unwrap();
+        assert_eq!(store.load_cell(key, &point).unwrap(), rendered);
+        assert_eq!((store.hits(), store.misses()), (1, 3));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

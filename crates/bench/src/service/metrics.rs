@@ -30,12 +30,15 @@ pub struct Metrics {
     pub cells_computed: AtomicU64,
     /// Cells answered from the content-addressed store instead of executed.
     pub cells_restored: AtomicU64,
-    /// Work batches the executor ran through `steal_map`.
+    /// Work batches the executor ran.
     pub batches: AtomicU64,
     /// Cross-worker steals summed over all batches.
     pub steals: AtomicU64,
     /// Microseconds the worker pool spent inside batches.
     pub busy_micros: AtomicU64,
+    /// Computed cells the cell store failed to persist (they were still
+    /// published; a restarted daemon recomputes them).
+    pub store_errors: AtomicU64,
 }
 
 impl Metrics {
@@ -84,6 +87,8 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Cell-store lookups that found nothing usable.
     pub cache_misses: u64,
+    /// See [`Metrics::store_errors`].
+    pub store_errors: u64,
     /// Process-wide predictor warm-state cache hits
     /// ([`tage_sim::warmcache::global_counters`]).
     pub warmcache_hits: u64,
@@ -116,7 +121,7 @@ impl MetricsSnapshot {
             .map(|(id, wall)| format!("\"{}\": {wall:.6}", jsonish::escape(id)))
             .collect();
         format!(
-            "{{\n \"uptime_seconds\": {:.6},\n \"workers\": {},\n \"queue_depth\": {},\n \"cells_in_flight\": {},\n \"campaigns_open\": {},\n \"requests\": {},\n \"campaigns_submitted\": {},\n \"campaigns_rehydrated\": {},\n \"campaigns_finished\": {},\n \"campaigns_failed\": {},\n \"cells_computed\": {},\n \"cells_restored\": {},\n \"cache_hits\": {},\n \"cache_misses\": {},\n \"warmcache_hits\": {},\n \"warmcache_misses\": {},\n \"batches\": {},\n \"steals\": {},\n \"busy_seconds\": {:.6},\n \"worker_utilization\": {:.6},\n \"campaign_wall_seconds\": {{{}}}\n}}\n",
+            "{{\n \"uptime_seconds\": {:.6},\n \"workers\": {},\n \"queue_depth\": {},\n \"cells_in_flight\": {},\n \"campaigns_open\": {},\n \"requests\": {},\n \"campaigns_submitted\": {},\n \"campaigns_rehydrated\": {},\n \"campaigns_finished\": {},\n \"campaigns_failed\": {},\n \"cells_computed\": {},\n \"cells_restored\": {},\n \"cache_hits\": {},\n \"cache_misses\": {},\n \"store_errors\": {},\n \"warmcache_hits\": {},\n \"warmcache_misses\": {},\n \"batches\": {},\n \"steals\": {},\n \"busy_seconds\": {:.6},\n \"worker_utilization\": {:.6},\n \"campaign_wall_seconds\": {{{}}}\n}}\n",
             self.uptime_seconds,
             self.workers,
             self.queue_depth,
@@ -131,6 +136,7 @@ impl MetricsSnapshot {
             self.cells_restored,
             self.cache_hits,
             self.cache_misses,
+            self.store_errors,
             self.warmcache_hits,
             self.warmcache_misses,
             self.batches,
@@ -164,6 +170,7 @@ mod tests {
             cells_restored: 4,
             cache_hits: 4,
             cache_misses: 5,
+            store_errors: 2,
             warmcache_hits: 11,
             warmcache_misses: 3,
             batches: 2,
@@ -178,6 +185,7 @@ mod tests {
         jsonish::validate_document(&json, jsonish::DEFAULT_MAX_DEPTH).unwrap();
         assert_eq!(jsonish::number_field(&json, "queue_depth"), Some(2.0));
         assert_eq!(jsonish::number_field(&json, "cells_computed"), Some(5.0));
+        assert_eq!(jsonish::number_field(&json, "store_errors"), Some(2.0));
         assert_eq!(
             jsonish::number_field(&json, "worker_utilization"),
             Some(0.5)

@@ -3,9 +3,10 @@
 //!
 //! The service turns the one-shot campaign runner ([`crate::campaign`])
 //! into a long-lived process: clients `POST /campaigns` declarative grids
-//! ([`grid::GridRequest`]), the daemon expands them into cells, shards
-//! execution across a worker pool with the same [`steal_map`] scheduler the
-//! CLI uses, and memoizes every finished cell into a shared
+//! ([`grid::GridRequest`]), the daemon expands them into cells, runs them
+//! through the same cell executor the CLI uses — the same work-stealing
+//! scheduler, the same predictor warm cache under `<store>/warm` for
+//! phase-sampled cells — and memoizes every finished cell into a shared
 //! [`CellStore`]. Three properties fall out of that design:
 //!
 //! - **Resubmission is free.** A campaign's id is the fnv64 of its
@@ -33,20 +34,22 @@ pub mod http;
 pub mod metrics;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tage_sim::point::{run_point_with_engine, PredictorSpec, SchemeSpec, SweepPoint};
+use tage_sim::engine::StealStats;
+use tage_sim::point::SweepPoint;
 use tage_sim::warmcache;
 use tage_sim::EngineKind;
+use tage_traces::snapshot::write_atomic;
 
 use crate::campaign::{
-    render_point_json, steal_map, CampaignCell, CampaignPointReport, CampaignReport, SkippedPoint,
+    assemble_report, execute_cells, CampaignCell, CampaignReport, CampaignSpec, CellJob,
+    SkippedPoint,
 };
 use crate::cellstore::{cell_key, CellStore};
 use crate::jsonish;
@@ -92,23 +95,17 @@ impl ServeOptions {
     }
 }
 
-/// A cell waiting to execute: its identity plus every campaign position
-/// that will receive the rendered bytes.
+/// A cell waiting to execute: its job plus every campaign position that
+/// will receive the rendered bytes.
 struct PendingCell {
-    point: SweepPoint,
-    branches_per_trace: usize,
+    job: CellJob,
     /// `(campaign id, point index)` pairs to fill when the cell finishes.
     waiters: Vec<(String, usize)>,
 }
 
 /// One accepted campaign.
 struct Campaign {
-    label: String,
-    branches_per_trace: usize,
-    grid_predictors: Vec<String>,
-    grid_schemes: Vec<String>,
-    grid_suites: Vec<String>,
-    grid_scenarios: Vec<String>,
+    spec: CampaignSpec,
     /// Cell identities in grid-expansion order (for the pending listing).
     points: Vec<SweepPoint>,
     skipped: Vec<SkippedPoint>,
@@ -137,25 +134,15 @@ impl Campaign {
     /// Builds the (possibly partial) schema-3 report over the finished
     /// cells, pasted verbatim in grid-expansion order.
     fn report(&self, workers: usize) -> CampaignReport {
-        CampaignReport {
-            label: self.label.clone(),
-            branches_per_trace: self.branches_per_trace,
-            grid_predictors: self.grid_predictors.clone(),
-            grid_schemes: self.grid_schemes.clone(),
-            grid_suites: self.grid_suites.clone(),
-            grid_scenarios: self.grid_scenarios.clone(),
-            points: self
-                .cells
-                .iter()
-                .flatten()
-                .map(|rendered| CampaignCell::Restored(rendered.clone()))
-                .collect(),
-            skipped: self.skipped.clone(),
-            workers,
-            steals: 0,
-            wall_seconds: self.wall_seconds.unwrap_or(0.0),
-            explore: None,
-        }
+        let cells = self.cells.iter().flatten();
+        let cells = cells.map(|rendered| CampaignCell::Restored(rendered.clone()));
+        assemble_report(
+            &self.spec,
+            cells.collect(),
+            self.skipped.clone(),
+            StealStats { workers, steals: 0 },
+            self.wall_seconds.unwrap_or(0.0),
+        )
     }
 }
 
@@ -377,75 +364,52 @@ fn submit(
     }
     let spec = request.to_spec()?;
     let (points, skipped) = spec.expand();
-    let keys: Vec<u64> = points
-        .iter()
-        .map(|point| cell_key(spec.branches_per_trace, point))
-        .collect();
-    // Store lookups happen outside the lock; in-flight duplicates are
-    // reconciled against the cells map below.
-    let cells: Vec<Option<String>> = points
-        .iter()
-        .zip(&keys)
-        .map(|(point, &key)| shared.store.load_cell(key, point))
-        .collect();
     if journal {
         write_journal(&shared.journal_dir, &id, &request.to_json())?;
     }
-    let campaign = Campaign {
-        label: spec.label.clone(),
-        branches_per_trace: spec.branches_per_trace,
-        grid_predictors: spec.predictors.iter().map(PredictorSpec::label).collect(),
-        grid_schemes: spec.schemes.iter().map(SchemeSpec::label).collect(),
-        grid_suites: spec.suites.iter().map(|s| s.name().to_string()).collect(),
-        grid_scenarios: spec
-            .scenarios
-            .iter()
-            .map(|s| s.label().to_string())
-            .collect(),
-        points: points.clone(),
-        skipped,
-        pending: cells.iter().filter(|cell| cell.is_none()).count(),
-        cells,
-        error: None,
-        submitted: Instant::now(),
-        wall_seconds: None,
-    };
-    let restored = campaign.cells.len() - campaign.pending;
-    for _ in 0..restored {
-        Metrics::bump(&shared.metrics.cells_restored);
-    }
     let outcome = {
         let mut state = shared.state.lock().expect("service state poisoned");
-        if state.campaigns.contains_key(&id) {
-            // Lost a (theoretical) submission race; the winner's campaign
-            // is equivalent by construction.
-        } else {
-            let mut campaign = campaign;
-            if campaign.pending == 0 {
-                campaign.wall_seconds = Some(0.0);
+        // Lost a (theoretical) submission race otherwise; the winner's
+        // campaign is equivalent by construction.
+        if !state.campaigns.contains_key(&id) {
+            // Store lookups happen under the lock: the executor stores a
+            // cell before it publishes it under this lock, so every cell is
+            // either stored, still pending, or new — none slips between.
+            let mut cells = Vec::with_capacity(points.len());
+            for (index, point) in points.iter().enumerate() {
+                let key = cell_key(spec.branches_per_trace, point);
+                let stored = shared.store.load_cell(key, point);
+                if stored.is_some() {
+                    Metrics::bump(&shared.metrics.cells_restored);
+                } else if let Some(pending) = state.cells.get_mut(&key) {
+                    pending.waiters.push((id.clone(), index));
+                } else {
+                    let job = CellJob {
+                        key,
+                        point: point.clone(),
+                        branches_per_trace: spec.branches_per_trace,
+                    };
+                    let waiters = vec![(id.clone(), index)];
+                    state.cells.insert(key, PendingCell { job, waiters });
+                    state.queue.push_back(key);
+                }
+                cells.push(stored);
+            }
+            let pending = cells.iter().filter(|cell| cell.is_none()).count();
+            if pending == 0 {
                 Metrics::bump(&shared.metrics.campaigns_finished);
             }
-            for (index, cell) in campaign.cells.iter().enumerate() {
-                if cell.is_some() {
-                    continue;
-                }
-                let key = keys[index];
-                match state.cells.get_mut(&key) {
-                    Some(pending) => pending.waiters.push((id.clone(), index)),
-                    None => {
-                        state.cells.insert(
-                            key,
-                            PendingCell {
-                                point: campaign.points[index].clone(),
-                                branches_per_trace: campaign.branches_per_trace,
-                                waiters: vec![(id.clone(), index)],
-                            },
-                        );
-                        state.queue.push_back(key);
-                    }
-                }
-            }
             Metrics::bump(&shared.metrics.campaigns_submitted);
+            let campaign = Campaign {
+                spec,
+                points,
+                skipped,
+                pending,
+                cells,
+                error: None,
+                submitted: Instant::now(),
+                wall_seconds: (pending == 0).then_some(0.0),
+            };
             state.campaigns.insert(id.clone(), campaign);
         }
         let campaign = &state.campaigns[&id];
@@ -462,44 +426,23 @@ fn submit(
     Ok(outcome)
 }
 
-/// Atomically writes `<journal_dir>/<id>.grid` (temp file + rename).
+/// Atomically writes `<journal_dir>/<id>.grid` ([`write_atomic`]).
 fn write_journal(journal_dir: &Path, id: &str, canonical_json: &str) -> Result<(), String> {
-    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let temp = journal_dir.join(format!(
-        ".{id}.{}.{}.tmp",
-        std::process::id(),
-        TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let path = journal_dir.join(format!("{id}.grid"));
-    let write = || -> std::io::Result<()> {
-        let mut file = std::fs::File::create(&temp)?;
-        file.write_all(canonical_json.as_bytes())?;
-        file.sync_all()?;
-        std::fs::rename(&temp, &path)
-    };
-    write().map_err(|e| {
-        let _ = std::fs::remove_file(&temp);
-        format!("cannot journal campaign {id}: {e}")
-    })
+    write_atomic(
+        &journal_dir.join(format!("{id}.grid")),
+        canonical_json.as_bytes(),
+    )
+    .map_err(|e| format!("cannot journal campaign {id}: {e}"))
 }
 
-/// What one worker produced for one cell.
-enum CellOutcome {
-    /// The rendered timing-free bytes, ready to store and paste.
-    Done(String),
-    /// The point failed; every waiting campaign fails with this message.
-    Failed(String),
-    /// Shutdown arrived before the cell started; it goes back on the queue.
-    Aborted,
-}
-
-/// The executor: drains the queue into batches, runs each batch through
-/// [`steal_map`], persists finished cells to the store, and distributes the
-/// bytes to every waiting campaign. Exits when shutdown is requested and
-/// the current batch has been flushed.
+/// The executor: drains the queue into batches, runs each batch through the
+/// campaign cell executor (which persists every finished cell to the store
+/// before this loop publishes it), and distributes the bytes to every
+/// waiting campaign. Cells the shutdown flag skipped go back on the queue.
+/// Exits when shutdown is requested and the current batch has been flushed.
 fn executor_loop(shared: &Arc<Shared>) {
     loop {
-        let batch: Vec<(u64, SweepPoint, usize)> = {
+        let batch: Vec<CellJob> = {
             let mut state = shared.state.lock().expect("service state poisoned");
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -516,62 +459,46 @@ fn executor_loop(shared: &Arc<Shared>) {
             }
             let keys: Vec<u64> = state.queue.drain(..).collect();
             state.in_flight = keys.len();
-            keys.into_iter()
-                .map(|key| {
-                    let cell = &state.cells[&key];
-                    (key, cell.point.clone(), cell.branches_per_trace)
-                })
+            keys.iter()
+                .map(|key| state.cells[key].job.clone())
                 .collect()
         };
         Metrics::bump(&shared.metrics.batches);
         let batch_start = Instant::now();
-        let (results, stats) = steal_map(&batch, shared.workers, |(_, point, branches)| {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return CellOutcome::Aborted;
-            }
-            match run_point_with_engine(point, *branches, shared.engine) {
-                Ok(result) => CellOutcome::Done(render_point_json(
-                    &CampaignPointReport {
-                        result,
-                        // Never rendered: cells are stored timing-free.
-                        wall_seconds: 0.0,
-                    },
-                    false,
-                )),
-                Err(error) => CellOutcome::Failed(error.to_string()),
-            }
-        });
-        shared
-            .metrics
+        let run = execute_cells(
+            &batch,
+            shared.workers,
+            shared.engine,
+            Some(&shared.store),
+            Some(&shared.shutdown),
+        );
+        let metrics = &shared.metrics;
+        metrics
             .steals
-            .fetch_add(stats.steals, Ordering::Relaxed);
-        shared
-            .metrics
+            .fetch_add(run.stats.steals, Ordering::Relaxed);
+        metrics
             .busy_micros
             .fetch_add(batch_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        // Persist before publishing: a kill after this loop loses nothing.
-        for ((key, _, _), outcome) in batch.iter().zip(&results) {
-            if let CellOutcome::Done(rendered) = outcome {
-                let _ = shared.store.store_cell(*key, rendered);
-                Metrics::bump(&shared.metrics.cells_computed);
-            }
-        }
+        metrics
+            .store_errors
+            .fetch_add(run.store_errors as u64, Ordering::Relaxed);
         let mut state = shared.state.lock().expect("service state poisoned");
-        for ((key, _, _), outcome) in batch.iter().zip(results) {
-            match outcome {
-                CellOutcome::Done(rendered) => {
-                    let cell = state.cells.remove(key).expect("batched cell tracked");
-                    for (campaign_id, index) in cell.waiters {
-                        finish_cell(&mut state, shared, &campaign_id, index, &rendered);
+        for (job, cell) in batch.iter().zip(run.cells) {
+            match cell {
+                Some(Ok(cell)) => {
+                    Metrics::bump(&metrics.cells_computed);
+                    let pending = state.cells.remove(&job.key).expect("batched cell tracked");
+                    for (campaign_id, index) in pending.waiters {
+                        finish_cell(&mut state, shared, &campaign_id, index, &cell.rendered);
                     }
                 }
-                CellOutcome::Failed(error) => {
-                    let cell = state.cells.remove(key).expect("batched cell tracked");
-                    for (campaign_id, _) in cell.waiters {
-                        fail_campaign(&mut state, shared, &campaign_id, &error);
+                Some(Err(error)) => {
+                    let pending = state.cells.remove(&job.key).expect("batched cell tracked");
+                    for (campaign_id, _) in pending.waiters {
+                        fail_campaign(&mut state, shared, &campaign_id, &error.to_string());
                     }
                 }
-                CellOutcome::Aborted => state.queue.push_back(*key),
+                None => state.queue.push_back(job.key),
             }
         }
         state.in_flight = 0;
@@ -825,6 +752,7 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
         cells_restored: Metrics::read(&metrics.cells_restored),
         cache_hits: shared.store.hits(),
         cache_misses: shared.store.misses(),
+        store_errors: Metrics::read(&metrics.store_errors),
         warmcache_hits,
         warmcache_misses,
         batches: Metrics::read(&metrics.batches),

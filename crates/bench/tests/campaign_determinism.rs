@@ -2,10 +2,9 @@
 //! JSON report at any worker count (modulo the explicitly timing-carrying
 //! fields), and the report round-trips through the schema validation.
 
-use tage_bench::campaign::{
-    run_campaign, steal_map, validate_report, CampaignSpec, SCHEMA_VERSION,
-};
+use tage_bench::campaign::{run_campaign, validate_report, CampaignSpec, SCHEMA_VERSION};
 use tage_bench::jsonish;
+use tage_sim::engine::steal_map;
 use tage_sim::point::{PredictorSpec, SchemeSpec};
 use tage_sim::scenarios::ScenarioSpec;
 use tage_traces::suites;

@@ -219,6 +219,48 @@ fn killed_daemon_rehydrates_and_finishes_to_identical_bytes() {
 }
 
 #[test]
+fn daemon_sampled_cells_restore_warm_checkpoints() {
+    let (store, journal) = temp_dirs("sampled");
+    let handle = serve(&store, &journal);
+    // One interval-100 cluster over 1,500-branch traces leaves gaps between
+    // the slices, so the first run stores checkpoints under <store>/warm.
+    let mut request = grid("sampled");
+    request.predictors = vec!["tage-16k".to_string()];
+    request.schemes = vec!["storage-free".to_string()];
+    request.suites = vec!["sample:cbp1-mini:100:1:1".to_string()];
+    request.branches_per_trace = 1_500;
+    let (status, _) = post(&handle, "/campaigns", &request.to_json());
+    assert_eq!(status, 202);
+    let report = wait_finished(&handle, &request.id());
+    assert_eq!(report, one_shot_report(&request));
+
+    // Drop the finished cell, keep the checkpoints, resubmit relabelled:
+    // the recomputed cell restores its gaps instead of replaying them.
+    for entry in std::fs::read_dir(&store).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "cell") {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let hits = metric(&handle, "warmcache_hits");
+    let mut again = request.clone();
+    again.label = "sampled-again".to_string();
+    let (status, _) = post(&handle, "/campaigns", &again.to_json());
+    assert_eq!(status, 202);
+    let report = wait_finished(&handle, &again.id());
+    assert_eq!(report, one_shot_report(&again));
+    assert_eq!(metric(&handle, "cells_computed"), 2.0);
+    assert!(
+        metric(&handle, "warmcache_hits") > hits,
+        "daemon sampled cells must restore checkpoints"
+    );
+    assert_eq!(metric(&handle, "store_errors"), 0.0);
+
+    shutdown(handle);
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}
+
+#[test]
 fn hostile_requests_are_rejected_with_useful_errors() {
     let (store, journal) = temp_dirs("hostile");
     let handle = serve(&store, &journal);

@@ -23,10 +23,10 @@
 //! cycle-interleaved models (SMT) can share the exact same predict → assess
 //! → observe → train sequence.
 //!
-//! [`par_map`] provides the communication-free per-trace sharding used by
-//! `run_suite` and the experiment sweeps: results are written into
-//! preallocated slots and merged in deterministic input order, so a parallel
-//! suite run is bit-identical to a serial one.
+//! [`steal_map`] is the one parallel map behind every sharded run — suite
+//! sources, segments and campaign cells: a work-stealing scheduler whose
+//! results land in preallocated slots and come back in input order, so a
+//! parallel run is bit-identical to a serial one.
 //!
 //! # Example: an arbitrary predictor × estimator cross-product
 //!
@@ -48,7 +48,8 @@
 //! assert_eq!(report.report.total().predictions, 2_000);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use tage_confidence::scheme::{Assessment, ConfidenceScheme};
@@ -285,10 +286,21 @@ where
         &self.scheme
     }
 
+    /// Mutable access to the wrapped confidence scheme.
+    pub(crate) fn scheme_mut(&mut self) -> &mut S {
+        &mut self.scheme
+    }
+
     /// Conditional branches executed so far (across `run` and `step_branch`
     /// calls).
     pub fn branches_executed(&self) -> u64 {
         self.conditional_seen
+    }
+
+    /// Sets the executed-branch counter the statistical warm-up compares
+    /// against — how a restored checkpoint resumes mid-stream.
+    pub(crate) fn set_branches_executed(&mut self, branches: u64) {
+        self.conditional_seen = branches;
     }
 
     /// Resets predictor, scheme and warm-up progress, so the engine starts
@@ -297,11 +309,6 @@ where
         self.predictor.reset();
         self.scheme.reset();
         self.conditional_seen = 0;
-    }
-
-    /// Consumes the engine, returning the predictor and the scheme.
-    pub fn into_parts(self) -> (P, S) {
-        (self.predictor, self.scheme)
     }
 
     /// Executes one conditional branch through the full predict → assess →
@@ -518,58 +525,117 @@ where
     }
 }
 
-/// The number of worker threads [`par_map`] uses by default: one per
-/// available hardware thread.
+/// The default worker count of the suite runners: one per available
+/// hardware thread.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item of `items` across up to `workers` scoped
-/// threads and returns the results **in input order**.
+/// Scheduling statistics of one [`steal_map`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StealStats {
+    /// Worker threads used.
+    pub workers: usize,
+    /// Tasks executed by a worker other than the one they were placed on.
+    pub steals: u64,
+}
+
+/// Applies `f` to every item across up to `workers` scoped threads with
+/// **work stealing**, returning the results **in input order**.
 ///
-/// Work is handed out through a shared atomic cursor (communication-free
-/// sharding: no channels, no work stealing) and every result is written to
-/// its own preallocated slot, so the output is deterministic regardless of
-/// scheduling — `par_map(items, n, f)` equals `items.iter().map(f)` for any
-/// `n`. With `workers <= 1` the closure runs inline on the caller's thread.
+/// Items are dealt round-robin onto per-worker deques; a worker pops its own
+/// queue from the front and, when empty, steals from the *back* of the
+/// most-loaded sibling. Because every result is written to its own slot, the
+/// output is identical for any worker count — `steal_map(items, n, f).0`
+/// equals `items.iter().map(f)` for any `n`; only the schedule (reported in
+/// [`StealStats`]) varies. With `workers <= 1` the closure runs inline on the
+/// caller's thread.
 ///
 /// # Panics
 ///
 /// Propagates the first panic raised by `f` on a worker thread.
-pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+pub fn steal_map<T, R, F>(items: &[T], workers: usize, f: F) -> (Vec<R>, StealStats)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = workers.max(1).min(items.len());
+    let workers = workers.max(1).min(items.len().max(1));
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        let results = items.iter().map(&f).collect();
+        return (
+            results,
+            StealStats {
+                workers: 1,
+                steals: 0,
+            },
+        );
     }
-    let cursor = AtomicUsize::new(0);
+    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
+        .map(|w| Mutex::new((w..items.len()).step_by(workers).collect()))
+        .collect();
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let steals = AtomicU64::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= items.len() {
-                    break;
+        for me in 0..workers {
+            let queues = &queues;
+            let slots = &slots;
+            let steals = &steals;
+            let f = &f;
+            scope.spawn(move || {
+                while let Some(index) = next_task(queues, me, steals) {
+                    let result = f(&items[index]);
+                    *slots[index].lock().expect("result slot poisoned") = Some(result);
                 }
-                let result = f(&items[index]);
-                *slots[index].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
-    slots
+    let results = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("result slot poisoned")
-                .expect("worker filled every slot")
+                .expect("every task executed")
         })
-        .collect()
+        .collect();
+    (
+        results,
+        StealStats {
+            workers,
+            steals: steals.load(Ordering::Relaxed),
+        },
+    )
+}
+
+/// Pops the worker's own queue, or steals from the back of the most-loaded
+/// sibling. Returns `None` only when every queue is empty (tasks never
+/// re-enter a queue, so that means the tail of the work is already running
+/// elsewhere).
+fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize, steals: &AtomicU64) -> Option<usize> {
+    if let Some(index) = queues[me].lock().expect("queue poisoned").pop_front() {
+        return Some(index);
+    }
+    loop {
+        let mut victim: Option<(usize, usize)> = None;
+        for (q, queue) in queues.iter().enumerate() {
+            if q == me {
+                continue;
+            }
+            let len = queue.lock().expect("queue poisoned").len();
+            if len > 0 && victim.is_none_or(|(_, best)| len > best) {
+                victim = Some((q, len));
+            }
+        }
+        let (q, _) = victim?;
+        // The victim may have been drained between the scan and this lock;
+        // rescan in that case.
+        if let Some(index) = queues[q].lock().expect("queue poisoned").pop_back() {
+            steals.fetch_add(1, Ordering::Relaxed);
+            return Some(index);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -858,15 +924,37 @@ mod tests {
     }
 
     #[test]
-    fn par_map_is_order_preserving_and_worker_count_independent() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial = par_map(&items, 1, |&x| x * x);
+    fn steal_map_is_order_preserving_and_worker_count_independent() {
+        let items: Vec<u64> = (0..53).collect();
+        let (serial, stats) = steal_map(&items, 1, |&x| x * 3);
+        assert_eq!(stats.steals, 0);
         for workers in [2, 3, 8, 64] {
-            assert_eq!(par_map(&items, workers, |&x| x * x), serial);
+            let (parallel, stats) = steal_map(&items, workers, |&x| x * 3);
+            assert_eq!(parallel, serial, "workers = {workers}");
+            assert!(stats.workers <= items.len());
         }
-        assert_eq!(serial[36], 36 * 36);
+        assert_eq!(serial[52], 52 * 3);
         let empty: Vec<u64> = Vec::new();
-        assert!(par_map(&empty, 4, |&x: &u64| x).is_empty());
+        let (results, _) = steal_map(&empty, 4, |&x: &u64| x);
+        assert!(results.is_empty());
+    }
+
+    #[test]
+    fn steal_map_steals_from_loaded_workers() {
+        // Worker 0's items are slow, the rest are instant: the only way the
+        // fast workers stay busy is by stealing worker 0's backlog.
+        let items: Vec<usize> = (0..32).collect();
+        let (results, stats) = steal_map(&items, 4, |&i| {
+            if i % 4 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            i * 2
+        });
+        assert_eq!(results, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(
+            stats.steals > 0,
+            "uneven per-worker load must trigger steals (got {stats:?})"
+        );
     }
 
     #[test]

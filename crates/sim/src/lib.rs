@@ -5,8 +5,9 @@
 //!
 //! * [`engine`] — the generic, predictor-agnostic simulation engine: one
 //!   execution path driving any predictor × confidence-scheme pair with
-//!   pluggable per-branch observers, plus the communication-free parallel
-//!   sharding helper behind every suite run. Consumes either a materialized
+//!   pluggable per-branch observers, plus [`steal_map`], the one
+//!   work-stealing parallel map behind every suite, segment and campaign
+//!   run. Consumes either a materialized
 //!   trace ([`SimEngine::run`]) or a streaming
 //!   [`tage_traces::source::BranchSource`] ([`engine::SimEngine::run_source`])
 //!   with bounded record memory. Everything below is a thin assembly of it;
@@ -26,14 +27,18 @@
 //!   source into N ranges, replays a warmup prefix per range with statistics
 //!   suppressed, and merges deterministically — parallelism *within* a
 //!   trace;
-//! * [`warmcache`] — a content-addressed on-disk cache of segment-boundary
-//!   warm states (full predictor snapshot + classifier + adaptive
-//!   controller), so repeated segmented runs restore instead of replaying
-//!   their warmup prefixes — byte-identical either way;
+//! * [`phase`] — SimPoint-style phase sampling: a few representative
+//!   slices of a long stream simulated from their exact sequential state
+//!   and folded into whole-trace estimates;
+//! * [`warmcache`] — a content-addressed on-disk cache of warm states (full
+//!   predictor snapshot + classifier + adaptive controller + branch
+//!   counter) and the one restore-or-replay step segmented and sampled
+//!   runs share, so repeated runs restore instead of replaying warmup
+//!   prefixes and slice gaps — byte-identical either way;
 //! * [`point`] — sweep points, the reusable unit of work behind campaign
-//!   grids (`tage-bench`) and the experiment sweeps: one predictor ×
-//!   confidence-scheme × suite cell executed through the engine with
-//!   deterministic, thread-placement-independent results;
+//!   grids (`tage-bench`, `tage-serve`) and the experiment sweeps: one
+//!   predictor × confidence-scheme × suite cell executed by [`run_point`]
+//!   with deterministic, thread-placement-independent results;
 //! * [`experiment`] — the building blocks behind each table and figure of
 //!   the paper (class distributions, three-level summaries, probability
 //!   sweeps, automaton accuracy cost, ablations), expressed as grids of
@@ -88,22 +93,22 @@ pub mod smt;
 pub mod suite;
 pub mod warmcache;
 
-pub use engine::{BranchEvent, EngineObserver, EngineSummary, ReportObserver, SimEngine};
+pub use engine::{
+    steal_map, BranchEvent, EngineObserver, EngineSummary, ReportObserver, SimEngine, StealStats,
+};
 pub use multilane::{run_specs_multilane, EngineKind, MultilaneEngine, DEFAULT_LANES};
 pub use phase::{
     build_plan, compare_sampled_vs_exact, run_sampled_source, PhasePlan, Representative,
     SampledRunResult, SamplingErrorReport,
 };
 pub use point::{
-    run_point, run_point_with_engine, run_point_with_engine_cached, run_tage_sweep, PointError,
-    PointResult, PointSamplingMetrics, PointTraceMetrics, PredictorSpec, SchemeSpec, SweepPoint,
-    TageSweepPoint,
+    run_point, run_tage_sweep, PointError, PointResult, PointSamplingMetrics, PointTraceMetrics,
+    PredictorSpec, SchemeSpec, SweepPoint, TageSweepPoint,
 };
 pub use runner::{run_source, run_trace, RunOptions, TraceRunResult};
 pub use scenarios::ScenarioSpec;
 pub use segment::{
-    run_segmented_source, run_segmented_source_cached, run_suite_segmented,
-    run_suite_segmented_cached, SegmentOptions, SegmentPlan, SegmentedRunResult,
+    run_segmented_source, run_suite_segmented, SegmentOptions, SegmentPlan, SegmentedRunResult,
 };
 pub use suite::{
     run_suite, run_suite_sources, run_suite_with_parallelism, SuiteRunResult, SuiteScratch,

@@ -46,14 +46,14 @@
 
 use std::mem;
 
-use tage::{LaneGroup, TageBlueprint, TageGeometry, TagePredictor};
+use tage::{LaneGroup, TageBlueprint, TageGeometry};
 use tage_confidence::{ConfidenceReport, TageConfidenceClassifier};
 use tage_predictors::PredictionOutcome;
 use tage_traces::format::FormatError;
 use tage_traces::source::{BranchSource, SourceSpec};
 use tage_traces::BranchRecord;
 
-use crate::engine::{SimEngine, SOURCE_BATCH_RECORDS};
+use crate::engine::SOURCE_BATCH_RECORDS;
 use crate::runner::{run_source, RunOptions, TraceRunResult};
 
 /// Default lane count for multilane runs: enough independent dependency
@@ -66,7 +66,7 @@ pub const DEFAULT_LANES: usize = 16;
 /// is purely a throughput decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One stream at a time through [`SimEngine::run_source`].
+    /// One stream at a time through [`crate::SimEngine::run_source`].
     Scalar,
     /// K streams in lockstep through [`MultilaneEngine`].
     Multilane,
@@ -417,44 +417,6 @@ pub fn run_specs_multilane(
         .collect();
     engine.run_into(&mut sources, &mut results)?;
     Ok(results)
-}
-
-impl SimEngine<TagePredictor, TageConfidenceClassifier> {
-    /// Runs `sources` through the lane-batched lockstep path, `lanes`
-    /// streams at a time — the multilane counterpart of driving each source
-    /// through [`SimEngine::run_source`] in turn, bit-identical to doing
-    /// exactly that.
-    ///
-    /// Adaptive runs (`options.adaptive_target_mkp`) fall back to the
-    /// scalar engine per source.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed [`FormatError`] any source reported; the
-    /// remaining streams still execute.
-    pub fn run_sources_multilane<S>(
-        blueprint: &dyn TageBlueprint,
-        sources: &mut [S],
-        options: &RunOptions,
-        lanes: usize,
-    ) -> Result<Vec<TraceRunResult>, FormatError>
-    where
-        S: BranchSource,
-    {
-        if options.adaptive_target_mkp.is_some() {
-            let mut results = Vec::with_capacity(sources.len());
-            for source in sources {
-                results.push(run_source(blueprint, source, options)?);
-            }
-            return Ok(results);
-        }
-        let mut engine = MultilaneEngine::new(blueprint, options, lanes);
-        let mut results: Vec<TraceRunResult> = (0..sources.len())
-            .map(|_| MultilaneEngine::placeholder_result())
-            .collect();
-        engine.run_into(sources, &mut results)?;
-        Ok(results)
-    }
 }
 
 #[cfg(test)]

@@ -19,16 +19,16 @@
 //! for hundreds of thousands of branches, so any bounded warmup replay
 //! leaves a systematic cold-start bias that the weighted reconstruction
 //! multiplies. The sampled runner therefore carries one engine across the
-//! representatives in stream order. Gaps between slices are handled one of
-//! two ways:
+//! representatives in stream order. Gaps between slices go through
+//! `warmcache::advance`, the restore-or-replay step segment sharding uses
+//! too, with the stream head as origin:
 //!
 //! - **Replay** (cold): the engine simply consumes the gap's records,
 //!   which keeps its state exactly sequential, and — when a [`WarmCache`]
 //!   is attached — snapshots the boundary state at each slice start
-//!   (entry key `(0, start)`, the same [`crate::warmcache`] encoding
-//!   segment sharding uses).
+//!   (entry key `(0, start)`).
 //! - **Restore** (warm): when the cache already holds a slice's boundary
-//!   state, the engine state is swapped for the snapshot and the gap is
+//!   state, the engine state is restored from the snapshot and the gap is
 //!   *skipped*, not simulated.
 //!
 //! Both paths produce bit-identical slice measurements (restore ≡ replay
@@ -41,21 +41,22 @@
 //! slices themselves, typically 10–100× fewer branches. Reconstruction
 //! error is then pure clustering noise, not warmup bias.
 //!
-//! The statistical-warmup exclusion (`RunOptions::warmup_branches`)
-//! applies at the stream head exactly as in a sequential run; values that
-//! extend past the first representative slice are not meaningful under
-//! sampling.
+//! The statistical-warmup exclusion (`RunOptions::warmup_branches`) leaves
+//! the stream's leading conditional branches out of the slice statistics
+//! exactly as in a sequential run, whatever the cache holds: checkpoints
+//! carry the engine's executed-branch counter, so a restored slice knows
+//! how many branches precede it. A slice inside the excluded prefix measures
+//! fewer branches, and its weight scales that shortfall.
 
 use tage::{TageBlueprint, TagePredictor};
-use tage_confidence::{AdaptiveSaturationController, ConfidenceReport, TageConfidenceClassifier};
+use tage_confidence::ConfidenceReport;
 use tage_traces::format::FormatError;
 use tage_traces::rng::SplitMix64;
 use tage_traces::source::{BranchSource, SamplingSpec, Take};
 use tage_traces::BranchRecord;
 
-use crate::engine::{ReportObserver, SimEngine};
-use crate::runner::{run_source, AdaptiveObserver, RunOptions, TraceRunResult};
-use crate::warmcache::{self, WarmCache, WarmState};
+use crate::runner::{run_source, RunOptions, TageRun, TraceRunResult};
+use crate::warmcache::{self, Checkpoints, WarmCache};
 
 /// Number of pc buckets in a branch signature (per outcome).
 const SIGNATURE_BUCKETS: usize = 32;
@@ -341,7 +342,7 @@ impl SampledRunResult {
 ///
 /// `open` must produce a fresh, independent stream of the same records on
 /// every call; `warm` pairs a [`WarmCache`] with the source's content
-/// digest exactly as in [`crate::segment::run_segmented_source_cached`].
+/// digest exactly as in [`crate::segment::run_segmented_source`].
 ///
 /// # Errors
 ///
@@ -363,8 +364,8 @@ where
     let plan = build_plan(&mut analysis_source, spec)?;
     let trace_name = analysis_source.name().to_string();
     drop(analysis_source);
-
-    let state_digest = warm.map(|_| warmcache::state_digest(&geometry, options));
+    let checkpoints =
+        warm.map(|(cache, digest)| Checkpoints::new(cache, digest, &geometry, options));
 
     let mut report = ConfidenceReport::new();
     let mut conditional_branches = 0u64;
@@ -375,100 +376,27 @@ where
     let mut source = open()?;
     let mut position = 0u64;
     let mut predictor = TagePredictor::new(&geometry);
-    let classifier = TageConfidenceClassifier::with_window(&geometry, options.bim_miss_window);
-    let mut adaptive = options.adaptive_target_mkp.map(|target| AdaptiveObserver {
-        controller: AdaptiveSaturationController::with_parameters(target, 16 * 1024),
-    });
-    if let Some(observer) = adaptive.as_ref() {
-        predictor.set_automaton(observer.controller.automaton());
-    }
-    let mut engine =
-        SimEngine::new(&mut predictor, classifier).with_warmup(options.warmup_branches);
-
+    let mut run = TageRun::new(&mut predictor, options, options.warmup_branches);
     for rep in &plan.representatives {
         let start = rep.interval_index * plan.interval;
         let end = (start + plan.interval).min(plan.total_records);
-
         // Gap ahead of this slice: restore its boundary checkpoint when the
         // cache holds one, replay (and store the checkpoint) otherwise.
-        // Both leave the engine in the exact sequential state at `start`.
-        if start > position {
-            let mut restored = false;
-            if let (Some((cache, source_digest)), Some(digest)) = (warm, state_digest) {
-                let key = warmcache::entry_key(digest, source_digest, 0, start);
-                if let Some(state) = cache
-                    .load(key)
-                    .and_then(|bytes| warmcache::decode_warm_state(&bytes, digest).ok())
-                {
-                    // Restore into a scratch predictor first: a torn or
-                    // stale entry must not corrupt the carried state the
-                    // replay fallback depends on.
-                    let mut scratch = TagePredictor::new(&geometry);
-                    let adaptive_matches = adaptive.is_none() == state.adaptive.is_none();
-                    if adaptive_matches && scratch.restore(&state.predictor).is_ok() {
-                        if let (Some(observer), Some(dynamic)) = (adaptive.as_mut(), state.adaptive)
-                        {
-                            observer.controller.restore_dynamic_state(dynamic);
-                        }
-                        let (carried, mut classifier) = engine.into_parts();
-                        std::mem::swap(carried, &mut scratch);
-                        classifier.set_window_remaining(state.window_remaining);
-                        engine = SimEngine::new(carried, classifier);
-                        source.skip_records(start - position)?;
-                        cache.note_hit();
-                        restored = true;
-                    }
-                }
-                if !restored {
-                    cache.note_miss();
-                }
-            }
-            if !restored {
-                engine.run_source(
-                    &mut Take::new(&mut source, start - position),
-                    &mut adaptive.as_mut(),
-                )?;
-                replayed_records += start - position;
-                if let (Some((cache, source_digest)), Some(digest)) = (warm, state_digest) {
-                    let key = warmcache::entry_key(digest, source_digest, 0, start);
-                    let (carried, classifier) = engine.into_parts();
-                    let state = WarmState {
-                        predictor: carried.snapshot(),
-                        window_remaining: classifier.window_remaining(),
-                        adaptive: adaptive
-                            .as_ref()
-                            .map(|observer| observer.controller.dynamic_state()),
-                    };
-                    // Best effort: an unwritable cache degrades to replays.
-                    let _ = cache.store(key, &warmcache::encode_warm_state(digest, &state));
-                    engine = SimEngine::new(carried, classifier);
-                }
-            }
-        }
+        // Both leave the run in the exact sequential state at `start`.
+        let replayed = warmcache::advance(&mut run, &mut source, position, 0, start, checkpoints)?;
+        replayed_records += replayed.unwrap_or(0);
 
         // Measure the representative slice.
-        let mut slice = ReportObserver::default();
-        let summary = engine.run_source(
-            &mut Take::new(&mut source, end - start),
-            &mut (&mut slice, adaptive.as_mut()),
-        )?;
+        let (slice, summary) = run.measure(&mut Take::new(&mut source, end - start), &mut ())?;
         position = end;
-        report.merge_scaled(&slice.report, rep.weight);
+        report.merge_scaled(&slice, rep.weight);
         conditional_branches += summary.measured_branches * rep.weight;
         instructions += summary.measured_instructions * rep.weight;
         measured_branches += summary.measured_branches;
     }
-    drop(engine);
 
     Ok(SampledRunResult {
-        result: TraceRunResult {
-            trace_name,
-            config_name: geometry.name(),
-            report,
-            conditional_branches,
-            instructions,
-            final_saturation_probability: predictor.geometry().automaton.saturation_probability(),
-        },
+        result: run.result(trace_name, report, conditional_branches, instructions),
         plan,
         measured_branches,
         replayed_records,
@@ -725,6 +653,95 @@ mod tests {
             cold.exact_branches,
             warmed.simulated_records()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `sampling` over the first `branches` of INT-2 uncached, then
+    /// cold and warm through a fresh cache at `dir`, returning all three.
+    fn uncached_cold_warm(
+        options: &RunOptions,
+        sampling: SamplingSpec,
+        branches: usize,
+        dir: &std::path::Path,
+    ) -> [SampledRunResult; 3] {
+        let _ = std::fs::remove_dir_all(dir);
+        let config = TageConfig::small();
+        let source_spec = tage_traces::source::SourceSpec::Synthetic(spec());
+        let digest = source_spec.digest(branches);
+        let open = || source_spec.open(branches);
+        let uncached = run_sampled_source(&config, options, sampling, None, open).unwrap();
+        let cache = WarmCache::new(dir).unwrap();
+        let cold = run_sampled_source(&config, options, sampling, Some((&cache, digest)), open);
+        let warm = run_sampled_source(&config, options, sampling, Some((&cache, digest)), open);
+        assert!(cache.hits() > 0, "the warm run restores checkpoints");
+        let _ = std::fs::remove_dir_all(dir);
+        [uncached, cold.unwrap(), warm.unwrap()]
+    }
+
+    #[test]
+    fn statistical_warmup_is_the_same_whatever_the_cache_holds() {
+        let sampling = SamplingSpec {
+            interval: 500,
+            k: 4,
+            seed: 1,
+        };
+        let dir = std::env::temp_dir().join(format!("tage-phase-warmup-{}", std::process::id()));
+        // 3,000 leading branches reach past the first representative
+        // slices, so restored checkpoints must carry the branch counter.
+        let mut measured = Vec::new();
+        for warmup_branches in [0, 3_000] {
+            let options = RunOptions {
+                warmup_branches,
+                ..RunOptions::default()
+            };
+            let [uncached, cold, warm] = uncached_cold_warm(&options, sampling, 10_000, &dir);
+            assert_eq!(cold.result, uncached.result, "warmup {warmup_branches}");
+            assert_eq!(warm.result, uncached.result, "warmup {warmup_branches}");
+            assert_eq!(cold.measured_branches, uncached.measured_branches);
+            assert_eq!(warm.measured_branches, uncached.measured_branches);
+            measured.push(uncached.measured_branches);
+        }
+        assert!(measured[1] < measured[0], "the warmup excludes branches");
+    }
+
+    #[test]
+    fn torn_checkpoints_fall_back_to_replay() {
+        let dir = std::env::temp_dir().join(format!("tage-phase-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sampling = SamplingSpec {
+            interval: 500,
+            k: 4,
+            seed: 1,
+        };
+        let config = TageConfig::small();
+        let options = RunOptions::default();
+        let source_spec = tage_traces::source::SourceSpec::Synthetic(spec());
+        let digest = source_spec.digest(8_000);
+        let open = || source_spec.open(8_000);
+        let uncached = run_sampled_source(&config, &options, sampling, None, open).unwrap();
+        let cache = WarmCache::new(&dir).unwrap();
+        let warm = Some((&cache, digest));
+        run_sampled_source(&config, &options, sampling, warm, open).unwrap();
+        let mut entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "warmstate"))
+            .collect();
+        entries.sort();
+        assert!(entries.len() >= 2, "the cold run stores checkpoints");
+        // One torn entry, one bit-flipped entry.
+        let bytes = std::fs::read(&entries[0]).unwrap();
+        std::fs::write(&entries[0], &bytes[..bytes.len() - 9]).unwrap();
+        let mut bytes = std::fs::read(&entries[1]).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x01;
+        std::fs::write(&entries[1], &bytes).unwrap();
+        let misses = cache.misses();
+        let repaired = run_sampled_source(&config, &options, sampling, warm, open).unwrap();
+        assert_eq!(repaired.result, uncached.result, "corrupt entries replay");
+        assert_eq!(repaired.measured_branches, uncached.measured_branches);
+        assert!(repaired.replayed_records > 0, "the torn gaps were replayed");
+        assert_eq!(cache.misses(), misses + 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,8 +3,9 @@
 //!
 //! A [`SweepPoint`] is one cell of a predictor × confidence-scheme × suite
 //! × scenario cross product. [`run_point`] executes it — every trace of the
-//! point's suite through the generic [`SimEngine`], with a
-//! cold predictor per trace — and returns exact integer counters plus the
+//! point's suite through the scalar [`SimEngine`], the lane-batched engine
+//! or the phase-sampled runner, with a cold predictor per trace — and
+//! returns exact integer counters plus the
 //! aggregate [`ConfidenceReport`], so a point's result is deterministic and
 //! independent of where (which thread, which order) it ran. The campaign
 //! runner (`tage-bench`) work-steals whole points across workers; the
@@ -44,6 +45,7 @@ use tage_traces::Suite;
 
 use crate::engine::{BranchEvent, EngineObserver, ReportObserver, SimEngine};
 use crate::multilane::{run_specs_multilane, EngineKind, DEFAULT_LANES};
+use crate::runner::TraceRunResult;
 use crate::scenarios::energy::RecoveryEnergyObserver;
 use crate::scenarios::interference::{run_shared_predictor, SharedRunResult};
 use crate::scenarios::prefetch::PrefetchObserver;
@@ -547,36 +549,23 @@ impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
 ///
 /// `branches_per_trace` sizes synthetic sources; file-backed sources yield
 /// whatever their file holds.
-pub fn run_point(point: &SweepPoint, branches_per_trace: usize) -> Result<PointResult, PointError> {
-    run_point_with_engine(point, branches_per_trace, EngineKind::Scalar)
-}
-
-/// [`run_point`] with an explicit engine choice.
 ///
-/// [`EngineKind::Multilane`] routes the point through the lane-batched
-/// lockstep engine when the cell is lane-batchable — the paper's TAGE ×
-/// storage-free pairing under the plain baseline scenario, which is every
-/// cell of the default campaign grid. Scenario observers and the
-/// storage-based estimator schemes hook the scalar per-branch loop, so those
-/// cells fall back to the scalar path. Either way the result is
-/// bit-identical; the choice is purely a throughput decision.
-pub fn run_point_with_engine(
-    point: &SweepPoint,
-    branches_per_trace: usize,
-    engine: EngineKind,
-) -> Result<PointResult, PointError> {
-    run_point_with_engine_cached(point, branches_per_trace, engine, None)
-}
-
-/// [`run_point_with_engine`] with an optional predictor warm-state cache.
+/// `engine` picks the execution path. [`EngineKind::Multilane`] routes the
+/// point through the lane-batched lockstep engine when the cell is
+/// lane-batchable — the paper's TAGE × storage-free pairing under the plain
+/// baseline scenario, which is every cell of the default campaign grid.
+/// Scenario observers and the storage-based estimator schemes hook the
+/// scalar per-branch loop, so those cells fall back to the scalar path.
 ///
-/// The cache only matters for phase-sampled suites: the sampled runner
+/// `warm` only matters for phase-sampled suites: the sampled runner
 /// checkpoints the sequential predictor state at each representative
 /// slice's start through [`crate::warmcache`], so the first run of a
 /// (predictor, trace) pair pays one sequential pass and every later run
-/// simulates only the slices. Results are bit-identical with or without
-/// the cache; full (unsampled) points ignore it entirely.
-pub fn run_point_with_engine_cached(
+/// simulates only the slices. Full (unsampled) points ignore it.
+///
+/// Either way the result is bit-identical: the engine and the cache are
+/// purely throughput decisions.
+pub fn run_point(
     point: &SweepPoint,
     branches_per_trace: usize,
     engine: EngineKind,
@@ -590,6 +579,51 @@ pub fn run_point_with_engine_cached(
         return run_point_multilane(point, branches_per_trace);
     }
     run_point_scalar(point, branches_per_trace)
+}
+
+/// One trace's run inside a point: name, report, measured conditional
+/// branches and measured instructions.
+type TraceRun = (String, ConfidenceReport, u64, u64);
+
+fn trace_run(result: TraceRunResult) -> TraceRun {
+    (
+        result.trace_name,
+        result.report,
+        result.conditional_branches,
+        result.instructions,
+    )
+}
+
+impl PointResult {
+    /// The result of `point` over its traces' runs, in suite order: each
+    /// trace's counters plus the aggregate of every report. Scenario metrics
+    /// and sampling accounting start empty.
+    fn assemble(point: &SweepPoint, runs: Vec<TraceRun>) -> Self {
+        let mut aggregate = ConfidenceReport::new();
+        let traces = runs
+            .into_iter()
+            .map(|(trace_name, report, predictions, instructions)| {
+                aggregate.merge(&report);
+                PointTraceMetrics {
+                    trace_name,
+                    predictions,
+                    mispredictions: report.total().mispredictions,
+                    instructions,
+                }
+            })
+            .collect();
+        PointResult {
+            predictor: point.predictor.label(),
+            scheme: point.scheme.label(),
+            suite: point.suite.name().to_string(),
+            scenario: point.scenario.label().to_string(),
+            storage_bits: point.predictor.storage_bits(),
+            traces,
+            aggregate,
+            scenario_metrics: Vec::new(),
+            sampling: None,
+        }
+    }
 }
 
 /// The phase-sampled point path: every suite source through
@@ -606,8 +640,7 @@ fn run_point_sampled(
         unreachable!("validate() restricts sampled points to TAGE predictors")
     };
     let options = crate::runner::RunOptions::default();
-    let mut aggregate = ConfidenceReport::new();
-    let mut traces = Vec::with_capacity(point.suite.sources().len());
+    let mut runs = Vec::with_capacity(point.suite.sources().len());
     let mut metrics = PointSamplingMetrics {
         interval: sampling.interval,
         k: sampling.k,
@@ -625,25 +658,11 @@ fn run_point_sampled(
         metrics.representatives += sampled.plan.representatives.len() as u64;
         metrics.measured_branches += sampled.measured_branches;
         metrics.total_records += sampled.plan.total_records;
-        let mispredictions = sampled.result.report.total().mispredictions;
-        aggregate.merge(&sampled.result.report);
-        traces.push(PointTraceMetrics {
-            trace_name: sampled.result.trace_name,
-            predictions: sampled.result.conditional_branches,
-            mispredictions,
-            instructions: sampled.result.instructions,
-        });
+        runs.push(trace_run(sampled.result));
     }
     Ok(PointResult {
-        predictor: point.predictor.label(),
-        scheme: point.scheme.label(),
-        suite: point.suite.name().to_string(),
-        scenario: point.scenario.label().to_string(),
-        storage_bits: point.predictor.storage_bits(),
-        traces,
-        aggregate,
-        scenario_metrics: Vec::new(),
         sampling: Some(metrics),
+        ..PointResult::assemble(point, runs)
     })
 }
 
@@ -678,29 +697,8 @@ fn run_point_multilane(
         &crate::runner::RunOptions::default(),
         DEFAULT_LANES,
     )?;
-    let mut aggregate = ConfidenceReport::new();
-    let mut traces = Vec::with_capacity(results.len());
-    for result in results {
-        let mispredictions = result.report.total().mispredictions;
-        aggregate.merge(&result.report);
-        traces.push(PointTraceMetrics {
-            trace_name: result.trace_name,
-            predictions: result.conditional_branches,
-            mispredictions,
-            instructions: result.instructions,
-        });
-    }
-    Ok(PointResult {
-        predictor: point.predictor.label(),
-        scheme: point.scheme.label(),
-        suite: point.suite.name().to_string(),
-        scenario: point.scenario.label().to_string(),
-        storage_bits: point.predictor.storage_bits(),
-        traces,
-        aggregate,
-        scenario_metrics: Vec::new(),
-        sampling: None,
-    })
+    let runs = results.into_iter().map(trace_run).collect();
+    Ok(PointResult::assemble(point, runs))
 }
 
 fn run_point_scalar(
@@ -708,22 +706,17 @@ fn run_point_scalar(
     branches_per_trace: usize,
 ) -> Result<PointResult, PointError> {
     let mut scenario_observer = ScenarioObserver::for_spec(point.scenario);
-    let mut traces = Vec::with_capacity(point.suite.sources().len());
-    let mut aggregate = ConfidenceReport::new();
+    let mut runs = Vec::with_capacity(point.suite.sources().len());
     for spec in point.suite.sources() {
         let mut source = spec.open(branches_per_trace)?;
-        let trace_name = source.name().to_string();
-        let (report, predictions, mispredictions, instructions) =
-            run_point_source(point, &mut source, &mut scenario_observer)?;
-        aggregate.merge(&report);
-        traces.push(PointTraceMetrics {
-            trace_name,
-            predictions,
-            mispredictions,
-            instructions,
-        });
+        runs.push(run_point_source(
+            point,
+            &mut source,
+            &mut scenario_observer,
+        )?);
     }
-    let scenario_metrics = match (&scenario_observer, point.scenario) {
+    let mut result = PointResult::assemble(point, runs);
+    result.scenario_metrics = match (&scenario_observer, point.scenario) {
         (ScenarioObserver::Energy(observer), _) => vec![
             ("baseline_epki_nj".to_string(), observer.baseline_epki()),
             ("confidence_epki_nj".to_string(), observer.confidence_epki()),
@@ -750,21 +743,11 @@ fn run_point_scalar(
         ],
         (ScenarioObserver::None, ScenarioSpec::SharedPredictor) => {
             let shared = run_point_shared(point, branches_per_trace)?;
-            shared_predictor_metrics(&shared, &traces)
+            shared_predictor_metrics(&shared, &result.traces)
         }
         (ScenarioObserver::None, _) => Vec::new(),
     };
-    Ok(PointResult {
-        predictor: point.predictor.label(),
-        scheme: point.scheme.label(),
-        suite: point.suite.name().to_string(),
-        scenario: point.scenario.label().to_string(),
-        storage_bits: point.predictor.storage_bits(),
-        traces,
-        aggregate,
-        scenario_metrics,
-        sampling: None,
-    })
+    Ok(result)
 }
 
 /// Compares the shared-predictor pass against the private per-source
@@ -839,7 +822,7 @@ fn run_point_source(
     point: &SweepPoint,
     source: &mut AnySource,
     scenario_observer: &mut ScenarioObserver,
-) -> Result<(ConfidenceReport, u64, u64, u64), FormatError> {
+) -> Result<TraceRun, FormatError> {
     // The paper's own path has a canonical runner; don't duplicate its loop.
     if let (Some(blueprint), SchemeSpec::StorageFree) =
         (point.predictor.tage_blueprint(), &point.scheme)
@@ -850,14 +833,9 @@ fn run_point_source(
             &crate::runner::RunOptions::default(),
             scenario_observer,
         )?;
-        let mispredictions = result.report.total().mispredictions;
-        return Ok((
-            result.report,
-            result.conditional_branches,
-            mispredictions,
-            result.instructions,
-        ));
+        return Ok(trace_run(result));
     }
+    let trace_name = source.name().to_string();
     let mut observer = ReportObserver::default();
     let summary = match (point.predictor.tage_blueprint(), &point.scheme) {
         (Some(_), SchemeSpec::StorageFree) => {
@@ -885,9 +863,9 @@ fn run_point_source(
         }
     };
     Ok((
+        trace_name,
         observer.report,
         summary.measured_branches,
-        summary.measured_mispredictions,
         summary.measured_instructions,
     ))
 }
@@ -1028,7 +1006,7 @@ mod tests {
         );
         let error = point.validate().unwrap_err();
         assert!(error.to_string().contains("gshare"));
-        let run_error = run_point(&point, 500).unwrap_err();
+        let run_error = run_point(&point, 500, EngineKind::Scalar, None).unwrap_err();
         assert!(matches!(run_error, PointError::Invalid(_)));
         assert!(run_error.to_string().contains("gshare"));
     }
@@ -1042,7 +1020,7 @@ mod tests {
             SchemeSpec::StorageFree,
             &suite,
         );
-        let result = run_point(&point, 3_000).unwrap();
+        let result = run_point(&point, 3_000, EngineKind::Scalar, None).unwrap();
         let reference = crate::suite::run_suite(
             &config,
             &suite,
@@ -1077,7 +1055,7 @@ mod tests {
                 if point.validate().is_err() {
                     continue;
                 }
-                let result = run_point(&point, 1_000).unwrap();
+                let result = run_point(&point, 1_000, EngineKind::Scalar, None).unwrap();
                 assert_eq!(
                     result.total_predictions(),
                     1_000,
@@ -1097,10 +1075,9 @@ mod tests {
             SchemeSpec::StorageFree,
             &mini(),
         );
-        let scalar = run_point_with_engine(&point, 2_000, EngineKind::Scalar).unwrap();
-        let multilane = run_point_with_engine(&point, 2_000, EngineKind::Multilane).unwrap();
+        let scalar = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
+        let multilane = run_point(&point, 2_000, EngineKind::Multilane, None).unwrap();
         assert_eq!(scalar, multilane);
-        assert_eq!(run_point(&point, 2_000).unwrap(), scalar);
     }
 
     #[test]
@@ -1119,8 +1096,8 @@ mod tests {
         )
         .with_scenario(ScenarioSpec::RecoveryEnergy);
         for point in [estimator, scenario] {
-            let scalar = run_point_with_engine(&point, 1_000, EngineKind::Scalar).unwrap();
-            let multilane = run_point_with_engine(&point, 1_000, EngineKind::Multilane).unwrap();
+            let scalar = run_point(&point, 1_000, EngineKind::Scalar, None).unwrap();
+            let multilane = run_point(&point, 1_000, EngineKind::Multilane, None).unwrap();
             assert_eq!(scalar, multilane);
         }
     }
@@ -1132,8 +1109,8 @@ mod tests {
             SchemeSpec::parse("self-confidence").unwrap(),
             &mini(),
         );
-        let a = run_point(&point, 2_000).unwrap();
-        let b = run_point(&point, 2_000).unwrap();
+        let a = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
+        let b = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1144,7 +1121,7 @@ mod tests {
             SchemeSpec::StorageFree,
             &mini(),
         );
-        let result = run_point(&point, 1_000).unwrap();
+        let result = run_point(&point, 1_000, EngineKind::Scalar, None).unwrap();
         assert_eq!(result.scenario, "baseline");
         assert!(result.scenario_metrics.is_empty());
     }
@@ -1159,9 +1136,15 @@ mod tests {
             SchemeSpec::StorageFree,
             &mini(),
         );
-        let reference = run_point(&base, 2_000).unwrap();
+        let reference = run_point(&base, 2_000, EngineKind::Scalar, None).unwrap();
         for scenario in [ScenarioSpec::RecoveryEnergy, ScenarioSpec::PrefetchThrottle] {
-            let result = run_point(&base.clone().with_scenario(scenario), 2_000).unwrap();
+            let result = run_point(
+                &base.clone().with_scenario(scenario),
+                2_000,
+                EngineKind::Scalar,
+                None,
+            )
+            .unwrap();
             assert_eq!(result.traces, reference.traces, "{scenario}");
             assert_eq!(result.aggregate, reference.aggregate, "{scenario}");
             assert_eq!(result.scenario, scenario.label());
@@ -1180,7 +1163,7 @@ mod tests {
             &mini(),
         )
         .with_scenario(ScenarioSpec::RecoveryEnergy);
-        let result = run_point(&point, 3_000).unwrap();
+        let result = run_point(&point, 3_000, EngineKind::Scalar, None).unwrap();
         let metric = |name: &str| {
             result
                 .scenario_metrics
@@ -1205,7 +1188,7 @@ mod tests {
             &mini(),
         )
         .with_scenario(ScenarioSpec::SharedPredictor);
-        let result = run_point(&point, 4_000).unwrap();
+        let result = run_point(&point, 4_000, EngineKind::Scalar, None).unwrap();
         let metric = |name: &str| {
             result
                 .scenario_metrics
@@ -1251,7 +1234,7 @@ mod tests {
                     if point.validate().is_err() {
                         continue;
                     }
-                    let result = run_point(&point, 800).unwrap();
+                    let result = run_point(&point, 800, EngineKind::Scalar, None).unwrap();
                     assert_eq!(
                         result.total_predictions(),
                         1_600,
@@ -1326,7 +1309,7 @@ mod tests {
             suite: sampled_mini(small_sampling()),
             scenario: ScenarioSpec::Baseline,
         };
-        let result = run_point(&point, 2_000).unwrap();
+        let result = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
         // Weights partition the intervals, so the weighted conditional
         // count reconstructs each trace's total exactly.
         let full = run_point(
@@ -1336,6 +1319,8 @@ mod tests {
                 &mini(),
             ),
             2_000,
+            EngineKind::Scalar,
+            None,
         )
         .unwrap();
         assert_eq!(result.traces.len(), full.traces.len());
@@ -1371,14 +1356,12 @@ mod tests {
             }),
             scenario: ScenarioSpec::Baseline,
         };
-        let scalar = run_point_with_engine(&point, 1_500, EngineKind::Scalar).unwrap();
-        let multilane = run_point_with_engine(&point, 1_500, EngineKind::Multilane).unwrap();
+        let scalar = run_point(&point, 1_500, EngineKind::Scalar, None).unwrap();
+        let multilane = run_point(&point, 1_500, EngineKind::Multilane, None).unwrap();
         assert_eq!(scalar, multilane, "engine choice cannot leak into cells");
         let cache = WarmCache::new(&dir).unwrap();
-        let cold =
-            run_point_with_engine_cached(&point, 1_500, EngineKind::Scalar, Some(&cache)).unwrap();
-        let warm =
-            run_point_with_engine_cached(&point, 1_500, EngineKind::Scalar, Some(&cache)).unwrap();
+        let cold = run_point(&point, 1_500, EngineKind::Scalar, Some(&cache)).unwrap();
+        let warm = run_point(&point, 1_500, EngineKind::Scalar, Some(&cache)).unwrap();
         assert_eq!(cold, scalar, "cache state cannot leak into cells");
         assert_eq!(warm, scalar);
         assert!(cache.hits() > 0, "second run restores checkpoints");

@@ -15,7 +15,7 @@ use tage_traces::format::FormatError;
 use tage_traces::source::{BranchSource, SliceSource};
 use tage_traces::Trace;
 
-use crate::engine::{BranchEvent, EngineObserver, ReportObserver, SimEngine};
+use crate::engine::{BranchEvent, EngineObserver, EngineSummary, ReportObserver, SimEngine};
 
 /// Options controlling a trace run.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,6 +124,77 @@ impl<'p> EngineObserver<&'p mut TagePredictor> for AdaptiveObserver {
     }
 }
 
+/// A storage-free TAGE run in progress: the engine — predictor, classifier
+/// and executed-branch counter — plus the adaptive controller when the
+/// options ask for one. This is everything a warm-state checkpoint captures
+/// ([`crate::warmcache::advance`]), and the one assembly behind
+/// [`run_source`], segments and sampled runs.
+pub(crate) struct TageRun<'p> {
+    pub(crate) engine: SimEngine<&'p mut TagePredictor, TageConfidenceClassifier>,
+    pub(crate) adaptive: Option<AdaptiveObserver>,
+}
+
+impl<'p> TageRun<'p> {
+    /// A cold run on `predictor` that leaves the first `warmup_branches`
+    /// conditional branches out of the statistics.
+    pub(crate) fn new(
+        predictor: &'p mut TagePredictor,
+        options: &RunOptions,
+        warmup_branches: u64,
+    ) -> Self {
+        let classifier =
+            TageConfidenceClassifier::with_window(predictor.geometry(), options.bim_miss_window);
+        let adaptive = options.adaptive_target_mkp.map(|target| AdaptiveObserver {
+            controller: AdaptiveSaturationController::with_parameters(target, 16 * 1024),
+        });
+        if let Some(observer) = adaptive.as_ref() {
+            predictor.set_automaton(observer.controller.automaton());
+        }
+        TageRun {
+            engine: SimEngine::new(predictor, classifier).with_warmup(warmup_branches),
+            adaptive,
+        }
+    }
+
+    /// Runs the rest of `source` into a fresh report, with `extra` riding
+    /// along after the report observer and the adaptive controller.
+    pub(crate) fn measure<S, O>(
+        &mut self,
+        source: &mut S,
+        extra: &mut O,
+    ) -> Result<(ConfidenceReport, EngineSummary), FormatError>
+    where
+        S: BranchSource + ?Sized,
+        O: EngineObserver<&'p mut TagePredictor>,
+    {
+        let mut report = ReportObserver::default();
+        let summary = self
+            .engine
+            .run_source(source, &mut (&mut report, self.adaptive.as_mut(), extra))?;
+        Ok((report.report, summary))
+    }
+
+    /// A [`TraceRunResult`] over `report`, naming the predictor and its
+    /// saturation probability as they stand now.
+    pub(crate) fn result(
+        &self,
+        trace_name: String,
+        report: ConfidenceReport,
+        conditional_branches: u64,
+        instructions: u64,
+    ) -> TraceRunResult {
+        let geometry = self.engine.predictor().geometry();
+        TraceRunResult {
+            trace_name,
+            config_name: geometry.name(),
+            report,
+            conditional_branches,
+            instructions,
+            final_saturation_probability: geometry.automaton.saturation_probability(),
+        }
+    }
+}
+
 /// Runs a TAGE predictor built from `blueprint` — a [`tage::TageConfig`]
 /// preset or an explicit [`tage::TageGeometry`] — over `trace`, classifying
 /// every conditional-branch prediction with the storage-free confidence
@@ -171,8 +242,7 @@ pub fn run_source<S: BranchSource + ?Sized>(
     source: &mut S,
     options: &RunOptions,
 ) -> Result<TraceRunResult, FormatError> {
-    let mut predictor = TagePredictor::new(blueprint);
-    run_source_with_predictor(&mut predictor, source, options)
+    run_source_observed(blueprint, source, options, &mut ())
 }
 
 /// [`run_source`] with an extra [`EngineObserver`] riding along — the hook
@@ -198,73 +268,15 @@ where
     O: for<'p> EngineObserver<&'p mut TagePredictor>,
 {
     let mut predictor = TagePredictor::new(blueprint);
-    run_source_with_predictor_observed(&mut predictor, source, options, extra)
-}
-
-/// Runs an already-constructed predictor over a trace (allowing state to be
-/// carried across traces, or a pre-warmed predictor to be reused).
-pub fn run_trace_with_predictor(
-    predictor: &mut TagePredictor,
-    trace: &Trace,
-    options: &RunOptions,
-) -> TraceRunResult {
-    let mut source = SliceSource::from_trace(trace);
-    run_source_with_predictor(predictor, &mut source, options)
-        .expect("in-memory slice sources are infallible")
-}
-
-/// Runs an already-constructed predictor over a streaming source.
-///
-/// # Errors
-///
-/// Propagates the first [`FormatError`] the source reports.
-pub fn run_source_with_predictor<S: BranchSource + ?Sized>(
-    predictor: &mut TagePredictor,
-    source: &mut S,
-    options: &RunOptions,
-) -> Result<TraceRunResult, FormatError> {
-    run_source_with_predictor_observed(predictor, source, options, &mut ())
-}
-
-/// [`run_source_with_predictor`] with an extra observer riding along (see
-/// [`run_source_observed`]).
-///
-/// # Errors
-///
-/// Propagates the first [`FormatError`] the source reports.
-pub fn run_source_with_predictor_observed<S, O>(
-    predictor: &mut TagePredictor,
-    source: &mut S,
-    options: &RunOptions,
-    extra: &mut O,
-) -> Result<TraceRunResult, FormatError>
-where
-    S: BranchSource + ?Sized,
-    O: for<'p> EngineObserver<&'p mut TagePredictor>,
-{
-    let geometry = predictor.geometry().clone();
-    let classifier = TageConfidenceClassifier::with_window(&geometry, options.bim_miss_window);
-    let mut adaptive = options.adaptive_target_mkp.map(|target| AdaptiveObserver {
-        controller: AdaptiveSaturationController::with_parameters(target, 16 * 1024),
-    });
-    if let Some(observer) = adaptive.as_ref() {
-        predictor.set_automaton(observer.controller.automaton());
-    }
-
+    let mut run = TageRun::new(&mut predictor, options, options.warmup_branches);
     let trace_name = source.name().to_string();
-    let mut report = ReportObserver::default();
-    let mut engine =
-        SimEngine::new(&mut *predictor, classifier).with_warmup(options.warmup_branches);
-    let summary = engine.run_source(source, &mut (&mut report, adaptive.as_mut(), extra))?;
-
-    Ok(TraceRunResult {
+    let (report, summary) = run.measure(source, extra)?;
+    Ok(run.result(
         trace_name,
-        config_name: geometry.name(),
-        report: report.report,
-        conditional_branches: summary.measured_branches,
-        instructions: summary.measured_instructions,
-        final_saturation_probability: predictor.geometry().automaton.saturation_probability(),
-    })
+        report,
+        summary.measured_branches,
+        summary.measured_instructions,
+    ))
 }
 
 #[cfg(test)]
@@ -360,10 +372,17 @@ mod tests {
     fn reusing_a_predictor_keeps_training_it() {
         let trace = small_trace(5_000);
         let mut predictor = TagePredictor::new(TageConfig::small());
-        let first = run_trace_with_predictor(&mut predictor, &trace, &RunOptions::default());
-        let second = run_trace_with_predictor(&mut predictor, &trace, &RunOptions::default());
+        let mut mispredictions = || {
+            let mut run = TageRun::new(&mut predictor, &RunOptions::default(), 0);
+            let (report, _) = run
+                .measure(&mut SliceSource::from_trace(&trace), &mut ())
+                .unwrap();
+            report.total().mispredictions
+        };
+        let first = mispredictions();
+        let second = mispredictions();
         assert!(
-            second.report.total().mispredictions <= first.report.total().mispredictions,
+            second <= first,
             "a warmed predictor should not get worse on the same trace"
         );
     }

@@ -20,14 +20,14 @@
 //! [`crate::runner::run_source`].
 
 use tage::{TageBlueprint, TageGeometry, TagePredictor};
-use tage_confidence::{AdaptiveSaturationController, ConfidenceReport, TageConfidenceClassifier};
+use tage_confidence::ConfidenceReport;
 use tage_traces::format::FormatError;
 use tage_traces::source::{BranchSource, SourceSuite, Take};
 
-use crate::engine::{par_map, ReportObserver, SimEngine};
-use crate::runner::{AdaptiveObserver, RunOptions, TraceRunResult};
+use crate::engine::steal_map;
+use crate::runner::{RunOptions, TageRun, TraceRunResult};
 use crate::suite::SuiteRunResult;
-use crate::warmcache::{self, WarmCache, WarmState};
+use crate::warmcache::{self, Checkpoints, WarmCache};
 
 /// How a long source is sharded: segment count plus the per-segment warmup
 /// prefix length, both in *records*.
@@ -139,71 +139,20 @@ pub struct SegmentedRunResult {
     pub segment_branches: Vec<u64>,
 }
 
-/// Runs one segment: a warm-state restore when the cache holds the segment's
-/// boundary state, a silent warmup replay otherwise, then the measured
-/// range. `warm` pairs a [`WarmCache`] with the source's content digest;
-/// `None` always replays. [`crate::phase`] follows the same
-/// restore-or-replay recipe for its representative slices, with checkpoint
-/// keys at slice starts instead of segment boundaries.
-pub(crate) fn run_segment<S: BranchSource>(
+/// Runs one segment: brings a cold run to the segment start through
+/// [`warmcache::advance`] — restoring the boundary state when `checkpoints`
+/// hold it, replaying the warmup prefix otherwise — then measures the
+/// segment's records.
+fn run_segment<S: BranchSource>(
     geometry: &TageGeometry,
     options: &RunOptions,
     source: &mut S,
     plan: &SegmentPlan,
     segment: &Segment,
-    warm: Option<(&WarmCache, u64)>,
-) -> Result<(TraceRunResult, u64), FormatError> {
-    let warmup = plan.warmup_for(segment);
-    // Only warmed segments have a boundary state worth caching: segment 0
-    // (and warmup 0) start cold, which costs nothing to reproduce.
-    let cache_entry = match warm {
-        Some((cache, source_digest)) if warmup > 0 => {
-            let state_digest = warmcache::state_digest(geometry, options);
-            let key = warmcache::entry_key(
-                state_digest,
-                source_digest,
-                segment.start - warmup,
-                segment.start,
-            );
-            Some((cache, key, state_digest))
-        }
-        _ => None,
-    };
-
-    if let Some((cache, key, state_digest)) = cache_entry {
-        if let Some(outcome) = try_run_segment_from_cache(
-            geometry,
-            options,
-            source,
-            segment,
-            cache,
-            key,
-            state_digest,
-        )? {
-            cache.note_hit();
-            return Ok(outcome);
-        }
-        cache.note_miss();
-    }
-
-    let skip = segment.start - warmup;
-    let skipped = source.skip_records(skip)?;
-    if skipped < skip {
-        // The stream is shorter than the plan; nothing to measure here.
-        let name = source.name().to_string();
-        return Ok((empty_result(geometry, name), 0));
-    }
-
-    let mut predictor = TagePredictor::new(geometry);
-    let classifier = TageConfidenceClassifier::with_window(geometry, options.bim_miss_window);
-    let mut adaptive = options.adaptive_target_mkp.map(|target| AdaptiveObserver {
-        controller: AdaptiveSaturationController::with_parameters(target, 16 * 1024),
-    });
-    if let Some(observer) = adaptive.as_ref() {
-        predictor.set_automaton(observer.controller.automaton());
-    }
-
+    checkpoints: Option<Checkpoints<'_>>,
+) -> Result<TraceRunResult, FormatError> {
     let trace_name = source.name().to_string();
+    let mut predictor = TagePredictor::new(geometry);
     // `RunOptions::warmup_branches` is a *statistical* exclusion of the
     // stream's leading conditional branches; it belongs to the segment that
     // owns the head of the stream (which has no replay prefix), matching
@@ -213,139 +162,28 @@ pub(crate) fn run_segment<S: BranchSource>(
     } else {
         0
     };
-    let mut engine = SimEngine::new(&mut predictor, classifier).with_warmup(statistical_warmup);
-    // Warmup prefix: trains the predictor, the classifier state and (when
-    // enabled) the adaptive controller; no report observer collects it.
-    engine.run_source(&mut Take::new(&mut *source, warmup), &mut adaptive.as_mut())?;
-    // Cacheable boundary: snapshot the warm state before measuring, so the
-    // next run of this cell restores instead of replaying. The engine is
-    // rebuilt from its own parts — a cached-boundary run (no statistical
-    // warmup, see above) carries no engine state across the boundary beyond
-    // the predictor and classifier, so the measured range is unaffected.
-    let mut engine = if let Some((cache, key, state_digest)) = cache_entry {
-        let (predictor, classifier) = engine.into_parts();
-        let state = WarmState {
-            predictor: predictor.snapshot(),
-            window_remaining: classifier.window_remaining(),
-            adaptive: adaptive
-                .as_ref()
-                .map(|observer| observer.controller.dynamic_state()),
-        };
-        // Best effort: an unwritable cache degrades to replaying warmups.
-        let _ = cache.store(key, &warmcache::encode_warm_state(state_digest, &state));
-        SimEngine::new(predictor, classifier)
-    } else {
-        engine
-    };
-    // Measured range.
-    let mut report = ReportObserver::default();
-    let summary = engine.run_source(
-        &mut Take::new(&mut *source, segment.len()),
-        &mut (&mut report, adaptive.as_mut()),
-    )?;
-    drop(engine);
-
-    let result = TraceRunResult {
+    let mut run = TageRun::new(&mut predictor, options, statistical_warmup);
+    let origin = segment.start - plan.warmup_for(segment);
+    // On a stream shorter than the plan the source is left exhausted, and
+    // the segment measures nothing.
+    warmcache::advance(&mut run, source, 0, origin, segment.start, checkpoints)?;
+    let (report, summary) = run.measure(&mut Take::new(&mut *source, segment.len()), &mut ())?;
+    Ok(run.result(
         trace_name,
-        config_name: geometry.name(),
-        report: report.report,
-        conditional_branches: summary.measured_branches,
-        instructions: summary.measured_instructions,
-        final_saturation_probability: predictor.geometry().automaton.saturation_probability(),
-    };
-    Ok((result, summary.measured_branches))
+        report,
+        summary.measured_branches,
+        summary.measured_instructions,
+    ))
 }
 
-/// Attempts to run `segment` from a cached warm state. Returns `Ok(None)`
-/// when there is no usable entry (absent, torn, stale or from a different
-/// configuration) — the caller falls back to the replay path and rewrites
-/// the entry.
-#[allow(clippy::too_many_arguments)]
-fn try_run_segment_from_cache<S: BranchSource>(
-    geometry: &TageGeometry,
-    options: &RunOptions,
-    source: &mut S,
-    segment: &Segment,
-    cache: &WarmCache,
-    key: u64,
-    state_digest: u64,
-) -> Result<Option<(TraceRunResult, u64)>, FormatError> {
-    let Some(bytes) = cache.load(key) else {
-        return Ok(None);
-    };
-    let Ok(state) = warmcache::decode_warm_state(&bytes, state_digest) else {
-        return Ok(None);
-    };
-
-    let mut predictor = TagePredictor::new(geometry);
-    if predictor.restore(&state.predictor).is_err() {
-        return Ok(None);
-    }
-    let mut classifier = TageConfidenceClassifier::with_window(geometry, options.bim_miss_window);
-    classifier.set_window_remaining(state.window_remaining);
-    let mut adaptive = options.adaptive_target_mkp.map(|target| AdaptiveObserver {
-        controller: AdaptiveSaturationController::with_parameters(target, 16 * 1024),
-    });
-    if let Some(observer) = adaptive.as_mut() {
-        // The restored predictor already carries the automaton the
-        // controller had installed by the boundary; only the controller's
-        // own measurement window needs restoring.
-        let Some(dynamic) = state.adaptive else {
-            return Ok(None);
-        };
-        observer.controller.restore_dynamic_state(dynamic);
-    }
-
-    // The warm state replaces the replay prefix entirely: skip straight to
-    // the measured range.
-    let skipped = source.skip_records(segment.start)?;
-    if skipped < segment.start {
-        let name = source.name().to_string();
-        return Ok(Some((empty_result(geometry, name), 0)));
-    }
-
-    let trace_name = source.name().to_string();
-    let mut engine = SimEngine::new(&mut predictor, classifier);
-    let mut report = ReportObserver::default();
-    let summary = engine.run_source(
-        &mut Take::new(&mut *source, segment.len()),
-        &mut (&mut report, adaptive.as_mut()),
-    )?;
-    drop(engine);
-
-    let result = TraceRunResult {
-        trace_name,
-        config_name: geometry.name(),
-        report: report.report,
-        conditional_branches: summary.measured_branches,
-        instructions: summary.measured_instructions,
-        final_saturation_probability: predictor.geometry().automaton.saturation_probability(),
-    };
-    Ok(Some((result, summary.measured_branches)))
-}
-
-fn empty_result(geometry: &TageGeometry, trace_name: String) -> TraceRunResult {
-    TraceRunResult {
-        trace_name,
-        config_name: geometry.name(),
-        report: ConfidenceReport::new(),
-        conditional_branches: 0,
-        instructions: 0,
-        final_saturation_probability: geometry.automaton.saturation_probability(),
-    }
-}
-
-fn merge_segments(
-    geometry: &TageGeometry,
-    outcomes: Vec<(TraceRunResult, u64)>,
-) -> SegmentedRunResult {
+fn merge_segments(geometry: &TageGeometry, outcomes: Vec<TraceRunResult>) -> SegmentedRunResult {
     let mut merged = ConfidenceReport::new();
     let mut conditional_branches = 0u64;
     let mut instructions = 0u64;
     let mut segment_branches = Vec::with_capacity(outcomes.len());
     let mut trace_name = String::new();
     let mut final_probability = geometry.automaton.saturation_probability();
-    for (result, branches) in outcomes {
+    for result in outcomes {
         if trace_name.is_empty() {
             trace_name = result.trace_name;
         }
@@ -353,7 +191,7 @@ fn merge_segments(
         conditional_branches += result.conditional_branches;
         instructions += result.instructions;
         final_probability = result.final_saturation_probability;
-        segment_branches.push(branches);
+        segment_branches.push(result.conditional_branches);
     }
     SegmentedRunResult {
         result: TraceRunResult {
@@ -376,6 +214,12 @@ fn merge_segments(
 /// stream length the plan is computed from — pass the source's
 /// [`BranchSource::len_hint`] or a counted length.
 ///
+/// `warm` pairs an optional [`WarmCache`] with the source's content digest
+/// (see [`tage_traces::source::SourceSpec::digest`]). The first run replays
+/// each segment's warmup prefix and stores the boundary state; later runs
+/// with the same configuration, source and warmup restore it and skip the
+/// replay — with **byte-identical results** either way.
+///
 /// [`RunOptions::warmup_branches`] (the statistical exclusion of the
 /// stream's leading conditional branches) is applied to the segment that
 /// starts at record 0, so it matches the sequential run whenever the
@@ -386,46 +230,10 @@ fn merge_segments(
 ///
 /// # Errors
 ///
-/// Returns the first [`FormatError`] in segment order.
-pub fn run_segmented_source<S, F>(
-    blueprint: &dyn TageBlueprint,
-    options: &RunOptions,
-    segment_options: &SegmentOptions,
-    total_records: u64,
-    workers: usize,
-    open: F,
-) -> Result<SegmentedRunResult, FormatError>
-where
-    S: BranchSource,
-    F: Fn() -> Result<S, FormatError> + Sync,
-{
-    run_segmented_source_cached(
-        blueprint,
-        options,
-        segment_options,
-        total_records,
-        workers,
-        None,
-        open,
-    )
-}
-
-/// [`run_segmented_source`] with an optional warm-state cache: `warm` pairs
-/// the [`WarmCache`] with the source's content digest (see
-/// [`tage_traces::source::SourceSpec::digest`]). The first run replays each
-/// segment's warmup prefix and stores the boundary state; later runs with
-/// the same configuration, source and warmup restore it and skip the replay
-/// — with **byte-identical results** either way, at every worker count,
-/// because the stored state is the predictor's full snapshot plus the
-/// classifier and adaptive-controller state.
-///
-/// # Errors
-///
 /// Returns the first [`FormatError`] in segment order. Cache I/O never
 /// fails a run: unreadable or torn entries fall back to the replay path,
 /// and failed stores are dropped.
-#[allow(clippy::too_many_arguments)]
-pub fn run_segmented_source_cached<S, F>(
+pub fn run_segmented_source<S, F>(
     blueprint: &dyn TageBlueprint,
     options: &RunOptions,
     segment_options: &SegmentOptions,
@@ -440,9 +248,11 @@ where
 {
     let geometry = blueprint.tage_geometry();
     let plan = SegmentPlan::split(total_records, segment_options);
-    let outcomes = par_map(plan.segments(), workers, |segment| {
+    let checkpoints =
+        warm.map(|(cache, digest)| Checkpoints::new(cache, digest, &geometry, options));
+    let (outcomes, _) = steal_map(plan.segments(), workers, |segment| {
         let mut source = open()?;
-        run_segment(&geometry, options, &mut source, &plan, segment, warm)
+        run_segment(&geometry, options, &mut source, &plan, segment, checkpoints)
     });
     let mut collected = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
@@ -455,7 +265,10 @@ where
 /// segments` work items are flattened into one list and sharded across
 /// `workers`, so the scheduler can parallelize *within* each trace, not just
 /// across traces. Results merge per source in `(source, segment)` order and
-/// are bit-identical at every worker count.
+/// are bit-identical at every worker count. With a `cache`, warm segments
+/// restore their boundary states as in [`run_segmented_source`]; per-source
+/// entry keys use each source's
+/// [`tage_traces::source::SourceSpec::digest`].
 ///
 /// Sources whose length is not cheaply known (synthetic profiles that emit
 /// call/return records) are counted by draining one throwaway stream first —
@@ -465,33 +278,6 @@ where
 ///
 /// Returns the first [`FormatError`] in suite order.
 pub fn run_suite_segmented(
-    blueprint: &dyn TageBlueprint,
-    suite: &SourceSuite,
-    conditional_branches: usize,
-    options: &RunOptions,
-    segment_options: &SegmentOptions,
-    workers: usize,
-) -> Result<SuiteRunResult, FormatError> {
-    run_suite_segmented_cached(
-        blueprint,
-        suite,
-        conditional_branches,
-        options,
-        segment_options,
-        workers,
-        None,
-    )
-}
-
-/// [`run_suite_segmented`] consulting a warm-state cache before cold-starting
-/// any segment (see [`run_segmented_source_cached`]); per-source entry keys
-/// use each source's [`tage_traces::source::SourceSpec::digest`].
-///
-/// # Errors
-///
-/// Returns the first [`FormatError`] in suite order.
-#[allow(clippy::too_many_arguments)]
-pub fn run_suite_segmented_cached(
     blueprint: &dyn TageBlueprint,
     suite: &SourceSuite,
     conditional_branches: usize,
@@ -511,10 +297,14 @@ pub fn run_suite_segmented_cached(
         };
         plans.push(SegmentPlan::split(total, segment_options));
     }
-    let digests: Vec<u64> = suite
+    let checkpoints: Vec<Option<Checkpoints<'_>>> = suite
         .sources()
         .iter()
-        .map(|spec| spec.digest(conditional_branches))
+        .map(|spec| {
+            cache.map(|cache| {
+                Checkpoints::new(cache, spec.digest(conditional_branches), &geometry, options)
+            })
+        })
         .collect();
     let items: Vec<(usize, Segment)> = plans
         .iter()
@@ -526,7 +316,7 @@ pub fn run_suite_segmented_cached(
         })
         .collect();
 
-    let outcomes = par_map(&items, workers, |&(source_index, segment)| {
+    let (outcomes, _) = steal_map(&items, workers, |&(source_index, segment)| {
         let mut source = suite.sources()[source_index].open(conditional_branches)?;
         run_segment(
             &geometry,
@@ -534,12 +324,12 @@ pub fn run_suite_segmented_cached(
             &mut source,
             &plans[source_index],
             &segment,
-            cache.map(|cache| (cache, digests[source_index])),
+            checkpoints[source_index],
         )
     });
 
     // Group back per source, in order.
-    let mut per_source: Vec<Vec<(TraceRunResult, u64)>> =
+    let mut per_source: Vec<Vec<TraceRunResult>> =
         (0..suite.sources().len()).map(|_| Vec::new()).collect();
     for (&(source_index, _), outcome) in items.iter().zip(outcomes) {
         per_source[source_index].push(outcome?);
@@ -614,6 +404,7 @@ mod tests {
                 &SegmentOptions::new(1, 0),
                 total,
                 2,
+                None,
                 || Ok(SyntheticSource::from_spec(&spec, 4_000)),
             )
             .unwrap();
@@ -635,9 +426,15 @@ mod tests {
             .skip_records(u64::MAX)
             .unwrap();
         let run = |workers| {
-            run_segmented_source(&config, &options, &segment_options, total, workers, || {
-                Ok(SyntheticSource::from_spec(&spec, 6_000))
-            })
+            run_segmented_source(
+                &config,
+                &options,
+                &segment_options,
+                total,
+                workers,
+                None,
+                || Ok(SyntheticSource::from_spec(&spec, 6_000)),
+            )
             .unwrap()
         };
         let reference = run(1);
@@ -675,6 +472,7 @@ mod tests {
                 &SegmentOptions::new(16, warmup),
                 total,
                 4,
+                None,
                 || Ok(SyntheticSource::from_spec(&spec, branches)),
             )
             .unwrap()
@@ -724,9 +522,10 @@ mod tests {
             },
         ] {
             let reference =
-                run_suite_segmented(&config, &suite, 5_000, &options, &segment_options, 2).unwrap();
+                run_suite_segmented(&config, &suite, 5_000, &options, &segment_options, 2, None)
+                    .unwrap();
             let cache = WarmCache::new(&dir).unwrap();
-            let cold = run_suite_segmented_cached(
+            let cold = run_suite_segmented(
                 &config,
                 &suite,
                 5_000,
@@ -739,7 +538,7 @@ mod tests {
             assert_eq!(cold, reference, "first cached run (all misses)");
             assert_eq!(cache.hits(), 0);
             assert!(cache.misses() > 0, "warmed segments should miss once");
-            let warm = run_suite_segmented_cached(
+            let warm = run_suite_segmented(
                 &config,
                 &suite,
                 5_000,
@@ -756,6 +555,51 @@ mod tests {
                 "every warmed segment (all but segment 0) should restore"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_warm_entries_fall_back_to_replay() {
+        let dir =
+            std::env::temp_dir().join(format!("tage-segment-torn-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let suite = SourceSuite::new(
+            "torn",
+            vec![SourceSpec::Synthetic(
+                suites::cbp1_like().trace("INT-2").unwrap().clone(),
+            )],
+        );
+        let config = TageConfig::small();
+        let options = RunOptions::default();
+        let segment_options = SegmentOptions::new(4, 512);
+        let run = |cache| {
+            run_suite_segmented(&config, &suite, 5_000, &options, &segment_options, 2, cache)
+                .unwrap()
+        };
+        let reference = run(None);
+        let cache = WarmCache::new(&dir).unwrap();
+        assert_eq!(run(Some(&cache)), reference, "cold run stores 3 entries");
+        let mut entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "warmstate"))
+            .collect();
+        entries.sort();
+        assert_eq!(entries.len(), 3);
+        // One torn entry, one bit-flipped entry: both read as misses.
+        let bytes = std::fs::read(&entries[0]).unwrap();
+        std::fs::write(&entries[0], &bytes[..bytes.len() / 2]).unwrap();
+        let mut bytes = std::fs::read(&entries[1]).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x10;
+        std::fs::write(&entries[1], &bytes).unwrap();
+        let misses = cache.misses();
+        assert_eq!(run(Some(&cache)), reference, "corrupt entries replay");
+        assert_eq!(cache.misses(), misses + 2);
+        assert_eq!(cache.hits(), 1);
+        // The replays rewrote both entries: the next run restores all three.
+        assert_eq!(run(Some(&cache)), reference);
+        assert_eq!(cache.hits(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -777,6 +621,7 @@ mod tests {
                 &RunOptions::default(),
                 &SegmentOptions::new(3, 256),
                 workers,
+                None,
             )
             .unwrap()
         };

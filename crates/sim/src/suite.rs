@@ -1,12 +1,13 @@
 //! Running whole workload suites and aggregating the results.
 //!
 //! Suite runs are sharded per source across scoped threads
-//! ([`crate::engine::par_map`]): every worker opens its own stream from the
-//! suite's [`SourceSpec`]s — an on-the-fly synthetic generator, or a
-//! bounded-memory binary file reader — and drives it through the engine with
-//! a cold predictor. No trace is ever materialized: the classic
-//! [`run_suite`] over a synthetic [`Suite`] is itself a thin adapter that
-//! streams each trace instead of calling `generate`. Per-source reports are
+//! ([`crate::engine::steal_map`]): every worker opens its own stream from the
+//! suite's [`SourceSpec`](tage_traces::source::SourceSpec)s — an on-the-fly
+//! synthetic generator, or a bounded-memory binary file reader — and drives
+//! it through the engine with a cold predictor. No trace is ever
+//! materialized: the classic [`run_suite`] over a synthetic [`Suite`] is
+//! itself a thin adapter that streams each trace instead of calling
+//! `generate`. Per-source reports are
 //! merged into the aggregate in suite order as they stream back, so the
 //! parallel result is **bit-identical** to a serial run — wall-clock drops
 //! from `sum(traces)` to roughly `max(trace)`. For parallelism *within* one
@@ -18,12 +19,12 @@ use std::ops::Range;
 use tage::TageBlueprint;
 use tage_confidence::ConfidenceReport;
 use tage_traces::format::FormatError;
-use tage_traces::source::{AnySource, BranchSource, SourceSpec, SourceSuite};
+use tage_traces::source::{AnySource, BranchSource, SourceSuite};
 use tage_traces::Suite;
 
-use crate::engine::{default_parallelism, par_map};
+use crate::engine::{default_parallelism, steal_map};
 use crate::multilane::{run_specs_multilane, MultilaneEngine, DEFAULT_LANES};
-use crate::runner::{run_source, RunOptions, TraceRunResult};
+use crate::runner::{RunOptions, TraceRunResult};
 
 /// The outcome of running one predictor configuration over every trace of a
 /// suite.
@@ -142,35 +143,24 @@ pub fn run_suite_sources(
 ) -> Result<SuiteRunResult, FormatError> {
     let geometry = blueprint.tage_geometry();
     let specs = suite.sources();
+    // Sources shard across workers in contiguous chunks; each worker
+    // lane-batches its chunk through one multilane engine (adaptive runs,
+    // which steer one predictor mid-run, go scalar source by source inside
+    // the chunk). Both levels are bit-identical to a serial scalar run, so
+    // any worker count (and any lane count) produces the same result.
+    let chunks = chunk_ranges(specs.len(), workers);
+    let (outcomes, _) = steal_map(&chunks, workers, |range: &Range<usize>| {
+        run_specs_multilane(
+            &geometry,
+            &specs[range.clone()],
+            conditional_branches,
+            options,
+            DEFAULT_LANES,
+        )
+    });
     let mut traces = Vec::with_capacity(specs.len());
-    if options.adaptive_target_mkp.is_some() {
-        // The adaptive controller steers one predictor mid-run and has no
-        // batched equivalent: shard scalar runs, one worker per source.
-        let outcomes = par_map(specs, workers, |spec: &SourceSpec| {
-            let mut source = spec.open(conditional_branches)?;
-            run_source(&geometry, &mut source, options)
-        });
-        for outcome in outcomes {
-            traces.push(outcome?);
-        }
-    } else {
-        // Sources shard across workers in contiguous chunks; each worker
-        // lane-batches its chunk through one multilane engine. Both levels
-        // are bit-identical to a serial scalar run, so any worker count
-        // (and any lane count) produces the same result.
-        let chunks = chunk_ranges(specs.len(), workers);
-        let outcomes = par_map(&chunks, workers, |range: &Range<usize>| {
-            run_specs_multilane(
-                &geometry,
-                &specs[range.clone()],
-                conditional_branches,
-                options,
-                DEFAULT_LANES,
-            )
-        });
-        for outcome in outcomes {
-            traces.extend(outcome?);
-        }
+    for outcome in outcomes {
+        traces.extend(outcome?);
     }
     let mut aggregate = ConfidenceReport::new();
     for result in &traces {

@@ -1,17 +1,19 @@
-//! Content-addressed on-disk cache of warm simulation states.
+//! Content-addressed on-disk cache of warm simulation states, and the one
+//! restore-or-replay step built on it.
 //!
 //! Segmented runs ([`crate::segment`]) replay a warmup prefix before every
-//! measured range so each segment starts from realistically trained tables.
-//! That replay is pure overhead, and it is *repeated on every run* of the
-//! same grid — a campaign sweeping schemes over one source replays the same
-//! warmup once per cell. A [`WarmCache`] eliminates the repeats: the first
-//! run replays the warmup once, snapshots the predictor + classifier +
-//! adaptive-controller state at the segment boundary, and stores it under a
+//! measured range, and sampled runs ([`crate::phase`]) replay the gaps
+//! between their representative slices. That replay is pure overhead, and
+//! it is *repeated on every run* of the same grid — a campaign sweeping
+//! schemes over one source replays the same records once per cell. A
+//! [`WarmCache`] eliminates the repeats: the first run replays once,
+//! snapshots the run state at the end of the replay, and stores it under a
 //! content-addressed key; later runs restore the snapshot and skip straight
-//! to the measured range. Because the snapshot captures the **full** dynamic
-//! state (tables, histories, folds, RNG, the classifier's recency window and
-//! the adaptive controller's measurement window), a cache-hit run is
-//! byte-identical to a replay run.
+//! past the replayed records. Because the snapshot captures the **full**
+//! dynamic state (tables, histories, folds, RNG, the classifier's recency
+//! window, the adaptive controller's measurement window and the engine's
+//! executed-branch counter), a cache-hit run is byte-identical to a replay
+//! run. `advance` is that step, shared by both callers.
 //!
 //! # Keying
 //!
@@ -21,28 +23,29 @@
 //! * the **state digest**: the predictor's snapshot spec digest
 //!   ([`TagePredictor::spec_digest_for`]) folded with the classifier window
 //!   and the adaptive target (`state_digest`) — anything that changes how
-//!   the warmup trains;
+//!   the replay trains;
 //! * the **source digest** ([`tage_traces::source::SourceSpec::digest`]) —
 //!   which records were replayed;
-//! * the **warmup record range** `[start, end)` — how many and which of
-//!   them.
+//! * the **replayed record range** `[origin, target)` — how many and which
+//!   of them.
 //!
 //! Entries live as `<fnv64 of the key>.warmstate` files; the state digest is
-//! also embedded in each entry's snapshot header, so a key collision or a
-//! stale file is detected at decode time and treated as a miss (the warmup
-//! is replayed and the entry rewritten). Stores are atomic
-//! (temp-file-plus-rename), so concurrent segment workers and killed runs
+//! also embedded in each entry's snapshot header, so a key collision, a
+//! stale file or a torn or bit-flipped one is detected at decode time and
+//! treated as a miss (the records are replayed and the entry rewritten).
+//! Stores go through [`write_atomic`], so concurrent workers and killed runs
 //! can never leave a torn entry behind.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tage::{TageBlueprint, TagePredictor};
-use tage_traces::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
+use tage_traces::format::FormatError;
+use tage_traces::snapshot::{fnv1a64, write_atomic, SnapshotError, SnapshotReader, SnapshotWriter};
+use tage_traces::source::{BranchSource, Take};
 
-use crate::runner::RunOptions;
+use crate::runner::{RunOptions, TageRun};
 
 /// File extension of cache entries.
 const ENTRY_EXTENSION: &str = "warmstate";
@@ -94,38 +97,22 @@ impl WarmCache {
 
     /// Reads the raw entry bytes under `key`, if present. Validation happens
     /// at decode time; an unreadable file is a miss.
-    pub(crate) fn load(&self, key: u64) -> Option<Vec<u8>> {
+    fn load(&self, key: u64) -> Option<Vec<u8>> {
         fs::read(self.path_for(key)).ok()
     }
 
-    /// Atomically stores `bytes` under `key`: the entry is written to a
-    /// process-unique temp file in the cache directory and renamed into
-    /// place, so readers only ever observe complete entries.
-    pub(crate) fn store(&self, key: u64, bytes: &[u8]) -> std::io::Result<()> {
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let temp = self.dir.join(format!(
-            "{key:016x}.tmp.{}.{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut file = fs::File::create(&temp)?;
-            file.write_all(bytes)?;
-            file.sync_all()?;
-        }
-        let result = fs::rename(&temp, self.path_for(key));
-        if result.is_err() {
-            let _ = fs::remove_file(&temp);
-        }
-        result
+    /// Atomically stores `bytes` under `key` ([`write_atomic`]), so readers
+    /// only ever observe complete entries.
+    fn store(&self, key: u64, bytes: &[u8]) -> std::io::Result<()> {
+        write_atomic(&self.path_for(key), bytes)
     }
 
-    pub(crate) fn note_hit(&self) {
+    fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_miss(&self) {
+    fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
     }
@@ -151,7 +138,7 @@ pub fn global_counters() -> (u64, u64) {
 /// Digest of everything about the *simulation configuration* that the warm
 /// state depends on: the predictor's snapshot spec digest, the classifier's
 /// recency-window length and the adaptive controller's target.
-pub(crate) fn state_digest(blueprint: &dyn TageBlueprint, options: &RunOptions) -> u64 {
+fn state_digest(blueprint: &dyn TageBlueprint, options: &RunOptions) -> u64 {
     fnv1a64(
         format!(
             "warm|predictor={:016x}|window={}|adaptive={:?}",
@@ -163,47 +150,44 @@ pub(crate) fn state_digest(blueprint: &dyn TageBlueprint, options: &RunOptions) 
     )
 }
 
-/// The content-addressed entry key: state digest × source digest × warmup
-/// record range.
-pub(crate) fn entry_key(
-    state_digest: u64,
-    source_digest: u64,
-    warmup_start: u64,
-    warmup_end: u64,
-) -> u64 {
-    fnv1a64(
-        format!("{state_digest:016x}|{source_digest:016x}|{warmup_start}|{warmup_end}").as_bytes(),
-    )
+/// The content-addressed entry key: state digest × source digest × replayed
+/// record range `[origin, target)`.
+fn entry_key(state_digest: u64, source_digest: u64, origin: u64, target: u64) -> u64 {
+    fnv1a64(format!("{state_digest:016x}|{source_digest:016x}|{origin}|{target}").as_bytes())
 }
 
 /// A decoded warm simulation state: the predictor snapshot plus the
-/// classifier and adaptive-controller dynamic state captured at the same
-/// instant.
-pub(crate) struct WarmState {
+/// classifier, engine and adaptive-controller dynamic state captured at the
+/// same instant.
+struct WarmState {
     /// A full [`TagePredictor::snapshot`].
-    pub(crate) predictor: Vec<u8>,
+    predictor: Vec<u8>,
     /// [`TageConfidenceClassifier::window_remaining`] at the boundary.
     ///
     /// [`TageConfidenceClassifier::window_remaining`]:
     /// tage_confidence::TageConfidenceClassifier::window_remaining
-    pub(crate) window_remaining: u32,
+    window_remaining: u32,
+    /// [`crate::SimEngine::branches_executed`] at the boundary — what the
+    /// statistical warm-up (`RunOptions::warmup_branches`) counts against.
+    branches_executed: u64,
     /// [`AdaptiveSaturationController::dynamic_state`] at the boundary, when
     /// the adaptive controller was running.
     ///
     /// [`AdaptiveSaturationController::dynamic_state`]:
     /// tage_confidence::AdaptiveSaturationController::dynamic_state
-    pub(crate) adaptive: Option<(u32, u64, u64, u64)>,
+    adaptive: Option<(u32, u64, u64, u64)>,
 }
 
 /// Frames a warm state as a snapshot whose spec digest is the cache's state
 /// digest, so stale or colliding entries fail validation on read.
-pub(crate) fn encode_warm_state(state_digest: u64, state: &WarmState) -> Vec<u8> {
+fn encode_warm_state(state_digest: u64, state: &WarmState) -> Vec<u8> {
     let mut w = SnapshotWriter::new(state_digest);
     w.begin_section();
     w.write_bytes(&state.predictor);
     w.end_section();
     w.begin_section();
     w.write_u32(state.window_remaining);
+    w.write_u64(state.branches_executed);
     match state.adaptive {
         None => {
             w.write_bool(false);
@@ -227,19 +211,18 @@ pub(crate) fn encode_warm_state(state_digest: u64, state: &WarmState) -> Vec<u8>
 ///
 /// # Errors
 ///
-/// Returns the [`SnapshotError`] when the entry is truncated, corrupt or was
-/// written for a different simulation configuration — callers treat any
-/// error as a cache miss.
-pub(crate) fn decode_warm_state(
-    bytes: &[u8],
-    state_digest: u64,
-) -> Result<WarmState, SnapshotError> {
+/// Returns the [`SnapshotError`] when the entry is truncated, corrupt, was
+/// written for a different simulation configuration or by an older build
+/// (whose entries lack the branch counter) — callers treat any error as a
+/// cache miss.
+fn decode_warm_state(bytes: &[u8], state_digest: u64) -> Result<WarmState, SnapshotError> {
     let mut r = SnapshotReader::new(bytes, state_digest)?;
     r.begin_section()?;
     let predictor = r.read_bytes()?.to_vec();
     r.end_section()?;
     r.begin_section()?;
     let window_remaining = r.read_u32()?;
+    let branches_executed = r.read_u64()?;
     let has_adaptive = r.read_bool()?;
     let exponent = r.read_u64()?;
     let high_predictions = r.read_u64()?;
@@ -260,8 +243,140 @@ pub(crate) fn decode_warm_state(
     Ok(WarmState {
         predictor,
         window_remaining,
+        branches_executed,
         adaptive,
     })
+}
+
+/// Where [`advance`] looks for and leaves checkpoints of one source: the
+/// cache, the source's content digest and the simulation configuration's
+/// state digest.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Checkpoints<'a> {
+    cache: &'a WarmCache,
+    source_digest: u64,
+    state_digest: u64,
+}
+
+impl<'a> Checkpoints<'a> {
+    /// Checkpoints of the source with content digest `source_digest`, for
+    /// runs of `blueprint` under `options`.
+    pub(crate) fn new(
+        cache: &'a WarmCache,
+        source_digest: u64,
+        blueprint: &dyn TageBlueprint,
+        options: &RunOptions,
+    ) -> Self {
+        Checkpoints {
+            cache,
+            source_digest,
+            state_digest: state_digest(blueprint, options),
+        }
+    }
+}
+
+/// The one restore-or-replay step: brings `run` to record `target` of
+/// `source`. Predictor, classifier window, adaptive controller and the
+/// engine's executed-branch counter end up exactly as a cold run started at
+/// record `origin` and fed records `[origin, target)` would leave them.
+///
+/// `position` is where `run` and `source` stand now. Behind `origin`, the
+/// source first skips to it (the caller's `run` is then expected to be
+/// cold). With `checkpoints`, a valid entry keyed `(state, source, origin,
+/// target)` is restored and the source skips to `target`; otherwise the
+/// records are replayed and the entry is (re)written. A torn, stale or
+/// mismatched entry leaves `run` untouched — [`TagePredictor::restore`] is
+/// all-or-nothing, so no scratch predictor is needed — and falls back to
+/// the replay. Either way the run continues bit-identically.
+///
+/// Returns the records replayed, or `None` when the stream ended before a
+/// skip reached `origin` or `target`.
+///
+/// # Errors
+///
+/// Propagates the source's [`FormatError`]. Cache I/O never fails a run:
+/// an unreadable entry is a miss and a failed store is dropped.
+pub(crate) fn advance<S: BranchSource>(
+    run: &mut TageRun<'_>,
+    source: &mut S,
+    mut position: u64,
+    origin: u64,
+    target: u64,
+    checkpoints: Option<Checkpoints<'_>>,
+) -> Result<Option<u64>, FormatError> {
+    if position < origin {
+        let gap = origin - position;
+        if source.skip_records(gap)? < gap {
+            return Ok(None);
+        }
+        position = origin;
+    }
+    if position >= target {
+        return Ok(Some(0));
+    }
+    let gap = target - position;
+    let entry = checkpoints.map(|c| {
+        let key = entry_key(c.state_digest, c.source_digest, origin, target);
+        (c, key)
+    });
+    if let Some((c, key)) = entry {
+        if restore(run, c, key) {
+            c.cache.note_hit();
+            return Ok((source.skip_records(gap)? == gap).then_some(0));
+        }
+        c.cache.note_miss();
+    }
+    run.engine.run_source(
+        &mut Take::new(&mut *source, gap),
+        &mut run.adaptive.as_mut(),
+    )?;
+    if let Some((c, key)) = entry {
+        let state = WarmState {
+            predictor: run.engine.predictor().snapshot(),
+            window_remaining: run.engine.scheme().window_remaining(),
+            branches_executed: run.engine.branches_executed(),
+            adaptive: run
+                .adaptive
+                .as_ref()
+                .map(|observer| observer.controller.dynamic_state()),
+        };
+        // Best effort: an unwritable cache degrades to replays.
+        let _ = c
+            .cache
+            .store(key, &encode_warm_state(c.state_digest, &state));
+    }
+    Ok(Some(gap))
+}
+
+/// Restores the entry under `key` into `run`; `false` (with `run`
+/// untouched) when there is no usable entry.
+fn restore(run: &mut TageRun<'_>, checkpoints: Checkpoints<'_>, key: u64) -> bool {
+    let Some(state) = checkpoints
+        .cache
+        .load(key)
+        .and_then(|bytes| decode_warm_state(&bytes, checkpoints.state_digest).ok())
+    else {
+        return false;
+    };
+    if run.adaptive.is_some() != state.adaptive.is_some()
+        || run
+            .engine
+            .predictor_mut()
+            .restore(&state.predictor)
+            .is_err()
+    {
+        return false;
+    }
+    // The restored predictor already carries the automaton the controller
+    // had installed; only the controller's own window needs restoring.
+    if let (Some(observer), Some(dynamic)) = (run.adaptive.as_mut(), state.adaptive) {
+        observer.controller.restore_dynamic_state(dynamic);
+    }
+    run.engine
+        .scheme_mut()
+        .set_window_remaining(state.window_remaining);
+    run.engine.set_branches_executed(state.branches_executed);
+    true
 }
 
 #[cfg(test)]
@@ -283,12 +398,14 @@ mod tests {
             let state = WarmState {
                 predictor: predictor.clone(),
                 window_remaining: 5,
+                branches_executed: 1_234,
                 adaptive,
             };
             let bytes = encode_warm_state(0xABCD, &state);
             let decoded = decode_warm_state(&bytes, 0xABCD).unwrap();
             assert_eq!(decoded.predictor, predictor);
             assert_eq!(decoded.window_remaining, 5);
+            assert_eq!(decoded.branches_executed, 1_234);
             assert_eq!(decoded.adaptive, adaptive);
         }
     }
@@ -298,6 +415,7 @@ mod tests {
         let state = WarmState {
             predictor: vec![1, 2, 3],
             window_remaining: 0,
+            branches_executed: 0,
             adaptive: None,
         };
         let bytes = encode_warm_state(1, &state);

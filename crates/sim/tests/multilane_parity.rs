@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use tage::{CounterAutomaton, TageConfig};
 use tage_sim::runner::{run_source, RunOptions, TraceRunResult};
-use tage_sim::{MultilaneEngine, SimEngine};
+use tage_sim::MultilaneEngine;
 use tage_traces::source::{BinaryFileSource, BranchSource, SliceSource, SyntheticSource};
 use tage_traces::suites;
 use tage_traces::writer::TraceWriter;
@@ -41,6 +41,21 @@ fn ragged_traces() -> Vec<Trace> {
         .enumerate()
         .map(|(i, &len)| specs[i % specs.len()].generate(len))
         .collect()
+}
+
+/// Runs every source through one [`MultilaneEngine`] with `lanes` lanes.
+fn run_multilane<S: BranchSource>(
+    sources: &mut [S],
+    options: &RunOptions,
+    lanes: usize,
+) -> Vec<TraceRunResult> {
+    let mut engine = MultilaneEngine::new(config(), options, lanes);
+    let mut results: Vec<TraceRunResult> = sources
+        .iter()
+        .map(|_| MultilaneEngine::placeholder_result())
+        .collect();
+    engine.run_into(sources, &mut results).unwrap();
+    results
 }
 
 fn assert_results_match(batched: &TraceRunResult, scalar: &TraceRunResult, context: &str) {
@@ -76,8 +91,7 @@ where
         .collect();
     for lanes in LANE_COUNTS {
         let mut sources = make_sources();
-        let batched =
-            SimEngine::run_sources_multilane(&config, &mut sources, &options, lanes).unwrap();
+        let batched = run_multilane(&mut sources, &options, lanes);
         assert_eq!(batched.len(), scalar.len());
         for (b, s) in batched.iter().zip(&scalar) {
             assert_results_match(b, s, &format!("{kind}, K={lanes}, trace {}", s.trace_name));
@@ -152,7 +166,7 @@ fn single_lane_is_the_scalar_engine() {
     let options = RunOptions::default();
     let traces = ragged_traces();
     let mut sources: Vec<SliceSource<'_>> = traces.iter().map(SliceSource::from_trace).collect();
-    let batched = SimEngine::run_sources_multilane(&config, &mut sources, &options, 1).unwrap();
+    let batched = run_multilane(&mut sources, &options, 1);
     for (trace, batched) in traces.iter().zip(&batched) {
         let mut source = SliceSource::from_trace(trace);
         let scalar = run_source(&config, &mut source, &options).unwrap();

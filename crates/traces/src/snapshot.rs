@@ -23,10 +23,16 @@
 //! the reader borrows the bytes and hands out decoded values, and callers
 //! commit them to live state only after the final [`SnapshotReader::finish`]
 //! succeeds.
+//!
+//! Every file the workspace persists — warm-state checkpoints, campaign
+//! cells, the daemon's journal — goes to disk through [`write_atomic`].
 
 use std::error::Error;
 use std::fmt;
-use std::io;
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes opening every snapshot ("TAGe Snapshot").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TAGS";
@@ -52,6 +58,36 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Atomically replaces `path` with `bytes`: they go to a process-unique
+/// temp file in the same directory (`.<file name>.<pid>.<seq>.tmp`), are
+/// written and synced, and the temp file is renamed into place. Readers
+/// therefore see the old file or the complete new one, never a torn one,
+/// and concurrent writers of the same path are harmless. On error the temp
+/// file is removed.
+///
+/// # Errors
+///
+/// The first [`io::Error`] from creating, writing, syncing or renaming.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let temp = path.with_file_name(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let result = fs::File::create(&temp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&temp, path));
+    if result.is_err() {
+        let _ = fs::remove_file(&temp);
+    }
+    result
 }
 
 /// Everything that can go wrong decoding a snapshot. Every variant other
@@ -698,6 +734,33 @@ mod tests {
             r.finish().unwrap_err(),
             SnapshotError::TrailingBytes { .. }
         ));
+    }
+
+    #[test]
+    fn write_atomic_replaces_files_and_cleans_up_on_error() {
+        let dir = std::env::temp_dir().join(format!("tage-write-atomic-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.cell");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"second");
+        let names = |dir: &Path| -> Vec<String> {
+            fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        assert_eq!(names(&dir), vec!["entry.cell".to_string()], "no temp left");
+        // A rename onto a directory fails; the temp file must not linger.
+        fs::create_dir(dir.join("blocked")).unwrap();
+        assert!(write_atomic(&dir.join("blocked"), b"x").is_err());
+        let mut left = names(&dir);
+        left.sort();
+        assert_eq!(left, vec!["blocked".to_string(), "entry.cell".to_string()]);
+        // A vanished directory is an error, not a panic.
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(write_atomic(&path, b"x").is_err());
     }
 
     #[test]

@@ -231,6 +231,18 @@ computed=$(curl -sf "$SERVE_URL/metrics" | grep -o '"cells_computed": [0-9]*' | 
 recomputed=$(curl -sf "$SERVE_URL/metrics" | grep -o '"cells_computed": [0-9]*' | grep -o '[0-9]*$')
 # The relabelled grid must be answered entirely from the cell cache.
 test "$computed" = "$recomputed"
+# A phase-sampled grid runs through the same cell executor as the CLI
+# (predictor checkpoints under <store>/warm); its served report must
+# byte-match the one-shot run too.
+./target/release/tage-bench --submit "$SERVE_URL" \
+  --predictors tage-16k --schemes storage-free --suites sample:cbp1-mini:500:4:1 \
+  --branches 10000 --label verify-serve-sampled \
+  --out target/verify-serve/report-sampled-served.json
+./target/release/tage-bench \
+  --predictors tage-16k --schemes storage-free --suites sample:cbp1-mini:500:4:1 \
+  --branches 10000 --label verify-serve-sampled --no-timing \
+  --out target/verify-serve/report-sampled-clean.json
+cmp target/verify-serve/report-sampled-served.json target/verify-serve/report-sampled-clean.json
 ./target/release/tage-bench --submit "$SERVE_URL" --no-wait \
   --predictors tage-16k --schemes storage-free --suites cbp1-mini \
   --scenario baseline,recovery-energy,shared-predictor,prefetch-throttle \

@@ -183,6 +183,7 @@ fn history_warmed_segments_merge_identically_at_every_worker_count() {
         &SegmentOptions::new(1, 0),
         total,
         3,
+        None,
         || Ok(SyntheticSource::from_spec(&spec, branches)),
     )
     .unwrap();
@@ -191,7 +192,7 @@ fn history_warmed_segments_merge_identically_at_every_worker_count() {
     // Real plan: identical across worker counts, over both source kinds.
     let segment_options = SegmentOptions::new(6, 768);
     let synthetic_reference =
-        run_segmented_source(&config, &options, &segment_options, total, 1, || {
+        run_segmented_source(&config, &options, &segment_options, total, 1, None, || {
             Ok(SyntheticSource::from_spec(&spec, branches))
         })
         .unwrap();
@@ -201,11 +202,16 @@ fn history_warmed_segments_merge_identically_at_every_worker_count() {
         "segments cover every conditional branch exactly once"
     );
     for workers in [2, 3, 4, 8] {
-        let sharded =
-            run_segmented_source(&config, &options, &segment_options, total, workers, || {
-                Ok(SyntheticSource::from_spec(&spec, branches))
-            })
-            .unwrap();
+        let sharded = run_segmented_source(
+            &config,
+            &options,
+            &segment_options,
+            total,
+            workers,
+            None,
+            || Ok(SyntheticSource::from_spec(&spec, branches)),
+        )
+        .unwrap();
         assert_eq!(sharded, synthetic_reference, "workers = {workers}");
     }
 
@@ -216,11 +222,16 @@ fn history_warmed_segments_merge_identically_at_every_worker_count() {
     )
     .unwrap();
     for workers in [1, 3, 5] {
-        let from_file =
-            run_segmented_source(&config, &options, &segment_options, total, workers, || {
-                BinaryFileSource::open_with_chunk_records(&path, 512)
-            })
-            .unwrap();
+        let from_file = run_segmented_source(
+            &config,
+            &options,
+            &segment_options,
+            total,
+            workers,
+            None,
+            || BinaryFileSource::open_with_chunk_records(&path, 512),
+        )
+        .unwrap();
         assert_eq!(from_file, synthetic_reference, "file workers = {workers}");
     }
     std::fs::remove_file(&path).unwrap();
