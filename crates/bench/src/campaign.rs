@@ -884,6 +884,22 @@ mod tests {
     }
 
     #[test]
+    fn steal_map_is_order_preserving_and_worker_count_independent() {
+        // Cells run through `steal_map`; grid order in the report rests on it.
+        let items: Vec<u64> = (0..53).collect();
+        let (serial, stats) = steal_map(&items, 1, |&x| x * 3);
+        assert_eq!(stats.steals, 0);
+        for workers in [2, 3, 8, 64] {
+            let (parallel, stats) = steal_map(&items, workers, |&x| x * 3);
+            assert_eq!(parallel, serial, "workers = {workers}");
+            assert!(stats.workers <= items.len());
+        }
+        let empty: Vec<u64> = Vec::new();
+        let (results, _) = steal_map(&empty, 4, |&x: &u64| x);
+        assert!(results.is_empty());
+    }
+
+    #[test]
     fn multilane_campaign_renders_byte_identical_reports() {
         // The engine axis must not show up anywhere in a timing-free
         // report: scalar and multilane runs of a mixed grid (batchable
