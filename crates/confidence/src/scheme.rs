@@ -8,19 +8,17 @@
 //!   the rich [`TagePrediction`] output (provider component, counter value)
 //!   and yields one of the 7 [`PredictionClass`]es;
 //! * the **storage-based baselines** ([`crate::estimators`]), which grade
-//!   the flat margin-carrying [`Prediction`] of any [`BranchPredictor`] and
-//!   yield only a [`ConfidenceLevel`].
+//!   the direction and margin of any predictor's lookup
+//!   ([`PredictionOutcome`]) and yield only a [`ConfidenceLevel`].
 //!
 //! [`ConfidenceScheme`] puts both behind one interface, generic over the
 //! predictor's lookup type, so the generic `tage_sim::engine::SimEngine`
 //! drives either through the identical code path. The scheme's verdict is an
 //! [`Assessment`]: always a level, plus the fine-grained class when the
 //! scheme can provide one.
-//!
-//! [`BranchPredictor`]: tage_predictors::BranchPredictor
 
 use tage::TagePrediction;
-use tage_predictors::Prediction;
+use tage_predictors::{Prediction, PredictionOutcome};
 
 use crate::class::{ConfidenceLevel, PredictionClass};
 use crate::classifier::TageConfidenceClassifier;
@@ -132,8 +130,10 @@ impl ConfidenceScheme<TagePrediction> for TageConfidenceClassifier {
 }
 
 /// Adapts any [`ConfidenceEstimator`] — concrete, `&mut` reference or trait
-/// object — to the [`ConfidenceScheme`] interface over flat margin-carrying
-/// [`Prediction`] lookups.
+/// object — to the [`ConfidenceScheme`] interface over any lookup type: the
+/// estimator grades the lookup's direction and margin as a flat
+/// [`Prediction`] (for a TAGE lookup the margin is the provider counter's
+/// distance from its weak state).
 ///
 /// # Example
 ///
@@ -149,13 +149,18 @@ impl ConfidenceScheme<TagePrediction> for TageConfidenceClassifier {
 #[derive(Debug)]
 pub struct EstimatorScheme<E>(pub E);
 
-impl<E: ConfidenceEstimator> ConfidenceScheme<Prediction> for EstimatorScheme<E> {
-    fn assess(&mut self, pc: u64, lookup: &Prediction) -> Assessment {
-        Assessment::level_only(self.0.estimate(pc, lookup))
+/// The direction and margin of `lookup`, as the estimators consume them.
+fn margin_view<L: PredictionOutcome>(lookup: &L) -> Prediction {
+    Prediction::new(lookup.predicted_taken(), lookup.margin())
+}
+
+impl<L: PredictionOutcome, E: ConfidenceEstimator> ConfidenceScheme<L> for EstimatorScheme<E> {
+    fn assess(&mut self, pc: u64, lookup: &L) -> Assessment {
+        Assessment::level_only(self.0.estimate(pc, &margin_view(lookup)))
     }
 
-    fn observe(&mut self, pc: u64, lookup: &Prediction, taken: bool) {
-        self.0.update(pc, lookup, taken)
+    fn observe(&mut self, pc: u64, lookup: &L, taken: bool) {
+        self.0.update(pc, &margin_view(lookup), taken)
     }
 
     fn reset(&mut self) {
@@ -217,9 +222,9 @@ mod tests {
         assert!(scheme.assess(0x10, &strong).is_high());
         assert_eq!(scheme.assess(0x10, &weak).level, ConfidenceLevel::Low);
         scheme.observe(0x10, &strong, true);
-        scheme.reset();
-        assert_eq!(ConfidenceScheme::storage_bits(&scheme), 0);
-        assert!(ConfidenceScheme::name(&scheme).contains("self-confidence"));
+        ConfidenceScheme::<Prediction>::reset(&mut scheme);
+        assert_eq!(ConfidenceScheme::<Prediction>::storage_bits(&scheme), 0);
+        assert!(ConfidenceScheme::<Prediction>::name(&scheme).contains("self-confidence"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use tage_traces::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::counter::SignedCounter;
-use crate::predictor::{BranchPredictor, Prediction};
+use crate::predictor::{Prediction, PredictorCore};
 
 /// A stand-alone bimodal predictor: a table of 2-bit counters indexed by the
 /// branch PC.
@@ -15,7 +15,7 @@ use crate::predictor::{BranchPredictor, Prediction};
 /// # Example
 ///
 /// ```
-/// use tage_predictors::{BimodalPredictor, BranchPredictor};
+/// use tage_predictors::{BimodalPredictor, PredictorCore};
 ///
 /// let mut p = BimodalPredictor::new(12);
 /// // Train a strongly-taken branch.
@@ -93,7 +93,9 @@ impl BimodalPredictor {
     }
 }
 
-impl BranchPredictor for BimodalPredictor {
+impl PredictorCore for BimodalPredictor {
+    type Lookup = Prediction;
+
     fn predict(&mut self, pc: u64) -> Prediction {
         let ctr = self.table[self.index(pc)];
         // Margin: distance from the weak threshold, i.e. the centered
@@ -116,12 +118,6 @@ impl BranchPredictor for BimodalPredictor {
 
     fn reset(&mut self) {
         *self = BimodalPredictor::with_counter_bits(self.index_bits, self.counter_bits);
-    }
-
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send> {
-        let mut fresh = self.clone();
-        fresh.reset();
-        Box::new(fresh)
     }
 
     fn snapshot(&self) -> Vec<u8> {

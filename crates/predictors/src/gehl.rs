@@ -4,7 +4,7 @@ use tage_traces::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWrit
 
 use crate::counter::SignedCounter;
 use crate::history::HistoryRegister;
-use crate::predictor::{BranchPredictor, Prediction};
+use crate::predictor::{Prediction, PredictorCore};
 use crate::snapshot_util::{read_history, write_history};
 
 /// A GEHL-style predictor: several tables of signed counters indexed with
@@ -20,7 +20,7 @@ use crate::snapshot_util::{read_history, write_history};
 /// # Example
 ///
 /// ```
-/// use tage_predictors::{BranchPredictor, GehlPredictor};
+/// use tage_predictors::{GehlPredictor, PredictorCore};
 ///
 /// let mut p = GehlPredictor::new(6, 10, 3, 120);
 /// let pred = p.predict(0xabc0);
@@ -152,7 +152,9 @@ fn geometric_series(count: usize, min: usize, max: usize) -> Vec<usize> {
     lengths
 }
 
-impl BranchPredictor for GehlPredictor {
+impl PredictorCore for GehlPredictor {
+    type Lookup = Prediction;
+
     fn predict(&mut self, pc: u64) -> Prediction {
         let sum = self.sum(pc);
         Prediction::new(sum >= 0, i64::from(sum.abs()))
@@ -190,12 +192,6 @@ impl BranchPredictor for GehlPredictor {
         let min = self.history_lengths[1];
         let max = *self.history_lengths.last().expect("at least two tables");
         *self = GehlPredictor::new(self.tables.len(), self.index_bits, min, max);
-    }
-
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send> {
-        let mut fresh = self.clone();
-        fresh.reset();
-        Box::new(fresh)
     }
 
     fn snapshot(&self) -> Vec<u8> {

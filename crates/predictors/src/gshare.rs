@@ -4,7 +4,7 @@ use tage_traces::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWrit
 
 use crate::counter::SignedCounter;
 use crate::history::HistoryRegister;
-use crate::predictor::{BranchPredictor, Prediction};
+use crate::predictor::{Prediction, PredictorCore};
 use crate::snapshot_util::{read_history, write_history};
 
 /// A gshare predictor: a table of 2-bit counters indexed by the XOR of the
@@ -18,7 +18,7 @@ use crate::snapshot_util::{read_history, write_history};
 /// # Example
 ///
 /// ```
-/// use tage_predictors::{BranchPredictor, GsharePredictor};
+/// use tage_predictors::{GsharePredictor, PredictorCore};
 ///
 /// let mut p = GsharePredictor::new(12, 12);
 /// let pred = p.predict(0x7700);
@@ -93,7 +93,9 @@ impl GsharePredictor {
     }
 }
 
-impl BranchPredictor for GsharePredictor {
+impl PredictorCore for GsharePredictor {
+    type Lookup = Prediction;
+
     fn predict(&mut self, pc: u64) -> Prediction {
         let ctr = self.table[self.index(pc)];
         Prediction::new(ctr.predict_taken(), i64::from(ctr.centered_magnitude()))
@@ -115,12 +117,6 @@ impl BranchPredictor for GsharePredictor {
 
     fn reset(&mut self) {
         *self = GsharePredictor::new(self.index_bits, self.history_bits);
-    }
-
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send> {
-        let mut fresh = self.clone();
-        fresh.reset();
-        Box::new(fresh)
     }
 
     fn snapshot(&self) -> Vec<u8> {

@@ -20,13 +20,15 @@
 //!   counters of configurable width,
 //! * [`history::HistoryRegister`] — an arbitrary-length global branch
 //!   history shift register,
-//! * the [`BranchPredictor`] trait and the [`Prediction`] value it returns,
-//!   which carry the *margin* used for self-confidence estimation.
+//! * the [`PredictorCore`] trait every predictor (TAGE included)
+//!   implements, and the [`Prediction`] value the baselines return, which
+//!   carries the *margin* used for self-confidence estimation;
+//!   [`BranchPredictor`] names the baselines' object-safe view.
 //!
 //! # Example
 //!
 //! ```
-//! use tage_predictors::{BimodalPredictor, BranchPredictor};
+//! use tage_predictors::{BimodalPredictor, PredictorCore};
 //!
 //! let mut predictor = BimodalPredictor::new(10); // 2^10 counters
 //! let prediction = predictor.predict(0x400_100);

@@ -3,7 +3,7 @@
 use tage_traces::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::history::HistoryRegister;
-use crate::predictor::{BranchPredictor, Prediction};
+use crate::predictor::{Prediction, PredictorCore};
 use crate::snapshot_util::{read_history, write_history};
 
 /// A perceptron branch predictor (Jiménez & Lin).
@@ -17,7 +17,7 @@ use crate::snapshot_util::{read_history, write_history};
 /// # Example
 ///
 /// ```
-/// use tage_predictors::{BranchPredictor, PerceptronPredictor};
+/// use tage_predictors::{PerceptronPredictor, PredictorCore};
 ///
 /// let mut p = PerceptronPredictor::new(256, 16);
 /// let pred = p.predict(0xbeef00);
@@ -107,7 +107,9 @@ impl PerceptronPredictor {
     }
 }
 
-impl BranchPredictor for PerceptronPredictor {
+impl PredictorCore for PerceptronPredictor {
+    type Lookup = Prediction;
+
     fn predict(&mut self, pc: u64) -> Prediction {
         let sum = self.sum(pc);
         Prediction::new(sum >= 0, i64::from(sum.abs()))
@@ -145,12 +147,6 @@ impl BranchPredictor for PerceptronPredictor {
 
     fn reset(&mut self) {
         *self = PerceptronPredictor::new(self.weights.len(), self.history_len);
-    }
-
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send> {
-        let mut fresh = self.clone();
-        fresh.reset();
-        Box::new(fresh)
     }
 
     fn snapshot(&self) -> Vec<u8> {

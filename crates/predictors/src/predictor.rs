@@ -1,20 +1,18 @@
-//! The common interfaces every conditional branch predictor implements.
+//! The one interface every conditional branch predictor implements.
 //!
-//! Two layers of abstraction live here:
+//! [`PredictorCore`] is the trait the simulation engine (`tage_sim::engine`)
+//! drives. Its associated `Lookup` type lets a predictor expose its *full*
+//! observable output: the TAGE predictor exposes its provider/counter
+//! observables, which is what the storage-free confidence classification is
+//! built on, while baseline predictors use the flat [`Prediction`]. Every
+//! lookup type carries a direction and a self-confidence margin
+//! ([`PredictionOutcome`]), which is all the storage-based confidence
+//! estimators need.
 //!
-//! * [`BranchPredictor`] — the object-safe, margin-based interface shared by
-//!   every predictor. Its lookup result is the flat [`Prediction`] (direction
-//!   plus self-confidence margin), which is all the storage-based confidence
-//!   estimators need.
-//! * [`PredictorCore`] — the generic execution interface consumed by the
-//!   simulation engine (`tage_sim::engine`). Its associated `Lookup` type
-//!   lets a predictor expose its *full* observable output — the TAGE
-//!   predictor exposes its provider/counter observables, which is what the
-//!   storage-free confidence classification is built on — while baseline
-//!   predictors simply use [`Prediction`].
-//!
-//! Any [`BranchPredictor`] (including a trait object) can be driven through
-//! the engine by wrapping it in [`MarginPredictor`].
+//! [`BranchPredictor`] is the object-safe margin view: every
+//! `PredictorCore` whose lookup is a [`Prediction`] is one, so
+//! heterogeneous baseline fleets can be held as
+//! `Box<dyn BranchPredictor + Send>`.
 
 use core::fmt;
 
@@ -57,71 +55,70 @@ impl fmt::Display for Prediction {
     }
 }
 
-/// A predictor lookup result that exposes, at minimum, its predicted
-/// direction.
+/// A predictor lookup result: its predicted direction and its
+/// self-confidence margin.
 ///
 /// Implemented by the flat [`Prediction`] and by richer observable outputs
-/// such as `tage::TagePrediction`; the simulation engine only needs the
-/// direction to score a lookup, everything else is for the confidence scheme
-/// attached to the run.
+/// such as `tage::TagePrediction` (whose margin is the provider counter's
+/// distance from its weak state). The simulation engine only needs the
+/// direction to score a lookup; the margin is what the storage-based
+/// confidence estimators grade.
 pub trait PredictionOutcome {
     /// The predicted direction (`true` = taken).
     fn predicted_taken(&self) -> bool;
+
+    /// The predictor-specific confidence margin (larger = more confident).
+    fn margin(&self) -> i64;
 }
 
 impl PredictionOutcome for Prediction {
     fn predicted_taken(&self) -> bool {
         self.taken
     }
+
+    fn margin(&self) -> i64 {
+        self.margin
+    }
 }
 
 /// A trace-driven conditional branch predictor.
 ///
-/// The simulation protocol is: call [`BranchPredictor::predict`] for a branch
-/// PC, resolve the branch, then call [`BranchPredictor::update`] with the
-/// actual outcome and the prediction that was made. Predictors keep their
-/// speculative state (global history, folded histories) internally and update
-/// it with the *resolved* outcome, which is exact for in-order trace-driven
-/// simulation.
-pub trait BranchPredictor {
-    /// Predicts the direction of the conditional branch at `pc`.
-    fn predict(&mut self, pc: u64) -> Prediction;
+/// The simulation protocol is: call [`PredictorCore::predict`] for a branch
+/// PC, resolve the branch, then call [`PredictorCore::update`] with the
+/// actual outcome and the lookup that was made. Predictors keep their
+/// speculative state (global history, folded histories) internally and
+/// update it with the *resolved* outcome, which is exact for in-order
+/// trace-driven simulation.
+pub trait PredictorCore {
+    /// The full observable output of one lookup.
+    type Lookup: PredictionOutcome;
+
+    /// Looks the predictor up for the conditional branch at `pc`.
+    fn predict(&mut self, pc: u64) -> Self::Lookup;
 
     /// Updates the predictor with the resolved outcome of the branch at
-    /// `pc`. `prediction` must be the value returned by the matching
-    /// [`BranchPredictor::predict`] call.
-    fn update(&mut self, pc: u64, taken: bool, prediction: &Prediction);
-
-    /// Total storage the predictor uses, in bits.
-    fn storage_bits(&self) -> u64;
-
-    /// A short human-readable name for reports.
-    fn name(&self) -> String {
-        "predictor".to_string()
-    }
+    /// `pc`. `lookup` must be the value returned by the matching
+    /// [`PredictorCore::predict`] call.
+    fn update(&mut self, pc: u64, taken: bool, lookup: &Self::Lookup);
 
     /// Clears all dynamic state (tables, histories, statistics) while
     /// keeping the configuration, so the predictor starts a new trace cold.
     fn reset(&mut self);
 
-    /// Creates a cold predictor with the same configuration.
-    ///
-    /// This is the duplication story for heterogeneous fleets: callers
-    /// holding a `dyn BranchPredictor` (a configured prototype) can stamp
-    /// out independent cold instances — e.g. one per trace or per thread —
-    /// without knowing the concrete type. Each instance starts cold and
-    /// shares no state with its siblings; the `Send` bound keeps the copies
-    /// movable across the scoped threads the suite runner uses.
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send>;
+    /// Total storage the predictor uses, in bits.
+    fn storage_bits(&self) -> u64;
+
+    /// A short human-readable name for reports.
+    fn name(&self) -> String;
 
     /// Serializes the predictor's **full** dynamic state — tables,
     /// histories, RNG, statistics — into the versioned framed format of
     /// [`tage_traces::snapshot`]. Restoring the bytes into a predictor of
-    /// the same specification (see [`BranchPredictor::spec_digest`])
+    /// the same specification (see [`PredictorCore::spec_digest`])
     /// continues the run bit-identically to never having stopped.
     fn snapshot(&self) -> Vec<u8>;
 
-    /// Restores state previously captured by [`BranchPredictor::snapshot`].
+    /// Restores state previously captured by [`PredictorCore::snapshot`].
     ///
     /// The restore is all-or-nothing: on any error the predictor's state is
     /// exactly what it was before the call.
@@ -140,194 +137,81 @@ pub trait BranchPredictor {
     fn spec_digest(&self) -> u64;
 }
 
-impl<P: BranchPredictor + ?Sized> BranchPredictor for &mut P {
-    fn predict(&mut self, pc: u64) -> Prediction {
-        (**self).predict(pc)
-    }
+macro_rules! forward_predictor_core {
+    ($($pointer:ty),*) => {$(
+        impl<P: PredictorCore + ?Sized> PredictorCore for $pointer {
+            type Lookup = P::Lookup;
 
-    fn update(&mut self, pc: u64, taken: bool, prediction: &Prediction) {
-        (**self).update(pc, taken, prediction)
-    }
+            fn predict(&mut self, pc: u64) -> Self::Lookup {
+                (**self).predict(pc)
+            }
 
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
+            fn update(&mut self, pc: u64, taken: bool, lookup: &Self::Lookup) {
+                (**self).update(pc, taken, lookup)
+            }
 
-    fn name(&self) -> String {
-        (**self).name()
-    }
+            fn reset(&mut self) {
+                (**self).reset()
+            }
 
-    fn reset(&mut self) {
-        (**self).reset()
-    }
+            fn storage_bits(&self) -> u64 {
+                (**self).storage_bits()
+            }
 
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send> {
-        (**self).clone_fresh()
-    }
+            fn name(&self) -> String {
+                (**self).name()
+            }
 
-    fn snapshot(&self) -> Vec<u8> {
-        (**self).snapshot()
-    }
+            fn snapshot(&self) -> Vec<u8> {
+                (**self).snapshot()
+            }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        (**self).restore(bytes)
-    }
+            fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+                (**self).restore(bytes)
+            }
 
-    fn spec_digest(&self) -> u64 {
-        (**self).spec_digest()
-    }
+            fn spec_digest(&self) -> u64 {
+                (**self).spec_digest()
+            }
+        }
+    )*};
 }
 
-impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
-    fn predict(&mut self, pc: u64) -> Prediction {
-        (**self).predict(pc)
-    }
+forward_predictor_core!(&mut P, Box<P>);
 
-    fn update(&mut self, pc: u64, taken: bool, prediction: &Prediction) {
-        (**self).update(pc, taken, prediction)
-    }
+/// The object-safe margin view of a predictor: any [`PredictorCore`] whose
+/// lookup is the flat [`Prediction`]. It declares nothing of its own; the
+/// blanket impl makes every baseline predictor one, so heterogeneous
+/// fleets can be held as `Box<dyn BranchPredictor + Send>`.
+pub trait BranchPredictor: PredictorCore<Lookup = Prediction> {}
 
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
+impl<P: PredictorCore<Lookup = Prediction> + ?Sized> BranchPredictor for P {}
 
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send> {
-        (**self).clone_fresh()
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        (**self).snapshot()
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        (**self).restore(bytes)
-    }
-
-    fn spec_digest(&self) -> u64 {
-        (**self).spec_digest()
-    }
-}
-
-/// The generic execution interface the simulation engine drives.
-///
-/// Where [`BranchPredictor`] flattens every lookup into the margin-carrying
-/// [`Prediction`], `PredictorCore` preserves the predictor's full observable
-/// output through the associated [`PredictorCore::Lookup`] type, so that
-/// observation-based confidence schemes (the paper's storage-free TAGE
-/// classification) see everything the hardware would.
-///
-/// The protocol matches [`BranchPredictor`]: [`PredictorCore::lookup`] before
-/// resolution, [`PredictorCore::train`] with the resolved outcome and the
-/// matching lookup afterwards.
-pub trait PredictorCore {
-    /// The full observable output of one lookup.
-    type Lookup: PredictionOutcome;
-
-    /// Looks the predictor up for the conditional branch at `pc`.
-    fn lookup(&mut self, pc: u64) -> Self::Lookup;
-
-    /// Trains the predictor with the resolved outcome of the branch at `pc`.
-    /// `lookup` must be the value returned by the matching
-    /// [`PredictorCore::lookup`] call.
-    fn train(&mut self, pc: u64, taken: bool, lookup: &Self::Lookup);
-
-    /// Clears all dynamic state while keeping the configuration.
-    fn reset(&mut self);
-
-    /// Total storage the predictor uses, in bits.
-    fn storage_bits(&self) -> u64;
-
-    /// A short human-readable name for reports.
-    fn name(&self) -> String;
-
-    /// Serializes the predictor's full dynamic state (see
-    /// [`BranchPredictor::snapshot`]).
-    fn snapshot(&self) -> Vec<u8>;
-
-    /// Restores state captured by [`PredictorCore::snapshot`],
-    /// all-or-nothing (see [`BranchPredictor::restore`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] carrying the byte offset of the problem
-    /// when the bytes are truncated, corrupt, from a different format
-    /// version, or from a different predictor specification.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError>;
-
-    /// A digest of the predictor's specification (see
-    /// [`BranchPredictor::spec_digest`]).
-    fn spec_digest(&self) -> u64;
-}
-
-impl<P: PredictorCore + ?Sized> PredictorCore for &mut P {
-    type Lookup = P::Lookup;
-
-    fn lookup(&mut self, pc: u64) -> Self::Lookup {
-        (**self).lookup(pc)
-    }
-
-    fn train(&mut self, pc: u64, taken: bool, lookup: &Self::Lookup) {
-        (**self).train(pc, taken, lookup)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
-
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        (**self).snapshot()
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        (**self).restore(bytes)
-    }
-
-    fn spec_digest(&self) -> u64 {
-        (**self).spec_digest()
-    }
-}
-
-/// Adapts any [`BranchPredictor`] — concrete, `&mut` reference or trait
-/// object — to the engine-facing [`PredictorCore`] interface, using the flat
-/// margin-carrying [`Prediction`] as the lookup type.
+/// A transparent wrapper that forwards every [`PredictorCore`] call to the
+/// predictor it holds. It adds nothing: any predictor already drives the
+/// engine directly.
 ///
 /// # Example
 ///
 /// ```
-/// use tage_predictors::{BranchPredictor, GsharePredictor, MarginPredictor, PredictorCore};
+/// use tage_predictors::{GsharePredictor, MarginPredictor, PredictorCore};
 ///
-/// let mut gshare = GsharePredictor::new(10, 10);
-/// let mut core = MarginPredictor(&mut gshare as &mut dyn BranchPredictor);
-/// let lookup = core.lookup(0x4000);
-/// core.train(0x4000, true, &lookup);
+/// let mut core = MarginPredictor(GsharePredictor::new(10, 10));
+/// let lookup = core.predict(0x4000);
+/// core.update(0x4000, true, &lookup);
+/// assert_eq!(core.name(), GsharePredictor::new(10, 10).name());
 /// ```
 #[derive(Debug)]
 pub struct MarginPredictor<P>(pub P);
 
-impl<P: BranchPredictor> PredictorCore for MarginPredictor<P> {
-    type Lookup = Prediction;
+impl<P: PredictorCore> PredictorCore for MarginPredictor<P> {
+    type Lookup = P::Lookup;
 
-    fn lookup(&mut self, pc: u64) -> Prediction {
+    fn predict(&mut self, pc: u64) -> Self::Lookup {
         self.0.predict(pc)
     }
 
-    fn train(&mut self, pc: u64, taken: bool, lookup: &Prediction) {
+    fn update(&mut self, pc: u64, taken: bool, lookup: &Self::Lookup) {
         self.0.update(pc, taken, lookup)
     }
 
@@ -371,6 +255,7 @@ mod tests {
         assert_eq!(d.margin, 0);
         assert!(p.predicted_taken());
         assert!(!d.predicted_taken());
+        assert_eq!(p.margin(), 12);
     }
 
     #[test]
@@ -391,38 +276,17 @@ mod tests {
         let mut bimodal = BimodalPredictor::new(8);
         let mut core = MarginPredictor(&mut bimodal as &mut dyn BranchPredictor);
         for _ in 0..4 {
-            let lookup = core.lookup(0x2000);
-            core.train(0x2000, true, &lookup);
+            let lookup = core.predict(0x2000);
+            core.update(0x2000, true, &lookup);
         }
-        assert!(core.lookup(0x2000).predicted_taken());
+        assert!(core.predict(0x2000).predicted_taken());
         assert!(core.name().contains("bimodal"));
         assert!(core.storage_bits() > 0);
         core.reset();
         assert_eq!(
-            core.lookup(0x2000).margin,
+            core.predict(0x2000).margin(),
             1,
             "reset returns to the weak state"
-        );
-    }
-
-    #[test]
-    fn clone_fresh_starts_cold_and_keeps_the_configuration() {
-        let mut original = BimodalPredictor::new(8);
-        for _ in 0..4 {
-            let pred = original.predict(0x2000);
-            original.update(0x2000, true, &pred);
-        }
-        let mut fresh = original.clone_fresh();
-        assert_eq!(fresh.storage_bits(), original.storage_bits());
-        assert_eq!(fresh.name(), original.name());
-        assert_eq!(
-            fresh.predict(0x2000).margin,
-            1,
-            "a fresh clone must not inherit trained state"
-        );
-        assert!(
-            original.predict(0x2000).taken,
-            "the original keeps its state"
         );
     }
 }

@@ -232,6 +232,7 @@ impl BaselinePredictorSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PredictorCore;
 
     #[test]
     fn tokens_round_trip_and_are_unique() {

@@ -7,15 +7,14 @@
 //! over a trace and reports the binary confidence metrics (SENS, SPEC, PVP,
 //! PVN) so the storage-free TAGE scheme can be compared against them.
 //!
-//! There is no bespoke loop here: the predictor is adapted through
-//! [`MarginPredictor`], the estimator through
+//! There is no bespoke loop here: the estimator is adapted through
 //! [`tage_confidence::EstimatorScheme`], and the pair runs through the exact
 //! same [`SimEngine`] path as the TAGE experiments.
 
 use core::fmt;
 
 use tage_confidence::{BinaryConfusion, ConfidenceEstimator, ConfidenceLevel, EstimatorScheme};
-use tage_predictors::{BranchPredictor, MarginPredictor};
+use tage_predictors::BranchPredictor;
 use tage_traces::Trace;
 
 use crate::engine::{ReportObserver, SimEngine};
@@ -109,7 +108,7 @@ pub fn run_baseline(
     let estimator_storage_bits = estimator.storage_bits();
 
     let mut report = ReportObserver::default();
-    let mut engine = SimEngine::new(MarginPredictor(predictor), EstimatorScheme(estimator));
+    let mut engine = SimEngine::new(predictor, EstimatorScheme(estimator));
     engine.run(trace, &mut report);
     let report = report.report;
 

@@ -7,8 +7,9 @@
 //! path generic over
 //!
 //! * the predictor, via [`PredictorCore`] — the TAGE predictor with its rich
-//!   observable lookup, or any [`tage_predictors::BranchPredictor`] (even a
-//!   trait object) through [`tage_predictors::MarginPredictor`];
+//!   observable lookup, or any baseline predictor (even a
+//!   `dyn tage_predictors::BranchPredictor` trait object) with its flat
+//!   margin-carrying one;
 //! * the confidence scheme, via [`ConfidenceScheme`] — the storage-free TAGE
 //!   classifier or any storage-based baseline estimator through
 //!   [`tage_confidence::EstimatorScheme`];
@@ -33,13 +34,13 @@
 //! ```
 //! use tage_confidence::estimators::JrsEstimator;
 //! use tage_confidence::EstimatorScheme;
-//! use tage_predictors::{GsharePredictor, MarginPredictor};
+//! use tage_predictors::GsharePredictor;
 //! use tage_sim::engine::{ReportObserver, SimEngine};
 //! use tage_traces::suites;
 //!
 //! let trace = suites::cbp1_like().traces()[0].generate(2_000);
 //! let mut engine = SimEngine::new(
-//!     MarginPredictor(GsharePredictor::new(12, 12)),
+//!     GsharePredictor::new(12, 12),
 //!     EstimatorScheme(JrsEstimator::classic(10)),
 //! );
 //! let mut report = ReportObserver::default();
@@ -357,7 +358,7 @@ where
         let in_measurement = self.conditional_seen >= self.warmup_branches;
         self.conditional_seen += 1;
 
-        let lookup = self.predictor.lookup(pc);
+        let lookup = self.predictor.predict(pc);
         let assessment = self.scheme.assess(pc, &lookup);
         let mispredicted = lookup.predicted_taken() != taken;
         self.scheme.observe(pc, &lookup, taken);
@@ -373,7 +374,7 @@ where
         };
         observer.on_branch(&mut self.predictor, &event);
 
-        self.predictor.train(pc, taken, &lookup);
+        self.predictor.update(pc, taken, &lookup);
 
         StepOutcome {
             assessment,
@@ -644,7 +645,7 @@ mod tests {
     use tage::{TageConfig, TagePredictor};
     use tage_confidence::estimators::{JrsEstimator, SelfConfidenceEstimator};
     use tage_confidence::{EstimatorScheme, TageConfidenceClassifier};
-    use tage_predictors::{BranchPredictor, GsharePredictor, MarginPredictor, PerceptronPredictor};
+    use tage_predictors::{BranchPredictor, GsharePredictor, PerceptronPredictor};
     use tage_traces::suites;
 
     fn small_trace(n: usize) -> tage_traces::Trace {
@@ -715,16 +716,13 @@ mod tests {
 
     #[test]
     fn any_predictor_estimator_cross_product_runs() {
-        // The point of the refactor: arbitrary BranchPredictor × estimator
-        // pairs flow through the same engine, including via trait objects.
+        // Arbitrary predictor × estimator pairs flow through the same
+        // engine, including via trait objects.
         let trace = small_trace(2_000);
 
         let mut gshare = GsharePredictor::new(12, 12);
         let dyn_predictor: &mut dyn BranchPredictor = &mut gshare;
-        let mut engine = SimEngine::new(
-            MarginPredictor(dyn_predictor),
-            EstimatorScheme(JrsEstimator::classic(10)),
-        );
+        let mut engine = SimEngine::new(dyn_predictor, EstimatorScheme(JrsEstimator::classic(10)));
         let mut report = ReportObserver::default();
         engine.run(&trace, &mut report);
         assert_eq!(report.report.total().predictions, 2_000);
@@ -737,7 +735,7 @@ mod tests {
         assert_eq!(by_level, 2_000);
 
         let mut engine = SimEngine::new(
-            MarginPredictor(PerceptronPredictor::new(128, 16)),
+            PerceptronPredictor::new(128, 16),
             EstimatorScheme(SelfConfidenceEstimator::new(30)),
         );
         let mut report = ReportObserver::default();

@@ -38,7 +38,7 @@ use core::fmt;
 use tage::{CounterAutomaton, LaneGroup, TageBlueprint, TageConfig, TageGeometry, TagePredictor};
 use tage_confidence::estimators::EstimatorSpec;
 use tage_confidence::{ConfidenceReport, EstimatorScheme, TageConfidenceClassifier};
-use tage_predictors::{BaselinePredictorSpec, MarginPredictor, PredictorCore};
+use tage_predictors::{BaselinePredictorSpec, PredictorCore};
 use tage_traces::format::FormatError;
 use tage_traces::source::{AnySource, BranchSource, SamplingSpec, SourceSuite};
 use tage_traces::Suite;
@@ -799,7 +799,7 @@ fn run_point_shared(
         (Some(blueprint), SchemeSpec::Estimator(estimator)) => {
             let scheme =
                 EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
-            let mut engine = SimEngine::new(MarginPredictor(TagePredictor::new(blueprint)), scheme);
+            let mut engine = SimEngine::new(TagePredictor::new(blueprint), scheme);
             run_shared_predictor(&mut engine, sources)?
         }
         (None, SchemeSpec::Estimator(estimator)) => {
@@ -808,7 +808,7 @@ fn run_point_shared(
             };
             let scheme =
                 EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
-            let mut engine = SimEngine::new(MarginPredictor(baseline.build()), scheme);
+            let mut engine = SimEngine::new(baseline.build(), scheme);
             run_shared_predictor(&mut engine, sources)?
         }
         (None, SchemeSpec::StorageFree) => {
@@ -845,7 +845,7 @@ fn run_point_source(
             let predictor = TagePredictor::new(blueprint);
             let scheme =
                 EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
-            let mut engine = SimEngine::new(MarginPredictor(predictor), scheme);
+            let mut engine = SimEngine::new(predictor, scheme);
             engine.run_source(source, &mut (&mut observer, &mut *scenario_observer))?
         }
         (None, SchemeSpec::Estimator(estimator)) => {
@@ -855,7 +855,7 @@ fn run_point_source(
             let predictor = baseline.build();
             let scheme =
                 EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
-            let mut engine = SimEngine::new(MarginPredictor(predictor), scheme);
+            let mut engine = SimEngine::new(predictor, scheme);
             engine.run_source(source, &mut (&mut observer, &mut *scenario_observer))?
         }
         (None, SchemeSpec::StorageFree) => {

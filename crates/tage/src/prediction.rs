@@ -330,6 +330,11 @@ impl tage_predictors::PredictionOutcome for TagePrediction {
     fn predicted_taken(&self) -> bool {
         self.taken
     }
+
+    /// The provider counter's distance from its weak state.
+    fn margin(&self) -> i64 {
+        i64::from(self.provider_magnitude)
+    }
 }
 
 impl fmt::Display for TagePrediction {

@@ -10,7 +10,7 @@
 
 use tage_predictors::counter::SignedCounter;
 use tage_predictors::history::HistoryRegister;
-use tage_predictors::{BranchPredictor, Prediction, PredictorCore};
+use tage_predictors::PredictorCore;
 use tage_traces::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tage_traces::SplitMix64;
 
@@ -484,7 +484,7 @@ impl TagePredictor {
 
     /// A digest of the predictor's specification — the geometry's
     /// [`TageGeometry::spec_digest`], which folds every structural field of
-    /// every table (see [`BranchPredictor::spec_digest`]). The counter
+    /// every table (see [`PredictorCore::spec_digest`]). The counter
     /// automaton is deliberately **excluded** — adaptive runs mutate it at
     /// run time, so it travels in the snapshot payload instead. Distinct
     /// from the reference implementation's digest: the two predictors lay
@@ -641,61 +641,18 @@ impl TagePredictor {
     }
 }
 
-impl BranchPredictor for TagePredictor {
-    fn predict(&mut self, pc: u64) -> Prediction {
-        let p = TagePredictor::predict(self, pc);
-        Prediction::new(p.taken, i64::from(p.provider_magnitude))
-    }
-
-    fn update(&mut self, pc: u64, taken: bool, prediction: &Prediction) {
-        // Recompute the full observable prediction: no state has changed
-        // since the matching `predict` call, so this reproduces it exactly.
-        let full = TagePredictor::predict(self, pc);
-        debug_assert_eq!(full.taken, prediction.taken);
-        TagePredictor::update(self, pc, taken, &full);
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.geometry.storage_bits()
-    }
-
-    fn name(&self) -> String {
-        self.geometry.name()
-    }
-
-    fn reset(&mut self) {
-        TagePredictor::reset(self)
-    }
-
-    fn clone_fresh(&self) -> Box<dyn BranchPredictor + Send> {
-        Box::new(TagePredictor::new(self.geometry.clone()))
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        TagePredictor::snapshot(self)
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        TagePredictor::restore(self, bytes)
-    }
-
-    fn spec_digest(&self) -> u64 {
-        TagePredictor::spec_digest(self)
-    }
-}
-
-/// The engine-facing execution interface: unlike the flattening
-/// [`BranchPredictor`] impl above, this preserves the full observable
+/// The engine-facing interface: the lookup is the full observable
 /// [`TagePrediction`], so the storage-free confidence classification sees
-/// the provider component and its counter exactly as the hardware would.
+/// the provider component and its counter exactly as the hardware would,
+/// and the storage-based estimators grade its provider margin.
 impl PredictorCore for TagePredictor {
     type Lookup = TagePrediction;
 
-    fn lookup(&mut self, pc: u64) -> TagePrediction {
+    fn predict(&mut self, pc: u64) -> TagePrediction {
         TagePredictor::predict(self, pc)
     }
 
-    fn train(&mut self, pc: u64, taken: bool, lookup: &TagePrediction) {
+    fn update(&mut self, pc: u64, taken: bool, lookup: &TagePrediction) {
         TagePredictor::update(self, pc, taken, lookup)
     }
 
@@ -895,29 +852,22 @@ mod tests {
     }
 
     #[test]
-    fn branch_predictor_trait_matches_inherent_behaviour() {
+    fn predictor_core_matches_inherent_behaviour() {
         let config = TageConfig::small();
         let mut a = TagePredictor::new(config.clone());
         let mut b = TagePredictor::new(config);
         let outcomes: Vec<bool> = (0..300).map(|i| (i / 3) % 2 == 0).collect();
-        let mut inherent_misses = 0;
-        let mut trait_misses = 0;
         for &taken in &outcomes {
             let pa = a.predict(0x400a00);
-            if pa.taken != taken {
-                inherent_misses += 1;
-            }
             a.update(0x400a00, taken, &pa);
 
-            let pb = BranchPredictor::predict(&mut b, 0x400a00);
-            if pb.taken != taken {
-                trait_misses += 1;
-            }
-            BranchPredictor::update(&mut b, 0x400a00, taken, &pb);
+            let pb = PredictorCore::predict(&mut b, 0x400a00);
+            assert_eq!(pa, pb);
+            PredictorCore::update(&mut b, 0x400a00, taken, &pb);
         }
-        assert_eq!(inherent_misses, trait_misses);
-        assert_eq!(BranchPredictor::storage_bits(&a), 16 * 1024);
-        assert_eq!(BranchPredictor::name(&a), "TAGE-16K");
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(PredictorCore::storage_bits(&a), 16 * 1024);
+        assert_eq!(PredictorCore::name(&a), "TAGE-16K");
     }
 
     #[test]

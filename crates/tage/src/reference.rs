@@ -487,11 +487,11 @@ impl ReferenceTagePredictor {
 impl tage_predictors::PredictorCore for ReferenceTagePredictor {
     type Lookup = TagePrediction;
 
-    fn lookup(&mut self, pc: u64) -> TagePrediction {
+    fn predict(&mut self, pc: u64) -> TagePrediction {
         ReferenceTagePredictor::predict(self, pc)
     }
 
-    fn train(&mut self, pc: u64, taken: bool, lookup: &TagePrediction) {
+    fn update(&mut self, pc: u64, taken: bool, lookup: &TagePrediction) {
         ReferenceTagePredictor::update(self, pc, taken, lookup)
     }
 

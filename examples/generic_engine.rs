@@ -4,7 +4,7 @@
 //! The paper compares the storage-free TAGE classification against
 //! storage-based estimators bolted onto older predictors. With the engine,
 //! that whole cross-product is one loop: TAGE runs with its rich observable
-//! lookups, every baseline runs through the margin path, and the identical
+//! lookups, every baseline grades its flat margin-carrying lookups, and the identical
 //! code collects the identical report.
 //!
 //! Run with: `cargo run --release --example generic_engine`
@@ -16,7 +16,7 @@ use tage_confidence_suite::confidence::{
     ConfidenceLevel, EstimatorScheme, TageConfidenceClassifier,
 };
 use tage_confidence_suite::predictors::{
-    BranchPredictor, GehlPredictor, GsharePredictor, MarginPredictor, PerceptronPredictor,
+    BranchPredictor, GehlPredictor, GsharePredictor, PerceptronPredictor,
 };
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::tage::{CounterAutomaton, TageConfig, TagePredictor};
@@ -70,7 +70,7 @@ fn main() {
     for (predictor, estimator) in pairs {
         let predictor_name = predictor.name();
         let estimator_name = estimator.name();
-        let mut engine = SimEngine::new(MarginPredictor(predictor), EstimatorScheme(estimator));
+        let mut engine = SimEngine::new(predictor, EstimatorScheme(estimator));
         let mut observer = ReportObserver::default();
         engine.run(&trace, &mut observer);
         print_row(&predictor_name, &estimator_name, &observer);

@@ -11,16 +11,15 @@
 //!   predictor + estimator loop on every count;
 //! * parallel `run_suite` must be bit-identical to a serial run for any
 //!   worker count;
-//! * TAGE driven as a `dyn BranchPredictor` trait object through the
-//!   engine's margin path must mispredict exactly like the rich native
-//!   path.
+//! * TAGE driven as a trait object through a margin estimator must
+//!   mispredict exactly like the rich native path.
 
 use tage_confidence_suite::confidence::estimators::JrsEstimator;
 use tage_confidence_suite::confidence::{
     BinaryConfusion, ConfidenceEstimator, ConfidenceLevel, ConfidenceReport,
     TageConfidenceClassifier,
 };
-use tage_confidence_suite::predictors::{BranchPredictor, GsharePredictor};
+use tage_confidence_suite::predictors::{GsharePredictor, PredictorCore};
 use tage_confidence_suite::sim::baseline::run_baseline;
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
@@ -168,25 +167,28 @@ fn adaptive_runs_are_deterministic_through_the_engine() {
 
 #[test]
 fn tage_as_trait_object_through_the_margin_path_mispredicts_identically() {
-    // TAGE flows through the engine natively (rich TagePrediction lookups);
-    // it can also be driven as a plain `dyn BranchPredictor` through the
-    // margin path. The confidence grading differs (no provider observables)
-    // but the predictions themselves must be identical.
+    // TAGE flows through the engine natively (rich TagePrediction lookups
+    // graded by the storage-free classifier); it can also be driven as a
+    // trait object graded by a margin estimator. The confidence grading
+    // differs but the predictions themselves must be identical.
     use tage_confidence_suite::confidence::estimators::SelfConfidenceEstimator;
+    use tage_confidence_suite::confidence::EstimatorScheme;
+    use tage_confidence_suite::tage::TagePrediction;
 
     let trace = trace("INT-3", N);
     let config = TageConfig::small();
 
     let native = run_trace(&config, &trace, &RunOptions::default());
 
-    let mut boxed: Box<dyn BranchPredictor + Send> =
-        TagePredictor::new(config.clone()).clone_fresh();
-    let mut estimator = SelfConfidenceEstimator::new(5);
-    let margin = run_baseline(&mut *boxed, &mut estimator, &trace);
+    let boxed: Box<dyn PredictorCore<Lookup = TagePrediction> + Send> =
+        Box::new(TagePredictor::new(config.clone()));
+    let mut engine = SimEngine::new(boxed, EstimatorScheme(SelfConfidenceEstimator::new(5)));
+    let mut margin = ReportObserver::default();
+    let summary = engine.run(&trace, &mut margin);
 
-    assert_eq!(margin.conditional_branches, native.conditional_branches);
+    assert_eq!(summary.measured_branches, native.conditional_branches);
     assert_eq!(
-        margin.mispredictions,
+        margin.report.total().mispredictions,
         native.report.total().mispredictions,
         "the margin path must make exactly the native predictions"
     );

@@ -21,8 +21,8 @@
 
 use tage_confidence_suite::predictors::spec::BaselinePredictorSpec;
 use tage_confidence_suite::predictors::{
-    BimodalPredictor, BranchPredictor, GehlPredictor, GsharePredictor, MarginPredictor,
-    PerceptronPredictor, PredictionOutcome, PredictorCore,
+    BimodalPredictor, GehlPredictor, GsharePredictor, PerceptronPredictor, PredictionOutcome,
+    PredictorCore,
 };
 use tage_confidence_suite::tage::{
     CounterAutomaton, LaneGroup, ReferenceTagePredictor, TageConfig, TageGeometry, TagePredictor,
@@ -72,9 +72,9 @@ fn drive<P: PredictorCore>(core: &mut P, stream: &[(u64, bool)]) -> Vec<bool> {
     stream
         .iter()
         .map(|&(pc, taken)| {
-            let lookup = core.lookup(pc);
+            let lookup = core.predict(pc);
             let predicted = lookup.predicted_taken();
-            core.train(pc, taken, &lookup);
+            core.update(pc, taken, &lookup);
             predicted
         })
         .collect()
@@ -188,33 +188,28 @@ fn snapshot_restore_continue_is_bit_identical_for_every_core() {
             );
             check_split_parity(
                 "gshare",
-                &|| MarginPredictor(GsharePredictor::new(gshare_bits.0, gshare_bits.1)),
+                &|| GsharePredictor::new(gshare_bits.0, gshare_bits.1),
                 &stream,
                 &dirt,
                 split,
             );
             check_split_parity(
                 "perceptron",
-                &|| {
-                    MarginPredictor(PerceptronPredictor::new(
-                        perceptron_dims.0,
-                        perceptron_dims.1,
-                    ))
-                },
+                &|| PerceptronPredictor::new(perceptron_dims.0, perceptron_dims.1),
                 &stream,
                 &dirt,
                 split,
             );
             check_split_parity(
                 "gehl",
-                &|| MarginPredictor(GehlPredictor::new(gehl_dims.0, gehl_dims.1, 2, gehl_dims.2)),
+                &|| GehlPredictor::new(gehl_dims.0, gehl_dims.1, 2, gehl_dims.2),
                 &stream,
                 &dirt,
                 split,
             );
             check_split_parity(
                 "bimodal",
-                &|| MarginPredictor(BimodalPredictor::new(bimodal_bits)),
+                &|| BimodalPredictor::new(bimodal_bits),
                 &stream,
                 &dirt,
                 split,
@@ -222,39 +217,12 @@ fn snapshot_restore_continue_is_bit_identical_for_every_core() {
         }
 
         // The boxed baseline family: snapshot/restore forwarded through
-        // `Box<dyn BranchPredictor>` — the heterogeneous-fleet path the
-        // suite runner and campaign cells use.
+        // `Box<dyn BranchPredictor + Send>` — the heterogeneous-fleet path
+        // the suite runner and campaign cells use.
         let split = split_points(rng, stream.len())[2];
         for spec in BaselinePredictorSpec::ALL {
-            check_split_parity(
-                spec.token(),
-                &|| MarginPredictor(spec.build()),
-                &stream,
-                &dirt,
-                split,
-            );
+            check_split_parity(spec.token(), &|| spec.build(), &stream, &dirt, split);
         }
-    });
-}
-
-#[test]
-fn snapshots_restored_via_clone_fresh_match_direct_construction() {
-    // `BranchPredictor::clone_fresh` is the fleet duplication story; a
-    // snapshot restored into a clone must equal one restored into a core
-    // built directly from the configuration.
-    for_each_case("snapshot_clone_fresh", |rng| {
-        let stream = arbitrary_stream(rng, 150);
-        let mut trained = TagePredictor::new(TageConfig::small().with_rng_seed(rng.next_u64()));
-        drive(&mut trained, &stream);
-        let snapshot = BranchPredictor::snapshot(&trained);
-
-        let mut cloned = trained.clone_fresh();
-        cloned.restore(&snapshot).expect("restore into clone_fresh");
-        assert_eq!(cloned.snapshot(), snapshot);
-
-        let mut direct = TagePredictor::new(trained.geometry().clone());
-        TagePredictor::restore(&mut direct, &snapshot).expect("restore into direct");
-        assert_eq!(TagePredictor::snapshot(&direct), cloned.snapshot());
     });
 }
 
@@ -405,10 +373,10 @@ fn corrupted_snapshots_fail_with_byte_offsets_and_leave_state_untouched() {
         assert_eq!(TagePredictor::snapshot(&target), before);
 
         // The same all-or-nothing contract holds for a baseline core.
-        let mut gshare = MarginPredictor(GsharePredictor::new(10, 12));
+        let mut gshare = GsharePredictor::new(10, 12);
         drive(&mut gshare, &arbitrary_stream(rng, 60));
         let gshare_before = gshare.snapshot();
-        let other_spec = MarginPredictor(GsharePredictor::new(11, 12)).snapshot();
+        let other_spec = GsharePredictor::new(11, 12).snapshot();
         match gshare.restore(&other_spec).unwrap_err() {
             SnapshotError::SpecMismatch { offset, .. } => assert_eq!(offset, 8),
             other => panic!("unexpected error {other}"),
@@ -470,26 +438,10 @@ fn random_snapshot_op_interleavings_never_diverge_from_a_shadow_core() {
             &|| ReferenceTagePredictor::new(config.clone()),
             rng,
         );
-        fuzz_core(
-            "gshare",
-            &|| MarginPredictor(GsharePredictor::new(10, 12)),
-            rng,
-        );
-        fuzz_core(
-            "perceptron",
-            &|| MarginPredictor(PerceptronPredictor::new(64, 16)),
-            rng,
-        );
-        fuzz_core(
-            "gehl",
-            &|| MarginPredictor(GehlPredictor::new(4, 9, 2, 40)),
-            rng,
-        );
-        fuzz_core(
-            "bimodal",
-            &|| MarginPredictor(BimodalPredictor::new(10)),
-            rng,
-        );
+        fuzz_core("gshare", &|| GsharePredictor::new(10, 12), rng);
+        fuzz_core("perceptron", &|| PerceptronPredictor::new(64, 16), rng);
+        fuzz_core("gehl", &|| GehlPredictor::new(4, 9, 2, 40), rng);
+        fuzz_core("bimodal", &|| BimodalPredictor::new(10), rng);
     });
 }
 
