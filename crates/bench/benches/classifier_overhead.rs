@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo bench --bench classifier_overhead`
 
-use tage::{CounterAutomaton, TageConfig, TagePredictor};
+use tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_bench::harness::bench;
 use tage_confidence::TageConfidenceClassifier;
 use tage_traces::{suites, Trace};
@@ -16,8 +16,8 @@ fn workload() -> Trace {
     suites::cbp1_like().trace("MM-3").unwrap().generate(20_000)
 }
 
-fn config() -> TageConfig {
-    TageConfig::medium().with_automaton(CounterAutomaton::paper_default())
+fn config() -> TageGeometry {
+    TageGeometry::medium().with_automaton(CounterAutomaton::paper_default())
 }
 
 fn main() {

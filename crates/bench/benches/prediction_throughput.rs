@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo bench --bench prediction_throughput`
 
-use tage::{TageConfig, TagePredictor};
+use tage::{TageGeometry, TagePredictor};
 use tage_bench::harness::bench;
 use tage_predictors::{
     BimodalPredictor, BranchPredictor, GehlPredictor, GsharePredictor, PerceptronPredictor,
@@ -31,9 +31,9 @@ fn main() {
     let branches = trace.iter().filter(|r| r.kind.is_conditional()).count() as u64;
 
     for config in [
-        TageConfig::small(),
-        TageConfig::medium(),
-        TageConfig::large(),
+        TageGeometry::small(),
+        TageGeometry::medium(),
+        TageGeometry::large(),
     ] {
         bench("tage_predict_update", &config.name(), branches, || {
             let mut predictor = TagePredictor::new(config.clone());

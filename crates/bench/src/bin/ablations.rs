@@ -4,7 +4,7 @@
 //! * the tagged prediction-counter width (the paper argues 4-bit counters do
 //!   not fix the saturated class and slightly hurt accuracy).
 
-use tage::TageConfig;
+use tage::TageGeometry;
 use tage_bench::{branches_from_args, print_header};
 use tage_sim::experiment::{counter_width_ablation, window_ablation};
 use tage_sim::report::{fraction, mkp, mpki, TextTable};
@@ -20,7 +20,7 @@ fn main() {
 
     println!("--- medium-conf-bim window length (16 Kbit predictor) ---");
     let rows = window_ablation(
-        &TageConfig::small(),
+        &TageGeometry::small(),
         &suite,
         branches,
         &[0, 2, 4, 8, 16, 32],
@@ -43,7 +43,7 @@ fn main() {
     println!();
 
     println!("--- tagged counter width (16 Kbit predictor, standard automaton) ---");
-    let rows = counter_width_ablation(&TageConfig::small(), &suite, branches, &[2, 3, 4, 5]);
+    let rows = counter_width_ablation(&TageGeometry::small(), &suite, branches, &[2, 3, 4, 5]);
     let mut table = TextTable::new(vec![
         "counter bits",
         "MPKI",

@@ -2,7 +2,7 @@
 //! component into high / medium / low confidence sub-classes, for the small
 //! and the large predictors on the CBP-1-like suite.
 
-use tage::TageConfig;
+use tage::TageGeometry;
 use tage_bench::{branches_from_args, print_header};
 use tage_sim::experiment::bim_breakdown;
 use tage_sim::report::{fraction, mkp, TextTable};
@@ -14,7 +14,7 @@ fn main() {
         "Section 5.1 — bimodal-provider (BIM) breakdown, CBP-1-like",
         branches,
     );
-    for config in [TageConfig::small(), TageConfig::large()] {
+    for config in [TageGeometry::small(), TageGeometry::large()] {
         println!("--- {} ---", config.name());
         let rows = bim_breakdown(&config, &suites::cbp1_like(), branches);
         let mut table = TextTable::new(vec![

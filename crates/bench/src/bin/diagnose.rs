@@ -1,7 +1,7 @@
 //! Quick diagnostic: per-trace MPKI and per-class rates for tuning the
 //! synthetic workloads against the paper's reported ranges.
 
-use tage::{CounterAutomaton, TageConfig};
+use tage::{CounterAutomaton, TageGeometry};
 use tage_confidence::{ConfidenceLevel, PredictionClass};
 use tage_sim::runner::{run_trace, RunOptions};
 use tage_traces::suites;
@@ -14,8 +14,8 @@ fn main() {
     for suite in [suites::cbp1_like(), suites::cbp2_like()] {
         println!("=== {} ({} branches/trace) ===", suite.name(), n);
         for config in [
-            TageConfig::small().with_automaton(CounterAutomaton::paper_default()),
-            TageConfig::large().with_automaton(CounterAutomaton::paper_default()),
+            TageGeometry::small().with_automaton(CounterAutomaton::paper_default()),
+            TageGeometry::large().with_automaton(CounterAutomaton::paper_default()),
         ] {
             let mut sum_mpki = 0.0;
             println!("--- {} ---", config.name());

@@ -3,7 +3,7 @@
 //! storage-free TAGE classification, using the binary metrics of Grunwald et
 //! al. (SENS, SPEC, PVP, PVN).
 
-use tage::{CounterAutomaton, TageConfig};
+use tage::{CounterAutomaton, TageGeometry};
 use tage_bench::{branches_from_args, print_header};
 use tage_confidence::estimators::{JrsEstimator, SelfConfidenceEstimator};
 use tage_confidence::ConfidenceLevel;
@@ -63,7 +63,7 @@ fn main() {
         let r = run_baseline(&mut gehl, &mut self_conf, &trace);
         merge(&mut gehl_conf, &r.confusion);
 
-        let config = TageConfig::medium().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());
         let r = run_trace(&config, &trace, &RunOptions::default());
         let confusion = r.report.binary_confusion(&[ConfidenceLevel::High]);
         merge(&mut tage_conf, &confusion);

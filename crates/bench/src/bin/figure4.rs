@@ -1,7 +1,7 @@
 //! Figure 4: misprediction rate (MKP) per prediction class for 7 CBP-2
 //! traces, 64 Kbit predictor, standard automaton.
 
-use tage::TageConfig;
+use tage::TageGeometry;
 use tage_bench::{branches_from_args, print_header};
 use tage_confidence::PredictionClass;
 use tage_sim::experiment::per_class_rates;
@@ -26,7 +26,7 @@ fn main() {
         branches,
     );
     let rows = per_class_rates(
-        &TageConfig::medium(),
+        &TageGeometry::medium(),
         &suites::cbp2_like(),
         &FIGURE4_TRACES,
         branches,

@@ -2,14 +2,14 @@
 //! (probabilistic saturation, p = 1/128) for the three panels the paper
 //! shows: 16 Kbit on CBP-1, 64 Kbit on CBP-2 and 256 Kbit on CBP-1.
 
-use tage::{CounterAutomaton, TageConfig};
+use tage::{CounterAutomaton, TageGeometry};
 use tage_bench::{branches_from_args, print_header};
 use tage_confidence::PredictionClass;
 use tage_sim::experiment::class_distribution;
 use tage_sim::report::TextTable;
 use tage_traces::{suites, Suite};
 
-fn panel(config: TageConfig, suite: &Suite, branches: usize) {
+fn panel(config: TageGeometry, suite: &Suite, branches: usize) {
     let config = config.with_automaton(CounterAutomaton::paper_default());
     println!("--- {} on {} ---", config.name(), suite.name());
     let rows = class_distribution(&config, suite, branches);
@@ -41,7 +41,7 @@ fn main() {
         "Figure 5 — class distributions, modified 3-bit counter automaton (p = 1/128)",
         branches,
     );
-    panel(TageConfig::small(), &suites::cbp1_like(), branches);
-    panel(TageConfig::medium(), &suites::cbp2_like(), branches);
-    panel(TageConfig::large(), &suites::cbp1_like(), branches);
+    panel(TageGeometry::small(), &suites::cbp1_like(), branches);
+    panel(TageGeometry::medium(), &suites::cbp2_like(), branches);
+    panel(TageGeometry::large(), &suites::cbp1_like(), branches);
 }

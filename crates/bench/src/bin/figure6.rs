@@ -1,7 +1,7 @@
 //! Figure 6: misprediction rate (MKP) per prediction class for 7 CBP-2
 //! traces, 64 Kbit predictor, **modified** 3-bit counter automaton.
 
-use tage::{CounterAutomaton, TageConfig};
+use tage::{CounterAutomaton, TageGeometry};
 use tage_bench::{branches_from_args, print_header};
 use tage_confidence::PredictionClass;
 use tage_sim::experiment::per_class_rates;
@@ -24,7 +24,7 @@ fn main() {
         "Figure 6 — per-class misprediction rates, 64 Kbit, modified automaton (p = 1/128)",
         branches,
     );
-    let config = TageConfig::medium().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());
     let rows = per_class_rates(&config, &suites::cbp2_like(), &FIGURE6_TRACES, branches);
     let mut headers = vec!["trace"];
     headers.extend(PredictionClass::ALL.iter().map(|c| c.label()));

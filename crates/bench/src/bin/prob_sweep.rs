@@ -2,7 +2,7 @@
 //! coverage against high-confidence purity (the paper compares 1/16 and
 //! 1/128 on the 16 Kbit predictor, CBP-1).
 
-use tage::TageConfig;
+use tage::TageGeometry;
 use tage_bench::{branches_from_args, print_header};
 use tage_sim::experiment::probability_sweep;
 use tage_sim::report::{fraction, mkp, mpki, probability, TextTable};
@@ -15,7 +15,7 @@ fn main() {
         branches,
     );
     let rows = probability_sweep(
-        &TageConfig::small(),
+        &TageGeometry::small(),
         &suites::cbp1_like(),
         branches,
         &[0, 2, 4, 7, 10],

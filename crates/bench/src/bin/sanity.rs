@@ -2,12 +2,12 @@
 //! "the TAGE implementation underperforms" from "the synthetic workload is
 //! intrinsically unpredictable".
 
-use tage::{TageConfig, TagePredictor};
+use tage::{TageGeometry, TagePredictor};
 use tage_predictors::{BimodalPredictor, BranchPredictor, GsharePredictor, PerceptronPredictor};
 use tage_traces::synthetic::{SyntheticTraceBuilder, WorkloadProfile};
 use tage_traces::{SplitMix64, Trace};
 
-fn run_tage(config: &TageConfig, trace: &Trace, skip: usize) -> f64 {
+fn run_tage(config: &TageGeometry, trace: &Trace, skip: usize) -> f64 {
     let mut p = TagePredictor::new(config.clone());
     let mut misses = 0u64;
     let mut total = 0u64;
@@ -63,11 +63,11 @@ fn main() {
     println!("interleaved patterns (MKP, steady state):");
     println!(
         "  tage-16k   {:8.2}",
-        run_tage(&TageConfig::small(), &trace, 50_000)
+        run_tage(&TageGeometry::small(), &trace, 50_000)
     );
     println!(
         "  tage-256k  {:8.2}",
-        run_tage(&TageConfig::large(), &trace, 50_000)
+        run_tage(&TageGeometry::large(), &trace, 50_000)
     );
     println!(
         "  gshare-12  {:8.2}",
@@ -116,7 +116,7 @@ fn main() {
         println!(
             "  {:<18} {:8.2}",
             name,
-            run_tage(&TageConfig::medium(), &trace, 50_000)
+            run_tage(&TageGeometry::medium(), &trace, 50_000)
         );
     }
 
@@ -130,15 +130,15 @@ fn main() {
         println!("{name} workload (MKP, steady state):");
         println!(
             "  tage-16k   {:8.2}",
-            run_tage(&TageConfig::small(), &trace, 50_000)
+            run_tage(&TageGeometry::small(), &trace, 50_000)
         );
         println!(
             "  tage-64k   {:8.2}",
-            run_tage(&TageConfig::medium(), &trace, 50_000)
+            run_tage(&TageGeometry::medium(), &trace, 50_000)
         );
         println!(
             "  tage-256k  {:8.2}",
-            run_tage(&TageConfig::large(), &trace, 50_000)
+            run_tage(&TageGeometry::large(), &trace, 50_000)
         );
         println!(
             "  gshare-14  {:8.2}",

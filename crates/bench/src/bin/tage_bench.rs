@@ -390,24 +390,36 @@ fn pump<W: std::io::Write>(
     }
 }
 
+/// Parses a comma-separated axis list. `parse` returns `None` for a token
+/// it does not know; the error then lists the `known` tokens.
 fn parse_axis<T>(
     axis: &str,
     list: &str,
     parse: impl Fn(&str) -> Option<T>,
     known: &[String],
 ) -> Result<Vec<T>, String> {
-    let mut values = Vec::new();
-    for token in list.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        match parse(token) {
-            Some(value) => values.push(value),
-            None => {
-                return Err(format!(
-                    "unknown {axis} token \"{token}\" (known: {})",
-                    known.join(", ")
-                ))
-            }
-        }
-    }
+    parse_axis_with(axis, list, |token| {
+        parse(token).ok_or_else(|| {
+            format!(
+                "unknown {axis} token \"{token}\" (known: {})",
+                known.join(", ")
+            )
+        })
+    })
+}
+
+/// [`parse_axis`] for a parser that explains its own errors.
+fn parse_axis_with<T>(
+    axis: &str,
+    list: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let values = list
+        .split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(parse)
+        .collect::<Result<Vec<T>, String>>()?;
     if values.is_empty() {
         return Err(format!("the {axis} axis is empty"));
     }
@@ -665,12 +677,7 @@ fn main() -> ExitCode {
     let spec = {
         let predictors = match explore_candidates {
             Some(candidates) => Ok(candidates),
-            None => parse_axis(
-                "predictor",
-                &options.predictors,
-                PredictorSpec::parse,
-                &PredictorSpec::known_tokens(),
-            ),
+            None => parse_axis_with("predictor", &options.predictors, PredictorSpec::parse),
         };
         let scheme_list = if options.explore && !options.schemes_explicit {
             "storage-free"

@@ -42,7 +42,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use tage::{CounterAutomaton, ReferenceTagePredictor, TageConfig, TagePredictor};
+use tage::{CounterAutomaton, ReferenceTagePredictor, TageGeometry, TagePredictor};
 use tage_bench::{cli, print_header, trajectory, DEFAULT_BRANCHES_PER_TRACE};
 use tage_confidence::TageConfidenceClassifier;
 use tage_sim::engine::{default_parallelism, ReportObserver, SimEngine};
@@ -226,7 +226,7 @@ fn main() {
         branches,
     );
 
-    let config = TageConfig::medium().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());
     let mut measurements = Vec::new();
 
     // 1. The raw lookup hot path: `predict` on a trained predictor. This is

@@ -18,7 +18,7 @@
 //! across worker counts, engines, and kill/`--resume` splits — the same
 //! contract the point cells themselves honour.
 
-use tage::{CounterAutomaton, TageConfig, TageGeometry};
+use tage::{CounterAutomaton, TageGeometry};
 use tage_sim::point::PredictorSpec;
 use tage_traces::jsonish;
 
@@ -57,18 +57,15 @@ pub fn enumerate_geometries(budget_bits: u64, max_geometries: usize) -> Vec<Tage
         let (min_history, max_history) = history_range(tables);
         for index_bits in TAGGED_INDEX_BITS {
             for tag_bits in TAG_BITS {
-                let config = TageConfig::small()
-                    .to_builder()
-                    .num_tagged_tables(tables)
-                    .tagged_index_bits(index_bits)
-                    .tag_bits(tag_bits)
-                    .bimodal_index_bits(index_bits + 2)
-                    .min_history(min_history)
-                    .max_history(max_history)
-                    .automaton(CounterAutomaton::paper_default())
-                    .build();
-                let Ok(config) = config else { continue };
-                let geometry = TageGeometry::from_config(&config);
+                let geometry = TageGeometry::uniform(
+                    tables,
+                    index_bits,
+                    tag_bits,
+                    index_bits + 2,
+                    min_history,
+                    max_history,
+                )
+                .with_automaton(CounterAutomaton::paper_default());
                 if geometry.validate().is_err() || geometry.storage_bits() > budget_bits {
                     continue;
                 }

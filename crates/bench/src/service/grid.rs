@@ -135,8 +135,10 @@ impl GridRequest {
         let mut predictors = Vec::new();
         for token in &self.predictors {
             predictors.push(
+                // The parse error may quote a server-side geometry file;
+                // clients only learn the token was not accepted.
                 PredictorSpec::parse(token)
-                    .ok_or_else(|| format!("unknown predictor token \"{token}\""))?,
+                    .map_err(|_| format!("unknown predictor token \"{token}\""))?,
             );
         }
         let mut schemes = Vec::new();

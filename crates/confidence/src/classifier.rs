@@ -29,10 +29,10 @@ pub const DEFAULT_BIM_MISS_WINDOW: u32 = 8;
 /// # Example
 ///
 /// ```
-/// use tage::{TageConfig, TagePredictor};
+/// use tage::{TageGeometry, TagePredictor};
 /// use tage_confidence::{PredictionClass, TageConfidenceClassifier};
 ///
-/// let config = TageConfig::small();
+/// let config = TageGeometry::small();
 /// let mut predictor = TagePredictor::new(config.clone());
 /// let mut classifier = TageConfidenceClassifier::new(&config);
 ///
@@ -49,7 +49,7 @@ pub struct TageConfidenceClassifier {
 
 impl TageConfidenceClassifier {
     /// Creates a classifier for predictors built from `blueprint` — a
-    /// [`tage::TageConfig`] preset or an explicit [`tage::TageGeometry`] —
+    /// [`tage::TageGeometry`] or a reference to one —
     /// using the paper's 8-prediction `medium-conf-bim` window.
     pub fn new(blueprint: &dyn TageBlueprint) -> Self {
         Self::with_window(blueprint, DEFAULT_BIM_MISS_WINDOW)
@@ -160,7 +160,7 @@ impl fmt::Display for TageConfidenceClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::{Provider, TageConfig, TagePredictor};
+    use tage::{Provider, TageGeometry, TagePredictor};
 
     fn bim_prediction(counter: i8, taken: bool) -> TagePrediction {
         TagePrediction {
@@ -195,7 +195,7 @@ mod tests {
     }
 
     fn classifier() -> TageConfidenceClassifier {
-        TageConfidenceClassifier::new(&TageConfig::small())
+        TageConfidenceClassifier::new(&TageGeometry::small())
     }
 
     #[test]
@@ -321,7 +321,7 @@ mod tests {
 
     #[test]
     fn zero_window_disables_medium_conf_bim() {
-        let mut c = TageConfidenceClassifier::with_window(&TageConfig::small(), 0);
+        let mut c = TageConfidenceClassifier::with_window(&TageGeometry::small(), 0);
         c.observe(&bim_prediction(2, true), false);
         assert_eq!(
             c.classify(&bim_prediction(2, true)),
@@ -360,11 +360,10 @@ mod tests {
 
     #[test]
     fn wider_counters_shift_the_saturated_threshold() {
-        let config = TageConfig::small()
-            .to_builder()
-            .counter_bits(4)
-            .build()
-            .unwrap();
+        let config = TageGeometry {
+            counter_bits: 4,
+            ..TageGeometry::small()
+        };
         let c = TageConfidenceClassifier::new(&config);
         // |2c+1| = 7 is *not* saturated for 4-bit counters.
         assert_eq!(
@@ -380,7 +379,7 @@ mod tests {
 
     #[test]
     fn works_against_a_real_predictor_without_panicking() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut predictor = TagePredictor::new(config.clone());
         let mut c = TageConfidenceClassifier::new(&config);
         for i in 0..2000u64 {

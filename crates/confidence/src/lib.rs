@@ -29,10 +29,10 @@
 //! # Example
 //!
 //! ```
-//! use tage::{TageConfig, TagePredictor};
+//! use tage::{TageGeometry, TagePredictor};
 //! use tage_confidence::{ConfidenceLevel, TageConfidenceClassifier};
 //!
-//! let mut predictor = TagePredictor::new(TageConfig::small());
+//! let mut predictor = TagePredictor::new(TageGeometry::small());
 //! let mut classifier = TageConfidenceClassifier::new(predictor.geometry());
 //!
 //! let pc = 0x40_2000;

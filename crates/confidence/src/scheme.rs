@@ -180,7 +180,7 @@ impl<L: PredictionOutcome, E: ConfidenceEstimator> ConfidenceScheme<L> for Estim
 mod tests {
     use super::*;
     use crate::estimators::SelfConfidenceEstimator;
-    use tage::{TageConfig, TagePredictor};
+    use tage::{TageGeometry, TagePredictor};
 
     #[test]
     fn assessment_constructors() {
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn classifier_scheme_matches_direct_classification() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut predictor = TagePredictor::new(config.clone());
         let mut direct = TageConfidenceClassifier::new(&config);
         let mut scheme = TageConfidenceClassifier::new(&config);
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn schemes_work_through_mutable_references_and_trait_objects() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut classifier = TageConfidenceClassifier::new(&config);
         // &mut forwarding.
         let via_ref: &mut TageConfidenceClassifier = &mut classifier;

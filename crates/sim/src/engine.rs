@@ -326,11 +326,11 @@ where
     /// confidence verdict:
     ///
     /// ```
-    /// use tage::{TageConfig, TagePredictor};
+    /// use tage::{TageGeometry, TagePredictor};
     /// use tage_confidence::TageConfidenceClassifier;
     /// use tage_sim::engine::SimEngine;
     ///
-    /// let config = TageConfig::small();
+    /// let config = TageGeometry::small();
     /// let mut engine = SimEngine::new(
     ///     TagePredictor::new(config.clone()),
     ///     TageConfidenceClassifier::new(&config),
@@ -397,13 +397,13 @@ where
     /// # Example
     ///
     /// ```
-    /// use tage::{TageConfig, TagePredictor};
+    /// use tage::{TageGeometry, TagePredictor};
     /// use tage_confidence::TageConfidenceClassifier;
     /// use tage_sim::engine::{ReportObserver, SimEngine};
     /// use tage_traces::suites;
     ///
     /// let trace = suites::cbp1_like().trace("INT-1").unwrap().generate(5_000);
-    /// let config = TageConfig::small();
+    /// let config = TageGeometry::small();
     /// let mut engine = SimEngine::new(
     ///     TagePredictor::new(config.clone()),
     ///     TageConfidenceClassifier::new(&config),
@@ -440,7 +440,7 @@ where
     /// # Example
     ///
     /// ```
-    /// use tage::{TageConfig, TagePredictor};
+    /// use tage::{TageGeometry, TagePredictor};
     /// use tage_confidence::TageConfidenceClassifier;
     /// use tage_sim::engine::{ReportObserver, SimEngine};
     /// use tage_traces::source::SyntheticSource;
@@ -450,7 +450,7 @@ where
     /// // Stream 5 000 branches straight out of the generator — no Vec of
     /// // records is ever materialized.
     /// let mut source = SyntheticSource::from_spec(&spec, 5_000);
-    /// let config = TageConfig::small();
+    /// let config = TageGeometry::small();
     /// let mut engine = SimEngine::new(
     ///     TagePredictor::new(config.clone()),
     ///     TageConfidenceClassifier::new(&config),
@@ -642,7 +642,7 @@ fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize, steals: &AtomicU64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::{TageConfig, TagePredictor};
+    use tage::{TageGeometry, TagePredictor};
     use tage_confidence::estimators::{JrsEstimator, SelfConfidenceEstimator};
     use tage_confidence::{EstimatorScheme, TageConfidenceClassifier};
     use tage_predictors::{BranchPredictor, GsharePredictor, PerceptronPredictor};
@@ -653,7 +653,7 @@ mod tests {
     }
 
     fn tage_engine() -> SimEngine<TagePredictor, TageConfidenceClassifier> {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         SimEngine::new(
             TagePredictor::new(config.clone()),
             TageConfidenceClassifier::new(&config),

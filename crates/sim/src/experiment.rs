@@ -24,7 +24,7 @@
 //! | §6 automaton accuracy cost | [`automaton_cost`] |
 //! | ablations (window length, counter width) | [`window_ablation`], [`counter_width_ablation`] |
 
-use tage::{CounterAutomaton, TageConfig};
+use tage::{CounterAutomaton, TageGeometry};
 use tage_confidence::{ConfidenceLevel, PredictionClass};
 use tage_traces::Suite;
 
@@ -33,16 +33,16 @@ use crate::runner::RunOptions;
 use crate::suite::{run_suite, SuiteRunResult};
 
 /// The three predictor sizes of Table 1, with the standard automaton.
-pub fn standard_configs() -> Vec<TageConfig> {
+pub fn standard_configs() -> Vec<TageGeometry> {
     vec![
-        TageConfig::small(),
-        TageConfig::medium(),
-        TageConfig::large(),
+        TageGeometry::small(),
+        TageGeometry::medium(),
+        TageGeometry::large(),
     ]
 }
 
 /// The three predictor sizes with the paper's modified automaton (1/128).
-pub fn modified_configs() -> Vec<TageConfig> {
+pub fn modified_configs() -> Vec<TageGeometry> {
     standard_configs()
         .into_iter()
         .map(|c| c.with_automaton(CounterAutomaton::paper_default()))
@@ -81,11 +81,11 @@ pub fn table1(cbp1: &Suite, cbp2: &Suite, branches_per_trace: usize) -> Vec<Tabl
         .iter()
         .zip(r1.iter().zip(&r2))
         .map(|(point, (r1, r2))| Table1Row {
-            config_name: point.config.name(),
-            storage_bits: point.config.storage_bits(),
-            num_tables: point.config.num_tagged_tables + 1,
-            min_history: point.config.min_history,
-            max_history: point.config.max_history,
+            config_name: point.geometry.name(),
+            storage_bits: point.geometry.storage_bits(),
+            num_tables: point.geometry.num_tagged_tables() + 1,
+            min_history: point.geometry.min_history(),
+            max_history: point.geometry.max_history(),
             cbp1_mpki: r1.mean_mpki(),
             cbp2_mpki: r2.mean_mpki(),
         })
@@ -109,7 +109,7 @@ pub struct ClassDistributionRow {
 /// Computes the per-trace class distributions of Figures 2/3 (standard
 /// automaton) or Figure 5 (pass a modified-automaton config).
 pub fn class_distribution(
-    config: &TageConfig,
+    config: &TageGeometry,
     suite: &Suite,
     branches_per_trace: usize,
 ) -> Vec<ClassDistributionRow> {
@@ -154,7 +154,7 @@ pub struct ClassRatesRow {
 /// Computes the per-class misprediction rates of Figure 4 (standard
 /// automaton) or Figure 6 (modified automaton) for the named traces.
 pub fn per_class_rates(
-    config: &TageConfig,
+    config: &TageGeometry,
     suite: &Suite,
     trace_names: &[&str],
     branches_per_trace: usize,
@@ -223,7 +223,7 @@ pub struct LevelSummaryRow {
 /// ([`RunOptions::adaptive`]) for a configuration and a suite. The
 /// configuration is expected to carry the modified automaton.
 pub fn three_level_summary(
-    config: &TageConfig,
+    config: &TageGeometry,
     suite: &Suite,
     branches_per_trace: usize,
     options: &RunOptions,
@@ -274,7 +274,7 @@ pub struct ProbabilitySweepRow {
 /// Sweeps the saturation probability (Section 6.2: 1/16 vs 1/128, extended
 /// to a full range) for one configuration and suite.
 pub fn probability_sweep(
-    base_config: &TageConfig,
+    base_config: &TageGeometry,
     suite: &Suite,
     branches_per_trace: usize,
     exponents: &[u32],
@@ -327,7 +327,7 @@ pub struct BimBreakdownRow {
 
 /// Computes the Section 5.1 breakdown of the bimodal-provided predictions.
 pub fn bim_breakdown(
-    config: &TageConfig,
+    config: &TageGeometry,
     suite: &Suite,
     branches_per_trace: usize,
 ) -> Vec<BimBreakdownRow> {
@@ -435,7 +435,7 @@ pub struct WindowAblationRow {
 
 /// Ablates the `medium-conf-bim` recency window length.
 pub fn window_ablation(
-    config: &TageConfig,
+    config: &TageGeometry,
     suite: &Suite,
     branches_per_trace: usize,
     windows: &[u32],
@@ -443,7 +443,7 @@ pub fn window_ablation(
     let points: Vec<TageSweepPoint> = windows
         .iter()
         .map(|&window| TageSweepPoint {
-            config: config.clone(),
+            geometry: config.clone(),
             options: RunOptions {
                 bim_miss_window: window,
                 ..RunOptions::default()
@@ -479,7 +479,7 @@ pub struct CounterWidthAblationRow {
 
 /// Ablates the tagged prediction-counter width with the standard automaton.
 pub fn counter_width_ablation(
-    base_config: &TageConfig,
+    base_config: &TageGeometry,
     suite: &Suite,
     branches_per_trace: usize,
     widths: &[u8],
@@ -487,13 +487,10 @@ pub fn counter_width_ablation(
     let points: Vec<TageSweepPoint> = widths
         .iter()
         .map(|&bits| {
-            TageSweepPoint::new(
-                base_config
-                    .to_builder()
-                    .counter_bits(bits)
-                    .build()
-                    .expect("ablation configuration must be valid"),
-            )
+            TageSweepPoint::new(TageGeometry {
+                counter_bits: bits,
+                ..base_config.clone()
+            })
         })
         .collect();
     let results = run_tage_sweep(&points, suite, branches_per_trace);
@@ -557,7 +554,7 @@ mod tests {
 
     #[test]
     fn class_distribution_rows_cover_every_trace_and_sum_to_one() {
-        let rows = class_distribution(&TageConfig::small(), &mini_suite(), N);
+        let rows = class_distribution(&TageGeometry::small(), &mini_suite(), N);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             let pcov_sum: f64 = row.pcov.iter().sum();
@@ -569,7 +566,7 @@ mod tests {
 
     #[test]
     fn per_class_rates_orders_weak_above_saturated() {
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         let rows = per_class_rates(&config, &mini_suite(), &["MM-5", "SERV-2"], 20_000);
         assert_eq!(rows.len(), 2);
         for row in &rows {
@@ -585,7 +582,7 @@ mod tests {
 
     #[test]
     fn three_level_summary_reproduces_the_ordering_of_table_2() {
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         let row = three_level_summary(&config, &mini_suite(), 40_000, &RunOptions::default());
         // Coverages sum to one.
         assert!((row.high.pcov + row.medium.pcov + row.low.pcov - 1.0).abs() < 1e-9);
@@ -608,7 +605,7 @@ mod tests {
 
     #[test]
     fn adaptive_summary_tracks_probability() {
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         let row = three_level_summary(&config, &mini_suite(), 20_000, &RunOptions::adaptive());
         assert!(row.mean_final_probability >= 1.0 / 1024.0 - 1e-12);
         assert!(row.mean_final_probability <= 1.0 + 1e-12);
@@ -616,7 +613,12 @@ mod tests {
 
     #[test]
     fn probability_sweep_trades_coverage_for_purity() {
-        let rows = probability_sweep(&TageConfig::small(), &mini_suite(), 20_000, &[0, 4, 7, 10]);
+        let rows = probability_sweep(
+            &TageGeometry::small(),
+            &mini_suite(),
+            20_000,
+            &[0, 4, 7, 10],
+        );
         assert_eq!(rows.len(), 4);
         // Larger probability (smaller exponent) => larger high-confidence
         // coverage and a higher (or equal) high-confidence miss rate.
@@ -630,7 +632,7 @@ mod tests {
 
     #[test]
     fn bim_breakdown_orders_the_three_bim_classes() {
-        let rows = bim_breakdown(&TageConfig::small(), &mini_suite(), 20_000);
+        let rows = bim_breakdown(&TageGeometry::small(), &mini_suite(), 20_000);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.bim_pcov > 0.0 && row.bim_pcov <= 1.0);
@@ -665,7 +667,7 @@ mod tests {
 
     #[test]
     fn window_ablation_zero_window_removes_the_medium_class() {
-        let rows = window_ablation(&TageConfig::small(), &mini_suite(), N, &[0, 8, 32]);
+        let rows = window_ablation(&TageGeometry::small(), &mini_suite(), N, &[0, 8, 32]);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].medium_bim_pcov, 0.0);
         assert!(rows[2].medium_bim_pcov >= rows[1].medium_bim_pcov);
@@ -673,7 +675,7 @@ mod tests {
 
     #[test]
     fn counter_width_ablation_produces_rows_for_each_width() {
-        let rows = counter_width_ablation(&TageConfig::small(), &mini_suite(), N, &[2, 3, 4]);
+        let rows = counter_width_ablation(&TageGeometry::small(), &mini_suite(), N, &[2, 3, 4]);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(row.mpki > 0.0);

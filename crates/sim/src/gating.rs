@@ -20,7 +20,7 @@
 
 use core::fmt;
 
-use tage::{TageConfig, TagePredictor};
+use tage::{TageGeometry, TagePredictor};
 use tage_confidence::{ConfidenceLevel, TageConfidenceClassifier};
 use tage_predictors::PredictorCore;
 use tage_traces::format::FormatError;
@@ -249,7 +249,7 @@ impl<P: PredictorCore> EngineObserver<P> for GatingObserver {
 /// Simulates a gating policy on top of a TAGE predictor and its storage-free
 /// confidence classifier.
 pub fn simulate_gating(
-    config: &TageConfig,
+    config: &TageGeometry,
     trace: &Trace,
     policy: GatingPolicy,
     model: &GatingModel,
@@ -266,7 +266,7 @@ pub fn simulate_gating(
 ///
 /// Propagates the first [`FormatError`] the source reports.
 pub fn simulate_gating_source<S: BranchSource + ?Sized>(
-    config: &TageConfig,
+    config: &TageGeometry,
     source: &mut S,
     policy: GatingPolicy,
     model: &GatingModel,
@@ -300,8 +300,8 @@ mod tests {
         suites::cbp1_like().trace("MM-5").unwrap().generate(30_000)
     }
 
-    fn config() -> TageConfig {
-        TageConfig::small().with_automaton(CounterAutomaton::paper_default())
+    fn config() -> TageGeometry {
+        TageGeometry::small().with_automaton(CounterAutomaton::paper_default())
     }
 
     #[test]

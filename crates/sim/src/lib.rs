@@ -63,12 +63,12 @@
 //! # Example
 //!
 //! ```
-//! use tage::TageConfig;
+//! use tage::TageGeometry;
 //! use tage_sim::runner::{RunOptions, run_trace};
 //! use tage_traces::suites;
 //!
 //! let trace = suites::cbp1_like().traces()[0].generate(5_000);
-//! let result = run_trace(&TageConfig::small(), &trace, &RunOptions::default());
+//! let result = run_trace(&TageGeometry::small(), &trace, &RunOptions::default());
 //! assert!(result.conditional_branches > 0);
 //! assert!(result.report.total().predictions > 0);
 //! ```

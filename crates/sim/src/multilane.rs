@@ -422,14 +422,14 @@ pub fn run_specs_multilane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::TageConfig;
+    use tage::TageGeometry;
     use tage_traces::source::SyntheticSource;
     use tage_traces::suites;
 
     #[test]
     fn multilane_matches_scalar_per_source() {
         let suite = suites::cbp1_like();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let options = RunOptions::default();
         let specs: Vec<SourceSpec> = suite
             .traces()
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn engine_reuse_is_bit_identical_across_runs() {
         let spec = suites::cbp1_like().trace("INT-1").unwrap().clone();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut engine = MultilaneEngine::new(config.clone(), &RunOptions::default(), 2);
         let mut results = vec![
             MultilaneEngine::placeholder_result(),
@@ -476,6 +476,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "adaptive")]
     fn adaptive_options_are_rejected_by_the_batched_engine() {
-        let _ = MultilaneEngine::new(TageConfig::small(), &RunOptions::adaptive(), 4);
+        let _ = MultilaneEngine::new(TageGeometry::small(), &RunOptions::adaptive(), 4);
     }
 }

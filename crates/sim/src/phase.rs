@@ -475,7 +475,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::TageConfig;
+    use tage::TageGeometry;
     use tage_traces::source::SyntheticSource;
     use tage_traces::suites;
 
@@ -551,7 +551,7 @@ mod tests {
             k: 4,
             seed: 1,
         };
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let run = || {
             run_sampled_source(&config, &RunOptions::default(), sampling, None, || {
                 Ok(SyntheticSource::from_spec(&spec(), 10_000))
@@ -574,7 +574,7 @@ mod tests {
 
     #[test]
     fn different_seeds_may_pick_different_representatives_but_stay_valid() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         for seed in [1, 2, 99] {
             let sampling = SamplingSpec {
                 interval: 400,
@@ -613,7 +613,7 @@ mod tests {
             k: 8,
             seed: 1,
         };
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let branches = 200_000;
         let source_spec = tage_traces::source::SourceSpec::Synthetic(spec());
         let digest = source_spec.digest(branches);
@@ -665,7 +665,7 @@ mod tests {
         dir: &std::path::Path,
     ) -> [SampledRunResult; 3] {
         let _ = std::fs::remove_dir_all(dir);
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let source_spec = tage_traces::source::SourceSpec::Synthetic(spec());
         let digest = source_spec.digest(branches);
         let open = || source_spec.open(branches);
@@ -713,7 +713,7 @@ mod tests {
             k: 4,
             seed: 1,
         };
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let options = RunOptions::default();
         let source_spec = tage_traces::source::SourceSpec::Synthetic(spec());
         let digest = source_spec.digest(8_000);
@@ -755,7 +755,7 @@ mod tests {
             k: 4,
             seed: 1,
         };
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let source_spec = tage_traces::source::SourceSpec::Synthetic(spec());
         let digest = source_spec.digest(8_000);
         let open = || source_spec.open(8_000);

@@ -35,7 +35,7 @@
 
 use core::fmt;
 
-use tage::{CounterAutomaton, LaneGroup, TageBlueprint, TageConfig, TageGeometry, TagePredictor};
+use tage::{CounterAutomaton, LaneGroup, TageBlueprint, TageGeometry, TagePredictor};
 use tage_confidence::estimators::EstimatorSpec;
 use tage_confidence::{ConfidenceReport, EstimatorScheme, TageConfidenceClassifier};
 use tage_predictors::{BaselinePredictorSpec, PredictorCore};
@@ -53,14 +53,18 @@ use crate::scenarios::ScenarioSpec;
 use crate::warmcache::WarmCache;
 
 /// One value of the predictor axis of a sweep grid.
+///
+/// Both TAGE variants hold a [`TageGeometry`] and run identically; they
+/// differ only in how reports name them ([`PredictorSpec::label`]) and which
+/// grid token parses back into them ([`PredictorSpec::token`]).
 #[derive(Debug, Clone)]
 pub enum PredictorSpec {
-    /// A TAGE configuration (the paper's predictor, storage-free capable).
-    Tage(TageConfig),
+    /// A TAGE preset (the paper's predictor, storage-free capable), named
+    /// after its size and automaton.
+    Tage(TageGeometry),
     /// An explicit TAGE geometry — loaded from a `geometry:FILE.json` grid
     /// token or built programmatically (the `--explore` design-space search
-    /// enumerates these). Storage-free capable, exactly like
-    /// [`PredictorSpec::Tage`].
+    /// enumerates these), named after its spec digest.
     Geometry {
         /// The full per-table geometry.
         geometry: TageGeometry,
@@ -81,21 +85,21 @@ pub const GEOMETRY_TOKEN_PREFIX: &str = "geometry:";
 /// The TAGE grid variants: the three paper sizes, each with the modified
 /// (probabilistic 1/128) automaton under the plain token and the standard
 /// automaton under the `-std` suffix.
-pub fn tage_variants() -> Vec<(String, TageConfig)> {
+pub fn tage_variants() -> Vec<(String, TageGeometry)> {
     let mut variants = Vec::with_capacity(6);
-    for config in [
-        TageConfig::small(),
-        TageConfig::medium(),
-        TageConfig::large(),
+    for geometry in [
+        TageGeometry::small(),
+        TageGeometry::medium(),
+        TageGeometry::large(),
     ] {
-        let base = config.name().to_ascii_lowercase();
+        let base = geometry.name().to_ascii_lowercase();
         variants.push((
             base.clone(),
-            config
+            geometry
                 .clone()
                 .with_automaton(CounterAutomaton::paper_default()),
         ));
-        variants.push((format!("{base}-std"), config));
+        variants.push((format!("{base}-std"), geometry));
     }
     variants
 }
@@ -114,28 +118,37 @@ impl PredictorSpec {
 
     /// Parses a grid token into a predictor spec.
     ///
-    /// `geometry:<path>` loads a [`TageGeometry`] JSON file from `<path>`;
-    /// an unreadable or invalid file parses as `None`, exactly like an
-    /// unknown token (callers wanting the reason should call
-    /// [`TageGeometry::load`] directly).
-    pub fn parse(token: &str) -> Option<Self> {
+    /// `geometry:<path>` loads a [`TageGeometry`] JSON file from `<path>`.
+    ///
+    /// # Errors
+    ///
+    /// For a `geometry:` token, the [`TageGeometry::load`] message, which
+    /// names the path and the offending field; otherwise an unknown-token
+    /// message listing [`PredictorSpec::known_tokens`].
+    pub fn parse(token: &str) -> Result<Self, String> {
         if let Some(path) = token.strip_prefix(GEOMETRY_TOKEN_PREFIX) {
-            let geometry = TageGeometry::load(path).ok()?;
-            return Some(PredictorSpec::Geometry {
-                geometry,
+            return Ok(PredictorSpec::Geometry {
+                geometry: TageGeometry::load(path)?,
                 source: path.to_string(),
             });
         }
-        if let Some((_, config)) = tage_variants().into_iter().find(|(t, _)| t == token) {
-            return Some(PredictorSpec::Tage(config));
+        if let Some((_, geometry)) = tage_variants().into_iter().find(|(t, _)| t == token) {
+            return Ok(PredictorSpec::Tage(geometry));
         }
-        BaselinePredictorSpec::parse(token).map(PredictorSpec::Baseline)
+        BaselinePredictorSpec::parse(token)
+            .map(PredictorSpec::Baseline)
+            .ok_or_else(|| {
+                format!(
+                    "unknown predictor token \"{token}\" (known: {})",
+                    Self::known_tokens().join(", ")
+                )
+            })
     }
 
     /// The grid token that parses back into this spec: the plain token for
-    /// grid-enumerable configurations, `geometry:<path>` for geometry
-    /// specs. Programmatic TAGE configs with a non-grid automaton have no
-    /// parseable token; they return their [`PredictorSpec::label`].
+    /// grid-enumerable presets, `geometry:<path>` for geometry specs.
+    /// Programmatic presets with a non-grid automaton have no parseable
+    /// token; they return their [`PredictorSpec::label`].
     pub fn token(&self) -> String {
         match self {
             PredictorSpec::Geometry { source, .. } => format!("{GEOMETRY_TOKEN_PREFIX}{source}"),
@@ -144,22 +157,22 @@ impl PredictorSpec {
     }
 
     /// The stable label naming this spec in reports: the parse token for
-    /// every grid-enumerable configuration, an honest
+    /// every grid-enumerable preset, an honest
     /// `<name>-p<log2(1/p)>` description for programmatically built TAGE
-    /// configs with a non-standard, non-paper automaton, and
+    /// presets with a non-standard, non-paper automaton, and
     /// `<name>-g<digest>` for explicit geometries (the 32-bit spec-digest
     /// suffix keeps same-budget explore candidates distinct in reports and
     /// checkpoint keys).
     pub fn label(&self) -> String {
         match self {
-            PredictorSpec::Tage(config) => {
-                let base = config.name().to_ascii_lowercase();
-                if config.automaton == CounterAutomaton::paper_default() {
+            PredictorSpec::Tage(geometry) => {
+                let base = geometry.name().to_ascii_lowercase();
+                if geometry.automaton == CounterAutomaton::paper_default() {
                     base
-                } else if config.automaton == CounterAutomaton::Standard {
+                } else if geometry.automaton == CounterAutomaton::Standard {
                     format!("{base}-std")
                 } else {
-                    let exponent = -config.automaton.saturation_probability().log2();
+                    let exponent = -geometry.automaton.saturation_probability().log2();
                     format!("{base}-p{exponent:.0}")
                 }
             }
@@ -174,28 +187,29 @@ impl PredictorSpec {
         }
     }
 
-    /// The TAGE blueprint behind this spec — `Some` for both the preset
-    /// [`PredictorSpec::Tage`] configurations and explicit
-    /// [`PredictorSpec::Geometry`] values, `None` for baselines. The
-    /// returned trait object plugs straight into every geometry-driven
-    /// engine entry point ([`crate::runner::run_source`],
+    /// The TAGE geometry behind this spec, as a blueprint — `Some` for
+    /// both TAGE variants, `None` for baselines. It plugs straight into
+    /// every geometry-driven engine entry point
+    /// ([`crate::runner::run_source`],
     /// [`crate::multilane::run_specs_multilane`], ...).
     pub fn tage_blueprint(&self) -> Option<&dyn TageBlueprint> {
         match self {
-            PredictorSpec::Tage(config) => Some(config),
-            PredictorSpec::Geometry { geometry, .. } => Some(geometry),
+            PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+                Some(geometry)
+            }
             PredictorSpec::Baseline(_) => None,
         }
     }
 
     /// Exact storage budget of this predictor in bits, computed
     /// declaratively — no predictor is built. Every axis value knows it:
-    /// TAGE configs and geometries from their table accounting, baselines
-    /// from their spec structs.
+    /// TAGE geometries from their table accounting, baselines from their
+    /// spec structs.
     pub fn storage_bits(&self) -> u64 {
         match self {
-            PredictorSpec::Tage(config) => config.storage_bits(),
-            PredictorSpec::Geometry { geometry, .. } => geometry.storage_bits(),
+            PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+                geometry.storage_bits()
+            }
             PredictorSpec::Baseline(spec) => spec.storage_bits(),
         }
     }
@@ -674,8 +688,9 @@ fn point_is_lane_batchable(point: &SweepPoint) -> bool {
     point.scheme == SchemeSpec::StorageFree
         && point.scenario == ScenarioSpec::Baseline
         && match &point.predictor {
-            PredictorSpec::Tage(_) => true,
-            PredictorSpec::Geometry { geometry, .. } => LaneGroup::supports(geometry),
+            PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+                LaneGroup::supports(geometry)
+            }
             PredictorSpec::Baseline(_) => false,
         }
 }
@@ -870,23 +885,23 @@ fn run_point_source(
     ))
 }
 
-/// One point of a TAGE-only experiment sweep: a configuration plus run
-/// options, executed over a whole suite. The experiment functions of
+/// One point of a TAGE-only experiment sweep: a geometry plus run options,
+/// executed over a whole suite. The experiment functions of
 /// [`crate::experiment`] express their axes (probability exponents, window
 /// lengths, counter widths, automaton on/off) as grids of these.
 #[derive(Debug, Clone)]
 pub struct TageSweepPoint {
-    /// The predictor configuration of this point.
-    pub config: TageConfig,
+    /// The predictor geometry of this point.
+    pub geometry: TageGeometry,
     /// The run options of this point.
     pub options: crate::runner::RunOptions,
 }
 
 impl TageSweepPoint {
     /// A point with default run options.
-    pub fn new(config: TageConfig) -> Self {
+    pub fn new(geometry: TageGeometry) -> Self {
         TageSweepPoint {
-            config,
+            geometry,
             options: crate::runner::RunOptions::default(),
         }
     }
@@ -904,7 +919,7 @@ pub fn run_tage_sweep(
     points
         .iter()
         .map(|point| {
-            crate::suite::run_suite(&point.config, suite, branches_per_trace, &point.options)
+            crate::suite::run_suite(&point.geometry, suite, branches_per_trace, &point.options)
         })
         .collect()
 }
@@ -926,7 +941,12 @@ mod tests {
             let spec = PredictorSpec::parse(token).expect("known token parses");
             assert_eq!(&spec.label(), token);
         }
-        assert!(PredictorSpec::parse("nonsense").is_none());
+        let err = PredictorSpec::parse("nonsense").unwrap_err();
+        assert!(
+            err.contains("unknown predictor token \"nonsense\""),
+            "{err}"
+        );
+        assert!(err.contains("tage-16k"), "{err}");
         assert!(PredictorSpec::parse("tage-16k")
             .unwrap()
             .supports_storage_free());
@@ -939,7 +959,7 @@ mod tests {
     fn geometry_tokens_round_trip_through_files() {
         let path =
             std::env::temp_dir().join(format!("tage-geometry-token-{}.json", std::process::id()));
-        let geometry = TageGeometry::from_config(&TageConfig::small());
+        let geometry = TageGeometry::small();
         geometry.save(&path).expect("write geometry file");
 
         let token = format!("{GEOMETRY_TOKEN_PREFIX}{}", path.display());
@@ -967,21 +987,42 @@ mod tests {
         assert!(spec.supports_storage_free());
 
         std::fs::remove_file(&path).expect("cleanup");
-        // A dangling path no longer parses.
-        assert!(PredictorSpec::parse(&token).is_none());
+        // A dangling path no longer parses, and the error says why.
+        let err = PredictorSpec::parse(&token).unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+    }
+
+    #[test]
+    fn bad_geometry_files_fail_with_the_path_and_the_field() {
+        let path =
+            std::env::temp_dir().join(format!("tage-geometry-bad-{}.json", std::process::id()));
+        let json = TageGeometry::small()
+            .to_json()
+            .replace("\"counter_bits\": 3", "\"counter_bits\": 9");
+        std::fs::write(&path, json).expect("write geometry file");
+        let err = PredictorSpec::parse(&format!("{GEOMETRY_TOKEN_PREFIX}{}", path.display()))
+            .unwrap_err();
+        std::fs::remove_file(&path).expect("cleanup");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("counter_bits"), "{err}");
+
+        let missing = std::env::temp_dir().join("tage-geometry-missing.json");
+        let err = PredictorSpec::parse(&format!("{GEOMETRY_TOKEN_PREFIX}{}", missing.display()))
+            .unwrap_err();
+        assert!(err.contains(&missing.display().to_string()), "{err}");
     }
 
     #[test]
     fn programmatic_tage_configs_get_honest_labels() {
         let spec = PredictorSpec::Tage(
-            TageConfig::small().with_automaton(CounterAutomaton::probabilistic(5)),
+            TageGeometry::small().with_automaton(CounterAutomaton::probabilistic(5)),
         );
         assert_eq!(spec.label(), "tage-16k-p5");
-        let std = PredictorSpec::Tage(TageConfig::small());
+        let std = PredictorSpec::Tage(TageGeometry::small());
         assert_eq!(std.label(), "tage-16k-std");
         // paper_default is probabilistic(7): the plain token, not "-p7".
         let paper = PredictorSpec::Tage(
-            TageConfig::small().with_automaton(CounterAutomaton::paper_default()),
+            TageGeometry::small().with_automaton(CounterAutomaton::paper_default()),
         );
         assert_eq!(paper.label(), "tage-16k");
     }
@@ -1014,7 +1055,7 @@ mod tests {
     #[test]
     fn storage_free_point_matches_the_suite_runner() {
         let suite = mini();
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         let point = SweepPoint::over_suite(
             PredictorSpec::Tage(config.clone()),
             SchemeSpec::StorageFree,
@@ -1372,9 +1413,9 @@ mod tests {
     fn tage_sweep_matches_individual_suite_runs() {
         let suite = mini();
         let points = vec![
-            TageSweepPoint::new(TageConfig::small()),
+            TageSweepPoint::new(TageGeometry::small()),
             TageSweepPoint {
-                config: TageConfig::small(),
+                geometry: TageGeometry::small(),
                 options: crate::runner::RunOptions {
                     bim_miss_window: 0,
                     ..crate::runner::RunOptions::default()
@@ -1383,7 +1424,8 @@ mod tests {
         ];
         let results = run_tage_sweep(&points, &suite, 2_000);
         assert_eq!(results.len(), 2);
-        let direct = crate::suite::run_suite(&points[0].config, &suite, 2_000, &points[0].options);
+        let direct =
+            crate::suite::run_suite(&points[0].geometry, &suite, 2_000, &points[0].options);
         assert_eq!(results[0], direct);
         assert_ne!(results[0].aggregate, results[1].aggregate);
     }

@@ -195,8 +195,8 @@ impl<'p> TageRun<'p> {
     }
 }
 
-/// Runs a TAGE predictor built from `blueprint` — a [`tage::TageConfig`]
-/// preset or an explicit [`tage::TageGeometry`] — over `trace`, classifying
+/// Runs a TAGE predictor built from `blueprint` — a [`tage::TageGeometry`]
+/// or a reference to one — over `trace`, classifying
 /// every conditional-branch prediction with the storage-free confidence
 /// classifier.
 ///
@@ -226,14 +226,14 @@ pub fn run_trace(
 /// # Example
 ///
 /// ```
-/// use tage::TageConfig;
+/// use tage::TageGeometry;
 /// use tage_sim::runner::{run_source, RunOptions};
 /// use tage_traces::source::SyntheticSource;
 /// use tage_traces::suites;
 ///
 /// let spec = suites::cbp1_like().trace("INT-1").unwrap().clone();
 /// let mut source = SyntheticSource::from_spec(&spec, 5_000);
-/// let result = run_source(&TageConfig::small(), &mut source, &RunOptions::default()).unwrap();
+/// let result = run_source(&TageGeometry::small(), &mut source, &RunOptions::default()).unwrap();
 /// assert_eq!(result.trace_name, "INT-1");
 /// assert_eq!(result.conditional_branches, 5_000);
 /// ```
@@ -282,7 +282,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::{CounterAutomaton, TageConfig};
+    use tage::{CounterAutomaton, TageGeometry};
     use tage_confidence::{ConfidenceLevel, PredictionClass};
     use tage_traces::suites;
 
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn run_counts_every_measured_conditional_branch() {
         let trace = small_trace(4_000);
-        let result = run_trace(&TageConfig::small(), &trace, &RunOptions::default());
+        let result = run_trace(&TageGeometry::small(), &trace, &RunOptions::default());
         assert_eq!(result.conditional_branches, 4_000);
         assert_eq!(result.report.total().predictions, 4_000);
         assert_eq!(result.instructions, trace.instruction_count());
@@ -308,7 +308,7 @@ mod tests {
             warmup_branches: 1_000,
             ..RunOptions::default()
         };
-        let result = run_trace(&TageConfig::small(), &trace, &options);
+        let result = run_trace(&TageGeometry::small(), &trace, &options);
         assert_eq!(result.report.total().predictions, 3_000);
         assert!(result.instructions < trace.instruction_count());
     }
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn every_prediction_lands_in_some_class() {
         let trace = small_trace(3_000);
-        let result = run_trace(&TageConfig::small(), &trace, &RunOptions::default());
+        let result = run_trace(&TageGeometry::small(), &trace, &RunOptions::default());
         let sum: u64 = PredictionClass::ALL
             .iter()
             .map(|&c| result.report.class(c).predictions)
@@ -327,16 +327,16 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let trace = small_trace(3_000);
-        let a = run_trace(&TageConfig::medium(), &trace, &RunOptions::default());
-        let b = run_trace(&TageConfig::medium(), &trace, &RunOptions::default());
+        let a = run_trace(&TageGeometry::medium(), &trace, &RunOptions::default());
+        let b = run_trace(&TageGeometry::medium(), &trace, &RunOptions::default());
         assert_eq!(a, b);
     }
 
     #[test]
     fn larger_predictors_do_not_mispredict_more() {
         let trace = small_trace(30_000);
-        let small = run_trace(&TageConfig::small(), &trace, &RunOptions::default());
-        let large = run_trace(&TageConfig::large(), &trace, &RunOptions::default());
+        let small = run_trace(&TageGeometry::small(), &trace, &RunOptions::default());
+        let large = run_trace(&TageGeometry::large(), &trace, &RunOptions::default());
         assert!(
             large.report.total().mispredictions
                 <= small.report.total().mispredictions + small.report.total().predictions / 100,
@@ -349,7 +349,7 @@ mod tests {
     #[test]
     fn adaptive_run_tracks_probability() {
         let trace = small_trace(30_000);
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         let result = run_trace(&config, &trace, &RunOptions::adaptive());
         assert!(result.final_saturation_probability >= 1.0 / 1024.0 - 1e-12);
         assert!(result.final_saturation_probability <= 1.0 + 1e-12);
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn low_confidence_class_has_higher_miss_rate_than_high() {
         let trace = small_trace(60_000);
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         let result = run_trace(&config, &trace, &RunOptions::default());
         let low = result.report.level_mprate_mkp(ConfidenceLevel::Low);
         let high = result.report.level_mprate_mkp(ConfidenceLevel::High);
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn reusing_a_predictor_keeps_training_it() {
         let trace = small_trace(5_000);
-        let mut predictor = TagePredictor::new(TageConfig::small());
+        let mut predictor = TagePredictor::new(TageGeometry::small());
         let mut mispredictions = || {
             let mut run = TageRun::new(&mut predictor, &RunOptions::default(), 0);
             let (report, _) = run
@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn display_mentions_names() {
         let trace = small_trace(1_000);
-        let result = run_trace(&TageConfig::small(), &trace, &RunOptions::default());
+        let result = run_trace(&TageGeometry::small(), &trace, &RunOptions::default());
         let s = format!("{result}");
         assert!(s.contains("INT-1"));
         assert!(s.contains("TAGE-16K"));

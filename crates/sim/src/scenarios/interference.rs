@@ -157,13 +157,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::{CounterAutomaton, TageConfig, TagePredictor};
+    use tage::{CounterAutomaton, TageGeometry, TagePredictor};
     use tage_confidence::TageConfidenceClassifier;
     use tage_traces::source::SyntheticSource;
     use tage_traces::suites;
 
     fn engine() -> SimEngine<TagePredictor, TageConfidenceClassifier> {
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         SimEngine::new(
             TagePredictor::new(config.clone()),
             TageConfidenceClassifier::new(&config),

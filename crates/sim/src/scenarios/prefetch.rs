@@ -236,13 +236,13 @@ impl<P: PredictorCore> EngineObserver<P> for PrefetchObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::{CounterAutomaton, TageConfig, TagePredictor};
+    use tage::{CounterAutomaton, TageGeometry, TagePredictor};
     use tage_confidence::TageConfidenceClassifier;
 
     use crate::engine::SimEngine;
 
     fn run(policy: PrefetchPolicy) -> (PrefetchObserver, crate::engine::EngineSummary) {
-        let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
         let trace = tage_traces::suites::cbp1_like()
             .trace("MM-5")
             .unwrap()

@@ -352,7 +352,7 @@ pub fn run_suite_segmented(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::TageConfig;
+    use tage::TageGeometry;
     use tage_traces::source::{SourceSpec, SyntheticSource};
     use tage_traces::suites;
 
@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn one_segment_without_warmup_is_exactly_the_sequential_run() {
         let spec = spec();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let total = SyntheticSource::from_spec(&spec, 4_000)
             .skip_records(u64::MAX)
             .unwrap();
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn segmented_runs_are_bit_identical_across_worker_counts() {
         let spec = spec();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let options = RunOptions::default();
         let segment_options = SegmentOptions::new(5, 512);
         let total = SyntheticSource::from_spec(&spec, 6_000)
@@ -456,7 +456,7 @@ mod tests {
         // affecting what is measured, pulling the segmented result towards
         // the sequential one.
         let spec = suites::cbp1_like().trace("FP-2").unwrap().clone();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let branches = 32_000;
         let total = SyntheticSource::from_spec(&spec, branches)
             .skip_records(u64::MAX)
@@ -509,7 +509,7 @@ mod tests {
                 suites::cbp1_like().trace("INT-2").unwrap().clone(),
             )],
         );
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let segment_options = SegmentOptions::new(4, 512);
         // The adaptive controller exercises the automaton + controller parts
         // of the warm state; the custom window exercises the classifier part.
@@ -569,7 +569,7 @@ mod tests {
                 suites::cbp1_like().trace("INT-2").unwrap().clone(),
             )],
         );
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let options = RunOptions::default();
         let segment_options = SegmentOptions::new(4, 512);
         let run = |cache| {
@@ -612,7 +612,7 @@ mod tests {
                 SourceSpec::Synthetic(suites::cbp1_like().trace("SERV-2").unwrap().clone()),
             ],
         );
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let run = |workers| {
             run_suite_segmented(
                 &config,

@@ -21,7 +21,7 @@
 
 use core::fmt;
 
-use tage::{TageConfig, TagePredictor};
+use tage::{TageGeometry, TagePredictor};
 use tage_confidence::{ConfidenceLevel, TageConfidenceClassifier};
 use tage_traces::format::FormatError;
 use tage_traces::source::{BranchSource, SliceSource};
@@ -137,7 +137,7 @@ struct SmtCore {
 }
 
 impl SmtCore {
-    fn new(config: &TageConfig) -> Self {
+    fn new(config: &TageGeometry) -> Self {
         SmtCore {
             engine: SimEngine::new(
                 TagePredictor::new(config.clone()),
@@ -232,7 +232,7 @@ impl InterleaveDriver for SmtDriver {
 /// as either thread runs out of trace, so both threads are always present
 /// and the policies are compared over the same co-run region.
 pub fn simulate_smt(
-    config: &TageConfig,
+    config: &TageGeometry,
     thread0: &Trace,
     thread1: &Trace,
     policy: SmtFetchPolicy,
@@ -256,7 +256,7 @@ pub fn simulate_smt(
 ///
 /// Propagates the first [`FormatError`] either source reports.
 pub fn simulate_smt_sources<S: BranchSource>(
-    config: &TageConfig,
+    config: &TageGeometry,
     sources: [S; 2],
     policy: SmtFetchPolicy,
 ) -> Result<SmtRunResult, FormatError> {
@@ -284,7 +284,7 @@ pub fn simulate_smt_sources<S: BranchSource>(
 ///
 /// Panics if `sources` is empty.
 pub fn simulate_smt_n_sources<S: BranchSource>(
-    config: &TageConfig,
+    config: &TageGeometry,
     sources: Vec<S>,
     policy: SmtFetchPolicy,
 ) -> Result<SmtNRunResult, FormatError> {
@@ -313,8 +313,8 @@ mod tests {
     use tage_traces::source::SyntheticSource;
     use tage_traces::suites;
 
-    fn config() -> TageConfig {
-        TageConfig::small().with_automaton(CounterAutomaton::paper_default())
+    fn config() -> TageGeometry {
+        TageGeometry::small().with_automaton(CounterAutomaton::paper_default())
     }
 
     /// The interleave refactor must not move a single counter: these exact

@@ -76,8 +76,8 @@ impl fmt::Display for SuiteRunResult {
     }
 }
 
-/// Runs the predictor described by `blueprint` — a [`tage::TageConfig`]
-/// preset or an explicit [`tage::TageGeometry`] — over every trace of
+/// Runs the predictor described by `blueprint` — a [`tage::TageGeometry`]
+/// or a reference to one — over every trace of
 /// `suite`, generating `branches_per_trace` conditional branches per trace,
 /// sharded across one worker per available hardware thread.
 pub fn run_suite(
@@ -273,7 +273,7 @@ impl SuiteScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::TageConfig;
+    use tage::TageGeometry;
     use tage_traces::suites;
 
     fn tiny_suite() -> Suite {
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn suite_run_covers_every_trace_and_aggregates() {
         let result = run_suite(
-            &TageConfig::small(),
+            &TageGeometry::small(),
             &tiny_suite(),
             2_000,
             &RunOptions::default(),
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn parallel_suite_runs_are_bit_identical_to_serial() {
         let suite = tiny_suite();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let serial = run_suite_with_parallelism(&config, &suite, 3_000, &RunOptions::default(), 1);
         for workers in [2, 4, 16] {
             let parallel =
@@ -321,7 +321,7 @@ mod tests {
     fn file_backed_suite_matches_the_synthetic_path_bit_for_bit() {
         use tage_traces::writer::TraceWriter;
         let suite = tiny_suite();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let reference = run_suite(&config, &suite, 2_000, &RunOptions::default());
 
         let dir = std::env::temp_dir().join(format!("tage-suite-files-{}", std::process::id()));
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn fp_trace_is_more_predictable_than_server_trace() {
         let result = run_suite(
-            &TageConfig::small(),
+            &TageGeometry::small(),
             &tiny_suite(),
             20_000,
             &RunOptions::default(),
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn suite_scratch_reruns_are_bit_identical_and_match_the_suite_runner() {
         let suite = tiny_suite();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let options = RunOptions::default();
         let reference = run_suite(&config, &suite, 2_000, &options);
         let sources = SourceSuite::from_suite(&suite);
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn adaptive_suite_runs_still_shard_and_aggregate() {
         let suite = tiny_suite();
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let options = RunOptions::adaptive();
         let serial = run_suite_with_parallelism(&config, &suite, 2_000, &options, 1);
         let parallel = run_suite_with_parallelism(&config, &suite, 2_000, &options, 4);
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn display_mentions_suite_and_config() {
         let result = run_suite(
-            &TageConfig::small(),
+            &TageGeometry::small(),
             &tiny_suite(),
             500,
             &RunOptions::default(),

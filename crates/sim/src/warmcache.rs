@@ -382,7 +382,7 @@ fn restore(run: &mut TageRun<'_>, checkpoints: Checkpoints<'_>, key: u64) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage::TageConfig;
+    use tage::TageGeometry;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn warm_state_round_trips_with_and_without_adaptive() {
-        let predictor = TagePredictor::new(TageConfig::small()).snapshot();
+        let predictor = TagePredictor::new(TageGeometry::small()).snapshot();
         for adaptive in [None, Some((7u32, 100u64, 3u64, 2u64))] {
             let state = WarmState {
                 predictor: predictor.clone(),
@@ -457,7 +457,7 @@ mod tests {
 
     #[test]
     fn state_digest_tracks_options() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let base = state_digest(&config, &RunOptions::default());
         let window = state_digest(
             &config,
@@ -467,7 +467,7 @@ mod tests {
             },
         );
         let adaptive = state_digest(&config, &RunOptions::adaptive());
-        let other_config = state_digest(&TageConfig::medium(), &RunOptions::default());
+        let other_config = state_digest(&TageGeometry::medium(), &RunOptions::default());
         assert_ne!(base, window);
         assert_ne!(base, adaptive);
         assert_ne!(base, other_config);

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use tage::{CounterAutomaton, TageConfig};
+use tage::{CounterAutomaton, TageGeometry};
 use tage_sim::runner::{run_source, RunOptions, TraceRunResult};
 use tage_sim::MultilaneEngine;
 use tage_traces::source::{BinaryFileSource, BranchSource, SliceSource, SyntheticSource};
@@ -27,8 +27,8 @@ const RAGGED_LENGTHS: [usize; 18] = [
 
 /// The paper's probabilistic-saturation automaton exercises the per-lane
 /// RNG draws (allocation skip-forward), which a parity bug would desync.
-fn config() -> TageConfig {
-    TageConfig::small().with_automaton(CounterAutomaton::paper_default())
+fn config() -> TageGeometry {
+    TageGeometry::small().with_automaton(CounterAutomaton::paper_default())
 }
 
 /// Generates the ragged workload: suite traces cycled round-robin, each

@@ -1,371 +1,77 @@
-//! TAGE predictor configuration and storage accounting.
-
-use core::fmt;
+//! The paper's Table-1 TAGE configurations, as [`TageGeometry`] presets.
 
 use crate::automaton::CounterAutomaton;
+use crate::geometry::{TableGeometry, TageGeometry};
 
-/// Configuration of a [`crate::TagePredictor`].
-///
-/// The three presets mirror Table 1 of the paper:
-///
-/// | preset | budget | tagged tables | min hist | max hist |
-/// |---|---|---|---|---|
-/// | [`TageConfig::small`]  | 16 Kbit  | 4 | 3 | 80  |
-/// | [`TageConfig::medium`] | 64 Kbit  | 7 | 5 | 130 |
-/// | [`TageConfig::large`]  | 256 Kbit | 8 | 5 | 300 |
-///
-/// As in the paper, the configurations are chosen to be realistically
-/// implementable rather than accuracy-optimal: every tagged table has the
-/// same number of entries and the bimodal hysteresis bits are not shared.
-///
-/// # Example
-///
-/// ```
-/// use tage::TageConfig;
-///
-/// let config = TageConfig::small();
-/// assert_eq!(config.num_tagged_tables, 4);
-/// assert_eq!(config.storage_bits(), 16 * 1024);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TageConfig {
-    /// Number of tagged components (excluding the bimodal base predictor).
-    pub num_tagged_tables: usize,
-    /// log2 of the number of entries of each tagged component.
-    pub tagged_index_bits: u32,
-    /// Width of the partial tags, in bits.
-    pub tag_bits: u32,
-    /// Width of the tagged prediction counters, in bits (3 in the paper).
-    pub counter_bits: u8,
-    /// Width of the useful counters, in bits (2 in the paper).
-    pub useful_bits: u8,
-    /// log2 of the number of entries of the bimodal base predictor.
-    pub bimodal_index_bits: u32,
-    /// Width of the bimodal counters (2 bits: prediction + hysteresis).
-    pub bimodal_counter_bits: u8,
-    /// Shortest global history length, `L(1)`.
-    pub min_history: usize,
-    /// Longest global history length, `L(M)`.
-    pub max_history: usize,
-    /// Width of the `USE_ALT_ON_NA` counter, in bits (4 in the paper).
-    pub use_alt_on_na_bits: u8,
-    /// Number of predictor updates between two graceful useful-counter
-    /// reset steps (one-bit shift).
-    pub useful_reset_period: u64,
-    /// The counter-update automaton used by the tagged components.
-    pub automaton: CounterAutomaton,
-    /// Seed of the predictor's internal pseudo-random source (allocation
-    /// tie-breaking and the probabilistic automaton).
-    pub rng_seed: u64,
-}
-
-impl TageConfig {
-    /// The 16 Kbit configuration of Table 1: 1 bimodal + 4 tagged tables,
-    /// history lengths 3..80.
-    pub fn small() -> Self {
-        TageConfig {
-            num_tagged_tables: 4,
-            tagged_index_bits: 8,
-            tag_bits: 9,
+impl TageGeometry {
+    /// A uniform geometry in the paper's style: `tables` tagged components
+    /// sharing one entry count (`2^index_bits`) and one tag width, with the
+    /// legacy fold footprints, on the geometric history series from
+    /// `min_history` to `max_history` ([`geometric_history_lengths`]).
+    /// Every other field takes the paper's value: 3-bit prediction
+    /// counters, 2-bit useful counters, 2-bit bimodal counters, a 4-bit
+    /// `USE_ALT_ON_NA`, a useful reset every 256K updates, the standard
+    /// automaton and no path history.
+    ///
+    /// The result is not validated; see [`TageGeometry::validate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` is zero or the history lengths do not satisfy
+    /// `1 <= min_history <= max_history`.
+    pub fn uniform(
+        tables: usize,
+        index_bits: u32,
+        tag_bits: u32,
+        bimodal_index_bits: u32,
+        min_history: usize,
+        max_history: usize,
+    ) -> Self {
+        TageGeometry {
+            tables: geometric_history_lengths(tables, min_history, max_history)
+                .into_iter()
+                .map(|length| TableGeometry::uniform(index_bits, tag_bits, length))
+                .collect(),
             counter_bits: 3,
             useful_bits: 2,
-            bimodal_index_bits: 10,
+            bimodal_index_bits,
             bimodal_counter_bits: 2,
-            min_history: 3,
-            max_history: 80,
+            path_history_bits: 0,
             use_alt_on_na_bits: 4,
             useful_reset_period: 256 * 1024,
             automaton: CounterAutomaton::Standard,
             rng_seed: 0x7A6E_5EED_0BAD_F00D,
         }
+    }
+
+    /// The 16 Kbit configuration of Table 1: 1 bimodal + 4 tagged tables,
+    /// history lengths 3..80.
+    pub fn small() -> Self {
+        Self::uniform(4, 8, 9, 10, 3, 80)
     }
 
     /// The 64 Kbit configuration of Table 1: 1 bimodal + 7 tagged tables,
     /// history lengths 5..130.
     pub fn medium() -> Self {
-        TageConfig {
-            num_tagged_tables: 7,
-            tagged_index_bits: 9,
-            tag_bits: 11,
-            counter_bits: 3,
-            useful_bits: 2,
-            bimodal_index_bits: 12,
-            bimodal_counter_bits: 2,
-            min_history: 5,
-            max_history: 130,
-            use_alt_on_na_bits: 4,
-            useful_reset_period: 256 * 1024,
-            automaton: CounterAutomaton::Standard,
-            rng_seed: 0x7A6E_5EED_0BAD_F00D,
-        }
+        Self::uniform(7, 9, 11, 12, 5, 130)
     }
 
     /// The 256 Kbit configuration of Table 1: 1 bimodal + 8 tagged tables,
     /// history lengths 5..300.
     pub fn large() -> Self {
-        TageConfig {
-            num_tagged_tables: 8,
-            tagged_index_bits: 11,
-            tag_bits: 10,
-            counter_bits: 3,
-            useful_bits: 2,
-            bimodal_index_bits: 13,
-            bimodal_counter_bits: 2,
-            min_history: 5,
-            max_history: 300,
-            use_alt_on_na_bits: 4,
-            useful_reset_period: 256 * 1024,
-            automaton: CounterAutomaton::Standard,
-            rng_seed: 0x7A6E_5EED_0BAD_F00D,
-        }
+        Self::uniform(8, 11, 10, 13, 5, 300)
     }
 
-    /// Returns this configuration with a different counter-update automaton.
+    /// Returns this geometry with a different counter-update automaton.
     pub fn with_automaton(mut self, automaton: CounterAutomaton) -> Self {
         self.automaton = automaton;
         self
     }
 
-    /// Returns this configuration with a different internal RNG seed.
+    /// Returns this geometry with a different internal RNG seed.
     pub fn with_rng_seed(mut self, seed: u64) -> Self {
         self.rng_seed = seed;
         self
-    }
-
-    /// The geometric series of history lengths,
-    /// `L(i) = (int)(α^(i-1) * L(1) + 0.5)`, with `L(1) = min_history` and
-    /// `L(M) = max_history`.
-    pub fn history_lengths(&self) -> Vec<usize> {
-        geometric_history_lengths(self.num_tagged_tables, self.min_history, self.max_history)
-    }
-
-    /// Number of entries of each tagged component.
-    pub fn tagged_entries(&self) -> usize {
-        1 << self.tagged_index_bits
-    }
-
-    /// Number of entries of the bimodal base predictor.
-    pub fn bimodal_entries(&self) -> usize {
-        1 << self.bimodal_index_bits
-    }
-
-    /// Storage of one tagged entry in bits (counter + tag + useful).
-    pub fn tagged_entry_bits(&self) -> u64 {
-        u64::from(self.counter_bits) + u64::from(self.tag_bits) + u64::from(self.useful_bits)
-    }
-
-    /// Total predictor storage in bits (tagged tables plus bimodal table;
-    /// the handful of extra state bits — histories, `USE_ALT_ON_NA`, the
-    /// reset tick — are reported separately by
-    /// [`TageConfig::ancillary_bits`] as is conventional).
-    pub fn storage_bits(&self) -> u64 {
-        let tagged =
-            self.num_tagged_tables as u64 * self.tagged_entries() as u64 * self.tagged_entry_bits();
-        let bimodal = self.bimodal_entries() as u64 * u64::from(self.bimodal_counter_bits);
-        tagged + bimodal
-    }
-
-    /// Ancillary state in bits: global history, `USE_ALT_ON_NA`, and the
-    /// useful-reset tick counter.
-    pub fn ancillary_bits(&self) -> u64 {
-        self.max_history as u64 + u64::from(self.use_alt_on_na_bits) + 20
-    }
-
-    /// The report name of this configuration, derived from its storage
-    /// accounting in one place ([`crate::geometry::derived_name`]):
-    /// `"TAGE-16K"` for the small preset, and so on. Names can therefore
-    /// never drift from the storage they claim.
-    pub fn name(&self) -> String {
-        crate::geometry::derived_name(self.storage_bits(), self.num_tagged_tables)
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.num_tagged_tables == 0 {
-            return Err("at least one tagged table is required".to_string());
-        }
-        if self.num_tagged_tables > crate::prediction::MAX_TAGGED_TABLES {
-            return Err(format!(
-                "more than {} tagged tables is not supported (the prediction \
-                 scratch is sized for at most that many)",
-                crate::prediction::MAX_TAGGED_TABLES
-            ));
-        }
-        if !(1..=24).contains(&self.tagged_index_bits) {
-            return Err("tagged_index_bits must be in 1..=24".to_string());
-        }
-        if !(4..=16).contains(&self.tag_bits) {
-            return Err("tag_bits must be in 4..=16".to_string());
-        }
-        if !(2..=6).contains(&self.counter_bits) {
-            return Err("counter_bits must be in 2..=6".to_string());
-        }
-        if !(1..=4).contains(&self.useful_bits) {
-            return Err("useful_bits must be in 1..=4".to_string());
-        }
-        if !(1..=24).contains(&self.bimodal_index_bits) {
-            return Err("bimodal_index_bits must be in 1..=24".to_string());
-        }
-        if !(1..=3).contains(&self.bimodal_counter_bits) {
-            return Err("bimodal_counter_bits must be in 1..=3".to_string());
-        }
-        if self.min_history == 0 || self.max_history < self.min_history {
-            return Err("history lengths must satisfy 1 <= min <= max".to_string());
-        }
-        if self.max_history > 1024 {
-            return Err("max_history must be at most 1024".to_string());
-        }
-        if self.num_tagged_tables > 1 && self.max_history == self.min_history {
-            return Err("multiple tagged tables need max_history > min_history".to_string());
-        }
-        if self.use_alt_on_na_bits == 0 || self.use_alt_on_na_bits > 7 {
-            return Err("use_alt_on_na_bits must be in 1..=7".to_string());
-        }
-        if self.useful_reset_period == 0 {
-            return Err("useful_reset_period must be non-zero".to_string());
-        }
-        self.automaton.validate()?;
-        Ok(())
-    }
-
-    /// Starts a builder pre-populated with this configuration.
-    pub fn to_builder(&self) -> TageConfigBuilder {
-        TageConfigBuilder {
-            config: self.clone(),
-        }
-    }
-}
-
-impl Default for TageConfig {
-    fn default() -> Self {
-        TageConfig::medium()
-    }
-}
-
-impl fmt::Display for TageConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: 1+{} tables, {} Kbit, hist {}..{}",
-            self.name(),
-            self.num_tagged_tables,
-            self.storage_bits() / 1024,
-            self.min_history,
-            self.max_history
-        )
-    }
-}
-
-/// Builder for custom [`TageConfig`]s (ablation studies, sweeps).
-///
-/// # Example
-///
-/// ```
-/// use tage::{CounterAutomaton, TageConfig};
-///
-/// let config = TageConfig::small()
-///     .to_builder()
-///     .counter_bits(4)
-///     .automaton(CounterAutomaton::probabilistic(7))
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(config.counter_bits, 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TageConfigBuilder {
-    config: TageConfig,
-}
-
-impl TageConfigBuilder {
-    /// Starts from the medium preset.
-    pub fn new() -> Self {
-        TageConfig::medium().to_builder()
-    }
-
-    /// Sets the number of tagged tables.
-    pub fn num_tagged_tables(mut self, n: usize) -> Self {
-        self.config.num_tagged_tables = n;
-        self
-    }
-
-    /// Sets the log2 number of entries per tagged table.
-    pub fn tagged_index_bits(mut self, bits: u32) -> Self {
-        self.config.tagged_index_bits = bits;
-        self
-    }
-
-    /// Sets the tag width.
-    pub fn tag_bits(mut self, bits: u32) -> Self {
-        self.config.tag_bits = bits;
-        self
-    }
-
-    /// Sets the tagged prediction-counter width.
-    pub fn counter_bits(mut self, bits: u8) -> Self {
-        self.config.counter_bits = bits;
-        self
-    }
-
-    /// Sets the useful-counter width.
-    pub fn useful_bits(mut self, bits: u8) -> Self {
-        self.config.useful_bits = bits;
-        self
-    }
-
-    /// Sets the log2 number of bimodal entries.
-    pub fn bimodal_index_bits(mut self, bits: u32) -> Self {
-        self.config.bimodal_index_bits = bits;
-        self
-    }
-
-    /// Sets the minimum history length.
-    pub fn min_history(mut self, length: usize) -> Self {
-        self.config.min_history = length;
-        self
-    }
-
-    /// Sets the maximum history length.
-    pub fn max_history(mut self, length: usize) -> Self {
-        self.config.max_history = length;
-        self
-    }
-
-    /// Sets the counter-update automaton.
-    pub fn automaton(mut self, automaton: CounterAutomaton) -> Self {
-        self.config.automaton = automaton;
-        self
-    }
-
-    /// Sets the useful-counter reset period.
-    pub fn useful_reset_period(mut self, period: u64) -> Self {
-        self.config.useful_reset_period = period;
-        self
-    }
-
-    /// Sets the internal RNG seed.
-    pub fn rng_seed(mut self, seed: u64) -> Self {
-        self.config.rng_seed = seed;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation failure reported by [`TageConfig::validate`].
-    pub fn build(self) -> Result<TageConfig, String> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
-impl Default for TageConfigBuilder {
-    fn default() -> Self {
-        TageConfigBuilder::new()
     }
 }
 
@@ -402,44 +108,43 @@ mod tests {
 
     #[test]
     fn presets_match_table_1_structure() {
-        let small = TageConfig::small();
-        assert_eq!(small.num_tagged_tables, 4);
-        assert_eq!(small.min_history, 3);
-        assert_eq!(small.max_history, 80);
+        let small = TageGeometry::small();
+        assert_eq!(small.num_tagged_tables(), 4);
+        assert_eq!(small.min_history(), 3);
+        assert_eq!(small.max_history(), 80);
 
-        let medium = TageConfig::medium();
-        assert_eq!(medium.num_tagged_tables, 7);
-        assert_eq!(medium.min_history, 5);
-        assert_eq!(medium.max_history, 130);
+        let medium = TageGeometry::medium();
+        assert_eq!(medium.num_tagged_tables(), 7);
+        assert_eq!(medium.min_history(), 5);
+        assert_eq!(medium.max_history(), 130);
 
-        let large = TageConfig::large();
-        assert_eq!(large.num_tagged_tables, 8);
-        assert_eq!(large.min_history, 5);
-        assert_eq!(large.max_history, 300);
+        let large = TageGeometry::large();
+        assert_eq!(large.num_tagged_tables(), 8);
+        assert_eq!(large.min_history(), 5);
+        assert_eq!(large.max_history(), 300);
     }
 
     #[test]
     fn presets_hit_their_storage_budgets_exactly() {
-        assert_eq!(TageConfig::small().storage_bits(), 16 * 1024);
-        assert_eq!(TageConfig::medium().storage_bits(), 64 * 1024);
-        assert_eq!(TageConfig::large().storage_bits(), 256 * 1024);
+        assert_eq!(TageGeometry::small().storage_bits(), 16 * 1024);
+        assert_eq!(TageGeometry::medium().storage_bits(), 64 * 1024);
+        assert_eq!(TageGeometry::large().storage_bits(), 256 * 1024);
     }
 
     #[test]
     fn presets_are_valid() {
-        for config in [
-            TageConfig::small(),
-            TageConfig::medium(),
-            TageConfig::large(),
+        for geometry in [
+            TageGeometry::small(),
+            TageGeometry::medium(),
+            TageGeometry::large(),
         ] {
-            assert!(config.validate().is_ok(), "{config}");
+            assert!(geometry.validate().is_ok(), "{geometry}");
         }
     }
 
     #[test]
     fn history_lengths_are_geometric_and_pinned() {
-        let config = TageConfig::large();
-        let lengths = config.history_lengths();
+        let lengths = TageGeometry::large().history_lengths();
         assert_eq!(lengths.len(), 8);
         assert_eq!(lengths[0], 5);
         assert_eq!(*lengths.last().unwrap(), 300);
@@ -462,72 +167,43 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_fields_and_validates() {
-        let config = TageConfig::small()
-            .to_builder()
-            .counter_bits(4)
-            .tag_bits(12)
-            .build()
-            .unwrap();
-        assert_eq!(config.counter_bits, 4);
-        assert_eq!(config.tag_bits, 12);
-        // The name is derived from the changed storage accounting, not a
-        // free-form field that could go stale.
-        assert_eq!(config.name(), config.to_builder().build().unwrap().name());
-        assert!(config.name().starts_with("TAGE-"));
-
-        let err = TageConfig::small().to_builder().counter_bits(1).build();
-        assert!(err.is_err());
+    fn validation_rejects_bad_configs() {
+        let uniform =
+            |tables, tag_bits, min, max| TageGeometry::uniform(tables, 8, tag_bits, 10, min, max);
+        assert!(uniform(4, 9, 3, 80).validate().is_ok());
+        // A history longer than 1024 bits.
+        let err = uniform(4, 9, 3, 4096).validate().unwrap_err();
+        assert!(err.contains("history_length must be in 1..=1024"), "{err}");
+        // Tags too narrow to be worth a compare.
+        assert!(uniform(4, 2, 3, 80).validate().is_err());
+        // More tables than the prediction scratch holds.
+        assert!(uniform(crate::MAX_TAGGED_TABLES + 1, 9, 3, 300)
+            .validate()
+            .is_err());
     }
 
     #[test]
-    fn validation_rejects_bad_configs() {
-        let mut c = TageConfig::small();
-        c.num_tagged_tables = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = TageConfig::small();
-        c.min_history = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = TageConfig::small();
-        c.max_history = c.min_history - 1;
-        assert!(c.validate().is_err());
-
-        let mut c = TageConfig::small();
-        c.tag_bits = 2;
-        assert!(c.validate().is_err());
-
-        let mut c = TageConfig::small();
-        c.useful_reset_period = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = TageConfig::small();
-        c.max_history = 4096;
-        assert!(c.validate().is_err());
+    #[should_panic(expected = "1 <= min <= max")]
+    fn uniform_rejects_a_zero_history() {
+        TageGeometry::uniform(4, 8, 9, 10, 0, 80);
     }
 
     #[test]
     fn with_automaton_and_seed_are_fluent() {
-        let c = TageConfig::medium()
+        let g = TageGeometry::medium()
             .with_automaton(CounterAutomaton::probabilistic(7))
             .with_rng_seed(99);
-        assert_eq!(c.rng_seed, 99);
+        assert_eq!(g.rng_seed, 99);
         assert!(matches!(
-            c.automaton,
+            g.automaton,
             CounterAutomaton::ProbabilisticSaturation { .. }
         ));
     }
 
     #[test]
     fn display_mentions_name_and_tables() {
-        let s = format!("{}", TageConfig::small());
-        assert!(s.contains("TAGE-16K"));
-        assert!(s.contains("1+4"));
-    }
-
-    #[test]
-    fn default_is_medium() {
-        assert_eq!(TageConfig::default(), TageConfig::medium());
+        let s = format!("{}", TageGeometry::large());
+        assert!(s.contains("TAGE-256K"));
+        assert!(s.contains("1+8"));
     }
 }

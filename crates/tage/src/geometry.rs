@@ -1,20 +1,14 @@
 //! Declarative per-table predictor geometry.
 //!
-//! [`crate::TageConfig`] describes the paper's Table-1 presets: every tagged
-//! component shares one entry count, one tag width and the geometric history
-//! series. Real cores (and design-space exploration) need more freedom —
-//! per-table entry counts, tag widths, explicit history vectors, and
-//! hash-fold footprints that differ from the table's own index width.
-//!
-//! [`TageGeometry`] is that generalization: a fully data-driven description
-//! of one TAGE predictor, loadable from and savable to a small JSON file
-//! (via the std-only `tage_traces::jsonish` helpers — no JSON dependency),
-//! with exact storage accounting. Both [`crate::TagePredictor`] and
-//! [`crate::LaneGroup`] construct from *anything* implementing
-//! [`TageBlueprint`]; a uniform geometry derived from a `TageConfig`
-//! produces a bit-identical predictor (pinned by `tests/geometry_parity.rs`),
-//! so the legacy constructor menu is now a thin preset layer over this
-//! module.
+//! [`TageGeometry`] is the one description of a TAGE predictor: a fully
+//! data-driven shape — per-table entry counts, tag widths, explicit history
+//! vectors and hash-fold footprints — loadable from and savable to a small
+//! JSON file (via the std-only `tage_traces::jsonish` helpers — no JSON
+//! dependency), with exact storage accounting. The paper's Table-1 presets
+//! ([`TageGeometry::small`], [`TageGeometry::medium`],
+//! [`TageGeometry::large`]) are uniform geometries built in
+//! [`crate::config`]; `geometries/*.json` holds them as files (pinned by
+//! `tests/geometry_parity.rs`).
 
 use core::fmt;
 use std::path::Path;
@@ -23,7 +17,6 @@ use tage_traces::jsonish;
 use tage_traces::snapshot::fnv1a64;
 
 use crate::automaton::CounterAutomaton;
-use crate::config::TageConfig;
 use crate::prediction::MAX_TAGGED_TABLES;
 
 /// Geometry of one tagged component: entry count, tag width, the global
@@ -76,19 +69,19 @@ impl TableGeometry {
 
 /// A complete, data-driven TAGE predictor geometry.
 ///
-/// Unlike [`TageConfig`], every tagged component carries its own
-/// [`TableGeometry`], the history vector is explicit (no geometric-series
-/// constraint), and an optional path-history register can be folded into
-/// the index hash. Report names are *derived* from the geometry
-/// ([`TageGeometry::name`]) so a renamed preset can never drift from its
-/// storage accounting.
+/// Every tagged component carries its own [`TableGeometry`], the history
+/// vector is explicit (no geometric-series constraint), and an optional
+/// path-history register can be folded into the index hash. Report names
+/// are *derived* from the geometry ([`TageGeometry::name`]) so a renamed
+/// preset can never drift from its storage accounting.
 ///
 /// # Example
 ///
 /// ```
-/// use tage::{TageConfig, TageGeometry};
+/// use tage::TageGeometry;
 ///
-/// let geometry = TageGeometry::from_config(&TageConfig::small());
+/// let geometry = TageGeometry::small();
+/// assert_eq!(geometry.num_tagged_tables(), 4);
 /// assert_eq!(geometry.storage_bits(), 16 * 1024);
 /// assert_eq!(geometry.name(), "TAGE-16K");
 /// let json = geometry.to_json();
@@ -125,9 +118,8 @@ pub const GEOMETRY_SCHEMA: u32 = 1;
 
 /// Derives the canonical report name of a predictor from its storage
 /// accounting: `TAGE-16K` for whole-Kbit budgets, `TAGE-{bits}b-{tables}T`
-/// otherwise. This is the **single** place report names come from —
-/// [`TageConfig`] and [`TageGeometry`] both delegate here, so a preset's
-/// name can never drift from its actual storage.
+/// otherwise. This is the **single** place report names come from, so a
+/// preset's name can never drift from its actual storage.
 pub fn derived_name(storage_bits: u64, tagged_tables: usize) -> String {
     if storage_bits > 0 && storage_bits.is_multiple_of(1024) {
         format!("TAGE-{}K", storage_bits / 1024)
@@ -137,32 +129,6 @@ pub fn derived_name(storage_bits: u64, tagged_tables: usize) -> String {
 }
 
 impl TageGeometry {
-    /// Expands a uniform [`TageConfig`] into its explicit geometry: one
-    /// [`TableGeometry`] per tagged component with the legacy fold
-    /// footprints, the geometric history series, and no path history.
-    ///
-    /// A predictor built from this geometry is bit-identical to one built
-    /// from `config` directly.
-    pub fn from_config(config: &TageConfig) -> Self {
-        let tables = config
-            .history_lengths()
-            .into_iter()
-            .map(|length| TableGeometry::uniform(config.tagged_index_bits, config.tag_bits, length))
-            .collect();
-        TageGeometry {
-            tables,
-            counter_bits: config.counter_bits,
-            useful_bits: config.useful_bits,
-            bimodal_index_bits: config.bimodal_index_bits,
-            bimodal_counter_bits: config.bimodal_counter_bits,
-            path_history_bits: 0,
-            use_alt_on_na_bits: config.use_alt_on_na_bits,
-            useful_reset_period: config.useful_reset_period,
-            automaton: config.automaton,
-            rng_seed: config.rng_seed,
-        }
-    }
-
     /// Number of tagged components.
     pub fn num_tagged_tables(&self) -> usize {
         self.tables.len()
@@ -419,35 +385,34 @@ impl TageGeometry {
         }
         let mut tables = Vec::with_capacity(table_objects.len());
         for (i, object) in table_objects.iter().enumerate() {
-            let index_bits =
-                number_u64(object, "index_bits").map_err(|e| format!("table {i}: {e}"))? as u32;
-            let tag_bits =
-                number_u64(object, "tag_bits").map_err(|e| format!("table {i}: {e}"))? as u32;
-            let history_length = number_u64(object, "history_length")
-                .map_err(|e| format!("table {i}: {e}"))? as usize;
+            let in_table = |e: String| format!("table {i}: {e}");
+            let index_bits = number(object, "index_bits").map_err(in_table)?;
+            let tag_bits = number(object, "tag_bits").map_err(in_table)?;
+            let history_length = number(object, "history_length").map_err(in_table)?;
             let defaults = TableGeometry::uniform(index_bits, tag_bits, history_length);
+            let fold = |key, default| match jsonish::number_field(object, key) {
+                None => Ok(default),
+                Some(_) => number(object, key).map_err(in_table),
+            };
             tables.push(TableGeometry {
                 index_bits,
                 tag_bits,
                 history_length,
-                index_fold_bits: optional_u64(object, "index_fold_bits", i)?
-                    .map_or(defaults.index_fold_bits, |v| v as u32),
-                tag_fold_bits: optional_u64(object, "tag_fold_bits", i)?
-                    .map_or(defaults.tag_fold_bits, |v| v as u32),
-                tag_fold2_bits: optional_u64(object, "tag_fold2_bits", i)?
-                    .map_or(defaults.tag_fold2_bits, |v| v as u32),
+                index_fold_bits: fold("index_fold_bits", defaults.index_fold_bits)?,
+                tag_fold_bits: fold("tag_fold_bits", defaults.tag_fold_bits)?,
+                tag_fold2_bits: fold("tag_fold2_bits", defaults.tag_fold2_bits)?,
             });
         }
 
         let geometry = TageGeometry {
             tables,
-            counter_bits: number_u64(json, "counter_bits")? as u8,
-            useful_bits: number_u64(json, "useful_bits")? as u8,
-            bimodal_index_bits: number_u64(json, "bimodal_index_bits")? as u32,
-            bimodal_counter_bits: number_u64(json, "bimodal_counter_bits")? as u8,
-            path_history_bits: number_u64(json, "path_history_bits")? as u32,
-            use_alt_on_na_bits: number_u64(json, "use_alt_on_na_bits")? as u8,
-            useful_reset_period: number_u64(json, "useful_reset_period")?,
+            counter_bits: number(json, "counter_bits")?,
+            useful_bits: number(json, "useful_bits")?,
+            bimodal_index_bits: number(json, "bimodal_index_bits")?,
+            bimodal_counter_bits: number(json, "bimodal_counter_bits")?,
+            path_history_bits: number(json, "path_history_bits")?,
+            use_alt_on_na_bits: number(json, "use_alt_on_na_bits")?,
+            useful_reset_period: number(json, "useful_reset_period")?,
             automaton,
             rng_seed,
         };
@@ -500,12 +465,11 @@ impl fmt::Display for TageGeometry {
     }
 }
 
-/// Anything a TAGE predictor can be constructed from: the legacy uniform
-/// [`TageConfig`], an explicit [`TageGeometry`], or a reference to either.
+/// Anything a TAGE predictor can be constructed from: a [`TageGeometry`]
+/// or a reference to one (including `&dyn TageBlueprint`).
 ///
 /// [`crate::TagePredictor::new`] and [`crate::LaneGroup::new`] take
-/// `impl TageBlueprint`, so every pre-geometry call site keeps compiling
-/// while geometry-driven callers pass their [`TageGeometry`] directly.
+/// `impl TageBlueprint`.
 pub trait TageBlueprint {
     /// The explicit geometry this blueprint describes.
     fn tage_geometry(&self) -> TageGeometry;
@@ -514,18 +478,6 @@ pub trait TageBlueprint {
 impl TageBlueprint for TageGeometry {
     fn tage_geometry(&self) -> TageGeometry {
         self.clone()
-    }
-}
-
-impl TageBlueprint for TageConfig {
-    fn tage_geometry(&self) -> TageGeometry {
-        // Validate before expanding: `from_config` computes the geometric
-        // history series, which asserts on degenerate table counts with a
-        // less helpful message than the config's own validation.
-        if let Err(reason) = self.validate() {
-            panic!("invalid TAGE configuration: {reason}");
-        }
-        TageGeometry::from_config(self)
     }
 }
 
@@ -570,50 +522,54 @@ fn number_u64(object: &str, key: &str) -> Result<u64, String> {
     Ok(value as u64)
 }
 
-fn optional_u64(object: &str, key: &str, table: usize) -> Result<Option<u64>, String> {
-    match jsonish::number_field(object, key) {
-        None => Ok(None),
-        Some(value) => {
-            if value < 0.0 || value.fract() != 0.0 {
-                return Err(format!(
-                    "table {table}: field {key}: not a non-negative integer: {value}"
-                ));
-            }
-            Ok(Some(value as u64))
-        }
-    }
+/// [`number_u64`] narrowed to the field's type, rejecting values the type
+/// cannot hold instead of truncating them.
+fn number<T: TryFrom<u64>>(object: &str, key: &str) -> Result<T, String> {
+    let value = number_u64(object, key)?;
+    T::try_from(value).map_err(|_| format!("field {key}: {value} is out of range"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn presets() -> [TageConfig; 3] {
+    fn presets() -> [TageGeometry; 3] {
         [
-            TageConfig::small(),
-            TageConfig::medium(),
-            TageConfig::large(),
+            TageGeometry::small(),
+            TageGeometry::medium(),
+            TageGeometry::large(),
         ]
     }
 
     #[test]
-    fn from_config_preserves_accounting_and_names() {
-        for config in presets() {
-            let geometry = TageGeometry::from_config(&config);
+    fn presets_preserve_accounting_and_names() {
+        let table_1 = [
+            ("TAGE-16K", 4, 8, 9, 10, 3, 80),
+            ("TAGE-64K", 7, 9, 11, 12, 5, 130),
+            ("TAGE-256K", 8, 11, 10, 13, 5, 300),
+        ];
+        for (geometry, (name, tables, index, tag, bimodal, min, max)) in
+            presets().into_iter().zip(table_1)
+        {
             assert!(geometry.validate().is_ok());
-            assert_eq!(geometry.storage_bits(), config.storage_bits());
-            assert_eq!(geometry.ancillary_bits(), config.ancillary_bits());
-            assert_eq!(geometry.name(), config.name());
-            assert_eq!(geometry.history_lengths(), config.history_lengths());
-            assert_eq!(geometry.max_history(), config.max_history);
-            assert_eq!(geometry.min_history(), config.min_history);
+            let tagged = tables as u64 * (1u64 << index) * (3 + tag + 2);
+            assert_eq!(geometry.storage_bits(), tagged + (1u64 << bimodal) * 2);
+            assert_eq!(geometry.ancillary_bits(), max as u64 + 4 + 20);
+            assert_eq!(geometry.name(), name);
+            assert_eq!(
+                geometry.history_lengths(),
+                crate::config::geometric_history_lengths(tables, min, max)
+            );
+            assert!(geometry
+                .tables
+                .iter()
+                .all(|t| *t == TableGeometry::uniform(index as u32, tag as u32, t.history_length)));
         }
     }
 
     #[test]
     fn json_round_trip_is_byte_stable() {
-        for config in presets() {
-            let geometry = TageGeometry::from_config(&config);
+        for geometry in presets() {
             let json = geometry.to_json();
             let parsed = TageGeometry::from_json(&json).expect("parses");
             assert_eq!(parsed, geometry);
@@ -623,7 +579,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_covers_probabilistic_automaton_and_path_history() {
-        let mut geometry = TageGeometry::from_config(&TageConfig::small());
+        let mut geometry = TageGeometry::small();
         geometry.automaton = CounterAutomaton::probabilistic(7);
         geometry.path_history_bits = 16;
         geometry.tables[2].index_fold_bits = 11;
@@ -664,7 +620,7 @@ mod tests {
 
     #[test]
     fn malformed_json_is_rejected_with_reasons() {
-        let base = TageGeometry::from_config(&TageConfig::small()).to_json();
+        let base = TageGeometry::small().to_json();
         for (mangle, expected) in [
             (
                 base.replace("tage-geometry", "something-else"),
@@ -687,6 +643,18 @@ mod tests {
                 base.replace("\"storage_bits\": 16384", "\"storage_bits\": 999"),
                 "storage_bits 999",
             ),
+            (
+                base.replace("\"counter_bits\": 3", "\"counter_bits\": 259"),
+                "counter_bits: 259 is out of range",
+            ),
+            (
+                base.replace("\"use_alt_on_na_bits\": 4", "\"use_alt_on_na_bits\": 260"),
+                "use_alt_on_na_bits: 260 is out of range",
+            ),
+            (
+                base.replacen("\"index_bits\": 8", "\"index_bits\": 4294967304", 1),
+                "table 0: field index_bits: 4294967304 is out of range",
+            ),
             (String::from("{}"), "missing"),
         ] {
             let err = TageGeometry::from_json(&mangle).expect_err(expected);
@@ -696,7 +664,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_geometries() {
-        let good = TageGeometry::from_config(&TageConfig::small());
+        let good = TageGeometry::small();
 
         let mut g = good.clone();
         g.tables.clear();
@@ -713,6 +681,14 @@ mod tests {
         let mut g = good.clone();
         g.tables[0].tag_bits = 2;
         assert!(g.validate().is_err());
+
+        let mut g = good.clone();
+        g.tables[0].history_length = 0;
+        assert!(g.validate().unwrap_err().contains("history_length"));
+
+        let mut g = good.clone();
+        g.tables[3].history_length = 1025;
+        assert!(g.validate().unwrap_err().contains("history_length"));
 
         let mut g = good.clone();
         g.path_history_bits = 40;
@@ -733,7 +709,7 @@ mod tests {
 
     #[test]
     fn spec_string_folds_every_table() {
-        let geometry = TageGeometry::from_config(&TageConfig::small());
+        let geometry = TageGeometry::small();
         let spec = geometry.spec_string();
         assert!(spec.starts_with("tage-geom|"));
         for table in &geometry.tables {
@@ -750,21 +726,20 @@ mod tests {
     }
 
     #[test]
-    fn blueprint_is_implemented_for_configs_geometries_and_refs() {
-        let config = TageConfig::small();
-        let geometry = TageGeometry::from_config(&config);
-        assert_eq!(config.tage_geometry(), geometry);
+    fn blueprint_is_implemented_for_geometries_and_refs() {
+        let geometry = TageGeometry::small();
         assert_eq!(geometry.tage_geometry(), geometry);
-        // The blanket &B impl, exercised through explicit references.
-        let config_ref: &TageConfig = &config;
-        assert_eq!(config_ref.tage_geometry(), geometry);
+        // The blanket &B impl, through explicit references and a trait
+        // object.
         let geometry_ref_ref: &&TageGeometry = &&geometry;
         assert_eq!(geometry_ref_ref.tage_geometry(), geometry);
+        let blueprint: &dyn TageBlueprint = &geometry;
+        assert_eq!((&blueprint).tage_geometry(), geometry);
     }
 
     #[test]
     fn save_and_load_round_trip_through_disk() {
-        let geometry = TageGeometry::from_config(&TageConfig::medium());
+        let geometry = TageGeometry::medium();
         let path = std::env::temp_dir().join("tage_geometry_roundtrip_test.json");
         geometry.save(&path).expect("save");
         let loaded = TageGeometry::load(&path).expect("load");
@@ -776,7 +751,7 @@ mod tests {
 
     #[test]
     fn display_mentions_name_and_tables() {
-        let geometry = TageGeometry::from_config(&TageConfig::small());
+        let geometry = TageGeometry::small();
         let text = format!("{geometry}");
         assert!(text.contains("TAGE-16K"));
         assert!(text.contains("1+4"));

@@ -161,8 +161,8 @@ pub struct LaneGroup {
 
 impl LaneGroup {
     /// Creates a group of up to `lanes` lockstep lanes (clamped to at
-    /// least one) sharing one blueprint — a [`crate::TageConfig`] preset or
-    /// an explicit [`TageGeometry`]. Lane predictors are constructed on
+    /// least one) sharing one blueprint — a [`TageGeometry`] or a reference
+    /// to one. Lane predictors are constructed on
     /// first [`LaneGroup::arm`].
     ///
     /// # Panics
@@ -649,7 +649,7 @@ impl LaneGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TageConfig;
+    use crate::geometry::TageGeometry;
     use tage_traces::SplitMix64;
 
     /// Drives `lanes` interleaved streams through the batched path and the
@@ -657,7 +657,7 @@ mod tests {
     /// per-step prediction and the final statistics match exactly, and that
     /// written-back predictors continue bit-for-bit like their scalar
     /// twins.
-    fn assert_lanes_match_scalar(config: TageConfig, lanes: usize, steps: u64) {
+    fn assert_lanes_match_scalar(config: TageGeometry, lanes: usize, steps: u64) {
         let mut group = LaneGroup::new(config.clone(), lanes);
         for k in 0..lanes {
             group.arm(k);
@@ -711,25 +711,25 @@ mod tests {
     #[test]
     fn batched_lanes_match_scalar_small() {
         for lanes in [1, 2, 4, 8] {
-            assert_lanes_match_scalar(TageConfig::small(), lanes, 1500);
+            assert_lanes_match_scalar(TageGeometry::small(), lanes, 1500);
         }
     }
 
     #[test]
     fn batched_lanes_match_scalar_medium() {
-        assert_lanes_match_scalar(TageConfig::medium(), 5, 2000);
+        assert_lanes_match_scalar(TageGeometry::medium(), 5, 2000);
     }
 
     #[test]
     fn batched_lanes_match_scalar_with_probabilistic_automaton() {
-        let config =
-            TageConfig::small().with_automaton(crate::automaton::CounterAutomaton::paper_default());
+        let config = TageGeometry::small()
+            .with_automaton(crate::automaton::CounterAutomaton::paper_default());
         assert_lanes_match_scalar(config, 4, 2000);
     }
 
     #[test]
     fn swap_moves_whole_lane_states() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut group = LaneGroup::new(config.clone(), 2);
         group.arm(0);
         group.arm(1);
@@ -751,7 +751,7 @@ mod tests {
 
     #[test]
     fn rearming_a_lane_restores_the_fresh_state() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut group = LaneGroup::new(config.clone(), 1);
         group.arm(0);
         let mut preds = Vec::new();
@@ -769,7 +769,7 @@ mod tests {
 
     #[test]
     fn empty_stage_is_a_no_op() {
-        let mut group = LaneGroup::new(TageConfig::small(), 4);
+        let mut group = LaneGroup::new(TageGeometry::small(), 4);
         let mut out = vec![];
         group.predict(&[], &mut out);
         assert!(out.is_empty());
@@ -779,14 +779,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "armed in order")]
     fn lanes_must_be_armed_contiguously() {
-        let mut group = LaneGroup::new(TageConfig::small(), 4);
+        let mut group = LaneGroup::new(TageGeometry::small(), 4);
         group.arm(2);
     }
 
     #[test]
     #[should_panic(expected = "beyond the group's capacity")]
     fn arming_beyond_capacity_is_rejected() {
-        let mut group = LaneGroup::new(TageConfig::small(), 2);
+        let mut group = LaneGroup::new(TageGeometry::small(), 2);
         group.arm(0);
         group.arm(1);
         group.arm(2);

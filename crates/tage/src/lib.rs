@@ -16,9 +16,11 @@
 //!
 //! This crate provides:
 //!
-//! * [`TageConfig`] — configuration and exact storage accounting, with the
-//!   paper's three presets: [`TageConfig::small`] (16 Kbit),
-//!   [`TageConfig::medium`] (64 Kbit) and [`TageConfig::large`] (256 Kbit);
+//! * [`TageGeometry`] — the predictor's shape (per-table entries, tags,
+//!   history lengths and hash folds) with exact storage accounting and a
+//!   JSON file form, and the paper's three presets: [`TageGeometry::small`]
+//!   (16 Kbit), [`TageGeometry::medium`] (64 Kbit) and
+//!   [`TageGeometry::large`] (256 Kbit);
 //! * [`CounterAutomaton`] — the standard 3-bit automaton and the modified
 //!   probabilistic-saturation automaton (Section 6 of the paper);
 //! * [`TagePredictor`] — prediction, update, entry allocation, useful-counter
@@ -46,9 +48,9 @@
 //! # Example
 //!
 //! ```
-//! use tage::{TageConfig, TagePredictor};
+//! use tage::{TageGeometry, TagePredictor};
 //!
-//! let mut predictor = TagePredictor::new(TageConfig::medium());
+//! let mut predictor = TagePredictor::new(TageGeometry::medium());
 //! // Train a loop branch: taken 7 times, then not taken.
 //! for _round in 0..100 {
 //!     for i in 0..8 {
@@ -81,7 +83,6 @@ pub(crate) mod snapshot;
 pub mod tables;
 
 pub use automaton::CounterAutomaton;
-pub use config::{TageConfig, TageConfigBuilder};
 pub use geometry::{TableGeometry, TageBlueprint, TageGeometry};
 pub use lanes::LaneGroup;
 pub use prediction::{Provider, TableLookup, TableLookups, TagePrediction, MAX_TAGGED_TABLES};

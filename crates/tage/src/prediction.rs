@@ -9,8 +9,8 @@
 
 use core::fmt;
 
-/// Upper bound on the number of tagged components a [`crate::TageConfig`]
-/// may declare (enforced by [`crate::TageConfig::validate`]).
+/// Upper bound on the number of tagged components a [`crate::TageGeometry`]
+/// may declare (enforced by [`crate::TageGeometry::validate`]).
 ///
 /// The bound exists so prediction-time state fits in the fixed-size
 /// [`TableLookups`] scratch: a lookup never touches the heap, whatever the

@@ -38,14 +38,15 @@ pub struct TageStats {
 /// The TAGE conditional branch predictor.
 ///
 /// See the crate-level documentation for the algorithm overview and
-/// [`crate::TageConfig`] for the three storage presets of the paper.
+/// [`TageGeometry::small`] and its siblings for the three storage presets of
+/// the paper.
 ///
 /// # Example
 ///
 /// ```
-/// use tage::{TageConfig, TagePredictor};
+/// use tage::{TageGeometry, TagePredictor};
 ///
-/// let mut predictor = TagePredictor::new(TageConfig::small());
+/// let mut predictor = TagePredictor::new(TageGeometry::small());
 /// let prediction = predictor.predict(0x1234_5678);
 /// predictor.update(0x1234_5678, true, &prediction);
 /// assert_eq!(predictor.stats().updates, 1);
@@ -63,7 +64,7 @@ pub struct TagePredictor {
     /// The path-history register XORed into the tagged index hashes: the low
     /// address bit of the last `geometry.path_history_bits` branches. Stays
     /// zero (and the XOR a no-op) when the geometry disables path history —
-    /// the legacy behaviour of every [`crate::TageConfig`] preset.
+    /// the legacy behaviour of every preset.
     pub(crate) path_history: u64,
     pub(crate) use_alt_on_na: SignedCounter,
     pub(crate) rng: SplitMix64,
@@ -77,8 +78,8 @@ pub struct TagePredictor {
 }
 
 impl TagePredictor {
-    /// Creates a predictor from any blueprint — a [`crate::TageConfig`]
-    /// preset, an explicit [`TageGeometry`], or a reference to either.
+    /// Creates a predictor from any blueprint — a [`TageGeometry`] or a
+    /// reference to one.
     ///
     /// # Panics
     ///
@@ -130,9 +131,7 @@ impl TagePredictor {
         }
     }
 
-    /// The predictor's explicit geometry (a [`crate::TageConfig`] passed to
-    /// [`TagePredictor::new`] is expanded through
-    /// [`TageGeometry::from_config`]).
+    /// The predictor's geometry.
     pub fn geometry(&self) -> &TageGeometry {
         &self.geometry
     }
@@ -685,7 +684,7 @@ impl PredictorCore for TagePredictor {
 mod tests {
     use super::*;
     use crate::automaton::CounterAutomaton;
-    use crate::config::TageConfig;
+    use crate::geometry::TageGeometry;
 
     fn run_branch(predictor: &mut TagePredictor, pc: u64, outcomes: &[bool]) -> u64 {
         let mut mispredictions = 0;
@@ -701,7 +700,7 @@ mod tests {
 
     #[test]
     fn learns_a_strongly_biased_branch() {
-        let mut p = TagePredictor::new(TageConfig::small());
+        let mut p = TagePredictor::new(TageGeometry::small());
         let outcomes = vec![true; 200];
         let misses = run_branch(&mut p, 0x400100, &outcomes);
         assert!(misses <= 3, "misses = {misses}");
@@ -710,7 +709,7 @@ mod tests {
     #[test]
     fn learns_a_loop_pattern_bimodal_cannot() {
         // Period-5 loop: bimodal alone mispredicts every 5th iteration.
-        let mut tage = TagePredictor::new(TageConfig::medium());
+        let mut tage = TagePredictor::new(TageGeometry::medium());
         let mut outcomes = Vec::new();
         for _ in 0..400 {
             for i in 0..5 {
@@ -726,7 +725,7 @@ mod tests {
     #[test]
     fn learns_history_correlated_branches() {
         // Branch B's outcome equals branch A's previous outcome.
-        let mut p = TagePredictor::new(TageConfig::medium());
+        let mut p = TagePredictor::new(TageGeometry::medium());
         let mut b_misses_late = 0;
         let mut rng = SplitMix64::new(5);
         for i in 0..6000 {
@@ -747,7 +746,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_uses_bimodal_provider() {
-        let p = TagePredictor::new(TageConfig::small());
+        let p = TagePredictor::new(TageGeometry::small());
         let pred = p.predict(0x1234);
         assert!(pred.provider.is_bimodal());
         assert!(!pred.used_alternate);
@@ -756,7 +755,7 @@ mod tests {
 
     #[test]
     fn mispredictions_allocate_tagged_entries() {
-        let mut p = TagePredictor::new(TageConfig::small());
+        let mut p = TagePredictor::new(TageGeometry::small());
         // Alternate outcomes so the bimodal keeps mispredicting.
         let outcomes: Vec<bool> = (0..100).map(|i| i % 2 == 0).collect();
         run_branch(&mut p, 0x400400, &outcomes);
@@ -772,7 +771,7 @@ mod tests {
 
     #[test]
     fn stats_track_updates_and_mispredictions() {
-        let mut p = TagePredictor::new(TageConfig::small());
+        let mut p = TagePredictor::new(TageGeometry::small());
         let outcomes: Vec<bool> = (0..50).map(|i| i % 3 == 0).collect();
         let misses = run_branch(&mut p, 0x400500, &outcomes);
         assert_eq!(p.stats().updates, 50);
@@ -781,11 +780,10 @@ mod tests {
 
     #[test]
     fn useful_reset_fires_periodically() {
-        let config = TageConfig::small()
-            .to_builder()
-            .useful_reset_period(64)
-            .build()
-            .unwrap();
+        let config = TageGeometry {
+            useful_reset_period: 64,
+            ..TageGeometry::small()
+        };
         let mut p = TagePredictor::new(config);
         let outcomes: Vec<bool> = (0..200).map(|i| i % 2 == 0).collect();
         run_branch(&mut p, 0x400600, &outcomes);
@@ -794,7 +792,7 @@ mod tests {
 
     #[test]
     fn in_place_reset_is_bit_identical_to_a_fresh_predictor() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut reset = TagePredictor::new(config.clone());
         let mut rng = SplitMix64::new(77);
         for i in 0..5_000u64 {
@@ -823,7 +821,7 @@ mod tests {
 
     #[test]
     fn reset_clears_dynamic_state() {
-        let mut p = TagePredictor::new(TageConfig::small());
+        let mut p = TagePredictor::new(TageGeometry::small());
         run_branch(&mut p, 0x400700, &[true; 50]);
         assert!(p.stats().updates > 0);
         p.reset();
@@ -834,7 +832,7 @@ mod tests {
 
     #[test]
     fn predict_is_pure() {
-        let mut p = TagePredictor::new(TageConfig::medium());
+        let mut p = TagePredictor::new(TageGeometry::medium());
         run_branch(&mut p, 0x400800, &[true, false, true, true, false]);
         let a = p.predict(0x400800);
         let b = p.predict(0x400800);
@@ -845,7 +843,7 @@ mod tests {
     fn update_uses_indices_from_prediction() {
         // The prediction carries the per-table indices/tags; update must not
         // panic even for a prediction taken just before the history moved.
-        let mut p = TagePredictor::new(TageConfig::small());
+        let mut p = TagePredictor::new(TageGeometry::small());
         let pred = p.predict(0x400900);
         p.update(0x400900, true, &pred);
         assert_eq!(p.stats().updates, 1);
@@ -853,7 +851,7 @@ mod tests {
 
     #[test]
     fn predictor_core_matches_inherent_behaviour() {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut a = TagePredictor::new(config.clone());
         let mut b = TagePredictor::new(config);
         let outcomes: Vec<bool> = (0..300).map(|i| (i / 3) % 2 == 0).collect();
@@ -875,7 +873,7 @@ mod tests {
         // With the modified automaton, far fewer provider counters should be
         // saturated after steady-state training on mixed branches.
         let count_saturated = |automaton: CounterAutomaton| {
-            let config = TageConfig::small().with_automaton(automaton);
+            let config = TageGeometry::small().with_automaton(automaton);
             let mut p = TagePredictor::new(config);
             let mut rng = SplitMix64::new(9);
             let mut saturated = 0u64;
@@ -907,7 +905,7 @@ mod tests {
 
     #[test]
     fn use_alt_on_na_counter_moves() {
-        let mut p = TagePredictor::new(TageConfig::small());
+        let mut p = TagePredictor::new(TageGeometry::small());
         let initial = p.use_alt_on_na();
         // Drive lots of mispredictions so newly allocated entries are used.
         let mut rng = SplitMix64::new(123);
@@ -927,14 +925,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid TAGE configuration")]
     fn invalid_config_panics() {
-        let mut config = TageConfig::small();
-        config.num_tagged_tables = 0;
+        let mut config = TageGeometry::small();
+        config.tables.clear();
         TagePredictor::new(config);
     }
 
     #[test]
     fn distinct_branches_do_not_trample_each_other_much() {
-        let mut p = TagePredictor::new(TageConfig::medium());
+        let mut p = TagePredictor::new(TageGeometry::medium());
         // 32 branches, each strongly biased in its own direction.
         let mut misses = 0u64;
         let mut total = 0u64;

@@ -20,9 +20,9 @@ use tage_predictors::history::HistoryRegister;
 use tage_traces::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
 use tage_traces::SplitMix64;
 
-use crate::config::TageConfig;
 use crate::entry::TaggedEntry;
 use crate::folded::FoldedHistory;
+use crate::geometry::{TableGeometry, TageGeometry};
 use crate::prediction::{Provider, TableLookup, TableLookups, TagePrediction};
 use crate::predictor::TageStats;
 
@@ -32,7 +32,11 @@ use crate::predictor::TageStats;
 /// See the [module documentation](self) for why this type exists.
 #[derive(Debug, Clone)]
 pub struct ReferenceTagePredictor {
-    config: TageConfig,
+    geometry: TageGeometry,
+    /// The one entry-count width every tagged table shares.
+    index_bits: u32,
+    /// The one tag width every tagged table shares.
+    tag_bits: u32,
     history_lengths: Vec<usize>,
     bimodal: Vec<SignedCounter>,
     tables: Vec<Vec<TaggedEntry>>,
@@ -48,40 +52,64 @@ pub struct ReferenceTagePredictor {
 }
 
 impl ReferenceTagePredictor {
-    /// Creates a reference predictor for the given configuration.
+    /// Creates a reference predictor for a uniform geometry — one entry
+    /// count and one tag width shared by every tagged table, the legacy
+    /// fold footprints and no path history, as the paper's presets
+    /// ([`TageGeometry::uniform`]) have.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration does not pass [`TageConfig::validate`].
-    pub fn new(config: TageConfig) -> Self {
-        if let Err(reason) = config.validate() {
+    /// Panics if the geometry does not pass [`TageGeometry::validate`], or
+    /// names the first feature the reference does not model: per-table
+    /// widths, non-legacy folds, or path history.
+    pub fn new(geometry: TageGeometry) -> Self {
+        if let Err(reason) = geometry.validate() {
             panic!("invalid TAGE configuration: {reason}");
         }
-        let history_lengths = config.history_lengths();
-        let tagged_entries = config.tagged_entries();
-        let tables =
+        let TableGeometry {
+            index_bits,
+            tag_bits,
+            ..
+        } = geometry.tables[0];
+        for (t, table) in geometry.tables.iter().enumerate() {
+            if (table.index_bits, table.tag_bits) != (index_bits, tag_bits) {
+                panic!("the reference predictor needs a uniform geometry: table {t} has per-table widths");
+            }
+            if *table != TableGeometry::uniform(index_bits, tag_bits, table.history_length) {
+                panic!("the reference predictor needs a uniform geometry: table {t} has non-legacy folds");
+            }
+        }
+        if geometry.path_history_bits != 0 {
+            panic!("the reference predictor needs a uniform geometry: it has path history");
+        }
+        let history_lengths = geometry.history_lengths();
+        let tables = vec![
             vec![
-                vec![TaggedEntry::new(config.counter_bits, config.useful_bits); tagged_entries];
-                config.num_tagged_tables
+                TaggedEntry::new(geometry.counter_bits, geometry.useful_bits);
+                1 << index_bits
             ];
+            geometry.num_tagged_tables()
+        ];
         let bimodal =
-            vec![SignedCounter::new(config.bimodal_counter_bits); config.bimodal_entries()];
-        let history = HistoryRegister::new(config.max_history + 8);
+            vec![SignedCounter::new(geometry.bimodal_counter_bits); geometry.bimodal_entries()];
+        let history = HistoryRegister::new(geometry.max_history() + 8);
         let index_folds = history_lengths
             .iter()
-            .map(|&l| FoldedHistory::new(l, config.tagged_index_bits as usize))
+            .map(|&l| FoldedHistory::new(l, index_bits as usize))
             .collect();
         let tag_folds_a = history_lengths
             .iter()
-            .map(|&l| FoldedHistory::new(l, config.tag_bits as usize))
+            .map(|&l| FoldedHistory::new(l, tag_bits as usize))
             .collect();
         let tag_folds_b = history_lengths
             .iter()
-            .map(|&l| FoldedHistory::new(l, (config.tag_bits - 1).max(1) as usize))
+            .map(|&l| FoldedHistory::new(l, (tag_bits - 1).max(1) as usize))
             .collect();
-        let use_alt_on_na = SignedCounter::new(config.use_alt_on_na_bits);
-        let rng = SplitMix64::new(config.rng_seed);
+        let use_alt_on_na = SignedCounter::new(geometry.use_alt_on_na_bits);
+        let rng = SplitMix64::new(geometry.rng_seed);
         ReferenceTagePredictor {
+            index_bits,
+            tag_bits,
             history_lengths,
             bimodal,
             tables,
@@ -94,13 +122,13 @@ impl ReferenceTagePredictor {
             tick: 0,
             reset_phase: 0,
             stats: TageStats::default(),
-            config,
+            geometry,
         }
     }
 
-    /// The predictor's configuration.
-    pub fn config(&self) -> &TageConfig {
-        &self.config
+    /// The predictor's geometry.
+    pub fn geometry(&self) -> &TageGeometry {
+        &self.geometry
     }
 
     /// Internal event counters.
@@ -118,14 +146,14 @@ impl ReferenceTagePredictor {
     }
 
     fn table_index(&self, t: usize, pc: u64) -> usize {
-        let bits = self.config.tagged_index_bits as u64;
+        let bits = u64::from(self.index_bits);
         let mask = (1u64 << bits) - 1;
         let hashed_pc = (pc >> 2) ^ (pc >> (bits + t as u64 + 1));
         ((hashed_pc ^ self.index_folds[t].value()) & mask) as usize
     }
 
     fn table_tag(&self, t: usize, pc: u64) -> u16 {
-        let mask = (1u64 << self.config.tag_bits) - 1;
+        let mask = (1u64 << self.tag_bits) - 1;
         (((pc >> 2) ^ self.tag_folds_a[t].value() ^ (self.tag_folds_b[t].value() << 1)) & mask)
             as u16
     }
@@ -133,7 +161,7 @@ impl ReferenceTagePredictor {
     /// Looks the predictor up for the conditional branch at `pc`, building
     /// the per-table scratch in per-call `Vec`s as the pre-SoA code did.
     pub fn predict(&self, pc: u64) -> TagePrediction {
-        let num_tables = self.config.num_tagged_tables;
+        let num_tables = self.history_lengths.len();
         let mut table_indices = Vec::with_capacity(num_tables);
         let mut table_tags = Vec::with_capacity(num_tables);
         let mut table_hits = Vec::with_capacity(num_tables);
@@ -221,14 +249,14 @@ impl ReferenceTagePredictor {
         }
 
         self.tick += 1;
-        if self.tick.is_multiple_of(self.config.useful_reset_period) {
+        if self.tick.is_multiple_of(self.geometry.useful_reset_period) {
             let phase = self.reset_phase;
             for table in self.tables.iter_mut() {
                 for entry in table.iter_mut() {
                     entry.useful.clear_bit(phase);
                 }
             }
-            self.reset_phase = (self.reset_phase + 1) % self.config.useful_bits;
+            self.reset_phase = (self.reset_phase + 1) % self.geometry.useful_bits;
             self.stats.useful_resets += 1;
         }
 
@@ -254,7 +282,7 @@ impl ReferenceTagePredictor {
                     }
                 }
 
-                self.config
+                self.geometry
                     .automaton
                     .update_counter(&mut entry.ctr, taken, &mut self.rng);
             }
@@ -269,7 +297,7 @@ impl ReferenceTagePredictor {
                 Provider::Bimodal => 0,
                 Provider::Tagged { table } => table + 1,
             };
-            if first_candidate < self.config.num_tagged_tables {
+            if first_candidate < self.history_lengths.len() {
                 self.allocate(first_candidate, taken, prediction);
             }
         }
@@ -280,7 +308,7 @@ impl ReferenceTagePredictor {
     /// The pre-SoA allocation policy: collect the allocatable candidates
     /// into a per-call `Vec`, then scan with pseudo-random skip-forward.
     fn allocate(&mut self, first_candidate: usize, taken: bool, prediction: &TagePrediction) {
-        let num_tables = self.config.num_tagged_tables;
+        let num_tables = self.history_lengths.len();
         let candidates: Vec<usize> = (first_candidate..num_tables)
             .filter(|&t| self.tables[t][prediction.tables.index(t)].is_allocatable())
             .collect();
@@ -306,7 +334,7 @@ impl ReferenceTagePredictor {
     }
 
     fn push_history(&mut self, taken: bool) {
-        for t in 0..self.config.num_tagged_tables {
+        for t in 0..self.history_lengths.len() {
             let evicted = self.history.bit(self.history_lengths[t] - 1);
             self.index_folds[t].update(taken, evicted);
             self.tag_folds_a[t].update(taken, evicted);
@@ -317,8 +345,7 @@ impl ReferenceTagePredictor {
 
     /// Resets all dynamic state while keeping the configuration.
     pub fn reset(&mut self) {
-        let config = self.config.clone();
-        *self = ReferenceTagePredictor::new(config);
+        *self = ReferenceTagePredictor::new(self.geometry.clone());
     }
 
     /// The specification string hashed into the snapshot spec digest. The
@@ -327,24 +354,24 @@ impl ReferenceTagePredictor {
     /// (`tick` counts up here, a countdown there), so snapshots are not
     /// interchangeable across implementations.
     fn spec_string(&self) -> String {
-        let c = &self.config;
+        let g = &self.geometry;
         format!(
             "tage-reference|name={}|tables={}|index_bits={}|tag_bits={}|ctr_bits={}\
              |useful_bits={}|bim_index_bits={}|bim_ctr_bits={}|min_hist={}|max_hist={}\
              |alt_bits={}|reset_period={}|seed={}",
-            c.name(),
-            c.num_tagged_tables,
-            c.tagged_index_bits,
-            c.tag_bits,
-            c.counter_bits,
-            c.useful_bits,
-            c.bimodal_index_bits,
-            c.bimodal_counter_bits,
-            c.min_history,
-            c.max_history,
-            c.use_alt_on_na_bits,
-            c.useful_reset_period,
-            c.rng_seed,
+            g.name(),
+            g.num_tagged_tables(),
+            self.index_bits,
+            self.tag_bits,
+            g.counter_bits,
+            g.useful_bits,
+            g.bimodal_index_bits,
+            g.bimodal_counter_bits,
+            g.min_history(),
+            g.max_history(),
+            g.use_alt_on_na_bits,
+            g.useful_reset_period,
+            g.rng_seed,
         )
     }
 
@@ -360,7 +387,7 @@ impl ReferenceTagePredictor {
         let mut w = SnapshotWriter::new(self.spec_digest());
 
         w.begin_section();
-        crate::snapshot::write_automaton(&mut w, self.config.automaton);
+        crate::snapshot::write_automaton(&mut w, self.geometry.automaton);
         w.end_section();
 
         w.begin_section();
@@ -448,7 +475,7 @@ impl ReferenceTagePredictor {
         r.finish()?;
 
         // Everything decoded and validated: commit.
-        self.config.automaton = automaton;
+        self.geometry.automaton = automaton;
         for (ctr, value) in self.bimodal.iter_mut().zip(bimodal) {
             ctr.set(value);
         }
@@ -500,11 +527,11 @@ impl tage_predictors::PredictorCore for ReferenceTagePredictor {
     }
 
     fn storage_bits(&self) -> u64 {
-        self.config.storage_bits()
+        self.geometry.storage_bits()
     }
 
     fn name(&self) -> String {
-        format!("{} (reference)", self.config.name())
+        format!("{} (reference)", self.geometry.name())
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -526,7 +553,7 @@ mod tests {
 
     #[test]
     fn reference_predictor_learns_a_biased_branch() {
-        let mut p = ReferenceTagePredictor::new(TageConfig::small());
+        let mut p = ReferenceTagePredictor::new(TageGeometry::small());
         let mut misses = 0;
         for _ in 0..200 {
             let pred = p.predict(0x400100);
@@ -541,7 +568,7 @@ mod tests {
 
     #[test]
     fn reference_reset_restores_cold_state() {
-        let mut p = ReferenceTagePredictor::new(TageConfig::small());
+        let mut p = ReferenceTagePredictor::new(TageGeometry::small());
         for _ in 0..50 {
             let pred = p.predict(0x400200);
             p.update(0x400200, true, &pred);
@@ -550,5 +577,40 @@ mod tests {
         assert_eq!(p.stats().updates, 0);
         assert!(p.predict(0x400200).provider.is_bimodal());
         assert_eq!(p.use_alt_on_na(), -1);
+    }
+
+    #[test]
+    fn spec_string_is_the_legacy_uniform_form() {
+        let p = ReferenceTagePredictor::new(TageGeometry::small());
+        assert_eq!(
+            p.spec_string(),
+            "tage-reference|name=TAGE-16K|tables=4|index_bits=8|tag_bits=9|ctr_bits=3\
+             |useful_bits=2|bim_index_bits=10|bim_ctr_bits=2|min_hist=3|max_hist=80\
+             |alt_bits=4|reset_period=262144|seed=8822093092261589005"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "table 1 has per-table widths")]
+    fn per_table_widths_are_refused() {
+        let mut geometry = TageGeometry::small();
+        geometry.tables[1].index_bits += 1;
+        ReferenceTagePredictor::new(geometry);
+    }
+
+    #[test]
+    #[should_panic(expected = "table 2 has non-legacy folds")]
+    fn non_legacy_folds_are_refused() {
+        let mut geometry = TageGeometry::small();
+        geometry.tables[2].index_fold_bits += 1;
+        ReferenceTagePredictor::new(geometry);
+    }
+
+    #[test]
+    #[should_panic(expected = "it has path history")]
+    fn path_history_is_refused() {
+        let mut geometry = TageGeometry::small();
+        geometry.path_history_bits = 8;
+        ReferenceTagePredictor::new(geometry);
     }
 }

@@ -10,7 +10,8 @@
 //! arrays — one per field — indexed by `offset[table] + entry`. Tables may
 //! differ in size ([`crate::TageGeometry`] drives per-table entry counts);
 //! each table's entry count is a power of two, and for the uniform
-//! geometries of [`crate::TageConfig`] the per-table offsets reduce to the
+//! geometries of the paper's presets ([`crate::TageGeometry::uniform`]) the
+//! per-table offsets reduce to the
 //! historical `(table_rank << index_bits) | entry` layout bit for bit. A
 //! whole-storage sweep (the periodic graceful useful-counter reset) is a
 //! single linear pass over one array regardless of the shape.
@@ -70,7 +71,7 @@ impl TageTables {
     }
 
     /// [`TageTables::new`] for `num_tables` equally sized tables — the
-    /// uniform shape of the legacy [`crate::TageConfig`] constructors.
+    /// uniform shape of the paper's presets ([`crate::TageGeometry::uniform`]).
     pub fn uniform(num_tables: usize, index_bits: u32, counter_bits: u8, useful_bits: u8) -> Self {
         TageTables::new(&vec![index_bits; num_tables], counter_bits, useful_bits)
     }

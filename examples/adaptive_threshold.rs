@@ -6,12 +6,12 @@
 
 use tage_confidence_suite::confidence::ConfidenceLevel;
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry};
 use tage_confidence_suite::traces::suites;
 
 fn main() {
     let suite = suites::cbp1_like();
-    let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
 
     println!(
         "{:<10} {:<10} {:>11} {:>14} {:>12}",

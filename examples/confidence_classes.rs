@@ -5,7 +5,7 @@
 
 use tage_confidence_suite::confidence::PredictionClass;
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry};
 use tage_confidence_suite::traces::suites;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         CounterAutomaton::Standard,
         CounterAutomaton::paper_default(),
     ] {
-        let config = TageConfig::medium().with_automaton(automaton);
+        let config = TageGeometry::medium().with_automaton(automaton);
         let result = run_trace(&config, &trace, &RunOptions::default());
         println!("--- {} automaton ({automaton}) ---", config.name());
         println!(

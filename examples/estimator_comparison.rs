@@ -9,7 +9,7 @@ use tage_confidence_suite::confidence::ConfidenceLevel;
 use tage_confidence_suite::predictors::{GsharePredictor, PerceptronPredictor};
 use tage_confidence_suite::sim::baseline::run_baseline;
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry};
 use tage_confidence_suite::traces::suites;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
         r.confusion.pvn()
     );
 
-    let config = TageConfig::medium().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());
     let result = run_trace(&config, &trace, &RunOptions::default());
     let confusion = result.report.binary_confusion(&[ConfidenceLevel::High]);
     println!(

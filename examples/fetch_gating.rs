@@ -5,11 +5,11 @@
 //! Run with: `cargo run --release --example fetch_gating`
 
 use tage_confidence_suite::sim::gating::{simulate_gating, GatingModel, GatingPolicy};
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry};
 use tage_confidence_suite::traces::suites;
 
 fn main() {
-    let config = TageConfig::medium().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());
     let model = GatingModel::default();
     let suite = suites::cbp1_like();
 

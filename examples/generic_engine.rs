@@ -19,7 +19,7 @@ use tage_confidence_suite::predictors::{
     BranchPredictor, GehlPredictor, GsharePredictor, PerceptronPredictor,
 };
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig, TagePredictor};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::suites;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
     );
 
     // The storage-free TAGE path: rich lookups, 7-class grading.
-    let config = TageConfig::medium().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());
     let mut engine = SimEngine::new(
         TagePredictor::new(config.clone()),
         TageConfidenceClassifier::new(&config),

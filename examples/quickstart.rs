@@ -4,13 +4,13 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use tage_confidence_suite::confidence::{ConfidenceLevel, TageConfidenceClassifier};
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig, TagePredictor};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::suites;
 
 fn main() {
     // 1. A 64 Kbit TAGE predictor with the paper's modified counter
     //    automaton (probabilistic saturation, p = 1/128).
-    let config = TageConfig::medium().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());
     let mut predictor = TagePredictor::new(config.clone());
 
     // 2. The storage-free confidence classifier: its only state is the tiny

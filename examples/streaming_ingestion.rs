@@ -15,7 +15,7 @@
 //! (exercised by `scripts/verify.sh`).
 
 use tage_confidence_suite::sim::runner::{run_source, run_trace, RunOptions};
-use tage_confidence_suite::tage::TageConfig;
+use tage_confidence_suite::tage::TageGeometry;
 use tage_confidence_suite::traces::format::RECORD_BYTES;
 use tage_confidence_suite::traces::source::{BinaryFileSource, BranchSource, SyntheticSource};
 use tage_confidence_suite::traces::writer::StreamingTraceWriter;
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total_records > CHUNK_RECORDS as u64 * 10,
         "the trace must dwarf the chunk for the demo to mean anything"
     );
-    let config = TageConfig::medium();
+    let config = TageGeometry::medium();
     let streamed = run_source(&config, &mut reader, &RunOptions::default())?;
     println!(
         "streamed {} conditional branches through a {}-record chunk (~{} KiB resident): \

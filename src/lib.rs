@@ -16,9 +16,9 @@
 //! # Example
 //!
 //! ```
-//! use tage_confidence_suite::{tage::TagePredictor, tage::TageConfig};
+//! use tage_confidence_suite::{tage::TagePredictor, tage::TageGeometry};
 //!
-//! let mut predictor = TagePredictor::new(TageConfig::small());
+//! let mut predictor = TagePredictor::new(TageGeometry::small());
 //! let prediction = predictor.predict(0x4000_1234);
 //! predictor.update(0x4000_1234, true, &prediction);
 //! ```

@@ -5,14 +5,14 @@
 use tage_confidence_suite::confidence::{ConfidenceLevel, PredictionClass};
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
 use tage_confidence_suite::sim::suite::run_suite;
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig, TagePredictor};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::reader::TraceReader;
 use tage_confidence_suite::traces::writer::TraceWriter;
 use tage_confidence_suite::traces::{suites, Suite};
 
 const N: usize = 40_000;
 
-fn modified(config: TageConfig) -> TageConfig {
+fn modified(config: TageGeometry) -> TageGeometry {
     config.with_automaton(CounterAutomaton::paper_default())
 }
 
@@ -20,7 +20,7 @@ fn modified(config: TageConfig) -> TageConfig {
 fn every_class_count_adds_up_across_the_pipeline() {
     let trace = suites::cbp1_like().trace("INT-2").unwrap().generate(N);
     let result = run_trace(
-        &modified(TageConfig::small()),
+        &modified(TageGeometry::small()),
         &trace,
         &RunOptions::default(),
     );
@@ -45,7 +45,7 @@ fn trace_serialisation_does_not_change_simulation_results() {
         .generate(20_000);
     let bytes = TraceWriter::to_binary_bytes(&trace);
     let reloaded = TraceReader::read_binary(&bytes[..]).expect("valid trace bytes");
-    let config = modified(TageConfig::medium());
+    let config = modified(TageGeometry::medium());
     let direct = run_trace(&config, &trace, &RunOptions::default());
     let via_disk = run_trace(&config, &reloaded, &RunOptions::default());
     assert_eq!(direct.report, via_disk.report);
@@ -55,7 +55,7 @@ fn trace_serialisation_does_not_change_simulation_results() {
 fn predictor_state_is_shareable_across_crates() {
     // The same TagePredictor instance serves the trait-based baseline path
     // and the inherent TAGE path without drift.
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
     let mut a = TagePredictor::new(config.clone());
     let mut b = TagePredictor::new(config);
     let trace = suites::cbp1_like().trace("FP-3").unwrap().generate(10_000);
@@ -79,7 +79,7 @@ fn suite_aggregation_matches_sum_of_trace_runs() {
             full.trace("MM-3").unwrap().clone(),
         ],
     );
-    let config = modified(TageConfig::small());
+    let config = modified(TageGeometry::small());
     let suite_result = run_suite(&config, &mini, 10_000, &RunOptions::default());
     let separate: u64 = mini
         .traces()
@@ -97,7 +97,7 @@ fn suite_aggregation_matches_sum_of_trace_runs() {
 
 #[test]
 fn three_levels_are_ordered_on_every_cbp1_trace() {
-    let config = modified(TageConfig::medium());
+    let config = modified(TageGeometry::medium());
     let suite = suites::cbp1_like();
     for spec in suite.traces().iter().step_by(4) {
         let trace = spec.generate(N);
@@ -115,9 +115,9 @@ fn three_levels_are_ordered_on_every_cbp1_trace() {
 #[test]
 fn modified_automaton_purifies_the_saturated_class() {
     let trace = suites::cbp1_like().trace("MM-1").unwrap().generate(60_000);
-    let standard = run_trace(&TageConfig::small(), &trace, &RunOptions::default());
+    let standard = run_trace(&TageGeometry::small(), &trace, &RunOptions::default());
     let probabilistic = run_trace(
-        &modified(TageConfig::small()),
+        &modified(TageGeometry::small()),
         &trace,
         &RunOptions::default(),
     );
@@ -137,7 +137,7 @@ fn adaptive_controller_keeps_high_confidence_near_its_target_on_a_hard_trace() {
         .trace("SERV-1")
         .unwrap()
         .generate(120_000);
-    let config = modified(TageConfig::small());
+    let config = modified(TageGeometry::small());
     let fixed = run_trace(&config, &trace, &RunOptions::default());
     let adaptive = run_trace(&config, &trace, &RunOptions::adaptive());
     let fixed_high = fixed.report.level_mprate_mkp(ConfidenceLevel::High);
@@ -157,7 +157,7 @@ fn warmup_option_only_removes_the_prefix() {
         .trace("254.gap")
         .unwrap()
         .generate(30_000);
-    let config = modified(TageConfig::medium());
+    let config = modified(TageGeometry::medium());
     let full = run_trace(&config, &trace, &RunOptions::default());
     let skipped = run_trace(
         &config,

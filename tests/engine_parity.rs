@@ -24,7 +24,7 @@ use tage_confidence_suite::sim::baseline::run_baseline;
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
 use tage_confidence_suite::sim::suite::{run_suite, run_suite_with_parallelism};
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig, TagePredictor};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::{suites, Suite, Trace};
 
 const N: usize = 20_000;
@@ -35,7 +35,7 @@ fn trace(name: &str, n: usize) -> Trace {
 
 /// The pre-engine TAGE trace loop, reproduced verbatim as a reference
 /// implementation.
-fn reference_tage_run(config: &TageConfig, trace: &Trace, warmup: u64) -> ConfidenceReport {
+fn reference_tage_run(config: &TageGeometry, trace: &Trace, warmup: u64) -> ConfidenceReport {
     let mut predictor = TagePredictor::new(config.clone());
     let mut classifier = TageConfidenceClassifier::new(config);
     let mut report = ConfidenceReport::new();
@@ -64,8 +64,8 @@ fn reference_tage_run(config: &TageConfig, trace: &Trace, warmup: u64) -> Confid
 #[test]
 fn engine_reproduces_the_reference_tage_loop_exactly() {
     for config in [
-        TageConfig::small(),
-        TageConfig::medium().with_automaton(CounterAutomaton::paper_default()),
+        TageGeometry::small(),
+        TageGeometry::medium().with_automaton(CounterAutomaton::paper_default()),
     ] {
         let trace = trace("MM-3", N);
         let reference = reference_tage_run(&config, &trace, 0);
@@ -81,7 +81,7 @@ fn engine_reproduces_the_reference_tage_loop_exactly() {
 
 #[test]
 fn engine_reproduces_the_reference_loop_with_warmup() {
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
     let trace = trace("SERV-2", N);
     let reference = reference_tage_run(&config, &trace, 5_000);
     let options = RunOptions {
@@ -140,7 +140,7 @@ fn parallel_run_suite_is_bit_identical_to_serial() {
             .map(|name| full.trace(name).unwrap().clone())
             .collect(),
     );
-    let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
     let serial = run_suite_with_parallelism(&config, &suite, 8_000, &RunOptions::default(), 1);
     for workers in [2, 3, 8] {
         let parallel =
@@ -158,7 +158,7 @@ fn parallel_run_suite_is_bit_identical_to_serial() {
 
 #[test]
 fn adaptive_runs_are_deterministic_through_the_engine() {
-    let config = TageConfig::small().with_automaton(CounterAutomaton::paper_default());
+    let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
     let trace = trace("SERV-1", 40_000);
     let a = run_trace(&config, &trace, &RunOptions::adaptive());
     let b = run_trace(&config, &trace, &RunOptions::adaptive());
@@ -176,7 +176,7 @@ fn tage_as_trait_object_through_the_margin_path_mispredicts_identically() {
     use tage_confidence_suite::tage::TagePrediction;
 
     let trace = trace("INT-3", N);
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
 
     let native = run_trace(&config, &trace, &RunOptions::default());
 
@@ -198,7 +198,7 @@ fn tage_as_trait_object_through_the_margin_path_mispredicts_identically() {
 fn engine_composition_matches_run_trace_assembly() {
     // Assembling the engine by hand gives the same report as the runner's
     // canonical assembly.
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
     let trace = trace("FP-2", N);
 
     let canonical = run_trace(&config, &trace, &RunOptions::default());

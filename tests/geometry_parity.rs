@@ -1,40 +1,38 @@
 //! Geometry parity suite — the pin for the committed preset geometry files.
 //!
-//! `geometries/{tage-16k,tage-64k,tage-256k}.json` are the declarative
-//! twins of `TageConfig::{small,medium,large}`. Three contracts:
+//! `geometries/{tage-16k,tage-64k,tage-256k}.json` are the file form of
+//! `TageGeometry::{small,medium,large}`. Three contracts:
 //!
-//! 1. **Structural parity**: each committed file loads to exactly the
-//!    geometry `TageGeometry::from_config` derives from its preset —
-//!    same value, same spec digest.
+//! 1. **Structural parity**: each committed file loads to exactly its
+//!    preset — same value, same spec digest.
 //! 2. **Byte stability**: the committed bytes equal the canonical
 //!    `to_json()` rendering, so the files cannot drift from the renderer
 //!    (regenerate with `cargo run --example export_geometries`).
 //! 3. **Behavioral parity**: a predictor built from a loaded geometry file
-//!    is bit-identical to one built from the legacy preset constructor —
+//!    is bit-identical to one built from the preset constructor —
 //!    predictions, internal RNG evolution, and snapshot bytes all match
 //!    over a trained run.
 
-use tage_confidence_suite::tage::{TageConfig, TageGeometry, TagePredictor};
+use tage_confidence_suite::tage::{TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::SplitMix64;
 
 /// The committed files and the presets they mirror.
-fn presets() -> [(&'static str, TageConfig); 3] {
+fn presets() -> [(&'static str, TageGeometry); 3] {
     [
-        ("geometries/tage-16k.json", TageConfig::small()),
-        ("geometries/tage-64k.json", TageConfig::medium()),
-        ("geometries/tage-256k.json", TageConfig::large()),
+        ("geometries/tage-16k.json", TageGeometry::small()),
+        ("geometries/tage-64k.json", TageGeometry::medium()),
+        ("geometries/tage-256k.json", TageGeometry::large()),
     ]
 }
 
 #[test]
 fn committed_files_load_to_the_preset_geometries() {
-    for (path, config) in presets() {
+    for (path, preset) in presets() {
         let loaded = TageGeometry::load(path).expect("committed geometry loads");
-        let derived = TageGeometry::from_config(&config);
-        assert_eq!(loaded, derived, "{path} drifted from its preset");
-        assert_eq!(loaded.spec_digest(), derived.spec_digest(), "{path}");
-        assert_eq!(loaded.storage_bits(), config.storage_bits(), "{path}");
-        assert_eq!(loaded.name(), config.name(), "{path}");
+        assert_eq!(loaded, preset, "{path} drifted from its preset");
+        assert_eq!(loaded.spec_digest(), preset.spec_digest(), "{path}");
+        assert_eq!(loaded.storage_bits(), preset.storage_bits(), "{path}");
+        assert_eq!(loaded.name(), preset.name(), "{path}");
     }
 }
 
@@ -54,10 +52,10 @@ fn committed_bytes_are_the_canonical_rendering() {
 
 #[test]
 fn geometry_built_predictors_are_bit_identical_to_preset_constructors() {
-    for (path, config) in presets() {
+    for (path, preset) in presets() {
         let geometry = TageGeometry::load(path).expect("committed geometry loads");
         let mut from_file = TagePredictor::new(geometry);
-        let mut from_preset = TagePredictor::new(config);
+        let mut from_preset = TagePredictor::new(preset);
         assert_eq!(from_file.spec_digest(), from_preset.spec_digest(), "{path}");
 
         // A biased-with-noise stream long enough to train the tagged

@@ -11,7 +11,7 @@ use tage_confidence_suite::sim::experiment::{
 };
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
 use tage_confidence_suite::sim::suite::run_suite;
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry};
 use tage_confidence_suite::traces::{suites, Suite};
 
 const N: usize = 50_000;
@@ -29,7 +29,7 @@ fn cross_section() -> Suite {
     )
 }
 
-fn modified(config: TageConfig) -> TageConfig {
+fn modified(config: TageGeometry) -> TageGeometry {
     config.with_automaton(CounterAutomaton::paper_default())
 }
 
@@ -37,7 +37,7 @@ fn modified(config: TageConfig) -> TageConfig {
 fn claim_weak_tagged_counters_are_close_to_coin_flips() {
     // Section 5.2: the Wtag class mispredicts well above 30 %.
     let result = run_suite(
-        &TageConfig::small(),
+        &TageGeometry::small(),
         &cross_section(),
         N,
         &RunOptions::default(),
@@ -50,7 +50,7 @@ fn claim_weak_tagged_counters_are_close_to_coin_flips() {
 fn claim_tagged_class_rates_decrease_with_counter_magnitude() {
     // Section 5.2: Wtag ≥ NWtag ≥ NStag ≫ Stag.
     let result = run_suite(
-        &modified(TageConfig::small()),
+        &modified(TageGeometry::small()),
         &cross_section(),
         N,
         &RunOptions::default(),
@@ -71,7 +71,7 @@ fn claim_tagged_class_rates_decrease_with_counter_magnitude() {
 fn claim_bimodal_subclasses_are_ordered() {
     // Section 5.1: low-conf-bim ≫ medium-conf-bim ≥ high-conf-bim.
     let result = run_suite(
-        &TageConfig::small(),
+        &TageGeometry::small(),
         &cross_section(),
         N,
         &RunOptions::default(),
@@ -97,7 +97,7 @@ fn claim_bimodal_subclasses_are_ordered() {
 fn claim_three_levels_have_very_different_rates() {
     // Section 6.1 / Table 2 structure.
     let row = three_level_summary(
-        &modified(TageConfig::medium()),
+        &modified(TageGeometry::medium()),
         &cross_section(),
         N,
         &RunOptions::default(),
@@ -118,7 +118,7 @@ fn claim_modified_automaton_costs_little_accuracy() {
     // Section 6: "less than 0.02 misp/KI" on the real traces; we allow a
     // slightly looser bound on the shorter synthetic runs.
     let suite = cross_section();
-    for config in [TageConfig::small(), TageConfig::large()] {
+    for config in [TageGeometry::small(), TageGeometry::large()] {
         let standard = run_suite(&config, &suite, N, &RunOptions::default());
         let probabilistic = run_suite(&modified(config.clone()), &suite, N, &RunOptions::default());
         let cost = probabilistic.mean_mpki() - standard.mean_mpki();
@@ -134,7 +134,7 @@ fn claim_modified_automaton_costs_little_accuracy() {
 fn claim_probability_trades_coverage_for_purity() {
     // Section 6.2: 1/16 grows the high-confidence class but raises its rate
     // relative to 1/128.
-    let rows = probability_sweep(&TageConfig::small(), &cross_section(), N, &[4, 7]);
+    let rows = probability_sweep(&TageGeometry::small(), &cross_section(), N, &[4, 7]);
     let p16 = &rows[0];
     let p128 = &rows[1];
     assert!(
@@ -165,8 +165,8 @@ fn claim_larger_predictors_shrink_the_bim_miss_volume_on_capacity_bound_traces()
             .map(|name| full.trace(name).unwrap().clone())
             .collect(),
     );
-    let small = run_suite(&TageConfig::small(), &servers, N, &RunOptions::default());
-    let large = run_suite(&TageConfig::large(), &servers, N, &RunOptions::default());
+    let small = run_suite(&TageGeometry::small(), &servers, N, &RunOptions::default());
+    let large = run_suite(&TageGeometry::large(), &servers, N, &RunOptions::default());
     let bim_rate = |result: &tage_confidence_suite::sim::SuiteRunResult| {
         let classes = [
             PredictionClass::HighConfBim,
@@ -198,9 +198,9 @@ fn claim_larger_predictors_shrink_the_bim_miss_volume_on_capacity_bound_traces()
 fn claim_accuracy_improves_with_predictor_size() {
     // Table 1 trend: 16 K ≥ 64 K ≥ 256 K in misp/KI.
     let suite = cross_section();
-    let small = run_suite(&TageConfig::small(), &suite, N, &RunOptions::default());
-    let medium = run_suite(&TageConfig::medium(), &suite, N, &RunOptions::default());
-    let large = run_suite(&TageConfig::large(), &suite, N, &RunOptions::default());
+    let small = run_suite(&TageGeometry::small(), &suite, N, &RunOptions::default());
+    let medium = run_suite(&TageGeometry::medium(), &suite, N, &RunOptions::default());
+    let large = run_suite(&TageGeometry::large(), &suite, N, &RunOptions::default());
     assert!(medium.mean_mpki() <= small.mean_mpki() + 0.05);
     assert!(large.mean_mpki() <= medium.mean_mpki() + 0.05);
 }
@@ -210,7 +210,7 @@ fn claim_the_medium_bim_window_isolates_misprediction_bursts() {
     // The medium-conf-bim class exists to absorb warming/capacity bursts:
     // with the window enabled, the high-conf-bim class is cleaner than
     // without it.
-    let rows = window_ablation(&TageConfig::small(), &cross_section(), N, &[0, 8]);
+    let rows = window_ablation(&TageGeometry::small(), &cross_section(), N, &[0, 8]);
     let without = &rows[0];
     let with = &rows[1];
     assert!(
@@ -239,7 +239,7 @@ fn claim_storage_free_estimate_matches_table_based_estimators() {
     let jrs_result = run_baseline(&mut gshare, &mut jrs, &trace);
 
     let tage_result = run_trace(
-        &modified(TageConfig::medium()),
+        &modified(TageGeometry::medium()),
         &trace,
         &RunOptions::default(),
     );

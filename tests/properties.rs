@@ -12,7 +12,7 @@ use tage_confidence_suite::confidence::{
 use tage_confidence_suite::predictors::counter::{SignedCounter, UnsignedCounter};
 use tage_confidence_suite::predictors::history::HistoryRegister;
 use tage_confidence_suite::tage::folded::FoldedHistory;
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig, TagePredictor};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::reader::TraceReader;
 use tage_confidence_suite::traces::writer::TraceWriter;
 use tage_confidence_suite::traces::{BranchKind, BranchRecord, SplitMix64, Trace};
@@ -153,7 +153,7 @@ fn splitmix_chance_is_always_within_bounds() {
 #[test]
 fn tage_prediction_magnitude_is_always_a_valid_class() {
     for_each_case("classification_total", |rng| {
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut predictor = TagePredictor::new(config.clone());
         let classifier = TageConfidenceClassifier::new(&config);
         for _ in 0..1 + rng.next_below(200) {
@@ -172,7 +172,7 @@ fn tage_prediction_magnitude_is_always_a_valid_class() {
 #[test]
 fn tage_predict_never_mutates_state() {
     for_each_case("predict_pure", |rng| {
-        let mut predictor = TagePredictor::new(TageConfig::small());
+        let mut predictor = TagePredictor::new(TageGeometry::small());
         let pcs: Vec<u64> = (0..1 + rng.next_below(50))
             .map(|_| rng.next_u64())
             .collect();
@@ -267,7 +267,7 @@ fn level_only_report_entries_aggregate_like_classes() {
 fn classifier_window_never_exceeds_configuration() {
     for_each_case("classifier_window", |rng| {
         let window = rng.next_below(17) as u32;
-        let config = TageConfig::small();
+        let config = TageGeometry::small();
         let mut predictor = TagePredictor::new(config.clone());
         let mut classifier = TageConfidenceClassifier::with_window(&config, window);
         for i in 0..1 + rng.next_below(200) {

@@ -31,7 +31,7 @@ use tage_confidence_suite::sim::smt::{
     simulate_smt_n_sources, simulate_smt_sources, SmtFetchPolicy,
 };
 use tage_confidence_suite::sim::EngineKind;
-use tage_confidence_suite::tage::{CounterAutomaton, TageConfig, TagePredictor};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::source::{
     BinaryFileSource, SliceSource, SourceSuite, SyntheticSource,
 };
@@ -45,8 +45,8 @@ fn spec(name: &str) -> TraceSpec {
         .clone()
 }
 
-fn config() -> TageConfig {
-    TageConfig::small().with_automaton(CounterAutomaton::paper_default())
+fn config() -> TageGeometry {
+    TageGeometry::small().with_automaton(CounterAutomaton::paper_default())
 }
 
 fn engine() -> SimEngine<TagePredictor, TageConfidenceClassifier> {

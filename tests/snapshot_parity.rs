@@ -25,7 +25,7 @@ use tage_confidence_suite::predictors::{
     PredictorCore,
 };
 use tage_confidence_suite::tage::{
-    CounterAutomaton, LaneGroup, ReferenceTagePredictor, TageConfig, TageGeometry, TagePredictor,
+    CounterAutomaton, LaneGroup, ReferenceTagePredictor, TageGeometry, TagePredictor,
 };
 use tage_confidence_suite::traces::snapshot::SnapshotError;
 use tage_confidence_suite::traces::SplitMix64;
@@ -153,7 +153,7 @@ fn snapshot_restore_continue_is_bit_identical_for_every_core() {
         let dirt = arbitrary_stream(rng, 90);
 
         // Randomized configurations, one per implementation per case.
-        let tage_config = TageConfig::small()
+        let tage_config = TageGeometry::small()
             .with_rng_seed(rng.next_u64())
             .with_automaton(CounterAutomaton::probabilistic(rng.next_below(11) as u32));
         let gshare_bits = (
@@ -230,7 +230,7 @@ fn snapshot_restore_continue_is_bit_identical_for_every_core() {
 fn multilane_lanes_restored_from_scalar_snapshots_stay_parity_clean() {
     for_each_case("snapshot_multilane_parity", |rng| {
         const LANES: usize = 4;
-        let config = TageConfig::small()
+        let config = TageGeometry::small()
             .with_rng_seed(rng.next_u64())
             .with_automaton(CounterAutomaton::probabilistic(rng.next_below(11) as u32));
 
@@ -281,7 +281,7 @@ fn multilane_lanes_restored_from_scalar_snapshots_stay_parity_clean() {
 #[test]
 fn corrupted_snapshots_fail_with_byte_offsets_and_leave_state_untouched() {
     for_each_case("snapshot_corruption", |rng| {
-        let config = TageConfig::small().with_rng_seed(rng.next_u64());
+        let config = TageGeometry::small().with_rng_seed(rng.next_u64());
         let mut source = TagePredictor::new(config.clone());
         drive(&mut source, &arbitrary_stream(rng, 150));
         let snapshot = TagePredictor::snapshot(&source);
@@ -325,7 +325,7 @@ fn corrupted_snapshots_fail_with_byte_offsets_and_leave_state_untouched() {
         // by digest, with the digest's byte offset: different TAGE
         // configuration, and the reference implementation's snapshot (the
         // two implementations are deliberately not interchangeable).
-        let medium = TagePredictor::new(TageConfig::medium());
+        let medium = TagePredictor::new(TageGeometry::medium());
         for foreign in [
             TagePredictor::snapshot(&medium),
             ReferenceTagePredictor::new(config.clone()).snapshot(),
@@ -429,7 +429,7 @@ fn fuzz_core<P: PredictorCore>(label: &str, make: &dyn Fn() -> P, rng: &mut Spli
 #[test]
 fn random_snapshot_op_interleavings_never_diverge_from_a_shadow_core() {
     for_each_case("snapshot_fuzz", |rng| {
-        let config = TageConfig::small()
+        let config = TageGeometry::small()
             .with_rng_seed(rng.next_u64())
             .with_automaton(CounterAutomaton::probabilistic(rng.next_below(11) as u32));
         fuzz_core("tage-soa", &|| TagePredictor::new(config.clone()), rng);
@@ -448,31 +448,26 @@ fn random_snapshot_op_interleavings_never_diverge_from_a_shadow_core() {
 #[test]
 fn snapshots_are_keyed_to_the_geometry_not_the_construction_path() {
     // Two predictors built from the *same* geometry — one through the
-    // preset constructor, one through a declarative `TageGeometry` —
-    // exchange snapshots freely; any geometry difference (here: one bit of
-    // tag width) flips the spec digest and is rejected at the digest
-    // offset. This is what keeps warm-state caches honest when campaigns
-    // mix `tage-16k`-style tokens with `geometry:` files.
+    // preset constructor, one through its JSON file form — exchange
+    // snapshots freely; any geometry difference (here: one bit of tag
+    // width) flips the spec digest and is rejected at the digest offset.
+    // This is what keeps warm-state caches honest when campaigns mix
+    // `tage-16k`-style tokens with `geometry:` files.
     for_each_case("snapshot_geometry_digest", |rng| {
-        let config = TageConfig::small().with_rng_seed(rng.next_u64());
-        let geometry = TageGeometry::from_config(&config);
+        let preset = TageGeometry::small().with_rng_seed(rng.next_u64());
+        let geometry = TageGeometry::from_json(&preset.to_json()).expect("round trip");
 
-        let mut from_config = TagePredictor::new(config.clone());
-        drive(&mut from_config, &arbitrary_stream(rng, 120));
-        let snapshot = TagePredictor::snapshot(&from_config);
+        let mut from_preset = TagePredictor::new(preset.clone());
+        drive(&mut from_preset, &arbitrary_stream(rng, 120));
+        let snapshot = TagePredictor::snapshot(&from_preset);
 
         let mut from_geometry = TagePredictor::new(geometry.clone());
         TagePredictor::restore(&mut from_geometry, &snapshot)
             .expect("same geometry, different construction path");
         assert_eq!(TagePredictor::snapshot(&from_geometry), snapshot);
 
-        let reshaped = TageGeometry::from_config(
-            &config
-                .to_builder()
-                .tag_bits(config.tag_bits + 1)
-                .build()
-                .expect("valid reshaped config"),
-        );
+        // The small preset with one more tag bit.
+        let reshaped = TageGeometry::uniform(4, 8, 10, 10, 3, 80).with_rng_seed(preset.rng_seed);
         assert_ne!(reshaped.spec_digest(), geometry.spec_digest());
         let mut other = TagePredictor::new(reshaped);
         let before = TagePredictor::snapshot(&other);

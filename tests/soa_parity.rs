@@ -10,7 +10,7 @@
 //! metadata — identical statistics, and identical `USE_ALT_ON_NA` movement.
 
 use tage_confidence_suite::tage::{
-    CounterAutomaton, ReferenceTagePredictor, TageConfig, TagePrediction, TagePredictor,
+    CounterAutomaton, ReferenceTagePredictor, TageGeometry, TagePrediction, TagePredictor,
 };
 use tage_confidence_suite::traces::{suites, SplitMix64};
 
@@ -35,7 +35,7 @@ fn for_each_case(property: &str, mut body: impl FnMut(&mut SplitMix64)) {
 /// width, counter widths, automaton and reset period all move so the parity
 /// sweep exercises allocation, aging, graceful reset and the probabilistic
 /// automaton (which consumes the shared RNG stream).
-fn arbitrary_config(rng: &mut SplitMix64) -> TageConfig {
+fn arbitrary_config(rng: &mut SplitMix64) -> TageGeometry {
     let num_tables = 1 + rng.next_below(8) as usize;
     let max_history = 20 + rng.next_below(120) as usize;
     let automaton = if rng.chance(0.5) {
@@ -43,19 +43,24 @@ fn arbitrary_config(rng: &mut SplitMix64) -> TageConfig {
     } else {
         CounterAutomaton::probabilistic(1 + rng.next_below(7) as u32)
     };
-    TageConfig::small()
-        .to_builder()
-        .num_tagged_tables(num_tables)
-        .tagged_index_bits(4 + rng.next_below(5) as u32)
-        .tag_bits(6 + rng.next_below(6) as u32)
-        .counter_bits(2 + rng.next_below(3) as u8)
-        .min_history(2 + rng.next_below(4) as usize)
-        .max_history(max_history)
-        .useful_reset_period(128 + rng.next_below(512))
-        .automaton(automaton)
-        .rng_seed(rng.next_u64())
-        .build()
-        .expect("arbitrary config is valid")
+    let index_bits = 4 + rng.next_below(5) as u32;
+    let tag_bits = 6 + rng.next_below(6) as u32;
+    let counter_bits = 2 + rng.next_below(3) as u8;
+    let min_history = 2 + rng.next_below(4) as usize;
+    TageGeometry {
+        counter_bits,
+        useful_reset_period: 128 + rng.next_below(512),
+        automaton,
+        rng_seed: rng.next_u64(),
+        ..TageGeometry::uniform(
+            num_tables,
+            index_bits,
+            tag_bits,
+            10,
+            min_history,
+            max_history,
+        )
+    }
 }
 
 /// Asserts full observable equality after one lockstep step and returns the
@@ -107,9 +112,9 @@ fn soa_predictor_matches_reference_on_seeded_trace_mixes() {
     // Lockstep over real synthetic workloads: one trace from each suite per
     // paper preset, enough branches to trigger allocation and aging.
     let presets = [
-        TageConfig::small(),
-        TageConfig::medium(),
-        TageConfig::large().with_automaton(CounterAutomaton::paper_default()),
+        TageGeometry::small(),
+        TageGeometry::medium(),
+        TageGeometry::large().with_automaton(CounterAutomaton::paper_default()),
     ];
     for (i, config) in presets.into_iter().enumerate() {
         let suite = if i % 2 == 0 {
@@ -135,11 +140,10 @@ fn soa_predictor_matches_reference_on_seeded_trace_mixes() {
 fn soa_parity_survives_graceful_useful_reset() {
     // A tiny reset period forces many graceful-reset sweeps, pinning the
     // flat clear_useful_bit pass against the nested per-table loops.
-    let config = TageConfig::small()
-        .to_builder()
-        .useful_reset_period(64)
-        .build()
-        .unwrap();
+    let config = TageGeometry {
+        useful_reset_period: 64,
+        ..TageGeometry::small()
+    };
     let mut fast = TagePredictor::new(config.clone());
     let mut reference = ReferenceTagePredictor::new(config);
     let mut rng = SplitMix64::new(0xdead_5eed);
@@ -160,7 +164,7 @@ fn predict_through_shared_ref(predictor: &TagePredictor, pc: u64) -> TagePredict
 
 #[test]
 fn predict_takes_shared_self_and_stays_pure() {
-    let mut predictor = TagePredictor::new(TageConfig::medium());
+    let mut predictor = TagePredictor::new(TageGeometry::medium());
     let mut rng = SplitMix64::new(7);
     for i in 0..3_000u64 {
         let pc = 0x70_0000 + (i % 64) * 4;

@@ -23,7 +23,7 @@ use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::sim::runner::{run_source, run_trace, RunOptions};
 use tage_confidence_suite::sim::segment::{run_segmented_source, SegmentOptions};
 use tage_confidence_suite::sim::suite::{run_suite_sources, run_suite_with_parallelism};
-use tage_confidence_suite::tage::{TageConfig, TagePredictor};
+use tage_confidence_suite::tage::{TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::source::{
     BinaryFileSource, BranchSource, SliceSource, SourceSuite, SyntheticSource,
 };
@@ -49,7 +49,7 @@ fn four_ingestion_paths_are_bit_identical() {
     let spec = spec("SERV-2");
     let branches = 8_000;
     let trace = spec.generate(branches);
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
 
     let engine = || {
         SimEngine::new(
@@ -103,7 +103,7 @@ fn runner_results_agree_across_sources_and_chunk_sizes() {
     let spec = spec("INT-2");
     let branches = 6_000;
     let trace = spec.generate(branches);
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
     let options = RunOptions::default();
 
     let reference = run_trace(&config, &trace, &options);
@@ -144,7 +144,7 @@ fn streamed_corruption_is_reported_with_byte_offsets() {
     bytes.truncate(bytes.len() - 7);
     std::fs::write(&path, &bytes).unwrap();
     let error = run_source(
-        &TageConfig::small(),
+        &TageGeometry::small(),
         &mut BinaryFileSource::open(&path).unwrap(),
         &RunOptions::default(),
     )
@@ -164,7 +164,7 @@ fn streamed_corruption_is_reported_with_byte_offsets() {
 fn history_warmed_segments_merge_identically_at_every_worker_count() {
     let spec = spec("MM-5");
     let branches = 9_000;
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
     let options = RunOptions::default();
     let total = SyntheticSource::from_spec(&spec, branches)
         .skip_records(u64::MAX)
@@ -250,7 +250,7 @@ fn streamed_suite_runs_match_the_materialized_path_at_every_worker_count() {
             full.trace("MM-5").unwrap().clone(),
         ],
     );
-    let config = TageConfig::small();
+    let config = TageGeometry::small();
     let options = RunOptions::default();
     let reference = run_suite_with_parallelism(&config, &suite, 2_000, &options, 1);
     for workers in [1, 2, 3, 8] {
