@@ -179,7 +179,7 @@ impl<L: PredictionOutcome, E: ConfidenceEstimator> ConfidenceScheme<L> for Estim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::SelfConfidenceEstimator;
+    use crate::estimators::{JrsEstimator, SelfConfidenceEstimator};
     use tage::{TageGeometry, TagePredictor};
 
     #[test]
@@ -225,6 +225,23 @@ mod tests {
         ConfidenceScheme::<Prediction>::reset(&mut scheme);
         assert_eq!(ConfidenceScheme::<Prediction>::storage_bits(&scheme), 0);
         assert!(ConfidenceScheme::<Prediction>::name(&scheme).contains("self-confidence"));
+    }
+
+    #[test]
+    fn estimator_scheme_grades_tage_lookups_by_their_provider_margin() {
+        let mut predictor = TagePredictor::new(TageGeometry::small());
+        let mut on_tage = EstimatorScheme(JrsEstimator::enhanced(8));
+        let mut on_flat = EstimatorScheme(JrsEstimator::enhanced(8));
+        for i in 0..2_000u64 {
+            let pc = 0x4000 + (i % 13) * 8;
+            let taken = i % 3 != 0;
+            let lookup = predictor.predict(pc);
+            let flat = Prediction::new(lookup.taken, i64::from(lookup.provider_magnitude));
+            assert_eq!(on_tage.assess(pc, &lookup), on_flat.assess(pc, &flat));
+            on_tage.observe(pc, &lookup, taken);
+            on_flat.observe(pc, &flat, taken);
+            predictor.update(pc, taken, &lookup);
+        }
     }
 
     #[test]

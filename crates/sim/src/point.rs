@@ -122,13 +122,14 @@ impl PredictorSpec {
     ///
     /// # Errors
     ///
-    /// For a `geometry:` token, the [`TageGeometry::load`] message, which
-    /// names the path and the offending field; otherwise an unknown-token
-    /// message listing [`PredictorSpec::known_tokens`].
+    /// For a `geometry:` token, the token and the [`TageGeometry::load`]
+    /// message, which names the path and the offending field; otherwise an
+    /// unknown-token message listing [`PredictorSpec::known_tokens`].
     pub fn parse(token: &str) -> Result<Self, String> {
         if let Some(path) = token.strip_prefix(GEOMETRY_TOKEN_PREFIX) {
             return Ok(PredictorSpec::Geometry {
-                geometry: TageGeometry::load(path)?,
+                geometry: TageGeometry::load(path)
+                    .map_err(|e| format!("predictor token \"{token}\": {e}"))?,
                 source: path.to_string(),
             });
         }

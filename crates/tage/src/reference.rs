@@ -580,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_string_is_the_legacy_uniform_form() {
+    fn spec_string_names_the_uniform_shape() {
         let p = ReferenceTagePredictor::new(TageGeometry::small());
         assert_eq!(
             p.spec_string(),

@@ -17,6 +17,14 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
 
+echo "== repository benchmark (perfbench): build + tests =="
+# perfbench/ is a workspace of its own that drives the public API; build
+# and test it here so an API change that breaks the benchmark fails now,
+# not when the benchmark runs (docs/BENCHMARKS.md). It has no external
+# dependencies, so --offline is safe.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== throughput smoke (+ regression gate) =="
 # --baseline seeds from the tracked milestone file while --out keeps routine
 # runs on an untracked path (see docs/BENCHMARKS.md), so verification never

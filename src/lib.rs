@@ -28,3 +28,9 @@ pub use tage_confidence as confidence;
 pub use tage_predictors as predictors;
 pub use tage_sim as sim;
 pub use tage_traces as traces;
+
+/// The README's Rust examples, compiled (and, unless marked `no_run`, run)
+/// as doctests so they cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
