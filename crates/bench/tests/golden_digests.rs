@@ -10,9 +10,11 @@
 //! behaviour) must be re-recorded in the same change that moves it, and
 //! that change then invalidates every existing cell store.
 
+use std::fs;
+
 use tage::TageGeometry;
-use tage_bench::campaign::{run_campaign_with_engine, CampaignSpec};
-use tage_bench::cellstore::cell_key;
+use tage_bench::campaign::{run_campaign_checkpointed, run_campaign_with_engine, CampaignSpec};
+use tage_bench::cellstore::{cell_key, CellStore};
 use tage_bench::explore::{attach_explore_section, enumerate_geometries, explore_predictors};
 use tage_sim::point::{PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::scenarios::ScenarioSpec;
@@ -31,6 +33,8 @@ const SAMPLED_REPORT: u64 = 0x34c0_29b6_64f8_cff3;
 const EXPLORE_REPORT: u64 = 0x61b7_11eb_b59b_38c0;
 const PLAIN_CELL_KEY: u64 = 0x4471_2d18_534f_a9c3;
 const SAMPLED_CELL_KEY: u64 = 0x161c_3562_042b_cfc0;
+const WARM_ENTRY_NAMES: u64 = 0x3b65_0023_d608_2284;
+const WARM_ENTRY_BYTES: u64 = 0x8119_3c3e_bf61_c621;
 const PRESET_DIGESTS: [(&str, &str, u64); 3] = [
     ("tage-16k", "tage-16k.json", 0x9f89_572f_1567_65a5),
     ("tage-64k", "tage-64k.json", 0xaee5_643c_1c40_28c6),
@@ -60,6 +64,18 @@ fn report_digest(spec: &CampaignSpec) -> u64 {
 
 fn sampled_suite() -> SourceSuite {
     SourceSuite::from_suite(&suites::cbp1_mini()).with_sampling(SAMPLING)
+}
+
+/// One TAGE x storage-free cell over the sampled suite.
+fn sampled_spec() -> CampaignSpec {
+    CampaignSpec {
+        label: "golden-sampled".to_string(),
+        predictors: vec![predictor("tage-16k")],
+        schemes: vec![scheme("storage-free")],
+        suites: vec![sampled_suite()],
+        scenarios: vec![ScenarioSpec::Baseline],
+        branches_per_trace: SAMPLED_BRANCHES,
+    }
 }
 
 fn pinned(what: &str, actual: u64, expected: u64) {
@@ -100,15 +116,42 @@ fn comparison_grid_report_bytes_are_pinned() {
 
 #[test]
 fn sampled_cell_report_bytes_are_pinned() {
-    let spec = CampaignSpec {
-        label: "golden-sampled".to_string(),
-        predictors: vec![predictor("tage-16k")],
-        schemes: vec![scheme("storage-free")],
-        suites: vec![sampled_suite()],
-        scenarios: vec![ScenarioSpec::Baseline],
-        branches_per_trace: SAMPLED_BRANCHES,
-    };
-    pinned("sampled cell report", report_digest(&spec), SAMPLED_REPORT);
+    pinned(
+        "sampled cell report",
+        report_digest(&sampled_spec()),
+        SAMPLED_REPORT,
+    );
+}
+
+/// The warm-cache entries a sampled cell leaves under `<store>/warm`: their
+/// file names are the entry keys, their bytes the checkpointed states. A
+/// store written by an earlier build keeps hitting only while both hold.
+#[test]
+fn warm_cache_keys_and_bytes_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("tage-golden-warm-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let store = CellStore::new(&dir).unwrap();
+    let run = run_campaign_checkpointed(&sampled_spec(), 2, EngineKind::Multilane, &store, None)
+        .unwrap();
+    assert_eq!(run.executed, 1);
+    let mut names: Vec<String> = fs::read_dir(dir.join("warm"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".warmstate"))
+        .collect();
+    names.sort();
+    assert!(!names.is_empty(), "the sampled cell writes checkpoints");
+    let mut bytes = Vec::new();
+    for name in &names {
+        bytes.extend(fs::read(dir.join("warm").join(name)).unwrap());
+    }
+    let _ = fs::remove_dir_all(&dir);
+    pinned(
+        "warm-cache entry names",
+        fnv1a64(names.join("\n").as_bytes()),
+        WARM_ENTRY_NAMES,
+    );
+    pinned("warm-cache entry bytes", fnv1a64(&bytes), WARM_ENTRY_BYTES);
 }
 
 #[test]
