@@ -5,8 +5,9 @@
 //! Run with: `cargo bench --bench estimator_comparison`
 
 use tage_bench::harness::bench;
-use tage_confidence::estimators::{ConfidenceEstimator, JrsEstimator, SelfConfidenceEstimator};
-use tage_predictors::{BranchPredictor, GsharePredictor, PerceptronPredictor};
+use tage_confidence::estimators::{JrsEstimator, SelfConfidenceEstimator};
+use tage_confidence::ConfidenceScheme;
+use tage_predictors::{BranchPredictor, GsharePredictor, PerceptronPredictor, Prediction};
 use tage_traces::{suites, Trace};
 
 fn workload() -> Trace {
@@ -18,16 +19,16 @@ fn workload() -> Trace {
 
 fn run(
     predictor: &mut dyn BranchPredictor,
-    estimator: &mut dyn ConfidenceEstimator,
+    estimator: &mut dyn ConfidenceScheme<Prediction>,
     trace: &Trace,
 ) -> u64 {
     let mut high = 0u64;
     for record in trace.iter().filter(|r| r.kind.is_conditional()) {
         let pred = predictor.predict(record.pc);
-        if estimator.estimate(record.pc, &pred) == tage_confidence::ConfidenceLevel::High {
+        if estimator.assess(record.pc, &pred).is_high() {
             high += 1;
         }
-        estimator.update(record.pc, &pred, record.taken);
+        estimator.observe(record.pc, &pred, record.taken);
         predictor.update(record.pc, record.taken, &pred);
     }
     high

@@ -440,100 +440,6 @@ fn main() {
         allocations,
     });
 
-    // 7. Segmented suite runs with a per-segment warmup prefix: replaying
-    //    the warmup from the source (`engine_warm_replay`) versus restoring
-    //    predictor snapshots from the on-disk warm-state cache
-    //    (`engine_warm_cache`). The cache is populated by an untimed priming
-    //    run, so the timed run restores every warm segment from disk; both
-    //    measurements land in the trajectory so milestones carry the
-    //    warm-start ratio. No allocation gate — segment workers and the
-    //    cache's file I/O allocate by design.
-    {
-        use tage_sim::segment::{run_suite_segmented, SegmentOptions};
-        use tage_sim::warmcache::WarmCache;
-
-        let source_suite = SourceSuite::from_suite(&suite);
-        let warm_options = RunOptions {
-            warmup_branches: (per_trace as u64 / 4).max(1),
-            ..RunOptions::default()
-        };
-        let segment_options = SegmentOptions::new(4, warm_options.warmup_branches);
-        let workers = default_parallelism().min(4);
-
-        let (replayed, seconds, allocations) = timed_counting(|| {
-            run_suite_segmented(
-                &config,
-                &source_suite,
-                per_trace,
-                &warm_options,
-                &segment_options,
-                workers,
-                None,
-            )
-            .expect("synthetic sources are infallible")
-        });
-        measurements.push(Measurement {
-            name: "engine_warm_replay",
-            branches: replayed.aggregate.total().predictions,
-            seconds,
-            allocations,
-        });
-
-        let cache_dir = std::env::temp_dir().join(format!(
-            "tage-throughput-warmcache-{}-{branches}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        match WarmCache::new(&cache_dir) {
-            Ok(cache) => {
-                // Priming run: every warm segment misses, replays and stores.
-                run_suite_segmented(
-                    &config,
-                    &source_suite,
-                    per_trace,
-                    &warm_options,
-                    &segment_options,
-                    workers,
-                    Some(&cache),
-                )
-                .expect("synthetic sources are infallible");
-                let primed_misses = cache.misses();
-                let (warmed, seconds, allocations) = timed_counting(|| {
-                    run_suite_segmented(
-                        &config,
-                        &source_suite,
-                        per_trace,
-                        &warm_options,
-                        &segment_options,
-                        workers,
-                        Some(&cache),
-                    )
-                    .expect("synthetic sources are infallible")
-                });
-                assert_eq!(
-                    warmed.aggregate.total(),
-                    replayed.aggregate.total(),
-                    "warm-cache runs must be byte-identical to replay runs"
-                );
-                assert_eq!(
-                    cache.hits(),
-                    primed_misses,
-                    "the timed run must restore every warm segment from the cache"
-                );
-                measurements.push(Measurement {
-                    name: "engine_warm_cache",
-                    branches: warmed.aggregate.total().predictions,
-                    seconds,
-                    allocations,
-                });
-                let _ = std::fs::remove_dir_all(&cache_dir);
-            }
-            Err(error) => {
-                eprintln!("skipping engine_warm_cache: cannot create {cache_dir:?}: {error}");
-            }
-        }
-    }
-
     println!(
         "{:<22} {:>14} {:>10} {:>16} {:>18}",
         "measurement", "branches", "seconds", "branches/sec", "allocs/branch"

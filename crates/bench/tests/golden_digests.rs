@@ -131,8 +131,8 @@ fn warm_cache_keys_and_bytes_are_pinned() {
     let dir = std::env::temp_dir().join(format!("tage-golden-warm-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let store = CellStore::new(&dir).unwrap();
-    let run = run_campaign_checkpointed(&sampled_spec(), 2, EngineKind::Multilane, &store, None)
-        .unwrap();
+    let run =
+        run_campaign_checkpointed(&sampled_spec(), 2, EngineKind::Multilane, &store, None).unwrap();
     assert_eq!(run.executed, 1);
     let mut names: Vec<String> = fs::read_dir(dir.join("warm"))
         .unwrap()

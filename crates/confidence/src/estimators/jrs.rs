@@ -5,10 +5,10 @@ use core::fmt;
 
 use tage_predictors::counter::UnsignedCounter;
 use tage_predictors::history::HistoryRegister;
-use tage_predictors::Prediction;
+use tage_predictors::PredictionOutcome;
 
 use crate::class::ConfidenceLevel;
-use crate::estimators::ConfidenceEstimator;
+use crate::scheme::{Assessment, ConfidenceScheme};
 
 /// How the JRS table is indexed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,16 +41,19 @@ impl fmt::Display for JrsIndexing {
 /// high confidence only after 15 consecutive correct predictions for that
 /// (PC, history) pair.
 ///
+/// It grades any lookup by its predicted direction alone, so it attaches to
+/// TAGE as readily as to the flat-margin baselines.
+///
 /// # Example
 ///
 /// ```
-/// use tage_confidence::estimators::{ConfidenceEstimator, JrsEstimator, JrsIndexing};
-/// use tage_confidence::ConfidenceLevel;
+/// use tage_confidence::estimators::{JrsEstimator, JrsIndexing};
+/// use tage_confidence::{ConfidenceLevel, ConfidenceScheme};
 /// use tage_predictors::Prediction;
 ///
 /// let mut jrs = JrsEstimator::new(10, 4, 15, JrsIndexing::PcHistory);
 /// let prediction = Prediction::new(true, 0);
-/// assert_eq!(jrs.estimate(0x44, &prediction), ConfidenceLevel::Low);
+/// assert_eq!(jrs.assess(0x44, &prediction).level, ConfidenceLevel::Low);
 /// ```
 #[derive(Debug, Clone)]
 pub struct JrsEstimator {
@@ -107,35 +110,36 @@ impl JrsEstimator {
         JrsEstimator::new(index_bits, 4, 15, JrsIndexing::PcHistoryPrediction)
     }
 
-    fn index(&self, pc: u64, prediction: &Prediction) -> usize {
+    fn index(&self, pc: u64, predicted_taken: bool) -> usize {
         let mask = (1u64 << self.index_bits) - 1;
         let hist = self.history.low_bits((self.index_bits as usize).min(32));
         let mut hash = (pc >> 2) ^ hist ^ ((pc >> 2) >> self.index_bits);
         if self.indexing == JrsIndexing::PcHistoryPrediction {
-            hash = hash.rotate_left(1) ^ u64::from(prediction.taken);
+            hash = hash.rotate_left(1) ^ u64::from(predicted_taken);
         }
         (hash & mask) as usize
     }
 
     /// The value of the confidence counter the estimator would consult for
-    /// this prediction (useful for multi-level grading experiments).
-    pub fn counter_value(&self, pc: u64, prediction: &Prediction) -> u8 {
-        self.table[self.index(pc, prediction)].value()
+    /// this lookup (useful for multi-level grading experiments).
+    pub fn counter_value<L: PredictionOutcome>(&self, pc: u64, lookup: &L) -> u8 {
+        self.table[self.index(pc, lookup.predicted_taken())].value()
     }
 }
 
-impl ConfidenceEstimator for JrsEstimator {
-    fn estimate(&mut self, pc: u64, prediction: &Prediction) -> ConfidenceLevel {
-        if self.counter_value(pc, prediction) >= self.threshold {
+impl<L: PredictionOutcome> ConfidenceScheme<L> for JrsEstimator {
+    fn assess(&mut self, pc: u64, lookup: &L) -> Assessment {
+        Assessment::level_only(if self.counter_value(pc, lookup) >= self.threshold {
             ConfidenceLevel::High
         } else {
             ConfidenceLevel::Low
-        }
+        })
     }
 
-    fn update(&mut self, pc: u64, prediction: &Prediction, taken: bool) {
-        let idx = self.index(pc, prediction);
-        if prediction.taken == taken {
+    fn observe(&mut self, pc: u64, lookup: &L, taken: bool) {
+        let predicted_taken = lookup.predicted_taken();
+        let idx = self.index(pc, predicted_taken);
+        if predicted_taken == taken {
             self.table[idx].increment();
         } else {
             self.table[idx].reset();
@@ -169,20 +173,25 @@ impl ConfidenceEstimator for JrsEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tage_predictors::Prediction;
+
+    fn level(estimator: &mut JrsEstimator, pc: u64, prediction: &Prediction) -> ConfidenceLevel {
+        estimator.assess(pc, prediction).level
+    }
 
     fn run(estimator: &mut JrsEstimator, pc: u64, correct_streak: usize) -> ConfidenceLevel {
         let prediction = Prediction::new(true, 0);
         for _ in 0..correct_streak {
-            estimator.update(pc, &prediction, true);
+            estimator.observe(pc, &prediction, true);
         }
-        estimator.estimate(pc, &prediction)
+        level(estimator, pc, &prediction)
     }
 
     #[test]
     fn cold_estimator_reports_low_confidence() {
         let mut jrs = JrsEstimator::classic(10);
         assert_eq!(
-            jrs.estimate(0x100, &Prediction::new(true, 0)),
+            level(&mut jrs, 0x100, &Prediction::new(true, 0)),
             ConfidenceLevel::Low
         );
     }
@@ -204,31 +213,23 @@ mod tests {
         let mut jrs = JrsEstimator::new(1, 4, 15, JrsIndexing::PcHistory);
         let prediction = Prediction::new(true, 0);
         for _ in 0..40 {
-            jrs.update(0x100, &prediction, true);
+            jrs.observe(0x100, &prediction, true);
         }
-        assert_eq!(jrs.estimate(0x100, &prediction), ConfidenceLevel::High);
+        assert_eq!(level(&mut jrs, 0x100, &prediction), ConfidenceLevel::High);
         // One misprediction on the consulted entry resets it.
-        jrs.update(0x100, &prediction, false);
+        jrs.observe(0x100, &prediction, false);
         // Drain the other entry too (index alternates with history).
-        jrs.update(0x100, &prediction, false);
-        assert_eq!(jrs.estimate(0x100, &prediction), ConfidenceLevel::Low);
+        jrs.observe(0x100, &prediction, false);
+        assert_eq!(level(&mut jrs, 0x100, &prediction), ConfidenceLevel::Low);
     }
 
     #[test]
     fn enhanced_indexing_separates_taken_and_not_taken_predictions() {
-        let mut jrs = JrsEstimator::enhanced(10);
-        let taken_pred = Prediction::new(true, 0);
-        let not_taken_pred = Prediction::new(false, 0);
-        let idx_taken = jrs.index(0x500, &taken_pred);
-        let idx_not_taken = jrs.index(0x500, &not_taken_pred);
-        assert_ne!(idx_taken, idx_not_taken);
+        let jrs = JrsEstimator::enhanced(10);
+        assert_ne!(jrs.index(0x500, true), jrs.index(0x500, false));
         // The classic indexing does not separate them.
         let classic = JrsEstimator::classic(10);
-        assert_eq!(
-            classic.index(0x500, &taken_pred),
-            classic.index(0x500, &not_taken_pred)
-        );
-        let _ = &mut jrs;
+        assert_eq!(classic.index(0x500, true), classic.index(0x500, false));
     }
 
     #[test]
@@ -237,7 +238,7 @@ mod tests {
         let prediction = Prediction::new(true, 0);
         assert_eq!(jrs.counter_value(0x10, &prediction), 0);
         for _ in 0..40 {
-            jrs.update(0x10, &prediction, true);
+            jrs.observe(0x10, &prediction, true);
         }
         assert_eq!(jrs.counter_value(0x10, &prediction), 15);
     }
@@ -245,8 +246,11 @@ mod tests {
     #[test]
     fn storage_accounts_for_table_and_history() {
         let jrs = JrsEstimator::classic(10);
-        assert_eq!(jrs.storage_bits(), 1024 * 4 + 32);
-        assert!(jrs.name().contains("jrs"));
+        assert_eq!(
+            ConfidenceScheme::<Prediction>::storage_bits(&jrs),
+            1024 * 4 + 32
+        );
+        assert!(ConfidenceScheme::<Prediction>::name(&jrs).contains("jrs"));
     }
 
     #[test]

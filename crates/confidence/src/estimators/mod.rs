@@ -14,6 +14,12 @@
 //!   used with neural predictors (perceptron / O-GEHL): a prediction is high
 //!   confidence when its margin (absolute prediction sum) clears a
 //!   threshold.
+//!
+//! Each estimator is a [`ConfidenceScheme`](crate::ConfidenceScheme) over
+//! every lookup type that exposes a direction and a margin
+//! ([`PredictionOutcome`](tage_predictors::PredictionOutcome)), so the
+//! simulation engine drives it beside any predictor, TAGE included, exactly
+//! as it drives the storage-free classifier beside TAGE.
 
 mod jrs;
 mod self_confidence;
@@ -23,87 +29,20 @@ pub use jrs::{JrsEstimator, JrsIndexing};
 pub use self_confidence::SelfConfidenceEstimator;
 pub use spec::EstimatorSpec;
 
-use tage_predictors::Prediction;
-
-use crate::class::ConfidenceLevel;
-
-/// A confidence estimator attached to some branch predictor.
-///
-/// The protocol mirrors the predictor protocol: `estimate` is called with
-/// the prediction the predictor produced (before resolution), `update` with
-/// the resolved outcome afterwards.
-///
-/// Any estimator can be driven through the generic simulation engine by
-/// wrapping it in [`crate::scheme::EstimatorScheme`].
-pub trait ConfidenceEstimator {
-    /// Estimates the confidence of `prediction` for the branch at `pc`.
-    fn estimate(&mut self, pc: u64, prediction: &Prediction) -> ConfidenceLevel;
-
-    /// Feeds the resolved outcome back to the estimator.
-    fn update(&mut self, pc: u64, prediction: &Prediction, taken: bool);
-
-    /// Extra storage the estimator requires, in bits (zero for storage-free
-    /// estimators).
-    fn storage_bits(&self) -> u64;
-
-    /// A short human-readable name for reports.
-    fn name(&self) -> String;
-
-    /// Clears all dynamic state (counter tables, histories) while keeping
-    /// the configuration, so the estimator starts a new trace cold.
-    fn reset(&mut self);
-}
-
-impl<E: ConfidenceEstimator + ?Sized> ConfidenceEstimator for &mut E {
-    fn estimate(&mut self, pc: u64, prediction: &Prediction) -> ConfidenceLevel {
-        (**self).estimate(pc, prediction)
-    }
-
-    fn update(&mut self, pc: u64, prediction: &Prediction, taken: bool) {
-        (**self).update(pc, prediction, taken)
-    }
-
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
-
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-}
-
-impl<E: ConfidenceEstimator + ?Sized> ConfidenceEstimator for Box<E> {
-    fn estimate(&mut self, pc: u64, prediction: &Prediction) -> ConfidenceLevel {
-        (**self).estimate(pc, prediction)
-    }
-
-    fn update(&mut self, pc: u64, prediction: &Prediction, taken: bool) {
-        (**self).update(pc, prediction, taken)
-    }
-
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
-
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ConfidenceScheme;
+    use tage::TagePrediction;
+    use tage_predictors::Prediction;
 
     #[test]
     fn trait_is_object_safe() {
-        fn _takes_dyn(_e: &dyn ConfidenceEstimator) {}
+        // Every estimator boxes as a scheme over flat and TAGE lookups alike,
+        // which is what `EstimatorSpec::build` hands the engine.
+        fn _over_flat(_e: Box<dyn ConfidenceScheme<Prediction>>) {}
+        fn _over_tage(_e: Box<dyn ConfidenceScheme<TagePrediction>>) {}
+        _over_flat(Box::new(JrsEstimator::classic(4)));
+        _over_tage(Box::new(SelfConfidenceEstimator::new(1)));
     }
 }

@@ -2,10 +2,10 @@
 
 use core::fmt;
 
-use tage_predictors::Prediction;
+use tage_predictors::PredictionOutcome;
 
 use crate::class::ConfidenceLevel;
-use crate::estimators::ConfidenceEstimator;
+use crate::scheme::{Assessment, ConfidenceScheme};
 
 /// Storage-free self-confidence estimation: a prediction is high confidence
 /// when its margin (absolute prediction sum for neural predictors, counter
@@ -23,17 +23,17 @@ use crate::estimators::ConfidenceEstimator;
 /// # Example
 ///
 /// ```
-/// use tage_confidence::estimators::{ConfidenceEstimator, SelfConfidenceEstimator};
-/// use tage_confidence::ConfidenceLevel;
+/// use tage_confidence::estimators::SelfConfidenceEstimator;
+/// use tage_confidence::{ConfidenceLevel, ConfidenceScheme};
 /// use tage_predictors::Prediction;
 ///
 /// let mut estimator = SelfConfidenceEstimator::new(20);
 /// assert_eq!(
-///     estimator.estimate(0x10, &Prediction::new(true, 35)),
+///     estimator.assess(0x10, &Prediction::new(true, 35)).level,
 ///     ConfidenceLevel::High
 /// );
 /// assert_eq!(
-///     estimator.estimate(0x10, &Prediction::new(true, 5)),
+///     estimator.assess(0x10, &Prediction::new(true, 5)).level,
 ///     ConfidenceLevel::Low
 /// );
 /// ```
@@ -76,86 +76,67 @@ impl SelfConfidenceEstimator {
     }
 }
 
-impl ConfidenceEstimator for SelfConfidenceEstimator {
-    fn estimate(&mut self, _pc: u64, prediction: &Prediction) -> ConfidenceLevel {
-        if prediction.margin >= self.high_threshold {
+impl<L: PredictionOutcome> ConfidenceScheme<L> for SelfConfidenceEstimator {
+    fn assess(&mut self, _pc: u64, lookup: &L) -> Assessment {
+        let margin = lookup.margin();
+        Assessment::level_only(if margin >= self.high_threshold {
             ConfidenceLevel::High
-        } else if let Some(medium) = self.medium_threshold {
-            if prediction.margin >= medium {
-                ConfidenceLevel::Medium
-            } else {
-                ConfidenceLevel::Low
-            }
+        } else if self.medium_threshold.is_some_and(|medium| margin >= medium) {
+            ConfidenceLevel::Medium
         } else {
             ConfidenceLevel::Low
-        }
+        })
     }
 
-    fn update(&mut self, _pc: u64, _prediction: &Prediction, _taken: bool) {
+    fn observe(&mut self, _pc: u64, _lookup: &L, _taken: bool) {
         // Self-confidence keeps no state.
-    }
-
-    fn storage_bits(&self) -> u64 {
-        0
-    }
-
-    fn name(&self) -> String {
-        match self.medium_threshold {
-            Some(m) => format!(
-                "self-confidence (≥{} high, ≥{m} medium)",
-                self.high_threshold
-            ),
-            None => format!("self-confidence (≥{})", self.high_threshold),
-        }
     }
 
     fn reset(&mut self) {
         // Self-confidence keeps no state.
     }
+
+    fn name(&self) -> String {
+        self.to_string()
+    }
 }
 
 impl fmt::Display for SelfConfidenceEstimator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&ConfidenceEstimator::name(self))
+        match self.medium_threshold {
+            Some(m) => write!(
+                f,
+                "self-confidence (≥{} high, ≥{m} medium)",
+                self.high_threshold
+            ),
+            None => write!(f, "self-confidence (≥{})", self.high_threshold),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tage_predictors::Prediction;
+
+    fn level(e: &mut SelfConfidenceEstimator, taken: bool, margin: i64) -> ConfidenceLevel {
+        e.assess(0, &Prediction::new(taken, margin)).level
+    }
 
     #[test]
     fn binary_estimator_thresholds_margin() {
         let mut e = SelfConfidenceEstimator::new(10);
-        assert_eq!(
-            e.estimate(0, &Prediction::new(true, 10)),
-            ConfidenceLevel::High
-        );
-        assert_eq!(
-            e.estimate(0, &Prediction::new(true, 9)),
-            ConfidenceLevel::Low
-        );
-        assert_eq!(
-            e.estimate(0, &Prediction::new(false, 0)),
-            ConfidenceLevel::Low
-        );
+        assert_eq!(level(&mut e, true, 10), ConfidenceLevel::High);
+        assert_eq!(level(&mut e, true, 9), ConfidenceLevel::Low);
+        assert_eq!(level(&mut e, false, 0), ConfidenceLevel::Low);
     }
 
     #[test]
     fn three_level_estimator_adds_medium_band() {
         let mut e = SelfConfidenceEstimator::with_medium(20, 8);
-        assert_eq!(
-            e.estimate(0, &Prediction::new(true, 25)),
-            ConfidenceLevel::High
-        );
-        assert_eq!(
-            e.estimate(0, &Prediction::new(true, 12)),
-            ConfidenceLevel::Medium
-        );
-        assert_eq!(
-            e.estimate(0, &Prediction::new(true, 3)),
-            ConfidenceLevel::Low
-        );
+        assert_eq!(level(&mut e, true, 25), ConfidenceLevel::High);
+        assert_eq!(level(&mut e, true, 12), ConfidenceLevel::Medium);
+        assert_eq!(level(&mut e, true, 3), ConfidenceLevel::Low);
     }
 
     #[test]
@@ -167,16 +148,16 @@ mod tests {
     #[test]
     fn estimator_is_storage_free_and_stateless() {
         let mut e = SelfConfidenceEstimator::new(10);
-        assert_eq!(e.storage_bits(), 0);
+        assert_eq!(ConfidenceScheme::<Prediction>::storage_bits(&e), 0);
         let before = e;
-        e.update(0x10, &Prediction::new(true, 50), false);
+        e.observe(0x10, &Prediction::new(true, 50), false);
         assert_eq!(e, before);
     }
 
     #[test]
     fn name_and_display_mention_thresholds() {
         let e = SelfConfidenceEstimator::with_medium(20, 5);
-        assert!(ConfidenceEstimator::name(&e).contains("20"));
+        assert!(ConfidenceScheme::<Prediction>::name(&e).contains("20"));
         assert!(format!("{e}").contains("medium"));
         assert_eq!(e.high_threshold(), 20);
     }

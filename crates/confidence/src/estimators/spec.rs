@@ -6,7 +6,10 @@
 //! parses from a stable CLI token, enumerates for `--list`, and builds a
 //! cold estimator instance per sweep point.
 
-use super::{ConfidenceEstimator, JrsEstimator, SelfConfidenceEstimator};
+use tage_predictors::PredictionOutcome;
+
+use super::{JrsEstimator, SelfConfidenceEstimator};
+use crate::scheme::ConfidenceScheme;
 
 /// A named, buildable baseline-estimator configuration — one value of the
 /// confidence-scheme axis of a sweep grid.
@@ -17,10 +20,9 @@ pub enum EstimatorSpec {
     /// The Grunwald-enhanced JRS estimator (predicted direction in the
     /// index), `2^12` counters.
     JrsEnhanced,
-    /// Self-confidence thresholding on the predictor's margin. The threshold
-    /// is chosen per predictor at build time (margins scale with the
-    /// predictor family); `threshold` is the neutral default used when the
-    /// caller supplies none.
+    /// Self-confidence thresholding on the predictor's margin. The variant
+    /// carries no threshold: margins scale with the predictor family, so
+    /// [`EstimatorSpec::build`] takes it per predictor.
     SelfConfidence,
 }
 
@@ -46,12 +48,15 @@ impl EstimatorSpec {
         Self::ALL.into_iter().find(|spec| spec.token() == token)
     }
 
-    /// Builds a cold estimator instance.
+    /// Builds a cold estimator instance grading lookups of type `L`.
     ///
     /// `margin_threshold` parameterises the self-confidence variant (the
-    /// margin scale differs per predictor family); the JRS variants ignore
-    /// it.
-    pub fn build(&self, margin_threshold: i64) -> Box<dyn ConfidenceEstimator + Send> {
+    /// margin scale differs per predictor family) and is clamped to at
+    /// least 1; the JRS variants ignore it.
+    pub fn build<L: PredictionOutcome>(
+        &self,
+        margin_threshold: i64,
+    ) -> Box<dyn ConfidenceScheme<L> + Send> {
         match self {
             EstimatorSpec::JrsClassic => Box::new(JrsEstimator::classic(12)),
             EstimatorSpec::JrsEnhanced => Box::new(JrsEstimator::enhanced(12)),
@@ -84,8 +89,8 @@ mod tests {
         for spec in EstimatorSpec::ALL {
             let mut estimator = spec.build(20);
             let prediction = Prediction::new(true, 50);
-            let _ = estimator.estimate(0x4000, &prediction);
-            estimator.update(0x4000, &prediction, true);
+            let _ = estimator.assess(0x4000, &prediction);
+            estimator.observe(0x4000, &prediction, true);
             estimator.reset();
             assert!(!estimator.name().is_empty(), "{}", spec.token());
         }
@@ -95,7 +100,7 @@ mod tests {
     fn self_confidence_threshold_is_clamped_positive() {
         let mut estimator = EstimatorSpec::SelfConfidence.build(0);
         // With the clamped threshold of 1 any nonzero margin is high.
-        let level = estimator.estimate(0, &Prediction::new(true, 5));
+        let level = estimator.assess(0, &Prediction::new(true, 5)).level;
         assert_eq!(level, crate::ConfidenceLevel::High);
     }
 }

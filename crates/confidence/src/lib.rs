@@ -59,6 +59,5 @@ pub mod scheme;
 pub use adaptive::AdaptiveSaturationController;
 pub use class::{ConfidenceLevel, PredictionClass};
 pub use classifier::TageConfidenceClassifier;
-pub use estimators::ConfidenceEstimator;
 pub use metrics::{BinaryConfusion, ClassStats, ConfidenceReport};
 pub use scheme::{Assessment, ConfidenceScheme, EstimatorScheme};

@@ -1,28 +1,26 @@
-//! The unified confidence-scheme interface consumed by the simulation
-//! engine.
+//! The one confidence interface consumed by the simulation engine.
 //!
-//! The workspace has two families of confidence estimation:
+//! Every confidence estimator in the workspace is a [`ConfidenceScheme`],
+//! generic over the lookup type of the predictor it is attached to. The two
+//! families differ only in what they read from that lookup:
 //!
 //! * the paper's **storage-free TAGE classification**
-//!   ([`TageConfidenceClassifier`]), which grades a prediction by observing
-//!   the rich [`TagePrediction`] output (provider component, counter value)
-//!   and yields one of the 7 [`PredictionClass`]es;
-//! * the **storage-based baselines** ([`crate::estimators`]), which grade
-//!   the direction and margin of any predictor's lookup
-//!   ([`PredictionOutcome`]) and yield only a [`ConfidenceLevel`].
+//!   ([`TageConfidenceClassifier`]) reads the provider component and
+//!   counter value of a [`TagePrediction`] and yields one of the 7
+//!   [`PredictionClass`]es;
+//! * the **storage-based baselines** ([`crate::estimators`]) read only the
+//!   direction and margin
+//!   ([`PredictionOutcome`](tage_predictors::PredictionOutcome)) of any
+//!   lookup, TAGE's included, and yield only a [`ConfidenceLevel`].
 //!
-//! [`ConfidenceScheme`] puts both behind one interface, generic over the
-//! predictor's lookup type, so the generic `tage_sim::engine::SimEngine`
-//! drives either through the identical code path. The scheme's verdict is an
-//! [`Assessment`]: always a level, plus the fine-grained class when the
-//! scheme can provide one.
+//! The generic `tage_sim::engine::SimEngine` drives either through the
+//! identical code path. The scheme's verdict is an [`Assessment`]: always a
+//! level, plus the fine-grained class when the scheme can provide one.
 
 use tage::TagePrediction;
-use tage_predictors::{Prediction, PredictionOutcome};
 
 use crate::class::{ConfidenceLevel, PredictionClass};
 use crate::classifier::TageConfidenceClassifier;
-use crate::estimators::ConfidenceEstimator;
 
 /// The verdict a confidence scheme renders on one prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,27 +85,33 @@ pub trait ConfidenceScheme<L> {
     fn name(&self) -> String;
 }
 
-impl<L, S: ConfidenceScheme<L> + ?Sized> ConfidenceScheme<L> for &mut S {
-    fn assess(&mut self, pc: u64, lookup: &L) -> Assessment {
-        (**self).assess(pc, lookup)
-    }
+macro_rules! forward_confidence_scheme {
+    ($($pointer:ty),*) => {$(
+        impl<L, S: ConfidenceScheme<L> + ?Sized> ConfidenceScheme<L> for $pointer {
+            fn assess(&mut self, pc: u64, lookup: &L) -> Assessment {
+                (**self).assess(pc, lookup)
+            }
 
-    fn observe(&mut self, pc: u64, lookup: &L, taken: bool) {
-        (**self).observe(pc, lookup, taken)
-    }
+            fn observe(&mut self, pc: u64, lookup: &L, taken: bool) {
+                (**self).observe(pc, lookup, taken)
+            }
 
-    fn reset(&mut self) {
-        (**self).reset()
-    }
+            fn reset(&mut self) {
+                (**self).reset()
+            }
 
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
+            fn storage_bits(&self) -> u64 {
+                (**self).storage_bits()
+            }
 
-    fn name(&self) -> String {
-        (**self).name()
-    }
+            fn name(&self) -> String {
+                (**self).name()
+            }
+        }
+    )*};
 }
+
+forward_confidence_scheme!(&mut S, Box<S>);
 
 /// The storage-free TAGE classification as a [`ConfidenceScheme`]: grades
 /// the rich [`TagePrediction`] lookup into one of the paper's 7 classes.
@@ -129,11 +133,9 @@ impl ConfidenceScheme<TagePrediction> for TageConfidenceClassifier {
     }
 }
 
-/// Adapts any [`ConfidenceEstimator`] — concrete, `&mut` reference or trait
-/// object — to the [`ConfidenceScheme`] interface over any lookup type: the
-/// estimator grades the lookup's direction and margin as a flat
-/// [`Prediction`] (for a TAGE lookup the margin is the provider counter's
-/// distance from its weak state).
+/// A transparent wrapper that forwards every [`ConfidenceScheme`] call to
+/// the scheme it holds. It adds nothing: every estimator already drives the
+/// engine directly.
 ///
 /// # Example
 ///
@@ -147,20 +149,15 @@ impl ConfidenceScheme<TagePrediction> for TageConfidenceClassifier {
 /// assert!(assessment.class.is_none(), "baselines carry no class");
 /// ```
 #[derive(Debug)]
-pub struct EstimatorScheme<E>(pub E);
+pub struct EstimatorScheme<S>(pub S);
 
-/// The direction and margin of `lookup`, as the estimators consume them.
-fn margin_view<L: PredictionOutcome>(lookup: &L) -> Prediction {
-    Prediction::new(lookup.predicted_taken(), lookup.margin())
-}
-
-impl<L: PredictionOutcome, E: ConfidenceEstimator> ConfidenceScheme<L> for EstimatorScheme<E> {
+impl<L, S: ConfidenceScheme<L>> ConfidenceScheme<L> for EstimatorScheme<S> {
     fn assess(&mut self, pc: u64, lookup: &L) -> Assessment {
-        Assessment::level_only(self.0.estimate(pc, &margin_view(lookup)))
+        self.0.assess(pc, lookup)
     }
 
     fn observe(&mut self, pc: u64, lookup: &L, taken: bool) {
-        self.0.update(pc, &margin_view(lookup), taken)
+        self.0.observe(pc, lookup, taken)
     }
 
     fn reset(&mut self) {
@@ -181,6 +178,7 @@ mod tests {
     use super::*;
     use crate::estimators::{JrsEstimator, SelfConfidenceEstimator};
     use tage::{TageGeometry, TagePredictor};
+    use tage_predictors::Prediction;
 
     #[test]
     fn assessment_constructors() {
@@ -230,16 +228,21 @@ mod tests {
     #[test]
     fn estimator_scheme_grades_tage_lookups_by_their_provider_margin() {
         let mut predictor = TagePredictor::new(TageGeometry::small());
-        let mut on_tage = EstimatorScheme(JrsEstimator::enhanced(8));
-        let mut on_flat = EstimatorScheme(JrsEstimator::enhanced(8));
+        let mut jrs_on_tage = JrsEstimator::enhanced(8);
+        let mut jrs_on_flat = JrsEstimator::enhanced(8);
+        let mut margin = SelfConfidenceEstimator::with_medium(3, 1);
         for i in 0..2_000u64 {
             let pc = 0x4000 + (i % 13) * 8;
             let taken = i % 3 != 0;
             let lookup = predictor.predict(pc);
             let flat = Prediction::new(lookup.taken, i64::from(lookup.provider_magnitude));
-            assert_eq!(on_tage.assess(pc, &lookup), on_flat.assess(pc, &flat));
-            on_tage.observe(pc, &lookup, taken);
-            on_flat.observe(pc, &flat, taken);
+            assert_eq!(
+                jrs_on_tage.assess(pc, &lookup),
+                jrs_on_flat.assess(pc, &flat)
+            );
+            assert_eq!(margin.assess(pc, &lookup), margin.assess(pc, &flat));
+            jrs_on_tage.observe(pc, &lookup, taken);
+            jrs_on_flat.observe(pc, &flat, taken);
             predictor.update(pc, taken, &lookup);
         }
     }
@@ -253,10 +256,12 @@ mod tests {
         let _ = ConfidenceScheme::name(&via_ref);
         via_ref.reset();
 
-        // Estimator trait objects adapt through the same wrapper.
-        let mut concrete = SelfConfidenceEstimator::new(10);
-        let dyn_estimator: &mut dyn ConfidenceEstimator = &mut concrete;
-        let mut scheme = EstimatorScheme(dyn_estimator);
+        // Boxed and borrowed trait objects forward, with or without the
+        // wrapper.
+        let mut boxed: Box<dyn ConfidenceScheme<Prediction>> =
+            Box::new(SelfConfidenceEstimator::new(10));
+        assert!(boxed.assess(0, &Prediction::new(true, 99)).is_high());
+        let mut scheme = EstimatorScheme(&mut *boxed);
         assert!(scheme.assess(0, &Prediction::new(true, 99)).is_high());
     }
 }

@@ -3,18 +3,18 @@
 //! The paper's related-work section describes confidence estimators designed
 //! for pre-TAGE predictors: the JRS resetting-counter table, its Grunwald
 //! enhancement, and the self-confidence of neural predictors. This module
-//! runs any [`BranchPredictor`] together with any [`ConfidenceEstimator`]
-//! over a trace and reports the binary confidence metrics (SENS, SPEC, PVP,
-//! PVN) so the storage-free TAGE scheme can be compared against them.
+//! runs any [`BranchPredictor`] together with any estimator (a
+//! [`ConfidenceScheme`] over flat [`Prediction`]s) over a trace and reports
+//! the binary confidence metrics (SENS, SPEC, PVP, PVN) so the storage-free
+//! TAGE scheme can be compared against them.
 //!
-//! There is no bespoke loop here: the estimator is adapted through
-//! [`tage_confidence::EstimatorScheme`], and the pair runs through the exact
-//! same [`SimEngine`] path as the TAGE experiments.
+//! There is no bespoke loop here: the pair runs through the exact same
+//! [`SimEngine`] path as the TAGE experiments.
 
 use core::fmt;
 
-use tage_confidence::{BinaryConfusion, ConfidenceEstimator, ConfidenceLevel, EstimatorScheme};
-use tage_predictors::BranchPredictor;
+use tage_confidence::{BinaryConfusion, ConfidenceLevel, ConfidenceScheme};
+use tage_predictors::{BranchPredictor, Prediction};
 use tage_traces::Trace;
 
 use crate::engine::{ReportObserver, SimEngine};
@@ -100,7 +100,7 @@ impl fmt::Display for BaselineRunResult {
 /// `trace` through the generic simulation engine.
 pub fn run_baseline(
     predictor: &mut dyn BranchPredictor,
-    estimator: &mut dyn ConfidenceEstimator,
+    estimator: &mut dyn ConfidenceScheme<Prediction>,
     trace: &Trace,
 ) -> BaselineRunResult {
     let predictor_name = predictor.name();
@@ -108,7 +108,7 @@ pub fn run_baseline(
     let estimator_storage_bits = estimator.storage_bits();
 
     let mut report = ReportObserver::default();
-    let mut engine = SimEngine::new(predictor, EstimatorScheme(estimator));
+    let mut engine = SimEngine::new(predictor, estimator);
     engine.run(trace, &mut report);
     let report = report.report;
 

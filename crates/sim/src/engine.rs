@@ -11,8 +11,8 @@
 //!   `dyn tage_predictors::BranchPredictor` trait object) with its flat
 //!   margin-carrying one;
 //! * the confidence scheme, via [`ConfidenceScheme`] — the storage-free TAGE
-//!   classifier or any storage-based baseline estimator through
-//!   [`tage_confidence::EstimatorScheme`];
+//!   classifier or any storage-based baseline estimator
+//!   ([`tage_confidence::estimators`]);
 //! * per-branch instrumentation, via [`EngineObserver`] — report
 //!   accumulation, adaptive automaton control, gating policies, SMT fetch
 //!   arbitration. Observers compose as tuples and receive mutable access to
@@ -25,7 +25,7 @@
 //! → observe → train sequence.
 //!
 //! [`steal_map`] is the one parallel map behind every sharded run — suite
-//! sources, segments and campaign cells: a work-stealing scheduler whose
+//! sources and campaign cells: a work-stealing scheduler whose
 //! results land in preallocated slots and come back in input order, so a
 //! parallel run is bit-identical to a serial one.
 //!
@@ -33,16 +33,12 @@
 //!
 //! ```
 //! use tage_confidence::estimators::JrsEstimator;
-//! use tage_confidence::EstimatorScheme;
 //! use tage_predictors::GsharePredictor;
 //! use tage_sim::engine::{ReportObserver, SimEngine};
 //! use tage_traces::suites;
 //!
 //! let trace = suites::cbp1_like().traces()[0].generate(2_000);
-//! let mut engine = SimEngine::new(
-//!     GsharePredictor::new(12, 12),
-//!     EstimatorScheme(JrsEstimator::classic(10)),
-//! );
+//! let mut engine = SimEngine::new(GsharePredictor::new(12, 12), JrsEstimator::classic(10));
 //! let mut report = ReportObserver::default();
 //! let summary = engine.run(&trace, &mut report);
 //! assert_eq!(summary.measured_branches, 2_000);
@@ -644,7 +640,7 @@ mod tests {
     use super::*;
     use tage::{TageGeometry, TagePredictor};
     use tage_confidence::estimators::{JrsEstimator, SelfConfidenceEstimator};
-    use tage_confidence::{EstimatorScheme, TageConfidenceClassifier};
+    use tage_confidence::TageConfidenceClassifier;
     use tage_predictors::{BranchPredictor, GsharePredictor, PerceptronPredictor};
     use tage_traces::suites;
 
@@ -722,7 +718,7 @@ mod tests {
 
         let mut gshare = GsharePredictor::new(12, 12);
         let dyn_predictor: &mut dyn BranchPredictor = &mut gshare;
-        let mut engine = SimEngine::new(dyn_predictor, EstimatorScheme(JrsEstimator::classic(10)));
+        let mut engine = SimEngine::new(dyn_predictor, JrsEstimator::classic(10));
         let mut report = ReportObserver::default();
         engine.run(&trace, &mut report);
         assert_eq!(report.report.total().predictions, 2_000);
@@ -736,7 +732,7 @@ mod tests {
 
         let mut engine = SimEngine::new(
             PerceptronPredictor::new(128, 16),
-            EstimatorScheme(SelfConfidenceEstimator::new(30)),
+            SelfConfidenceEstimator::new(30),
         );
         let mut report = ReportObserver::default();
         engine.run(&trace, &mut report);

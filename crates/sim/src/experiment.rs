@@ -590,7 +590,7 @@ mod tests {
         // High confidence is a sizeable class with the lowest rate. (The
         // paper's coverage is larger because its traces are tens of millions
         // of branches long, which gives the 1/128 saturation many more
-        // opportunities; see EXPERIMENTS.md.)
+        // opportunities.)
         assert!(row.high.pcov > 0.25, "high pcov {}", row.high.pcov);
         assert!(row.high.mprate_mkp < row.medium.mprate_mkp);
         assert!(row.medium.mprate_mkp < row.low.mprate_mkp);

@@ -6,8 +6,7 @@
 //! * [`engine`] — the generic, predictor-agnostic simulation engine: one
 //!   execution path driving any predictor × confidence-scheme pair with
 //!   pluggable per-branch observers, plus [`steal_map`], the one
-//!   work-stealing parallel map behind every suite, segment and campaign
-//!   run. Consumes either a materialized
+//!   work-stealing parallel map behind every suite and campaign run. Consumes either a materialized
 //!   trace ([`SimEngine::run`]) or a streaming
 //!   [`tage_traces::source::BranchSource`] ([`engine::SimEngine::run_source`])
 //!   with bounded record memory. Everything below is a thin assembly of it;
@@ -23,18 +22,14 @@
 //!   [`tage_traces::source::SourceSuite`]s) in parallel — sources sharded
 //!   across workers, lane-batched within each worker — and aggregates the
 //!   results deterministically;
-//! * [`segment`] — history-warmed segment sharding: splits one very long
-//!   source into N ranges, replays a warmup prefix per range with statistics
-//!   suppressed, and merges deterministically — parallelism *within* a
-//!   trace;
 //! * [`phase`] — SimPoint-style phase sampling: a few representative
 //!   slices of a long stream simulated from their exact sequential state
 //!   and folded into whole-trace estimates;
 //! * [`warmcache`] — a content-addressed on-disk cache of warm states (full
 //!   predictor snapshot + classifier + adaptive controller + branch
-//!   counter) and the one restore-or-replay step segmented and sampled
-//!   runs share, so repeated runs restore instead of replaying warmup
-//!   prefixes and slice gaps — byte-identical either way;
+//!   counter) and the one restore-or-replay step of sampled runs, so
+//!   repeated runs restore instead of replaying slice gaps — byte-identical
+//!   either way;
 //! * [`point`] — sweep points, the reusable unit of work behind campaign
 //!   grids (`tage-bench`, `tage-serve`) and the experiment sweeps: one
 //!   predictor × confidence-scheme × suite cell executed by [`run_point`]
@@ -88,7 +83,6 @@ pub mod point;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod segment;
 pub mod smt;
 pub mod suite;
 pub mod warmcache;
@@ -107,9 +101,6 @@ pub use point::{
 };
 pub use runner::{run_source, run_trace, RunOptions, TraceRunResult};
 pub use scenarios::ScenarioSpec;
-pub use segment::{
-    run_segmented_source, run_suite_segmented, SegmentOptions, SegmentPlan, SegmentedRunResult,
-};
 pub use suite::{
     run_suite, run_suite_sources, run_suite_with_parallelism, SuiteRunResult, SuiteScratch,
 };

@@ -20,13 +20,12 @@
 //! leaves a systematic cold-start bias that the weighted reconstruction
 //! multiplies. The sampled runner therefore carries one engine across the
 //! representatives in stream order. Gaps between slices go through
-//! `warmcache::advance`, the restore-or-replay step segment sharding uses
-//! too, with the stream head as origin:
+//! `warmcache::advance`, the one restore-or-replay step:
 //!
 //! - **Replay** (cold): the engine simply consumes the gap's records,
 //!   which keeps its state exactly sequential, and — when a [`WarmCache`]
-//!   is attached — snapshots the boundary state at each slice start
-//!   (entry key `(0, start)`).
+//!   is attached — snapshots the boundary state at each slice start,
+//!   keyed by that start.
 //! - **Restore** (warm): when the cache already holds a slice's boundary
 //!   state, the engine state is restored from the snapshot and the gap is
 //!   *skipped*, not simulated.
@@ -342,7 +341,7 @@ impl SampledRunResult {
 ///
 /// `open` must produce a fresh, independent stream of the same records on
 /// every call; `warm` pairs a [`WarmCache`] with the source's content
-/// digest exactly as in [`crate::segment::run_segmented_source`].
+/// digest ([`tage_traces::source::SourceSpec::digest`]).
 ///
 /// # Errors
 ///
@@ -376,14 +375,14 @@ where
     let mut source = open()?;
     let mut position = 0u64;
     let mut predictor = TagePredictor::new(&geometry);
-    let mut run = TageRun::new(&mut predictor, options, options.warmup_branches);
+    let mut run = TageRun::new(&mut predictor, options);
     for rep in &plan.representatives {
         let start = rep.interval_index * plan.interval;
         let end = (start + plan.interval).min(plan.total_records);
         // Gap ahead of this slice: restore its boundary checkpoint when the
         // cache holds one, replay (and store the checkpoint) otherwise.
         // Both leave the run in the exact sequential state at `start`.
-        let replayed = warmcache::advance(&mut run, &mut source, position, 0, start, checkpoints)?;
+        let replayed = warmcache::advance(&mut run, &mut source, position, start, checkpoints)?;
         replayed_records += replayed.unwrap_or(0);
 
         // Measure the representative slice.

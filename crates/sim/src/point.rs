@@ -37,7 +37,7 @@ use core::fmt;
 
 use tage::{CounterAutomaton, LaneGroup, TageBlueprint, TageGeometry, TagePredictor};
 use tage_confidence::estimators::EstimatorSpec;
-use tage_confidence::{ConfidenceReport, EstimatorScheme, TageConfidenceClassifier};
+use tage_confidence::{ConfidenceReport, TageConfidenceClassifier};
 use tage_predictors::{BaselinePredictorSpec, PredictorCore};
 use tage_traces::format::FormatError;
 use tage_traces::source::{AnySource, BranchSource, SamplingSpec, SourceSuite};
@@ -813,8 +813,7 @@ fn run_point_shared(
             run_shared_predictor(&mut engine, sources)?
         }
         (Some(blueprint), SchemeSpec::Estimator(estimator)) => {
-            let scheme =
-                EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
+            let scheme = estimator.build(point.predictor.self_confidence_threshold());
             let mut engine = SimEngine::new(TagePredictor::new(blueprint), scheme);
             run_shared_predictor(&mut engine, sources)?
         }
@@ -822,8 +821,7 @@ fn run_point_shared(
             let PredictorSpec::Baseline(baseline) = &point.predictor else {
                 unreachable!("non-TAGE specs are baselines")
             };
-            let scheme =
-                EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
+            let scheme = estimator.build(point.predictor.self_confidence_threshold());
             let mut engine = SimEngine::new(baseline.build(), scheme);
             run_shared_predictor(&mut engine, sources)?
         }
@@ -859,8 +857,7 @@ fn run_point_source(
         }
         (Some(blueprint), SchemeSpec::Estimator(estimator)) => {
             let predictor = TagePredictor::new(blueprint);
-            let scheme =
-                EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
+            let scheme = estimator.build(point.predictor.self_confidence_threshold());
             let mut engine = SimEngine::new(predictor, scheme);
             engine.run_source(source, &mut (&mut observer, &mut *scenario_observer))?
         }
@@ -869,8 +866,7 @@ fn run_point_source(
                 unreachable!("non-TAGE specs are baselines")
             };
             let predictor = baseline.build();
-            let scheme =
-                EstimatorScheme(estimator.build(point.predictor.self_confidence_threshold()));
+            let scheme = estimator.build(point.predictor.self_confidence_threshold());
             let mut engine = SimEngine::new(predictor, scheme);
             engine.run_source(source, &mut (&mut observer, &mut *scenario_observer))?
         }

@@ -128,20 +128,16 @@ impl<'p> EngineObserver<&'p mut TagePredictor> for AdaptiveObserver {
 /// and executed-branch counter — plus the adaptive controller when the
 /// options ask for one. This is everything a warm-state checkpoint captures
 /// ([`crate::warmcache::advance`]), and the one assembly behind
-/// [`run_source`], segments and sampled runs.
+/// [`run_source`] and sampled runs.
 pub(crate) struct TageRun<'p> {
     pub(crate) engine: SimEngine<&'p mut TagePredictor, TageConfidenceClassifier>,
     pub(crate) adaptive: Option<AdaptiveObserver>,
 }
 
 impl<'p> TageRun<'p> {
-    /// A cold run on `predictor` that leaves the first `warmup_branches`
-    /// conditional branches out of the statistics.
-    pub(crate) fn new(
-        predictor: &'p mut TagePredictor,
-        options: &RunOptions,
-        warmup_branches: u64,
-    ) -> Self {
+    /// A cold run on `predictor` under `options`, leaving the first
+    /// `options.warmup_branches` conditional branches out of the statistics.
+    pub(crate) fn new(predictor: &'p mut TagePredictor, options: &RunOptions) -> Self {
         let classifier =
             TageConfidenceClassifier::with_window(predictor.geometry(), options.bim_miss_window);
         let adaptive = options.adaptive_target_mkp.map(|target| AdaptiveObserver {
@@ -151,7 +147,7 @@ impl<'p> TageRun<'p> {
             predictor.set_automaton(observer.controller.automaton());
         }
         TageRun {
-            engine: SimEngine::new(predictor, classifier).with_warmup(warmup_branches),
+            engine: SimEngine::new(predictor, classifier).with_warmup(options.warmup_branches),
             adaptive,
         }
     }
@@ -268,7 +264,7 @@ where
     O: for<'p> EngineObserver<&'p mut TagePredictor>,
 {
     let mut predictor = TagePredictor::new(blueprint);
-    let mut run = TageRun::new(&mut predictor, options, options.warmup_branches);
+    let mut run = TageRun::new(&mut predictor, options);
     let trace_name = source.name().to_string();
     let (report, summary) = run.measure(source, extra)?;
     Ok(run.result(
@@ -373,7 +369,7 @@ mod tests {
         let trace = small_trace(5_000);
         let mut predictor = TagePredictor::new(TageGeometry::small());
         let mut mispredictions = || {
-            let mut run = TageRun::new(&mut predictor, &RunOptions::default(), 0);
+            let mut run = TageRun::new(&mut predictor, &RunOptions::default());
             let (report, _) = run
                 .measure(&mut SliceSource::from_trace(&trace), &mut ())
                 .unwrap();

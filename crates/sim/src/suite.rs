@@ -10,8 +10,8 @@
 //! `generate`. Per-source reports are
 //! merged into the aggregate in suite order as they stream back, so the
 //! parallel result is **bit-identical** to a serial run — wall-clock drops
-//! from `sum(traces)` to roughly `max(trace)`. For parallelism *within* one
-//! very long source, see [`crate::segment`].
+//! from `sum(traces)` to roughly `max(trace)`. For a long source that should
+//! cost less than a full run, see the phase sampling of [`crate::phase`].
 
 use core::fmt;
 use std::ops::Range;

@@ -1,11 +1,10 @@
 //! Content-addressed on-disk cache of warm simulation states, and the one
 //! restore-or-replay step built on it.
 //!
-//! Segmented runs ([`crate::segment`]) replay a warmup prefix before every
-//! measured range, and sampled runs ([`crate::phase`]) replay the gaps
-//! between their representative slices. That replay is pure overhead, and
-//! it is *repeated on every run* of the same grid — a campaign sweeping
-//! schemes over one source replays the same records once per cell. A
+//! Sampled runs ([`crate::phase`]) replay the gaps between their
+//! representative slices. That replay is pure overhead, and it is
+//! *repeated on every run* of the same grid — a campaign sweeping schemes
+//! over one source replays the same records once per cell. A
 //! [`WarmCache`] eliminates the repeats: the first run replays once,
 //! snapshots the run state at the end of the replay, and stores it under a
 //! content-addressed key; later runs restore the snapshot and skip straight
@@ -13,7 +12,7 @@
 //! dynamic state (tables, histories, folds, RNG, the classifier's recency
 //! window, the adaptive controller's measurement window and the engine's
 //! executed-branch counter), a cache-hit run is byte-identical to a replay
-//! run. `advance` is that step, shared by both callers.
+//! run. `advance` is that step.
 //!
 //! # Keying
 //!
@@ -26,8 +25,9 @@
 //!   the replay trains;
 //! * the **source digest** ([`tage_traces::source::SourceSpec::digest`]) —
 //!   which records were replayed;
-//! * the **replayed record range** `[origin, target)` — how many and which
-//!   of them.
+//! * the **replayed record range** `[0, target)` — how many of them. The
+//!   key text still carries the origin `0` ahead of `target`, so entries
+//!   written by earlier builds keep their names.
 //!
 //! Entries live as `<fnv64 of the key>.warmstate` files; the state digest is
 //! also embedded in each entry's snapshot header, so a key collision, a
@@ -52,7 +52,7 @@ const ENTRY_EXTENSION: &str = "warmstate";
 
 /// A directory of content-addressed warm simulation states. Cheap to clone
 /// conceptually (it is just a path plus counters); share it by reference
-/// across segment workers.
+/// across campaign workers.
 #[derive(Debug)]
 pub struct WarmCache {
     dir: PathBuf,
@@ -119,7 +119,7 @@ impl WarmCache {
 }
 
 /// Process-wide warm-cache counters, accumulated across every [`WarmCache`]
-/// instance (a long-lived daemon opens one cache per segmented run, so the
+/// instance (a long-lived daemon opens one cache per campaign run, so the
 /// per-instance counters alone cannot answer "how often has warm-state
 /// restore saved a replay since this process started").
 static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
@@ -151,9 +151,9 @@ fn state_digest(blueprint: &dyn TageBlueprint, options: &RunOptions) -> u64 {
 }
 
 /// The content-addressed entry key: state digest × source digest × replayed
-/// record range `[origin, target)`.
-fn entry_key(state_digest: u64, source_digest: u64, origin: u64, target: u64) -> u64 {
-    fnv1a64(format!("{state_digest:016x}|{source_digest:016x}|{origin}|{target}").as_bytes())
+/// record range `[0, target)`.
+fn entry_key(state_digest: u64, source_digest: u64, target: u64) -> u64 {
+    fnv1a64(format!("{state_digest:016x}|{source_digest:016x}|0|{target}").as_bytes())
 }
 
 /// A decoded warm simulation state: the predictor snapshot plus the
@@ -277,20 +277,19 @@ impl<'a> Checkpoints<'a> {
 
 /// The one restore-or-replay step: brings `run` to record `target` of
 /// `source`. Predictor, classifier window, adaptive controller and the
-/// engine's executed-branch counter end up exactly as a cold run started at
-/// record `origin` and fed records `[origin, target)` would leave them.
+/// engine's executed-branch counter end up exactly as a cold run fed
+/// records `[0, target)` would leave them.
 ///
-/// `position` is where `run` and `source` stand now. Behind `origin`, the
-/// source first skips to it (the caller's `run` is then expected to be
-/// cold). With `checkpoints`, a valid entry keyed `(state, source, origin,
-/// target)` is restored and the source skips to `target`; otherwise the
-/// records are replayed and the entry is (re)written. A torn, stale or
-/// mismatched entry leaves `run` untouched — [`TagePredictor::restore`] is
-/// all-or-nothing, so no scratch predictor is needed — and falls back to
-/// the replay. Either way the run continues bit-identically.
+/// `position` is where `run` and `source` stand now. With `checkpoints`, a
+/// valid entry keyed `(state, source, target)` is restored and the source
+/// skips to `target`; otherwise the records from `position` on are replayed
+/// and the entry is (re)written. A torn, stale or mismatched entry leaves
+/// `run` untouched — [`TagePredictor::restore`] is all-or-nothing, so no
+/// scratch predictor is needed — and falls back to the replay. Either way
+/// the run continues bit-identically.
 ///
 /// Returns the records replayed, or `None` when the stream ended before a
-/// skip reached `origin` or `target`.
+/// skip reached `target`.
 ///
 /// # Errors
 ///
@@ -299,24 +298,16 @@ impl<'a> Checkpoints<'a> {
 pub(crate) fn advance<S: BranchSource>(
     run: &mut TageRun<'_>,
     source: &mut S,
-    mut position: u64,
-    origin: u64,
+    position: u64,
     target: u64,
     checkpoints: Option<Checkpoints<'_>>,
 ) -> Result<Option<u64>, FormatError> {
-    if position < origin {
-        let gap = origin - position;
-        if source.skip_records(gap)? < gap {
-            return Ok(None);
-        }
-        position = origin;
-    }
     if position >= target {
         return Ok(Some(0));
     }
     let gap = target - position;
     let entry = checkpoints.map(|c| {
-        let key = entry_key(c.state_digest, c.source_digest, origin, target);
+        let key = entry_key(c.state_digest, c.source_digest, target);
         (c, key)
     });
     if let Some((c, key)) = entry {
@@ -447,12 +438,11 @@ mod tests {
 
     #[test]
     fn keys_separate_every_component() {
-        let base = entry_key(1, 2, 3, 4);
-        assert_ne!(base, entry_key(9, 2, 3, 4));
-        assert_ne!(base, entry_key(1, 9, 3, 4));
-        assert_ne!(base, entry_key(1, 2, 9, 4));
-        assert_ne!(base, entry_key(1, 2, 3, 9));
-        assert_eq!(base, entry_key(1, 2, 3, 4));
+        let base = entry_key(1, 2, 4);
+        assert_ne!(base, entry_key(9, 2, 4));
+        assert_ne!(base, entry_key(1, 9, 4));
+        assert_ne!(base, entry_key(1, 2, 9));
+        assert_eq!(base, entry_key(1, 2, 4));
     }
 
     #[test]

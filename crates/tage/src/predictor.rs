@@ -495,7 +495,7 @@ impl TagePredictor {
 
     /// [`TagePredictor::spec_digest`] computed from a blueprint alone,
     /// without building the predictor's tables — cheap enough for cache-key
-    /// derivation on every segment.
+    /// derivation on every sampled run.
     pub fn spec_digest_for(blueprint: impl TageBlueprint) -> u64 {
         blueprint.tage_geometry().spec_digest()
     }

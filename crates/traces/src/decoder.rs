@@ -14,7 +14,7 @@
 //! module — [`crate::source::BinaryFileSource`] streams it chunked and
 //! out-of-core. Decoders materialize the whole record set (compressed
 //! frames cannot be record-seeked anyway), which keeps them simple and
-//! makes [`DecodedSource`] trivially seekable for segmented runs.
+//! makes [`DecodedSource`] trivially seekable for sampled runs.
 //!
 //! Errors follow the repo-wide discipline: every corruption is a
 //! [`FormatError`] carrying the byte offset (or line number) at which the

@@ -21,7 +21,7 @@
 //!   `Vec<Trace>`.
 //!
 //! [`Take`] bounds any source to a record budget (the building block of
-//! history-warmed segment sharding), and [`SourceSpec`] / [`SourceSuite`]
+//! phase-sampled slices and gap replays), and [`SourceSpec`] / [`SourceSuite`]
 //! describe *how to open* sources so suite and campaign runners can re-open
 //! independent streams per worker.
 
@@ -477,7 +477,7 @@ impl BranchSource for SyntheticSource {
 }
 
 /// Bounds an inner source to at most `records` records — the windowing
-/// primitive behind history-warmed segment sharding (`tage_sim::segment`).
+/// primitive behind phase-sampled slices and gap replays (`tage_sim::phase`).
 #[derive(Debug)]
 pub struct Take<S> {
     inner: S,
@@ -540,8 +540,8 @@ impl<S: BranchSource> BranchSource for Take<S> {
 /// A recipe for opening a fresh [`BranchSource`] stream.
 ///
 /// Suite and campaign runners deal in *specifications* rather than open
-/// sources so that every worker (and every segment of a sharded run) can
-/// open its own independent stream.
+/// sources so that every worker (and every pass of a sampled run) can open
+/// its own independent stream.
 #[derive(Debug, Clone)]
 pub enum SourceSpec {
     /// Generate a synthetic workload on the fly.

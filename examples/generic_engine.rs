@@ -9,18 +9,22 @@
 //!
 //! Run with: `cargo run --release --example generic_engine`
 
-use tage_confidence_suite::confidence::estimators::{
-    ConfidenceEstimator, JrsEstimator, SelfConfidenceEstimator,
-};
+use tage_confidence_suite::confidence::estimators::{JrsEstimator, SelfConfidenceEstimator};
 use tage_confidence_suite::confidence::{
-    ConfidenceLevel, EstimatorScheme, TageConfidenceClassifier,
+    ConfidenceLevel, ConfidenceScheme, TageConfidenceClassifier,
 };
 use tage_confidence_suite::predictors::{
-    BranchPredictor, GehlPredictor, GsharePredictor, PerceptronPredictor,
+    BranchPredictor, GehlPredictor, GsharePredictor, PerceptronPredictor, Prediction,
 };
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::suites;
+
+/// A baseline predictor and the estimator grading its lookups.
+type BaselinePair = (
+    Box<dyn BranchPredictor + Send>,
+    Box<dyn ConfidenceScheme<Prediction>>,
+);
 
 fn main() {
     let trace = suites::cbp1_like()
@@ -46,10 +50,7 @@ fn main() {
 
     // Every baseline predictor × estimator pair runs through the *same*
     // engine; trait objects keep the fleet heterogeneous.
-    let pairs: Vec<(
-        Box<dyn BranchPredictor + Send>,
-        Box<dyn ConfidenceEstimator>,
-    )> = vec![
+    let pairs: Vec<BaselinePair> = vec![
         (
             Box::new(GsharePredictor::new(14, 14)),
             Box::new(JrsEstimator::classic(12)),
@@ -70,7 +71,7 @@ fn main() {
     for (predictor, estimator) in pairs {
         let predictor_name = predictor.name();
         let estimator_name = estimator.name();
-        let mut engine = SimEngine::new(predictor, EstimatorScheme(estimator));
+        let mut engine = SimEngine::new(predictor, estimator);
         let mut observer = ReportObserver::default();
         engine.run(&trace, &mut observer);
         print_row(&predictor_name, &estimator_name, &observer);

@@ -16,8 +16,7 @@
 
 use tage_confidence_suite::confidence::estimators::JrsEstimator;
 use tage_confidence_suite::confidence::{
-    BinaryConfusion, ConfidenceEstimator, ConfidenceLevel, ConfidenceReport,
-    TageConfidenceClassifier,
+    BinaryConfusion, ConfidenceLevel, ConfidenceReport, ConfidenceScheme, TageConfidenceClassifier,
 };
 use tage_confidence_suite::predictors::{GsharePredictor, PredictorCore};
 use tage_confidence_suite::sim::baseline::run_baseline;
@@ -105,7 +104,7 @@ fn baseline_path_matches_a_hand_rolled_predictor_estimator_loop() {
     let mut level_predictions = [0u64; 3];
     for record in trace.iter().filter(|r| r.kind.is_conditional()) {
         let prediction = predictor.predict(record.pc);
-        let level = estimator.estimate(record.pc, &prediction);
+        let level = estimator.assess(record.pc, &prediction).level;
         let mispredicted = prediction.taken != record.taken;
         mispredictions += u64::from(mispredicted);
         confusion.record(level == ConfidenceLevel::High, mispredicted);
@@ -115,7 +114,7 @@ fn baseline_path_matches_a_hand_rolled_predictor_estimator_loop() {
             ConfidenceLevel::High => 2,
         };
         level_predictions[slot] += 1;
-        estimator.update(record.pc, &prediction, record.taken);
+        estimator.observe(record.pc, &prediction, record.taken);
         predictor.update(record.pc, record.taken, &prediction);
     }
 
@@ -172,7 +171,6 @@ fn tage_as_trait_object_through_the_margin_path_mispredicts_identically() {
     // trait object graded by a margin estimator. The confidence grading
     // differs but the predictions themselves must be identical.
     use tage_confidence_suite::confidence::estimators::SelfConfidenceEstimator;
-    use tage_confidence_suite::confidence::EstimatorScheme;
     use tage_confidence_suite::tage::TagePrediction;
 
     let trace = trace("INT-3", N);
@@ -182,7 +180,7 @@ fn tage_as_trait_object_through_the_margin_path_mispredicts_identically() {
 
     let boxed: Box<dyn PredictorCore<Lookup = TagePrediction> + Send> =
         Box::new(TagePredictor::new(config.clone()));
-    let mut engine = SimEngine::new(boxed, EstimatorScheme(SelfConfidenceEstimator::new(5)));
+    let mut engine = SimEngine::new(boxed, SelfConfidenceEstimator::new(5));
     let mut margin = ReportObserver::default();
     let summary = engine.run(&trace, &mut margin);
 

@@ -10,9 +10,8 @@
 //!   `EngineSummary`s and `ConfidenceReport`s;
 //! * the binary file path holds at any chunk size, including chunks far
 //!   smaller than the trace;
-//! * history-warmed segment sharding merges deterministically: the same
-//!   segment plan produces identical results at every worker count, and a
-//!   single segment without warmup degenerates to the sequential run;
+//! * phase-sampled runs skip mid-stream through a chunked file exactly as
+//!   through the generator, with or without warm-cache restores;
 //! * streamed suite runs are byte-identical to the materialized path at
 //!   every tested worker count.
 
@@ -20,12 +19,13 @@ use std::path::PathBuf;
 
 use tage_confidence_suite::confidence::TageConfidenceClassifier;
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
+use tage_confidence_suite::sim::phase::run_sampled_source;
 use tage_confidence_suite::sim::runner::{run_source, run_trace, RunOptions};
-use tage_confidence_suite::sim::segment::{run_segmented_source, SegmentOptions};
 use tage_confidence_suite::sim::suite::{run_suite_sources, run_suite_with_parallelism};
+use tage_confidence_suite::sim::warmcache::WarmCache;
 use tage_confidence_suite::tage::{TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::source::{
-    BinaryFileSource, BranchSource, SliceSource, SourceSuite, SyntheticSource,
+    BinaryFileSource, SamplingSpec, SliceSource, SourceSpec, SourceSuite, SyntheticSource,
 };
 use tage_confidence_suite::traces::writer::{StreamingTraceWriter, TraceWriter};
 use tage_confidence_suite::traces::{format, suites, TraceSpec};
@@ -156,85 +156,54 @@ fn streamed_corruption_is_reported_with_byte_offsets() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Segment-sharded execution merges deterministically: the same plan yields
-/// identical merged results at ≥3 worker counts, both over generator
-/// streams and over a seekable binary file, and the 1-segment plan without
-/// warmup is exactly the sequential run.
+/// Sampled runs skip mid-stream through a chunked file exactly as through
+/// the generator: the same plan measures the same slices whether its gaps
+/// are replayed uncached, replayed into a cold cache, or restored from a
+/// warm one and skipped, with chunks smaller than the sampling interval.
 #[test]
-fn history_warmed_segments_merge_identically_at_every_worker_count() {
+fn sampled_runs_over_chunked_files_match_the_synthetic_source() {
     let spec = spec("MM-5");
     let branches = 9_000;
     let config = TageGeometry::small();
     let options = RunOptions::default();
-    let total = SyntheticSource::from_spec(&spec, branches)
-        .skip_records(u64::MAX)
-        .unwrap();
-
-    // Degenerate plan == sequential run.
-    let sequential = run_source(
-        &config,
-        &mut SyntheticSource::from_spec(&spec, branches),
-        &options,
-    )
+    let sampling = SamplingSpec {
+        interval: 500,
+        k: 4,
+        seed: 1,
+    };
+    let reference = run_sampled_source(&config, &options, sampling, None, || {
+        Ok(SyntheticSource::from_spec(&spec, branches))
+    })
     .unwrap();
-    let degenerate = run_segmented_source(
-        &config,
-        &options,
-        &SegmentOptions::new(1, 0),
-        total,
-        3,
-        None,
-        || Ok(SyntheticSource::from_spec(&spec, branches)),
-    )
-    .unwrap();
-    assert_eq!(degenerate.result, sequential);
 
-    // Real plan: identical across worker counts, over both source kinds.
-    let segment_options = SegmentOptions::new(6, 768);
-    let synthetic_reference =
-        run_segmented_source(&config, &options, &segment_options, total, 1, None, || {
-            Ok(SyntheticSource::from_spec(&spec, branches))
-        })
-        .unwrap();
-    assert_eq!(
-        synthetic_reference.segment_branches.iter().sum::<u64>(),
-        branches as u64,
-        "segments cover every conditional branch exactly once"
-    );
-    for workers in [2, 3, 4, 8] {
-        let sharded = run_segmented_source(
-            &config,
-            &options,
-            &segment_options,
-            total,
-            workers,
-            None,
-            || Ok(SyntheticSource::from_spec(&spec, branches)),
-        )
-        .unwrap();
-        assert_eq!(sharded, synthetic_reference, "workers = {workers}");
-    }
-
-    let path = temp_path("segments");
+    let path = temp_path("sampled");
     std::fs::write(
         &path,
         TraceWriter::to_binary_bytes(&spec.generate(branches)),
     )
     .unwrap();
-    for workers in [1, 3, 5] {
-        let from_file = run_segmented_source(
-            &config,
-            &options,
-            &segment_options,
-            total,
-            workers,
-            None,
-            || BinaryFileSource::open_with_chunk_records(&path, 512),
-        )
-        .unwrap();
-        assert_eq!(from_file, synthetic_reference, "file workers = {workers}");
+    let dir = std::env::temp_dir().join(format!("tage-parity-{}-warm", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = WarmCache::new(&dir).unwrap();
+    let warm = Some((
+        &cache,
+        SourceSpec::BinaryFile(path.clone()).digest(branches),
+    ));
+    let open = || BinaryFileSource::open_with_chunk_records(&path, 512);
+    let uncached = run_sampled_source(&config, &options, sampling, None, open).unwrap();
+    let cold = run_sampled_source(&config, &options, sampling, warm, open).unwrap();
+    let restored = run_sampled_source(&config, &options, sampling, warm, open).unwrap();
+    assert_eq!(restored.replayed_records, 0, "every gap is skipped");
+    for (run, label) in [(uncached, "uncached"), (cold, "cold"), (restored, "warm")] {
+        assert_eq!(run.result, reference.result, "{label}");
+        assert_eq!(run.plan, reference.plan, "{label}");
+        assert_eq!(
+            run.measured_branches, reference.measured_branches,
+            "{label}"
+        );
     }
     std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Suite runs over streaming sources are byte-identical to the materialized
