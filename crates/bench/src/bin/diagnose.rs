@@ -2,15 +2,13 @@
 //! synthetic workloads against the paper's reported ranges.
 
 use tage::{CounterAutomaton, TageGeometry};
+use tage_bench::branches_from_args;
 use tage_confidence::{ConfidenceLevel, PredictionClass};
 use tage_sim::runner::{run_trace, RunOptions};
 use tage_traces::suites;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
+    let n = branches_from_args(100_000);
     for suite in [suites::cbp1_like(), suites::cbp2_like()] {
         println!("=== {} ({} branches/trace) ===", suite.name(), n);
         for config in [

@@ -4,7 +4,7 @@
 //! al. (SENS, SPEC, PVP, PVN).
 
 use tage::{CounterAutomaton, TageGeometry};
-use tage_bench::{branches_from_args, print_header};
+use tage_bench::{branches_from_args, header, DEFAULT_BRANCHES_PER_TRACE};
 use tage_confidence::estimators::{JrsEstimator, SelfConfidenceEstimator};
 use tage_confidence::ConfidenceLevel;
 use tage_predictors::{GehlPredictor, GsharePredictor, PerceptronPredictor};
@@ -14,10 +14,13 @@ use tage_sim::runner::{run_trace, RunOptions};
 use tage_traces::suites;
 
 fn main() {
-    let branches = branches_from_args();
-    print_header(
-        "Related work — storage-based estimators vs storage-free TAGE",
-        branches,
+    let branches = branches_from_args(DEFAULT_BRANCHES_PER_TRACE);
+    print!(
+        "{}",
+        header(
+            "Related work — storage-based estimators vs storage-free TAGE",
+            branches
+        )
     );
     let suite = suites::cbp1_like();
     let mut table = TextTable::new(vec![

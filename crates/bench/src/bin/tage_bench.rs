@@ -16,6 +16,8 @@
 //! tage-bench --export-traces DIR [--gzip] [--suites LIST] [--branches N]
 //! tage-bench --check PATH
 //! tage-bench --submit http://HOST:PORT [--no-wait] [grid flags...]
+//! tage-bench --paper ARTEFACT,...|all [--branches N] [--workers N]
+//!            [--engine multilane|scalar] [--out PATH]
 //! ```
 //!
 //! Lists are comma-separated grid tokens; `--list` prints every known axis
@@ -72,6 +74,13 @@
 //! daemon (see `docs/SERVICE.md`): the grid tokens are sent as a campaign,
 //! polled to completion, and the final byte-stable report lands in `--out`
 //! (or stdout). `--no-wait` returns right after the acknowledgement.
+//!
+//! `--paper` renders the paper's tables and figures (`table1`–`table3`,
+//! `figure2`–`figure6`, `prob_sweep`, `bim_breakdown`, `automaton_cost`,
+//! `ablations`, or `all` in that order) from storage-free TAGE cells run
+//! through the campaign cell path (`tage_bench::paper`), to stdout or
+//! `--out`. It defaults to 200,000 branches per trace and takes no other
+//! flag; `docs/RESULTS.md` is `--paper all`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -81,8 +90,8 @@ use tage_bench::campaign::{
     CampaignSpec, SCHEMA_VERSION,
 };
 use tage_bench::cellstore::CellStore;
-use tage_bench::cli;
 use tage_bench::explore;
+use tage_bench::{cli, paper, DEFAULT_BRANCHES_PER_TRACE};
 use tage_sim::engine::default_parallelism;
 use tage_sim::point::{PredictorSpec, SchemeSpec};
 use tage_sim::scenarios::ScenarioSpec;
@@ -220,16 +229,7 @@ fn parse_options() -> Result<Options, String> {
                 options.workers = cli::parse_count("--workers", &value)?;
             }
             "--engine" => {
-                let value = cli::require_value(&mut args, "--engine")?;
-                options.engine = match value.as_str() {
-                    "multilane" => EngineKind::Multilane,
-                    "scalar" => EngineKind::Scalar,
-                    other => {
-                        return Err(format!(
-                            "unknown --engine \"{other}\" (known: multilane, scalar)"
-                        ))
-                    }
-                };
+                options.engine = parse_engine(&cli::require_value(&mut args, "--engine")?)?
             }
             "--label" => options.label = cli::require_value(&mut args, "--label")?,
             "--out" => options.out = Some(cli::require_value(&mut args, "--out")?),
@@ -310,6 +310,92 @@ fn parse_options() -> Result<Options, String> {
         );
     }
     Ok(options)
+}
+
+fn parse_engine(value: &str) -> Result<EngineKind, String> {
+    match value {
+        "multilane" => Ok(EngineKind::Multilane),
+        "scalar" => Ok(EngineKind::Scalar),
+        other => Err(format!(
+            "unknown --engine \"{other}\" (known: multilane, scalar)"
+        )),
+    }
+}
+
+/// What `--paper` renders, and how.
+struct PaperOptions {
+    artefacts: Vec<&'static paper::Artefact>,
+    branches: usize,
+    workers: usize,
+    engine: EngineKind,
+    out: Option<String>,
+}
+
+/// Parses a `--paper` command line: the artefact list plus `--branches`,
+/// `--workers`, `--engine` and `--out`. Any other argument is an error
+/// naming it, never silently ignored.
+fn parse_paper_options() -> Result<PaperOptions, String> {
+    let mut options = PaperOptions {
+        artefacts: Vec::new(),
+        branches: DEFAULT_BRANCHES_PER_TRACE,
+        workers: default_parallelism(),
+        engine: EngineKind::Multilane,
+        out: None,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--paper" => {
+                options.artefacts = paper::parse_list(&cli::require_value(&mut args, "--paper")?)?
+            }
+            "--branches" => {
+                let value = cli::require_value(&mut args, "--branches")?;
+                options.branches = cli::parse_count("--branches", &value)?;
+            }
+            "--workers" => {
+                let value = cli::require_value(&mut args, "--workers")?;
+                options.workers = cli::parse_count("--workers", &value)?;
+            }
+            "--engine" => {
+                options.engine = parse_engine(&cli::require_value(&mut args, "--engine")?)?
+            }
+            "--out" => options.out = Some(cli::require_value(&mut args, "--out")?),
+            other => {
+                return Err(format!(
+                    "--paper does not take {other} (only --branches, --workers, --engine and --out)"
+                ))
+            }
+        }
+    }
+    Ok(options)
+}
+
+/// `--paper`: renders the requested artefacts to stdout or `--out`.
+fn paper_mode() -> ExitCode {
+    let options = match parse_paper_options() {
+        Ok(options) => options,
+        Err(error) => {
+            eprintln!("tage-bench: {error}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let text = paper::render(
+        &options.artefacts,
+        options.branches,
+        options.workers,
+        options.engine,
+    );
+    match &options.out {
+        Some(path) => {
+            if let Err(error) = std::fs::write(path, &text) {
+                eprintln!("tage-bench: could not write {path}: {error}");
+                return ExitCode::FAILURE;
+            }
+            println!("wrote {path}");
+        }
+        None => print!("{text}"),
+    }
+    ExitCode::SUCCESS
 }
 
 /// Streams every trace of the selected synthetic suites to
@@ -624,6 +710,9 @@ fn run_checkpointable_campaign(
 }
 
 fn main() -> ExitCode {
+    if std::env::args().any(|arg| arg == "--paper") {
+        return paper_mode();
+    }
     let options = match parse_options() {
         Ok(options) => options,
         Err(error) => {

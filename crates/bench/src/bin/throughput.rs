@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tage::{CounterAutomaton, ReferenceTagePredictor, TageGeometry, TagePredictor};
-use tage_bench::{cli, print_header, trajectory, DEFAULT_BRANCHES_PER_TRACE};
+use tage_bench::{cli, header, trajectory, DEFAULT_BRANCHES_PER_TRACE};
 use tage_confidence::TageConfidenceClassifier;
 use tage_sim::engine::{default_parallelism, ReportObserver, SimEngine};
 use tage_sim::multilane::{MultilaneEngine, DEFAULT_LANES};
@@ -221,9 +221,12 @@ fn main() {
         }
     };
     let branches = options.branches;
-    print_header(
-        "Throughput smoke — simulated branches per second, heap allocations per branch",
-        branches,
+    print!(
+        "{}",
+        header(
+            "Throughput smoke — simulated branches per second, heap allocations per branch",
+            branches,
+        )
     );
 
     let config = TageGeometry::medium().with_automaton(CounterAutomaton::paper_default());

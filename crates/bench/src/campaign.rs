@@ -40,7 +40,7 @@ use tage_sim::engine::{steal_map, StealStats};
 use tage_sim::point::{run_point, PointError, PointResult, PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::scenarios::{ScenarioSpec, BASELINE_TOKEN};
 use tage_sim::warmcache::WarmCache;
-use tage_sim::EngineKind;
+use tage_sim::{EngineKind, RunOptions};
 use tage_traces::source::SourceSuite;
 
 use crate::cellstore::{cell_key, CellStore};
@@ -478,7 +478,13 @@ pub(crate) fn execute_cells(
             return None;
         }
         let start = Instant::now();
-        let result = run_point(&job.point, job.branches_per_trace, engine, warm.as_ref());
+        let result = run_point(
+            &job.point,
+            job.branches_per_trace,
+            &RunOptions::default(),
+            engine,
+            warm.as_ref(),
+        );
         Some(result.map(|result| {
             let report = CampaignPointReport {
                 result,

@@ -1,11 +1,13 @@
-//! Benchmark harness: shared helpers for the table/figure regeneration
-//! binaries, plus the [`campaign`] cross-product runner behind `tage-bench`.
+//! Benchmark harness: the [`campaign`] cross-product runner behind
+//! `tage-bench` and `tage-serve`, the paper's tables and figures as named
+//! lists of campaign cells ([`paper`], `tage-bench --paper`), and shared
+//! helpers for the remaining binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the experiment index). They all accept an optional
-//! first argument: the number of conditional branches to simulate per trace
-//! (the traces in the paper are ~30 M instructions long; the default here is
-//! chosen so a full binary completes in seconds to minutes on a laptop).
+//! `estimators`, `diagnose` and `sanity` are standalone printouts. The
+//! first two accept an optional first argument, the number of conditional
+//! branches to simulate per trace (the traces in the paper are ~30 M
+//! instructions long; the defaults keep a run to seconds or minutes on a
+//! laptop).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,28 +15,34 @@
 pub mod campaign;
 pub mod cellstore;
 pub mod explore;
+pub mod paper;
 pub mod service;
 
-/// Default number of conditional branches simulated per trace by the
-/// experiment binaries.
+/// Default number of conditional branches simulated per trace by
+/// `tage-bench --paper`, `estimators` and `throughput`.
 pub const DEFAULT_BRANCHES_PER_TRACE: usize = 200_000;
 
-/// Reads the branches-per-trace count from the first CLI argument, falling
-/// back to [`DEFAULT_BRANCHES_PER_TRACE`].
-pub fn branches_from_args() -> usize {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.replace('_', "").parse().ok())
-        .unwrap_or(DEFAULT_BRANCHES_PER_TRACE)
+/// Reads the branches-per-trace count from the first CLI argument, or
+/// `default` when there is none. A value that is not a count ends the
+/// process with status 2 and a message naming it.
+pub fn branches_from_args(default: usize) -> usize {
+    branches_from(std::env::args().nth(1), default).unwrap_or_else(|error| {
+        eprintln!("{error}");
+        std::process::exit(2)
+    })
 }
 
-/// Prints the standard experiment header used by every binary.
-pub fn print_header(what: &str, branches: usize) {
-    println!("== {what} ==");
-    println!(
-        "synthetic CBP-1-like / CBP-2-like workloads, {branches} conditional branches per trace"
-    );
-    println!();
+fn branches_from(arg: Option<String>, default: usize) -> Result<usize, String> {
+    arg.map_or(Ok(default), |value| {
+        cli::parse_count("branches per trace", &value)
+    })
+}
+
+/// The header every paper artefact and standalone experiment prints first.
+pub fn header(what: &str, branches: usize) -> String {
+    format!(
+        "== {what} ==\nsynthetic CBP-1-like / CBP-2-like workloads, {branches} conditional branches per trace\n\n"
+    )
 }
 
 pub mod cli {
@@ -363,8 +371,13 @@ mod tests {
 
     #[test]
     fn default_is_used_without_args() {
-        // The test binary receives its own args; just check the helper does
-        // not panic and returns a positive count.
-        assert!(branches_from_args() > 0);
+        assert_eq!(branches_from(None, 100_000), Ok(100_000));
+        assert_eq!(branches_from(Some("5_000".to_string()), 1), Ok(5_000));
+    }
+
+    #[test]
+    fn a_bad_branch_count_is_an_error_naming_the_value() {
+        let error = branches_from(Some("5k".to_string()), 200_000).unwrap_err();
+        assert_eq!(error, "branches per trace: not a number: 5k");
     }
 }

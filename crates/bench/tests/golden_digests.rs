@@ -16,6 +16,7 @@ use tage::TageGeometry;
 use tage_bench::campaign::{run_campaign_checkpointed, run_campaign_with_engine, CampaignSpec};
 use tage_bench::cellstore::{cell_key, CellStore};
 use tage_bench::explore::{attach_explore_section, enumerate_geometries, explore_predictors};
+use tage_bench::paper;
 use tage_sim::point::{PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::scenarios::ScenarioSpec;
 use tage_sim::EngineKind;
@@ -39,6 +40,22 @@ const PRESET_DIGESTS: [(&str, &str, u64); 3] = [
     ("tage-16k", "tage-16k.json", 0x9f89_572f_1567_65a5),
     ("tage-64k", "tage-64k.json", 0xaee5_643c_1c40_28c6),
     ("tage-256k", "tage-256k.json", 0xecea_2830_3884_542f),
+];
+/// Every `tage-bench --paper` artefact at `BRANCHES`, recorded from the
+/// stdout of the standalone binary that printed it before.
+const PAPER_ARTEFACTS: [(&str, u64); 12] = [
+    ("table1", 0x21e5_6a6b_ae00_19aa),
+    ("table2", 0xd7db_bbd1_d201_1549),
+    ("table3", 0x0d86_0a0e_8aa3_be82),
+    ("figure2", 0xdbcc_086b_1e3d_b524),
+    ("figure3", 0x1e5e_73ae_8060_673f),
+    ("figure4", 0x4932_c693_42cc_79dc),
+    ("figure5", 0x80ed_1295_e06e_601c),
+    ("figure6", 0xbdfb_fc4b_a156_aef3),
+    ("prob_sweep", 0x2cb1_2ee2_57dc_08b5),
+    ("bim_breakdown", 0xf670_8c4c_5248_9cfb),
+    ("automaton_cost", 0xc6fc_f2af_2250_ef05),
+    ("ablations", 0x2244_95b8_8b5e_65a5),
 ];
 
 const BRANCHES: usize = 2_000;
@@ -202,5 +219,14 @@ fn preset_spec_digests_are_pinned() {
         pinned(token, registry.spec_digest(), digest);
         let committed = TageGeometry::load(format!("{REPO}/geometries/{file}")).unwrap();
         pinned(file, committed.spec_digest(), digest);
+    }
+}
+
+#[test]
+fn paper_artefact_bytes_are_pinned() {
+    for (artefact, (name, digest)) in paper::ARTEFACTS.iter().zip(PAPER_ARTEFACTS) {
+        assert_eq!(artefact.name, name);
+        let text = paper::render(&[artefact], BRANCHES, 2, EngineKind::Multilane);
+        pinned(name, fnv1a64(text.as_bytes()), digest);
     }
 }

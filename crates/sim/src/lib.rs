@@ -6,7 +6,7 @@
 //! * [`engine`] — the generic, predictor-agnostic simulation engine: one
 //!   execution path driving any predictor × confidence-scheme pair with
 //!   pluggable per-branch observers, plus [`steal_map`], the one
-//!   work-stealing parallel map behind every suite and campaign run. Consumes either a materialized
+//!   work-stealing parallel map behind every campaign and paper run. Consumes either a materialized
 //!   trace ([`SimEngine::run`]) or a streaming
 //!   [`tage_traces::source::BranchSource`] ([`engine::SimEngine::run_source`])
 //!   with bounded record memory. Everything below is a thin assembly of it;
@@ -17,11 +17,8 @@
 //!   streams advanced one branch per cycle with the per-branch loop
 //!   restructured into per-component passes (index/tag hashing, prefetch,
 //!   probe, train), bit-identical to the scalar path;
-//! * [`suite`] — runs whole workload suites (the CBP-1-like and CBP-2-like
-//!   20-trace sets, or file-backed
-//!   [`tage_traces::source::SourceSuite`]s) in parallel — sources sharded
-//!   across workers, lane-batched within each worker — and aggregates the
-//!   results deterministically;
+//! * [`suite`] — [`SuiteScratch`], an allocation-free rerunnable whole-suite
+//!   run through one persistent lane-batched engine;
 //! * [`phase`] — SimPoint-style phase sampling: a few representative
 //!   slices of a long stream simulated from their exact sequential state
 //!   and folded into whole-trace estimates;
@@ -30,14 +27,11 @@
 //!   counter) and the one restore-or-replay step of sampled runs, so
 //!   repeated runs restore instead of replaying slice gaps — byte-identical
 //!   either way;
-//! * [`point`] — sweep points, the reusable unit of work behind campaign
-//!   grids (`tage-bench`, `tage-serve`) and the experiment sweeps: one
-//!   predictor × confidence-scheme × suite cell executed by [`run_point`]
-//!   with deterministic, thread-placement-independent results;
-//! * [`experiment`] — the building blocks behind each table and figure of
-//!   the paper (class distributions, three-level summaries, probability
-//!   sweeps, automaton accuracy cost, ablations), expressed as grids of
-//!   sweep points;
+//! * [`point`] — sweep points, the one unit of work behind campaign grids
+//!   (`tage-bench`, `tage-serve`) and the paper's tables and figures
+//!   (`tage-bench --paper`): one predictor × confidence-scheme × suite cell
+//!   executed by [`run_point`] with deterministic,
+//!   thread-placement-independent results;
 //! * [`baseline`] — runs the storage-based baseline confidence estimators
 //!   (JRS, enhanced JRS, self-confidence on perceptron/GEHL) for comparison;
 //! * [`gating`] — a fetch-gating / throttling model, the motivating
@@ -52,8 +46,8 @@
 //!   (misprediction-recovery energy, N-core shared-predictor interference,
 //!   confidence-driven prefetch throttling) as composable engine
 //!   observers, with the [`scenarios::ScenarioSpec`] grid axis;
-//! * [`report`] — plain-text table rendering used by the `tage-bench`
-//!   binaries to print paper-style tables.
+//! * [`report`] — plain-text table rendering for the paper-style tables
+//!   of `tage-bench --paper` and the `estimators` binary.
 //!
 //! # Example
 //!
@@ -74,7 +68,6 @@
 
 pub mod baseline;
 pub mod engine;
-pub mod experiment;
 pub mod gating;
 pub mod interleave;
 pub mod multilane;
@@ -96,14 +89,12 @@ pub use phase::{
     SampledRunResult, SamplingErrorReport,
 };
 pub use point::{
-    run_point, run_tage_sweep, PointError, PointResult, PointSamplingMetrics, PointTraceMetrics,
-    PredictorSpec, SchemeSpec, SweepPoint, TageSweepPoint,
+    run_point, PointError, PointResult, PointSamplingMetrics, PointTraceMetrics, PredictorSpec,
+    SchemeSpec, SweepPoint,
 };
 pub use runner::{run_source, run_trace, RunOptions, TraceRunResult};
 pub use scenarios::ScenarioSpec;
-pub use suite::{
-    run_suite, run_suite_sources, run_suite_with_parallelism, SuiteRunResult, SuiteScratch,
-};
+pub use suite::{SuiteRunResult, SuiteScratch};
 pub use warmcache::WarmCache;
 
 /// `amount` per kilo-instruction, 0 on an empty run — the shared

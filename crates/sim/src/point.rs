@@ -1,16 +1,16 @@
-//! Sweep points: the reusable unit of work behind campaign grids and the
-//! experiment sweeps.
+//! Sweep points: the one unit of work behind campaign grids, `tage-serve`
+//! and the paper's tables and figures.
 //!
 //! A [`SweepPoint`] is one cell of a predictor × confidence-scheme × suite
 //! × scenario cross product. [`run_point`] executes it — every trace of the
 //! point's suite through the scalar [`SimEngine`], the lane-batched engine
 //! or the phase-sampled runner, with a cold predictor per trace — and
-//! returns exact integer counters plus the
-//! aggregate [`ConfidenceReport`], so a point's result is deterministic and
+//! returns exact integer counters, each trace's [`ConfidenceReport`] and
+//! the aggregate one, so a point's result is deterministic and
 //! independent of where (which thread, which order) it ran. The campaign
-//! runner (`tage-bench`) work-steals whole points across workers; the
-//! experiment sweeps of [`crate::experiment`] are thin grids of
-//! [`TageSweepPoint`]s over the same machinery.
+//! runner (`tage-bench`) work-steals whole points across workers, and so
+//! does `tage-bench --paper`, whose artefacts are named lists of
+//! storage-free TAGE points.
 //!
 //! The grid axes are enumerable:
 //!
@@ -45,7 +45,7 @@ use tage_traces::Suite;
 
 use crate::engine::{BranchEvent, EngineObserver, ReportObserver, SimEngine};
 use crate::multilane::{run_specs_multilane, EngineKind, DEFAULT_LANES};
-use crate::runner::TraceRunResult;
+use crate::runner::{RunOptions, TraceRunResult};
 use crate::scenarios::energy::RecoveryEnergyObserver;
 use crate::scenarios::interference::{run_shared_predictor, SharedRunResult};
 use crate::scenarios::prefetch::PrefetchObserver;
@@ -160,7 +160,7 @@ impl PredictorSpec {
     /// The stable label naming this spec in reports: the parse token for
     /// every grid-enumerable preset, an honest
     /// `<name>-p<log2(1/p)>` description for programmatically built TAGE
-    /// presets with a non-standard, non-paper automaton, and
+    /// presets with any other probabilistic automaton, and
     /// `<name>-g<digest>` for explicit geometries (the 32-bit spec-digest
     /// suffix keeps same-budget explore candidates distinct in reports and
     /// checkpoint keys).
@@ -168,13 +168,12 @@ impl PredictorSpec {
         match self {
             PredictorSpec::Tage(geometry) => {
                 let base = geometry.name().to_ascii_lowercase();
-                if geometry.automaton == CounterAutomaton::paper_default() {
-                    base
-                } else if geometry.automaton == CounterAutomaton::Standard {
-                    format!("{base}-std")
-                } else {
-                    let exponent = -geometry.automaton.saturation_probability().log2();
-                    format!("{base}-p{exponent:.0}")
+                match geometry.automaton {
+                    paper if paper == CounterAutomaton::paper_default() => base,
+                    CounterAutomaton::Standard => format!("{base}-std"),
+                    CounterAutomaton::ProbabilisticSaturation {
+                        log2_inverse_probability,
+                    } => format!("{base}-p{log2_inverse_probability}"),
                 }
             }
             PredictorSpec::Geometry { geometry, .. } => {
@@ -381,9 +380,10 @@ impl SweepPoint {
     }
 }
 
-/// Exact per-trace counters of one point run (everything needed for MPKI /
-/// MKP without any floating-point state).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One trace's result inside a point run: exact counters (everything
+/// needed for MPKI / MKP without any floating-point state) plus the trace's
+/// own confidence report.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointTraceMetrics {
     /// Trace name.
     pub trace_name: String,
@@ -393,6 +393,13 @@ pub struct PointTraceMetrics {
     pub mispredictions: u64,
     /// Instructions attributed to the measured region.
     pub instructions: u64,
+    /// The trace's per-class confidence report (the point's aggregate is
+    /// the merge of these, in suite order).
+    pub report: ConfidenceReport,
+    /// Saturation probability in effect at the end of the trace: the
+    /// configured automaton's, unless the adaptive controller moved it.
+    /// 1 for baseline predictors.
+    pub final_saturation_probability: f64,
 }
 
 impl PointTraceMetrics {
@@ -565,6 +572,12 @@ impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
 /// `branches_per_trace` sizes synthetic sources; file-backed sources yield
 /// whatever their file holds.
 ///
+/// `options` configure the storage-free TAGE runs — full, lane-batched and
+/// phase-sampled alike: the `medium-conf-bim` window, a measurement warmup
+/// and the adaptive saturation controller. Campaign cells pass
+/// [`RunOptions::default`]. The estimator-scheme path and the
+/// shared-predictor pass ignore them.
+///
 /// `engine` picks the execution path. [`EngineKind::Multilane`] routes the
 /// point through the lane-batched lockstep engine when the cell is
 /// lane-batchable — the paper's TAGE × storage-free pairing under the plain
@@ -583,50 +596,42 @@ impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
 pub fn run_point(
     point: &SweepPoint,
     branches_per_trace: usize,
+    options: &RunOptions,
     engine: EngineKind,
     warm: Option<&WarmCache>,
 ) -> Result<PointResult, PointError> {
     point.validate()?;
     if let Some(sampling) = point.suite.sampling() {
-        return run_point_sampled(point, branches_per_trace, sampling, warm);
+        return run_point_sampled(point, branches_per_trace, options, sampling, warm);
     }
     if engine == EngineKind::Multilane && point_is_lane_batchable(point) {
-        return run_point_multilane(point, branches_per_trace);
+        return run_point_multilane(point, branches_per_trace, options);
     }
-    run_point_scalar(point, branches_per_trace)
+    run_point_scalar(point, branches_per_trace, options)
 }
 
-/// One trace's run inside a point: name, report, measured conditional
-/// branches and measured instructions.
-type TraceRun = (String, ConfidenceReport, u64, u64);
-
-fn trace_run(result: TraceRunResult) -> TraceRun {
-    (
-        result.trace_name,
-        result.report,
-        result.conditional_branches,
-        result.instructions,
-    )
+impl From<TraceRunResult> for PointTraceMetrics {
+    fn from(result: TraceRunResult) -> Self {
+        PointTraceMetrics {
+            trace_name: result.trace_name,
+            predictions: result.conditional_branches,
+            mispredictions: result.report.total().mispredictions,
+            instructions: result.instructions,
+            report: result.report,
+            final_saturation_probability: result.final_saturation_probability,
+        }
+    }
 }
 
 impl PointResult {
-    /// The result of `point` over its traces' runs, in suite order: each
-    /// trace's counters plus the aggregate of every report. Scenario metrics
-    /// and sampling accounting start empty.
-    fn assemble(point: &SweepPoint, runs: Vec<TraceRun>) -> Self {
+    /// The result of `point` over its traces, in suite order: the traces
+    /// plus the aggregate of their reports. Scenario metrics and sampling
+    /// accounting start empty.
+    fn assemble(point: &SweepPoint, traces: Vec<PointTraceMetrics>) -> Self {
         let mut aggregate = ConfidenceReport::new();
-        let traces = runs
-            .into_iter()
-            .map(|(trace_name, report, predictions, instructions)| {
-                aggregate.merge(&report);
-                PointTraceMetrics {
-                    trace_name,
-                    predictions,
-                    mispredictions: report.total().mispredictions,
-                    instructions,
-                }
-            })
-            .collect();
+        for trace in &traces {
+            aggregate.merge(&trace.report);
+        }
         PointResult {
             predictor: point.predictor.label(),
             scheme: point.scheme.label(),
@@ -648,14 +653,14 @@ impl PointResult {
 fn run_point_sampled(
     point: &SweepPoint,
     branches_per_trace: usize,
+    options: &RunOptions,
     sampling: SamplingSpec,
     warm: Option<&WarmCache>,
 ) -> Result<PointResult, PointError> {
     let Some(blueprint) = point.predictor.tage_blueprint() else {
         unreachable!("validate() restricts sampled points to TAGE predictors")
     };
-    let options = crate::runner::RunOptions::default();
-    let mut runs = Vec::with_capacity(point.suite.sources().len());
+    let mut traces = Vec::with_capacity(point.suite.sources().len());
     let mut metrics = PointSamplingMetrics {
         interval: sampling.interval,
         k: sampling.k,
@@ -667,17 +672,17 @@ fn run_point_sampled(
     for spec in point.suite.sources() {
         let warm_pair = warm.map(|cache| (cache, spec.digest(branches_per_trace)));
         let sampled =
-            crate::phase::run_sampled_source(blueprint, &options, sampling, warm_pair, || {
+            crate::phase::run_sampled_source(blueprint, options, sampling, warm_pair, || {
                 spec.open(branches_per_trace)
             })?;
         metrics.representatives += sampled.plan.representatives.len() as u64;
         metrics.measured_branches += sampled.measured_branches;
         metrics.total_records += sampled.plan.total_records;
-        runs.push(trace_run(sampled.result));
+        traces.push(sampled.result.into());
     }
     Ok(PointResult {
         sampling: Some(metrics),
-        ..PointResult::assemble(point, runs)
+        ..PointResult::assemble(point, traces)
     })
 }
 
@@ -702,6 +707,7 @@ fn point_is_lane_batchable(point: &SweepPoint) -> bool {
 fn run_point_multilane(
     point: &SweepPoint,
     branches_per_trace: usize,
+    options: &RunOptions,
 ) -> Result<PointResult, PointError> {
     let Some(blueprint) = point.predictor.tage_blueprint() else {
         unreachable!("point_is_lane_batchable() requires a TAGE predictor")
@@ -710,28 +716,30 @@ fn run_point_multilane(
         blueprint,
         point.suite.sources(),
         branches_per_trace,
-        &crate::runner::RunOptions::default(),
+        options,
         DEFAULT_LANES,
     )?;
-    let runs = results.into_iter().map(trace_run).collect();
-    Ok(PointResult::assemble(point, runs))
+    let traces = results.into_iter().map(PointTraceMetrics::from).collect();
+    Ok(PointResult::assemble(point, traces))
 }
 
 fn run_point_scalar(
     point: &SweepPoint,
     branches_per_trace: usize,
+    options: &RunOptions,
 ) -> Result<PointResult, PointError> {
     let mut scenario_observer = ScenarioObserver::for_spec(point.scenario);
-    let mut runs = Vec::with_capacity(point.suite.sources().len());
+    let mut traces = Vec::with_capacity(point.suite.sources().len());
     for spec in point.suite.sources() {
         let mut source = spec.open(branches_per_trace)?;
-        runs.push(run_point_source(
+        traces.push(run_point_source(
             point,
             &mut source,
+            options,
             &mut scenario_observer,
         )?);
     }
-    let mut result = PointResult::assemble(point, runs);
+    let mut result = PointResult::assemble(point, traces);
     result.scenario_metrics = match (&scenario_observer, point.scenario) {
         (ScenarioObserver::Energy(observer), _) => vec![
             ("baseline_epki_nj".to_string(), observer.baseline_epki()),
@@ -835,19 +843,16 @@ fn run_point_shared(
 fn run_point_source(
     point: &SweepPoint,
     source: &mut AnySource,
+    options: &RunOptions,
     scenario_observer: &mut ScenarioObserver,
-) -> Result<TraceRun, FormatError> {
+) -> Result<PointTraceMetrics, FormatError> {
     // The paper's own path has a canonical runner; don't duplicate its loop.
     if let (Some(blueprint), SchemeSpec::StorageFree) =
         (point.predictor.tage_blueprint(), &point.scheme)
     {
-        let result = crate::runner::run_source_observed(
-            blueprint,
-            source,
-            &crate::runner::RunOptions::default(),
-            scenario_observer,
-        )?;
-        return Ok(trace_run(result));
+        let result =
+            crate::runner::run_source_observed(blueprint, source, options, scenario_observer)?;
+        return Ok(result.into());
     }
     let trace_name = source.name().to_string();
     let mut observer = ReportObserver::default();
@@ -874,51 +879,17 @@ fn run_point_source(
             unreachable!("validate() rejects storage-free on baseline predictors")
         }
     };
-    Ok((
+    Ok(PointTraceMetrics {
         trace_name,
-        observer.report,
-        summary.measured_branches,
-        summary.measured_instructions,
-    ))
-}
-
-/// One point of a TAGE-only experiment sweep: a geometry plus run options,
-/// executed over a whole suite. The experiment functions of
-/// [`crate::experiment`] express their axes (probability exponents, window
-/// lengths, counter widths, automaton on/off) as grids of these.
-#[derive(Debug, Clone)]
-pub struct TageSweepPoint {
-    /// The predictor geometry of this point.
-    pub geometry: TageGeometry,
-    /// The run options of this point.
-    pub options: crate::runner::RunOptions,
-}
-
-impl TageSweepPoint {
-    /// A point with default run options.
-    pub fn new(geometry: TageGeometry) -> Self {
-        TageSweepPoint {
-            geometry,
-            options: crate::runner::RunOptions::default(),
-        }
-    }
-}
-
-/// Runs every TAGE sweep point over `suite` and returns the results in
-/// point order. Each point's suite run is itself sharded per trace (see
-/// [`crate::suite::run_suite`]), so sweeps inherit the engine's
-/// deterministic parallel aggregation.
-pub fn run_tage_sweep(
-    points: &[TageSweepPoint],
-    suite: &Suite,
-    branches_per_trace: usize,
-) -> Vec<crate::suite::SuiteRunResult> {
-    points
-        .iter()
-        .map(|point| {
-            crate::suite::run_suite(&point.geometry, suite, branches_per_trace, &point.options)
-        })
-        .collect()
+        predictions: summary.measured_branches,
+        mispredictions: observer.report.total().mispredictions,
+        instructions: summary.measured_instructions,
+        report: observer.report,
+        // Without the adaptive controller the automaton never moves.
+        final_saturation_probability: point.predictor.tage_blueprint().map_or(1.0, |blueprint| {
+            blueprint.tage_geometry().automaton.saturation_probability()
+        }),
+    })
 }
 
 #[cfg(test)]
@@ -1011,10 +982,12 @@ mod tests {
 
     #[test]
     fn programmatic_tage_configs_get_honest_labels() {
-        let spec = PredictorSpec::Tage(
-            TageGeometry::small().with_automaton(CounterAutomaton::probabilistic(5)),
-        );
-        assert_eq!(spec.label(), "tage-16k-p5");
+        for exponent in [0, 5, 10] {
+            let spec = PredictorSpec::Tage(
+                TageGeometry::small().with_automaton(CounterAutomaton::probabilistic(exponent)),
+            );
+            assert_eq!(spec.label(), format!("tage-16k-p{exponent}"));
+        }
         let std = PredictorSpec::Tage(TageGeometry::small());
         assert_eq!(std.label(), "tage-16k-std");
         // paper_default is probabilistic(7): the plain token, not "-p7".
@@ -1044,7 +1017,14 @@ mod tests {
         );
         let error = point.validate().unwrap_err();
         assert!(error.to_string().contains("gshare"));
-        let run_error = run_point(&point, 500, EngineKind::Scalar, None).unwrap_err();
+        let run_error = run_point(
+            &point,
+            500,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(run_error, PointError::Invalid(_)));
         assert!(run_error.to_string().contains("gshare"));
     }
@@ -1058,22 +1038,77 @@ mod tests {
             SchemeSpec::StorageFree,
             &suite,
         );
-        let result = run_point(&point, 3_000, EngineKind::Scalar, None).unwrap();
-        let reference = crate::suite::run_suite(
-            &config,
-            &suite,
+        let result = run_point(
+            &point,
             3_000,
-            &crate::runner::RunOptions::default(),
-        );
-        assert_eq!(result.aggregate, reference.aggregate);
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         assert_eq!(result.traces.len(), 4);
-        for (ours, theirs) in result.traces.iter().zip(&reference.traces) {
-            assert_eq!(ours.trace_name, theirs.trace_name);
-            assert_eq!(ours.predictions, theirs.report.total().predictions);
-            assert_eq!(ours.mispredictions, theirs.report.total().mispredictions);
+        let mut aggregate = ConfidenceReport::new();
+        for (ours, spec) in result.traces.iter().zip(suite.traces()) {
+            let mut source = tage_traces::source::SyntheticSource::from_spec(spec, 3_000);
+            let theirs =
+                crate::runner::run_source(&config, &mut source, &RunOptions::default()).unwrap();
+            assert_eq!(*ours, PointTraceMetrics::from(theirs.clone()));
             assert!((ours.mpki() - theirs.mpki()).abs() < 1e-12);
+            aggregate.merge(&theirs.report);
         }
-        assert!((result.mean_mpki() - reference.mean_mpki()).abs() < 1e-12);
+        assert_eq!(result.aggregate, aggregate);
+    }
+
+    /// The 2,000-branch paper pins cannot see an options bug: the adaptive
+    /// window never closes that early. At 40,000 branches it does.
+    #[test]
+    fn run_options_reach_every_storage_free_path() {
+        let suite = mini();
+        let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
+        let point = SweepPoint::over_suite(
+            PredictorSpec::Tage(config.clone()),
+            SchemeSpec::StorageFree,
+            &suite,
+        );
+        let no_window = RunOptions {
+            bim_miss_window: 0,
+            ..RunOptions::default()
+        };
+        let mut results = Vec::new();
+        for options in [no_window, RunOptions::adaptive()] {
+            let scalar = run_point(&point, 40_000, &options, EngineKind::Scalar, None).unwrap();
+            let multilane =
+                run_point(&point, 40_000, &options, EngineKind::Multilane, None).unwrap();
+            assert_eq!(scalar, multilane, "{options:?}");
+            for (ours, spec) in scalar.traces.iter().zip(suite.traces()) {
+                let mut source = tage_traces::source::SyntheticSource::from_spec(spec, 40_000);
+                let theirs = crate::runner::run_source(&config, &mut source, &options).unwrap();
+                assert_eq!(*ours, PointTraceMetrics::from(theirs), "{options:?}");
+            }
+            results.push(scalar);
+        }
+        let medium_bim = |result: &PointResult| {
+            result
+                .aggregate
+                .class(tage_confidence::PredictionClass::MediumConfBim)
+                .predictions
+        };
+        assert_eq!(
+            medium_bim(&results[0]),
+            0,
+            "window 0 has no medium-conf-bim"
+        );
+        assert!(medium_bim(&results[1]) > 0, "the default window has one");
+        let finals: Vec<f64> = results[1]
+            .traces
+            .iter()
+            .map(|trace| trace.final_saturation_probability)
+            .collect();
+        assert_eq!(
+            finals,
+            [1.0 / 256.0, 1.0 / 128.0, 1.0 / 128.0, 1.0 / 128.0],
+            "the adaptive controller moves the first trace's probability"
+        );
     }
 
     #[test]
@@ -1093,7 +1128,14 @@ mod tests {
                 if point.validate().is_err() {
                     continue;
                 }
-                let result = run_point(&point, 1_000, EngineKind::Scalar, None).unwrap();
+                let result = run_point(
+                    &point,
+                    1_000,
+                    &RunOptions::default(),
+                    EngineKind::Scalar,
+                    None,
+                )
+                .unwrap();
                 assert_eq!(
                     result.total_predictions(),
                     1_000,
@@ -1113,8 +1155,22 @@ mod tests {
             SchemeSpec::StorageFree,
             &mini(),
         );
-        let scalar = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
-        let multilane = run_point(&point, 2_000, EngineKind::Multilane, None).unwrap();
+        let scalar = run_point(
+            &point,
+            2_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
+        let multilane = run_point(
+            &point,
+            2_000,
+            &RunOptions::default(),
+            EngineKind::Multilane,
+            None,
+        )
+        .unwrap();
         assert_eq!(scalar, multilane);
     }
 
@@ -1134,8 +1190,22 @@ mod tests {
         )
         .with_scenario(ScenarioSpec::RecoveryEnergy);
         for point in [estimator, scenario] {
-            let scalar = run_point(&point, 1_000, EngineKind::Scalar, None).unwrap();
-            let multilane = run_point(&point, 1_000, EngineKind::Multilane, None).unwrap();
+            let scalar = run_point(
+                &point,
+                1_000,
+                &RunOptions::default(),
+                EngineKind::Scalar,
+                None,
+            )
+            .unwrap();
+            let multilane = run_point(
+                &point,
+                1_000,
+                &RunOptions::default(),
+                EngineKind::Multilane,
+                None,
+            )
+            .unwrap();
             assert_eq!(scalar, multilane);
         }
     }
@@ -1147,8 +1217,22 @@ mod tests {
             SchemeSpec::parse("self-confidence").unwrap(),
             &mini(),
         );
-        let a = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
-        let b = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
+        let a = run_point(
+            &point,
+            2_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
+        let b = run_point(
+            &point,
+            2_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
@@ -1159,7 +1243,14 @@ mod tests {
             SchemeSpec::StorageFree,
             &mini(),
         );
-        let result = run_point(&point, 1_000, EngineKind::Scalar, None).unwrap();
+        let result = run_point(
+            &point,
+            1_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         assert_eq!(result.scenario, "baseline");
         assert!(result.scenario_metrics.is_empty());
     }
@@ -1174,11 +1265,19 @@ mod tests {
             SchemeSpec::StorageFree,
             &mini(),
         );
-        let reference = run_point(&base, 2_000, EngineKind::Scalar, None).unwrap();
+        let reference = run_point(
+            &base,
+            2_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         for scenario in [ScenarioSpec::RecoveryEnergy, ScenarioSpec::PrefetchThrottle] {
             let result = run_point(
                 &base.clone().with_scenario(scenario),
                 2_000,
+                &RunOptions::default(),
                 EngineKind::Scalar,
                 None,
             )
@@ -1201,7 +1300,14 @@ mod tests {
             &mini(),
         )
         .with_scenario(ScenarioSpec::RecoveryEnergy);
-        let result = run_point(&point, 3_000, EngineKind::Scalar, None).unwrap();
+        let result = run_point(
+            &point,
+            3_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         let metric = |name: &str| {
             result
                 .scenario_metrics
@@ -1226,7 +1332,14 @@ mod tests {
             &mini(),
         )
         .with_scenario(ScenarioSpec::SharedPredictor);
-        let result = run_point(&point, 4_000, EngineKind::Scalar, None).unwrap();
+        let result = run_point(
+            &point,
+            4_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         let metric = |name: &str| {
             result
                 .scenario_metrics
@@ -1272,7 +1385,14 @@ mod tests {
                     if point.validate().is_err() {
                         continue;
                     }
-                    let result = run_point(&point, 800, EngineKind::Scalar, None).unwrap();
+                    let result = run_point(
+                        &point,
+                        800,
+                        &RunOptions::default(),
+                        EngineKind::Scalar,
+                        None,
+                    )
+                    .unwrap();
                     assert_eq!(
                         result.total_predictions(),
                         1_600,
@@ -1347,7 +1467,14 @@ mod tests {
             suite: sampled_mini(small_sampling()),
             scenario: ScenarioSpec::Baseline,
         };
-        let result = run_point(&point, 2_000, EngineKind::Scalar, None).unwrap();
+        let result = run_point(
+            &point,
+            2_000,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         // Weights partition the intervals, so the weighted conditional
         // count reconstructs each trace's total exactly.
         let full = run_point(
@@ -1357,6 +1484,7 @@ mod tests {
                 &mini(),
             ),
             2_000,
+            &RunOptions::default(),
             EngineKind::Scalar,
             None,
         )
@@ -1394,36 +1522,43 @@ mod tests {
             }),
             scenario: ScenarioSpec::Baseline,
         };
-        let scalar = run_point(&point, 1_500, EngineKind::Scalar, None).unwrap();
-        let multilane = run_point(&point, 1_500, EngineKind::Multilane, None).unwrap();
+        let scalar = run_point(
+            &point,
+            1_500,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
+        let multilane = run_point(
+            &point,
+            1_500,
+            &RunOptions::default(),
+            EngineKind::Multilane,
+            None,
+        )
+        .unwrap();
         assert_eq!(scalar, multilane, "engine choice cannot leak into cells");
         let cache = WarmCache::new(&dir).unwrap();
-        let cold = run_point(&point, 1_500, EngineKind::Scalar, Some(&cache)).unwrap();
-        let warm = run_point(&point, 1_500, EngineKind::Scalar, Some(&cache)).unwrap();
+        let cold = run_point(
+            &point,
+            1_500,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            Some(&cache),
+        )
+        .unwrap();
+        let warm = run_point(
+            &point,
+            1_500,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            Some(&cache),
+        )
+        .unwrap();
         assert_eq!(cold, scalar, "cache state cannot leak into cells");
         assert_eq!(warm, scalar);
         assert!(cache.hits() > 0, "second run restores checkpoints");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tage_sweep_matches_individual_suite_runs() {
-        let suite = mini();
-        let points = vec![
-            TageSweepPoint::new(TageGeometry::small()),
-            TageSweepPoint {
-                geometry: TageGeometry::small(),
-                options: crate::runner::RunOptions {
-                    bim_miss_window: 0,
-                    ..crate::runner::RunOptions::default()
-                },
-            },
-        ];
-        let results = run_tage_sweep(&points, &suite, 2_000);
-        assert_eq!(results.len(), 2);
-        let direct =
-            crate::suite::run_suite(&points[0].geometry, &suite, 2_000, &points[0].options);
-        assert_eq!(results[0], direct);
-        assert_ne!(results[0].aggregate, results[1].aggregate);
     }
 }

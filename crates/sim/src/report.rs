@@ -1,9 +1,9 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for `tage-bench --paper` and the
+//! `estimators` binary.
 
 use core::fmt::Write as _;
 
-/// A simple fixed-width text table builder used by the `tage-bench`
-/// binaries to print paper-style tables.
+/// A simple fixed-width text table builder for paper-style tables.
 ///
 /// # Example
 ///
@@ -36,16 +36,6 @@ impl TextTable {
     pub fn row(&mut self, mut cells: Vec<String>) {
         cells.resize(self.headers.len(), String::new());
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns.
@@ -121,8 +111,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         // All lines have the same width.
         assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()), "{s}");
-        assert!(!t.is_empty());
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -766,8 +766,8 @@ impl SamplingSpec {
 }
 
 /// A named collection of [`SourceSpec`]s — the streaming counterpart of
-/// [`Suite`], consumed by `tage_sim::suite::run_suite_sources` and the
-/// campaign runner.
+/// [`Suite`], the suite axis of `tage_sim::point::SweepPoint` and so of
+/// every campaign cell.
 #[derive(Debug, Clone)]
 pub struct SourceSuite {
     name: String,

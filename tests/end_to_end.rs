@@ -3,8 +3,9 @@
 //! classifier and the simulation harness.
 
 use tage_confidence_suite::confidence::{ConfidenceLevel, PredictionClass};
+use tage_confidence_suite::sim::point::{run_point, PredictorSpec, SchemeSpec, SweepPoint};
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
-use tage_confidence_suite::sim::suite::run_suite;
+use tage_confidence_suite::sim::EngineKind;
 use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::reader::TraceReader;
 use tage_confidence_suite::traces::writer::TraceWriter;
@@ -80,7 +81,19 @@ fn suite_aggregation_matches_sum_of_trace_runs() {
         ],
     );
     let config = modified(TageGeometry::small());
-    let suite_result = run_suite(&config, &mini, 10_000, &RunOptions::default());
+    let point = SweepPoint::over_suite(
+        PredictorSpec::Tage(config.clone()),
+        SchemeSpec::StorageFree,
+        &mini,
+    );
+    let suite_result = run_point(
+        &point,
+        10_000,
+        &RunOptions::default(),
+        EngineKind::Multilane,
+        None,
+    )
+    .unwrap();
     let separate: u64 = mini
         .traces()
         .iter()

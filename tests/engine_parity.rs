@@ -9,8 +9,6 @@
 //!   `run_trace`;
 //! * the baseline path through the engine must agree with a hand-rolled
 //!   predictor + estimator loop on every count;
-//! * parallel `run_suite` must be bit-identical to a serial run for any
-//!   worker count;
 //! * TAGE driven as a trait object through a margin estimator must
 //!   mispredict exactly like the rich native path.
 
@@ -22,9 +20,8 @@ use tage_confidence_suite::predictors::{GsharePredictor, PredictorCore};
 use tage_confidence_suite::sim::baseline::run_baseline;
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
-use tage_confidence_suite::sim::suite::{run_suite, run_suite_with_parallelism};
 use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
-use tage_confidence_suite::traces::{suites, Suite, Trace};
+use tage_confidence_suite::traces::{suites, Trace};
 
 const N: usize = 20_000;
 
@@ -127,32 +124,6 @@ fn baseline_path_matches_a_hand_rolled_predictor_estimator_loop() {
     assert_eq!(result.mispredictions, mispredictions);
     assert_eq!(result.confusion, confusion);
     assert_eq!(result.level_predictions, level_predictions);
-}
-
-#[test]
-fn parallel_run_suite_is_bit_identical_to_serial() {
-    let full = suites::cbp1_like();
-    let suite = Suite::new(
-        "parity",
-        ["FP-1", "INT-2", "MM-5", "SERV-2"]
-            .iter()
-            .map(|name| full.trace(name).unwrap().clone())
-            .collect(),
-    );
-    let config = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
-    let serial = run_suite_with_parallelism(&config, &suite, 8_000, &RunOptions::default(), 1);
-    for workers in [2, 3, 8] {
-        let parallel =
-            run_suite_with_parallelism(&config, &suite, 8_000, &RunOptions::default(), workers);
-        assert_eq!(serial, parallel, "workers = {workers}");
-    }
-    // The default entry point (hardware parallelism) agrees too.
-    assert_eq!(
-        serial,
-        run_suite(&config, &suite, 8_000, &RunOptions::default())
-    );
-    // And aggregation really covered every trace.
-    assert_eq!(serial.aggregate.total().predictions, 4 * 8_000);
 }
 
 #[test]

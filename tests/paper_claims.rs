@@ -1,5 +1,6 @@
 //! Shape-level checks of the paper's headline claims, run on the synthetic
-//! workload suites.
+//! workload suites as campaign cells (`run_point`), the path
+//! `tage-bench --paper` renders the tables and figures from.
 //!
 //! These tests assert *orderings and ratios* rather than the paper's absolute
 //! numbers, because the substrate workloads are synthetic stand-ins for the
@@ -7,15 +8,24 @@
 //! and coverages differ while the orderings hold.
 
 use tage_confidence_suite::confidence::{ConfidenceLevel, PredictionClass};
-use tage_confidence_suite::sim::experiment::{
-    probability_sweep, three_level_summary, window_ablation,
+use tage_confidence_suite::sim::point::{
+    run_point, PointResult, PredictorSpec, SchemeSpec, SweepPoint,
 };
-use tage_confidence_suite::sim::runner::{run_trace, RunOptions};
-use tage_confidence_suite::sim::suite::run_suite;
+use tage_confidence_suite::sim::{EngineKind, RunOptions};
 use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry};
 use tage_confidence_suite::traces::{suites, Suite};
 
 const N: usize = 50_000;
+
+/// One storage-free TAGE cell over `suite`, `N` branches per trace.
+fn cell(config: TageGeometry, suite: &Suite, options: &RunOptions) -> PointResult {
+    let point = SweepPoint::over_suite(PredictorSpec::Tage(config), SchemeSpec::StorageFree, suite);
+    run_point(&point, N, options, EngineKind::Multilane, None).unwrap()
+}
+
+fn default_cell(config: TageGeometry, suite: &Suite) -> PointResult {
+    cell(config, suite, &RunOptions::default())
+}
 
 /// A 6-trace cross-section of the CBP-1-like suite (one per category plus
 /// the hard outliers), to keep the integration tests fast.
@@ -37,12 +47,7 @@ fn modified(config: TageGeometry) -> TageGeometry {
 #[test]
 fn claim_weak_tagged_counters_are_close_to_coin_flips() {
     // Section 5.2: the Wtag class mispredicts well above 30 %.
-    let result = run_suite(
-        &TageGeometry::small(),
-        &cross_section(),
-        N,
-        &RunOptions::default(),
-    );
+    let result = default_cell(TageGeometry::small(), &cross_section());
     let wtag = result.aggregate.mprate_mkp(PredictionClass::Wtag);
     assert!(wtag > 200.0, "Wtag rate {wtag} MKP should be above 200 MKP");
 }
@@ -50,12 +55,7 @@ fn claim_weak_tagged_counters_are_close_to_coin_flips() {
 #[test]
 fn claim_tagged_class_rates_decrease_with_counter_magnitude() {
     // Section 5.2: Wtag ≥ NWtag ≥ NStag ≫ Stag.
-    let result = run_suite(
-        &modified(TageGeometry::small()),
-        &cross_section(),
-        N,
-        &RunOptions::default(),
-    );
+    let result = default_cell(modified(TageGeometry::small()), &cross_section());
     let wtag = result.aggregate.mprate_mkp(PredictionClass::Wtag);
     let nwtag = result.aggregate.mprate_mkp(PredictionClass::NWtag);
     let nstag = result.aggregate.mprate_mkp(PredictionClass::NStag);
@@ -71,12 +71,7 @@ fn claim_tagged_class_rates_decrease_with_counter_magnitude() {
 #[test]
 fn claim_bimodal_subclasses_are_ordered() {
     // Section 5.1: low-conf-bim ≫ medium-conf-bim ≥ high-conf-bim.
-    let result = run_suite(
-        &TageGeometry::small(),
-        &cross_section(),
-        N,
-        &RunOptions::default(),
-    );
+    let result = default_cell(TageGeometry::small(), &cross_section());
     let low = result.aggregate.mprate_mkp(PredictionClass::LowConfBim);
     let medium = result.aggregate.mprate_mkp(PredictionClass::MediumConfBim);
     let high = result.aggregate.mprate_mkp(PredictionClass::HighConfBim);
@@ -97,21 +92,21 @@ fn claim_bimodal_subclasses_are_ordered() {
 #[test]
 fn claim_three_levels_have_very_different_rates() {
     // Section 6.1 / Table 2 structure.
-    let row = three_level_summary(
-        &modified(TageGeometry::medium()),
-        &cross_section(),
-        N,
-        &RunOptions::default(),
+    let report = default_cell(modified(TageGeometry::medium()), &cross_section()).aggregate;
+    let (high, medium, low) = (
+        ConfidenceLevel::High,
+        ConfidenceLevel::Medium,
+        ConfidenceLevel::Low,
     );
     assert!(
-        row.high.pcov > row.low.pcov,
+        report.level_pcov(high) > report.level_pcov(low),
         "high confidence must cover more predictions than low"
     );
-    assert!(row.low.mprate_mkp > 3.0 * row.high.mprate_mkp);
-    assert!(row.medium.mprate_mkp > row.high.mprate_mkp);
-    assert!(row.low.mprate_mkp > row.medium.mprate_mkp);
+    assert!(report.level_mprate_mkp(low) > 3.0 * report.level_mprate_mkp(high));
+    assert!(report.level_mprate_mkp(medium) > report.level_mprate_mkp(high));
+    assert!(report.level_mprate_mkp(low) > report.level_mprate_mkp(medium));
     // Low + medium confidence together cover the bulk of the mispredictions.
-    assert!(row.low.mpcov + row.medium.mpcov > 0.6);
+    assert!(report.level_mpcov(low) + report.level_mpcov(medium) > 0.6);
 }
 
 #[test]
@@ -120,8 +115,8 @@ fn claim_modified_automaton_costs_little_accuracy() {
     // slightly looser bound on the shorter synthetic runs.
     let suite = cross_section();
     for config in [TageGeometry::small(), TageGeometry::large()] {
-        let standard = run_suite(&config, &suite, N, &RunOptions::default());
-        let probabilistic = run_suite(&modified(config.clone()), &suite, N, &RunOptions::default());
+        let standard = default_cell(config.clone(), &suite);
+        let probabilistic = default_cell(modified(config.clone()), &suite);
         let cost = probabilistic.mean_mpki() - standard.mean_mpki();
         assert!(
             cost.abs() < 0.2,
@@ -135,18 +130,24 @@ fn claim_modified_automaton_costs_little_accuracy() {
 fn claim_probability_trades_coverage_for_purity() {
     // Section 6.2: 1/16 grows the high-confidence class but raises its rate
     // relative to 1/128.
-    let rows = probability_sweep(&TageGeometry::small(), &cross_section(), N, &[4, 7]);
-    let p16 = &rows[0];
-    let p128 = &rows[1];
+    let high = |exponent| {
+        let config =
+            TageGeometry::small().with_automaton(CounterAutomaton::probabilistic(exponent));
+        let report = default_cell(config, &cross_section()).aggregate;
+        (
+            report.level_pcov(ConfidenceLevel::High),
+            report.level_mprate_mkp(ConfidenceLevel::High),
+        )
+    };
+    let (p16_pcov, p16_rate) = high(4);
+    let (p128_pcov, p128_rate) = high(7);
     assert!(
-        p16.high_pcov >= p128.high_pcov,
+        p16_pcov >= p128_pcov,
         "1/16 should cover at least as much as 1/128"
     );
     assert!(
-        p16.high_mprate_mkp >= p128.high_mprate_mkp,
-        "1/16 ({}) should have a rate at least as high as 1/128 ({})",
-        p16.high_mprate_mkp,
-        p128.high_mprate_mkp
+        p16_rate >= p128_rate,
+        "1/16 ({p16_rate}) should have a rate at least as high as 1/128 ({p128_rate})"
     );
 }
 
@@ -168,9 +169,9 @@ fn claim_larger_predictors_shrink_the_bim_miss_volume_on_capacity_bound_traces()
             .map(|name| full.trace(name).unwrap().clone())
             .collect(),
     );
-    let small = run_suite(&TageGeometry::small(), &servers, N, &RunOptions::default());
-    let large = run_suite(&TageGeometry::large(), &servers, N, &RunOptions::default());
-    let bim_rate = |result: &tage_confidence_suite::sim::SuiteRunResult| {
+    let small = default_cell(TageGeometry::small(), &servers);
+    let large = default_cell(TageGeometry::large(), &servers);
+    let bim_rate = |result: &PointResult| {
         let classes = [
             PredictionClass::HighConfBim,
             PredictionClass::MediumConfBim,
@@ -201,9 +202,9 @@ fn claim_larger_predictors_shrink_the_bim_miss_volume_on_capacity_bound_traces()
 fn claim_accuracy_improves_with_predictor_size() {
     // Table 1 trend: 16 K ≥ 64 K ≥ 256 K in misp/KI.
     let suite = cross_section();
-    let small = run_suite(&TageGeometry::small(), &suite, N, &RunOptions::default());
-    let medium = run_suite(&TageGeometry::medium(), &suite, N, &RunOptions::default());
-    let large = run_suite(&TageGeometry::large(), &suite, N, &RunOptions::default());
+    let small = default_cell(TageGeometry::small(), &suite);
+    let medium = default_cell(TageGeometry::medium(), &suite);
+    let large = default_cell(TageGeometry::large(), &suite);
     assert!(medium.mean_mpki() <= small.mean_mpki() + 0.05);
     assert!(large.mean_mpki() <= medium.mean_mpki() + 0.05);
 }
@@ -213,18 +214,27 @@ fn claim_the_medium_bim_window_isolates_misprediction_bursts() {
     // The medium-conf-bim class exists to absorb warming/capacity bursts:
     // with the window enabled, the high-conf-bim class is cleaner than
     // without it.
-    let rows = window_ablation(&TageGeometry::small(), &cross_section(), N, &[0, 8]);
-    let without = &rows[0];
-    let with = &rows[1];
+    let window = |bim_miss_window| {
+        let options = RunOptions {
+            bim_miss_window,
+            ..RunOptions::default()
+        };
+        cell(TageGeometry::small(), &cross_section(), &options).aggregate
+    };
+    let without = window(0);
+    let with = window(8);
+    let high_rate = |report: &tage_confidence_suite::confidence::ConfidenceReport| {
+        report.mprate_mkp(PredictionClass::HighConfBim)
+    };
     assert!(
-        with.high_bim_mprate_mkp <= without.high_bim_mprate_mkp,
+        high_rate(&with) <= high_rate(&without),
         "enabling the window should not make high-conf-bim dirtier ({} vs {})",
-        with.high_bim_mprate_mkp,
-        without.high_bim_mprate_mkp
+        high_rate(&with),
+        high_rate(&without)
     );
-    assert!(with.medium_bim_pcov > 0.0);
+    assert!(with.pcov(PredictionClass::MediumConfBim) > 0.0);
     // The captured medium class is much riskier than high-conf-bim.
-    assert!(with.medium_bim_mprate_mkp > with.high_bim_mprate_mkp);
+    assert!(with.mprate_mkp(PredictionClass::MediumConfBim) > high_rate(&with));
 }
 
 #[test]
@@ -232,28 +242,35 @@ fn claim_storage_free_estimate_matches_table_based_estimators() {
     // Related work: the TAGE high/low split should achieve a PVP at least as
     // good as a JRS estimator attached to a gshare predictor of similar
     // storage, without any confidence table.
-    use tage_confidence_suite::confidence::estimators::JrsEstimator;
-    use tage_confidence_suite::predictors::GsharePredictor;
-    use tage_confidence_suite::sim::baseline::run_baseline;
-
-    let trace = suites::cbp1_like().trace("INT-1").unwrap().generate(N);
-    let mut gshare = GsharePredictor::new(14, 14);
-    let mut jrs = JrsEstimator::classic(12);
-    let jrs_result = run_baseline(&mut gshare, &mut jrs, &trace);
-
-    let tage_result = run_trace(
-        &modified(TageGeometry::medium()),
-        &trace,
-        &RunOptions::default(),
+    let suite = Suite::new(
+        "INT-1",
+        vec![suites::cbp1_like().trace("INT-1").unwrap().clone()],
     );
-    let tage_confusion = tage_result
-        .report
-        .binary_confusion(&[ConfidenceLevel::High]);
+    let pvp = |predictor: &str, scheme: &str| {
+        let point = SweepPoint::over_suite(
+            PredictorSpec::parse(predictor).unwrap(),
+            SchemeSpec::parse(scheme).unwrap(),
+            &suite,
+        );
+        run_point(
+            &point,
+            N,
+            &RunOptions::default(),
+            EngineKind::Multilane,
+            None,
+        )
+        .unwrap()
+        .aggregate
+        .binary_confusion(&[ConfidenceLevel::High])
+        .pvp()
+    };
+    // `gshare` is 14 history bits over 2^14 counters; `jrs-classic` is
+    // the classic JRS table of 2^12 counters.
+    let jrs_pvp = pvp("gshare", "jrs-classic");
+    let tage_pvp = pvp("tage-64k", "storage-free");
 
     assert!(
-        tage_confusion.pvp() >= jrs_result.confusion.pvp() - 0.02,
-        "TAGE PVP {} should be competitive with JRS PVP {}",
-        tage_confusion.pvp(),
-        jrs_result.confusion.pvp()
+        tage_pvp >= jrs_pvp - 0.02,
+        "TAGE PVP {tage_pvp} should be competitive with JRS PVP {jrs_pvp}"
     );
 }

@@ -30,7 +30,7 @@ use tage_confidence_suite::sim::scenarios::ScenarioSpec;
 use tage_confidence_suite::sim::smt::{
     simulate_smt_n_sources, simulate_smt_sources, SmtFetchPolicy,
 };
-use tage_confidence_suite::sim::EngineKind;
+use tage_confidence_suite::sim::{EngineKind, RunOptions};
 use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::source::{
     BinaryFileSource, SliceSource, SourceSuite, SyntheticSource,
@@ -254,8 +254,22 @@ fn scenario_points_are_deterministic_and_file_backed_equivalent() {
             &mini,
         )
         .with_scenario(scenario);
-        let first = run_point(&synthetic_point, branches, EngineKind::Scalar, None).unwrap();
-        let second = run_point(&synthetic_point, branches, EngineKind::Scalar, None).unwrap();
+        let first = run_point(
+            &synthetic_point,
+            branches,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
+        let second = run_point(
+            &synthetic_point,
+            branches,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         assert_eq!(first, second, "{scenario}: deterministic");
         assert!(!first.scenario_metrics.is_empty(), "{scenario}");
 
@@ -265,7 +279,14 @@ fn scenario_points_are_deterministic_and_file_backed_equivalent() {
             suite: file_suite.clone(),
             scenario,
         };
-        let filed = run_point(&file_point, branches, EngineKind::Scalar, None).unwrap();
+        let filed = run_point(
+            &file_point,
+            branches,
+            &RunOptions::default(),
+            EngineKind::Scalar,
+            None,
+        )
+        .unwrap();
         let mut synthetic_traces = first.traces.clone();
         synthetic_traces.sort_by(|a, b| a.trace_name.cmp(&b.trace_name));
         let mut file_traces = filed.traces.clone();

@@ -11,9 +11,7 @@
 //! * the binary file path holds at any chunk size, including chunks far
 //!   smaller than the trace;
 //! * phase-sampled runs skip mid-stream through a chunked file exactly as
-//!   through the generator, with or without warm-cache restores;
-//! * streamed suite runs are byte-identical to the materialized path at
-//!   every tested worker count.
+//!   through the generator, with or without warm-cache restores.
 
 use std::path::PathBuf;
 
@@ -21,11 +19,10 @@ use tage_confidence_suite::confidence::TageConfidenceClassifier;
 use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::sim::phase::run_sampled_source;
 use tage_confidence_suite::sim::runner::{run_source, run_trace, RunOptions};
-use tage_confidence_suite::sim::suite::{run_suite_sources, run_suite_with_parallelism};
 use tage_confidence_suite::sim::warmcache::WarmCache;
 use tage_confidence_suite::tage::{TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::source::{
-    BinaryFileSource, SamplingSpec, SliceSource, SourceSpec, SourceSuite, SyntheticSource,
+    BinaryFileSource, SamplingSpec, SliceSource, SourceSpec, SyntheticSource,
 };
 use tage_confidence_suite::traces::writer::{StreamingTraceWriter, TraceWriter};
 use tage_confidence_suite::traces::{format, suites, TraceSpec};
@@ -204,35 +201,4 @@ fn sampled_runs_over_chunked_files_match_the_synthetic_source() {
     }
     std::fs::remove_file(&path).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Suite runs over streaming sources are byte-identical to the materialized
-/// suite path at every tested worker count.
-#[test]
-fn streamed_suite_runs_match_the_materialized_path_at_every_worker_count() {
-    let full = suites::cbp1_like();
-    let suite = tage_confidence_suite::traces::Suite::new(
-        "parity",
-        vec![
-            full.trace("FP-1").unwrap().clone(),
-            full.trace("SERV-2").unwrap().clone(),
-            full.trace("MM-5").unwrap().clone(),
-        ],
-    );
-    let config = TageGeometry::small();
-    let options = RunOptions::default();
-    let reference = run_suite_with_parallelism(&config, &suite, 2_000, &options, 1);
-    for workers in [1, 2, 3, 8] {
-        let streamed = run_suite_sources(
-            &config,
-            &SourceSuite::from_suite(&suite),
-            2_000,
-            &options,
-            workers,
-        )
-        .unwrap();
-        assert_eq!(streamed, reference, "workers = {workers}");
-        let materialized = run_suite_with_parallelism(&config, &suite, 2_000, &options, workers);
-        assert_eq!(materialized, reference, "materialized workers = {workers}");
-    }
 }
