@@ -711,6 +711,30 @@ mod tests {
     }
 
     #[test]
+    fn table1_reports_the_three_sizes_with_sane_mpki() {
+        let table1 = cells("table1");
+        let results: Vec<PointResult> = table1.iter().map(|cell| mini(cell, 4_000)).collect();
+        let ran: Vec<Ran<'_>> = table1.iter().zip(&results).collect();
+        let mut out = String::new();
+        render_table1(&ran, &mut out).unwrap();
+        assert!(
+            out.contains("16 Kbits") && out.contains("256 Kbits"),
+            "{out}"
+        );
+        let (cbp1, cbp2) = results.split_at(3);
+        for (row, twin) in cbp1.iter().zip(cbp2) {
+            let mpki = row.mean_mpki();
+            assert!(mpki > 0.0 && mpki < 60.0, "{mpki}");
+            assert!(
+                (mpki - twin.mean_mpki()).abs() < 1e-12,
+                "both halves ran the mini suite"
+            );
+        }
+        // Bigger predictors should not be (meaningfully) worse.
+        assert!(cbp1[2].mean_mpki() <= cbp1[0].mean_mpki() + 0.3);
+    }
+
+    #[test]
     fn class_distribution_rows_cover_every_trace_and_sum_to_one() {
         let result = mini(&cells("figure2")[0], N);
         assert_eq!(result.traces.len(), 4);
@@ -770,6 +794,45 @@ mod tests {
             .traces
             .iter()
             .all(|t| t.final_saturation_probability == 1.0 / 128.0));
+    }
+
+    #[test]
+    fn probability_sweep_trades_coverage_for_purity() {
+        // The sweep cells are p = 1, 1/4, 1/16, 1/128 and 1/1024.
+        let sweep = cells("prob_sweep");
+        assert_eq!(sweep.len(), 5);
+        let results: Vec<PointResult> = sweep.iter().map(|cell| mini(cell, 20_000)).collect();
+        for (cell, result) in sweep.iter().zip(&results) {
+            let p = cell.geometry.automaton.saturation_probability();
+            assert!(p > 0.0 && p <= 1.0, "{p}");
+            assert!(result.mean_mpki() > 0.0, "p = {p}");
+        }
+        // Larger probability => larger high-confidence coverage and a higher
+        // (or equal) high-confidence miss rate.
+        let high = ConfidenceLevel::High;
+        let (first, last) = (&results[0].aggregate, &results[4].aggregate);
+        assert!(first.level_pcov(high) >= last.level_pcov(high));
+        assert!(first.level_mprate_mkp(high) >= last.level_mprate_mkp(high) - 1e-9);
+    }
+
+    #[test]
+    fn automaton_cost_is_small() {
+        let pairs = cells("automaton_cost");
+        assert_eq!(pairs.len(), 12);
+        // Each size's CBP-1 pair: on the mini suite its CBP-2 pair is the same.
+        for pair in pairs.chunks(2).step_by(2) {
+            let [standard, modified] = pair else {
+                unreachable!("automaton_cost cells come in pairs")
+            };
+            let cost = mini(modified, 10_000).mean_mpki() - mini(standard, 10_000).mean_mpki();
+            // The paper reports < 0.02 MPKI on real traces; allow a slightly
+            // looser bound on the short synthetic runs.
+            assert!(
+                cost.abs() < 0.25,
+                "{}: cost {cost} MPKI too large",
+                standard.geometry.name()
+            );
+        }
     }
 
     #[test]
