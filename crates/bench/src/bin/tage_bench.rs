@@ -16,8 +16,7 @@
 //! tage-bench --export-traces DIR [--gzip] [--suites LIST] [--branches N]
 //! tage-bench --check PATH
 //! tage-bench --submit http://HOST:PORT [--no-wait] [grid flags...]
-//! tage-bench --paper ARTEFACT,...|all [--branches N] [--workers N]
-//!            [--engine multilane|scalar] [--out PATH]
+//! tage-bench --paper ARTEFACT,...|all [--branches N] [--out PATH]
 //! ```
 //!
 //! Lists are comma-separated grid tokens; `--list` prints every known axis
@@ -78,9 +77,10 @@
 //! `--paper` renders the paper's tables and figures (`table1`–`table3`,
 //! `figure2`–`figure6`, `prob_sweep`, `bim_breakdown`, `automaton_cost`,
 //! `ablations`, or `all` in that order) from storage-free TAGE cells run
-//! through the campaign cell path (`tage_bench::paper`), to stdout or
-//! `--out`. It defaults to 200,000 branches per trace and takes no other
-//! flag; `docs/RESULTS.md` is `--paper all`.
+//! through the campaign cell path (`tage_bench::paper`) on every core, to
+//! stdout or `--out`. `--paper` must be the first argument; it defaults to
+//! 200,000 branches per trace and takes no other flag. `docs/RESULTS.md` is
+//! `--paper all`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -279,6 +279,7 @@ fn parse_options() -> Result<Options, String> {
                 let value = cli::require_value(&mut args, "--max-geometries")?;
                 options.max_geometries = Some(cli::parse_count("--max-geometries", &value)?);
             }
+            "--paper" => return Err("--paper must be the first argument".to_string()),
             other => {
                 return Err(format!(
                     "unknown argument: {other} (see --list or docs/CAMPAIGNS.md)"
@@ -322,47 +323,33 @@ fn parse_engine(value: &str) -> Result<EngineKind, String> {
     }
 }
 
-/// What `--paper` renders, and how.
+/// What `--paper` renders, and where.
 struct PaperOptions {
     artefacts: Vec<&'static paper::Artefact>,
     branches: usize,
-    workers: usize,
-    engine: EngineKind,
     out: Option<String>,
 }
 
-/// Parses a `--paper` command line: the artefact list plus `--branches`,
-/// `--workers`, `--engine` and `--out`. Any other argument is an error
-/// naming it, never silently ignored.
+/// Parses a `--paper` command line: `--paper` and its artefact list first,
+/// then `--branches` and `--out`. Any other argument is an error naming
+/// it, never silently ignored.
 fn parse_paper_options() -> Result<PaperOptions, String> {
+    let mut args = std::env::args().skip(2);
     let mut options = PaperOptions {
-        artefacts: Vec::new(),
+        artefacts: paper::parse_list(&cli::require_value(&mut args, "--paper")?)?,
         branches: DEFAULT_BRANCHES_PER_TRACE,
-        workers: default_parallelism(),
-        engine: EngineKind::Multilane,
         out: None,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--paper" => {
-                options.artefacts = paper::parse_list(&cli::require_value(&mut args, "--paper")?)?
-            }
             "--branches" => {
                 let value = cli::require_value(&mut args, "--branches")?;
                 options.branches = cli::parse_count("--branches", &value)?;
             }
-            "--workers" => {
-                let value = cli::require_value(&mut args, "--workers")?;
-                options.workers = cli::parse_count("--workers", &value)?;
-            }
-            "--engine" => {
-                options.engine = parse_engine(&cli::require_value(&mut args, "--engine")?)?
-            }
             "--out" => options.out = Some(cli::require_value(&mut args, "--out")?),
             other => {
                 return Err(format!(
-                    "--paper does not take {other} (only --branches, --workers, --engine and --out)"
+                    "--paper does not take {other} (only --branches and --out)"
                 ))
             }
         }
@@ -379,12 +366,7 @@ fn paper_mode() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let text = paper::render(
-        &options.artefacts,
-        options.branches,
-        options.workers,
-        options.engine,
-    );
+    let text = paper::render(&options.artefacts, options.branches, default_parallelism());
     match &options.out {
         Some(path) => {
             if let Err(error) = std::fs::write(path, &text) {
@@ -710,7 +692,7 @@ fn run_checkpointable_campaign(
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|arg| arg == "--paper") {
+    if std::env::args().nth(1).as_deref() == Some("--paper") {
         return paper_mode();
     }
     let options = match parse_options() {

@@ -2,10 +2,10 @@
 //!
 //! An [`Artefact`] is data: the storage-free TAGE cells it reads — a
 //! geometry over a registry suite under some [`RunOptions`] — plus a
-//! renderer over their results. [`render`] runs the union of the requested
-//! artefacts' cells once each through [`steal_map`] and [`run_point`], the
-//! same cell path every campaign takes, and renders the artefacts in the
-//! order asked. `tage-bench --paper` prints that text, and
+//! renderer over their results. [`render`] runs every (cell, trace) pair
+//! the requested artefacts read once, through [`steal_map`] and
+//! [`run_point`], the same cell path every campaign takes, and renders the
+//! artefacts in the order asked. `tage-bench --paper` prints that text, and
 //! `docs/RESULTS.md` is `--paper all` at
 //! [`DEFAULT_BRANCHES_PER_TRACE`](crate::DEFAULT_BRANCHES_PER_TRACE).
 //!
@@ -23,9 +23,10 @@
 //! | `ablations` | `medium-conf-bim` window, counter width | S standard × CBP-1 |
 //!
 //! The artefacts overlap: all twelve read 30 distinct cells. Figures 4
-//! and 6 keep seven traces of the full CBP-2 cell; every trace starts from
-//! a cold predictor, so its result does not depend on the rest of the
-//! suite.
+//! and 6 read seven traces of the CBP-2 suite. Every trace starts from a
+//! cold predictor, so its result does not depend on which other traces
+//! run beside it; that is what lets [`render`] share traces between
+//! artefacts and split a cell's traces across workers.
 
 use core::fmt::{self, Write as _};
 
@@ -37,7 +38,7 @@ use tage_sim::point::{
 };
 use tage_sim::report::{fraction, mkp, mpki, probability, TextTable};
 use tage_sim::{EngineKind, RunOptions};
-use tage_traces::suites;
+use tage_traces::suites::{self, Suite, TraceSpec};
 
 use crate::header;
 
@@ -48,6 +49,8 @@ struct Cell {
     /// A registry token ([`suites::REGISTRY`]).
     suite: &'static str,
     options: RunOptions,
+    /// The suite traces it reads, by name; `None` reads every trace.
+    traces: Option<&'static [&'static str]>,
 }
 
 impl Cell {
@@ -56,16 +59,66 @@ impl Cell {
             geometry,
             suite,
             options: RunOptions::default(),
+            traces: None,
         }
     }
 
-    /// Runs the cell as a campaign point through [`run_point`].
-    fn run(&self, branches_per_trace: usize, engine: EngineKind) -> PointResult {
+    /// The same cell over every trace of its suite.
+    fn whole(&self) -> Cell {
+        Cell {
+            traces: None,
+            ..self.clone()
+        }
+    }
+
+    /// The traces it reads: the suite's, or the named ones in that order.
+    fn trace_specs(&self) -> Vec<TraceSpec> {
+        let suite = suites::by_name(self.suite).expect("cells name registry suites");
+        match self.traces {
+            None => suite.traces().to_vec(),
+            Some(names) => names
+                .iter()
+                .map(|name| suite.trace(name).expect("cells name suite traces").clone())
+                .collect(),
+        }
+    }
+
+    /// The cell as a campaign point over `traces` of its suite.
+    fn point(&self, traces: &[TraceSpec]) -> SweepPoint {
         let suite = suites::by_name(self.suite).expect("cells name registry suites");
         let predictor = PredictorSpec::Tage(self.geometry.clone());
-        let point = SweepPoint::over_suite(predictor, SchemeSpec::StorageFree, &suite);
-        run_point(&point, branches_per_trace, &self.options, engine, None)
-            .expect("synthetic storage-free TAGE cells cannot fail")
+        let suite = Suite::new(suite.name(), traces.to_vec());
+        SweepPoint::over_suite(predictor, SchemeSpec::StorageFree, &suite)
+    }
+
+    /// Runs `traces` of the cell through [`run_point`].
+    fn run(&self, traces: &[TraceSpec], branches_per_trace: usize) -> PointResult {
+        run_point(
+            &self.point(traces),
+            branches_per_trace,
+            &self.options,
+            EngineKind::Multilane,
+            None,
+        )
+        .expect("synthetic storage-free TAGE cells cannot fail")
+    }
+
+    /// The cell's result, assembled from the traces [`render`] ran, each
+    /// paired with its whole-suite cell.
+    fn result(&self, ran: &[(&Cell, &PointTraceMetrics)]) -> PointResult {
+        let whole = self.whole();
+        let specs = self.trace_specs();
+        let traces = specs
+            .iter()
+            .map(|spec| {
+                let (_, trace) = ran
+                    .iter()
+                    .find(|(cell, trace)| **cell == whole && trace.trace_name == spec.name())
+                    .expect("render runs every trace a cell reads");
+                (*trace).clone()
+            })
+            .collect();
+        PointResult::assemble(&self.point(&specs), traces)
     }
 }
 
@@ -207,28 +260,35 @@ pub fn parse_list(list: &str) -> Result<Vec<&'static Artefact>, String> {
     Ok(artefacts)
 }
 
-/// Runs the union of `artefacts`' cells once each, `workers` cells at a
-/// time, and renders every artefact in order under its header. The text
-/// depends on `branches_per_trace` only: any worker count and either
-/// engine give the same bytes.
-pub fn render(
-    artefacts: &[&Artefact],
-    branches_per_trace: usize,
-    workers: usize,
-    engine: EngineKind,
-) -> String {
+/// Runs every (cell, trace) pair `artefacts` read once, on `workers`
+/// threads, and renders every artefact in order under its header. The
+/// text depends on `branches_per_trace` only: any worker count gives the
+/// same bytes.
+pub fn render(artefacts: &[&Artefact], branches_per_trace: usize, workers: usize) -> String {
     let wanted: Vec<Vec<Cell>> = artefacts.iter().map(|a| (a.cells)()).collect();
-    let union = distinct(wanted.iter().flatten());
-    let (results, _) = steal_map(&union, workers, |cell| cell.run(branches_per_trace, engine));
+    let runs = runs(wanted.iter().flatten());
+    // Whole cells keep every worker busy once there are enough of them;
+    // with fewer cells than workers, each cell's traces split into shards.
+    let pieces = workers.div_ceil(runs.len()).max(1);
+    let shards: Vec<(&Cell, &[TraceSpec])> = runs
+        .iter()
+        .flat_map(|(cell, traces)| {
+            let size = traces.len().div_ceil(pieces);
+            traces.chunks(size).map(move |chunk| (cell, chunk))
+        })
+        .collect();
+    let (results, _) = steal_map(&shards, workers, |&(cell, traces)| {
+        cell.run(traces, branches_per_trace)
+    });
+    let ran: Vec<(&Cell, &PointTraceMetrics)> = shards
+        .iter()
+        .zip(&results)
+        .flat_map(|(&(cell, _), result)| result.traces.iter().map(move |trace| (cell, trace)))
+        .collect();
     let mut out = String::new();
     for (artefact, cells) in artefacts.iter().zip(&wanted) {
-        let ran: Vec<Ran<'_>> = cells
-            .iter()
-            .map(|cell| {
-                let slot = union.iter().position(|c| c == cell).expect("in the union");
-                (cell, &results[slot])
-            })
-            .collect();
+        let results: Vec<PointResult> = cells.iter().map(|cell| cell.result(&ran)).collect();
+        let ran: Vec<Ran<'_>> = cells.iter().zip(&results).collect();
         out.push_str(&header(artefact.title, branches_per_trace));
         (artefact.render)(&ran, &mut out).expect("writing to a String cannot fail");
         if let Some(note) = artefact.note {
@@ -238,15 +298,27 @@ pub fn render(
     out
 }
 
-/// Each cell once, in first-seen order.
-fn distinct<'a>(cells: impl Iterator<Item = &'a Cell>) -> Vec<Cell> {
-    let mut union: Vec<Cell> = Vec::new();
+/// Each cell over its whole suite once, in first-seen order, with every
+/// trace `cells` read from it.
+fn runs<'a>(cells: impl Iterator<Item = &'a Cell>) -> Vec<(Cell, Vec<TraceSpec>)> {
+    let mut runs: Vec<(Cell, Vec<TraceSpec>)> = Vec::new();
     for cell in cells {
-        if !union.contains(cell) {
-            union.push(cell.clone());
+        let whole = cell.whole();
+        let slot = match runs.iter().position(|(run, _)| *run == whole) {
+            Some(slot) => slot,
+            None => {
+                runs.push((whole, Vec::new()));
+                runs.len() - 1
+            }
+        };
+        let traces = &mut runs[slot].1;
+        for spec in cell.trace_specs() {
+            if !traces.iter().any(|trace| trace.name() == spec.name()) {
+                traces.push(spec);
+            }
         }
     }
-    union
+    runs
 }
 
 fn standard() -> [TageGeometry; 3] {
@@ -269,9 +341,25 @@ fn over(geometries: impl IntoIterator<Item = TageGeometry>, suite: &'static str)
         .collect()
 }
 
-/// The one cell of Figures 4 and 6.
+/// The seven CBP-2 traces of Figures 4 and 6.
+const FIGURE_TRACES: [&str; 7] = [
+    "164.gzip",
+    "175.vpr",
+    "176.gcc",
+    "181.mcf",
+    "186.crafty",
+    "197.parser",
+    "201.compress",
+];
+
+/// The one cell of Figures 4 and 6: their seven traces of the medium
+/// predictor over CBP-2.
 fn medium_cbp2(automaton: CounterAutomaton) -> Vec<Cell> {
-    over([TageGeometry::medium().with_automaton(automaton)], "cbp2")
+    let geometry = TageGeometry::medium().with_automaton(automaton);
+    vec![Cell {
+        traces: Some(&FIGURE_TRACES),
+        ..Cell::new(geometry, "cbp2")
+    }]
 }
 
 fn table1_cells() -> Vec<Cell> {
@@ -492,25 +580,11 @@ fn render_figure5(ran: &[Ran<'_>], out: &mut String) -> fmt::Result {
     Ok(())
 }
 
-/// The seven CBP-2 traces of Figures 4 and 6.
-const FIGURE_TRACES: [&str; 7] = [
-    "164.gzip",
-    "175.vpr",
-    "176.gcc",
-    "181.mcf",
-    "186.crafty",
-    "197.parser",
-    "201.compress",
-];
-
-/// Figures 4 and 6: the misprediction rate of each class, for the seven
-/// traces of the one CBP-2 cell.
+/// Figures 4 and 6: the misprediction rate of each class, per trace of the
+/// one cell.
 fn render_class_rates(ran: &[Ran<'_>], out: &mut String) -> fmt::Result {
     let (_, result) = ran[0];
-    let selected = FIGURE_TRACES
-        .iter()
-        .filter_map(|name| result.traces.iter().find(|t| t.trace_name == *name));
-    let table = class_table(selected, "Average", |report| {
+    let table = class_table(result.traces.iter(), "Average", |report| {
         (
             PredictionClass::ALL.map(|class| mkp(report.mprate_mkp(class))),
             mkp(report.mkp()),
@@ -674,9 +748,10 @@ mod tests {
     fn mini(cell: &Cell, branches: usize) -> PointResult {
         let cell = Cell {
             suite: "cbp1-mini",
+            traces: None,
             ..cell.clone()
         };
-        cell.run(branches, EngineKind::Multilane)
+        cell.run(&cell.trace_specs(), branches)
     }
 
     #[test]
@@ -692,8 +767,34 @@ mod tests {
         assert!(cells("table3")
             .iter()
             .all(|cell| cell.options == RunOptions::adaptive()));
-        let every = ARTEFACTS.iter().flat_map(|artefact| (artefact.cells)());
-        assert_eq!(distinct(every.collect::<Vec<_>>().iter()).len(), 30);
+        let every: Vec<Cell> = ARTEFACTS.iter().flat_map(|a| (a.cells)()).collect();
+        assert_eq!(runs(every.iter()).len(), 30);
+    }
+
+    #[test]
+    fn figures_4_and_6_read_seven_traces_of_a_shared_cell() {
+        let figure4 = &cells("figure4")[0];
+        let names: Vec<String> = figure4
+            .trace_specs()
+            .iter()
+            .map(|spec| spec.name().to_string())
+            .collect();
+        assert_eq!(names, FIGURE_TRACES);
+        let runs = runs([figure4.clone(), cells("figure3")[1].clone()].iter());
+        assert_eq!(runs.len(), 1, "figure4 shares figure3's medium cell");
+        assert_eq!((runs[0].0.traces, runs[0].1.len()), (None, 20));
+    }
+
+    #[test]
+    fn splitting_cells_across_workers_keeps_the_bytes() {
+        // One worker runs whole cells. Five split figure4's seven traces
+        // 4 + 3 and bim_breakdown's 20 traces per cell 10 + 10; apart,
+        // figure4 splits 2 + 2 + 2 + 1 and bim_breakdown 7 + 7 + 6.
+        let artefacts = parse_list("figure4,bim_breakdown").unwrap();
+        let serial = render(&artefacts, 1_000, 1);
+        assert_eq!(render(&artefacts, 1_000, 5), serial);
+        let apart = render(&artefacts[..1], 1_000, 5) + &render(&artefacts[1..], 1_000, 5);
+        assert_eq!(apart, serial);
     }
 
     #[test]

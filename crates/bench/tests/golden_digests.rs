@@ -226,7 +226,7 @@ fn preset_spec_digests_are_pinned() {
 fn paper_artefact_bytes_are_pinned() {
     for (artefact, (name, digest)) in paper::ARTEFACTS.iter().zip(PAPER_ARTEFACTS) {
         assert_eq!(artefact.name, name);
-        let text = paper::render(&[artefact], BRANCHES, 2, EngineKind::Multilane);
+        let text = paper::render(&[artefact], BRANCHES, 2);
         pinned(name, fnv1a64(text.as_bytes()), digest);
     }
 }

@@ -626,8 +626,9 @@ impl From<TraceRunResult> for PointTraceMetrics {
 impl PointResult {
     /// The result of `point` over its traces, in suite order: the traces
     /// plus the aggregate of their reports. Scenario metrics and sampling
-    /// accounting start empty.
-    fn assemble(point: &SweepPoint, traces: Vec<PointTraceMetrics>) -> Self {
+    /// accounting start empty. Traces run apart (each from a cold
+    /// predictor) assemble into the result of running them together.
+    pub fn assemble(point: &SweepPoint, traces: Vec<PointTraceMetrics>) -> Self {
         let mut aggregate = ConfidenceReport::new();
         for trace in &traces {
             aggregate.merge(&trace.report);

@@ -59,14 +59,9 @@ cmp target/campaign-multilane.json target/campaign-scalar.json
 echo "== paper artefacts (tage-bench --paper) =="
 # The paper's tables and figures from campaign cells (docs/CAMPAIGNS.md):
 # docs/RESULTS.md must be exactly `--paper all` at its 200,000-branch
-# default, and the text must not depend on the worker count or the engine.
+# default.
 cargo run --release --bin tage-bench -- --paper all --out target/RESULTS.md
 cmp target/RESULTS.md docs/RESULTS.md
-cargo run --release --bin tage-bench -- --paper all --branches 20000 \
-  --out target/paper-default.txt
-cargo run --release --bin tage-bench -- --paper all --branches 20000 \
-  --workers 1 --engine scalar --out target/paper-scalar.txt
-cmp target/paper-default.txt target/paper-scalar.txt
 
 echo "== scenario smoke (tage-bench --scenario) =="
 # One cell per scenario kind (recovery-energy, shared-predictor,
