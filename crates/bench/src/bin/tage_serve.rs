@@ -13,9 +13,10 @@
 //! report), `GET /metrics`, `GET /healthz`, `POST /shutdown`.
 //!
 //! The daemon shuts down gracefully on SIGINT/SIGTERM or `POST /shutdown`:
-//! it stops accepting work, finishes and persists the running batch, and
-//! exits 0. Accepted grids are journaled under `--journal`, finished cells
-//! under `--store`, so a restarted daemon resumes every open campaign.
+//! it stops accepting work, finishes and persists the cells its workers
+//! are running, and exits 0. Accepted grids are journaled under
+//! `--journal`, finished cells under `--store`, so a restarted daemon
+//! resumes every open campaign.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,7 +125,7 @@ fn main() -> ExitCode {
     while !SIGNALLED.load(Ordering::SeqCst) && !handle.shutdown_requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
-    println!("tage-serve: shutting down (flushing the running batch)");
+    println!("tage-serve: shutting down (finishing the running cells)");
     handle.request_shutdown();
     handle.join();
     println!("tage-serve: bye");

@@ -28,11 +28,12 @@
 //! died and the resumed timing-free report byte-matches an uninterrupted
 //! one. The same store backs the `tage-serve` campaign daemon
 //! ([`crate::service`]), so CLI runs and daemon campaigns memoize into one
-//! cache, and both run their cells through one executor
-//! (`execute_cells`): same scheduler, same persistence, same predictor
-//! warm cache for phase-sampled cells.
+//! cache, and both run their cells through one cell executor
+//! (`execute_cell`): same persistence, same predictor warm cache for
+//! phase-sampled cells. Only the scheduling differs: the CLI deals a grid's
+//! cells through `steal_map`, the daemon's workers take queued cells as
+//! they free up.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use tage_confidence::ConfidenceLevel;
@@ -396,15 +397,12 @@ fn run_grid(
     }
     let restored = cells.len() - pending.len();
     let cap = max_cells.unwrap_or(pending.len()).min(pending.len());
-    let run = execute_cells(&pending[..cap], workers, engine, store, None);
+    let run = execute_cells(&pending[..cap], workers, engine, store);
     // Executed cells fill the unrestored slots in grid order; slots past the
     // cap stay empty and drop out of the report.
     let mut executed = run.cells.into_iter();
     for slot in cells.iter_mut().filter(|slot| slot.is_none()).take(cap) {
-        let cell = executed
-            .next()
-            .flatten()
-            .expect("no cancel flag, no skipped cell")?;
+        let cell = executed.next().expect("one executed cell per job")?;
         *slot = Some(CampaignCell::Computed(Box::new(cell.report)));
     }
     Ok(CheckpointedRun {
@@ -433,75 +431,89 @@ pub(crate) struct CellJob {
     pub(crate) branches_per_trace: usize,
 }
 
-/// One cell [`execute_cells`] ran: its report and its rendered
+/// One cell [`execute_cell`] ran: its report and its rendered
 /// timing-free bytes (what a store persists and a report pastes).
 pub(crate) struct ExecutedCell {
     pub(crate) report: CampaignPointReport,
     pub(crate) rendered: String,
+    /// Whether the store failed to persist the cell (a full disk, a vanished
+    /// or read-only store directory); its bytes are still correct.
+    pub(crate) store_failed: bool,
 }
 
 /// What [`execute_cells`] did with a list of cells.
 pub(crate) struct Execution {
-    /// One entry per job, in job order: `None` for a cell the cancel flag
-    /// skipped before it started.
-    pub(crate) cells: Vec<Option<Result<ExecutedCell, PointError>>>,
+    /// One entry per job, in job order.
+    pub(crate) cells: Vec<Result<ExecutedCell, PointError>>,
     /// The scheduler's statistics.
     pub(crate) stats: StealStats,
     /// Executed cells whose store write failed.
     pub(crate) store_errors: usize,
 }
 
-/// The one cell executor, shared by `tage-bench` campaigns and the
-/// `tage-serve` daemon: runs `jobs` through [`steal_map`] on `engine`
-/// (which deals them to workers in job order) and renders each finished
-/// cell's timing-free bytes. With a `store`, every cell is persisted as it
-/// finishes, and phase-sampled cells restore and store predictor
-/// checkpoints in the [`WarmCache`] at `<store>/warm`; a failed store write
-/// is counted, never fatal — the cell's bytes are still correct. Once
-/// `cancel` is set, cells that have not started are skipped.
+/// Runs `jobs` through [`steal_map`] (which deals them to workers in job
+/// order) and [`execute_cell`]. Only phase-sampled cells checkpoint
+/// predictor state, so the [`WarmCache`] at `<store>/warm` is opened only
+/// when a job is sampled.
 pub(crate) fn execute_cells(
     jobs: &[CellJob],
     workers: usize,
     engine: EngineKind,
     store: Option<&CellStore>,
-    cancel: Option<&AtomicBool>,
 ) -> Execution {
-    // Only phase-sampled cells checkpoint predictor state; an uncreatable
-    // warm directory just degrades to gap replays.
     let sampled = jobs.iter().any(|job| job.point.suite.sampling().is_some());
-    let warm = store
-        .filter(|_| sampled)
-        .and_then(|store| WarmCache::new(store.dir().join("warm")).ok());
-    let store_errors = AtomicUsize::new(0);
+    let warm = store.filter(|_| sampled).and_then(open_warm_cache);
     let (cells, stats) = steal_map(jobs, workers, |job| {
-        if cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-            return None;
-        }
-        let start = Instant::now();
-        let result = run_point(
-            &job.point,
-            job.branches_per_trace,
-            &RunOptions::default(),
-            engine,
-            warm.as_ref(),
-        );
-        Some(result.map(|result| {
-            let report = CampaignPointReport {
-                result,
-                wall_seconds: start.elapsed().as_secs_f64(),
-            };
-            let rendered = render_point_json(&report, false);
-            if store.is_some_and(|store| store.store_cell(job.key, &rendered).is_err()) {
-                store_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            ExecutedCell { report, rendered }
-        }))
+        execute_cell(job, engine, store, warm.as_ref())
     });
+    let store_errors = cells
+        .iter()
+        .filter(|cell| cell.as_ref().is_ok_and(|cell| cell.store_failed))
+        .count();
     Execution {
         cells,
         stats,
-        store_errors: store_errors.into_inner(),
+        store_errors,
     }
+}
+
+/// The predictor warm cache at `<store>/warm`; an uncreatable directory
+/// just degrades phase-sampled cells to gap replays.
+pub(crate) fn open_warm_cache(store: &CellStore) -> Option<WarmCache> {
+    WarmCache::new(store.dir().join("warm")).ok()
+}
+
+/// The one cell executor, shared by `tage-bench` campaigns (through
+/// [`execute_cells`]) and the `tage-serve` workers: runs one cell on
+/// `engine` and renders its timing-free bytes. With a `store`, the cell is
+/// persisted before this returns; a failed store write is flagged, never
+/// fatal. Phase-sampled cells restore and store predictor checkpoints in
+/// `warm`.
+pub(crate) fn execute_cell(
+    job: &CellJob,
+    engine: EngineKind,
+    store: Option<&CellStore>,
+    warm: Option<&WarmCache>,
+) -> Result<ExecutedCell, PointError> {
+    let start = Instant::now();
+    let result = run_point(
+        &job.point,
+        job.branches_per_trace,
+        &RunOptions::default(),
+        engine,
+        warm,
+    )?;
+    let report = CampaignPointReport {
+        result,
+        wall_seconds: start.elapsed().as_secs_f64(),
+    };
+    let rendered = render_point_json(&report, false);
+    let store_failed = store.is_some_and(|store| store.store_cell(job.key, &rendered).is_err());
+    Ok(ExecutedCell {
+        report,
+        rendered,
+        store_failed,
+    })
 }
 
 fn render_token_array(tokens: &[String]) -> String {

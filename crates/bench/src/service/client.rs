@@ -1,18 +1,14 @@
 //! The `tage-bench --submit` client: submits a grid to a running
 //! `tage-serve` daemon, optionally polls it to completion, and fetches the
-//! final byte-stable report.
+//! final byte-stable report. Polls go back to back: the daemon holds a
+//! status request on a running campaign until the campaign makes progress.
 //!
 //! The client and daemon must see the same filesystem when the grid uses
 //! `trace_dirs` — the request carries directory *paths*, not trace bytes.
 
-use std::time::Duration;
-
 use super::grid::GridRequest;
 use super::http::{client_request, host_port_of};
 use crate::jsonish;
-
-/// How often [`submit_grid`] polls a running campaign.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// The outcome of one client submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,19 +55,15 @@ pub fn submit_grid(
             report: None,
         });
     }
-    loop {
-        match state.as_str() {
-            "finished" => break,
-            "failed" => {
-                let (_, status_body) =
-                    client_request(&host_port, "GET", &format!("/campaigns/{id}"), None)?;
-                return Err(format!(
-                    "campaign {id} failed: {}",
-                    jsonish::string_field(&status_body, "error")
-                        .unwrap_or_else(|| "unknown cell error".to_string())
-                ));
-            }
-            _ => std::thread::sleep(POLL_INTERVAL),
+    while state != "finished" {
+        if state == "failed" {
+            let (_, status_body) =
+                client_request(&host_port, "GET", &format!("/campaigns/{id}"), None)?;
+            return Err(format!(
+                "campaign {id} failed: {}",
+                jsonish::string_field(&status_body, "error")
+                    .unwrap_or_else(|| "unknown cell error".to_string())
+            ));
         }
         let (status, status_body) =
             client_request(&host_port, "GET", &format!("/campaigns/{id}"), None)?;

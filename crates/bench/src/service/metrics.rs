@@ -30,11 +30,7 @@ pub struct Metrics {
     pub cells_computed: AtomicU64,
     /// Cells answered from the content-addressed store instead of executed.
     pub cells_restored: AtomicU64,
-    /// Work batches the executor ran.
-    pub batches: AtomicU64,
-    /// Cross-worker steals summed over all batches.
-    pub steals: AtomicU64,
-    /// Microseconds the worker pool spent inside batches.
+    /// Microseconds the workers spent executing cells, summed over workers.
     pub busy_micros: AtomicU64,
     /// Computed cells the cell store failed to persist (they were still
     /// published; a restarted daemon recomputes them).
@@ -59,11 +55,11 @@ impl Metrics {
 pub struct MetricsSnapshot {
     /// Seconds since the daemon started.
     pub uptime_seconds: f64,
-    /// Worker threads the executor batches across.
+    /// Worker threads, each running one cell at a time.
     pub workers: usize,
-    /// Unique cells queued and not yet handed to a batch.
+    /// Unique cells queued and not yet taken by a worker.
     pub queue_depth: usize,
-    /// Unique cells currently inside a running batch.
+    /// Unique cells a worker is executing.
     pub cells_in_flight: usize,
     /// Campaigns neither finished nor failed.
     pub campaigns_open: usize,
@@ -94,20 +90,17 @@ pub struct MetricsSnapshot {
     pub warmcache_hits: u64,
     /// Process-wide predictor warm-state cache misses.
     pub warmcache_misses: u64,
-    /// See [`Metrics::batches`].
-    pub batches: u64,
-    /// See [`Metrics::steals`].
-    pub steals: u64,
-    /// Seconds the worker pool spent inside batches.
+    /// Seconds the workers spent executing cells, summed over workers.
     pub busy_seconds: f64,
 }
 
 impl MetricsSnapshot {
-    /// Fraction of the daemon's lifetime the worker pool was executing a
-    /// batch (0 when the daemon just started).
+    /// Fraction of the workers' combined lifetime spent executing cells:
+    /// `busy / (uptime × workers)` (0 when the daemon just started).
     pub fn worker_utilization(&self) -> f64 {
-        if self.uptime_seconds > 0.0 {
-            (self.busy_seconds / self.uptime_seconds).min(1.0)
+        let capacity = self.uptime_seconds * self.workers as f64;
+        if capacity > 0.0 {
+            (self.busy_seconds / capacity).min(1.0)
         } else {
             0.0
         }
@@ -121,7 +114,7 @@ impl MetricsSnapshot {
             .map(|(id, wall)| format!("\"{}\": {wall:.6}", jsonish::escape(id)))
             .collect();
         format!(
-            "{{\n \"uptime_seconds\": {:.6},\n \"workers\": {},\n \"queue_depth\": {},\n \"cells_in_flight\": {},\n \"campaigns_open\": {},\n \"requests\": {},\n \"campaigns_submitted\": {},\n \"campaigns_rehydrated\": {},\n \"campaigns_finished\": {},\n \"campaigns_failed\": {},\n \"cells_computed\": {},\n \"cells_restored\": {},\n \"cache_hits\": {},\n \"cache_misses\": {},\n \"store_errors\": {},\n \"warmcache_hits\": {},\n \"warmcache_misses\": {},\n \"batches\": {},\n \"steals\": {},\n \"busy_seconds\": {:.6},\n \"worker_utilization\": {:.6},\n \"campaign_wall_seconds\": {{{}}}\n}}\n",
+            "{{\n \"uptime_seconds\": {:.6},\n \"workers\": {},\n \"queue_depth\": {},\n \"cells_in_flight\": {},\n \"campaigns_open\": {},\n \"requests\": {},\n \"campaigns_submitted\": {},\n \"campaigns_rehydrated\": {},\n \"campaigns_finished\": {},\n \"campaigns_failed\": {},\n \"cells_computed\": {},\n \"cells_restored\": {},\n \"cache_hits\": {},\n \"cache_misses\": {},\n \"store_errors\": {},\n \"warmcache_hits\": {},\n \"warmcache_misses\": {},\n \"busy_seconds\": {:.6},\n \"worker_utilization\": {:.6},\n \"campaign_wall_seconds\": {{{}}}\n}}\n",
             self.uptime_seconds,
             self.workers,
             self.queue_depth,
@@ -139,8 +132,6 @@ impl MetricsSnapshot {
             self.store_errors,
             self.warmcache_hits,
             self.warmcache_misses,
-            self.batches,
-            self.steals,
             self.busy_seconds,
             self.worker_utilization(),
             walls.join(", ")
@@ -173,9 +164,7 @@ mod tests {
             store_errors: 2,
             warmcache_hits: 11,
             warmcache_misses: 3,
-            batches: 2,
-            steals: 1,
-            busy_seconds: 5.0,
+            busy_seconds: 20.0,
         }
     }
 
@@ -196,8 +185,13 @@ mod tests {
     #[test]
     fn utilization_is_clamped_and_zero_safe() {
         let mut s = snapshot();
+        // 20 busy seconds over 10 s × 4 workers.
+        assert_eq!(s.worker_utilization(), 0.5);
         s.busy_seconds = 99.0;
         assert_eq!(s.worker_utilization(), 1.0);
+        s.workers = 0;
+        assert_eq!(s.worker_utilization(), 0.0);
+        s.workers = 4;
         s.uptime_seconds = 0.0;
         assert_eq!(s.worker_utilization(), 0.0);
     }

@@ -3,11 +3,13 @@
 //!
 //! The service turns the one-shot campaign runner ([`crate::campaign`])
 //! into a long-lived process: clients `POST /campaigns` declarative grids
-//! ([`grid::GridRequest`]), the daemon expands them into cells, runs them
-//! through the same cell executor the CLI uses — the same work-stealing
-//! scheduler, the same predictor warm cache under `<store>/warm` for
-//! phase-sampled cells — and memoizes every finished cell into a shared
-//! [`CellStore`]. Three properties fall out of that design:
+//! ([`grid::GridRequest`]), the daemon expands them into cells, and a pool
+//! of long-lived workers runs them through the same cell executor the CLI
+//! uses — the same persistence, the same predictor warm cache under
+//! `<store>/warm` for phase-sampled cells — memoizing every finished cell
+//! into a shared [`CellStore`]. Each worker takes the oldest queued cell
+//! as soon as it is free, so a small grid never waits for a whole batch
+//! ahead of it. Three properties fall out of that design:
 //!
 //! - **Resubmission is free.** A campaign's id is the fnv64 of its
 //!   canonical grid JSON, and cell keys are content-addressed, so an
@@ -19,10 +21,15 @@
 //!   restarted daemon re-opens journaled campaigns, restores their
 //!   finished cells from the store, and re-queues only the missing ones.
 //! - **Reports are byte-stable.** The final `GET /campaigns/<id>/report`
-//!   document is the timing-free schema-3 rendering over stored cell
+//!   document is the timing-free schema-4 rendering over stored cell
 //!   bytes, which byte-matches an uninterrupted one-shot `tage-bench` run
 //!   of the same grid — regardless of worker count, engine, restarts, or
 //!   which campaign originally computed each cell.
+//!
+//! Nothing polls: the listener blocks in `accept`, idle workers block on a
+//! condvar, and `GET /campaigns/<id>` on a running campaign is held until
+//! the campaign finishes a cell (at most 2 s), so clients may poll back to
+//! back.
 //!
 //! The HTTP layer ([`http`]) is a hand-rolled std-only HTTP/1.1 subset;
 //! request bodies are hardened through
@@ -33,23 +40,25 @@ pub mod grid;
 pub mod http;
 pub mod metrics;
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use tage_sim::engine::StealStats;
 use tage_sim::point::SweepPoint;
-use tage_sim::warmcache;
+use tage_sim::warmcache::{self, WarmCache};
 use tage_sim::EngineKind;
 use tage_traces::snapshot::write_atomic;
 
 use crate::campaign::{
-    assemble_report, execute_cells, CampaignCell, CampaignReport, CampaignSpec, CellJob,
-    SkippedPoint,
+    assemble_report, execute_cell, open_warm_cache, CampaignCell, CampaignSpec, CellJob,
+    ExecutedCell, SkippedPoint,
 };
 use crate::cellstore::{cell_key, CellStore};
 use crate::jsonish;
@@ -57,8 +66,14 @@ use grid::GridRequest;
 use http::{read_request, write_response, HttpError, Request};
 use metrics::{Metrics, MetricsSnapshot};
 
-/// How long the accept loop and executor sleep between shutdown-flag polls.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// The longest `GET /campaigns/<id>` on a running campaign waits for the
+/// campaign's next finished cell — well below [`http::IO_TIMEOUT`], so a
+/// held client never times out first.
+const STATUS_HOLD: Duration = Duration::from_secs(2);
+
+/// How long the accept loop backs off after a failed `accept` (e.g. out of
+/// file descriptors), so it does not spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Configuration of one [`start`]ed daemon.
 #[derive(Debug, Clone)]
@@ -66,7 +81,7 @@ pub struct ServeOptions {
     /// Bind address (`127.0.0.1:0` picks a free port; see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads per executor batch.
+    /// Worker threads, each running one cell at a time.
     pub workers: usize,
     /// Engine every cell runs on (reports are engine-independent).
     pub engine: EngineKind,
@@ -105,22 +120,105 @@ struct PendingCell {
 
 /// One accepted campaign.
 struct Campaign {
+    /// Executable cells in the grid.
+    cells: usize,
+    /// Cells not yet finished.
+    pending: usize,
+    /// First cell-execution error, which fails the whole campaign.
+    error: Option<String>,
+    submitted: Instant,
+    progress: Progress,
+}
+
+/// What a campaign holds: its grid and finished cells while it runs, only
+/// its final report once every cell finished.
+enum Progress {
+    Running(Box<RunningGrid>),
+    Finished {
+        /// The final timing-free report bytes.
+        report: String,
+        /// Seconds from submit to the last finished cell.
+        wall_seconds: f64,
+    },
+}
+
+/// A running campaign's grid and the bytes of its finished cells.
+struct RunningGrid {
     spec: CampaignSpec,
     /// Cell identities in grid-expansion order (for the pending listing).
     points: Vec<SweepPoint>,
     skipped: Vec<SkippedPoint>,
     /// Rendered timing-free bytes per cell; `None` while pending.
     cells: Vec<Option<String>>,
-    /// Cells still `None`.
-    pending: usize,
-    /// First cell-execution error, which fails the whole campaign.
-    error: Option<String>,
-    submitted: Instant,
-    /// Set when `pending` reaches zero.
-    wall_seconds: Option<f64>,
+}
+
+impl RunningGrid {
+    /// The (possibly partial) timing-free schema-4 report over the finished
+    /// cells, pasted verbatim in grid-expansion order.
+    fn render_report(&self) -> String {
+        let cells = self.cells.iter().flatten();
+        let cells = cells.map(|rendered| CampaignCell::Restored(rendered.clone()));
+        // Scheduling figures and wall time are timing fields, never rendered.
+        let stats = StealStats {
+            workers: 0,
+            steals: 0,
+        };
+        assemble_report(
+            &self.spec,
+            cells.collect(),
+            self.skipped.clone(),
+            stats,
+            0.0,
+        )
+        .render_json(false)
+    }
+
+    /// The identities of the pending cells, as a JSON array.
+    fn render_pending(&self) -> String {
+        let pending: Vec<String> = self
+            .cells
+            .iter()
+            .zip(&self.points)
+            .filter(|(cell, _)| cell.is_none())
+            .map(|(_, point)| {
+                format!(
+                    "  {{\"predictor\": \"{}\", \"scheme\": \"{}\", \"suite\": \"{}\", \"scenario\": \"{}\"}}",
+                    jsonish::escape(&point.predictor.label()),
+                    jsonish::escape(&point.scheme.label()),
+                    jsonish::escape(point.suite.name()),
+                    jsonish::escape(point.scenario.label()),
+                )
+            })
+            .collect();
+        if pending.is_empty() {
+            "[]".to_string()
+        } else {
+            format!("[\n{}\n ]", pending.join(",\n"))
+        }
+    }
 }
 
 impl Campaign {
+    /// A campaign over `grid`, finished at once when the store restored
+    /// every cell.
+    fn new(grid: RunningGrid) -> Campaign {
+        let pending = grid.cells.iter().filter(|cell| cell.is_none()).count();
+        let mut campaign = Campaign {
+            cells: grid.cells.len(),
+            pending,
+            error: None,
+            submitted: Instant::now(),
+            progress: Progress::Running(Box::new(grid)),
+        };
+        campaign.finish_if_done();
+        campaign
+    }
+
+    /// Neither finished nor failed.
+    fn is_running(&self) -> bool {
+        self.pending > 0 && self.error.is_none()
+    }
+
     fn state_label(&self) -> &'static str {
         if self.error.is_some() {
             "failed"
@@ -131,39 +229,76 @@ impl Campaign {
         }
     }
 
-    /// Builds the (possibly partial) schema-3 report over the finished
-    /// cells, pasted verbatim in grid-expansion order.
-    fn report(&self, workers: usize) -> CampaignReport {
-        let cells = self.cells.iter().flatten();
-        let cells = cells.map(|rendered| CampaignCell::Restored(rendered.clone()));
-        assemble_report(
-            &self.spec,
-            cells.collect(),
-            self.skipped.clone(),
-            StealStats { workers, steals: 0 },
-            self.wall_seconds.unwrap_or(0.0),
-        )
+    /// Pastes a finished cell into position `index`; returns whether that
+    /// finished the campaign.
+    fn fill(&mut self, index: usize, rendered: &str) -> bool {
+        let Progress::Running(grid) = &mut self.progress else {
+            return false;
+        };
+        if grid.cells[index].is_some() {
+            return false;
+        }
+        grid.cells[index] = Some(rendered.to_string());
+        self.pending -= 1;
+        self.finish_if_done()
+    }
+
+    /// Records the campaign's first cell error; returns whether it was the
+    /// first.
+    fn fail(&mut self, error: &str) -> bool {
+        let first = self.error.is_none();
+        if first {
+            self.error = Some(error.to_string());
+        }
+        first
+    }
+
+    /// Once no cell is pending and none failed: renders the final report
+    /// once and keeps only its bytes. Returns whether this call finished
+    /// the campaign.
+    fn finish_if_done(&mut self) -> bool {
+        let Progress::Running(grid) = &self.progress else {
+            return false;
+        };
+        if self.pending > 0 || self.error.is_some() {
+            return false;
+        }
+        let mut report = grid.render_report();
+        report.shrink_to_fit();
+        self.progress = Progress::Finished {
+            report,
+            wall_seconds: self.submitted.elapsed().as_secs_f64(),
+        };
+        true
     }
 }
 
 /// The mutex-guarded half of the daemon.
 struct ServiceState {
     campaigns: BTreeMap<String, Campaign>,
-    /// Unique cells pending or in flight, keyed by [`cell_key`].
+    /// Unique cells queued or executing, keyed by [`cell_key`].
     cells: HashMap<u64, PendingCell>,
-    /// Keys queued for the next executor batch.
+    /// Keys waiting for a free worker, oldest first.
     queue: VecDeque<u64>,
-    /// Unique cells inside the currently running batch.
+    /// Cells a worker is executing.
     in_flight: usize,
 }
 
-/// Everything the accept loop, the executor, and [`ServerHandle`] share.
+/// Everything the accept loop, the workers, held status requests and
+/// [`ServerHandle`] share.
 struct Shared {
     state: Mutex<ServiceState>,
+    /// Notified when a cell is queued; idle workers wait on it.
     work_ready: Condvar,
+    /// Notified when a worker publishes a cell; held status requests wait
+    /// on it.
+    progress: Condvar,
     shutdown: AtomicBool,
     metrics: Metrics,
     store: CellStore,
+    /// The predictor warm cache under `<store>/warm`, opened once for
+    /// every worker.
+    warm: Option<WarmCache>,
     journal_dir: PathBuf,
     engine: EngineKind,
     workers: usize,
@@ -172,13 +307,22 @@ struct Shared {
 }
 
 impl Shared {
+    /// Sets the shutdown flag and wakes every waiting worker and held
+    /// status request. The accept loop checks the flag after each
+    /// connection; see [`ServerHandle::request_shutdown`] for waking it.
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Waiters check the flag and start waiting under the state lock, so
+        // once this lock is taken each one either saw the flag or is
+        // already waiting for the notifications below. A poisoned lock
+        // still orders them.
+        drop(self.state.lock());
         self.work_ready.notify_all();
+        self.progress.notify_all();
     }
 }
 
-/// A running daemon: its bound address plus the accept and executor thread
+/// A running daemon: its bound address plus the accept and worker thread
 /// handles.
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -208,15 +352,21 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Asks the daemon to stop: no new work is accepted, the running batch
-    /// finishes and its cells are persisted, then both threads exit.
+    /// Asks the daemon to stop: no new work is accepted, each worker
+    /// finishes and persists the cell it is running, held status requests
+    /// are answered, then every thread exits. Queued cells stay journaled
+    /// for the next daemon.
     pub fn request_shutdown(&self) {
         self.shared.request_shutdown();
+        // Wake the accept loop, blocked in `accept`, with a connection of
+        // our own; it sees the flag and exits. A refused connection means
+        // it already did.
+        let _ = TcpStream::connect(wake_address(self.addr));
     }
 
-    /// Waits for the accept loop and executor to exit. Call
-    /// [`ServerHandle::request_shutdown`] first (or let a client
-    /// `POST /shutdown`), or this blocks forever.
+    /// Waits for the accept loop, the workers and any held status request
+    /// to exit. Call [`ServerHandle::request_shutdown`] first (or let a
+    /// client `POST /shutdown`), or this blocks forever.
     pub fn join(self) {
         for thread in self.threads {
             let _ = thread.join();
@@ -224,7 +374,19 @@ impl ServerHandle {
     }
 }
 
-/// Binds, rehydrates journaled campaigns, and spawns the daemon threads.
+/// Where [`ServerHandle::request_shutdown`] connects to wake the accept
+/// loop: the bound address, on loopback when bound to every interface.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Binds, rehydrates journaled campaigns, and spawns the accept loop and
+/// the workers.
 ///
 /// # Errors
 ///
@@ -240,9 +402,7 @@ pub fn start(options: ServeOptions) -> Result<ServerHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot make listener nonblocking: {e}"))?;
+    let workers = options.workers.max(1);
     let shared = Arc::new(Shared {
         state: Mutex::new(ServiceState {
             campaigns: BTreeMap::new(),
@@ -251,28 +411,33 @@ pub fn start(options: ServeOptions) -> Result<ServerHandle, String> {
             in_flight: 0,
         }),
         work_ready: Condvar::new(),
+        progress: Condvar::new(),
         shutdown: AtomicBool::new(false),
         metrics: Metrics::default(),
+        warm: open_warm_cache(&store),
         store,
         journal_dir: options.journal_dir.clone(),
         engine: options.engine,
-        workers: options.workers.max(1),
+        workers,
         max_body_bytes: options.max_body_bytes,
         started: Instant::now(),
     });
     rehydrate(&shared);
-    let executor = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || executor_loop(&shared))
-    };
+    let mut threads: Vec<JoinHandle<()>> = (0..workers)
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&shared))
+        })
+        .collect();
     let acceptor = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || accept_loop(&listener, &shared))
     };
+    threads.push(acceptor);
     Ok(ServerHandle {
         addr,
         shared,
-        threads: vec![acceptor, executor],
+        threads,
     })
 }
 
@@ -329,6 +494,17 @@ struct SubmitOutcome {
 }
 
 impl SubmitOutcome {
+    fn new(id: String, campaign: &Campaign, known: bool) -> SubmitOutcome {
+        SubmitOutcome {
+            id,
+            state: campaign.state_label(),
+            cells: campaign.cells,
+            finished_cells: campaign.cells - campaign.pending,
+            pending_cells: campaign.pending,
+            known,
+        }
+    }
+
     fn render_json(&self) -> String {
         format!(
             "{{\"id\": \"{}\", \"state\": \"{}\", \"cells\": {}, \"finished_cells\": {}, \"pending_cells\": {}, \"known\": {}}}\n",
@@ -352,14 +528,7 @@ fn submit(
     {
         let state = shared.state.lock().expect("service state poisoned");
         if let Some(campaign) = state.campaigns.get(&id) {
-            return Ok(SubmitOutcome {
-                id,
-                state: campaign.state_label(),
-                cells: campaign.cells.len(),
-                finished_cells: campaign.cells.len() - campaign.pending,
-                pending_cells: campaign.pending,
-                known: true,
-            });
+            return Ok(SubmitOutcome::new(id, campaign, true));
         }
     }
     let spec = request.to_spec()?;
@@ -372,8 +541,8 @@ fn submit(
         // Lost a (theoretical) submission race otherwise; the winner's
         // campaign is equivalent by construction.
         if !state.campaigns.contains_key(&id) {
-            // Store lookups happen under the lock: the executor stores a
-            // cell before it publishes it under this lock, so every cell is
+            // Store lookups happen under the lock: a worker stores a cell
+            // before it publishes it under this lock, so every cell is
             // either stored, still pending, or new — none slips between.
             let mut cells = Vec::with_capacity(points.len());
             for (index, point) in points.iter().enumerate() {
@@ -395,32 +564,19 @@ fn submit(
                 }
                 cells.push(stored);
             }
-            let pending = cells.iter().filter(|cell| cell.is_none()).count();
-            if pending == 0 {
-                Metrics::bump(&shared.metrics.campaigns_finished);
-            }
-            Metrics::bump(&shared.metrics.campaigns_submitted);
-            let campaign = Campaign {
+            let campaign = Campaign::new(RunningGrid {
                 spec,
                 points,
                 skipped,
-                pending,
                 cells,
-                error: None,
-                submitted: Instant::now(),
-                wall_seconds: (pending == 0).then_some(0.0),
-            };
+            });
+            if campaign.pending == 0 {
+                Metrics::bump(&shared.metrics.campaigns_finished);
+            }
+            Metrics::bump(&shared.metrics.campaigns_submitted);
             state.campaigns.insert(id.clone(), campaign);
         }
-        let campaign = &state.campaigns[&id];
-        SubmitOutcome {
-            id: id.clone(),
-            state: campaign.state_label(),
-            cells: campaign.cells.len(),
-            finished_cells: campaign.cells.len() - campaign.pending,
-            pending_cells: campaign.pending,
-            known: false,
-        }
+        SubmitOutcome::new(id.clone(), &state.campaigns[&id], false)
     };
     shared.work_ready.notify_all();
     Ok(outcome)
@@ -435,141 +591,164 @@ fn write_journal(journal_dir: &Path, id: &str, canonical_json: &str) -> Result<(
     .map_err(|e| format!("cannot journal campaign {id}: {e}"))
 }
 
-/// The executor: drains the queue into batches, runs each batch through the
-/// campaign cell executor (which persists every finished cell to the store
-/// before this loop publishes it), and distributes the bytes to every
-/// waiting campaign. Cells the shutdown flag skipped go back on the queue.
-/// Exits when shutdown is requested and the current batch has been flushed.
-fn executor_loop(shared: &Arc<Shared>) {
+/// One worker: takes the oldest queued cell as soon as it is free, runs it
+/// through the campaign cell executor (which persists it to the store
+/// before this loop publishes it), and hands the bytes to every waiting
+/// campaign. A cell that panics fails its campaigns, not the worker. On
+/// shutdown the worker exits after its current cell; queued cells stay
+/// journaled.
+fn worker_loop(shared: &Shared) {
     loop {
-        let batch: Vec<CellJob> = {
+        let job = {
             let mut state = shared.state.lock().expect("service state poisoned");
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if !state.queue.is_empty() {
-                    break;
+                if let Some(key) = state.queue.pop_front() {
+                    state.in_flight += 1;
+                    break state.cells[&key].job.clone();
                 }
-                let (next, _) = shared
+                state = shared
                     .work_ready
-                    .wait_timeout(state, POLL_INTERVAL)
+                    .wait(state)
                     .expect("service state poisoned");
-                state = next;
             }
-            let keys: Vec<u64> = state.queue.drain(..).collect();
-            state.in_flight = keys.len();
-            keys.iter()
-                .map(|key| state.cells[key].job.clone())
-                .collect()
         };
-        Metrics::bump(&shared.metrics.batches);
-        let batch_start = Instant::now();
-        let run = execute_cells(
-            &batch,
-            shared.workers,
-            shared.engine,
-            Some(&shared.store),
-            Some(&shared.shutdown),
-        );
+        let start = Instant::now();
+        let outcome = run_cell(shared, &job);
         let metrics = &shared.metrics;
         metrics
-            .steals
-            .fetch_add(run.stats.steals, Ordering::Relaxed);
-        metrics
             .busy_micros
-            .fetch_add(batch_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        metrics
-            .store_errors
-            .fetch_add(run.store_errors as u64, Ordering::Relaxed);
-        let mut state = shared.state.lock().expect("service state poisoned");
-        for (job, cell) in batch.iter().zip(run.cells) {
-            match cell {
-                Some(Ok(cell)) => {
-                    Metrics::bump(&metrics.cells_computed);
-                    let pending = state.cells.remove(&job.key).expect("batched cell tracked");
-                    for (campaign_id, index) in pending.waiters {
-                        finish_cell(&mut state, shared, &campaign_id, index, &cell.rendered);
-                    }
+            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        let outcome = outcome.map(|cell| {
+            Metrics::bump(&metrics.cells_computed);
+            if cell.store_failed {
+                Metrics::bump(&metrics.store_errors);
+            }
+            cell.rendered
+        });
+        publish(shared, job.key, &outcome);
+    }
+}
+
+/// Runs one cell through the campaign cell executor, turning a panic into
+/// the cell's failure message.
+///
+/// The cell runs on a short-lived thread of its own, as `steal_map` runs a
+/// CLI grid's cells, so its transient allocations come and go with that
+/// thread's malloc arena. On the worker itself they would fragment the
+/// arena that holds the long-lived campaign bytes `publish` allocates:
+/// with glibc that raised perfbench `serve_closed_loop`'s peak RSS by
+/// 1.1–1.9 MB (9–17%) on a 2-core Xeon. When no thread can be started, the
+/// cell runs on the worker.
+fn run_cell(shared: &Shared, job: &CellJob) -> Result<ExecutedCell, String> {
+    let run = || {
+        execute_cell(
+            job,
+            shared.engine,
+            Some(&shared.store),
+            shared.warm.as_ref(),
+        )
+    };
+    let outcome = std::thread::scope(|scope| {
+        let thread = std::thread::Builder::new().spawn_scoped(scope, run);
+        match thread {
+            Ok(thread) => thread.join(),
+            Err(_) => catch_unwind(AssertUnwindSafe(run)),
+        }
+    });
+    match outcome {
+        Ok(result) => result.map_err(|error| error.to_string()),
+        Err(payload) => Err(panic_message(&*payload)),
+    }
+}
+
+/// The failure message of a cell whose execution panicked with `payload`.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)");
+    format!("cell panicked: {message}")
+}
+
+/// Hands a finished cell's bytes, or its error, to every waiting campaign
+/// position, then wakes the held status requests.
+fn publish(shared: &Shared, key: u64, outcome: &Result<String, String>) {
+    let mut state = shared.state.lock().expect("service state poisoned");
+    state.in_flight -= 1;
+    let cell = state.cells.remove(&key).expect("in-flight cell tracked");
+    for (campaign_id, index) in cell.waiters {
+        let Some(campaign) = state.campaigns.get_mut(&campaign_id) else {
+            continue;
+        };
+        match outcome {
+            Ok(rendered) => {
+                if campaign.fill(index, rendered) {
+                    Metrics::bump(&shared.metrics.campaigns_finished);
                 }
-                Some(Err(error)) => {
-                    let pending = state.cells.remove(&job.key).expect("batched cell tracked");
-                    for (campaign_id, _) in pending.waiters {
-                        fail_campaign(&mut state, shared, &campaign_id, &error.to_string());
-                    }
+            }
+            Err(error) => {
+                if campaign.fail(error) {
+                    Metrics::bump(&shared.metrics.campaigns_failed);
                 }
-                None => state.queue.push_back(job.key),
             }
         }
-        state.in_flight = 0;
     }
+    drop(state);
+    shared.progress.notify_all();
 }
 
-/// Pastes a finished cell into one campaign position and closes the
-/// campaign when it was the last pending cell.
-fn finish_cell(
-    state: &mut ServiceState,
-    shared: &Shared,
-    campaign_id: &str,
-    index: usize,
-    rendered: &str,
-) {
-    let Some(campaign) = state.campaigns.get_mut(campaign_id) else {
-        return;
-    };
-    if campaign.cells[index].is_none() {
-        campaign.cells[index] = Some(rendered.to_string());
-        campaign.pending -= 1;
-    }
-    if campaign.pending == 0 && campaign.wall_seconds.is_none() && campaign.error.is_none() {
-        campaign.wall_seconds = Some(campaign.submitted.elapsed().as_secs_f64());
-        Metrics::bump(&shared.metrics.campaigns_finished);
-    }
-}
-
-/// Marks a campaign failed on its first cell error.
-fn fail_campaign(state: &mut ServiceState, shared: &Shared, campaign_id: &str, error: &str) {
-    let Some(campaign) = state.campaigns.get_mut(campaign_id) else {
-        return;
-    };
-    if campaign.error.is_none() {
-        campaign.error = Some(error.to_string());
-        Metrics::bump(&shared.metrics.campaigns_failed);
-    }
-}
-
-/// The accept loop: single-threaded, nonblocking accept polling the
-/// shutdown flag. Each connection carries one request.
+/// The accept loop: blocks in `accept` and serves each connection's one
+/// request, until shutdown is requested. Held status requests run on
+/// threads of its scope, so it exits only once each has been answered.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                handle_connection(&mut stream, shared);
+    std::thread::scope(|scope| {
+        while !shared.shutdown.load(Ordering::SeqCst) {
+            match listener.accept() {
+                // After a shutdown request this is the wake-up connection (or
+                // a request racing it), which is dropped unanswered.
+                Ok((stream, _)) if !shared.shutdown.load(Ordering::SeqCst) => {
+                    handle_connection(scope, stream, shared);
+                }
+                Ok(_) => {}
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
-            Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
-    }
+    });
 }
 
-/// Reads one request, routes it, writes one response.
-fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
+/// Reads one request, routes it, writes one response — except a status
+/// request on a running campaign, which [`hold_status`] answers later.
+fn handle_connection<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    mut stream: TcpStream,
+    shared: &'scope Arc<Shared>,
+) {
     Metrics::bump(&shared.metrics.requests);
-    match read_request(stream, shared.max_body_bytes) {
+    match read_request(&mut stream, shared.max_body_bytes) {
         Ok(request) => {
+            if let Some((id, pending)) = running_status_request(shared, &request) {
+                hold_status(scope, shared, stream, id, pending);
+                return;
+            }
             let (status, reason, body) = route(shared, &request);
-            write_response(stream, status, reason, &body);
+            write_response(&mut stream, status, reason, &body);
         }
         Err(HttpError::Io(_)) => {}
         Err(error @ HttpError::Malformed(_)) => {
-            write_response(stream, 400, "Bad Request", &error_body(&error.to_string()));
+            write_response(
+                &mut stream,
+                400,
+                "Bad Request",
+                &error_body(&error.to_string()),
+            );
         }
         Err(error @ HttpError::TooLarge { .. }) => {
             write_response(
-                stream,
+                &mut stream,
                 413,
                 "Payload Too Large",
                 &error_body(&error.to_string()),
@@ -582,6 +761,67 @@ fn error_body(message: &str) -> String {
     format!("{{\"error\": \"{}\"}}\n", jsonish::escape(message))
 }
 
+/// The `<id>` of a `/campaigns/<id>` status path.
+fn status_id(path: &str) -> Option<&str> {
+    path.strip_prefix("/campaigns/")
+        .filter(|id| !id.contains('/'))
+}
+
+/// The id and pending-cell count of a `GET /campaigns/<id>` whose campaign
+/// is running — the one request that is held.
+fn running_status_request(shared: &Shared, request: &Request) -> Option<(String, usize)> {
+    let id = status_id(&request.path).filter(|_| request.method == "GET")?;
+    let state = shared.state.lock().expect("service state poisoned");
+    let campaign = state.campaigns.get(id)?;
+    campaign
+        .is_running()
+        .then(|| (id.to_string(), campaign.pending))
+}
+
+/// Answers a status request on a running campaign from a thread of its
+/// own, so the accept loop never blocks: the thread waits until one of the
+/// campaign's cells finishes, the campaign fails, shutdown is requested,
+/// or [`STATUS_HOLD`] passes. When no thread can be started, answers at
+/// once.
+fn hold_status<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    shared: &'scope Shared,
+    mut stream: TcpStream,
+    id: String,
+    pending: usize,
+) {
+    let held = stream.try_clone().ok().and_then(|mut held| {
+        let id = id.clone();
+        std::thread::Builder::new()
+            .spawn_scoped(scope, move || {
+                let (status, reason, body) = held_status(shared, &id, pending);
+                write_response(&mut held, status, reason, &body);
+            })
+            .ok()
+    });
+    if held.is_none() {
+        let (status, reason, body) = status_endpoint(shared, &id);
+        write_response(&mut stream, status, reason, &body);
+    }
+}
+
+/// The status of campaign `id` once it no longer has `pending` cells
+/// pending and unfailed, shutdown is requested, or [`STATUS_HOLD`] passed.
+fn held_status(shared: &Shared, id: &str, pending: usize) -> (u16, &'static str, String) {
+    let state = shared.state.lock().expect("service state poisoned");
+    let (state, _) = shared
+        .progress
+        .wait_timeout_while(state, STATUS_HOLD, |state| {
+            !shared.shutdown.load(Ordering::SeqCst)
+                && state
+                    .campaigns
+                    .get(id)
+                    .is_some_and(|campaign| campaign.is_running() && campaign.pending == pending)
+        })
+        .expect("service state poisoned");
+    render_status(&state, id)
+}
+
 /// Dispatches one request to its endpoint.
 fn route(shared: &Arc<Shared>, request: &Request) -> (u16, &'static str, String) {
     match (request.method.as_str(), request.path.as_str()) {
@@ -589,6 +829,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (u16, &'static str, String)
         ("GET", "/metrics") => (200, "OK", render_metrics(shared)),
         ("GET", "/healthz") => (200, "OK", "{\"ok\": true}\n".to_string()),
         ("POST", "/shutdown") => {
+            // The accept loop checks the flag right after this request.
             shared.request_shutdown();
             (
                 200,
@@ -597,14 +838,13 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (u16, &'static str, String)
             )
         }
         ("GET", path) => {
-            if let Some(rest) = path.strip_prefix("/campaigns/") {
-                if let Some(id) = rest.strip_suffix("/report") {
-                    report_endpoint(shared, id)
-                } else if rest.contains('/') {
-                    (404, "Not Found", error_body("no such endpoint"))
-                } else {
-                    status_endpoint(shared, rest)
-                }
+            if let Some(id) = status_id(path) {
+                status_endpoint(shared, id)
+            } else if let Some(id) = path
+                .strip_prefix("/campaigns/")
+                .and_then(|rest| rest.strip_suffix("/report"))
+            {
+                report_endpoint(shared, id)
             } else {
                 (404, "Not Found", error_body("no such endpoint"))
             }
@@ -638,11 +878,17 @@ fn submit_endpoint(shared: &Arc<Shared>, body: &[u8]) -> (u16, &'static str, Str
     }
 }
 
-/// `GET /campaigns/<id>`: incremental status — finished cells pasted
-/// verbatim into a partial schema-3 report, pending cells listed by
-/// identity.
-fn status_endpoint(shared: &Arc<Shared>, id: &str) -> (u16, &'static str, String) {
+/// `GET /campaigns/<id>` on a campaign that is not held ([`hold_status`]).
+fn status_endpoint(shared: &Shared, id: &str) -> (u16, &'static str, String) {
     let state = shared.state.lock().expect("service state poisoned");
+    render_status(&state, id)
+}
+
+/// The status document of campaign `id`: state, counts, pending cells
+/// listed by identity, and the report so far — finished cells pasted
+/// verbatim into a partial schema-4 report, or the final report bytes
+/// once every cell finished.
+fn render_status(state: &ServiceState, id: &str) -> (u16, &'static str, String) {
     let Some(campaign) = state.campaigns.get(id) else {
         return (
             404,
@@ -650,46 +896,33 @@ fn status_endpoint(shared: &Arc<Shared>, id: &str) -> (u16, &'static str, String
             error_body(&format!("unknown campaign {id}")),
         );
     };
-    let pending: Vec<String> = campaign
-        .cells
-        .iter()
-        .enumerate()
-        .filter(|(_, cell)| cell.is_none())
-        .map(|(index, _)| {
-            let point = &campaign.points[index];
-            format!(
-                "  {{\"predictor\": \"{}\", \"scheme\": \"{}\", \"suite\": \"{}\", \"scenario\": \"{}\"}}",
-                jsonish::escape(&point.predictor.label()),
-                jsonish::escape(&point.scheme.label()),
-                jsonish::escape(point.suite.name()),
-                jsonish::escape(point.scenario.label()),
-            )
-        })
-        .collect();
-    let pending = if pending.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n ]", pending.join(",\n"))
+    let partial;
+    let (pending, report) = match &campaign.progress {
+        Progress::Finished { report, .. } => ("[]".to_string(), report),
+        Progress::Running(grid) => {
+            partial = grid.render_report();
+            (grid.render_pending(), &partial)
+        }
     };
     let error = match &campaign.error {
         Some(error) => format!(" \"error\": \"{}\",\n", jsonish::escape(error)),
         None => String::new(),
     };
     let body = format!(
-        "{{\n \"id\": \"{id}\",\n \"state\": \"{}\",\n \"cells\": {},\n \"finished_cells\": {},\n \"pending_cells\": {},\n{error} \"pending\": {pending},\n \"report\": {}}}\n",
+        "{{\n \"id\": \"{id}\",\n \"state\": \"{}\",\n \"cells\": {},\n \"finished_cells\": {},\n \"pending_cells\": {},\n{error} \"pending\": {pending},\n \"report\": {report}}}\n",
         campaign.state_label(),
-        campaign.cells.len(),
-        campaign.cells.len() - campaign.pending,
+        campaign.cells,
+        campaign.cells - campaign.pending,
         campaign.pending,
-        campaign.report(shared.workers).render_json(false),
     );
     (200, "OK", body)
 }
 
 /// `GET /campaigns/<id>/report`: the final byte-stable document — exactly
-/// [`CampaignReport::render_json`]`(false)` over the stored cell bytes,
-/// which byte-matches a one-shot CLI run of the same grid.
-fn report_endpoint(shared: &Arc<Shared>, id: &str) -> (u16, &'static str, String) {
+/// [`crate::campaign::CampaignReport::render_json`]`(false)` over the
+/// stored cell bytes, which byte-matches a one-shot CLI run of the same
+/// grid.
+fn report_endpoint(shared: &Shared, id: &str) -> (u16, &'static str, String) {
     let state = shared.state.lock().expect("service state poisoned");
     let Some(campaign) = state.campaigns.get(id) else {
         return (
@@ -701,36 +934,35 @@ fn report_endpoint(shared: &Arc<Shared>, id: &str) -> (u16, &'static str, String
     if let Some(error) = &campaign.error {
         return (500, "Internal Server Error", error_body(error));
     }
-    if campaign.pending > 0 {
-        return (
+    match &campaign.progress {
+        Progress::Finished { report, .. } => (200, "OK", report.clone()),
+        Progress::Running(_) => (
             409,
             "Conflict",
             error_body(&format!(
                 "campaign {id} still has {} pending cells",
                 campaign.pending
             )),
-        );
+        ),
     }
-    (
-        200,
-        "OK",
-        campaign.report(shared.workers).render_json(false),
-    )
 }
 
 /// `GET /metrics`.
-fn render_metrics(shared: &Arc<Shared>) -> String {
+fn render_metrics(shared: &Shared) -> String {
     let (queue_depth, cells_in_flight, campaigns_open, campaign_wall_seconds) = {
         let state = shared.state.lock().expect("service state poisoned");
         let walls: Vec<(String, f64)> = state
             .campaigns
             .iter()
-            .filter_map(|(id, campaign)| campaign.wall_seconds.map(|wall| (id.clone(), wall)))
+            .filter_map(|(id, campaign)| match campaign.progress {
+                Progress::Finished { wall_seconds, .. } => Some((id.clone(), wall_seconds)),
+                Progress::Running(_) => None,
+            })
             .collect();
         let open = state
             .campaigns
             .values()
-            .filter(|campaign| campaign.pending > 0 && campaign.error.is_none())
+            .filter(|campaign| campaign.is_running())
             .count();
         (state.queue.len(), state.in_flight, open, walls)
     };
@@ -755,9 +987,39 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
         store_errors: Metrics::read(&metrics.store_errors),
         warmcache_hits,
         warmcache_misses,
-        batches: Metrics::read(&metrics.batches),
-        steals: Metrics::read(&metrics.steals),
         busy_seconds: Metrics::read(&metrics.busy_micros) as f64 / 1e6,
     }
     .render_json()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panic_payloads_become_cell_failure_messages() {
+        let literal: Box<dyn Any + Send> = Box::new("index out of bounds");
+        assert_eq!(
+            panic_message(&*literal),
+            "cell panicked: index out of bounds"
+        );
+        let formatted: Box<dyn Any + Send> = Box::new(format!("bad geometry {}", 7));
+        assert_eq!(panic_message(&*formatted), "cell panicked: bad geometry 7");
+        let other: Box<dyn Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(&*other), "cell panicked: (no message)");
+        // What `join` and `catch_unwind` hand back from real panics.
+        let joined = std::thread::scope(|scope| scope.spawn(|| panic!("boom")).join());
+        assert_eq!(panic_message(&*joined.unwrap_err()), "cell panicked: boom");
+        let caught = catch_unwind(|| panic!("boom {}", 2)).unwrap_err();
+        assert_eq!(panic_message(&*caught), "cell panicked: boom 2");
+    }
+
+    #[test]
+    fn shutdown_wakes_the_accept_loop_on_a_connectable_address() {
+        let wake = |addr: &str| wake_address(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7421"), "127.0.0.1:7421");
+        assert_eq!(wake("[::]:7421"), "[::1]:7421");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
+        assert_eq!(wake("192.168.1.5:80"), "192.168.1.5:80");
+    }
 }

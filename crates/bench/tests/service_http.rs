@@ -1,7 +1,7 @@
 //! End-to-end contract of the `tage-serve` campaign daemon: byte-stable
 //! reports, content-addressed memoization across campaigns, kill/restart
-//! resumability through the journal + cell store, and hardened request
-//! parsing.
+//! resumability through the journal + cell store, cells scheduled as
+//! workers free up, held status polls, and hardened request parsing.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -25,6 +25,19 @@ fn grid(label: &str) -> GridRequest {
         trace_dirs: Vec::new(),
         scenarios: vec!["baseline".to_string()],
         branches_per_trace: 1_000,
+    }
+}
+
+/// A grid of one `cbp1-mini` × baseline cell per predictor, in order.
+fn cells(label: &str, predictors: &[&str], scheme: &str, branches: usize) -> GridRequest {
+    GridRequest {
+        label: label.to_string(),
+        predictors: predictors.iter().map(|p| p.to_string()).collect(),
+        schemes: vec![scheme.to_string()],
+        suites: vec!["cbp1-mini".to_string()],
+        trace_dirs: Vec::new(),
+        scenarios: vec!["baseline".to_string()],
+        branches_per_trace: branches,
     }
 }
 
@@ -60,6 +73,8 @@ fn metric(handle: &ServerHandle, field: &str) -> f64 {
     jsonish::number_field(&body, field).unwrap_or_else(|| panic!("no metric {field} in {body}"))
 }
 
+/// Polls back to back (the daemon holds each poll until progress) until
+/// the campaign finishes, then fetches its report.
 fn wait_finished(handle: &ServerHandle, id: &str) -> String {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
@@ -68,15 +83,23 @@ fn wait_finished(handle: &ServerHandle, id: &str) -> String {
         match jsonish::string_field(&body, "state").as_deref() {
             Some("finished") => break,
             Some("failed") => panic!("campaign failed: {body}"),
-            _ => {
-                assert!(Instant::now() < deadline, "campaign {id} never finished");
-                std::thread::sleep(Duration::from_millis(50));
-            }
+            _ => assert!(Instant::now() < deadline, "campaign {id} never finished"),
         }
     }
     let (status, report) = get(handle, &format!("/campaigns/{id}/report"));
     assert_eq!(status, 200, "{report}");
     report
+}
+
+/// The report a status document embeds: everything after `"report": `
+/// but the document's closing brace.
+fn embedded_report(status: &str) -> &str {
+    let start = status
+        .find("\n \"report\": ")
+        .expect("status embeds a report");
+    status[start + "\n \"report\": ".len()..]
+        .strip_suffix("}\n")
+        .expect("the report closes the status document")
 }
 
 fn shutdown(handle: ServerHandle) {
@@ -200,8 +223,8 @@ fn killed_daemon_rehydrates_and_finishes_to_identical_bytes() {
     let expected = one_shot_report(&request);
 
     // First daemon: accept the grid, then die almost immediately — whatever
-    // cells the first batch finished are in the store, the rest are only in
-    // the journal.
+    // cells the workers finished are in the store, the rest are only in the
+    // journal.
     let first = serve(&store, &journal);
     let (status, _) = post(&first, "/campaigns", &request.to_json());
     assert_eq!(status, 202);
@@ -339,6 +362,123 @@ fn submit_client_round_trips_the_report() {
     assert_eq!(waited.state, "finished");
     assert_eq!(waited.report.as_deref(), Some(expected.as_str()));
 
+    shutdown(handle);
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}
+
+#[test]
+fn a_small_grid_finishes_beside_a_larger_one_instead_of_behind_it() {
+    let (store, journal) = temp_dirs("no-head-of-line");
+    let handle = serve(&store, &journal);
+    // Two workers take the two cheap cells ahead; whichever frees first takes
+    // the costly tage-256k cell, the other the one-cell grid right behind.
+    let ahead = cells(
+        "ahead",
+        &["gshare", "bimodal", "tage-256k"],
+        "jrs-classic",
+        50_000,
+    );
+    let behind = cells("behind", &["gshare"], "jrs-classic", 1_000);
+    let (status, _) = post(&handle, "/campaigns", &ahead.to_json());
+    assert_eq!(status, 202);
+    let (status, _) = post(&handle, "/campaigns", &behind.to_json());
+    assert_eq!(status, 202);
+    let report = wait_finished(&handle, &behind.id());
+    // `/report` answers at once, without a hold.
+    let (status, body) = get(&handle, &format!("/campaigns/{}/report", ahead.id()));
+    assert_eq!(
+        status, 409,
+        "the one-cell grid must finish while the three-cell grid still has a pending cell: {body}"
+    );
+    assert_eq!(report, one_shot_report(&behind));
+    wait_finished(&handle, &ahead.id());
+    assert_eq!(metric(&handle, "cells_computed"), 4.0);
+    shutdown(handle);
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}
+
+#[test]
+fn status_polls_are_held_until_progress_or_shutdown() {
+    let (store, journal) = temp_dirs("held");
+    let handle = serve(&store, &journal);
+    // A poll right after the submit waits for the first finished cell
+    // instead of answering "nothing yet".
+    let request = cells("held", &["tage-16k"], "storage-free", 10_000);
+    let (status, _) = post(&handle, "/campaigns", &request.to_json());
+    assert_eq!(status, 202);
+    let (status, body) = get(&handle, &format!("/campaigns/{}", request.id()));
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        jsonish::number_field(&body, "finished_cells").unwrap() >= 1.0,
+        "{body}"
+    );
+    wait_finished(&handle, &request.id());
+
+    // A poll on a cell that outlasts the test is released by shutdown.
+    let slow = cells("held-slow", &["tage-256k"], "storage-free", 250_000);
+    let (status, _) = post(&handle, "/campaigns", &slow.to_json());
+    assert_eq!(status, 202);
+    let first = metric(&handle, "requests");
+    let addr = handle.addr().to_string();
+    let path = format!("/campaigns/{}", slow.id());
+    let poll = std::thread::spawn(move || {
+        let response = client_request(&addr, "GET", &path, None);
+        (response, Instant::now())
+    });
+    // The accept loop serves one connection at a time, so once `/metrics`
+    // counts the poll besides its own probes, the poll is being held.
+    let mut probes = 0.0;
+    loop {
+        probes += 1.0;
+        if metric(&handle, "requests") > first + probes {
+            break;
+        }
+    }
+    let released = Instant::now();
+    handle.request_shutdown();
+    let (response, answered) = poll.join().unwrap();
+    let (status, body) = response.expect("held poll is answered");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        jsonish::string_field(&body, "state").as_deref(),
+        Some("running")
+    );
+    assert!(answered > released, "the poll must be held until shutdown");
+    let waited = answered - released;
+    assert!(
+        waited < Duration::from_secs(1),
+        "held poll returned {waited:?} after shutdown"
+    );
+    handle.join();
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}
+
+#[test]
+fn finished_status_embeds_exactly_the_report_bytes() {
+    let (store, journal) = temp_dirs("embedded");
+    let handle = serve(&store, &journal);
+    let request = grid("embedded");
+    let (status, _) = post(&handle, "/campaigns", &request.to_json());
+    assert_eq!(status, 202);
+    let report = wait_finished(&handle, &request.id());
+    let (status, body) = get(&handle, &format!("/campaigns/{}", request.id()));
+    assert_eq!(status, 200);
+    assert_eq!(embedded_report(&body), report);
+
+    // A relabelled grid is finished at submit, every cell restored.
+    let relabelled = grid("embedded-relabelled");
+    let (status, ack) = post(&handle, "/campaigns", &relabelled.to_json());
+    assert_eq!(status, 202);
+    assert_eq!(
+        jsonish::string_field(&ack, "state").as_deref(),
+        Some("finished")
+    );
+    let (status, body) = get(&handle, &format!("/campaigns/{}", relabelled.id()));
+    assert_eq!(status, 200);
+    let (status, report) = get(&handle, &format!("/campaigns/{}/report", relabelled.id()));
+    assert_eq!(status, 200);
+    assert_eq!(embedded_report(&body), report);
+    assert_eq!(report, one_shot_report(&relabelled));
     shutdown(handle);
     let _ = std::fs::remove_dir_all(store.parent().unwrap());
 }

@@ -213,6 +213,17 @@ echo "== service smoke (tage-serve daemon: cache + kill/restart) =="
 # journal, and require the rehydrated campaign's report to byte-match a
 # clean run too.
 SERVE_URL=http://127.0.0.1:17421
+# Fails unless the daemon exits within 10 s of its shutdown request, so a
+# missed wake-up fails here in seconds instead of hanging. Bash reaps the
+# exited daemon at once and keeps its status for `wait`.
+exits_within_10s() {
+  for _ in $(seq 1 100); do
+    kill -0 "$1" 2>/dev/null || return 0
+    sleep 0.1
+  done
+  echo "tage-serve (pid $1) still running 10 s after its shutdown request" >&2
+  return 1
+}
 rm -rf target/verify-serve
 mkdir -p target/verify-serve
 cargo build --release --bin tage-serve --bin tage-bench
@@ -263,6 +274,7 @@ cmp target/verify-serve/report-sampled-served.json target/verify-serve/report-sa
   --scenario baseline,recovery-energy,shared-predictor,prefetch-throttle \
   --branches 10000 --label verify-serve-2
 kill -TERM "$SERVE_PID"
+exits_within_10s "$SERVE_PID"
 wait "$SERVE_PID"
 ./target/release/tage-serve --addr 127.0.0.1:17421 \
   --store target/verify-serve/cells --journal target/verify-serve/journal \
@@ -284,6 +296,7 @@ done
   --out target/verify-serve/report-resumed-clean.json
 cmp target/verify-serve/report-resumed.json target/verify-serve/report-resumed-clean.json
 curl -sf -X POST "$SERVE_URL/shutdown" >/dev/null
+exits_within_10s "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT
 
