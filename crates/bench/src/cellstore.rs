@@ -99,6 +99,12 @@ impl CellStore {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Whether a cell file exists under `key`, without reading or counting
+    /// it; only [`CellStore::load_cell`] tells whether it is valid.
+    pub fn has_cell(&self, key: u64) -> bool {
+        self.path_for(key).exists()
+    }
+
     fn path_for(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.{CELL_EXTENSION}"))
     }

@@ -16,10 +16,12 @@
 //!   identical or overlapping grid is answered from the store (or attached
 //!   to the in-flight computation) instead of re-executed — each unique
 //!   cell computes at most once, even across two concurrent campaigns.
-//! - **Kill/restart is safe.** Every accepted grid is journaled to
-//!   `<journal>/<id>.grid` before the submission is acknowledged; a
-//!   restarted daemon re-opens journaled campaigns, restores their
-//!   finished cells from the store, and re-queues only the missing ones.
+//! - **Kill/restart is safe.** Every accepted grid with a cell left to
+//!   compute is journaled to `<journal>/<id>.grid` before the submission
+//!   is acknowledged; a restarted daemon re-opens journaled campaigns,
+//!   restores their finished cells from the store, and re-queues only the
+//!   missing ones. A grid the store answers in full finishes at submit and
+//!   is not journaled: resubmitting it after a restart answers it again.
 //! - **Reports are byte-stable.** The final `GET /campaigns/<id>/report`
 //!   document is the timing-free schema-4 rendering over stored cell
 //!   bytes, which byte-matches an uninterrupted one-shot `tage-bench` run
@@ -515,7 +517,10 @@ impl SubmitOutcome {
 
 /// Accepts a grid: resolves and expands it, restores every cell the store
 /// already holds, queues the rest (deduplicated against cells other
-/// campaigns already queued), and journals the canonical grid JSON.
+/// campaigns already queued), and journals the canonical grid JSON when a
+/// cell is left to compute. A grid the store answers in full finishes at
+/// submit and leaves a restarted daemon nothing to resume, so it skips the
+/// journal and the disk flush of writing it.
 ///
 /// Resubmitting a known id returns its current status without touching
 /// anything.
@@ -533,22 +538,37 @@ fn submit(
     }
     let spec = request.to_spec()?;
     let (points, skipped) = spec.expand();
-    if journal {
+    let keys: Vec<u64> = points
+        .iter()
+        .map(|point| cell_key(spec.branches_per_trace, point))
+        .collect();
+    // The daemon never removes a stored cell, so a cell found here stays
+    // valid.
+    let mut cells: Vec<Option<String>> = keys
+        .iter()
+        .zip(&points)
+        .map(|(&key, point)| shared.store.load_cell(key, point))
+        .collect();
+    if journal && cells.contains(&None) {
         write_journal(&shared.journal_dir, &id, &request.to_json())?;
     }
-    let outcome = {
+    let (outcome, queued) = {
         let mut state = shared.state.lock().expect("service state poisoned");
+        let mut queued = 0;
         // Lost a (theoretical) submission race otherwise; the winner's
         // campaign is equivalent by construction.
         if !state.campaigns.contains_key(&id) {
-            // Store lookups happen under the lock: a worker stores a cell
-            // before it publishes it under this lock, so every cell is
-            // either stored, still pending, or new — none slips between.
-            let mut cells = Vec::with_capacity(points.len());
-            for (index, point) in points.iter().enumerate() {
-                let key = cell_key(spec.branches_per_trace, point);
-                let stored = shared.store.load_cell(key, point);
-                if stored.is_some() {
+            for (index, (cell, (&key, point))) in
+                cells.iter_mut().zip(keys.iter().zip(&points)).enumerate()
+            {
+                // A worker stores a cell before it publishes it under this
+                // lock, so a cell missed above is still pending, stored
+                // since by a campaign that shares it, or new — none slips
+                // between.
+                if cell.is_none() && !state.cells.contains_key(&key) && shared.store.has_cell(key) {
+                    *cell = shared.store.load_cell(key, point);
+                }
+                if cell.is_some() {
                     Metrics::bump(&shared.metrics.cells_restored);
                 } else if let Some(pending) = state.cells.get_mut(&key) {
                     pending.waiters.push((id.clone(), index));
@@ -561,8 +581,8 @@ fn submit(
                     let waiters = vec![(id.clone(), index)];
                     state.cells.insert(key, PendingCell { job, waiters });
                     state.queue.push_back(key);
+                    queued += 1;
                 }
-                cells.push(stored);
             }
             let campaign = Campaign::new(RunningGrid {
                 spec,
@@ -576,9 +596,16 @@ fn submit(
             Metrics::bump(&shared.metrics.campaigns_submitted);
             state.campaigns.insert(id.clone(), campaign);
         }
-        SubmitOutcome::new(id.clone(), &state.campaigns[&id], false)
+        (
+            SubmitOutcome::new(id.clone(), &state.campaigns[&id], false),
+            queued,
+        )
     };
-    shared.work_ready.notify_all();
+    // One idle worker per queued cell; a busy worker checks the queue
+    // before it waits again.
+    for _ in 0..queued {
+        shared.work_ready.notify_one();
+    }
     Ok(outcome)
 }
 

@@ -166,6 +166,19 @@ fn resubmitted_and_relabelled_grids_are_answered_from_cache() {
     let second = wait_finished(&handle, &relabelled.id());
     assert_eq!(metric(&handle, "cells_computed"), 3.0, "no recompute");
     assert_eq!(metric(&handle, "cells_restored"), 3.0);
+    // Only the grid that computed is journaled: the relabelled one finished
+    // at submit and leaves a restarted daemon nothing to resume.
+    let journaled: Vec<String> = std::fs::read_dir(&journal)
+        .expect("journal directory exists")
+        .map(|entry| {
+            entry
+                .expect("journal entry")
+                .file_name()
+                .into_string()
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(journaled, vec![format!("{}.grid", request.id())]);
 
     // Only the label line may differ between the two reports.
     let diff: Vec<(&str, &str)> = first
@@ -177,8 +190,18 @@ fn resubmitted_and_relabelled_grids_are_answered_from_cache() {
         diff,
         vec![(" \"label\": \"original\",", " \"label\": \"relabelled\",")]
     );
-
     shutdown(handle);
+
+    // A restart re-opens the journaled grid only; resubmitting the
+    // relabelled one answers it from the store again, byte for byte.
+    let restarted = serve(&store, &journal);
+    assert_eq!(restarted.rehydrated(), 1);
+    let (status, ack) = post(&restarted, "/campaigns", &relabelled.to_json());
+    assert_eq!(status, 202, "{ack}");
+    assert!(ack.contains("\"known\": false"), "{ack}");
+    assert_eq!(wait_finished(&restarted, &relabelled.id()), second);
+    assert_eq!(metric(&restarted, "cells_computed"), 0.0);
+    shutdown(restarted);
     let _ = std::fs::remove_dir_all(store.parent().unwrap());
 }
 
