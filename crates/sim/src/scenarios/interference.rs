@@ -254,4 +254,63 @@ mod tests {
                 .unwrap();
         assert_eq!(sliced, streamed);
     }
+
+    /// Three cores of different lengths: the shortest runs dry first and
+    /// the rest keep sharing the engine until each is fully consumed.
+    fn ragged_traces() -> Vec<tage_traces::Trace> {
+        let suite = suites::cbp1_like();
+        [("FP-1", 500), ("MM-5", 300), ("INT-1", 400)]
+            .iter()
+            .map(|&(name, branches)| suite.trace(name).unwrap().generate(branches))
+            .collect()
+    }
+
+    fn ragged_run(traces: &[tage_traces::Trace]) -> SharedRunResult {
+        use tage_traces::source::SliceSource;
+        run_shared_predictor(
+            &mut engine(),
+            traces.iter().map(SliceSource::from_trace).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn ragged_streams_count_every_branch_and_instruction_exactly_once() {
+        let traces = ragged_traces();
+        let shared = ragged_run(&traces);
+        assert_eq!(shared.cores.len(), traces.len());
+        for (core, trace) in shared.cores.iter().zip(&traces) {
+            let conditional = trace.iter().filter(|r| r.kind.is_conditional()).count();
+            assert_eq!(core.name, trace.name());
+            assert_eq!(core.branches, conditional as u64, "{}", core.name);
+            assert_eq!(
+                core.instructions,
+                trace.instruction_count(),
+                "{}: trailing non-conditional records included",
+                core.name
+            );
+        }
+        let branches: u64 = shared.cores.iter().map(|c| c.branches).sum();
+        assert_eq!(shared.cycles, branches);
+    }
+
+    /// Once a core runs dry the fetch order over the remaining cores is
+    /// visible only in the shared engine's state, so pin the counters.
+    #[test]
+    fn ragged_run_mispredictions_are_pinned() {
+        let shared = ragged_run(&ragged_traces());
+        let mispredictions: Vec<u64> = shared.cores.iter().map(|c| c.mispredictions).collect();
+        assert_eq!(mispredictions, [109, 64, 78]);
+    }
+
+    #[test]
+    fn no_sources_run_no_cycles() {
+        let shared = run_shared_predictor(
+            &mut engine(),
+            Vec::<tage_traces::source::SliceSource<'_>>::new(),
+        )
+        .unwrap();
+        assert_eq!(shared.cycles, 0);
+        assert!(shared.cores.is_empty());
+    }
 }
