@@ -65,8 +65,9 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 /// Runs `observer` over the four ingestion paths and asserts its
-/// accumulated state is identical on each.
-fn assert_observer_parity<O>(make: impl Fn() -> O)
+/// accumulated state is identical on each. `tag` names the file-streamed
+/// path's temp file, so concurrently running callers never share one.
+fn assert_observer_parity<O>(tag: &str, make: impl Fn() -> O)
 where
     O: PartialEq + std::fmt::Debug,
     O: for<'p> tage_confidence_suite::sim::EngineObserver<TagePredictor>,
@@ -93,7 +94,7 @@ where
         .unwrap();
     assert_eq!(synthetic, reference, "generator-streamed");
 
-    let path = temp_path("observer");
+    let path = temp_path(tag);
     std::fs::write(&path, TraceWriter::to_binary_bytes(&trace)).unwrap();
     let mut file = make();
     engine()
@@ -105,12 +106,12 @@ where
 
 #[test]
 fn recovery_energy_observer_is_bit_identical_across_ingestion_paths() {
-    assert_observer_parity(RecoveryEnergyObserver::default);
+    assert_observer_parity("observer-energy", RecoveryEnergyObserver::default);
 }
 
 #[test]
 fn prefetch_observer_is_bit_identical_across_ingestion_paths() {
-    assert_observer_parity(|| {
+    assert_observer_parity("observer-prefetch", || {
         PrefetchObserver::new(
             PrefetchPolicy::throttle_low_medium(),
             PrefetchModel::default(),
