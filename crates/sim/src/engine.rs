@@ -1,10 +1,9 @@
 //! The generic, predictor-agnostic simulation engine.
 //!
 //! Every experiment in the workspace used to carry its own copy of the trace
-//! loop: the TAGE runner, the baseline-estimator runner, the fetch-gating
-//! model and the SMT model all re-implemented "predict, grade confidence,
-//! record, train". [`SimEngine`] replaces those copies with one execution
-//! path generic over
+//! loop: the TAGE runner, the baseline-estimator runner and the application
+//! models all re-implemented "predict, grade confidence, record, train".
+//! [`SimEngine`] replaces those copies with one execution path generic over
 //!
 //! * the predictor, via [`PredictorCore`] — the TAGE predictor with its rich
 //!   observable lookup, or any baseline predictor (even a
@@ -14,15 +13,15 @@
 //!   classifier or any storage-based baseline estimator
 //!   ([`tage_confidence::estimators`]);
 //! * per-branch instrumentation, via [`EngineObserver`] — report
-//!   accumulation, adaptive automaton control, gating policies, SMT fetch
-//!   arbitration. Observers compose as tuples and receive mutable access to
-//!   the predictor so controllers can steer it mid-run.
+//!   accumulation, adaptive automaton control, the scenario cost models.
+//!   Observers compose as tuples and receive mutable access to the
+//!   predictor so controllers can steer it mid-run.
 //!
 //! The engine exposes two granularities: [`SimEngine::run`] drives a whole
 //! trace (warm-up exclusion, instruction accounting), while
 //! [`SimEngine::step_branch`] executes a single conditional branch so
-//! cycle-interleaved models (SMT) can share the exact same predict → assess
-//! → observe → train sequence.
+//! cycle-interleaved models (the shared-predictor scenario) can share the
+//! exact same predict → assess → observe → train sequence.
 //!
 //! [`steal_map`] is the one parallel map behind every sharded run — suite
 //! sources and campaign cells: a work-stealing scheduler whose
@@ -227,8 +226,8 @@ pub const SOURCE_BATCH_RECORDS: usize = 4096;
 /// The generic simulation engine: one predictor, one confidence scheme, one
 /// execution path for every experiment.
 ///
-/// See the [module documentation](self) for the design; `runner`, `baseline`,
-/// `gating` and `smt` are all thin assemblies of this type.
+/// See the [module documentation](self) for the design; `runner`, `baseline`
+/// and `scenarios` are all thin assemblies of this type.
 #[derive(Debug)]
 pub struct SimEngine<P, S>
 where
@@ -317,9 +316,9 @@ where
     ///
     /// # Example
     ///
-    /// Cycle-interleaved models (the SMT fetch policy) drive branches one at
-    /// a time; a trained TAGE engine answers each step with the scheme's
-    /// confidence verdict:
+    /// Cycle-interleaved models (the shared-predictor scenario) drive
+    /// branches one at a time; a trained TAGE engine answers each step with
+    /// the scheme's confidence verdict:
     ///
     /// ```
     /// use tage::{TageGeometry, TagePredictor};

@@ -34,14 +34,6 @@
 //!   thread-placement-independent results;
 //! * [`baseline`] — runs the storage-based baseline confidence estimators
 //!   (JRS, enhanced JRS, self-confidence on perceptron/GEHL) for comparison;
-//! * [`gating`] — a fetch-gating / throttling model, the motivating
-//!   application for confidence estimation (energy saved on wrong-path
-//!   fetch vs. slots lost on gated correct predictions);
-//! * [`interleave`] — the generic N-stream cycle-interleaving core (staged
-//!   stream lanes + arbitration loop) shared by the SMT model and the
-//!   shared-predictor interference scenario;
-//! * [`smt`] — an N-thread SMT fetch-policy model where confidence steers
-//!   fetch priority;
 //! * [`scenarios`] — the campaign-runnable confidence scenarios
 //!   (misprediction-recovery energy, N-core shared-predictor interference,
 //!   confidence-driven prefetch throttling) as composable engine
@@ -68,15 +60,12 @@
 
 pub mod baseline;
 pub mod engine;
-pub mod gating;
-pub mod interleave;
 pub mod multilane;
 pub mod phase;
 pub mod point;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod smt;
 pub mod suite;
 pub mod warmcache;
 

@@ -10,12 +10,12 @@
 //! against N private predictors running the same streams in isolation (the
 //! ordinary per-trace run every other experiment performs).
 //!
-//! The staging cursors and the cycle loop are the shared
-//! [`crate::interleave`] core (the same machinery behind the SMT fetch
-//! model); this module adds only the shared-engine driver and the per-core
-//! accounting. A single-core "shared" run degenerates to the private run
-//! bit for bit — pinned by this module's tests — so every measured
-//! difference at N ≥ 2 is interference, not harness noise.
+//! Each core reads its source through a bounded cursor that stages the next
+//! conditional branch; the round-robin loop steps every core that has one
+//! staged, in core order, until none has. A single-core "shared" run
+//! degenerates to the private run bit for bit — pinned by this module's
+//! tests — so every measured difference at N ≥ 2 is interference, not
+//! harness noise.
 
 use tage_confidence::scheme::ConfidenceScheme;
 use tage_predictors::PredictorCore;
@@ -24,9 +24,6 @@ use tage_traces::source::BranchSource;
 use tage_traces::BranchRecord;
 
 use crate::engine::SimEngine;
-use crate::interleave::{
-    interleave, next_round_robin, InterleaveDriver, StopCondition, StreamLane,
-};
 
 /// Per-core counters of a shared-predictor run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,42 +71,62 @@ impl SharedRunResult {
     }
 }
 
-/// Round-robin interleaving of N lanes into one shared engine.
-struct SharedDriver<'e, P, S>
-where
-    P: PredictorCore,
-    S: ConfidenceScheme<P::Lookup>,
-{
-    engine: &'e mut SimEngine<P, S>,
-    cores: Vec<CoreCounters>,
-    last: usize,
+/// Records a core's stream cursor holds in memory at a time.
+const LANE_BATCH_RECORDS: usize = 1024;
+
+/// One core's stream: a source pulled through a bounded batch buffer, with
+/// the next conditional branch staged for fetch.
+struct StreamLane<S> {
+    source: S,
+    batch: Vec<BranchRecord>,
+    filled: usize,
+    cursor: usize,
+    /// The next conditional branch; `None` once the stream is consumed.
+    staged: Option<BranchRecord>,
+    /// Instructions of the non-conditional records (calls, returns, jumps)
+    /// read since the core's previous branch, not yet charged to the core.
+    gap: u64,
 }
 
-impl<P, S> InterleaveDriver for SharedDriver<'_, P, S>
-where
-    P: PredictorCore,
-    S: ConfidenceScheme<P::Lookup>,
-{
-    fn arbitrate(&mut self, _cycle: u64, alive: &[bool]) -> usize {
-        self.last = next_round_robin(self.last, alive);
-        self.last
-    }
-
-    fn execute(&mut self, lane: usize, record: &BranchRecord, gap_instructions: u64, _cycle: u64) {
-        let core = &mut self.cores[lane];
-        core.instructions += gap_instructions + record.instructions();
-        core.branches += 1;
-        let step = self
-            .engine
-            .step_branch(record.pc, record.taken, record.instructions(), &mut ());
-        if step.mispredicted {
-            core.mispredictions += 1;
+impl<S: BranchSource> StreamLane<S> {
+    fn new(source: S) -> Self {
+        StreamLane {
+            source,
+            batch: vec![BranchRecord::default(); LANE_BATCH_RECORDS],
+            filled: 0,
+            cursor: 0,
+            staged: None,
+            gap: 0,
         }
     }
 
-    fn finish_lane(&mut self, lane: usize, gap_instructions: u64) {
-        // Trailing non-conditional records after the core's last branch.
-        self.cores[lane].instructions += gap_instructions;
+    /// Reads records until a conditional branch is staged or the stream
+    /// ends. Only called with nothing staged, so an ended stream is never
+    /// read again.
+    fn stage(&mut self) -> Result<(), FormatError> {
+        loop {
+            if self.cursor == self.filled {
+                self.filled = self.source.next_batch(&mut self.batch)?;
+                self.cursor = 0;
+                if self.filled == 0 {
+                    return Ok(());
+                }
+            }
+            let record = self.batch[self.cursor];
+            self.cursor += 1;
+            if record.kind.is_conditional() {
+                self.staged = Some(record);
+                return Ok(());
+            }
+            self.gap += record.instructions();
+        }
+    }
+
+    /// Takes the staged branch with the instructions of the records read
+    /// before it.
+    fn take(&mut self) -> Option<(BranchRecord, u64)> {
+        let record = self.staged.take()?;
+        Some((record, std::mem::take(&mut self.gap)))
     }
 }
 
@@ -133,25 +150,43 @@ where
     S: ConfidenceScheme<P::Lookup>,
     Src: BranchSource,
 {
-    let mut lanes: Vec<StreamLane<Src>> = sources.into_iter().map(StreamLane::new).collect();
-    let mut driver = SharedDriver {
-        engine,
-        cores: lanes
-            .iter()
-            .map(|lane| CoreCounters {
-                name: lane.name().to_string(),
-                branches: 0,
-                mispredictions: 0,
-                instructions: 0,
-            })
-            .collect(),
-        last: lanes.len().saturating_sub(1),
-    };
-    let cycles = interleave(&mut lanes, &mut driver, StopCondition::AllExhausted)?;
-    Ok(SharedRunResult {
-        cores: driver.cores,
-        cycles,
-    })
+    let mut cores = Vec::with_capacity(sources.len());
+    let mut lanes = Vec::with_capacity(sources.len());
+    for source in sources {
+        cores.push(CoreCounters {
+            name: source.name().to_string(),
+            branches: 0,
+            mispredictions: 0,
+            instructions: 0,
+        });
+        let mut lane = StreamLane::new(source);
+        lane.stage()?;
+        lanes.push(lane);
+    }
+    let mut cycles = 0u64;
+    let mut stepped = true;
+    while stepped {
+        stepped = false;
+        for (lane, core) in lanes.iter_mut().zip(&mut cores) {
+            let Some((record, gap)) = lane.take() else {
+                continue;
+            };
+            stepped = true;
+            cycles += 1;
+            core.branches += 1;
+            core.instructions += gap + record.instructions();
+            let step = engine.step_branch(record.pc, record.taken, record.instructions(), &mut ());
+            if step.mispredicted {
+                core.mispredictions += 1;
+            }
+            lane.stage()?;
+        }
+    }
+    // Trailing non-conditional records after each core's last branch.
+    for (lane, core) in lanes.iter().zip(&mut cores) {
+        core.instructions += lane.gap;
+    }
+    Ok(SharedRunResult { cores, cycles })
 }
 
 #[cfg(test)]
@@ -224,7 +259,7 @@ mod tests {
             shared.total_mispredictions(),
             private_mispredictions
         );
-        // Every core ran to completion under AllExhausted interleaving.
+        // Every core ran to completion.
         for core in &shared.cores {
             assert_eq!(core.branches, branches as u64, "{}", core.name);
             assert!(core.mpki() > 0.0);
@@ -275,12 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn ragged_streams_count_every_branch_and_instruction_exactly_once() {
+    fn ragged_streams_count_each_record_once() {
         let traces = ragged_traces();
         let shared = ragged_run(&traces);
         assert_eq!(shared.cores.len(), traces.len());
         for (core, trace) in shared.cores.iter().zip(&traces) {
             let conditional = trace.iter().filter(|r| r.kind.is_conditional()).count();
+            let last = trace.iter().last().unwrap();
+            assert!(!last.kind.is_conditional(), "a trailing record to drain");
             assert_eq!(core.name, trace.name());
             assert_eq!(core.branches, conditional as u64, "{}", core.name);
             assert_eq!(
@@ -301,6 +338,46 @@ mod tests {
         let shared = ragged_run(&ragged_traces());
         let mispredictions: Vec<u64> = shared.cores.iter().map(|c| c.mispredictions).collect();
         assert_eq!(mispredictions, [109, 64, 78]);
+    }
+
+    /// Drains a cursor into its `(pc, taken, gap)` sequence, closing with
+    /// the trailing gap after the last branch.
+    fn staged_sequence<Src: BranchSource>(source: Src) -> Vec<(u64, bool, u64)> {
+        let mut lane = StreamLane::new(source);
+        lane.stage().unwrap();
+        let mut sequence = Vec::new();
+        while let Some((record, gap)) = lane.take() {
+            sequence.push((record.pc, record.taken, gap));
+            lane.stage().unwrap();
+        }
+        sequence.push((0, false, lane.gap));
+        sequence
+    }
+
+    #[test]
+    fn lanes_stage_alike_over_synthetic_and_slice_sources() {
+        use tage_traces::source::SliceSource;
+        let branches = 1_500;
+        for name in ["FP-2", "INT-2"] {
+            let spec = suites::cbp1_like().trace(name).unwrap().clone();
+            let trace = spec.generate(branches);
+            let mut scanned = Vec::new();
+            let mut gap = 0;
+            for record in trace.iter() {
+                if record.kind.is_conditional() {
+                    scanned.push((record.pc, record.taken, std::mem::take(&mut gap)));
+                } else {
+                    gap += record.instructions();
+                }
+            }
+            scanned.push((0, false, gap));
+            assert_eq!(scanned.len(), branches + 1, "{name}");
+
+            let sliced = staged_sequence(SliceSource::from_trace(&trace));
+            assert_eq!(sliced, scanned, "{name}: slice source");
+            let synthetic = staged_sequence(SyntheticSource::from_spec(&spec, branches));
+            assert_eq!(synthetic, scanned, "{name}: synthetic source");
+        }
     }
 
     #[test]

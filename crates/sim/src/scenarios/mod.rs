@@ -2,9 +2,7 @@
 //! [`EngineObserver`](crate::engine::EngineObserver)s.
 //!
 //! The paper's storage-free confidence estimator matters through its
-//! *applications*. Beyond the fetch-gating ([`crate::gating`]) and SMT
-//! fetch-policy ([`crate::smt`]) models, this module houses the remaining
-//! scenario axis of the roadmap:
+//! *applications*. This module houses the three the grid runs:
 //!
 //! * [`energy`] — misprediction-recovery energy: confidence-driven
 //!   checkpointing vs full pipeline refill, reported as energy per

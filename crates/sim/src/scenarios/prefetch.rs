@@ -8,8 +8,8 @@
 //! scheme grades shaky, keep it running behind confident ones.
 //!
 //! [`PrefetchObserver`] charges an analytical per-branch model of that
-//! trade-off, in the same spirit as the fetch-gating model
-//! ([`crate::gating`]): every measured branch carries a shadow of
+//! trade-off, the same shadow model as classic fetch gating (Manne et al.):
+//! every measured branch carries a shadow of
 //! [`PrefetchModel::shadow_prefetches`] would-be prefetch issues, of which
 //! a [`PrefetchModel::useful_fraction`] would have been useful had the
 //! prediction been correct (wrong-path prefetches are useless by
@@ -22,6 +22,13 @@
 //!   (the cost),
 //!
 //! reported per kilo-instruction off the measured instruction stream.
+//!
+//! Fetch gating reads off the same accumulators. At the default model and
+//! [`PrefetchPolicy::throttle_low`], gating fetch behind low-confidence
+//! predictions with 64 wrong-path instructions per shadow fetches
+//! 16 × (`useless_issued` − `useful_issued`) wrong-path instructions, avoids
+//! 16 × (`useless_avoided` − `coverage_lost`) and loses
+//! 32 × `coverage_lost` fetch slots on correct predictions.
 
 use core::fmt;
 

@@ -10,8 +10,8 @@
 //! - [`tage`] — the TAGE predictor and its counter-update automatons,
 //! - [`confidence`] — the storage-free confidence classifier, metrics,
 //!   adaptive control and storage-based baseline estimators,
-//! - [`sim`] — the simulation harness, experiment definitions and the
-//!   fetch-gating / SMT applications.
+//! - [`sim`] — the simulation harness, sweep points and the confidence
+//!   application scenarios.
 //!
 //! # Example
 //!

@@ -1,8 +1,8 @@
 //! Parity tests for the generic simulation engine.
 //!
 //! The engine refactor replaced three bespoke trace loops (TAGE runner,
-//! baseline-estimator runner, gating/SMT models) with one generic execution
-//! path. These tests pin the refactor down:
+//! baseline-estimator runner, application models) with one generic
+//! execution path. These tests pin the refactor down:
 //!
 //! * a hand-rolled reference loop — written exactly like the pre-engine
 //!   runner — must produce the *identical* `ConfidenceReport` as

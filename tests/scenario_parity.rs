@@ -9,9 +9,6 @@
 //!   (through the binary writer round-trip) or generator-streamed;
 //! * the shared-predictor interleaved pass is source-kind independent, and
 //!   at N = 1 it degenerates to the private sequential run exactly;
-//! * the N-way SMT interleaver at N = 2 matches the two-thread API (the
-//!   hardcoded pre-refactor counter pin lives in `tage_sim::smt`'s unit
-//!   tests);
 //! * `run_point` scenario cells are deterministic and identical across
 //!   synthetic and file-backed suites.
 
@@ -19,7 +16,6 @@ use std::path::PathBuf;
 
 use tage_confidence_suite::confidence::TageConfidenceClassifier;
 use tage_confidence_suite::sim::engine::SimEngine;
-use tage_confidence_suite::sim::interleave::{StopCondition, StreamLane};
 use tage_confidence_suite::sim::point::{run_point, PredictorSpec, SchemeSpec, SweepPoint};
 use tage_confidence_suite::sim::scenarios::energy::RecoveryEnergyObserver;
 use tage_confidence_suite::sim::scenarios::interference::run_shared_predictor;
@@ -27,9 +23,6 @@ use tage_confidence_suite::sim::scenarios::prefetch::{
     PrefetchModel, PrefetchObserver, PrefetchPolicy,
 };
 use tage_confidence_suite::sim::scenarios::ScenarioSpec;
-use tage_confidence_suite::sim::smt::{
-    simulate_smt_n_sources, simulate_smt_sources, SmtFetchPolicy,
-};
 use tage_confidence_suite::sim::{EngineKind, RunOptions};
 use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence_suite::traces::source::{
@@ -196,36 +189,6 @@ fn single_lane_shared_pass_degenerates_to_the_sequential_run() {
     assert_eq!(shared.cores[0].instructions, summary.measured_instructions);
 }
 
-/// The N-way SMT entry point at N = 2 is the two-thread API, counter for
-/// counter (the hardcoded pre-refactor pin lives in `tage_sim::smt`).
-#[test]
-fn n_way_smt_at_two_threads_matches_the_pairwise_api() {
-    for policy in [SmtFetchPolicy::RoundRobin, SmtFetchPolicy::ConfidenceCount] {
-        let pairwise = simulate_smt_sources(
-            &config(),
-            [
-                SyntheticSource::from_spec(&spec("FP-1"), 5_000),
-                SyntheticSource::from_spec(&spec("MM-5"), 5_000),
-            ],
-            policy,
-        )
-        .unwrap();
-        let n_way = simulate_smt_n_sources(
-            &config(),
-            vec![
-                SyntheticSource::from_spec(&spec("FP-1"), 5_000),
-                SyntheticSource::from_spec(&spec("MM-5"), 5_000),
-            ],
-            policy,
-        )
-        .unwrap();
-        assert_eq!(n_way.threads.len(), 2);
-        assert_eq!(n_way.cycles, pairwise.cycles, "{policy}");
-        assert_eq!(n_way.threads[0], pairwise.threads[0], "{policy}");
-        assert_eq!(n_way.threads[1], pairwise.threads[1], "{policy}");
-    }
-}
-
 /// Scenario sweep-point cells are deterministic, and file-backed suites
 /// reproduce the synthetic counters and metrics (modulo the suite label).
 #[test]
@@ -311,66 +274,4 @@ fn scenario_points_are_deterministic_and_file_backed_equivalent() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The interleave core drives the same records the sources hold — spot
-/// check the lane staging against a hand-rolled scan, covering the
-/// streamed-vs-materialized contract at the lowest layer the scenarios
-/// build on.
-#[test]
-fn stream_lanes_stage_identically_over_synthetic_and_slice_sources() {
-    use tage_confidence_suite::sim::interleave::{interleave, InterleaveDriver};
-    use tage_confidence_suite::traces::BranchRecord;
-
-    #[derive(Default)]
-    struct Collect {
-        records: Vec<(usize, u64, bool, u64)>,
-    }
-    impl InterleaveDriver for Collect {
-        fn arbitrate(&mut self, cycle: u64, alive: &[bool]) -> usize {
-            // Deterministic rotation over live lanes.
-            let start = (cycle as usize) % alive.len();
-            (0..alive.len())
-                .map(|step| (start + step) % alive.len())
-                .find(|&lane| alive[lane])
-                .unwrap()
-        }
-        fn execute(&mut self, lane: usize, record: &BranchRecord, gap: u64, _cycle: u64) {
-            self.records.push((lane, record.pc, record.taken, gap));
-        }
-    }
-
-    let branches = 1_500;
-    let specs = [spec("FP-2"), spec("INT-2")];
-    let mut synthetic_lanes: Vec<StreamLane<_>> = specs
-        .iter()
-        .map(|s| StreamLane::new(SyntheticSource::from_spec(s, branches)))
-        .collect();
-    let mut synthetic_driver = Collect::default();
-    interleave(
-        &mut synthetic_lanes,
-        &mut synthetic_driver,
-        StopCondition::AllExhausted,
-    )
-    .unwrap();
-
-    let traces: Vec<_> = specs.iter().map(|s| s.generate(branches)).collect();
-    let mut slice_lanes: Vec<StreamLane<_>> = traces
-        .iter()
-        .map(|t| StreamLane::new(SliceSource::from_trace(t)))
-        .collect();
-    let mut slice_driver = Collect::default();
-    interleave(
-        &mut slice_lanes,
-        &mut slice_driver,
-        StopCondition::AllExhausted,
-    )
-    .unwrap();
-
-    assert_eq!(synthetic_driver.records, slice_driver.records);
-    let conditional_total: usize = traces
-        .iter()
-        .map(|t| t.iter().filter(|r| r.kind.is_conditional()).count())
-        .sum();
-    assert_eq!(synthetic_driver.records.len(), conditional_total);
 }
