@@ -3,11 +3,10 @@
 //! lists of campaign cells ([`paper`], `tage-bench --paper`), and shared
 //! helpers for the remaining binaries.
 //!
-//! `estimators`, `diagnose` and `sanity` are standalone printouts. The
-//! first two accept an optional first argument, the number of conditional
-//! branches to simulate per trace (the traces in the paper are ~30 M
-//! instructions long; the defaults keep a run to seconds or minutes on a
-//! laptop).
+//! `estimators` is a standalone printout. It accepts an optional first
+//! argument, the number of conditional branches to simulate per trace (the
+//! traces in the paper are ~30 M instructions long; the default keeps a run
+//! to seconds or minutes on a laptop).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
