@@ -23,11 +23,12 @@
 //!
 //! reported per kilo-instruction off the measured instruction stream.
 //!
-//! Fetch gating reads off the same accumulators. At the default model and
-//! [`PrefetchPolicy::throttle_low`], gating fetch behind low-confidence
-//! predictions with 64 wrong-path instructions per shadow fetches
-//! 16 × (`useless_issued` − `useful_issued`) wrong-path instructions, avoids
-//! 16 × (`useless_avoided` − `coverage_lost`) and loses
+//! Fetch gating reads off the same accumulators. Gating fetch behind
+//! low-confidence predictions, with 64 wrong-path instructions per shadow,
+//! is this observer at the default model and
+//! [`PrefetchPolicy::throttle_low`] in other units: it fetches
+//! 16 × (`useless_issued` − `useful_issued`) wrong-path instructions,
+//! avoids 16 × (`useless_avoided` − `coverage_lost`), and loses
 //! 32 × `coverage_lost` fetch slots on correct predictions.
 
 use core::fmt;
