@@ -2,22 +2,26 @@
 //!
 //! A campaign is a declarative grid — predictor × confidence-scheme × suite
 //! × scenario — expanded into [`SweepPoint`]s and executed through the
-//! generic engine
-//! with a **work-stealing queue over whole points**
-//! ([`tage_sim::engine::steal_map`]): each worker owns a deque of point
-//! indices, drains its own front, and steals from the back of the
-//! most-loaded sibling when it runs dry. A grid mixes 256 Kbit TAGE points
-//! with tiny bimodal points, so static round-robin placement alone would
-//! leave workers idle behind the heavy tail.
+//! generic engine with a **work-stealing queue over groups of points**
+//! ([`tage_sim::engine::steal_map`]). A group holds the cells that can
+//! share one predictor pass ([`tage_sim::point::pass_groups`]): cells that
+//! differ only in scheme or scenario run one predictor per trace between
+//! them, and a cell that shares with nothing is a group of one. Each worker
+//! owns a deque of groups, drains its own front, and steals from the back
+//! of the most-loaded sibling when it runs dry. A grid mixes 256 Kbit TAGE
+//! groups with tiny bimodal ones, so static round-robin placement alone
+//! would leave workers idle behind the heavy tail.
 //!
 //! Results land in per-point slots and are reported in grid-expansion order,
 //! so the campaign report is **deterministic**: the same grid produces a
 //! byte-identical report at any worker count, except for the explicitly
-//! timing-carrying fields (per-point `wall_seconds` / `branches_per_sec` and
-//! the trailing `timing` object), which [`CampaignReport::render_json`] can
-//! omit. The JSON schema is versioned ([`SCHEMA_VERSION`]) and
-//! [`validate_report`] structurally checks a rendered report, which is what
-//! `tage-bench --check` and the CI campaign-smoke job run.
+//! timing-carrying fields (per-point `wall_seconds` / `branches_per_sec` /
+//! `shared_pass_cells` and the trailing `timing` object), which
+//! [`CampaignReport::render_json`] can omit. A grouped cell's
+//! `wall_seconds` is its equal share of the group's pass. The JSON schema
+//! is versioned ([`SCHEMA_VERSION`]) and [`validate_report`] structurally
+//! checks a rendered report, which is what `tage-bench --check` and the CI
+//! campaign-smoke job run.
 //!
 //! Campaigns can also run **checkpointed**
 //! ([`run_campaign_checkpointed`], `tage-bench --checkpoint/--resume`):
@@ -31,14 +35,18 @@
 //! cache, and both run their cells through one cell executor
 //! (`execute_cell`): same persistence, same predictor warm cache for
 //! phase-sampled cells. Only the scheduling differs: the CLI deals a grid's
-//! cells through `steal_map`, the daemon's workers take queued cells as
-//! they free up.
+//! groups through `steal_map` and runs a larger group through
+//! `execute_group`, which persists each cell as `execute_cell` does; the
+//! daemon's workers take queued cells one at a time as they free up.
 
 use std::time::Instant;
 
 use tage_confidence::ConfidenceLevel;
 use tage_sim::engine::{steal_map, StealStats};
-use tage_sim::point::{run_point, PointError, PointResult, PredictorSpec, SchemeSpec, SweepPoint};
+use tage_sim::point::{
+    pass_groups, run_point, run_point_group, PointError, PointResult, PredictorSpec, SchemeSpec,
+    SweepPoint,
+};
 use tage_sim::scenarios::{ScenarioSpec, BASELINE_TOKEN};
 use tage_sim::warmcache::WarmCache;
 use tage_sim::{EngineKind, RunOptions};
@@ -142,8 +150,13 @@ impl CampaignSpec {
 pub struct CampaignPointReport {
     /// The point's deterministic result.
     pub result: PointResult,
-    /// Wall-clock seconds the point took on its worker.
+    /// Wall-clock seconds the point took on its worker: for a cell that
+    /// shared a predictor pass, its equal share of the pass's time, so the
+    /// cells' seconds still sum to the workers' busy time.
     pub wall_seconds: f64,
+    /// Cells that ran in the cell's predictor pass, itself included (1 for
+    /// a cell that ran alone).
+    pub shared_pass_cells: usize,
 }
 
 /// One grid cell of a campaign report: either executed in this run, or
@@ -278,8 +291,9 @@ pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignRepor
 /// [`EngineKind::Multilane`] lane-batches each lane-batchable cell's suite
 /// inside its worker (unbatchable cells — estimator schemes, scenario
 /// observers — silently use the scalar path), composing with the
-/// cross-point work stealing: the scheduler still steals whole points; the
-/// engine choice only changes how one point burns its worker. Reports are
+/// cross-point work stealing: the scheduler still steals whole groups; the
+/// engine choice only changes how a group burns its worker (a
+/// lane-batched cell is a group of its own). Reports are
 /// bit-identical across engines — the campaign determinism contract extends
 /// over this axis, and `scripts/verify.sh` byte-diffs the two.
 pub fn run_campaign_with_engine(
@@ -451,8 +465,11 @@ pub(crate) struct Execution {
     pub(crate) store_errors: usize,
 }
 
-/// Runs `jobs` through [`steal_map`] (which deals them to workers in job
-/// order) and [`execute_cell`]. Only phase-sampled cells checkpoint
+/// Runs `jobs` in the groups of [`pass_groups`]: cells that differ only in
+/// scheme or scenario share one predictor pass. [`steal_map`] deals the
+/// groups to workers in the order of their first cell; a group of one runs
+/// through [`execute_cell`], a larger one through [`execute_group`]. The
+/// cells come back in job order. Only phase-sampled cells checkpoint
 /// predictor state, so the [`WarmCache`] at `<store>/warm` is opened only
 /// when a job is sampled.
 pub(crate) fn execute_cells(
@@ -463,9 +480,26 @@ pub(crate) fn execute_cells(
 ) -> Execution {
     let sampled = jobs.iter().any(|job| job.point.suite.sampling().is_some());
     let warm = store.filter(|_| sampled).and_then(open_warm_cache);
-    let (cells, stats) = steal_map(jobs, workers, |job| {
-        execute_cell(job, engine, store, warm.as_ref())
+    let groups = pass_groups(
+        jobs.iter().map(|job| (&job.point, job.branches_per_trace)),
+        &RunOptions::default(),
+        engine,
+    );
+    let (ran, stats) = steal_map(&groups, workers, |group| match group.as_slice() {
+        [index] => vec![execute_cell(&jobs[*index], engine, store, warm.as_ref())],
+        _ => execute_group(jobs, group, store),
     });
+    let mut slots: Vec<Option<Result<ExecutedCell, PointError>>> =
+        jobs.iter().map(|_| None).collect();
+    for (group, cells) in groups.iter().zip(ran) {
+        for (&index, cell) in group.iter().zip(cells) {
+            slots[index] = Some(cell);
+        }
+    }
+    let cells: Vec<_> = slots
+        .into_iter()
+        .map(|cell| cell.expect("every job runs in one group"))
+        .collect();
     let store_errors = cells
         .iter()
         .filter(|cell| cell.as_ref().is_ok_and(|cell| cell.store_failed))
@@ -475,6 +509,48 @@ pub(crate) fn execute_cells(
         stats,
         store_errors,
     }
+}
+
+/// Runs the jobs at `indexes`, cells that share one predictor pass, through
+/// [`run_point_group`], then renders and persists each as [`execute_cell`]
+/// does. Each cell's wall time is its equal share of the pass. A source
+/// error fails every cell of the group.
+fn execute_group(
+    jobs: &[CellJob],
+    indexes: &[usize],
+    store: Option<&CellStore>,
+) -> Vec<Result<ExecutedCell, PointError>> {
+    let start = Instant::now();
+    let points: Vec<&SweepPoint> = indexes.iter().map(|&index| &jobs[index].point).collect();
+    let results = run_point_group(
+        &points,
+        jobs[indexes[0]].branches_per_trace,
+        &RunOptions::default(),
+    );
+    let wall_seconds = start.elapsed().as_secs_f64() / indexes.len() as f64;
+    let results = match results {
+        Ok(results) => results,
+        Err(error) => return indexes.iter().map(|_| Err(error.clone())).collect(),
+    };
+    indexes
+        .iter()
+        .zip(results)
+        .map(|(&index, result)| {
+            let report = CampaignPointReport {
+                result,
+                wall_seconds,
+                shared_pass_cells: indexes.len(),
+            };
+            let rendered = render_point_json(&report, false);
+            let store_failed =
+                store.is_some_and(|store| store.store_cell(jobs[index].key, &rendered).is_err());
+            Ok(ExecutedCell {
+                report,
+                rendered,
+                store_failed,
+            })
+        })
+        .collect()
 }
 
 /// The predictor warm cache at `<store>/warm`; an uncreatable directory
@@ -506,6 +582,7 @@ pub(crate) fn execute_cell(
     let report = CampaignPointReport {
         result,
         wall_seconds: start.elapsed().as_secs_f64(),
+        shared_pass_cells: 1,
     };
     let rendered = render_point_json(&report, false);
     let store_failed = store.is_some_and(|store| store.store_cell(job.key, &rendered).is_err());
@@ -688,6 +765,10 @@ pub(crate) fn render_point_json(point: &CampaignPointReport, include_timing: boo
             0.0
         };
         fields.push(format!("\"branches_per_sec\": {rate:.0}"));
+        fields.push(format!(
+            "\"shared_pass_cells\": {}",
+            point.shared_pass_cells
+        ));
     }
     format!("  {{{}}}", fields.join(", "))
 }
@@ -946,10 +1027,28 @@ mod tests {
         assert_eq!(validated.points, 3);
         assert_eq!(validated.skipped, 1);
         assert!(json.contains("\"wall_seconds\""));
+        // The scalar engine runs both tage-16k cells in one predictor pass
+        // and gshare alone; each timed cell says how many shared its pass.
+        let shared: Vec<usize> = report
+            .points
+            .iter()
+            .map(|cell| cell.computed().expect("executed cell").shared_pass_cells)
+            .collect();
+        assert_eq!(shared, [2, 2, 1]);
+        let timed = jsonish::extract_array_objects(&json, "points");
+        let fields: Vec<Option<f64>> = timed
+            .iter()
+            .map(|point| jsonish::number_field(point, "shared_pass_cells"))
+            .collect();
+        assert_eq!(fields, [Some(2.0), Some(2.0), Some(1.0)]);
+        // Grouped cells split the pass's time equally.
+        let seconds = |i: usize| report.points[i].computed().unwrap().wall_seconds;
+        assert_eq!(seconds(0), seconds(1));
         // The deterministic rendering drops every timing field.
         let bare = report.render_json(false);
         assert!(!bare.contains("wall_seconds"));
         assert!(!bare.contains("branches_per_sec"));
+        assert!(!bare.contains("shared_pass_cells"));
         assert!(!bare.contains("\"timing\""));
         validate_report(&bare).expect("timing-free report still validates");
     }
@@ -968,12 +1067,15 @@ mod tests {
             .unwrap();
         }
         let files = SourceSuite::from_dir(&dir).unwrap();
+        // Two scenarios, so the scalar campaign runs the cells as one group
+        // over one predictor pass.
+        let scenarios = vec![ScenarioSpec::Baseline, ScenarioSpec::RecoveryEnergy];
         let file_spec = CampaignSpec {
             label: "file".to_string(),
             predictors: vec![PredictorSpec::parse("tage-16k").unwrap()],
             schemes: vec![SchemeSpec::parse("storage-free").unwrap()],
             suites: vec![files],
-            scenarios: vec![ScenarioSpec::Baseline],
+            scenarios: scenarios.clone(),
             branches_per_trace: 1_000,
         };
         let file_report = run_campaign(&file_spec, 2).expect("file grid runs");
@@ -982,7 +1084,7 @@ mod tests {
             label: "file".to_string(),
             predictors: vec![PredictorSpec::parse("tage-16k").unwrap()],
             schemes: vec![SchemeSpec::parse("storage-free").unwrap()],
-            scenarios: vec![ScenarioSpec::Baseline],
+            scenarios,
             branches_per_trace: 1_000,
         };
         let synthetic_report = run_campaign(&synthetic_spec, 2).unwrap();
@@ -998,13 +1100,33 @@ mod tests {
             synthetic_traces.sort_by(|a, b| a.trace_name.cmp(&b.trace_name));
             assert_eq!(file_traces, synthetic_traces);
             assert_eq!(file.result.aggregate, synthetic.result.aggregate);
+            assert_eq!(file.shared_pass_cells, 2);
         }
-        // A vanished trace file surfaces as a campaign error, not a panic.
+        // A vanished trace file surfaces as a campaign error, not a panic,
+        // and fails every cell of the group that read it.
         for spec in suite.traces() {
             std::fs::remove_file(dir.join(format!("{}.trace", spec.name()))).unwrap();
         }
         let error = run_campaign(&file_spec, 2).unwrap_err();
         assert!(matches!(error, PointError::Source(_)), "{error}");
+        let (points, _) = file_spec.expand();
+        let jobs: Vec<CellJob> = points
+            .into_iter()
+            .map(|point| CellJob {
+                key: cell_key(file_spec.branches_per_trace, &point),
+                point,
+                branches_per_trace: file_spec.branches_per_trace,
+            })
+            .collect();
+        let run = execute_cells(&jobs, 2, EngineKind::Scalar, None);
+        assert_eq!(run.cells.len(), 2);
+        for cell in &run.cells {
+            let Err(failure) = cell else {
+                panic!("a cell over a vanished trace ran")
+            };
+            assert!(matches!(failure, PointError::Source(_)), "{failure}");
+            assert_eq!(failure.to_string(), error.to_string());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

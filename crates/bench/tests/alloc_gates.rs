@@ -6,8 +6,11 @@
 //! zero-copy slice stream and the persistent suite scratch must make none.
 //! The chunked file stream may make a fixed few for its open (file handle,
 //! header name, one chunk buffer), never a number that grows with the
-//! branch count. Measurements, setup and budgets are those of the
-//! `throughput` bin, at the 50,000 branches its CI smoke run uses.
+//! branch count. A group of campaign cells sharing one predictor pass
+//! builds its schemes and observers per trace, so it must allocate as much
+//! at 50,000 branches per trace as at 25,000. Measurements, setup and
+//! budgets are those of the `throughput` bin, at the 50,000 branches its
+//! CI smoke run uses.
 //!
 //! The file is a `harness = false` test: libtest would run it on a worker
 //! thread beside its own bookkeeping, whose allocations would land in the
@@ -23,7 +26,9 @@ use tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence::TageConfidenceClassifier;
 use tage_sim::engine::{ReportObserver, SimEngine};
 use tage_sim::multilane::{MultilaneEngine, DEFAULT_LANES};
+use tage_sim::point::{run_point_group, PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::runner::RunOptions;
+use tage_sim::scenarios::ScenarioSpec;
 use tage_sim::suite::SuiteScratch;
 use tage_traces::source::{BinaryFileSource, BranchSource, SliceSource, SourceSuite};
 use tage_traces::writer::TraceWriter;
@@ -175,11 +180,40 @@ fn suite_parallel(setup: &Setup) -> u64 {
     })
 }
 
+/// Twelve cells of one predictor, three schemes × the four scenarios,
+/// through one predictor pass per trace of CBP-1-mini: how far the
+/// allocations at `BRANCHES` per trace are from those at half that.
+fn shared_pass_group(setup: &Setup) -> u64 {
+    let suite = SourceSuite::from_suite(&suites::cbp1_mini());
+    let mut points = Vec::new();
+    for scheme in ["storage-free", "jrs-enhanced", "self-confidence"] {
+        for scenario in ScenarioSpec::ALL {
+            points.push(SweepPoint {
+                predictor: PredictorSpec::Tage(setup.geometry.clone()),
+                scheme: SchemeSpec::parse(scheme).expect("registry scheme token"),
+                suite: suite.clone(),
+                scenario,
+            });
+        }
+    }
+    let group: Vec<&SweepPoint> = points.iter().collect();
+    let run = |branches| {
+        allocations_of(|| {
+            let results = run_point_group(&group, branches, &RunOptions::default())
+                .expect("synthetic sources are infallible");
+            black_box(results);
+        })
+    };
+    // A first run settles any lazily built state.
+    run(BRANCHES / 2);
+    run(BRANCHES).abs_diff(run(BRANCHES / 2))
+}
+
 /// A gate's measurement: the allocations of its counted region.
 type Measure = fn(&Setup) -> u64;
 
 /// Every gate: its name, its allocation budget and its measurement.
-const GATES: [(&str, u64, Measure); 6] = [
+const GATES: [(&str, u64, Measure); 7] = [
     ("predict_hot_path", 0, predict_hot_path),
     ("engine_single_trace", 0, engine_single_trace),
     ("engine_multilane", 0, engine_multilane),
@@ -190,6 +224,7 @@ const GATES: [(&str, u64, Measure); 6] = [
         engine_streamed_file,
     ),
     ("suite_parallel", 0, suite_parallel),
+    ("shared_pass_group", 0, shared_pass_group),
 ];
 
 fn main() {

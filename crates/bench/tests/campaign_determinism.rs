@@ -82,7 +82,17 @@ fn timing_fields_are_the_only_difference_between_renders() {
         }
         assert!(jsonish::number_field(timed, "wall_seconds").is_some());
         assert!(jsonish::number_field(bare, "wall_seconds").is_none());
+        assert!(jsonish::number_field(bare, "shared_pass_cells").is_none());
     }
+    // The scalar campaign runs each predictor's cells in one predictor
+    // pass: 8 TAGE cells, then 4 gshare and 4 perceptron cells.
+    let shared: Vec<Option<f64>> = timed_points
+        .iter()
+        .map(|point| jsonish::number_field(point, "shared_pass_cells"))
+        .collect();
+    let mut expected = vec![Some(8.0); 8];
+    expected.extend([Some(4.0); 8]);
+    assert_eq!(shared, expected);
 }
 
 #[test]

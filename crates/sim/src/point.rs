@@ -8,9 +8,31 @@
 //! returns exact integer counters, each trace's [`ConfidenceReport`] and
 //! the aggregate one, so a point's result is deterministic and
 //! independent of where (which thread, which order) it ran. The campaign
-//! runner (`tage-bench`) work-steals whole points across workers, and so
-//! does `tage-bench --paper`, whose artefacts are named lists of
-//! storage-free TAGE points.
+//! runner (`tage-bench`) work-steals points across workers, and so does
+//! `tage-bench --paper`, whose artefacts are named lists of storage-free
+//! TAGE points.
+//!
+//! # Cells that share a predictor pass
+//!
+//! Every scalar run goes through one executor, [`run_point_group`], over a
+//! group of cells; [`run_point`]'s scalar path is its one-cell case. Per
+//! trace, one predictor predicts and trains once, and each cell grades
+//! that same lookup with its own scheme, [`ReportObserver`] and scenario
+//! observer. The group's shared-predictor cells share one interleaved
+//! pass. [`pass_groups`] forms the groups: cells share a pass when they
+//! have the same predictor (label, and spec digest and automaton for
+//! TAGE), the same unsampled suite (name and digest) and the same branches
+//! per trace. A lane-batched cell, and a storage-free cell whose
+//! [`RunOptions`] set a warm-up or an adaptive target, runs alone.
+//!
+//! No byte moves, because nothing a cell adds touches the predictor. The
+//! engine runs predict → assess → observe → observers → update, and only
+//! `update` writes the predictor. The schemes, the report and the two
+//! scenario observers read the pc, the outcome and the lookup. The
+//! shared-predictor pass counts mispredictions alone, so its result does
+//! not depend on the scheme. The adaptive controller is the one observer
+//! that steers the predictor, and a cell that runs it has the predictor
+//! to itself.
 //!
 //! The grid axes are enumerable:
 //!
@@ -34,10 +56,14 @@
 //! them (counting the skips) instead of failing the grid.
 
 use core::fmt;
+use std::collections::hash_map::{Entry, HashMap};
 
-use tage::{CounterAutomaton, LaneGroup, TageBlueprint, TageGeometry, TagePredictor};
+use tage::{
+    CounterAutomaton, LaneGroup, TageBlueprint, TageGeometry, TagePrediction, TagePredictor,
+};
 use tage_confidence::estimators::EstimatorSpec;
-use tage_confidence::{ConfidenceReport, TageConfidenceClassifier};
+use tage_confidence::scheme::{Assessment, ConfidenceScheme};
+use tage_confidence::{ConfidenceLevel, ConfidenceReport, TageConfidenceClassifier};
 use tage_predictors::{BaselinePredictorSpec, PredictorCore};
 use tage_traces::format::FormatError;
 use tage_traces::source::{AnySource, BranchSource, SamplingSpec, SourceSuite};
@@ -45,7 +71,7 @@ use tage_traces::Suite;
 
 use crate::engine::{BranchEvent, EngineObserver, ReportObserver, SimEngine};
 use crate::multilane::{run_specs_multilane, EngineKind, DEFAULT_LANES};
-use crate::runner::{RunOptions, TraceRunResult};
+use crate::runner::{AdaptiveObserver, RunOptions, TraceRunResult};
 use crate::scenarios::energy::RecoveryEnergyObserver;
 use crate::scenarios::interference::{run_shared_predictor, SharedRunResult};
 use crate::scenarios::prefetch::PrefetchObserver;
@@ -481,8 +507,9 @@ impl PointResult {
     }
 }
 
-/// Why a sweep point run failed.
-#[derive(Debug)]
+/// Why a sweep point run failed. A clone renders the same message, which is
+/// how one source error fails every cell of a shared pass.
+#[derive(Debug, Clone)]
 pub enum PointError {
     /// The predictor/scheme pairing cannot execute.
     Invalid(InvalidPoint),
@@ -521,21 +548,64 @@ impl From<FormatError> for PointError {
 }
 
 /// The observer-style scenarios, riding along a point's normal per-source
-/// runs (the shared-predictor scenario runs its own pass instead). One
-/// accumulator persists across every source of the suite, so the metrics
-/// aggregate the whole point.
+/// runs, and the shared-predictor scenario, which runs a pass of its own
+/// instead. One accumulator persists across every source of the suite, so
+/// the metrics aggregate the whole point.
 enum ScenarioObserver {
     None,
     Energy(Box<RecoveryEnergyObserver>),
     Prefetch(Box<PrefetchObserver>),
+    Shared,
 }
 
 impl ScenarioObserver {
     fn for_spec(scenario: ScenarioSpec) -> Self {
         match scenario {
+            ScenarioSpec::Baseline => ScenarioObserver::None,
             ScenarioSpec::RecoveryEnergy => ScenarioObserver::Energy(Box::default()),
             ScenarioSpec::PrefetchThrottle => ScenarioObserver::Prefetch(Box::default()),
-            ScenarioSpec::Baseline | ScenarioSpec::SharedPredictor => ScenarioObserver::None,
+            ScenarioSpec::SharedPredictor => ScenarioObserver::Shared,
+        }
+    }
+
+    /// The point's scenario metrics, once every source has run: the
+    /// observer's accumulators, or the shared-predictor pass against the
+    /// `private` per-source counters the point measured.
+    fn metrics(
+        &self,
+        shared: Option<&SharedRunResult>,
+        private: &[PointTraceMetrics],
+    ) -> Vec<(String, f64)> {
+        match self {
+            ScenarioObserver::None => Vec::new(),
+            ScenarioObserver::Energy(observer) => vec![
+                ("baseline_epki_nj".to_string(), observer.baseline_epki()),
+                ("confidence_epki_nj".to_string(), observer.confidence_epki()),
+                ("savings_pct".to_string(), observer.savings_pct()),
+                ("checkpoints".to_string(), observer.checkpoints as f64),
+            ],
+            ScenarioObserver::Prefetch(observer) => vec![
+                (
+                    "useless_avoided_pki".to_string(),
+                    observer.useless_avoided_pki(),
+                ),
+                (
+                    "coverage_lost_pki".to_string(),
+                    observer.coverage_lost_pki(),
+                ),
+                (
+                    "useless_issued_pki".to_string(),
+                    observer.useless_issued_pki(),
+                ),
+                (
+                    "useful_issued_pki".to_string(),
+                    observer.useful_issued_pki(),
+                ),
+            ],
+            ScenarioObserver::Shared => shared_predictor_metrics(
+                shared.expect("a group with a shared-predictor cell runs the shared pass"),
+                private,
+            ),
         }
     }
 }
@@ -543,7 +613,7 @@ impl ScenarioObserver {
 impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
     fn on_branch(&mut self, predictor: &mut P, event: &BranchEvent<'_, P::Lookup>) {
         match self {
-            ScenarioObserver::None => {}
+            ScenarioObserver::None | ScenarioObserver::Shared => {}
             ScenarioObserver::Energy(observer) => observer.on_branch(predictor, event),
             ScenarioObserver::Prefetch(observer) => observer.on_branch(predictor, event),
         }
@@ -551,7 +621,7 @@ impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
 
     fn on_instructions(&mut self, instructions: u64, in_measurement: bool) {
         match self {
-            ScenarioObserver::None => {}
+            ScenarioObserver::None | ScenarioObserver::Shared => {}
             ScenarioObserver::Energy(observer) => {
                 EngineObserver::<P>::on_instructions(&mut **observer, instructions, in_measurement)
             }
@@ -583,7 +653,8 @@ impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
 /// lane-batchable — the paper's TAGE × storage-free pairing under the plain
 /// baseline scenario, which is every cell of the default campaign grid.
 /// Scenario observers and the storage-based estimator schemes hook the
-/// scalar per-branch loop, so those cells fall back to the scalar path.
+/// scalar per-branch loop, so those cells fall back to the scalar path:
+/// [`run_point_group`] over this one cell.
 ///
 /// `warm` only matters for phase-sampled suites: the sampled runner
 /// checkpoints the sequential predictor state at each representative
@@ -607,7 +678,8 @@ pub fn run_point(
     if engine == EngineKind::Multilane && point_is_lane_batchable(point) {
         return run_point_multilane(point, branches_per_trace, options);
     }
-    run_point_scalar(point, branches_per_trace, options)
+    let mut results = run_point_group(&[point], branches_per_trace, options)?;
+    Ok(results.pop().expect("one result per cell"))
 }
 
 impl From<TraceRunResult> for PointTraceMetrics {
@@ -724,55 +796,332 @@ fn run_point_multilane(
     Ok(PointResult::assemble(point, traces))
 }
 
-fn run_point_scalar(
+/// What cells must have in common to share one predictor pass (see
+/// [`pass_groups`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PassKey {
+    predictor: String,
+    /// The spec digest and automaton of a TAGE predictor. The label names
+    /// a programmatic [`PredictorSpec::Tage`] by size and automaton only,
+    /// and a [`PredictorSpec::Geometry`] by a 32-bit digest.
+    geometry: Option<(u64, CounterAutomaton)>,
+    suite: String,
+    suite_digest: u64,
+    branches_per_trace: usize,
+}
+
+/// The predictor pass `point` can share with other cells, or `None` when
+/// it runs alone: a sampled, invalid or lane-batched cell, or a
+/// storage-free cell whose options steer its predictor (the adaptive
+/// controller) or window its measurement (a warm-up). Estimator cells
+/// ignore the options.
+fn pass_key(
     point: &SweepPoint,
     branches_per_trace: usize,
     options: &RunOptions,
-) -> Result<PointResult, PointError> {
-    let mut scenario_observer = ScenarioObserver::for_spec(point.scenario);
-    let mut traces = Vec::with_capacity(point.suite.sources().len());
-    for spec in point.suite.sources() {
-        let mut source = spec.open(branches_per_trace)?;
-        traces.push(run_point_source(
-            point,
-            &mut source,
-            options,
-            &mut scenario_observer,
-        )?);
+    engine: EngineKind,
+) -> Option<PassKey> {
+    if point.suite.sampling().is_some()
+        || point.validate().is_err()
+        || (engine == EngineKind::Multilane && point_is_lane_batchable(point))
+        || (point.scheme == SchemeSpec::StorageFree
+            && (options.warmup_branches > 0 || options.adaptive_target_mkp.is_some()))
+    {
+        return None;
     }
-    let mut result = PointResult::assemble(point, traces);
-    result.scenario_metrics = match (&scenario_observer, point.scenario) {
-        (ScenarioObserver::Energy(observer), _) => vec![
-            ("baseline_epki_nj".to_string(), observer.baseline_epki()),
-            ("confidence_epki_nj".to_string(), observer.confidence_epki()),
-            ("savings_pct".to_string(), observer.savings_pct()),
-            ("checkpoints".to_string(), observer.checkpoints as f64),
-        ],
-        (ScenarioObserver::Prefetch(observer), _) => vec![
-            (
-                "useless_avoided_pki".to_string(),
-                observer.useless_avoided_pki(),
-            ),
-            (
-                "coverage_lost_pki".to_string(),
-                observer.coverage_lost_pki(),
-            ),
-            (
-                "useless_issued_pki".to_string(),
-                observer.useless_issued_pki(),
-            ),
-            (
-                "useful_issued_pki".to_string(),
-                observer.useful_issued_pki(),
-            ),
-        ],
-        (ScenarioObserver::None, ScenarioSpec::SharedPredictor) => {
-            let shared = run_point_shared(point, branches_per_trace)?;
-            shared_predictor_metrics(&shared, &result.traces)
+    Some(PassKey {
+        predictor: point.predictor.label(),
+        geometry: match &point.predictor {
+            PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+                Some((geometry.spec_digest(), geometry.automaton))
+            }
+            PredictorSpec::Baseline(_) => None,
+        },
+        suite: point.suite.name().to_string(),
+        suite_digest: point.suite.digest(branches_per_trace),
+        branches_per_trace,
+    })
+}
+
+/// Partitions cells into the groups [`run_point_group`] runs, each a list
+/// of indexes into `cells`, in the order of each group's first cell. A
+/// cell is a point and its branches per trace.
+///
+/// Cells share a group when they have the same predictor, the same
+/// unsampled suite and the same branches per trace, and none of them is
+/// lane-batched under `engine` or steered or windowed by `options`. Every
+/// other cell is a group of its own, so cells that share with nothing come
+/// back one per group, in input order.
+pub fn pass_groups<'a>(
+    cells: impl IntoIterator<Item = (&'a SweepPoint, usize)>,
+    options: &RunOptions,
+    engine: EngineKind,
+) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<PassKey, usize> = HashMap::new();
+    for (index, (point, branches_per_trace)) in cells.into_iter().enumerate() {
+        let Some(key) = pass_key(point, branches_per_trace, options, engine) else {
+            groups.push(vec![index]);
+            continue;
+        };
+        match by_key.entry(key) {
+            Entry::Occupied(group) => groups[*group.get()].push(index),
+            Entry::Vacant(slot) => {
+                slot.insert(groups.len());
+                groups.push(vec![index]);
+            }
         }
-        (ScenarioObserver::None, _) => Vec::new(),
+    }
+    groups
+}
+
+/// The one scalar executor: runs a group of cells that share one predictor
+/// pass (a group of [`pass_groups`]; [`run_point`] passes a single cell)
+/// and returns their results in input order, each equal to the result of
+/// running the cell alone.
+///
+/// Per trace, one cold predictor predicts and trains once. Each cell grades
+/// every lookup with a cold scheme of its own and feeds its own report and
+/// scenario observer; a storage-free cell under an adaptive target also
+/// steers the predictor, which it then has to itself. When a cell measures
+/// the shared-predictor scenario, one interleaved pass over the suite
+/// follows the per-source runs, and every such cell reads it.
+///
+/// # Errors
+///
+/// An invalid cell fails the group with [`PointError::Invalid`]. A source
+/// that cannot be opened or read fails it with [`PointError::Source`].
+///
+/// # Panics
+///
+/// When the cells cannot share a pass, so that [`pass_groups`] would have
+/// put them in different groups.
+pub fn run_point_group(
+    points: &[&SweepPoint],
+    branches_per_trace: usize,
+    options: &RunOptions,
+) -> Result<Vec<PointResult>, PointError> {
+    let Some(first) = points.first() else {
+        return Ok(Vec::new());
     };
-    Ok(result)
+    for point in points {
+        point.validate()?;
+    }
+    if points.len() > 1 {
+        let key = |point| pass_key(point, branches_per_trace, options, EngineKind::Scalar);
+        let first_key = key(first);
+        assert!(
+            first_key.is_some() && points.iter().all(|point| key(point) == first_key),
+            "run_point_group runs cells that share one predictor pass"
+        );
+    }
+    let suite = &first.suite;
+    let mut scenarios: Vec<ScenarioObserver> = points
+        .iter()
+        .map(|point| ScenarioObserver::for_spec(point.scenario))
+        .collect();
+    let mut traces: Vec<Vec<PointTraceMetrics>> = points
+        .iter()
+        .map(|_| Vec::with_capacity(suite.sources().len()))
+        .collect();
+    // Estimator cells ignore the options, and a storage-free cell under a
+    // warm-up runs alone.
+    let warmup = if points.iter().any(|p| p.scheme == SchemeSpec::StorageFree) {
+        options.warmup_branches
+    } else {
+        0
+    };
+    let threshold = first.predictor.self_confidence_threshold();
+    let shared_pass = points
+        .iter()
+        .any(|point| point.scenario == ScenarioSpec::SharedPredictor);
+    let shared = match &first.predictor {
+        PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+            for spec in suite.sources() {
+                let mut source = spec.open(branches_per_trace)?;
+                let mut predictor = TagePredictor::new(geometry);
+                let mut cells = Vec::with_capacity(points.len());
+                for (point, scenario) in points.iter().zip(&mut scenarios) {
+                    let (scheme, steer): (Box<dyn ConfidenceScheme<TagePrediction> + Send>, _) =
+                        match point.scheme {
+                            SchemeSpec::StorageFree => {
+                                let steer = AdaptiveObserver::for_options(options);
+                                if let Some(observer) = &steer {
+                                    predictor.set_automaton(observer.controller.automaton());
+                                }
+                                let classifier = TageConfidenceClassifier::with_window(
+                                    geometry,
+                                    options.bim_miss_window,
+                                );
+                                (Box::new(classifier), steer)
+                            }
+                            SchemeSpec::Estimator(estimator) => (estimator.build(threshold), None),
+                        };
+                    cells.push(CellPass {
+                        scheme,
+                        report: ReportObserver::default(),
+                        steer,
+                        scenario,
+                    });
+                }
+                let mut engine = SimEngine::new(&mut predictor, NoScheme).with_warmup(warmup);
+                run_group_trace(&mut engine, &mut source, cells, &mut traces, |predictor| {
+                    predictor.geometry().automaton.saturation_probability()
+                })?;
+            }
+            shared_pass
+                .then(|| run_shared_pass(TagePredictor::new(geometry), suite, branches_per_trace))
+                .transpose()?
+        }
+        PredictorSpec::Baseline(baseline) => {
+            for spec in suite.sources() {
+                let mut source = spec.open(branches_per_trace)?;
+                let cells = points
+                    .iter()
+                    .zip(&mut scenarios)
+                    .map(|(point, scenario)| {
+                        let SchemeSpec::Estimator(estimator) = point.scheme else {
+                            unreachable!("validate() rejects storage-free on baseline predictors")
+                        };
+                        CellPass {
+                            scheme: estimator.build(threshold),
+                            report: ReportObserver::default(),
+                            steer: (),
+                            scenario,
+                        }
+                    })
+                    .collect();
+                let mut engine = SimEngine::new(baseline.build(), NoScheme);
+                // Only TAGE has an automaton to report.
+                run_group_trace(&mut engine, &mut source, cells, &mut traces, |_| 1.0)?;
+            }
+            shared_pass
+                .then(|| run_shared_pass(baseline.build(), suite, branches_per_trace))
+                .transpose()?
+        }
+    };
+    Ok(points
+        .iter()
+        .zip(scenarios)
+        .zip(traces)
+        .map(|((point, scenario), traces)| {
+            let mut result = PointResult::assemble(point, traces);
+            result.scenario_metrics = scenario.metrics(shared.as_ref(), &result.traces);
+            result
+        })
+        .collect())
+}
+
+/// The engine's own scheme in a group pass. Each cell grades the lookup
+/// with its own scheme inside [`FanOut`], and the shared-predictor pass
+/// counts mispredictions alone, so this grade is never read.
+#[derive(Debug)]
+struct NoScheme;
+
+impl<L> ConfidenceScheme<L> for NoScheme {
+    fn assess(&mut self, _pc: u64, _lookup: &L) -> Assessment {
+        Assessment::level_only(ConfidenceLevel::Low)
+    }
+
+    fn observe(&mut self, _pc: u64, _lookup: &L, _taken: bool) {}
+
+    fn reset(&mut self) {}
+
+    fn name(&self) -> String {
+        "none".to_string()
+    }
+}
+
+/// One cell of a group over the trace in flight: a cold scheme and report,
+/// the adaptive controller where the cell runs one (`()` where no cell
+/// can), and the cell's scenario observer, which lasts the whole suite.
+struct CellPass<'s, L, A> {
+    scheme: Box<dyn ConfidenceScheme<L> + Send>,
+    report: ReportObserver,
+    steer: A,
+    scenario: &'s mut ScenarioObserver,
+}
+
+/// Hands each branch of a group's one predictor pass to every cell in
+/// turn, between the predictor's lookup and its training. A cell's scheme
+/// grades the lookup and learns the outcome, as an engine's own scheme
+/// would. Then the cell's report, controller and scenario observer see the
+/// branch under the cell's grade, in the order a one-cell engine runs them.
+struct FanOut<'s, L, A>(Vec<CellPass<'s, L, A>>);
+
+impl<P, A> EngineObserver<P> for FanOut<'_, P::Lookup, A>
+where
+    P: PredictorCore,
+    A: EngineObserver<P>,
+{
+    fn on_branch(&mut self, predictor: &mut P, event: &BranchEvent<'_, P::Lookup>) {
+        for cell in &mut self.0 {
+            let assessment = cell.scheme.assess(event.pc, event.lookup);
+            cell.scheme.observe(event.pc, event.lookup, event.taken);
+            let event = BranchEvent {
+                assessment,
+                ..*event
+            };
+            cell.report.on_branch(predictor, &event);
+            cell.steer.on_branch(predictor, &event);
+            cell.scenario.on_branch(predictor, &event);
+        }
+    }
+
+    fn on_instructions(&mut self, instructions: u64, in_measurement: bool) {
+        for cell in &mut self.0 {
+            EngineObserver::<P>::on_instructions(&mut cell.report, instructions, in_measurement);
+            cell.steer.on_instructions(instructions, in_measurement);
+            EngineObserver::<P>::on_instructions(cell.scenario, instructions, in_measurement);
+        }
+    }
+}
+
+/// Streams one source through `engine` for every cell of a group, and
+/// appends each cell's trace metrics to its list in `traces`.
+/// `final_probability` reads the saturation probability off the predictor
+/// once the trace has run.
+fn run_group_trace<P, A>(
+    engine: &mut SimEngine<P, NoScheme>,
+    source: &mut AnySource,
+    cells: Vec<CellPass<'_, P::Lookup, A>>,
+    traces: &mut [Vec<PointTraceMetrics>],
+    final_probability: impl Fn(&P) -> f64,
+) -> Result<(), FormatError>
+where
+    P: PredictorCore,
+    A: EngineObserver<P>,
+{
+    let trace_name = source.name().to_string();
+    let mut fan_out = FanOut(cells);
+    let summary = engine.run_source(source, &mut fan_out)?;
+    let final_saturation_probability = final_probability(engine.predictor());
+    for (cell, traces) in fan_out.0.into_iter().zip(traces) {
+        traces.push(PointTraceMetrics {
+            trace_name: trace_name.clone(),
+            predictions: summary.measured_branches,
+            mispredictions: cell.report.report.total().mispredictions,
+            instructions: summary.measured_instructions,
+            report: cell.report.report,
+            final_saturation_probability,
+        });
+    }
+    Ok(())
+}
+
+/// The shared-predictor interference pass: every suite source opened as
+/// one core's stream, interleaved round-robin into one cold `predictor`.
+fn run_shared_pass<P: PredictorCore>(
+    predictor: P,
+    suite: &SourceSuite,
+    branches_per_trace: usize,
+) -> Result<SharedRunResult, FormatError> {
+    let sources = suite
+        .sources()
+        .iter()
+        .map(|spec| spec.open(branches_per_trace))
+        .collect::<Result<Vec<_>, _>>()?;
+    run_shared_predictor(&mut SimEngine::new(predictor, NoScheme), sources)
 }
 
 /// Compares the shared-predictor pass against the private per-source
@@ -800,97 +1149,6 @@ fn shared_predictor_metrics(
             private_mispredictions as f64,
         ),
     ]
-}
-
-/// The shared-predictor interference pass: every suite source opened as one
-/// core's stream, interleaved round-robin into a single engine built for
-/// the point's predictor × scheme cell.
-fn run_point_shared(
-    point: &SweepPoint,
-    branches_per_trace: usize,
-) -> Result<SharedRunResult, PointError> {
-    let mut sources = Vec::with_capacity(point.suite.sources().len());
-    for spec in point.suite.sources() {
-        sources.push(spec.open(branches_per_trace)?);
-    }
-    let shared = match (point.predictor.tage_blueprint(), &point.scheme) {
-        (Some(blueprint), SchemeSpec::StorageFree) => {
-            let mut engine = SimEngine::new(
-                TagePredictor::new(blueprint),
-                TageConfidenceClassifier::new(blueprint),
-            );
-            run_shared_predictor(&mut engine, sources)?
-        }
-        (Some(blueprint), SchemeSpec::Estimator(estimator)) => {
-            let scheme = estimator.build(point.predictor.self_confidence_threshold());
-            let mut engine = SimEngine::new(TagePredictor::new(blueprint), scheme);
-            run_shared_predictor(&mut engine, sources)?
-        }
-        (None, SchemeSpec::Estimator(estimator)) => {
-            let PredictorSpec::Baseline(baseline) = &point.predictor else {
-                unreachable!("non-TAGE specs are baselines")
-            };
-            let scheme = estimator.build(point.predictor.self_confidence_threshold());
-            let mut engine = SimEngine::new(baseline.build(), scheme);
-            run_shared_predictor(&mut engine, sources)?
-        }
-        (None, SchemeSpec::StorageFree) => {
-            unreachable!("validate() rejects storage-free on baseline predictors")
-        }
-    };
-    Ok(shared)
-}
-
-fn run_point_source(
-    point: &SweepPoint,
-    source: &mut AnySource,
-    options: &RunOptions,
-    scenario_observer: &mut ScenarioObserver,
-) -> Result<PointTraceMetrics, FormatError> {
-    // The paper's own path has a canonical runner; don't duplicate its loop.
-    if let (Some(blueprint), SchemeSpec::StorageFree) =
-        (point.predictor.tage_blueprint(), &point.scheme)
-    {
-        let result =
-            crate::runner::run_source_observed(blueprint, source, options, scenario_observer)?;
-        return Ok(result.into());
-    }
-    let trace_name = source.name().to_string();
-    let mut observer = ReportObserver::default();
-    let summary = match (point.predictor.tage_blueprint(), &point.scheme) {
-        (Some(_), SchemeSpec::StorageFree) => {
-            unreachable!("handled by the early return above")
-        }
-        (Some(blueprint), SchemeSpec::Estimator(estimator)) => {
-            let predictor = TagePredictor::new(blueprint);
-            let scheme = estimator.build(point.predictor.self_confidence_threshold());
-            let mut engine = SimEngine::new(predictor, scheme);
-            engine.run_source(source, &mut (&mut observer, &mut *scenario_observer))?
-        }
-        (None, SchemeSpec::Estimator(estimator)) => {
-            let PredictorSpec::Baseline(baseline) = &point.predictor else {
-                unreachable!("non-TAGE specs are baselines")
-            };
-            let predictor = baseline.build();
-            let scheme = estimator.build(point.predictor.self_confidence_threshold());
-            let mut engine = SimEngine::new(predictor, scheme);
-            engine.run_source(source, &mut (&mut observer, &mut *scenario_observer))?
-        }
-        (None, SchemeSpec::StorageFree) => {
-            unreachable!("validate() rejects storage-free on baseline predictors")
-        }
-    };
-    Ok(PointTraceMetrics {
-        trace_name,
-        predictions: summary.measured_branches,
-        mispredictions: observer.report.total().mispredictions,
-        instructions: summary.measured_instructions,
-        report: observer.report,
-        // Without the adaptive controller the automaton never moves.
-        final_saturation_probability: point.predictor.tage_blueprint().map_or(1.0, |blueprint| {
-            blueprint.tage_geometry().automaton.saturation_probability()
-        }),
-    })
 }
 
 #[cfg(test)]
@@ -1409,6 +1667,190 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every valid scheme × scenario cell of `predictor` over `suite`, in
+    /// grid order.
+    fn every_cell_of(predictor: &str, suite: &SourceSuite) -> Vec<SweepPoint> {
+        let mut points = Vec::new();
+        for scheme in SchemeSpec::known_tokens() {
+            for scenario in ScenarioSpec::ALL {
+                let point = SweepPoint {
+                    predictor: PredictorSpec::parse(predictor).unwrap(),
+                    scheme: SchemeSpec::parse(&scheme).unwrap(),
+                    suite: suite.clone(),
+                    scenario,
+                };
+                if point.validate().is_ok() {
+                    points.push(point);
+                }
+            }
+        }
+        points
+    }
+
+    /// Runs every cell of `predictor` over `suite` as one group, and each
+    /// cell alone, and compares the results cell by cell.
+    fn assert_group_equals_cells_alone(predictor: &str, suite: &SourceSuite, branches: usize) {
+        let points = every_cell_of(predictor, suite);
+        let options = RunOptions::default();
+        let groups = pass_groups(
+            points.iter().map(|point| (point, branches)),
+            &options,
+            EngineKind::Scalar,
+        );
+        assert_eq!(
+            groups,
+            [(0..points.len()).collect::<Vec<_>>()],
+            "{predictor}"
+        );
+        let refs: Vec<&SweepPoint> = points.iter().collect();
+        let grouped = run_point_group(&refs, branches, &options).unwrap();
+        assert_eq!(grouped.len(), points.len());
+        for (point, together) in points.iter().zip(&grouped) {
+            let alone = run_point(point, branches, &options, EngineKind::Scalar, None).unwrap();
+            assert_eq!(
+                *together,
+                alone,
+                "{predictor} × {} × {}",
+                point.scheme.label(),
+                point.scenario
+            );
+        }
+    }
+
+    #[test]
+    fn cells_run_in_a_group_equal_the_cells_run_alone() {
+        let suite = SourceSuite::from_suite(&mini());
+        for predictor in ["tage-16k", "tage-16k-std", "gshare"] {
+            assert_group_equals_cells_alone(predictor, &suite, 3_000);
+        }
+        assert_eq!(every_cell_of("tage-16k", &suite).len(), 16);
+        assert_eq!(every_cell_of("gshare", &suite).len(), 12);
+    }
+
+    #[test]
+    fn a_group_over_trace_files_equals_its_cells_alone() {
+        use tage_traces::writer::TraceWriter;
+        let dir =
+            std::env::temp_dir().join(format!("tage-point-group-files-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for spec in mini().traces() {
+            std::fs::write(
+                dir.join(format!("{}.trace", spec.name())),
+                TraceWriter::to_binary_bytes(&spec.generate(3_000)),
+            )
+            .unwrap();
+        }
+        let files = SourceSuite::from_dir(&dir).unwrap();
+        assert_group_equals_cells_alone("tage-16k", &files, 3_000);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pass_groups_share_only_what_one_predictor_pass_serves() {
+        let suite = SourceSuite::from_suite(&mini());
+        let cell = |predictor: &str, scheme: &str, scenario| SweepPoint {
+            predictor: PredictorSpec::parse(predictor).unwrap(),
+            scheme: SchemeSpec::parse(scheme).unwrap(),
+            suite: suite.clone(),
+            scenario,
+        };
+        let points = [
+            cell("tage-16k", "storage-free", ScenarioSpec::Baseline),
+            cell("gshare", "jrs-classic", ScenarioSpec::Baseline),
+            cell("tage-16k", "jrs-classic", ScenarioSpec::RecoveryEnergy),
+            cell("tage-16k-std", "jrs-classic", ScenarioSpec::Baseline),
+            cell("gshare", "self-confidence", ScenarioSpec::SharedPredictor),
+            cell("tage-16k", "storage-free", ScenarioSpec::PrefetchThrottle),
+        ];
+        let cells = || points.iter().map(|point| (point, 1_000));
+        let default = RunOptions::default();
+        assert_eq!(
+            pass_groups(cells(), &default, EngineKind::Scalar),
+            [vec![0, 2, 5], vec![1, 4], vec![3]]
+        );
+        // The lane-batchable cell runs on lanes, alone.
+        assert_eq!(
+            pass_groups(cells(), &default, EngineKind::Multilane),
+            [vec![0], vec![1, 4], vec![2, 5], vec![3]]
+        );
+        // A warm-up or an adaptive target leaves each storage-free cell
+        // alone; the estimator cells ignore both.
+        let warmup = RunOptions {
+            warmup_branches: 100,
+            ..RunOptions::default()
+        };
+        for options in [warmup, RunOptions::adaptive()] {
+            assert_eq!(
+                pass_groups(cells(), &options, EngineKind::Scalar),
+                [vec![0], vec![1, 4], vec![2], vec![3], vec![5]],
+                "{options:?}"
+            );
+        }
+
+        // Other branch counts, other suites and sampled suites never share.
+        let other_suite = SweepPoint {
+            suite: SourceSuite::from_suite(&suites::cbp1_like()),
+            ..points[1].clone()
+        };
+        let sampled = SweepPoint {
+            suite: sampled_mini(small_sampling()),
+            ..points[0].clone()
+        };
+        let mixed = [
+            (&points[1], 1_000),
+            (&points[4], 2_000),
+            (&other_suite, 1_000),
+            (&sampled, 1_000),
+            (&sampled, 1_000),
+        ];
+        assert_eq!(
+            pass_groups(mixed, &default, EngineKind::Scalar),
+            [vec![0], vec![1], vec![2], vec![3], vec![4]]
+        );
+
+        // Geometry specs that differ only in their automaton share a label,
+        // not a pass.
+        let geometry = |automaton| PredictorSpec::Geometry {
+            geometry: TageGeometry::small().with_automaton(automaton),
+            source: "tage-16k.json".to_string(),
+        };
+        let standard = SweepPoint {
+            predictor: geometry(CounterAutomaton::Standard),
+            ..points[2].clone()
+        };
+        let modified = SweepPoint {
+            predictor: geometry(CounterAutomaton::paper_default()),
+            ..points[2].clone()
+        };
+        assert_eq!(standard.predictor.label(), modified.predictor.label());
+        assert_eq!(
+            pass_groups(
+                [(&standard, 1_000), (&modified, 1_000), (&standard, 1_000)],
+                &default,
+                EngineKind::Scalar
+            ),
+            [vec![0, 2], vec![1]]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "share one predictor pass")]
+    fn cells_that_cannot_share_a_pass_are_refused_as_a_group() {
+        let cell = |predictor: &str| {
+            SweepPoint::over_suite(
+                PredictorSpec::parse(predictor).unwrap(),
+                SchemeSpec::parse("jrs-classic").unwrap(),
+                &mini(),
+            )
+        };
+        let _ = run_point_group(
+            &[&cell("gshare"), &cell("bimodal")],
+            500,
+            &RunOptions::default(),
+        );
     }
 
     fn sampled_mini(spec: SamplingSpec) -> SourceSuite {

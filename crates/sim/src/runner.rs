@@ -109,6 +109,15 @@ pub(crate) struct AdaptiveObserver {
     pub(crate) controller: AdaptiveSaturationController,
 }
 
+impl AdaptiveObserver {
+    /// A fresh controller when `options` set an adaptive target.
+    pub(crate) fn for_options(options: &RunOptions) -> Option<Self> {
+        options.adaptive_target_mkp.map(|target| AdaptiveObserver {
+            controller: AdaptiveSaturationController::with_parameters(target, 16 * 1024),
+        })
+    }
+}
+
 impl<'p> EngineObserver<&'p mut TagePredictor> for AdaptiveObserver {
     fn on_branch(
         &mut self,
@@ -140,9 +149,7 @@ impl<'p> TageRun<'p> {
     pub(crate) fn new(predictor: &'p mut TagePredictor, options: &RunOptions) -> Self {
         let classifier =
             TageConfidenceClassifier::with_window(predictor.geometry(), options.bim_miss_window);
-        let adaptive = options.adaptive_target_mkp.map(|target| AdaptiveObserver {
-            controller: AdaptiveSaturationController::with_parameters(target, 16 * 1024),
-        });
+        let adaptive = AdaptiveObserver::for_options(options);
         if let Some(observer) = adaptive.as_ref() {
             predictor.set_automaton(observer.controller.automaton());
         }

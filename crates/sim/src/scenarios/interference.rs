@@ -380,6 +380,39 @@ mod tests {
         }
     }
 
+    /// The pass counts mispredictions alone, so the scheme an engine
+    /// carries cannot change its result: one pass serves every cell of a
+    /// group, whatever each cell's scheme.
+    #[test]
+    fn the_scheme_never_reaches_the_shared_result() {
+        use tage_confidence::estimators::EstimatorSpec;
+        use tage_predictors::BaselinePredictorSpec;
+        let sources = || -> Vec<SyntheticSource> {
+            ["FP-1", "MM-5", "INT-1"]
+                .iter()
+                .map(|name| source(name, 2_000))
+                .collect()
+        };
+        let geometry = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
+        let reference = run_shared_predictor(&mut engine(), sources()).unwrap();
+        for estimator in [EstimatorSpec::JrsEnhanced, EstimatorSpec::SelfConfidence] {
+            let mut estimated = SimEngine::new(TagePredictor::new(&geometry), estimator.build(2));
+            let shared = run_shared_predictor(&mut estimated, sources()).unwrap();
+            assert_eq!(shared, reference, "{}", estimator.token());
+        }
+
+        let gshare = |estimator: EstimatorSpec| {
+            let mut engine = SimEngine::new(
+                BaselinePredictorSpec::Gshare.build(),
+                estimator.build(BaselinePredictorSpec::Gshare.self_confidence_threshold()),
+            );
+            run_shared_predictor(&mut engine, sources()).unwrap()
+        };
+        let jrs = gshare(EstimatorSpec::JrsClassic);
+        assert_eq!(gshare(EstimatorSpec::SelfConfidence), jrs);
+        assert!(jrs.total_mispredictions() > 0);
+    }
+
     #[test]
     fn no_sources_run_no_cycles() {
         let shared = run_shared_predictor(

@@ -740,13 +740,16 @@ mod tests {
     #[test]
     fn save_and_load_round_trip_through_disk() {
         let geometry = TageGeometry::medium();
-        let path = std::env::temp_dir().join("tage_geometry_roundtrip_test.json");
+        // A per-process name: test processes on one host must not race on
+        // one file.
+        let name = format!("tage-geometry-test-{}-roundtrip.json", std::process::id());
+        let path = std::env::temp_dir().join(&name);
         geometry.save(&path).expect("save");
         let loaded = TageGeometry::load(&path).expect("load");
         assert_eq!(loaded, geometry);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&path).expect("cleanup");
         let missing = TageGeometry::load(&path).unwrap_err();
-        assert!(missing.contains("tage_geometry_roundtrip_test"));
+        assert!(missing.contains(&name), "{missing}");
     }
 
     #[test]

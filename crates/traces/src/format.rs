@@ -206,9 +206,73 @@ impl From<io::Error> for FormatError {
     }
 }
 
+/// A copy renders the same message, so one source failure can fail every
+/// run that read the source. An IO error is copied as its kind and message;
+/// the message already names the OS error code.
+impl Clone for FormatError {
+    fn clone(&self) -> Self {
+        match self {
+            FormatError::Io(e) => FormatError::Io(io::Error::new(e.kind(), e.to_string())),
+            FormatError::BadMagic(magic) => FormatError::BadMagic(*magic),
+            FormatError::UnsupportedVersion(version) => FormatError::UnsupportedVersion(*version),
+            FormatError::InvalidKind { byte, offset } => FormatError::InvalidKind {
+                byte: *byte,
+                offset: *offset,
+            },
+            FormatError::InvalidKindLetter(letter) => FormatError::InvalidKindLetter(*letter),
+            FormatError::MalformedLine { line, reason } => FormatError::MalformedLine {
+                line: *line,
+                reason: reason.clone(),
+            },
+            FormatError::TruncatedRecord { offset } => {
+                FormatError::TruncatedRecord { offset: *offset }
+            }
+            FormatError::CorruptFrame { offset, reason } => FormatError::CorruptFrame {
+                offset: *offset,
+                reason: reason.clone(),
+            },
+            FormatError::InvalidOutcome { byte, offset } => FormatError::InvalidOutcome {
+                byte: *byte,
+                offset: *offset,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clones_render_the_same_message() {
+        let errors = [
+            FormatError::Io(io::Error::from_raw_os_error(2)),
+            FormatError::BadMagic(*b"NOPE"),
+            FormatError::UnsupportedVersion(9),
+            FormatError::InvalidKind {
+                byte: 7,
+                offset: 42,
+            },
+            FormatError::InvalidKindLetter('q'),
+            FormatError::MalformedLine {
+                line: 3,
+                reason: "no pc".to_string(),
+            },
+            FormatError::TruncatedRecord { offset: 21 },
+            FormatError::CorruptFrame {
+                offset: 5,
+                reason: "bad header".to_string(),
+            },
+            FormatError::InvalidOutcome { byte: 2, offset: 8 },
+        ];
+        for error in &errors {
+            assert_eq!(error.clone().to_string(), error.to_string());
+        }
+        let FormatError::Io(copy) = errors[0].clone() else {
+            unreachable!("an IO error clones to an IO error")
+        };
+        assert_eq!(copy.kind(), io::ErrorKind::NotFound);
+    }
 
     #[test]
     fn kind_byte_round_trips() {

@@ -43,15 +43,19 @@ cargo run --release --bin tage-bench -- --branches 10000 --label verify \
 cargo run --release --bin tage-bench -- --check target/campaign-smoke.json
 
 echo "== engine parity smoke (multilane vs scalar) =="
-# One storage-free grid cell through each engine; the timing-free schema-4
-# reports must byte-match — the multilane engine's bit-parity contract,
-# observed end to end at the report level (docs/BENCHMARKS.md).
+# Six grid cells through each engine; the timing-free schema-4 reports must
+# byte-match — the multilane engine's bit-parity contract, observed end to
+# end at the report level (docs/BENCHMARKS.md). Under multilane the
+# storage-free baseline cell runs on lanes; under scalar it shares one
+# predictor pass with the other five cells.
 cargo run --release --bin tage-bench -- \
-  --predictors tage-16k --schemes storage-free --suites cbp1-mini \
+  --predictors tage-16k --schemes storage-free,jrs-enhanced \
+  --scenario baseline,recovery-energy,shared-predictor --suites cbp1-mini \
   --branches 10000 --label verify-engine --engine multilane --no-timing \
   --out target/campaign-multilane.json
 cargo run --release --bin tage-bench -- \
-  --predictors tage-16k --schemes storage-free --suites cbp1-mini \
+  --predictors tage-16k --schemes storage-free,jrs-enhanced \
+  --scenario baseline,recovery-energy,shared-predictor --suites cbp1-mini \
   --branches 10000 --label verify-engine --engine scalar --no-timing \
   --out target/campaign-scalar.json
 cmp target/campaign-multilane.json target/campaign-scalar.json
