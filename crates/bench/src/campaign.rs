@@ -4,13 +4,17 @@
 //! × scenario — expanded into [`SweepPoint`]s and executed through the
 //! generic engine with a **work-stealing queue over groups of points**
 //! ([`tage_sim::engine::steal_map`]). A group holds the cells that can
-//! share one predictor pass ([`tage_sim::point::pass_groups`]): cells that
-//! differ only in scheme or scenario run one predictor per trace between
-//! them, and a cell that shares with nothing is a group of one. Each worker
-//! owns a deque of groups, drains its own front, and steals from the back
-//! of the most-loaded sibling when it runs dry. A grid mixes 256 Kbit TAGE
-//! groups with tiny bimodal ones, so static round-robin placement alone
-//! would leave workers idle behind the heavy tail.
+//! share a pass over each trace ([`tage_sim::point::pass_groups`]): cells
+//! that differ only in scheme or scenario run one predictor per trace
+//! between them, sampled cells that differ only in predictor decode and
+//! phase-plan each trace once between them, and a cell that shares with
+//! nothing is a group of one. An unsampled group is one task; a sampled
+//! group is one task per trace, and the task that finishes its last trace
+//! assembles and persists its cells. Each worker owns a deque of tasks,
+//! drains its own front, and steals from the back of the most-loaded
+//! sibling when it runs dry. A grid mixes 256 Kbit TAGE groups with tiny
+//! bimodal ones, so static round-robin placement alone would leave workers
+//! idle behind the heavy tail.
 //!
 //! Results land in per-point slots and are reported in grid-expansion order,
 //! so the campaign report is **deterministic**: the same grid produces a
@@ -18,7 +22,8 @@
 //! timing-carrying fields (per-point `wall_seconds` / `branches_per_sec` /
 //! `shared_pass_cells` and the trailing `timing` object), which
 //! [`CampaignReport::render_json`] can omit. A grouped cell's
-//! `wall_seconds` is its equal share of the group's pass. The JSON schema
+//! `wall_seconds` is its equal share of the group's time: its pass, or its
+//! trace tasks' summed time for a sampled group. The JSON schema
 //! is versioned ([`SCHEMA_VERSION`]) and [`validate_report`] structurally
 //! checks a rendered report, which is what `tage-bench --check` and the CI
 //! campaign-smoke job run.
@@ -35,17 +40,23 @@
 //! cache, and both run their cells through one cell executor
 //! (`execute_cell`): same persistence, same predictor warm cache for
 //! phase-sampled cells. Only the scheduling differs: the CLI deals a grid's
-//! groups through `steal_map` and runs a larger group through
-//! `execute_group`, which persists each cell as `execute_cell` does; the
-//! daemon's workers take queued cells one at a time as they free up.
+//! groups through `steal_map` and runs a larger unsampled group through
+//! `execute_group` and a sampled group trace by trace, persisting each cell
+//! as `execute_cell` does; the daemon's workers take queued cells one at a
+//! time as they free up, and a sampled cell alone still decodes each trace
+//! once. A failed campaign names its first failed cell in grid order
+//! ([`CampaignError`]), and the source error inside it names the file.
 
+use core::fmt;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use tage_confidence::ConfidenceLevel;
 use tage_sim::engine::{steal_map, StealStats};
+use tage_sim::phase::SampledRunResult;
 use tage_sim::point::{
-    pass_groups, run_point, run_point_group, PointError, PointResult, PredictorSpec, SchemeSpec,
-    SweepPoint,
+    pass_groups, run_point, run_point_group, run_sampled_trace, PointError, PointResult,
+    PredictorSpec, SchemeSpec, SweepPoint,
 };
 use tage_sim::scenarios::{ScenarioSpec, BASELINE_TOKEN};
 use tage_sim::warmcache::WarmCache;
@@ -108,6 +119,44 @@ pub struct SkippedPoint {
     pub scenario: String,
     /// Why the cell cannot run.
     pub reason: String,
+}
+
+/// Why a campaign failed: the first cell in grid order that failed, and
+/// its error.
+#[derive(Debug, Clone)]
+pub struct CampaignError {
+    /// The failed cell, as `predictor × scheme × suite × scenario` labels.
+    pub cell: String,
+    /// Why it failed.
+    pub error: PointError,
+}
+
+impl CampaignError {
+    /// The failure of `point` with `error`.
+    pub(crate) fn new(point: &SweepPoint, error: PointError) -> Self {
+        CampaignError {
+            cell: format!(
+                "{} × {} × {} × {}",
+                point.predictor.label(),
+                point.scheme.label(),
+                point.suite.name(),
+                point.scenario.label()
+            ),
+            error,
+        }
+    }
+}
+
+impl fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cell {}: {}", self.cell, self.error)
+    }
+}
+
+impl std::error::Error for CampaignError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
 }
 
 impl CampaignSpec {
@@ -278,11 +327,11 @@ impl ExploreSection {
 ///
 /// # Errors
 ///
-/// Returns the first [`PointError`] in grid-expansion order when a point's
-/// sources fail to open or read (e.g. a trace file of a file-backed suite
-/// vanished); invalid predictor/scheme pairings are not errors — they are
-/// recorded as skipped cells.
-pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignReport, PointError> {
+/// Returns the first failed cell in grid-expansion order, as a
+/// [`CampaignError`], when a point's sources fail to open or read (e.g. a
+/// trace file of a file-backed suite vanished); invalid predictor/scheme
+/// pairings are not errors — they are recorded as skipped cells.
+pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignReport, CampaignError> {
     run_campaign_with_engine(spec, workers, EngineKind::Scalar)
 }
 
@@ -291,16 +340,16 @@ pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignRepor
 /// [`EngineKind::Multilane`] lane-batches each lane-batchable cell's suite
 /// inside its worker (unbatchable cells — estimator schemes, scenario
 /// observers — silently use the scalar path), composing with the
-/// cross-point work stealing: the scheduler still steals whole groups; the
-/// engine choice only changes how a group burns its worker (a
-/// lane-batched cell is a group of its own). Reports are
+/// cross-point work stealing: the scheduler still steals groups (a sampled
+/// group trace by trace); the engine choice only changes how a group burns
+/// its worker (a lane-batched cell is a group of its own). Reports are
 /// bit-identical across engines — the campaign determinism contract extends
 /// over this axis, and `scripts/verify.sh` byte-diffs the two.
 pub fn run_campaign_with_engine(
     spec: &CampaignSpec,
     workers: usize,
     engine: EngineKind,
-) -> Result<CampaignReport, PointError> {
+) -> Result<CampaignReport, CampaignError> {
     run_grid(spec, workers, engine, None, None).map(|run| run.report)
 }
 
@@ -369,17 +418,17 @@ pub struct CheckpointedRun {
 ///
 /// # Errors
 ///
-/// Returns the first [`PointError`] in grid-expansion order among the cells
-/// this run executed. Cell *store* failures never fail the run — a
-/// read-only store directory degrades to an ordinary run — and are counted
-/// in [`CheckpointedRun::store_errors`].
+/// Returns the first failed cell in grid-expansion order among the cells
+/// this run executed, as a [`CampaignError`]. Cell *store* failures never
+/// fail the run — a read-only store directory degrades to an ordinary run —
+/// and are counted in [`CheckpointedRun::store_errors`].
 pub fn run_campaign_checkpointed(
     spec: &CampaignSpec,
     workers: usize,
     engine: EngineKind,
     store: &CellStore,
     max_cells: Option<usize>,
-) -> Result<CheckpointedRun, PointError> {
+) -> Result<CheckpointedRun, CampaignError> {
     run_grid(spec, workers, engine, Some(store), max_cells)
 }
 
@@ -392,7 +441,7 @@ fn run_grid(
     engine: EngineKind,
     store: Option<&CellStore>,
     max_cells: Option<usize>,
-) -> Result<CheckpointedRun, PointError> {
+) -> Result<CheckpointedRun, CampaignError> {
     let (points, skipped) = spec.expand();
     let start = Instant::now();
     let mut cells: Vec<Option<CampaignCell>> = Vec::with_capacity(points.len());
@@ -414,9 +463,10 @@ fn run_grid(
     let run = execute_cells(&pending[..cap], workers, engine, store);
     // Executed cells fill the unrestored slots in grid order; slots past the
     // cap stay empty and drop out of the report.
-    let mut executed = run.cells.into_iter();
+    let mut executed = pending.iter().zip(run.cells);
     for slot in cells.iter_mut().filter(|slot| slot.is_none()).take(cap) {
-        let cell = executed.next().expect("one executed cell per job")?;
+        let (job, cell) = executed.next().expect("one executed cell per job");
+        let cell = cell.map_err(|error| CampaignError::new(&job.point, error))?;
         *slot = Some(CampaignCell::Computed(Box::new(cell.report)));
     }
     Ok(CheckpointedRun {
@@ -465,13 +515,23 @@ pub(crate) struct Execution {
     pub(crate) store_errors: usize,
 }
 
-/// Runs `jobs` in the groups of [`pass_groups`]: cells that differ only in
-/// scheme or scenario share one predictor pass. [`steal_map`] deals the
-/// groups to workers in the order of their first cell; a group of one runs
-/// through [`execute_cell`], a larger one through [`execute_group`]. The
-/// cells come back in job order. Only phase-sampled cells checkpoint
-/// predictor state, so the [`WarmCache`] at `<store>/warm` is opened only
-/// when a job is sampled.
+/// One task [`execute_cells`] hands to [`steal_map`]: a whole group, or
+/// one trace of a sampled group.
+enum Task {
+    Group(usize),
+    Trace { group: usize, trace: usize },
+}
+
+/// Runs `jobs` in the groups of [`pass_groups`], and returns the cells in
+/// job order. [`steal_map`] deals the groups to workers in the order of
+/// their first cell. An unsampled group is one task: a group of one runs
+/// through [`execute_cell`], a larger one through [`execute_group`]. A
+/// sampled group is one task per trace, as `--paper` shards a cell's
+/// traces: each runs the trace for every cell of the group through
+/// [`run_sampled_trace`], and the task that finishes the group's last trace
+/// assembles, renders and persists its cells. Only phase-sampled cells
+/// checkpoint predictor state, so the [`WarmCache`] at `<store>/warm` is
+/// opened only when a job is sampled.
 pub(crate) fn execute_cells(
     jobs: &[CellJob],
     workers: usize,
@@ -485,14 +545,35 @@ pub(crate) fn execute_cells(
         &RunOptions::default(),
         engine,
     );
-    let (ran, stats) = steal_map(&groups, workers, |group| match group.as_slice() {
-        [index] => vec![execute_cell(&jobs[*index], engine, store, warm.as_ref())],
-        _ => execute_group(jobs, group, store),
+    let traced: Vec<Option<SampledGroup>> = groups
+        .iter()
+        .map(|group| SampledGroup::new(&jobs[group[0]]))
+        .collect();
+    let tasks: Vec<Task> = traced
+        .iter()
+        .enumerate()
+        .flat_map(|(group, traced)| match traced {
+            Some(traced) => (0..traced.traces)
+                .map(|trace| Task::Trace { group, trace })
+                .collect(),
+            None => vec![Task::Group(group)],
+        })
+        .collect();
+    let (ran, stats) = steal_map(&tasks, workers, |task| match *task {
+        Task::Group(group) => match groups[group].as_slice() {
+            [index] => vec![execute_cell(&jobs[*index], engine, store, warm.as_ref())],
+            cells => execute_group(jobs, cells, store),
+        },
+        Task::Trace { group, trace } => traced[group]
+            .as_ref()
+            .expect("trace tasks belong to sampled groups")
+            .run_trace(jobs, &groups[group], trace, store, warm.as_ref()),
     });
     let mut slots: Vec<Option<Result<ExecutedCell, PointError>>> =
         jobs.iter().map(|_| None).collect();
-    for (group, cells) in groups.iter().zip(ran) {
-        for (&index, cell) in group.iter().zip(cells) {
+    for (task, cells) in tasks.iter().zip(ran) {
+        let (Task::Group(group) | Task::Trace { group, .. }) = *task;
+        for (&index, cell) in groups[group].iter().zip(cells) {
             slots[index] = Some(cell);
         }
     }
@@ -536,21 +617,103 @@ fn execute_group(
         .iter()
         .zip(results)
         .map(|(&index, result)| {
-            let report = CampaignPointReport {
-                result,
-                wall_seconds,
-                shared_pass_cells: indexes.len(),
-            };
-            let rendered = render_point_json(&report, false);
-            let store_failed =
-                store.is_some_and(|store| store.store_cell(jobs[index].key, &rendered).is_err());
-            Ok(ExecutedCell {
-                report,
-                rendered,
-                store_failed,
-            })
+            Ok(persist(
+                &jobs[index],
+                CampaignPointReport {
+                    result,
+                    wall_seconds,
+                    shared_pass_cells: indexes.len(),
+                },
+                store,
+            ))
         })
         .collect()
+}
+
+/// The sampled runs of one trace for every cell of a group, in cell order.
+type TraceRuns = Result<Vec<SampledRunResult>, PointError>;
+
+/// A sampled group dealt to workers one task per trace: the runs of the
+/// traces that have finished, in suite order, and their summed task time.
+struct SampledGroup {
+    traces: usize,
+    ran: Mutex<(Vec<Option<TraceRuns>>, f64)>,
+}
+
+impl SampledGroup {
+    /// The group whose first job is `first`, when its cells are sampled
+    /// over at least one trace.
+    fn new(first: &CellJob) -> Option<Self> {
+        let traces = first.point.suite.sources().len();
+        (first.point.suite.sampling().is_some() && traces > 0).then(|| SampledGroup {
+            traces,
+            ran: Mutex::new(((0..traces).map(|_| None).collect(), 0.0)),
+        })
+    }
+
+    /// Runs trace `trace` for the jobs at `indexes`. When it is the group's
+    /// last trace to finish, assembles, renders and persists the group's
+    /// cells and returns them; otherwise returns none. Each cell's wall time
+    /// is its equal share of the group's summed task time. The first trace
+    /// in suite order that failed fails every cell of the group.
+    fn run_trace(
+        &self,
+        jobs: &[CellJob],
+        indexes: &[usize],
+        trace: usize,
+        store: Option<&CellStore>,
+        warm: Option<&WarmCache>,
+    ) -> Vec<Result<ExecutedCell, PointError>> {
+        let start = Instant::now();
+        let points: Vec<&SweepPoint> = indexes.iter().map(|&index| &jobs[index].point).collect();
+        let runs = run_sampled_trace(
+            &points,
+            trace,
+            jobs[indexes[0]].branches_per_trace,
+            &RunOptions::default(),
+            warm,
+        );
+        let (traces, seconds) = {
+            let mut ran = self.ran.lock().expect("a sampled trace task panicked");
+            ran.0[trace] = Some(runs);
+            ran.1 += start.elapsed().as_secs_f64();
+            if ran.0.iter().any(Option::is_none) {
+                return Vec::new();
+            }
+            let traces: Vec<TraceRuns> = ran.0.drain(..).flatten().collect();
+            (traces, ran.1)
+        };
+        let mut cells: Vec<Vec<SampledRunResult>> = indexes
+            .iter()
+            .map(|_| Vec::with_capacity(traces.len()))
+            .collect();
+        for runs in traces {
+            match runs {
+                Ok(runs) => {
+                    for (cell, run) in cells.iter_mut().zip(runs) {
+                        cell.push(run);
+                    }
+                }
+                Err(error) => return indexes.iter().map(|_| Err(error.clone())).collect(),
+            }
+        }
+        let wall_seconds = seconds / indexes.len() as f64;
+        indexes
+            .iter()
+            .zip(cells)
+            .map(|(&index, runs)| {
+                Ok(persist(
+                    &jobs[index],
+                    CampaignPointReport {
+                        result: PointResult::assemble_sampled(&jobs[index].point, runs),
+                        wall_seconds,
+                        shared_pass_cells: indexes.len(),
+                    },
+                    store,
+                ))
+            })
+            .collect()
+    }
 }
 
 /// The predictor warm cache at `<store>/warm`; an uncreatable directory
@@ -584,13 +747,19 @@ pub(crate) fn execute_cell(
         wall_seconds: start.elapsed().as_secs_f64(),
         shared_pass_cells: 1,
     };
+    Ok(persist(job, report, store))
+}
+
+/// Renders `job`'s finished `report` timing-free and, with a `store`,
+/// persists those bytes; a failed store write is flagged, never fatal.
+fn persist(job: &CellJob, report: CampaignPointReport, store: Option<&CellStore>) -> ExecutedCell {
     let rendered = render_point_json(&report, false);
     let store_failed = store.is_some_and(|store| store.store_cell(job.key, &rendered).is_err());
-    Ok(ExecutedCell {
+    ExecutedCell {
         report,
         rendered,
         store_failed,
-    })
+    }
 }
 
 fn render_token_array(tokens: &[String]) -> String {
@@ -1108,7 +1277,7 @@ mod tests {
             std::fs::remove_file(dir.join(format!("{}.trace", spec.name()))).unwrap();
         }
         let error = run_campaign(&file_spec, 2).unwrap_err();
-        assert!(matches!(error, PointError::Source(_)), "{error}");
+        assert!(matches!(error.error, PointError::Source { .. }), "{error}");
         let (points, _) = file_spec.expand();
         let jobs: Vec<CellJob> = points
             .into_iter()
@@ -1124,9 +1293,153 @@ mod tests {
             let Err(failure) = cell else {
                 panic!("a cell over a vanished trace ran")
             };
-            assert!(matches!(failure, PointError::Source(_)), "{failure}");
-            assert_eq!(failure.to_string(), error.to_string());
+            assert!(matches!(failure, PointError::Source { .. }), "{failure}");
+            assert_eq!(failure.to_string(), error.error.to_string());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn source_errors_name_the_file_and_the_cell() {
+        use tage_traces::source::SamplingSpec;
+        use tage_traces::writer::TraceWriter;
+        let dir = std::env::temp_dir().join(format!("tage-campaign-errors-{}", std::process::id()));
+        let traces: Vec<_> = suites::cbp1_mini()
+            .traces()
+            .iter()
+            .map(|spec| spec.generate(2_000))
+            .collect();
+        let truncated = TraceWriter::to_binary_bytes(&traces[3]);
+        // A file of garbage fails at open, a vanished file too, and a file
+        // cut short fails mid-stream.
+        let cases: [(&str, Option<&[u8]>, &str); 3] = [
+            ("garbage", Some(b"garbage, not a trace"), "bad magic"),
+            ("missing", None, "No such file"),
+            (
+                "truncated",
+                Some(&truncated[..truncated.len() - 30]),
+                "truncated",
+            ),
+        ];
+        for (case, bytes, message) in cases {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            for trace in &traces[..3] {
+                std::fs::write(
+                    dir.join(format!("{}.trace", trace.name())),
+                    TraceWriter::to_binary_bytes(trace),
+                )
+                .unwrap();
+            }
+            let bad = dir.join(format!("{case}.trace"));
+            std::fs::write(&bad, bytes.unwrap_or(b"")).unwrap();
+            let files = SourceSuite::from_dir(&dir).unwrap();
+            if bytes.is_none() {
+                std::fs::remove_file(&bad).unwrap();
+            }
+            let sampling = SamplingSpec {
+                interval: 250,
+                k: 2,
+                seed: 1,
+            };
+            for suite in [files.clone(), files.with_sampling(sampling)] {
+                let spec = CampaignSpec {
+                    label: "errors".to_string(),
+                    predictors: vec![
+                        PredictorSpec::parse("tage-16k").unwrap(),
+                        PredictorSpec::parse("tage-64k").unwrap(),
+                    ],
+                    schemes: vec![SchemeSpec::StorageFree],
+                    suites: vec![suite.clone()],
+                    scenarios: vec![ScenarioSpec::Baseline],
+                    branches_per_trace: 2_000,
+                };
+                let cell = format!("tage-16k × storage-free × {} × baseline", suite.name());
+                for engine in [EngineKind::Scalar, EngineKind::Multilane] {
+                    let error = run_campaign_with_engine(&spec, 2, engine)
+                        .unwrap_err()
+                        .to_string();
+                    for part in [cell.as_str(), &bad.display().to_string(), message] {
+                        assert!(error.contains(part), "{case} {engine:?}: {error}");
+                    }
+                }
+                // The failed source fails both cells with the same error:
+                // as one group when sampled, one by one otherwise.
+                let jobs: Vec<CellJob> = spec
+                    .expand()
+                    .0
+                    .into_iter()
+                    .map(|point| CellJob {
+                        key: cell_key(2_000, &point),
+                        point,
+                        branches_per_trace: 2_000,
+                    })
+                    .collect();
+                let failures: Vec<String> = execute_cells(&jobs, 2, EngineKind::Scalar, None)
+                    .cells
+                    .iter()
+                    .map(|cell| cell.as_ref().err().expect("the group failed").to_string())
+                    .collect();
+                assert_eq!(failures.len(), 2, "{case}");
+                assert_eq!(failures[0], failures[1], "{case}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn geometry_cells_that_differ_only_in_automaton_keep_their_own_cells() {
+        let dir =
+            std::env::temp_dir().join(format!("tage-campaign-automaton-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let standard = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../geometries/tage-16k.json"
+        );
+        let json = std::fs::read_to_string(standard).unwrap();
+        let modified = dir.join("tage-16k-modified.json");
+        std::fs::write(
+            &modified,
+            json.replace(
+                "\"automaton\": \"standard\"",
+                "\"automaton\": \"probabilistic:7\"",
+            ),
+        )
+        .unwrap();
+        let spec = |path: &str| CampaignSpec {
+            label: "automaton".to_string(),
+            predictors: vec![PredictorSpec::parse(&format!("geometry:{path}")).unwrap()],
+            schemes: vec![SchemeSpec::StorageFree],
+            suites: vec![suites::cbp1_mini().into()],
+            scenarios: vec![ScenarioSpec::Baseline],
+            branches_per_trace: 2_000,
+        };
+        let (standard_spec, modified_spec) =
+            (spec(standard), spec(&modified.display().to_string()));
+        let (points, _) = standard_spec.expand();
+        let (modified_points, _) = modified_spec.expand();
+        assert_eq!(
+            points[0].predictor.label(),
+            modified_points[0].predictor.label()
+        );
+        assert_ne!(
+            cell_key(2_000, &points[0]),
+            cell_key(2_000, &modified_points[0])
+        );
+
+        let store = CellStore::new(dir.join("store")).unwrap();
+        let first =
+            run_campaign_checkpointed(&standard_spec, 2, EngineKind::Multilane, &store, None)
+                .unwrap();
+        assert_eq!(first.executed, 1);
+        let resumed =
+            run_campaign_checkpointed(&modified_spec, 2, EngineKind::Multilane, &store, None)
+                .unwrap();
+        assert_eq!((resumed.restored, resumed.executed), (0, 1));
+        let fresh = run_campaign(&modified_spec, 2).unwrap();
+        assert_eq!(resumed.report.cell_bytes(), fresh.cell_bytes());
+        assert_ne!(resumed.report.cell_bytes(), first.report.cell_bytes());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -51,7 +51,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tage_sim::point::SweepPoint;
+use tage_sim::point::{PredictorSpec, SweepPoint};
 use tage_traces::snapshot::{fnv1a64, write_atomic, SnapshotReader, SnapshotWriter};
 
 use crate::jsonish;
@@ -159,20 +159,26 @@ fn unframe(bytes: &[u8], key: u64) -> Option<String> {
 
 /// The content-addressed cell key: everything that determines a cell's
 /// deterministic rendered bytes — the per-trace length, the
-/// predictor/scheme/scenario labels, the suite's name plus its content
-/// digest, and the phase-sampling plan when the suite carries one (sampled
-/// suites are also *named* by their canonical `sample:` token, but the key
-/// spells the plan out so cell identity never rests on the rename alone).
-/// Campaign labels are excluded on purpose: they never reach the
-/// cell bytes, so keying on them would only defeat cross-campaign sharing.
+/// predictor/scheme/scenario labels, the counter automaton of a
+/// `geometry:` predictor (whose label names its spec digest, which leaves
+/// the automaton out), the suite's name plus its content digest, and the
+/// phase-sampling plan when the suite carries one (sampled suites are also
+/// *named* by their canonical `sample:` token, but the key spells the plan
+/// out so cell identity never rests on the rename alone). Campaign labels
+/// are excluded on purpose: they never reach the cell bytes, so keying on
+/// them would only defeat cross-campaign sharing.
 pub fn cell_key(branches_per_trace: usize, point: &SweepPoint) -> u64 {
+    let automaton = match &point.predictor {
+        PredictorSpec::Geometry { geometry, .. } => format!("|automaton={}", geometry.automaton),
+        PredictorSpec::Tage(_) | PredictorSpec::Baseline(_) => String::new(),
+    };
     let sample = match point.suite.sampling() {
         Some(spec) => format!("|sample={}", spec.identity()),
         None => String::new(),
     };
     fnv1a64(
         format!(
-            "cell|branches={branches_per_trace}|predictor={}|scheme={}|suite={}|suite_digest={:016x}|scenario={}{sample}",
+            "cell|branches={branches_per_trace}|predictor={}{automaton}|scheme={}|suite={}|suite_digest={:016x}|scenario={}{sample}",
             point.predictor.label(),
             point.scheme.label(),
             point.suite.name(),
@@ -186,7 +192,7 @@ pub fn cell_key(branches_per_trace: usize, point: &SweepPoint) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tage_sim::point::{PredictorSpec, SchemeSpec};
+    use tage_sim::point::SchemeSpec;
     use tage_sim::scenarios::ScenarioSpec;
     use tage_traces::suites;
 

@@ -59,8 +59,8 @@ use tage_sim::EngineKind;
 use tage_traces::snapshot::write_atomic;
 
 use crate::campaign::{
-    assemble_report, execute_cell, open_warm_cache, CampaignCell, CampaignSpec, CellJob,
-    ExecutedCell, SkippedPoint,
+    assemble_report, execute_cell, open_warm_cache, CampaignCell, CampaignError, CampaignSpec,
+    CellJob, ExecutedCell, SkippedPoint,
 };
 use crate::cellstore::{cell_key, CellStore};
 use crate::jsonish;
@@ -686,7 +686,7 @@ fn run_cell(shared: &Shared, job: &CellJob) -> Result<ExecutedCell, String> {
         }
     });
     match outcome {
-        Ok(result) => result.map_err(|error| error.to_string()),
+        Ok(result) => result.map_err(|error| CampaignError::new(&job.point, error).to_string()),
         Err(payload) => Err(panic_message(&*payload)),
     }
 }

@@ -4,15 +4,19 @@
 //! across worker counts, engines, and a kill/resume split — the same
 //! determinism bar the full-trace campaigns hold.
 
+use std::path::Path;
+
 use tage_bench::campaign::{
     run_campaign_checkpointed, run_campaign_with_engine, validate_report, CampaignSpec,
 };
 use tage_bench::cellstore::CellStore;
-use tage_sim::point::{PointResult, PredictorSpec, SchemeSpec};
+use tage_sim::point::{run_point, PointResult, PredictorSpec, SchemeSpec};
 use tage_sim::scenarios::ScenarioSpec;
-use tage_sim::EngineKind;
+use tage_sim::{EngineKind, RunOptions};
+use tage_traces::inflate::gzip_compress;
 use tage_traces::source::{SamplingSpec, SourceSuite};
-use tage_traces::suites;
+use tage_traces::writer::TraceWriter;
+use tage_traces::{suites, Trace};
 
 const BRANCHES: usize = 100_000;
 
@@ -114,5 +118,127 @@ fn sampled_reports_are_byte_identical_across_workers_engines_and_resume() {
     assert_eq!(resumed.remaining, 0);
     assert_eq!(resumed.restored, 1);
     assert_eq!(reference, resumed.report.render_json(false));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes the four CBP-1-mini traces at `branches` into `dir`, one per
+/// format: gzip-compressed native, CBP text, CBP binary and native.
+fn write_four_formats(dir: &Path, branches: usize) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    let traces: Vec<Trace> = suites::cbp1_mini()
+        .traces()
+        .iter()
+        .map(|spec| spec.generate(branches))
+        .collect();
+    let [gz, cbp, cbpb, native] = traces.as_slice() else {
+        panic!("CBP-1-mini holds four traces");
+    };
+    let path = |trace: &Trace, suffix: &str| dir.join(format!("{}.{suffix}", trace.name()));
+    let conditional = |trace: &Trace| {
+        trace
+            .records()
+            .iter()
+            .filter(|record| record.kind.is_conditional())
+            .map(|record| (record.pc, record.taken))
+            .collect::<Vec<_>>()
+    };
+    std::fs::write(
+        path(gz, "trace.gz"),
+        gzip_compress(&TraceWriter::to_binary_bytes(gz)),
+    )
+    .unwrap();
+    let text: String = conditional(cbp)
+        .into_iter()
+        .map(|(pc, taken)| format!("{pc:x} {}\n", u8::from(taken)))
+        .collect();
+    std::fs::write(path(cbp, "cbp"), text).unwrap();
+    let binary: Vec<u8> = conditional(cbpb)
+        .into_iter()
+        .flat_map(|(pc, taken)| pc.to_le_bytes().into_iter().chain([u8::from(taken)]))
+        .collect();
+    std::fs::write(path(cbpb, "cbpb"), binary).unwrap();
+    std::fs::write(path(native, "trace"), TraceWriter::to_binary_bytes(native)).unwrap();
+}
+
+/// Sampled cells over one suite run as one group: each trace is decoded and
+/// planned once for all of them. Each cell's bytes equal the cell run
+/// alone, at any worker count and across a kill and resume.
+#[test]
+fn a_sampled_group_over_four_trace_formats_renders_each_cell_alone() {
+    let dir = std::env::temp_dir().join(format!("tage-sampled-formats-{}", std::process::id()));
+    let traces = dir.join("traces");
+    write_four_formats(&traces, 20_000);
+    let suite = SourceSuite::from_dir(&traces)
+        .unwrap()
+        .with_sampling(SamplingSpec {
+            interval: 500,
+            k: 4,
+            seed: 1,
+        });
+    assert_eq!(suite.sources().len(), 4);
+    let spec = |predictors: &[&str]| CampaignSpec {
+        label: "four-formats".to_string(),
+        predictors: predictors
+            .iter()
+            .map(|token| PredictorSpec::parse(token).unwrap())
+            .collect(),
+        schemes: vec![SchemeSpec::StorageFree],
+        suites: vec![suite.clone()],
+        scenarios: vec![ScenarioSpec::Baseline],
+        branches_per_trace: 20_000,
+    };
+    let predictors = ["tage-16k", "tage-16k-std", "tage-64k"];
+    let grid = spec(&predictors);
+
+    let reference = run_campaign_with_engine(&grid, 1, EngineKind::Multilane).unwrap();
+    let timed: Vec<_> = reference
+        .points
+        .iter()
+        .map(|point| point.computed().expect("executed cell"))
+        .collect();
+    for cell in &timed {
+        assert_eq!(
+            cell.shared_pass_cells, 3,
+            "the three cells ran as one group"
+        );
+        assert_eq!(cell.wall_seconds, timed[0].wall_seconds, "equal shares");
+    }
+    let bytes = reference.render_json(false);
+    for workers in [2, 4] {
+        let report = run_campaign_with_engine(&grid, workers, EngineKind::Scalar).unwrap();
+        assert_eq!(report.render_json(false), bytes, "workers = {workers}");
+    }
+
+    // Each cell alone: a one-cell campaign, and `run_point`, the path
+    // `tage-serve` takes.
+    let grouped = reference.cell_bytes();
+    for (index, predictor) in predictors.iter().enumerate() {
+        let alone = run_campaign_with_engine(&spec(&[predictor]), 2, EngineKind::Multilane)
+            .unwrap()
+            .cell_bytes();
+        assert_eq!(alone, [grouped[index].clone()], "{predictor}");
+        let (points, _) = spec(&[predictor]).expand();
+        let result = run_point(
+            &points[0],
+            20_000,
+            &RunOptions::default(),
+            EngineKind::Multilane,
+            None,
+        )
+        .unwrap();
+        let grouped = &reference.points[index].computed().unwrap().result;
+        assert_eq!(&result, grouped, "{predictor}");
+    }
+
+    // A kill after one cell, then a resume that runs the other two as a
+    // group: the bytes still match.
+    let store = CellStore::new(dir.join("store")).unwrap();
+    let first =
+        run_campaign_checkpointed(&grid, 2, EngineKind::Multilane, &store, Some(1)).unwrap();
+    assert_eq!((first.executed, first.remaining), (1, 2));
+    let resumed = run_campaign_checkpointed(&grid, 4, EngineKind::Scalar, &store, None).unwrap();
+    assert_eq!((resumed.restored, resumed.executed), (1, 2));
+    assert_eq!(resumed.report.render_json(false), bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -227,6 +227,20 @@ impl MultilaneEngine {
     where
         S: BranchSource,
     {
+        self.run_into_located(sources, results)
+            .map_err(|(_, error)| error)
+    }
+
+    /// [`MultilaneEngine::run_into`], with the index of the failed source
+    /// beside its error.
+    fn run_into_located<S>(
+        &mut self,
+        sources: &mut [S],
+        results: &mut [TraceRunResult],
+    ) -> Result<(), (usize, FormatError)>
+    where
+        S: BranchSource,
+    {
         assert_eq!(sources.len(), results.len(), "one result slot per source");
         let lanes_max = self.lanes_max.min(sources.len());
         let mut next_pending = 0;
@@ -373,7 +387,7 @@ impl MultilaneEngine {
         }
 
         match first_error {
-            Some((_, error)) => Err(error),
+            Some(failure) => Err(failure),
             None => Ok(()),
         }
     }
@@ -399,23 +413,42 @@ pub fn run_specs_multilane(
     options: &RunOptions,
     lanes: usize,
 ) -> Result<Vec<TraceRunResult>, FormatError> {
+    run_specs_located(blueprint, specs, conditional_branches, options, lanes)
+        .map_err(|(_, error)| error)
+}
+
+/// [`run_specs_multilane`], with the index of the failed spec beside its
+/// error.
+pub(crate) fn run_specs_located(
+    blueprint: &dyn TageBlueprint,
+    specs: &[SourceSpec],
+    conditional_branches: usize,
+    options: &RunOptions,
+    lanes: usize,
+) -> Result<Vec<TraceRunResult>, (usize, FormatError)> {
+    let open = |(index, spec): (usize, &SourceSpec)| {
+        spec.open(conditional_branches)
+            .map_err(|error| (index, error))
+    };
     if options.adaptive_target_mkp.is_some() {
         let mut results = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let mut source = spec.open(conditional_branches)?;
-            results.push(run_source(blueprint, &mut source, options)?);
+        for (index, spec) in specs.iter().enumerate() {
+            let mut source = open((index, spec))?;
+            results
+                .push(run_source(blueprint, &mut source, options).map_err(|error| (index, error))?);
         }
         return Ok(results);
     }
-    let mut sources = Vec::with_capacity(specs.len());
-    for spec in specs {
-        sources.push(spec.open(conditional_branches)?);
-    }
+    let mut sources = specs
+        .iter()
+        .enumerate()
+        .map(open)
+        .collect::<Result<Vec<_>, _>>()?;
     let mut engine = MultilaneEngine::new(blueprint, options, lanes);
     let mut results: Vec<TraceRunResult> = (0..specs.len())
         .map(|_| MultilaneEngine::placeholder_result())
         .collect();
-    engine.run_into(&mut sources, &mut results)?;
+    engine.run_into_located(&mut sources, &mut results)?;
     Ok(results)
 }
 

@@ -46,6 +46,18 @@
 //! carry the engine's executed-branch counter, so a restored slice knows
 //! how many branches precede it. A slice inside the excluded prefix measures
 //! fewer branches, and its weight scales that shortfall.
+//!
+//! ## One open per source
+//!
+//! A sampled run reads its stream twice: once to build the plan, once to
+//! simulate it. [`run_sampled_source`] calls its `open` closure once and
+//! rewinds the stream between the two reads with [`BranchSource::reset`],
+//! so `open` must return a stream whose `reset` goes back to its first
+//! record. Every [`tage_traces::source::AnySource`] does. A compressed or
+//! CBP-format file is decoded into memory when it is opened, so it is
+//! decoded once, not twice. Campaign cells that sample the same trace go
+//! further: [`crate::point::run_sampled_trace`] opens it and plans it once
+//! for all of them, and rewinds it before each cell's predictor runs.
 
 use tage::{TageBlueprint, TagePredictor};
 use tage_confidence::ConfidenceReport;
@@ -339,9 +351,12 @@ impl SampledRunResult {
 /// checkpoint-restoring the gaps (see the module docs), and reconstructs
 /// whole-trace metrics as integer-weighted sums.
 ///
-/// `open` must produce a fresh, independent stream of the same records on
-/// every call; `warm` pairs a [`WarmCache`] with the source's content
-/// digest ([`tage_traces::source::SourceSpec::digest`]).
+/// `open` is called once. The stream it returns is read to the end to
+/// build the plan, rewound with [`BranchSource::reset`], and read again to
+/// simulate, so its `reset` must return it to its first record: a
+/// decoded trace file is then decoded once. `warm` pairs a [`WarmCache`]
+/// with the source's content digest
+/// ([`tage_traces::source::SourceSpec::digest`]).
 ///
 /// # Errors
 ///
@@ -358,11 +373,27 @@ where
     S: BranchSource,
     F: Fn() -> Result<S, FormatError>,
 {
+    let mut source = open()?;
+    let plan = build_plan(&mut source, spec)?;
+    run_from_plan(blueprint, options, &plan, warm, &mut source)
+}
+
+/// Rewinds `source`, which `plan` was built from, and simulates it under
+/// `plan`: the simulation half of [`run_sampled_source`]. Cells that share
+/// one trace run each predictor from one plan over one opened source.
+///
+/// # Errors
+///
+/// Returns the first [`FormatError`] from the rewind or the simulation.
+pub(crate) fn run_from_plan<S: BranchSource>(
+    blueprint: &dyn TageBlueprint,
+    options: &RunOptions,
+    plan: &PhasePlan,
+    warm: Option<(&WarmCache, u64)>,
+    source: &mut S,
+) -> Result<SampledRunResult, FormatError> {
+    source.reset()?;
     let geometry = blueprint.tage_geometry();
-    let mut analysis_source = open()?;
-    let plan = build_plan(&mut analysis_source, spec)?;
-    let trace_name = analysis_source.name().to_string();
-    drop(analysis_source);
     let checkpoints =
         warm.map(|(cache, digest)| Checkpoints::new(cache, digest, &geometry, options));
 
@@ -372,7 +403,6 @@ where
     let mut measured_branches = 0u64;
     let mut replayed_records = 0u64;
 
-    let mut source = open()?;
     let mut position = 0u64;
     let mut predictor = TagePredictor::new(&geometry);
     let mut run = TageRun::new(&mut predictor, options);
@@ -382,11 +412,11 @@ where
         // Gap ahead of this slice: restore its boundary checkpoint when the
         // cache holds one, replay (and store the checkpoint) otherwise.
         // Both leave the run in the exact sequential state at `start`.
-        let replayed = warmcache::advance(&mut run, &mut source, position, start, checkpoints)?;
+        let replayed = warmcache::advance(&mut run, &mut *source, position, start, checkpoints)?;
         replayed_records += replayed.unwrap_or(0);
 
         // Measure the representative slice.
-        let (slice, summary) = run.measure(&mut Take::new(&mut source, end - start), &mut ())?;
+        let (slice, summary) = run.measure(&mut Take::new(&mut *source, end - start), &mut ())?;
         position = end;
         report.merge_scaled(&slice, rep.weight);
         conditional_branches += summary.measured_branches * rep.weight;
@@ -395,8 +425,13 @@ where
     }
 
     Ok(SampledRunResult {
-        result: run.result(trace_name, report, conditional_branches, instructions),
-        plan,
+        result: run.result(
+            source.name().to_string(),
+            report,
+            conditional_branches,
+            instructions,
+        ),
+        plan: plan.clone(),
         measured_branches,
         replayed_records,
     })
@@ -435,7 +470,9 @@ impl SamplingErrorReport {
 /// reconstruction error alongside the branch-count saving. With a warm
 /// [`WarmCache`] the sampled leg restores checkpoints and the reported
 /// speedup reflects the slices-only cost; cold, it reflects the one-time
-/// checkpoint-building pass.
+/// checkpoint-building pass. `open` is called once, and the stream is
+/// rewound between the exact run, the plan and the sampled run, as
+/// [`run_sampled_source`] rewinds it.
 ///
 /// # Errors
 ///
@@ -451,10 +488,11 @@ where
     S: BranchSource,
     F: Fn() -> Result<S, FormatError>,
 {
-    let mut exact_source = open()?;
-    let exact = run_source(blueprint, &mut exact_source, options)?;
-    drop(exact_source);
-    let sampled = run_sampled_source(blueprint, options, spec, warm, open)?;
+    let mut source = open()?;
+    let exact = run_source(blueprint, &mut source, options)?;
+    source.reset()?;
+    let plan = build_plan(&mut source, spec)?;
+    let sampled = run_from_plan(blueprint, options, &plan, warm, &mut source)?;
     let exact_mpki = exact.report.mpki();
     let sampled_mpki = sampled.result.report.mpki();
     let relative_error = if exact_mpki == 0.0 {
@@ -569,6 +607,29 @@ mod tests {
         assert_eq!(first.result.report.total().predictions, total_conditionals);
         assert!(first.measured_branches < total_conditionals);
         assert!(first.replayed_records < first.plan.total_records);
+    }
+
+    #[test]
+    fn sampled_runs_open_their_source_once() {
+        let sampling = SamplingSpec {
+            interval: 400,
+            k: 3,
+            seed: 1,
+        };
+        let config = TageGeometry::small();
+        let opens = std::cell::Cell::new(0);
+        let open = || {
+            opens.set(opens.get() + 1);
+            Ok(SyntheticSource::from_spec(&spec(), 6_000))
+        };
+        let sampled =
+            run_sampled_source(&config, &RunOptions::default(), sampling, None, open).unwrap();
+        assert_eq!(opens.get(), 1, "one open plans and simulates");
+        let compared =
+            compare_sampled_vs_exact(&config, &RunOptions::default(), sampling, None, open)
+                .unwrap();
+        assert_eq!(opens.get(), 2, "one open runs exact, plans and simulates");
+        assert_eq!(compared.sampled_mpki, sampled.result.report.mpki());
     }
 
     #[test]
@@ -741,6 +802,32 @@ mod tests {
         assert_eq!(repaired.measured_branches, uncached.measured_branches);
         assert!(repaired.replayed_records > 0, "the torn gaps were replayed");
         assert_eq!(cache.misses(), misses + 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn automata_of_one_geometry_keep_their_own_checkpoints() {
+        let dir = std::env::temp_dir().join(format!("tage-phase-automata-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sampling = SamplingSpec {
+            interval: 500,
+            k: 4,
+            seed: 1,
+        };
+        let source_spec = tage_traces::source::SourceSpec::Synthetic(spec());
+        let warm = (&WarmCache::new(&dir).unwrap(), source_spec.digest(8_000));
+        let open = || source_spec.open(8_000);
+        for automaton in [
+            tage::CounterAutomaton::paper_default(),
+            tage::CounterAutomaton::Standard,
+        ] {
+            let config = TageGeometry::small().with_automaton(automaton);
+            let options = RunOptions::default();
+            let uncached = run_sampled_source(&config, &options, sampling, None, open).unwrap();
+            let cached = run_sampled_source(&config, &options, sampling, Some(warm), open).unwrap();
+            assert_eq!(cached.result, uncached.result, "{automaton}");
+            assert!(cached.replayed_records > 0, "{automaton} builds its own");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

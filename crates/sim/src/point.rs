@@ -25,6 +25,15 @@
 //! per trace. A lane-batched cell, and a storage-free cell whose
 //! [`RunOptions`] set a warm-up or an adaptive target, runs alone.
 //!
+//! Phase-sampled cells are TAGE × storage-free × baseline, so sampled
+//! cells over one suite differ only in predictor. [`pass_groups`] groups
+//! those with the same suite (name and digest), sampling plan and branches
+//! per trace, and [`run_sampled_trace`] runs such a group one trace at a
+//! time: it opens, and so decodes, the trace once, builds its phase plan
+//! once, and runs each cell's predictor from that plan over the rewound
+//! stream. The plan depends on the stream and the sampling spec alone.
+//! [`run_point`]'s sampled path is the one-cell case, trace by trace.
+//!
 //! No byte moves, because nothing a cell adds touches the predictor. The
 //! engine runs predict → assess → observe → observers → update, and only
 //! `update` writes the predictor. The schemes, the report and the two
@@ -66,11 +75,12 @@ use tage_confidence::scheme::{Assessment, ConfidenceScheme};
 use tage_confidence::{ConfidenceLevel, ConfidenceReport, TageConfidenceClassifier};
 use tage_predictors::{BaselinePredictorSpec, PredictorCore};
 use tage_traces::format::FormatError;
-use tage_traces::source::{AnySource, BranchSource, SamplingSpec, SourceSuite};
+use tage_traces::source::{AnySource, BranchSource, SamplingSpec, SourceSpec, SourceSuite};
 use tage_traces::Suite;
 
 use crate::engine::{BranchEvent, EngineObserver, ReportObserver, SimEngine};
-use crate::multilane::{run_specs_multilane, EngineKind, DEFAULT_LANES};
+use crate::multilane::{run_specs_located, EngineKind, DEFAULT_LANES};
+use crate::phase::{build_plan, run_from_plan, SampledRunResult};
 use crate::runner::{AdaptiveObserver, RunOptions, TraceRunResult};
 use crate::scenarios::energy::RecoveryEnergyObserver;
 use crate::scenarios::interference::{run_shared_predictor, SharedRunResult};
@@ -514,14 +524,21 @@ pub enum PointError {
     /// The predictor/scheme pairing cannot execute.
     Invalid(InvalidPoint),
     /// A source of the point's suite could not be opened or read.
-    Source(FormatError),
+    Source {
+        /// The source: the path of a file-backed source, the trace name of
+        /// a synthetic one. A failure inside the shared-predictor pass,
+        /// which reads every source at once, names the suite.
+        label: String,
+        /// What went wrong.
+        error: FormatError,
+    },
 }
 
 impl fmt::Display for PointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PointError::Invalid(invalid) => invalid.fmt(f),
-            PointError::Source(error) => write!(f, "source error: {error}"),
+            PointError::Source { label, error } => write!(f, "source error: {label}: {error}"),
         }
     }
 }
@@ -530,7 +547,7 @@ impl std::error::Error for PointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PointError::Invalid(_) => None,
-            PointError::Source(error) => Some(error),
+            PointError::Source { error, .. } => Some(error),
         }
     }
 }
@@ -541,9 +558,17 @@ impl From<InvalidPoint> for PointError {
     }
 }
 
-impl From<FormatError> for PointError {
-    fn from(error: FormatError) -> Self {
-        PointError::Source(error)
+/// Turns a [`FormatError`] of `spec` into the [`PointError::Source`] that
+/// names it.
+fn source_error(spec: &SourceSpec) -> impl Fn(FormatError) -> PointError + '_ {
+    move |error| PointError::Source {
+        label: match spec {
+            SourceSpec::BinaryFile(path) | SourceSpec::DecodedFile(path) => {
+                path.display().to_string()
+            }
+            SourceSpec::Synthetic(_) => spec.label(),
+        },
+        error,
     }
 }
 
@@ -672,8 +697,8 @@ pub fn run_point(
     warm: Option<&WarmCache>,
 ) -> Result<PointResult, PointError> {
     point.validate()?;
-    if let Some(sampling) = point.suite.sampling() {
-        return run_point_sampled(point, branches_per_trace, options, sampling, warm);
+    if point.suite.sampling().is_some() {
+        return run_point_sampled(point, branches_per_trace, options, warm);
     }
     if engine == EngineKind::Multilane && point_is_lane_batchable(point) {
         return run_point_multilane(point, branches_per_trace, options);
@@ -717,46 +742,120 @@ impl PointResult {
             sampling: None,
         }
     }
+
+    /// The result of sampled `point` from the sampled runs of its traces,
+    /// in suite order: [`PointResult::assemble`] of the reconstructed
+    /// traces, plus the sampling accounting summed over them.
+    ///
+    /// # Panics
+    ///
+    /// When `point`'s suite carries no sampling plan.
+    pub fn assemble_sampled(point: &SweepPoint, traces: Vec<SampledRunResult>) -> Self {
+        let sampling = point
+            .suite
+            .sampling()
+            .expect("sampled results come from a sampled suite");
+        let mut metrics = PointSamplingMetrics {
+            interval: sampling.interval,
+            k: sampling.k,
+            seed: sampling.seed,
+            representatives: 0,
+            measured_branches: 0,
+            total_records: 0,
+        };
+        let traces = traces
+            .into_iter()
+            .map(|sampled| {
+                metrics.representatives += sampled.plan.representatives.len() as u64;
+                metrics.measured_branches += sampled.measured_branches;
+                metrics.total_records += sampled.plan.total_records;
+                sampled.result.into()
+            })
+            .collect();
+        PointResult {
+            sampling: Some(metrics),
+            ..PointResult::assemble(point, traces)
+        }
+    }
 }
 
-/// The phase-sampled point path: every suite source through
-/// [`crate::phase::run_sampled_source`] (validated to the TAGE ×
-/// storage-free × baseline cell), weighted per-trace counters and a
-/// weighted aggregate report, plus the suite-level sampling accounting.
+/// The phase-sampled point path: [`run_sampled_trace`] over each trace of
+/// the suite with this one cell, then [`PointResult::assemble_sampled`].
 fn run_point_sampled(
     point: &SweepPoint,
     branches_per_trace: usize,
     options: &RunOptions,
-    sampling: SamplingSpec,
     warm: Option<&WarmCache>,
 ) -> Result<PointResult, PointError> {
-    let Some(blueprint) = point.predictor.tage_blueprint() else {
-        unreachable!("validate() restricts sampled points to TAGE predictors")
+    let traces = (0..point.suite.sources().len())
+        .map(|trace| {
+            run_sampled_trace(&[point], trace, branches_per_trace, options, warm)
+                .map(|mut cells| cells.pop().expect("one result per cell"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(PointResult::assemble_sampled(point, traces))
+}
+
+/// The one sampled executor: runs trace `trace` of the suite that sampled
+/// cells share (a group of [`pass_groups`]; [`run_point`] passes a single
+/// cell, one trace at a time) and returns each cell's sampled run, in
+/// input order, each equal to the cell's run of that trace alone.
+///
+/// The trace is opened, and so decoded, once, and planned once
+/// ([`crate::phase::build_plan`]). Then each cell's predictor runs from that
+/// plan over the rewound stream, restoring and storing its checkpoints in
+/// `warm`. The plan depends on the stream and the sampling spec only, so
+/// every cell would have built the same one.
+///
+/// # Errors
+///
+/// An invalid cell fails the group with [`PointError::Invalid`]. A trace
+/// that cannot be opened or read fails it with [`PointError::Source`].
+///
+/// # Panics
+///
+/// When a cell is not sampled, when the cells do not share one sampled
+/// suite and branch count, so that [`pass_groups`] would have put them in
+/// different groups, or when `trace` is out of the suite's range.
+pub fn run_sampled_trace(
+    points: &[&SweepPoint],
+    trace: usize,
+    branches_per_trace: usize,
+    options: &RunOptions,
+    warm: Option<&WarmCache>,
+) -> Result<Vec<SampledRunResult>, PointError> {
+    let Some(first) = points.first() else {
+        return Ok(Vec::new());
     };
-    let mut traces = Vec::with_capacity(point.suite.sources().len());
-    let mut metrics = PointSamplingMetrics {
-        interval: sampling.interval,
-        k: sampling.k,
-        seed: sampling.seed,
-        representatives: 0,
-        measured_branches: 0,
-        total_records: 0,
-    };
-    for spec in point.suite.sources() {
-        let warm_pair = warm.map(|cache| (cache, spec.digest(branches_per_trace)));
-        let sampled =
-            crate::phase::run_sampled_source(blueprint, options, sampling, warm_pair, || {
-                spec.open(branches_per_trace)
-            })?;
-        metrics.representatives += sampled.plan.representatives.len() as u64;
-        metrics.measured_branches += sampled.measured_branches;
-        metrics.total_records += sampled.plan.total_records;
-        traces.push(sampled.result.into());
+    for point in points {
+        point.validate()?;
     }
-    Ok(PointResult {
-        sampling: Some(metrics),
-        ..PointResult::assemble(point, traces)
-    })
+    let sampling = first
+        .suite
+        .sampling()
+        .expect("run_sampled_trace runs sampled cells");
+    if points.len() > 1 {
+        let key = |point| pass_key(point, branches_per_trace, options, EngineKind::Scalar);
+        let first_key = key(first);
+        assert!(
+            first_key.is_some() && points.iter().all(|point| key(point) == first_key),
+            "run_sampled_trace runs sampled cells that share one suite"
+        );
+    }
+    let spec = &first.suite.sources()[trace];
+    let located = source_error(spec);
+    let mut source = spec.open(branches_per_trace).map_err(&located)?;
+    let plan = build_plan(&mut source, sampling).map_err(&located)?;
+    let warm = warm.map(|cache| (cache, spec.digest(branches_per_trace)));
+    points
+        .iter()
+        .map(|point| {
+            let Some(blueprint) = point.predictor.tage_blueprint() else {
+                unreachable!("validate() restricts sampled points to TAGE predictors")
+            };
+            run_from_plan(blueprint, options, &plan, warm, &mut source).map_err(&located)
+        })
+        .collect()
 }
 
 /// Whether [`EngineKind::Multilane`] can actually batch this cell: the
@@ -785,73 +884,95 @@ fn run_point_multilane(
     let Some(blueprint) = point.predictor.tage_blueprint() else {
         unreachable!("point_is_lane_batchable() requires a TAGE predictor")
     };
-    let results = run_specs_multilane(
-        blueprint,
-        point.suite.sources(),
-        branches_per_trace,
-        options,
-        DEFAULT_LANES,
-    )?;
+    let specs = point.suite.sources();
+    let results = run_specs_located(blueprint, specs, branches_per_trace, options, DEFAULT_LANES)
+        .map_err(|(index, error)| source_error(&specs[index])(error))?;
     let traces = results.into_iter().map(PointTraceMetrics::from).collect();
     Ok(PointResult::assemble(point, traces))
 }
 
-/// What cells must have in common to share one predictor pass (see
+/// What cells must have in common to share a pass over each trace (see
 /// [`pass_groups`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PassKey {
-    predictor: String,
-    /// The spec digest and automaton of a TAGE predictor. The label names
-    /// a programmatic [`PredictorSpec::Tage`] by size and automaton only,
-    /// and a [`PredictorSpec::Geometry`] by a 32-bit digest.
-    geometry: Option<(u64, CounterAutomaton)>,
+    shared: SharedPass,
     suite: String,
     suite_digest: u64,
     branches_per_trace: usize,
 }
 
-/// The predictor pass `point` can share with other cells, or `None` when
-/// it runs alone: a sampled, invalid or lane-batched cell, or a
-/// storage-free cell whose options steer its predictor (the adaptive
-/// controller) or window its measurement (a warm-up). Estimator cells
-/// ignore the options.
+/// What the cells of a group share per trace.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum SharedPass {
+    /// One predictor: the cells' predictor label, and the spec digest and
+    /// automaton of a TAGE predictor. The label names a programmatic
+    /// [`PredictorSpec::Tage`] by size and automaton only, and a
+    /// [`PredictorSpec::Geometry`] by a 32-bit digest.
+    Predictor {
+        label: String,
+        geometry: Option<(u64, CounterAutomaton)>,
+    },
+    /// One decoded stream and its phase plan: sampled cells, which differ
+    /// only in predictor, each run their own from the plan.
+    Plan(SamplingSpec),
+}
+
+/// The pass `point` can share with other cells, or `None` when it runs
+/// alone: an invalid cell, a sampled cell over a suite with no trace to
+/// share, a lane-batched cell, or a storage-free cell whose options steer
+/// its predictor (the adaptive controller) or window its measurement (a
+/// warm-up). Estimator cells ignore the options, and sampled cells share
+/// only the plan, which no option changes.
 fn pass_key(
     point: &SweepPoint,
     branches_per_trace: usize,
     options: &RunOptions,
     engine: EngineKind,
 ) -> Option<PassKey> {
-    if point.suite.sampling().is_some()
-        || point.validate().is_err()
-        || (engine == EngineKind::Multilane && point_is_lane_batchable(point))
-        || (point.scheme == SchemeSpec::StorageFree
-            && (options.warmup_branches > 0 || options.adaptive_target_mkp.is_some()))
-    {
+    if point.validate().is_err() {
         return None;
     }
-    Some(PassKey {
-        predictor: point.predictor.label(),
-        geometry: match &point.predictor {
-            PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
-                Some((geometry.spec_digest(), geometry.automaton))
-            }
-            PredictorSpec::Baseline(_) => None,
+    let shared = match point.suite.sampling() {
+        Some(_) if point.suite.sources().is_empty() => return None,
+        Some(sampling) => SharedPass::Plan(sampling),
+        None if (engine == EngineKind::Multilane && point_is_lane_batchable(point))
+            || (point.scheme == SchemeSpec::StorageFree
+                && (options.warmup_branches > 0 || options.adaptive_target_mkp.is_some())) =>
+        {
+            return None
+        }
+        None => SharedPass::Predictor {
+            label: point.predictor.label(),
+            geometry: match &point.predictor {
+                PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+                    Some((geometry.spec_digest(), geometry.automaton))
+                }
+                PredictorSpec::Baseline(_) => None,
+            },
         },
+    };
+    Some(PassKey {
+        shared,
         suite: point.suite.name().to_string(),
         suite_digest: point.suite.digest(branches_per_trace),
         branches_per_trace,
     })
 }
 
-/// Partitions cells into the groups [`run_point_group`] runs, each a list
-/// of indexes into `cells`, in the order of each group's first cell. A
-/// cell is a point and its branches per trace.
+/// Partitions cells into groups that share a pass over each trace, each a
+/// list of indexes into `cells`, in the order of each group's first cell.
+/// A cell is a point and its branches per trace.
 ///
-/// Cells share a group when they have the same predictor, the same
-/// unsampled suite and the same branches per trace, and none of them is
-/// lane-batched under `engine` or steered or windowed by `options`. Every
-/// other cell is a group of its own, so cells that share with nothing come
-/// back one per group, in input order.
+/// Unsampled cells share a group, which [`run_point_group`] runs over one
+/// predictor per trace, when they have the same predictor, the same suite
+/// and the same branches per trace, and none of them is lane-batched under
+/// `engine` or steered or windowed by `options`. Sampled cells share a
+/// group, which [`run_sampled_trace`] runs over one decoded stream and one
+/// phase plan per trace, when they have the same suite, sampling plan and
+/// branches per trace; a sampled cell is TAGE × storage-free × baseline,
+/// so such cells differ only in predictor. Every other cell is a group of
+/// its own, so cells that share with nothing come back one per group, in
+/// input order.
 pub fn pass_groups<'a>(
     cells: impl IntoIterator<Item = (&'a SweepPoint, usize)>,
     options: &RunOptions,
@@ -894,8 +1015,9 @@ pub fn pass_groups<'a>(
 ///
 /// # Panics
 ///
-/// When the cells cannot share a pass, so that [`pass_groups`] would have
-/// put them in different groups.
+/// When a cell is sampled ([`run_sampled_trace`] runs those), or when the
+/// cells cannot share a pass, so that [`pass_groups`] would have put them
+/// in different groups.
 pub fn run_point_group(
     points: &[&SweepPoint],
     branches_per_trace: usize,
@@ -907,6 +1029,10 @@ pub fn run_point_group(
     for point in points {
         point.validate()?;
     }
+    assert!(
+        first.suite.sampling().is_none(),
+        "run_point_group runs unsampled cells"
+    );
     if points.len() > 1 {
         let key = |point| pass_key(point, branches_per_trace, options, EngineKind::Scalar);
         let first_key = key(first);
@@ -938,7 +1064,8 @@ pub fn run_point_group(
     let shared = match &first.predictor {
         PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
             for spec in suite.sources() {
-                let mut source = spec.open(branches_per_trace)?;
+                let located = source_error(spec);
+                let mut source = spec.open(branches_per_trace).map_err(&located)?;
                 let mut predictor = TagePredictor::new(geometry);
                 let mut cells = Vec::with_capacity(points.len());
                 for (point, scenario) in points.iter().zip(&mut scenarios) {
@@ -967,7 +1094,8 @@ pub fn run_point_group(
                 let mut engine = SimEngine::new(&mut predictor, NoScheme).with_warmup(warmup);
                 run_group_trace(&mut engine, &mut source, cells, &mut traces, |predictor| {
                     predictor.geometry().automaton.saturation_probability()
-                })?;
+                })
+                .map_err(located)?;
             }
             shared_pass
                 .then(|| run_shared_pass(TagePredictor::new(geometry), suite, branches_per_trace))
@@ -975,7 +1103,8 @@ pub fn run_point_group(
         }
         PredictorSpec::Baseline(baseline) => {
             for spec in suite.sources() {
-                let mut source = spec.open(branches_per_trace)?;
+                let located = source_error(spec);
+                let mut source = spec.open(branches_per_trace).map_err(&located)?;
                 let cells = points
                     .iter()
                     .zip(&mut scenarios)
@@ -993,7 +1122,8 @@ pub fn run_point_group(
                     .collect();
                 let mut engine = SimEngine::new(baseline.build(), NoScheme);
                 // Only TAGE has an automaton to report.
-                run_group_trace(&mut engine, &mut source, cells, &mut traces, |_| 1.0)?;
+                run_group_trace(&mut engine, &mut source, cells, &mut traces, |_| 1.0)
+                    .map_err(located)?;
             }
             shared_pass
                 .then(|| run_shared_pass(baseline.build(), suite, branches_per_trace))
@@ -1115,13 +1245,18 @@ fn run_shared_pass<P: PredictorCore>(
     predictor: P,
     suite: &SourceSuite,
     branches_per_trace: usize,
-) -> Result<SharedRunResult, FormatError> {
+) -> Result<SharedRunResult, PointError> {
     let sources = suite
         .sources()
         .iter()
-        .map(|spec| spec.open(branches_per_trace))
+        .map(|spec| spec.open(branches_per_trace).map_err(source_error(spec)))
         .collect::<Result<Vec<_>, _>>()?;
-    run_shared_predictor(&mut SimEngine::new(predictor, NoScheme), sources)
+    run_shared_predictor(&mut SimEngine::new(predictor, NoScheme), sources).map_err(|error| {
+        PointError::Source {
+            label: suite.name().to_string(),
+            error,
+        }
+    })
 }
 
 /// Compares the shared-predictor pass against the private per-source
@@ -1790,26 +1925,65 @@ mod tests {
             );
         }
 
-        // Other branch counts, other suites and sampled suites never share.
+        // Other branch counts and other suites never share.
         let other_suite = SweepPoint {
             suite: SourceSuite::from_suite(&suites::cbp1_like()),
             ..points[1].clone()
-        };
-        let sampled = SweepPoint {
-            suite: sampled_mini(small_sampling()),
-            ..points[0].clone()
         };
         let mixed = [
             (&points[1], 1_000),
             (&points[4], 2_000),
             (&other_suite, 1_000),
-            (&sampled, 1_000),
-            (&sampled, 1_000),
         ];
         assert_eq!(
             pass_groups(mixed, &default, EngineKind::Scalar),
-            [vec![0], vec![1], vec![2], vec![3], vec![4]]
+            [vec![0], vec![1], vec![2]]
         );
+
+        // Sampled cells share one decode and plan per trace whatever their
+        // predictor, engine and options, but only over the same suite name
+        // and digest, sampling plan and branches per trace.
+        let sampled = |predictor: &str, suite: SourceSuite| SweepPoint {
+            predictor: PredictorSpec::parse(predictor).unwrap(),
+            suite,
+            ..points[0].clone()
+        };
+        let fewer_traces = SourceSuite::new(
+            mini().name(),
+            SourceSuite::from_suite(&mini()).sources()[1..].to_vec(),
+        )
+        .with_sampling(small_sampling());
+        let other_plan = SamplingSpec {
+            seed: 2,
+            ..small_sampling()
+        };
+        let cells = [
+            sampled("tage-16k", sampled_mini(small_sampling())),
+            sampled("tage-64k-std", sampled_mini(small_sampling())),
+            sampled("tage-16k", sampled_mini(other_plan)),
+            sampled("tage-16k", fewer_traces),
+        ];
+        assert_eq!(cells[0].suite.name(), cells[3].suite.name());
+        let branches = [1_000, 1_000, 1_000, 1_000, 2_000, 1_000];
+        let sampled_cells = || {
+            [0, 1, 2, 3, 0, 1]
+                .iter()
+                .zip(branches)
+                .map(|(&cell, branches)| (&cells[cell], branches))
+        };
+        for engine in [EngineKind::Scalar, EngineKind::Multilane] {
+            let warmup = RunOptions {
+                warmup_branches: 100,
+                ..RunOptions::default()
+            };
+            for options in [RunOptions::default(), warmup, RunOptions::adaptive()] {
+                assert_eq!(
+                    pass_groups(sampled_cells(), &options, engine),
+                    [vec![0, 1, 5], vec![2], vec![3], vec![4]],
+                    "{engine:?} {options:?}"
+                );
+            }
+        }
 
         // Geometry specs that differ only in their automaton share a label,
         // not a pass.

@@ -20,9 +20,14 @@
 //! key digests everything that state depends on:
 //!
 //! * the **state digest**: the predictor's snapshot spec digest
-//!   ([`TagePredictor::spec_digest_for`]) folded with the classifier window
-//!   and the adaptive target (`state_digest`) — anything that changes how
-//!   the replay trains;
+//!   ([`TagePredictor::spec_digest_for`]) folded with the counter
+//!   automaton, the classifier window and the adaptive target
+//!   (`state_digest`) — anything that changes how the replay trains. The
+//!   spec digest leaves the automaton out, and a restored snapshot brings
+//!   its own automaton along, so without it a standard-automaton run would
+//!   restore the modified automaton's state of the same geometry. The
+//!   paper's default automaton adds nothing to the key text, so its entries
+//!   keep the names earlier builds gave them;
 //! * the **source digest** ([`tage_traces::source::SourceSpec::digest`]) —
 //!   which records were replayed;
 //! * the **replayed record range** `[0, target)` — how many of them. The
@@ -40,7 +45,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tage::{TageBlueprint, TagePredictor};
+use tage::{CounterAutomaton, TageBlueprint, TagePredictor};
 use tage_traces::format::FormatError;
 use tage_traces::snapshot::{fnv1a64, write_atomic, SnapshotError, SnapshotReader, SnapshotWriter};
 use tage_traces::source::{BranchSource, Take};
@@ -136,12 +141,17 @@ pub fn global_counters() -> (u64, u64) {
 }
 
 /// Digest of everything about the *simulation configuration* that the warm
-/// state depends on: the predictor's snapshot spec digest, the classifier's
-/// recency-window length and the adaptive controller's target.
+/// state depends on: the predictor's snapshot spec digest, its counter
+/// automaton unless it is the paper's default (see the module docs), the
+/// classifier's recency-window length and the adaptive controller's target.
 fn state_digest(blueprint: &dyn TageBlueprint, options: &RunOptions) -> u64 {
+    let automaton = match blueprint.tage_geometry().automaton {
+        paper if paper == CounterAutomaton::paper_default() => String::new(),
+        other => format!("|automaton={other}"),
+    };
     fnv1a64(
         format!(
-            "warm|predictor={:016x}|window={}|adaptive={:?}",
+            "warm|predictor={:016x}|window={}|adaptive={:?}{automaton}",
             TagePredictor::spec_digest_for(blueprint),
             options.bim_miss_window,
             options.adaptive_target_mkp.map(f64::to_bits),

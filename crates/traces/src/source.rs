@@ -540,8 +540,7 @@ impl<S: BranchSource> BranchSource for Take<S> {
 /// A recipe for opening a fresh [`BranchSource`] stream.
 ///
 /// Suite and campaign runners deal in *specifications* rather than open
-/// sources so that every worker (and every pass of a sampled run) can open
-/// its own independent stream.
+/// sources so that every worker can open its own independent stream.
 #[derive(Debug, Clone)]
 pub enum SourceSpec {
     /// Generate a synthetic workload on the fly.

@@ -25,6 +25,22 @@ echo "== repository benchmark (perfbench): build + tests =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
+echo "== sampled-workload correctness smoke (perfbench) =="
+# One short run of the sampled workload checks the grouped sampled path end
+# to end: cold, warm and first-cycle reports byte-identical, and each cell's
+# mean MPKI equal to `run_sampled_source`'s. The run ends in one JSON line;
+# fail unless it is correct with 0 failures.
+mkdir -p target
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload sampled_real_traces --seed 2 --seconds 1 > target/verify-sampled-smoke.txt
+last=$(tail -n 1 target/verify-sampled-smoke.txt)
+echo "$last"
+if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0,' <<<"$last"; then
+  cat target/verify-sampled-smoke.txt
+  echo "sampled-workload smoke: perfbench reported incorrect output or failed operations" >&2
+  exit 1
+fi
+
 echo "== throughput smoke (+ regression gate) =="
 # --baseline seeds from the tracked milestone file while --out keeps routine
 # runs on an untracked path (see docs/BENCHMARKS.md), so verification never
