@@ -1388,6 +1388,113 @@ mod tests {
     }
 
     #[test]
+    fn hostile_decoded_files_run_or_fail_naming_the_file() {
+        use tage_traces::source::SamplingSpec;
+        use tage_traces::writer::TraceWriter;
+        use tage_traces::SplitMix64;
+        let traces: Vec<_> = suites::cbp1_mini()
+            .traces()
+            .iter()
+            .map(|spec| spec.generate(1_000))
+            .collect();
+        let conditional = |index: usize| {
+            traces[index]
+                .records()
+                .iter()
+                .filter(|record| record.kind.is_conditional())
+        };
+        let text: String = conditional(2)
+            .map(|record| format!("{:x} {}\n", record.pc, u8::from(record.taken)))
+            .collect();
+        let binary: Vec<u8> = conditional(3)
+            .flat_map(|record| {
+                record
+                    .pc
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain([record.taken as u8])
+            })
+            .collect();
+        // A real `gzip -9` stream (dynamic, fixed and stored blocks), CBP
+        // text and CBP binary, each mangled six seeded ways.
+        let valid: [(&str, &[u8]); 3] = [
+            (
+                "trace.gz",
+                include_bytes!("../../traces/testdata/cbp1-mini-0.trace.gz"),
+            ),
+            ("cbp", text.as_bytes()),
+            ("cbpb", &binary),
+        ];
+        let dir =
+            std::env::temp_dir().join(format!("tage-campaign-hostile-{}", std::process::id()));
+        let mut rng = SplitMix64::new(0x0BAD_F11E);
+        let (mut ran, mut failed) = (0, 0);
+        for (extension, bytes) in valid {
+            for case in 0..6 {
+                let mut hostile = bytes.to_vec();
+                let what = match case {
+                    0..=2 => {
+                        for _ in 0..=case {
+                            let bit = rng.next_u64() as usize % (hostile.len() * 8);
+                            hostile[bit / 8] ^= 1 << (bit % 8);
+                        }
+                        "bit flips"
+                    }
+                    3 | 4 => {
+                        hostile.truncate(rng.next_u64() as usize % hostile.len());
+                        "truncation"
+                    }
+                    _ => {
+                        let len = rng.next_u64() % 256;
+                        hostile = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        "garbage"
+                    }
+                };
+                let _ = std::fs::remove_dir_all(&dir);
+                std::fs::create_dir_all(&dir).unwrap();
+                std::fs::write(
+                    dir.join(format!("{}.trace", traces[1].name())),
+                    TraceWriter::to_binary_bytes(&traces[1]),
+                )
+                .unwrap();
+                let bad = dir.join(format!("hostile.{extension}"));
+                std::fs::write(&bad, &hostile).unwrap();
+                let files = SourceSuite::from_dir(&dir).unwrap();
+                let sampling = SamplingSpec {
+                    interval: 250,
+                    k: 2,
+                    seed: 1,
+                };
+                for suite in [files.clone(), files.with_sampling(sampling)] {
+                    let spec = CampaignSpec {
+                        label: "hostile".to_string(),
+                        predictors: vec![PredictorSpec::parse("tage-16k").unwrap()],
+                        schemes: vec![SchemeSpec::StorageFree],
+                        suites: vec![suite],
+                        scenarios: vec![ScenarioSpec::Baseline],
+                        branches_per_trace: 1_000,
+                    };
+                    for engine in [EngineKind::Scalar, EngineKind::Multilane] {
+                        match run_campaign_with_engine(&spec, 2, engine) {
+                            Ok(_) => ran += 1,
+                            Err(error) => {
+                                let error = error.to_string();
+                                assert!(
+                                    error.contains(&bad.display().to_string()),
+                                    "{extension} {what} {engine:?}: {error}"
+                                );
+                                failed += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ran > 0 && failed > 0, "{ran} ran, {failed} failed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn geometry_cells_that_differ_only_in_automaton_keep_their_own_cells() {
         let dir =
             std::env::temp_dir().join(format!("tage-campaign-automaton-{}", std::process::id()));

@@ -27,7 +27,9 @@
 //!   its own automaton along, so without it a standard-automaton run would
 //!   restore the modified automaton's state of the same geometry. The
 //!   paper's default automaton adds nothing to the key text, so its entries
-//!   keep the names earlier builds gave them;
+//!   keep the names earlier builds gave them. Those builds also wrote
+//!   standard-automaton states under that text, so a run without the
+//!   adaptive controller treats an entry of another automaton as a miss;
 //! * the **source digest** ([`tage_traces::source::SourceSpec::digest`]) —
 //!   which records were replayed;
 //! * the **replayed record range** `[0, target)` — how many of them. The
@@ -351,6 +353,11 @@ pub(crate) fn advance<S: BranchSource>(
 
 /// Restores the entry under `key` into `run`; `false` (with `run`
 /// untouched) when there is no usable entry.
+///
+/// Without the adaptive controller the run's automaton never changes, so
+/// an entry carrying another automaton is a miss. Builds that keyed no
+/// automaton wrote the standard automaton's states under the paper
+/// default's key, and a restore would install that automaton.
 fn restore(run: &mut TageRun<'_>, checkpoints: Checkpoints<'_>, key: u64) -> bool {
     let Some(state) = checkpoints
         .cache
@@ -359,12 +366,13 @@ fn restore(run: &mut TageRun<'_>, checkpoints: Checkpoints<'_>, key: u64) -> boo
     else {
         return false;
     };
-    if run.adaptive.is_some() != state.adaptive.is_some()
-        || run
-            .engine
-            .predictor_mut()
-            .restore(&state.predictor)
-            .is_err()
+    let predictor = run.engine.predictor_mut();
+    let foreign_automaton = run.adaptive.is_none()
+        && predictor.snapshot_automaton(&state.predictor).ok()
+            != Some(predictor.geometry().automaton);
+    if foreign_automaton
+        || run.adaptive.is_some() != state.adaptive.is_some()
+        || predictor.restore(&state.predictor).is_err()
     {
         return false;
     }
@@ -443,6 +451,62 @@ mod tests {
         assert!(now_hits > global_hits);
         assert!(now_misses > global_misses);
         assert_eq!(cache.dir(), dir.as_path());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn another_automatons_state_under_the_paper_key_is_a_miss() {
+        use crate::phase::run_sampled_source;
+        use tage_traces::{suites, SamplingSpec, SourceSpec};
+        // Builds that keyed no automaton wrote a standard-automaton run's
+        // checkpoints under the paper default's key text. Plant such
+        // entries: the paper-default run must replay past them, as fresh.
+        let dir = temp_dir("planted-automaton");
+        let sampling = SamplingSpec {
+            interval: 500,
+            k: 4,
+            seed: 1,
+        };
+        let source = SourceSpec::Synthetic(suites::cbp1_like().trace("INT-2").unwrap().clone());
+        let digest = source.digest(8_000);
+        let open = || source.open(8_000);
+        let options = RunOptions::default();
+        let paper = TageGeometry::small().with_automaton(CounterAutomaton::paper_default());
+        let standard = TageGeometry::small().with_automaton(CounterAutomaton::Standard);
+        let fresh = run_sampled_source(&paper, &options, sampling, None, open).unwrap();
+
+        let written = WarmCache::new(dir.join("standard")).unwrap();
+        run_sampled_source(
+            &standard,
+            &options,
+            sampling,
+            Some((&written, digest)),
+            open,
+        )
+        .unwrap();
+        let cache = WarmCache::new(dir.join("planted")).unwrap();
+        let (from, to) = (
+            state_digest(&standard, &options),
+            state_digest(&paper, &options),
+        );
+        let mut planted = 0;
+        for target in 0..=fresh.plan.total_records {
+            if let Some(bytes) = written.load(entry_key(from, digest, target)) {
+                let state = decode_warm_state(&bytes, from).unwrap();
+                let entry = encode_warm_state(to, &state);
+                cache.store(entry_key(to, digest, target), &entry).unwrap();
+                planted += 1;
+            }
+        }
+        assert!(planted > 0);
+
+        let run = run_sampled_source(&paper, &options, sampling, Some((&cache, digest)), open);
+        assert_eq!(run.unwrap().result, fresh.result);
+        assert_eq!((cache.hits(), cache.misses()), (0, planted));
+        // Each miss rewrote its entry with the run's own state.
+        let run = run_sampled_source(&paper, &options, sampling, Some((&cache, digest)), open);
+        assert_eq!(run.unwrap().result, fresh.result);
+        assert_eq!(cache.hits(), planted);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -549,6 +549,22 @@ impl TagePredictor {
         w.finish()
     }
 
+    /// The counter automaton a [`TagePredictor::snapshot`] of this
+    /// predictor's specification carries, read without restoring anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapshotError`] when the bytes are not a snapshot of
+    /// this specification or their automaton section is malformed.
+    pub fn snapshot_automaton(
+        &self,
+        bytes: &[u8],
+    ) -> Result<crate::CounterAutomaton, SnapshotError> {
+        let mut r = SnapshotReader::new(bytes, self.spec_digest())?;
+        r.begin_section()?;
+        crate::snapshot::read_automaton(&mut r)
+    }
+
     /// Restores state captured by [`TagePredictor::snapshot`]. The restore
     /// is all-or-nothing: the whole snapshot is decoded and validated before
     /// any live state is touched, so on error the predictor is exactly as it

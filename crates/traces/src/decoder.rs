@@ -126,6 +126,14 @@ impl TraceDecoder for GzipNativeDecoder {
 /// conditional branch with a zero instruction gap (championship traces
 /// carry branches only), so per-kilo-instruction metrics degenerate to
 /// per-kilo-branch — exactly how CBP scored.
+///
+/// Lines are parsed from the bytes. A plain-ASCII line — at most 16 hex
+/// pc digits, ASCII whitespace and one outcome byte, or a blank or comment
+/// line — takes a byte-level fast path. Any other line goes to the
+/// per-line parser over its (lossily decoded) text, which splits on
+/// Unicode whitespace, accepts what [`u64::from_str_radix`] accepts and
+/// names each [`FormatError::MalformedLine`], so both paths give the same
+/// records and errors.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CbpTextDecoder;
 
@@ -143,37 +151,88 @@ impl TraceDecoder for CbpTextDecoder {
     }
 
     fn decode(&self, bytes: &[u8], default_name: &str) -> Result<DecodedTrace, FormatError> {
-        let text = String::from_utf8_lossy(bytes);
         let mut records = Vec::new();
-        for (idx, raw_line) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let malformed = |reason: &str| FormatError::MalformedLine {
-                line: line_no,
-                reason: reason.to_string(),
+        for (idx, line) in bytes.split(|&byte| byte == b'\n').enumerate() {
+            let record = match parse_plain_cbp_line(line) {
+                Some(record) => record,
+                None => parse_cbp_line(idx + 1, &String::from_utf8_lossy(line))?,
             };
-            let line = raw_line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let pc = parts.next().ok_or_else(|| malformed("missing pc"))?;
-            let pc = u64::from_str_radix(pc, 16).map_err(|_| malformed("pc is not hex"))?;
-            let outcome = parts.next().ok_or_else(|| malformed("missing outcome"))?;
-            let taken = match outcome {
-                "1" | "T" => true,
-                "0" | "N" => false,
-                _ => return Err(malformed("outcome must be 0, 1, T or N")),
-            };
-            if parts.next().is_some() {
-                return Err(malformed("trailing tokens"));
-            }
-            records.push(BranchRecord::conditional(pc, taken));
+            records.extend(record);
         }
         Ok(DecodedTrace {
             name: default_name.to_string(),
             records,
         })
     }
+}
+
+/// Whether `byte` is an ASCII character [`char::is_whitespace`] accepts:
+/// space, tab, line feed, vertical tab, form feed or carriage return.
+fn is_cbp_space(byte: u8) -> bool {
+    matches!(byte, b' ' | b'\t'..=b'\r')
+}
+
+/// The fast path of [`CbpTextDecoder`]: one line (without its `\n`) in the
+/// plain form `[ws] <1-16 hex digits> ws <0|1|T|N> [ws]`, or blank, or a
+/// `#` comment after ASCII whitespace. `Some(None)` skips the line, and
+/// `None` hands anything else to [`parse_cbp_line`], which locates errors.
+fn parse_plain_cbp_line(line: &[u8]) -> Option<Option<BranchRecord>> {
+    let skip_spaces = |mut at: usize| {
+        while line.get(at).copied().is_some_and(is_cbp_space) {
+            at += 1;
+        }
+        at
+    };
+    let start = skip_spaces(0);
+    if matches!(line.get(start), None | Some(b'#')) {
+        return Some(None);
+    }
+    let mut pc = 0u64;
+    let mut at = start;
+    while let Some(digit) = line.get(at).and_then(|&byte| (byte as char).to_digit(16)) {
+        pc = pc << 4 | u64::from(digit);
+        at += 1;
+    }
+    if !(1..=16).contains(&(at - start)) {
+        return None;
+    }
+    let outcome_at = skip_spaces(at);
+    if outcome_at == at {
+        return None;
+    }
+    let taken = match line.get(outcome_at)? {
+        b'1' | b'T' => true,
+        b'0' | b'N' => false,
+        _ => return None,
+    };
+    (skip_spaces(outcome_at + 1) == line.len())
+        .then_some(Some(BranchRecord::conditional(pc, taken)))
+}
+
+/// The per-line parser of [`CbpTextDecoder`]: one line of text, trimmed and
+/// split on Unicode whitespace. `Ok(None)` for a blank or comment line.
+fn parse_cbp_line(line_no: usize, line: &str) -> Result<Option<BranchRecord>, FormatError> {
+    let malformed = |reason: &str| FormatError::MalformedLine {
+        line: line_no,
+        reason: reason.to_string(),
+    };
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut parts = line.split_whitespace();
+    let pc = parts.next().ok_or_else(|| malformed("missing pc"))?;
+    let pc = u64::from_str_radix(pc, 16).map_err(|_| malformed("pc is not hex"))?;
+    let outcome = parts.next().ok_or_else(|| malformed("missing outcome"))?;
+    let taken = match outcome {
+        "1" | "T" => true,
+        "0" | "N" => false,
+        _ => return Err(malformed("outcome must be 0, 1, T or N")),
+    };
+    if parts.next().is_some() {
+        return Err(malformed("trailing tokens"));
+    }
+    Ok(Some(BranchRecord::conditional(pc, taken)))
 }
 
 /// Size of one CBP-style binary record: u64 LE pc + one outcome byte.
@@ -425,6 +484,114 @@ mod tests {
             assert!(
                 matches!(err, FormatError::MalformedLine { line, .. } if line == bad_line),
                 "{text:?} -> {err:?}"
+            );
+        }
+    }
+
+    /// The whole-text decode the fast path sits in front of: every line of
+    /// the lossily decoded text through the per-line parser.
+    fn decode_per_line(bytes: &[u8]) -> Result<Vec<BranchRecord>, FormatError> {
+        let text = String::from_utf8_lossy(bytes);
+        let mut records = Vec::new();
+        for (idx, line) in text.lines().enumerate() {
+            records.extend(parse_cbp_line(idx + 1, line)?);
+        }
+        Ok(records)
+    }
+
+    #[test]
+    fn cbp_fast_path_whitespace_is_unicode_whitespace() {
+        for byte in 0..128u8 {
+            assert_eq!(
+                is_cbp_space(byte),
+                char::from(byte).is_whitespace(),
+                "byte {byte:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn cbp_fast_path_matches_the_per_line_parser_fuzz() {
+        let pick = |rng: &mut SplitMix64, options: &[&'static str]| {
+            options[(rng.next_u64() % options.len() as u64) as usize]
+        };
+        let spaces = [
+            " ", " ", "\t", "  ", "\r", "\x0B", "\x0C", "\u{A0}", "\u{3000}", "\x1C", "\u{85}",
+        ];
+        let outcomes = [
+            "0", "1", "T", "N", "0", "1", "2", "t", "10", "", "é", "\u{FF}",
+        ];
+        let tails = [
+            "", "", "", " ", "\r", "\t ", " extra", "\u{A0}", "#", "\x0B",
+        ];
+        let mut rng = SplitMix64::new(0xCB7E);
+        for round in 0..2_000 {
+            let mut bytes = Vec::new();
+            for _ in 0..1 + rng.next_u64() % 12 {
+                let roll = rng.next_u64() % 100;
+                match roll {
+                    0..=4 => bytes
+                        .extend_from_slice(pick(&mut rng, &["# note é", "#", "  # x"]).as_bytes()),
+                    5..=7 => bytes.extend_from_slice(
+                        pick(&mut rng, &["", "   ", "\t\x0C", "\u{A0}"]).as_bytes(),
+                    ),
+                    8..=9 => bytes.extend_from_slice(&[0xFF, b'1', b' ', 0xC3]),
+                    10..=11 => bytes.extend(
+                        (0..rng.next_u64() % 12).map(|_| rng.next_u64() as u8 & 0x7F | 0x20),
+                    ),
+                    _ => {
+                        let leading = if roll.is_multiple_of(4) {
+                            pick(&mut rng, &spaces)
+                        } else {
+                            ""
+                        };
+                        let digits = match roll % 13 {
+                            0 => 17,
+                            1 => 0,
+                            _ => 1 + rng.next_u64() % 16,
+                        };
+                        let mut pc: String = (0..digits)
+                            .map(|_| pick(&mut rng, &["0", "7", "a", "F", "c", "9", "e", "B"]))
+                            .collect();
+                        match roll % 17 {
+                            0 => pc.insert(0, '+'),
+                            1 => pc.insert(0, '-'),
+                            2 => pc.push('g'),
+                            3 => pc.push('\u{E9}'),
+                            _ => {}
+                        }
+                        let separator = if roll.is_multiple_of(19) {
+                            ""
+                        } else {
+                            pick(&mut rng, &spaces)
+                        };
+                        let outcome = pick(&mut rng, &outcomes);
+                        let tail = if roll.is_multiple_of(3) {
+                            pick(&mut rng, &tails)
+                        } else {
+                            ""
+                        };
+                        bytes.extend_from_slice(
+                            format!("{leading}{pc}{separator}{outcome}{tail}").as_bytes(),
+                        );
+                        if roll.is_multiple_of(23) {
+                            bytes.push(0xFE); // invalid UTF-8 inside a record line
+                        }
+                    }
+                }
+                bytes.extend_from_slice(pick(&mut rng, &["\n", "\n", "\r\n"]).as_bytes());
+            }
+            if round % 5 == 0 {
+                bytes.pop(); // no final line ending
+            }
+            let fast = CbpTextDecoder
+                .decode(&bytes, "t")
+                .map(|decoded| decoded.records);
+            assert_eq!(
+                format!("{fast:?}"),
+                format!("{:?}", decode_per_line(&bytes)),
+                "round {round}: {:?}",
+                String::from_utf8_lossy(&bytes)
             );
         }
     }

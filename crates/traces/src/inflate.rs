@@ -8,6 +8,15 @@
 //! *compressed* stream at which the corruption was detected, and garbage
 //! input never panics (see the fuzz test below).
 //!
+//! The decompressor is table-driven: a 64-bit bit buffer refilled a word
+//! at a time, one lookup of the next 10 bits per Huffman symbol (the
+//! canonical walk only for longer codes), bulk copies of matches that
+//! do not overlap themselves and a slice-by-8 CRC-32. Its results, error
+//! reasons and error offsets are exactly those of the bit-at-a-time
+//! decoder it replaced, which the tests keep as an oracle
+//! (`inflate/reference.rs`): the buffer reads ahead, so offsets count the
+//! bits consumed, not the bytes loaded.
+//!
 //! The compressor emits only *stored* (uncompressed) DEFLATE blocks — a
 //! valid, universally readable gzip stream without implementing Huffman
 //! encoding. `gzip -d`, zlib and this module's own [`gunzip`] all accept
@@ -16,8 +25,14 @@
 
 use crate::format::FormatError;
 
+#[cfg(test)]
+mod reference;
+
 /// Maximum bits of a DEFLATE Huffman code.
 const MAX_BITS: usize = 15;
+/// Code bits resolved by one table lookup; longer codes take the canonical
+/// walk.
+const FAST_BITS: u32 = 10;
 /// Number of literal/length symbols (0..=287, 286/287 never occur in data).
 const MAX_LIT_SYMBOLS: usize = 288;
 /// Number of distance symbols.
@@ -47,9 +62,11 @@ const CLEN_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
-/// The standard CRC-32 (IEEE 802.3) table, computed at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The standard CRC-32 (IEEE 802.3) tables for slice-by-8, computed at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][n]` is the CRC of byte `n` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -62,30 +79,56 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let previous = tables[k - 1][n];
+            tables[k][n] = (previous >> 8) ^ tables[0][(previous & 0xFF) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// The CRC-32 checksum gzip trailers carry (IEEE polynomial, reflected).
+/// The CRC-32 checksum gzip trailers carry (IEEE polynomial, reflected),
+/// eight bytes per step (slice-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        c = CRC_TABLE[((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let low = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        c = t7[(low & 0xFF) as usize]
+            ^ t6[((low >> 8) & 0xFF) as usize]
+            ^ t5[((low >> 16) & 0xFF) as usize]
+            ^ t4[(low >> 24) as usize]
+            ^ t3[word[4] as usize]
+            ^ t2[word[5] as usize]
+            ^ t1[word[6] as usize]
+            ^ t0[word[7] as usize];
+    }
+    for &byte in words.remainder() {
+        c = t0[((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
-/// LSB-first bit reader over a byte slice, tracking the byte offset for
-/// error reporting.
+/// LSB-first bit reader over a byte slice: a 64-bit buffer refilled a word
+/// at a time. It loads ahead of what it consumes, so error offsets are
+/// derived from the consumed bit count, never from the load position.
 struct BitReader<'a> {
     data: &'a [u8],
-    /// Index of the next unread byte.
+    /// Index of the next byte not yet counted into `buf`.
     pos: usize,
-    /// Bits already consumed from `data[pos - 1]`; bits are held in `bag`.
-    bag: u32,
-    bag_bits: u32,
+    /// Unconsumed bits, LSB first. The low `count` bits are loaded; bits
+    /// above them are either zero or the true bits that follow.
+    buf: u64,
+    count: u32,
     /// Offset of `data[0]` in the enclosing stream, for error messages.
     base_offset: u64,
 }
@@ -95,15 +138,21 @@ impl<'a> BitReader<'a> {
         BitReader {
             data,
             pos: 0,
-            bag: 0,
-            bag_bits: 0,
+            buf: 0,
+            count: 0,
             base_offset,
         }
     }
 
-    /// Byte offset (in the enclosing stream) reported by errors raised here.
+    /// Bytes holding at least one consumed bit.
+    fn consumed_bytes(&self) -> usize {
+        self.pos - (self.count / 8) as usize
+    }
+
+    /// Byte offset (in the enclosing stream) reported by errors raised
+    /// here: one past the byte that holds the last consumed bit.
     fn offset(&self) -> u64 {
-        self.base_offset + self.pos as u64
+        self.base_offset + self.consumed_bytes() as u64
     }
 
     fn corrupt(&self, reason: &str) -> FormatError {
@@ -113,48 +162,87 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Reads `count` bits (0..=16), LSB first.
-    fn bits(&mut self, count: u32) -> Result<u32, FormatError> {
-        while self.bag_bits < count {
-            let Some(&byte) = self.data.get(self.pos) else {
-                return Err(self.corrupt("unexpected end of compressed data"));
-            };
-            self.bag |= (byte as u32) << self.bag_bits;
-            self.bag_bits += 8;
-            self.pos += 1;
+    /// The error for a read past the last byte, located at the stream end.
+    fn end_of_data(&self) -> FormatError {
+        FormatError::CorruptFrame {
+            offset: self.base_offset + self.data.len() as u64,
+            reason: "unexpected end of compressed data".to_string(),
         }
-        let value = self.bag & ((1u32 << count) - 1);
-        self.bag >>= count;
-        self.bag_bits -= count;
+    }
+
+    /// Tops the buffer up to more than 56 bits, or to every bit left.
+    #[inline]
+    fn refill(&mut self) {
+        if self.count > 56 {
+            return;
+        }
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+            self.buf |= word << self.count;
+            let whole = (63 - self.count) / 8;
+            self.pos += whole as usize;
+            self.count += whole * 8;
+        } else {
+            while self.count <= 56 {
+                let Some(&byte) = self.data.get(self.pos) else {
+                    break;
+                };
+                self.buf |= u64::from(byte) << self.count;
+                self.pos += 1;
+                self.count += 8;
+            }
+        }
+    }
+
+    #[inline]
+    fn consume(&mut self, count: u32) {
+        self.buf >>= count;
+        self.count -= count;
+    }
+
+    /// Reads `count` bits (0..=16), LSB first.
+    #[inline]
+    fn bits(&mut self, count: u32) -> Result<u32, FormatError> {
+        if self.count < count {
+            self.refill();
+            if self.count < count {
+                return Err(self.end_of_data());
+            }
+        }
+        let value = (self.buf & ((1u64 << count) - 1)) as u32;
+        self.consume(count);
         Ok(value)
     }
 
     /// Discards partial bits and returns to a byte boundary.
     fn align(&mut self) {
-        self.bag = 0;
-        self.bag_bits = 0;
+        self.consume(self.count % 8);
     }
 
     /// Reads `count` whole bytes after aligning (used by stored blocks).
     fn bytes(&mut self, count: usize) -> Result<&'a [u8], FormatError> {
         self.align();
-        let end = self
-            .pos
-            .checked_add(count)
-            .filter(|&e| e <= self.data.len());
-        let Some(end) = end else {
+        let start = self.consumed_bytes();
+        self.pos = start;
+        self.buf = 0;
+        self.count = 0;
+        let Some(end) = start.checked_add(count).filter(|&e| e <= self.data.len()) else {
             return Err(self.corrupt("stored block overruns the compressed data"));
         };
-        let slice = &self.data[self.pos..end];
         self.pos = end;
-        Ok(slice)
+        Ok(&self.data[start..end])
     }
 }
 
-/// A canonical Huffman decoding table: symbol counts per code length plus
-/// the symbols sorted by (length, symbol) — the classic compact
-/// representation that decodes one bit at a time.
+/// A canonical Huffman decoding table. Codes of at most [`FAST_BITS`] bits
+/// decode by one lookup of the next bits; longer ones by the canonical walk
+/// over the symbol counts per code length and the symbols sorted by
+/// (length, symbol).
 struct Huffman {
+    /// Indexed by the next [`FAST_BITS`] stream bits: `symbol << 4 |
+    /// length` of the code they start with, or 0 when that code is longer
+    /// or unassigned.
+    fast: [u16; 1 << FAST_BITS],
     counts: [u16; MAX_BITS + 1],
     symbols: Vec<u16>,
 }
@@ -179,34 +267,81 @@ impl Huffman {
             }
         }
         let mut offsets = [0u16; MAX_BITS + 2];
+        // The first canonical code of each length (RFC 1951 §3.2.2).
+        let mut next_code = [0u16; MAX_BITS + 1];
         for len in 1..=MAX_BITS {
             offsets[len + 1] = offsets[len] + counts[len];
-        }
-        let mut symbols = vec![0u16; lengths.len()];
-        for (symbol, &len) in lengths.iter().enumerate() {
-            if len != 0 {
-                symbols[offsets[len as usize] as usize] = symbol as u16;
-                offsets[len as usize] += 1;
+            if len > 1 {
+                next_code[len] = (next_code[len - 1] + counts[len - 1]) << 1;
             }
         }
-        Ok(Huffman { counts, symbols })
+        let mut symbols = vec![0u16; lengths.len()];
+        let mut fast = [0u16; 1 << FAST_BITS];
+        for (symbol, &len) in lengths.iter().enumerate() {
+            let len = len as usize;
+            if len == 0 {
+                continue;
+            }
+            symbols[offsets[len] as usize] = symbol as u16;
+            offsets[len] += 1;
+            let code = next_code[len];
+            next_code[len] += 1;
+            if len <= FAST_BITS as usize {
+                // Codes are sent MSB first into an LSB-first stream.
+                let first = (code.reverse_bits() >> (16 - len)) as usize;
+                let entry = (symbol as u16) << 4 | len as u16;
+                for slot in fast.iter_mut().skip(first).step_by(1 << len) {
+                    *slot = entry;
+                }
+            }
+        }
+        Ok(Huffman {
+            fast,
+            counts,
+            symbols,
+        })
     }
 
-    /// Decodes one symbol, reading bits until a code of some length matches.
+    /// Decodes one symbol: a table lookup for short codes, the canonical
+    /// walk otherwise.
+    #[inline]
     fn decode(&self, reader: &mut BitReader<'_>) -> Result<u16, FormatError> {
+        if reader.count < MAX_BITS as u32 {
+            reader.refill();
+        }
+        let entry = self.fast[(reader.buf & ((1 << FAST_BITS) - 1)) as usize];
+        let len = u32::from(entry & 0xF);
+        if entry != 0 && len <= reader.count {
+            reader.consume(len);
+            return Ok(entry >> 4);
+        }
+        self.decode_slow(reader)
+    }
+
+    /// The canonical walk over the buffered bits, one code length at a
+    /// time: a long code, an unassigned one or one cut off by the end of
+    /// the data. The buffer holds at least [`MAX_BITS`] bits unless the
+    /// data has run out, so a walk that outruns it has reached the end.
+    #[cold]
+    fn decode_slow(&self, reader: &mut BitReader<'_>) -> Result<u16, FormatError> {
         let mut code = 0i32;
         let mut first = 0i32;
         let mut index = 0i32;
-        for len in 1..=MAX_BITS {
-            code |= reader.bits(1)? as i32;
-            let count = self.counts[len] as i32;
+        for len in 1..=MAX_BITS as u32 {
+            if len > reader.count {
+                return Err(reader.end_of_data());
+            }
+            code |= ((reader.buf >> (len - 1)) & 1) as i32;
+            let count = self.counts[len as usize] as i32;
             if code - first < count {
+                reader.consume(len);
                 return Ok(self.symbols[(index + (code - first)) as usize]);
             }
             index += count;
             first = (first + count) << 1;
             code <<= 1;
         }
+        reader.consume(MAX_BITS as u32);
         Err(reader.corrupt("invalid Huffman code"))
     }
 }
@@ -315,9 +450,14 @@ fn inflate_block(
                     return Err(reader.corrupt("match distance reaches before stream start"));
                 }
                 let start = out.len() - dist;
-                for i in 0..length {
-                    let byte = out[start + i];
-                    out.push(byte);
+                if length <= dist {
+                    out.extend_from_within(start..start + length);
+                } else {
+                    // The match overlaps the bytes it writes.
+                    for i in start..start + length {
+                        let byte = out[i];
+                        out.push(byte);
+                    }
                 }
             }
             _ => return Err(reader.corrupt("invalid literal/length symbol")),
@@ -376,7 +516,7 @@ pub fn inflate_from(
         }
     }
     reader.align();
-    Ok((out, start + reader.pos))
+    Ok((out, start + reader.consumed_bytes()))
 }
 
 /// Decompresses a complete raw DEFLATE stream.
@@ -505,6 +645,7 @@ pub fn gzip_compress(data: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::{GzipNativeDecoder, TraceDecoder};
     use crate::rng::SplitMix64;
 
     #[test]
@@ -654,7 +795,8 @@ mod tests {
                 data[3] &= 0x1F;
             }
             let _ = gunzip(&data); // must return, never panic
-            let _ = inflate(&data);
+            let [fast, oracle] = both(&data, 0, 0);
+            assert_eq!(fast, oracle, "round {round}");
         }
     }
 
@@ -726,5 +868,201 @@ mod tests {
         }
         let out = inflate(&data).expect("dynamic-Huffman stream decodes");
         assert_eq!(out, b"aab");
+    }
+
+    /// `gzip -9 -n --rsyncable` (GNU gzip 1.12) output for the native
+    /// bytes of `suites::cbp1_mini().traces()[0].generate(FIXTURE_BRANCHES)`.
+    /// `--rsyncable` ends a block every few KiB of input (plain `-9` would
+    /// fill 32 Ki symbols first, one block at this size), so the fixture
+    /// holds many dynamic blocks, a fixed one and the empty stored blocks
+    /// that byte-align each flush.
+    const FIXTURE: &[u8] = include_bytes!("../testdata/cbp1-mini-0.trace.gz");
+    const FIXTURE_BRANCHES: usize = 10_000;
+    /// The fixture's gzip header: no optional fields.
+    const FIXTURE_PAYLOAD: usize = 10;
+
+    /// Both decoders' results in one comparable form.
+    fn both(data: &[u8], start: usize, base: u64) -> [String; 2] {
+        [
+            format!("{:?}", inflate_from(data, start, base)),
+            format!("{:?}", reference::inflate_from(data, start, base)),
+        ]
+    }
+
+    #[test]
+    fn real_gzip_fixture_decodes_to_the_generated_trace() {
+        let trace = crate::suites::cbp1_mini().traces()[0].generate(FIXTURE_BRANCHES);
+        let decoded = GzipNativeDecoder
+            .decode(FIXTURE, "fallback")
+            .expect("the fixture decodes");
+        assert_eq!(decoded.name, trace.name());
+        assert_eq!(decoded.records, trace.records());
+        let mut blocks = Vec::new();
+        reference::inflate_logged(FIXTURE, FIXTURE_PAYLOAD, 0, &mut blocks).unwrap();
+        let dynamic = blocks.iter().filter(|&&btype| btype == 2).count();
+        assert!(
+            dynamic >= 3 && blocks.contains(&1) && blocks.contains(&0),
+            "the fixture should hold several dynamic blocks, a fixed and a stored one: {blocks:?}"
+        );
+    }
+
+    #[test]
+    fn table_decoder_matches_the_bit_at_a_time_oracle() {
+        let [fast, oracle] = both(FIXTURE, FIXTURE_PAYLOAD, 0);
+        assert!(fast.starts_with("Ok("));
+        assert_eq!(fast, oracle);
+        let mut rng = SplitMix64::new(0x0DEF_1A7E);
+        let past_header = FIXTURE.len() - FIXTURE_PAYLOAD;
+        for round in 0..96 {
+            let mut data = FIXTURE.to_vec();
+            let case = if round % 3 == 2 {
+                let cut = FIXTURE_PAYLOAD + (rng.next_u64() as usize) % past_header;
+                data.truncate(cut);
+                format!("cut at {cut}")
+            } else {
+                let flips: Vec<usize> = (0..1 + round % 3)
+                    .map(|_| FIXTURE_PAYLOAD * 8 + (rng.next_u64() as usize) % (past_header * 8))
+                    .collect();
+                for &bit in &flips {
+                    data[bit / 8] ^= 1 << (bit % 8);
+                }
+                format!("bits {flips:?} flipped")
+            };
+            let base = rng.next_u64() % 1_000;
+            let [fast, oracle] = both(&data, FIXTURE_PAYLOAD, base);
+            assert_eq!(fast, oracle, "{case}");
+            let _ = gunzip(&data);
+        }
+    }
+
+    /// LSB-first bit writer for hand-built DEFLATE streams.
+    #[derive(Default)]
+    struct BitWriter {
+        bytes: Vec<u8>,
+        bits: usize,
+    }
+
+    impl BitWriter {
+        /// Appends `len` bits of `value`, LSB first (header fields, extra
+        /// bits).
+        fn push(&mut self, value: u32, len: u32) {
+            for i in 0..len {
+                if self.bits.is_multiple_of(8) {
+                    self.bytes.push(0);
+                }
+                if value & (1 << i) != 0 {
+                    *self.bytes.last_mut().unwrap() |= 1 << (self.bits % 8);
+                }
+                self.bits += 1;
+            }
+        }
+
+        /// Appends a Huffman code, MSB first.
+        fn code(&mut self, codes: &[(u16, u8)], symbol: usize) {
+            let (code, len) = codes[symbol];
+            assert!(len > 0, "symbol {symbol} has no code");
+            for i in (0..len).rev() {
+                self.push(u32::from(code >> i) & 1, 1);
+            }
+        }
+    }
+
+    /// The canonical `(code, length)` of every symbol (RFC 1951 §3.2.2).
+    fn canonical(lengths: &[u8]) -> Vec<(u16, u8)> {
+        let mut counts = [0u16; MAX_BITS + 1];
+        for &len in lengths.iter().filter(|&&len| len > 0) {
+            counts[len as usize] += 1;
+        }
+        let mut next = [0u16; MAX_BITS + 1];
+        for len in 2..=MAX_BITS {
+            next[len] = (next[len - 1] + counts[len - 1]) << 1;
+        }
+        lengths
+            .iter()
+            .map(|&len| {
+                let code = next[len as usize];
+                next[len as usize] += u16::from(len > 0);
+                (code, len)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dynamic_block_with_codes_of_every_length_decodes() {
+        // Lengths 1..=14 once and 15 twice: a complete code of 16 symbols.
+        let spread: Vec<u8> = (1..=15).chain([15]).collect();
+        let mut literal_lengths = [0u8; 258];
+        for (i, &len) in spread[..14].iter().enumerate() {
+            literal_lengths[b'A' as usize + i] = len;
+        }
+        literal_lengths[256] = 15; // end of block
+        literal_lengths[257] = 15; // match length 3
+        let distance_lengths = &spread[..];
+        let (literal, distance) = (canonical(&literal_lengths), canonical(distance_lengths));
+        // Code-length code: symbols 0..=15 at 4 bits each.
+        let mut clen_lengths = [4u8; 19];
+        clen_lengths[16..].fill(0);
+        let clen = canonical(&clen_lengths);
+
+        let mut w = BitWriter::default();
+        w.push(1, 1); // BFINAL
+        w.push(2, 2); // BTYPE=10
+        w.push(258 - 257, 5);
+        w.push(16 - 1, 5);
+        w.push(19 - 4, 4);
+        for slot in CLEN_ORDER {
+            w.push(u32::from(clen_lengths[slot]), 3);
+        }
+        for &len in literal_lengths.iter().chain(distance_lengths) {
+            w.code(&clen, len as usize);
+        }
+        let mut expected = Vec::new();
+        for _ in 0..20 {
+            for i in 0..14 {
+                w.code(&literal, b'A' as usize + i);
+                expected.push(b'A' + i as u8);
+            }
+        }
+        for (symbol, &base) in DIST_BASE.iter().enumerate().take(16) {
+            w.code(&literal, 257);
+            w.code(&distance, symbol);
+            w.push(0, u32::from(DIST_EXTRA[symbol]));
+            let from = expected.len() - base as usize;
+            for i in 0..3 {
+                expected.push(expected[from + i]);
+            }
+        }
+        w.code(&literal, 256);
+        let stream = w.bytes;
+
+        assert_eq!(
+            inflate(&stream).expect("every code length decodes"),
+            expected
+        );
+        assert_eq!(reference::inflate_from(&stream, 0, 0).unwrap().0, expected);
+        // Every cut of the stream ends where the oracle's does.
+        for cut in 0..stream.len() {
+            let [fast, oracle] = both(&stream[..cut], 0, 0);
+            assert_eq!(fast, oracle, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_table() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &byte in bytes {
+                c = CRC_TABLES[0][((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let mut rng = SplitMix64::new(0xC3C3);
+        let data: Vec<u8> = (0..72).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), bytewise(slice), "start {start} len {len}");
+            }
+        }
     }
 }

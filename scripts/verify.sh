@@ -170,7 +170,8 @@ echo "== sampling smoke (gzip export + phase-sampled campaign) =="
 # (interval 250, k 8) over them, and require (a) the weighted
 # reconstruction to land within 5% of the exact mean MPKI at >= 5x fewer
 # measured branches, (b) byte-identical sampled reports across 1 vs 4
-# workers and across a kill/--resume split.
+# workers, across the suite re-compressed by `gzip -9` and across a
+# kill/--resume split.
 rm -rf target/verify-sampling
 cargo run --release --bin tage-bench -- --export-traces target/verify-sampling/traces \
   --gzip --suites cbp1-mini --branches 200000
@@ -204,6 +205,24 @@ cargo run --release --bin tage-bench -- --trace-dir target/verify-sampling/trace
   --label verify-sampling --no-timing \
   --out target/verify-sampling/sampled-w4.json
 cmp target/verify-sampling/sampled-w1.json target/verify-sampling/sampled-w4.json
+# --gzip writes stored blocks only. Re-compress the suite with `gzip -9 -n`
+# (Huffman-coded blocks) into a sibling directory of the same name, which
+# names the suite, and require the same full and sampled reports from it.
+mkdir -p target/verify-sampling/gzip-9/traces
+for f in target/verify-sampling/traces/*.trace.gz; do
+  gzip -dc "$f" | gzip -9 -n > "target/verify-sampling/gzip-9/traces/$(basename "$f")"
+done
+cargo run --release --bin tage-bench -- --trace-dir target/verify-sampling/gzip-9/traces \
+  --predictors tage-16k --schemes storage-free --branches 200000 \
+  --label verify-sampling --no-timing \
+  --out target/verify-sampling/gzip-9/full.json
+cmp target/verify-sampling/full.json target/verify-sampling/gzip-9/full.json
+cargo run --release --bin tage-bench -- --trace-dir target/verify-sampling/gzip-9/traces \
+  --predictors tage-16k --schemes storage-free --branches 200000 \
+  --sample-interval 250 --sample-k 8 --workers 1 \
+  --label verify-sampling --no-timing \
+  --out target/verify-sampling/gzip-9/sampled-w1.json
+cmp target/verify-sampling/sampled-w1.json target/verify-sampling/gzip-9/sampled-w1.json
 cargo run --release --bin tage-bench -- --trace-dir target/verify-sampling/traces \
   --predictors tage-16k,tage-64k --schemes storage-free --branches 200000 \
   --sample-interval 250 --sample-k 8 \
