@@ -46,11 +46,13 @@
 //! worker counts, engines, and kill/`--resume` — the sampling plan is part
 //! of each cell's content-addressed identity.
 //!
-//! `--engine` picks the per-point execution path: `multilane` (the default)
-//! lane-batches each lane-batchable cell's suite through the lockstep
-//! engine; `scalar` forces the one-stream-at-a-time path everywhere. The
-//! two are bit-identical — timing-free reports byte-match across engines
-//! (CI verifies this) — so the flag is purely a throughput control.
+//! `--engine` picks the execution path: `multilane` (the default)
+//! lane-batches the suite of each group of cells that can all run on lanes
+//! (storage-free TAGE cells outside the shared-predictor scenario) through
+//! the lockstep engine, and a timed cell's `path` says which engine ran it;
+//! `scalar` forces the one-stream-at-a-time path everywhere. The two are
+//! bit-identical — timing-free reports byte-match across engines (CI
+//! verifies this) — so the flag is purely a throughput control.
 //!
 //! `--checkpoint DIR` persists every finished cell to DIR as it completes,
 //! restoring already-finished cells on a re-run; `--resume DIR` is the same

@@ -6,7 +6,8 @@
 //! ([`tage_sim::engine::steal_map`]). A group holds the cells that can
 //! share a pass over each trace ([`tage_sim::point::pass_groups`]): cells
 //! that differ only in scheme or scenario run one predictor per trace
-//! between them, sampled cells that differ only in predictor decode and
+//! between them (or one lane pass, when every cell of the group can run on
+//! lanes), sampled cells that differ only in predictor decode and
 //! phase-plan each trace once between them, and a cell that shares with
 //! nothing is a group of one. An unsampled group is one task; a sampled
 //! group is one task per trace, and the task that finishes its last trace
@@ -20,10 +21,11 @@
 //! so the campaign report is **deterministic**: the same grid produces a
 //! byte-identical report at any worker count, except for the explicitly
 //! timing-carrying fields (per-point `wall_seconds` / `branches_per_sec` /
-//! `shared_pass_cells` and the trailing `timing` object), which
+//! `shared_pass_cells` / `path` and the trailing `timing` object), which
 //! [`CampaignReport::render_json`] can omit. A grouped cell's
 //! `wall_seconds` is its equal share of the group's time: its pass, or its
-//! trace tasks' summed time for a sampled group. The JSON schema
+//! trace tasks' summed time for a sampled group. Its `path` names the
+//! engine that ran the group ([`CellPath`]). The JSON schema
 //! is versioned ([`SCHEMA_VERSION`]) and [`validate_report`] structurally
 //! checks a rendered report, which is what `tage-bench --check` and the CI
 //! campaign-smoke job run.
@@ -55,7 +57,7 @@ use tage_confidence::ConfidenceLevel;
 use tage_sim::engine::{steal_map, StealStats};
 use tage_sim::phase::SampledRunResult;
 use tage_sim::point::{
-    pass_groups, run_point, run_point_group, run_sampled_trace, PointError, PointResult,
+    pass_groups, run_point, run_point_group, run_sampled_trace, CellPath, PointError, PointResult,
     PredictorSpec, SchemeSpec, SweepPoint,
 };
 use tage_sim::scenarios::{ScenarioSpec, BASELINE_TOKEN};
@@ -206,6 +208,8 @@ pub struct CampaignPointReport {
     /// Cells that ran in the cell's predictor pass, itself included (1 for
     /// a cell that ran alone).
     pub shared_pass_cells: usize,
+    /// The engine that ran the cell's group ([`CellPath::of_group`]).
+    pub path: CellPath,
 }
 
 /// One grid cell of a campaign report: either executed in this run, or
@@ -337,14 +341,15 @@ pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignRepor
 
 /// [`run_campaign`] with an explicit engine choice for every point.
 ///
-/// [`EngineKind::Multilane`] lane-batches each lane-batchable cell's suite
-/// inside its worker (unbatchable cells — estimator schemes, scenario
-/// observers — silently use the scalar path), composing with the
-/// cross-point work stealing: the scheduler still steals groups (a sampled
-/// group trace by trace); the engine choice only changes how a group burns
-/// its worker (a lane-batched cell is a group of its own). Reports are
-/// bit-identical across engines — the campaign determinism contract extends
-/// over this axis, and `scripts/verify.sh` byte-diffs the two.
+/// [`EngineKind::Multilane`] lane-batches the suite of each group whose
+/// every cell can run on lanes (storage-free TAGE cells outside the
+/// shared-predictor scenario); any other group, estimator cells and all,
+/// runs its one scalar pass, and a timing report's `path` says which ran.
+/// This composes with the cross-point work stealing: the scheduler still
+/// steals groups (a sampled group trace by trace); the engine choice only
+/// changes how a group burns its worker. Reports are bit-identical across
+/// engines — the campaign determinism contract extends over this axis, and
+/// `scripts/verify.sh` byte-diffs the two.
 pub fn run_campaign_with_engine(
     spec: &CampaignSpec,
     workers: usize,
@@ -543,7 +548,6 @@ pub(crate) fn execute_cells(
     let groups = pass_groups(
         jobs.iter().map(|job| (&job.point, job.branches_per_trace)),
         &RunOptions::default(),
-        engine,
     );
     let traced: Vec<Option<SampledGroup>> = groups
         .iter()
@@ -562,7 +566,7 @@ pub(crate) fn execute_cells(
     let (ran, stats) = steal_map(&tasks, workers, |task| match *task {
         Task::Group(group) => match groups[group].as_slice() {
             [index] => vec![execute_cell(&jobs[*index], engine, store, warm.as_ref())],
-            cells => execute_group(jobs, cells, store),
+            cells => execute_group(jobs, cells, engine, store),
         },
         Task::Trace { group, trace } => traced[group]
             .as_ref()
@@ -593,12 +597,13 @@ pub(crate) fn execute_cells(
 }
 
 /// Runs the jobs at `indexes`, cells that share one predictor pass, through
-/// [`run_point_group`], then renders and persists each as [`execute_cell`]
-/// does. Each cell's wall time is its equal share of the pass. A source
-/// error fails every cell of the group.
+/// [`run_point_group`] on `engine`, then renders and persists each as
+/// [`execute_cell`] does. Each cell's wall time is its equal share of the
+/// pass. A source error fails every cell of the group.
 fn execute_group(
     jobs: &[CellJob],
     indexes: &[usize],
+    engine: EngineKind,
     store: Option<&CellStore>,
 ) -> Vec<Result<ExecutedCell, PointError>> {
     let start = Instant::now();
@@ -607,12 +612,14 @@ fn execute_group(
         &points,
         jobs[indexes[0]].branches_per_trace,
         &RunOptions::default(),
+        engine,
     );
     let wall_seconds = start.elapsed().as_secs_f64() / indexes.len() as f64;
     let results = match results {
         Ok(results) => results,
         Err(error) => return indexes.iter().map(|_| Err(error.clone())).collect(),
     };
+    let path = CellPath::of_group(&points, engine);
     indexes
         .iter()
         .zip(results)
@@ -623,6 +630,7 @@ fn execute_group(
                     result,
                     wall_seconds,
                     shared_pass_cells: indexes.len(),
+                    path,
                 },
                 store,
             ))
@@ -708,6 +716,7 @@ impl SampledGroup {
                         result: PointResult::assemble_sampled(&jobs[index].point, runs),
                         wall_seconds,
                         shared_pass_cells: indexes.len(),
+                        path: CellPath::Sampled,
                     },
                     store,
                 ))
@@ -746,6 +755,7 @@ pub(crate) fn execute_cell(
         result,
         wall_seconds: start.elapsed().as_secs_f64(),
         shared_pass_cells: 1,
+        path: CellPath::of_group(&[&job.point], engine),
     };
     Ok(persist(job, report, store))
 }
@@ -789,10 +799,11 @@ impl CampaignReport {
 
     /// Renders the versioned JSON report.
     ///
-    /// With `include_timing == false` every wall-clock-derived field
-    /// (per-point `wall_seconds` / `branches_per_sec`, the trailing `timing`
-    /// object) is omitted, and the rendered bytes are identical for any
-    /// worker count — the determinism contract the campaign tests pin.
+    /// With `include_timing == false` every field that depends on how the
+    /// run went (per-point `wall_seconds` / `branches_per_sec` /
+    /// `shared_pass_cells` / `path`, the trailing `timing` object) is
+    /// omitted, and the rendered bytes are identical for any worker count
+    /// and engine — the determinism contract the campaign tests pin.
     pub fn render_json(&self, include_timing: bool) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -938,6 +949,7 @@ pub(crate) fn render_point_json(point: &CampaignPointReport, include_timing: boo
             "\"shared_pass_cells\": {}",
             point.shared_pass_cells
         ));
+        fields.push(format!("\"path\": \"{}\"", point.path.label()));
     }
     format!("  {{{}}}", fields.join(", "))
 }

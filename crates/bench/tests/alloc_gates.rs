@@ -25,7 +25,7 @@ use std::time::Instant;
 use tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence::TageConfidenceClassifier;
 use tage_sim::engine::{ReportObserver, SimEngine};
-use tage_sim::multilane::{MultilaneEngine, DEFAULT_LANES};
+use tage_sim::multilane::{EngineKind, MultilaneEngine, DEFAULT_LANES};
 use tage_sim::point::{run_point_group, PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::runner::RunOptions;
 use tage_sim::scenarios::ScenarioSpec;
@@ -199,8 +199,9 @@ fn shared_pass_group(setup: &Setup) -> u64 {
     let group: Vec<&SweepPoint> = points.iter().collect();
     let run = |branches| {
         allocations_of(|| {
-            let results = run_point_group(&group, branches, &RunOptions::default())
-                .expect("synthetic sources are infallible");
+            let results =
+                run_point_group(&group, branches, &RunOptions::default(), EngineKind::Scalar)
+                    .expect("synthetic sources are infallible");
             black_box(results);
         })
     };

@@ -2,11 +2,14 @@
 //! JSON report at any worker count (modulo the explicitly timing-carrying
 //! fields), and the report round-trips through the schema validation.
 
-use tage_bench::campaign::{run_campaign, validate_report, CampaignSpec, SCHEMA_VERSION};
+use tage_bench::campaign::{
+    run_campaign, run_campaign_with_engine, validate_report, CampaignSpec, SCHEMA_VERSION,
+};
 use tage_bench::jsonish;
 use tage_sim::engine::steal_map;
 use tage_sim::point::{PredictorSpec, SchemeSpec};
 use tage_sim::scenarios::ScenarioSpec;
+use tage_sim::EngineKind;
 use tage_traces::suites;
 
 fn grid() -> CampaignSpec {
@@ -83,6 +86,12 @@ fn timing_fields_are_the_only_difference_between_renders() {
         assert!(jsonish::number_field(timed, "wall_seconds").is_some());
         assert!(jsonish::number_field(bare, "wall_seconds").is_none());
         assert!(jsonish::number_field(bare, "shared_pass_cells").is_none());
+        assert_eq!(
+            jsonish::string_field(timed, "path").as_deref(),
+            Some("scalar")
+        );
+        assert!(jsonish::string_field(bare, "path").is_none());
+        assert!(!bare.contains("\"path\""));
     }
     // The scalar campaign runs each predictor's cells in one predictor
     // pass: 8 TAGE cells, then 4 gshare and 4 perceptron cells.
@@ -127,4 +136,66 @@ fn steal_map_with_heterogeneous_point_costs_stays_deterministic() {
         let (results, _) = steal_map(&items, workers, slow);
         assert_eq!(results, reference);
     }
+}
+
+/// A grid over CBP-1-mini at 2,000 branches per trace.
+fn mini_grid(predictors: &[&str], schemes: &[&str], scenarios: &[&str]) -> CampaignSpec {
+    CampaignSpec {
+        label: "paths".to_string(),
+        predictors: predictors
+            .iter()
+            .map(|token| PredictorSpec::parse(token).unwrap())
+            .collect(),
+        schemes: schemes
+            .iter()
+            .map(|token| SchemeSpec::parse(token).unwrap())
+            .collect(),
+        suites: vec![suites::cbp1_mini().into()],
+        scenarios: scenarios
+            .iter()
+            .map(|token| ScenarioSpec::parse(token).unwrap())
+            .collect(),
+        branches_per_trace: 2_000,
+    }
+}
+
+/// `spec` run on `engine`: each cell's `path` in the timing render, and
+/// the timing-free render.
+fn paths_and_bytes(spec: &CampaignSpec, engine: EngineKind) -> (Vec<String>, String) {
+    let report = run_campaign_with_engine(spec, 2, engine).unwrap();
+    let paths = jsonish::extract_array_objects(&report.render_json(true), "points")
+        .iter()
+        .map(|point| jsonish::string_field(point, "path").expect("a timed cell names its path"))
+        .collect();
+    (paths, report.render_json(false))
+}
+
+/// The timing render names the engine that ran each cell's group. Under
+/// multilane, the storage-free baseline cell of the engine-parity grid
+/// rides its group's scalar pass, while a grid of storage-free TAGE cells
+/// runs one lane pass per predictor and renders the same timing-free
+/// bytes as the scalar engine.
+#[test]
+fn the_timing_render_names_the_engine_that_ran_each_cell() {
+    let parity = mini_grid(
+        &["tage-16k"],
+        &["storage-free", "jrs-enhanced"],
+        &["baseline", "recovery-energy", "shared-predictor"],
+    );
+    let (points, _) = parity.expand();
+    assert_eq!(points[0].scheme, SchemeSpec::StorageFree);
+    assert_eq!(points[0].scenario, ScenarioSpec::Baseline);
+    let (paths, _) = paths_and_bytes(&parity, EngineKind::Multilane);
+    assert_eq!(paths, vec!["scalar"; 6]);
+
+    let lanes = mini_grid(
+        &["tage-16k", "tage-64k"],
+        &["storage-free"],
+        &["baseline", "recovery-energy", "prefetch-throttle"],
+    );
+    let (multilane_paths, multilane_bytes) = paths_and_bytes(&lanes, EngineKind::Multilane);
+    let (scalar_paths, scalar_bytes) = paths_and_bytes(&lanes, EngineKind::Scalar);
+    assert_eq!(multilane_paths, vec!["multilane"; 6]);
+    assert_eq!(scalar_paths, vec!["scalar"; 6]);
+    assert_eq!(multilane_bytes, scalar_bytes);
 }

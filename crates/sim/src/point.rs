@@ -14,16 +14,21 @@
 //!
 //! # Cells that share a predictor pass
 //!
-//! Every scalar run goes through one executor, [`run_point_group`], over a
-//! group of cells; [`run_point`]'s scalar path is its one-cell case. Per
-//! trace, one predictor predicts and trains once, and each cell grades
-//! that same lookup with its own scheme, [`ReportObserver`] and scenario
-//! observer. The group's shared-predictor cells share one interleaved
-//! pass. [`pass_groups`] forms the groups: cells share a pass when they
-//! have the same predictor (label, and spec digest and automaton for
-//! TAGE), the same unsampled suite (name and digest) and the same branches
-//! per trace. A lane-batched cell, and a storage-free cell whose
-//! [`RunOptions`] set a warm-up or an adaptive target, runs alone.
+//! Every unsampled run goes through one executor, [`run_point_group`], over
+//! a group of cells; [`run_point`]'s unsampled path is its one-cell case.
+//! [`pass_groups`] forms the groups: cells share a pass when they have the
+//! same predictor (label, and spec digest and automaton for TAGE), the same
+//! unsampled suite (name and digest) and the same branches per trace, on
+//! either engine. A storage-free cell whose [`RunOptions`] set a warm-up or
+//! an adaptive target runs alone. Cells that differ only in scenario read
+//! the same per-trace results, so a group runs one scheme per distinct
+//! scheme among its cells. [`CellPath::of_group`] picks the engine: a group
+//! under [`EngineKind::Multilane`] whose every cell is storage-free TAGE
+//! outside the shared-predictor scenario runs one lane pass over the suite;
+//! any other group runs on the scalar engine, where, per trace, one
+//! predictor predicts and trains once and each scheme grades that same
+//! lookup with its own [`ReportObserver`]. The group's shared-predictor
+//! cells share one interleaved pass.
 //!
 //! Phase-sampled cells are TAGE × storage-free × baseline, so sampled
 //! cells over one suite differ only in predictor. [`pass_groups`] groups
@@ -34,14 +39,16 @@
 //! stream. The plan depends on the stream and the sampling spec alone.
 //! [`run_point`]'s sampled path is the one-cell case, trace by trace.
 //!
-//! No byte moves, because nothing a cell adds touches the predictor. The
-//! engine runs predict → assess → observe → observers → update, and only
-//! `update` writes the predictor. The schemes, the report and the two
-//! scenario observers read the pc, the outcome and the lookup. The
-//! shared-predictor pass counts mispredictions alone, so its result does
-//! not depend on the scheme. The adaptive controller is the one observer
-//! that steers the predictor, and a cell that runs it has the predictor
-//! to itself.
+//! No byte moves. The engine runs predict → assess → observe → observers →
+//! update, and only `update` writes the predictor. The schemes and the
+//! report read the pc, the outcome and the lookup. The recovery-energy and
+//! prefetch-throttle metrics are exact functions of a cell's per-level
+//! counts ([`PointResult::assemble`] derives them from the aggregate
+//! report), so no per-branch accumulator, and no order of floating-point
+//! sums, ties a cell to the pass that ran it. The shared-predictor pass
+//! counts mispredictions alone, so its result does not depend on the
+//! scheme. The adaptive controller is the one observer that steers the
+//! predictor, and a cell that runs it has the predictor to itself.
 //!
 //! The grid axes are enumerable:
 //!
@@ -51,9 +58,9 @@
 //!   [`EstimatorSpec`] baseline;
 //! * scenarios — the confidence applications of [`crate::scenarios`]
 //!   (recovery energy, shared-predictor interference, prefetch throttling)
-//!   or the plain [`ScenarioSpec::Baseline`] measurement. Observer-style
-//!   scenarios ride along the normal per-source runs without altering the
-//!   prediction stream; the shared-predictor scenario adds one interleaved
+//!   or the plain [`ScenarioSpec::Baseline`] measurement. Recovery energy
+//!   and prefetch throttling are derived from the point's report, so they
+//!   cost no simulation; the shared-predictor scenario adds one interleaved
 //!   pass over the suite's sources and compares it against the private
 //!   per-source counters the point measured anyway. Scenario metrics land
 //!   in [`PointResult::scenario_metrics`] as deterministically ordered
@@ -82,9 +89,9 @@ use crate::engine::{BranchEvent, EngineObserver, ReportObserver, SimEngine};
 use crate::multilane::{run_specs_located, EngineKind, DEFAULT_LANES};
 use crate::phase::{build_plan, run_from_plan, SampledRunResult};
 use crate::runner::{AdaptiveObserver, RunOptions, TraceRunResult};
-use crate::scenarios::energy::RecoveryEnergyObserver;
+use crate::scenarios::energy::{self, RecoveryEnergyModel};
 use crate::scenarios::interference::{run_shared_predictor, SharedRunResult};
-use crate::scenarios::prefetch::PrefetchObserver;
+use crate::scenarios::prefetch::{self, PrefetchModel, PrefetchPolicy};
 use crate::scenarios::ScenarioSpec;
 use crate::warmcache::WarmCache;
 
@@ -572,87 +579,49 @@ fn source_error(spec: &SourceSpec) -> impl Fn(FormatError) -> PointError + '_ {
     }
 }
 
-/// The observer-style scenarios, riding along a point's normal per-source
-/// runs, and the shared-predictor scenario, which runs a pass of its own
-/// instead. One accumulator persists across every source of the suite, so
-/// the metrics aggregate the whole point.
-enum ScenarioObserver {
-    None,
-    Energy(Box<RecoveryEnergyObserver>),
-    Prefetch(Box<PrefetchObserver>),
-    Shared,
+/// The engine that runs a cell, as a campaign's timing report names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellPath {
+    /// The lane-batched engine ([`crate::multilane`]): one lane pass over
+    /// the suite serves every cell of the group.
+    Multilane,
+    /// The scalar [`SimEngine`] through [`run_point_group`]: one predictor
+    /// pass per trace serves every cell of the group.
+    Scalar,
+    /// The phase-sampled runner, through [`run_sampled_trace`].
+    Sampled,
 }
 
-impl ScenarioObserver {
-    fn for_spec(scenario: ScenarioSpec) -> Self {
-        match scenario {
-            ScenarioSpec::Baseline => ScenarioObserver::None,
-            ScenarioSpec::RecoveryEnergy => ScenarioObserver::Energy(Box::default()),
-            ScenarioSpec::PrefetchThrottle => ScenarioObserver::Prefetch(Box::default()),
-            ScenarioSpec::SharedPredictor => ScenarioObserver::Shared,
+impl CellPath {
+    /// The path a group of cells takes under `engine` (a group of
+    /// [`pass_groups`]; one cell alone is a group of one): sampled for
+    /// sampled cells; multilane when `engine` is [`EngineKind::Multilane`]
+    /// and every cell of the group can run on lanes; scalar otherwise. A
+    /// cell can run on lanes when it is the storage-free TAGE pairing under
+    /// any scenario but `shared-predictor` (whose interleaved pass is
+    /// scalar), over a geometry that fits the lane group's packed layout
+    /// (explored geometries may exceed it). The lane engine runs a cell
+    /// under an adaptive target one stream at a time
+    /// ([`crate::multilane::run_specs_multilane`]).
+    pub fn of_group(points: &[&SweepPoint], engine: EngineKind) -> Self {
+        if points.iter().any(|point| point.suite.sampling().is_some()) {
+            CellPath::Sampled
+        } else if engine == EngineKind::Multilane
+            && points.iter().all(|point| point_is_lane_batchable(point))
+        {
+            CellPath::Multilane
+        } else {
+            CellPath::Scalar
         }
     }
 
-    /// The point's scenario metrics, once every source has run: the
-    /// observer's accumulators, or the shared-predictor pass against the
-    /// `private` per-source counters the point measured.
-    fn metrics(
-        &self,
-        shared: Option<&SharedRunResult>,
-        private: &[PointTraceMetrics],
-    ) -> Vec<(String, f64)> {
+    /// The path's name in a timing report: `multilane`, `scalar` or
+    /// `sampled`.
+    pub fn label(self) -> &'static str {
         match self {
-            ScenarioObserver::None => Vec::new(),
-            ScenarioObserver::Energy(observer) => vec![
-                ("baseline_epki_nj".to_string(), observer.baseline_epki()),
-                ("confidence_epki_nj".to_string(), observer.confidence_epki()),
-                ("savings_pct".to_string(), observer.savings_pct()),
-                ("checkpoints".to_string(), observer.checkpoints as f64),
-            ],
-            ScenarioObserver::Prefetch(observer) => vec![
-                (
-                    "useless_avoided_pki".to_string(),
-                    observer.useless_avoided_pki(),
-                ),
-                (
-                    "coverage_lost_pki".to_string(),
-                    observer.coverage_lost_pki(),
-                ),
-                (
-                    "useless_issued_pki".to_string(),
-                    observer.useless_issued_pki(),
-                ),
-                (
-                    "useful_issued_pki".to_string(),
-                    observer.useful_issued_pki(),
-                ),
-            ],
-            ScenarioObserver::Shared => shared_predictor_metrics(
-                shared.expect("a group with a shared-predictor cell runs the shared pass"),
-                private,
-            ),
-        }
-    }
-}
-
-impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
-    fn on_branch(&mut self, predictor: &mut P, event: &BranchEvent<'_, P::Lookup>) {
-        match self {
-            ScenarioObserver::None | ScenarioObserver::Shared => {}
-            ScenarioObserver::Energy(observer) => observer.on_branch(predictor, event),
-            ScenarioObserver::Prefetch(observer) => observer.on_branch(predictor, event),
-        }
-    }
-
-    fn on_instructions(&mut self, instructions: u64, in_measurement: bool) {
-        match self {
-            ScenarioObserver::None | ScenarioObserver::Shared => {}
-            ScenarioObserver::Energy(observer) => {
-                EngineObserver::<P>::on_instructions(&mut **observer, instructions, in_measurement)
-            }
-            ScenarioObserver::Prefetch(observer) => {
-                EngineObserver::<P>::on_instructions(&mut **observer, instructions, in_measurement)
-            }
+            CellPath::Multilane => "multilane",
+            CellPath::Scalar => "scalar",
+            CellPath::Sampled => "sampled",
         }
     }
 }
@@ -660,9 +629,10 @@ impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
 /// Executes one sweep point: every source of the suite streamed through the
 /// engine, cold predictor and scheme per source, serial within the point
 /// (cross-point parallelism is the campaign scheduler's job, which keeps
-/// each point's result independent of thread count). Scenario observers
-/// ride along; the shared-predictor scenario adds one interleaved pass over
-/// the suite after the per-source runs.
+/// each point's result independent of thread count). The recovery-energy
+/// and prefetch-throttle metrics are derived from the point's aggregate
+/// report ([`PointResult::assemble`]); the shared-predictor scenario adds
+/// one interleaved pass over the suite after the per-source runs.
 ///
 /// `branches_per_trace` sizes synthetic sources; file-backed sources yield
 /// whatever their file holds.
@@ -673,12 +643,12 @@ impl<P: PredictorCore> EngineObserver<P> for ScenarioObserver {
 /// [`RunOptions::default`]. The estimator-scheme path and the
 /// shared-predictor pass ignore them.
 ///
-/// `engine` picks the execution path. [`EngineKind::Multilane`] routes the
-/// point through the lane-batched lockstep engine when the cell is
-/// lane-batchable — the paper's TAGE × storage-free pairing under the plain
-/// baseline scenario, which is every cell of the default campaign grid.
-/// Scenario observers and the storage-based estimator schemes hook the
-/// scalar per-branch loop, so those cells fall back to the scalar path:
+/// `engine` picks the execution path ([`CellPath::of_group`] over this one
+/// cell). [`EngineKind::Multilane`] routes the point through the
+/// lane-batched lockstep engine when the cell is the storage-free TAGE
+/// pairing under any scenario but `shared-predictor`. The storage-based
+/// estimator schemes hook the scalar per-branch loop, and the
+/// shared-predictor pass is scalar, so those cells run on the scalar path:
 /// [`run_point_group`] over this one cell.
 ///
 /// `warm` only matters for phase-sampled suites: the sampled runner
@@ -697,13 +667,10 @@ pub fn run_point(
     warm: Option<&WarmCache>,
 ) -> Result<PointResult, PointError> {
     point.validate()?;
-    if point.suite.sampling().is_some() {
+    if CellPath::of_group(&[point], engine) == CellPath::Sampled {
         return run_point_sampled(point, branches_per_trace, options, warm);
     }
-    if engine == EngineKind::Multilane && point_is_lane_batchable(point) {
-        return run_point_multilane(point, branches_per_trace, options);
-    }
-    let mut results = run_point_group(&[point], branches_per_trace, options)?;
+    let mut results = run_point_group(&[point], branches_per_trace, options, engine)?;
     Ok(results.pop().expect("one result per cell"))
 }
 
@@ -721,15 +688,30 @@ impl From<TraceRunResult> for PointTraceMetrics {
 }
 
 impl PointResult {
-    /// The result of `point` over its traces, in suite order: the traces
-    /// plus the aggregate of their reports. Scenario metrics and sampling
-    /// accounting start empty. Traces run apart (each from a cold
+    /// The result of `point` over its traces, in suite order: the traces,
+    /// the aggregate of their reports, and the scenario metrics that are
+    /// functions of that aggregate — the recovery-energy
+    /// ([`energy::metrics`]) and prefetch-throttle ([`prefetch::metrics`])
+    /// scenarios at their default models. Shared-predictor metrics, which
+    /// need a pass of their own ([`run_point_group`] adds them), and
+    /// sampling accounting start empty. Traces run apart (each from a cold
     /// predictor) assemble into the result of running them together.
     pub fn assemble(point: &SweepPoint, traces: Vec<PointTraceMetrics>) -> Self {
         let mut aggregate = ConfidenceReport::new();
         for trace in &traces {
             aggregate.merge(&trace.report);
         }
+        let scenario_metrics = match point.scenario {
+            ScenarioSpec::RecoveryEnergy => {
+                energy::metrics(&aggregate, &RecoveryEnergyModel::default())
+            }
+            ScenarioSpec::PrefetchThrottle => prefetch::metrics(
+                &aggregate,
+                &PrefetchPolicy::throttle_low(),
+                &PrefetchModel::default(),
+            ),
+            ScenarioSpec::Baseline | ScenarioSpec::SharedPredictor => Vec::new(),
+        };
         PointResult {
             predictor: point.predictor.label(),
             scheme: point.scheme.label(),
@@ -738,7 +720,7 @@ impl PointResult {
             storage_bits: point.predictor.storage_bits(),
             traces,
             aggregate,
-            scenario_metrics: Vec::new(),
+            scenario_metrics,
             sampling: None,
         }
     }
@@ -835,7 +817,7 @@ pub fn run_sampled_trace(
         .sampling()
         .expect("run_sampled_trace runs sampled cells");
     if points.len() > 1 {
-        let key = |point| pass_key(point, branches_per_trace, options, EngineKind::Scalar);
+        let key = |point| pass_key(point, branches_per_trace, options);
         let first_key = key(first);
         assert!(
             first_key.is_some() && points.iter().all(|point| key(point) == first_key),
@@ -858,13 +840,13 @@ pub fn run_sampled_trace(
         .collect()
 }
 
-/// Whether [`EngineKind::Multilane`] can actually batch this cell: the
-/// storage-free TAGE pairing with nothing observing individual branches,
-/// and a geometry that fits the lane group's packed layout (explored
-/// geometries may exceed it; those run scalar).
+/// Whether [`EngineKind::Multilane`] can run this cell on lanes: the
+/// storage-free TAGE pairing under any scenario the lane pass serves (all
+/// but `shared-predictor`), and a geometry that fits the lane group's
+/// packed layout (explored geometries may exceed it; those run scalar).
 fn point_is_lane_batchable(point: &SweepPoint) -> bool {
     point.scheme == SchemeSpec::StorageFree
-        && point.scenario == ScenarioSpec::Baseline
+        && point.scenario != ScenarioSpec::SharedPredictor
         && match &point.predictor {
             PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
                 LaneGroup::supports(geometry)
@@ -873,22 +855,21 @@ fn point_is_lane_batchable(point: &SweepPoint) -> bool {
         }
 }
 
-/// The lane-batched point path: all suite sources through one
+/// The lane-batched pass of a group: all suite sources through one
 /// [`crate::multilane::MultilaneEngine`], [`DEFAULT_LANES`] streams in
-/// lockstep, then the same per-trace/aggregate assembly as the scalar path.
-fn run_point_multilane(
+/// lockstep, one result per trace in suite order.
+fn run_lanes(
     point: &SweepPoint,
     branches_per_trace: usize,
     options: &RunOptions,
-) -> Result<PointResult, PointError> {
+) -> Result<Vec<PointTraceMetrics>, PointError> {
     let Some(blueprint) = point.predictor.tage_blueprint() else {
         unreachable!("point_is_lane_batchable() requires a TAGE predictor")
     };
     let specs = point.suite.sources();
     let results = run_specs_located(blueprint, specs, branches_per_trace, options, DEFAULT_LANES)
         .map_err(|(index, error)| source_error(&specs[index])(error))?;
-    let traces = results.into_iter().map(PointTraceMetrics::from).collect();
-    Ok(PointResult::assemble(point, traces))
+    Ok(results.into_iter().map(PointTraceMetrics::from).collect())
 }
 
 /// What cells must have in common to share a pass over each trace (see
@@ -919,15 +900,15 @@ enum SharedPass {
 
 /// The pass `point` can share with other cells, or `None` when it runs
 /// alone: an invalid cell, a sampled cell over a suite with no trace to
-/// share, a lane-batched cell, or a storage-free cell whose options steer
-/// its predictor (the adaptive controller) or window its measurement (a
-/// warm-up). Estimator cells ignore the options, and sampled cells share
-/// only the plan, which no option changes.
+/// share, or a storage-free cell whose options steer its predictor (the
+/// adaptive controller) or window its measurement (a warm-up). Estimator
+/// cells ignore the options, and sampled cells share only the plan, which
+/// no option changes. The engine plays no part: a group runs on lanes or
+/// on the scalar engine as a whole ([`CellPath::of_group`]).
 fn pass_key(
     point: &SweepPoint,
     branches_per_trace: usize,
     options: &RunOptions,
-    engine: EngineKind,
 ) -> Option<PassKey> {
     if point.validate().is_err() {
         return None;
@@ -935,9 +916,8 @@ fn pass_key(
     let shared = match point.suite.sampling() {
         Some(_) if point.suite.sources().is_empty() => return None,
         Some(sampling) => SharedPass::Plan(sampling),
-        None if (engine == EngineKind::Multilane && point_is_lane_batchable(point))
-            || (point.scheme == SchemeSpec::StorageFree
-                && (options.warmup_branches > 0 || options.adaptive_target_mkp.is_some())) =>
+        None if point.scheme == SchemeSpec::StorageFree
+            && (options.warmup_branches > 0 || options.adaptive_target_mkp.is_some()) =>
         {
             return None
         }
@@ -964,24 +944,23 @@ fn pass_key(
 /// A cell is a point and its branches per trace.
 ///
 /// Unsampled cells share a group, which [`run_point_group`] runs over one
-/// predictor per trace, when they have the same predictor, the same suite
-/// and the same branches per trace, and none of them is lane-batched under
-/// `engine` or steered or windowed by `options`. Sampled cells share a
-/// group, which [`run_sampled_trace`] runs over one decoded stream and one
-/// phase plan per trace, when they have the same suite, sampling plan and
-/// branches per trace; a sampled cell is TAGE × storage-free × baseline,
-/// so such cells differ only in predictor. Every other cell is a group of
-/// its own, so cells that share with nothing come back one per group, in
-/// input order.
+/// predictor pass per trace (or one lane pass, see [`CellPath::of_group`]),
+/// when they have the same predictor, the same suite and the same branches
+/// per trace, and none of them is steered or windowed by `options`.
+/// Sampled cells share a group, which [`run_sampled_trace`] runs over one
+/// decoded stream and one phase plan per trace, when they have the same
+/// suite, sampling plan and branches per trace; a sampled cell is TAGE ×
+/// storage-free × baseline, so such cells differ only in predictor. Every
+/// other cell is a group of its own, so cells that share with nothing come
+/// back one per group, in input order.
 pub fn pass_groups<'a>(
     cells: impl IntoIterator<Item = (&'a SweepPoint, usize)>,
     options: &RunOptions,
-    engine: EngineKind,
 ) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut by_key: HashMap<PassKey, usize> = HashMap::new();
     for (index, (point, branches_per_trace)) in cells.into_iter().enumerate() {
-        let Some(key) = pass_key(point, branches_per_trace, options, engine) else {
+        let Some(key) = pass_key(point, branches_per_trace, options) else {
             groups.push(vec![index]);
             continue;
         };
@@ -996,15 +975,21 @@ pub fn pass_groups<'a>(
     groups
 }
 
-/// The one scalar executor: runs a group of cells that share one predictor
-/// pass (a group of [`pass_groups`]; [`run_point`] passes a single cell)
-/// and returns their results in input order, each equal to the result of
-/// running the cell alone.
+/// The one unsampled executor: runs a group of cells that share one
+/// predictor pass (a group of [`pass_groups`]; [`run_point`] passes a
+/// single cell) and returns their results in input order, each equal to the
+/// result of running the cell alone.
 ///
-/// Per trace, one cold predictor predicts and trains once. Each cell grades
-/// every lookup with a cold scheme of its own and feeds its own report and
-/// scenario observer; a storage-free cell under an adaptive target also
-/// steers the predictor, which it then has to itself. When a cell measures
+/// Cells that differ only in scenario read the same per-trace results, so
+/// the group runs one scheme per distinct scheme among its cells. Under
+/// [`EngineKind::Multilane`], a group whose every cell can run on lanes
+/// ([`CellPath::of_group`]) — storage-free cells, so one scheme — runs one
+/// lane pass over the suite. Otherwise, per trace, one cold predictor
+/// predicts and trains once, and each scheme grades every lookup from cold
+/// into its own report; a storage-free cell under an adaptive target also
+/// steers the predictor, which it then has to itself. Each cell then
+/// assembles its scheme's traces ([`PointResult::assemble`], which derives
+/// the recovery-energy and prefetch-throttle metrics). When a cell measures
 /// the shared-predictor scenario, one interleaved pass over the suite
 /// follows the per-source runs, and every such cell reads it.
 ///
@@ -1022,6 +1007,7 @@ pub fn run_point_group(
     points: &[&SweepPoint],
     branches_per_trace: usize,
     options: &RunOptions,
+    engine: EngineKind,
 ) -> Result<Vec<PointResult>, PointError> {
     let Some(first) = points.first() else {
         return Ok(Vec::new());
@@ -1034,43 +1020,87 @@ pub fn run_point_group(
         "run_point_group runs unsampled cells"
     );
     if points.len() > 1 {
-        let key = |point| pass_key(point, branches_per_trace, options, EngineKind::Scalar);
+        let key = |point| pass_key(point, branches_per_trace, options);
         let first_key = key(first);
         assert!(
             first_key.is_some() && points.iter().all(|point| key(point) == first_key),
             "run_point_group runs cells that share one predictor pass"
         );
     }
-    let suite = &first.suite;
-    let mut scenarios: Vec<ScenarioObserver> = points
+    let mut schemes: Vec<SchemeSpec> = Vec::new();
+    let scheme_of: Vec<usize> = points
         .iter()
-        .map(|point| ScenarioObserver::for_spec(point.scenario))
+        .map(|point| {
+            schemes
+                .iter()
+                .position(|&scheme| scheme == point.scheme)
+                .unwrap_or_else(|| {
+                    schemes.push(point.scheme);
+                    schemes.len() - 1
+                })
+        })
         .collect();
-    let mut traces: Vec<Vec<PointTraceMetrics>> = points
+    let traces = if CellPath::of_group(points, engine) == CellPath::Multilane {
+        // Cells on lanes are storage-free, so `schemes` holds that one.
+        vec![run_lanes(first, branches_per_trace, options)?]
+    } else {
+        run_schemes(first, &schemes, branches_per_trace, options)?
+    };
+    let shared = points
+        .iter()
+        .any(|point| point.scenario == ScenarioSpec::SharedPredictor)
+        .then(|| run_shared_pass(&first.predictor, &first.suite, branches_per_trace))
+        .transpose()?;
+    Ok(points
+        .iter()
+        .zip(scheme_of)
+        .map(|(point, scheme)| {
+            let mut result = PointResult::assemble(point, traces[scheme].clone());
+            if point.scenario == ScenarioSpec::SharedPredictor {
+                result.scenario_metrics = shared_predictor_metrics(
+                    shared
+                        .as_ref()
+                        .expect("a shared-predictor cell runs the pass"),
+                    &result.traces,
+                );
+            }
+            result
+        })
+        .collect())
+}
+
+/// The scalar pass of a group: every source of `first`'s suite through one
+/// predictor, graded by each of `schemes`. Returns each scheme's per-trace
+/// results, in suite order, indexed like `schemes`.
+fn run_schemes(
+    first: &SweepPoint,
+    schemes: &[SchemeSpec],
+    branches_per_trace: usize,
+    options: &RunOptions,
+) -> Result<Vec<Vec<PointTraceMetrics>>, PointError> {
+    let suite = &first.suite;
+    let mut traces: Vec<Vec<PointTraceMetrics>> = schemes
         .iter()
         .map(|_| Vec::with_capacity(suite.sources().len()))
         .collect();
     // Estimator cells ignore the options, and a storage-free cell under a
     // warm-up runs alone.
-    let warmup = if points.iter().any(|p| p.scheme == SchemeSpec::StorageFree) {
+    let warmup = if schemes.contains(&SchemeSpec::StorageFree) {
         options.warmup_branches
     } else {
         0
     };
     let threshold = first.predictor.self_confidence_threshold();
-    let shared_pass = points
-        .iter()
-        .any(|point| point.scenario == ScenarioSpec::SharedPredictor);
-    let shared = match &first.predictor {
+    match &first.predictor {
         PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
             for spec in suite.sources() {
                 let located = source_error(spec);
                 let mut source = spec.open(branches_per_trace).map_err(&located)?;
                 let mut predictor = TagePredictor::new(geometry);
-                let mut cells = Vec::with_capacity(points.len());
-                for (point, scenario) in points.iter().zip(&mut scenarios) {
+                let mut passes = Vec::with_capacity(schemes.len());
+                for scheme in schemes {
                     let (scheme, steer): (Box<dyn ConfidenceScheme<TagePrediction> + Send>, _) =
-                        match point.scheme {
+                        match scheme {
                             SchemeSpec::StorageFree => {
                                 let steer = AdaptiveObserver::for_options(options);
                                 if let Some(observer) = &steer {
@@ -1084,67 +1114,49 @@ pub fn run_point_group(
                             }
                             SchemeSpec::Estimator(estimator) => (estimator.build(threshold), None),
                         };
-                    cells.push(CellPass {
+                    passes.push(SchemePass {
                         scheme,
                         report: ReportObserver::default(),
                         steer,
-                        scenario,
                     });
                 }
                 let mut engine = SimEngine::new(&mut predictor, NoScheme).with_warmup(warmup);
-                run_group_trace(&mut engine, &mut source, cells, &mut traces, |predictor| {
+                run_group_trace(&mut engine, &mut source, passes, &mut traces, |predictor| {
                     predictor.geometry().automaton.saturation_probability()
                 })
                 .map_err(located)?;
             }
-            shared_pass
-                .then(|| run_shared_pass(TagePredictor::new(geometry), suite, branches_per_trace))
-                .transpose()?
         }
         PredictorSpec::Baseline(baseline) => {
             for spec in suite.sources() {
                 let located = source_error(spec);
                 let mut source = spec.open(branches_per_trace).map_err(&located)?;
-                let cells = points
+                let passes = schemes
                     .iter()
-                    .zip(&mut scenarios)
-                    .map(|(point, scenario)| {
-                        let SchemeSpec::Estimator(estimator) = point.scheme else {
+                    .map(|scheme| {
+                        let SchemeSpec::Estimator(estimator) = scheme else {
                             unreachable!("validate() rejects storage-free on baseline predictors")
                         };
-                        CellPass {
+                        SchemePass {
                             scheme: estimator.build(threshold),
                             report: ReportObserver::default(),
                             steer: (),
-                            scenario,
                         }
                     })
                     .collect();
                 let mut engine = SimEngine::new(baseline.build(), NoScheme);
                 // Only TAGE has an automaton to report.
-                run_group_trace(&mut engine, &mut source, cells, &mut traces, |_| 1.0)
+                run_group_trace(&mut engine, &mut source, passes, &mut traces, |_| 1.0)
                     .map_err(located)?;
             }
-            shared_pass
-                .then(|| run_shared_pass(baseline.build(), suite, branches_per_trace))
-                .transpose()?
         }
-    };
-    Ok(points
-        .iter()
-        .zip(scenarios)
-        .zip(traces)
-        .map(|((point, scenario), traces)| {
-            let mut result = PointResult::assemble(point, traces);
-            result.scenario_metrics = scenario.metrics(shared.as_ref(), &result.traces);
-            result
-        })
-        .collect())
+    }
+    Ok(traces)
 }
 
-/// The engine's own scheme in a group pass. Each cell grades the lookup
-/// with its own scheme inside [`FanOut`], and the shared-predictor pass
-/// counts mispredictions alone, so this grade is never read.
+/// The engine's own scheme in a group pass. Each scheme of the group grades
+/// the lookup inside [`FanOut`], and the shared-predictor pass counts
+/// mispredictions alone, so this grade is never read.
 #[derive(Debug)]
 struct NoScheme;
 
@@ -1162,59 +1174,56 @@ impl<L> ConfidenceScheme<L> for NoScheme {
     }
 }
 
-/// One cell of a group over the trace in flight: a cold scheme and report,
-/// the adaptive controller where the cell runs one (`()` where no cell
-/// can), and the cell's scenario observer, which lasts the whole suite.
-struct CellPass<'s, L, A> {
+/// One scheme of a group over the trace in flight: a cold scheme and
+/// report, and the adaptive controller where the scheme runs one (`()`
+/// where none can).
+struct SchemePass<L, A> {
     scheme: Box<dyn ConfidenceScheme<L> + Send>,
     report: ReportObserver,
     steer: A,
-    scenario: &'s mut ScenarioObserver,
 }
 
-/// Hands each branch of a group's one predictor pass to every cell in
-/// turn, between the predictor's lookup and its training. A cell's scheme
-/// grades the lookup and learns the outcome, as an engine's own scheme
-/// would. Then the cell's report, controller and scenario observer see the
-/// branch under the cell's grade, in the order a one-cell engine runs them.
-struct FanOut<'s, L, A>(Vec<CellPass<'s, L, A>>);
+/// Hands each branch of a group's one predictor pass to every scheme in
+/// turn, between the predictor's lookup and its training. A scheme grades
+/// the lookup and learns the outcome, as an engine's own scheme would. Then
+/// its report and controller see the branch under its grade, in the order a
+/// one-cell engine runs them.
+struct FanOut<L, A>(Vec<SchemePass<L, A>>);
 
-impl<P, A> EngineObserver<P> for FanOut<'_, P::Lookup, A>
+impl<P, A> EngineObserver<P> for FanOut<P::Lookup, A>
 where
     P: PredictorCore,
     A: EngineObserver<P>,
 {
     fn on_branch(&mut self, predictor: &mut P, event: &BranchEvent<'_, P::Lookup>) {
-        for cell in &mut self.0 {
-            let assessment = cell.scheme.assess(event.pc, event.lookup);
-            cell.scheme.observe(event.pc, event.lookup, event.taken);
+        for pass in &mut self.0 {
+            let assessment = pass.scheme.assess(event.pc, event.lookup);
+            pass.scheme.observe(event.pc, event.lookup, event.taken);
             let event = BranchEvent {
                 assessment,
                 ..*event
             };
-            cell.report.on_branch(predictor, &event);
-            cell.steer.on_branch(predictor, &event);
-            cell.scenario.on_branch(predictor, &event);
+            pass.report.on_branch(predictor, &event);
+            pass.steer.on_branch(predictor, &event);
         }
     }
 
     fn on_instructions(&mut self, instructions: u64, in_measurement: bool) {
-        for cell in &mut self.0 {
-            EngineObserver::<P>::on_instructions(&mut cell.report, instructions, in_measurement);
-            cell.steer.on_instructions(instructions, in_measurement);
-            EngineObserver::<P>::on_instructions(cell.scenario, instructions, in_measurement);
+        for pass in &mut self.0 {
+            EngineObserver::<P>::on_instructions(&mut pass.report, instructions, in_measurement);
+            pass.steer.on_instructions(instructions, in_measurement);
         }
     }
 }
 
-/// Streams one source through `engine` for every cell of a group, and
-/// appends each cell's trace metrics to its list in `traces`.
+/// Streams one source through `engine` for every scheme of a group, and
+/// appends each scheme's trace metrics to its list in `traces`.
 /// `final_probability` reads the saturation probability off the predictor
 /// once the trace has run.
 fn run_group_trace<P, A>(
     engine: &mut SimEngine<P, NoScheme>,
     source: &mut AnySource,
-    cells: Vec<CellPass<'_, P::Lookup, A>>,
+    passes: Vec<SchemePass<P::Lookup, A>>,
     traces: &mut [Vec<PointTraceMetrics>],
     final_probability: impl Fn(&P) -> f64,
 ) -> Result<(), FormatError>
@@ -1223,16 +1232,16 @@ where
     A: EngineObserver<P>,
 {
     let trace_name = source.name().to_string();
-    let mut fan_out = FanOut(cells);
+    let mut fan_out = FanOut(passes);
     let summary = engine.run_source(source, &mut fan_out)?;
     let final_saturation_probability = final_probability(engine.predictor());
-    for (cell, traces) in fan_out.0.into_iter().zip(traces) {
+    for (pass, traces) in fan_out.0.into_iter().zip(traces) {
         traces.push(PointTraceMetrics {
             trace_name: trace_name.clone(),
             predictions: summary.measured_branches,
-            mispredictions: cell.report.report.total().mispredictions,
+            mispredictions: pass.report.report.total().mispredictions,
             instructions: summary.measured_instructions,
-            report: cell.report.report,
+            report: pass.report.report,
             final_saturation_probability,
         });
     }
@@ -1241,8 +1250,8 @@ where
 
 /// The shared-predictor interference pass: every suite source opened as
 /// one core's stream, interleaved round-robin into one cold `predictor`.
-fn run_shared_pass<P: PredictorCore>(
-    predictor: P,
+fn run_shared_pass(
+    predictor: &PredictorSpec,
     suite: &SourceSuite,
     branches_per_trace: usize,
 ) -> Result<SharedRunResult, PointError> {
@@ -1251,11 +1260,20 @@ fn run_shared_pass<P: PredictorCore>(
         .iter()
         .map(|spec| spec.open(branches_per_trace).map_err(source_error(spec)))
         .collect::<Result<Vec<_>, _>>()?;
-    run_shared_predictor(&mut SimEngine::new(predictor, NoScheme), sources).map_err(|error| {
-        PointError::Source {
-            label: suite.name().to_string(),
-            error,
+    let shared = match predictor {
+        PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+            run_shared_predictor(
+                &mut SimEngine::new(TagePredictor::new(geometry), NoScheme),
+                sources,
+            )
         }
+        PredictorSpec::Baseline(baseline) => {
+            run_shared_predictor(&mut SimEngine::new(baseline.build(), NoScheme), sources)
+        }
+    };
+    shared.map_err(|error| PointError::Source {
+        label: suite.name().to_string(),
+        error,
     })
 }
 
@@ -1568,10 +1586,67 @@ mod tests {
         assert_eq!(scalar, multilane);
     }
 
+    /// Storage-free TAGE cells of the baseline, recovery-energy and
+    /// prefetch-throttle scenarios form one group that runs one lane pass;
+    /// each cell equals its scalar run alone. One estimator or
+    /// shared-predictor cell in the group sends the whole group scalar.
+    #[test]
+    fn a_lane_group_equals_its_cells_run_alone_on_the_scalar_engine() {
+        let points: Vec<SweepPoint> = [
+            ScenarioSpec::Baseline,
+            ScenarioSpec::RecoveryEnergy,
+            ScenarioSpec::PrefetchThrottle,
+        ]
+        .into_iter()
+        .map(|scenario| {
+            SweepPoint::over_suite(
+                PredictorSpec::parse("tage-16k").unwrap(),
+                SchemeSpec::StorageFree,
+                &mini(),
+            )
+            .with_scenario(scenario)
+        })
+        .collect();
+        let options = RunOptions::default();
+        let cells = || points.iter().map(|point| (point, 2_000));
+        assert_eq!(pass_groups(cells(), &options), [vec![0, 1, 2]]);
+        let refs: Vec<&SweepPoint> = points.iter().collect();
+        assert_eq!(
+            CellPath::of_group(&refs, EngineKind::Multilane),
+            CellPath::Multilane
+        );
+        assert_eq!(
+            CellPath::of_group(&refs, EngineKind::Scalar),
+            CellPath::Scalar
+        );
+        let grouped = run_point_group(&refs, 2_000, &options, EngineKind::Multilane).unwrap();
+        for (point, together) in points.iter().zip(&grouped) {
+            let alone = run_point(point, 2_000, &options, EngineKind::Scalar, None).unwrap();
+            assert_eq!(*together, alone, "{}", point.scenario);
+        }
+        for other in [
+            SweepPoint {
+                scheme: SchemeSpec::parse("jrs-enhanced").unwrap(),
+                ..points[0].clone()
+            },
+            points[0]
+                .clone()
+                .with_scenario(ScenarioSpec::SharedPredictor),
+        ] {
+            let mut mixed = refs.clone();
+            mixed.push(&other);
+            assert_eq!(
+                CellPath::of_group(&mixed, EngineKind::Multilane),
+                CellPath::Scalar
+            );
+        }
+    }
+
     #[test]
     fn unbatchable_cells_fall_back_to_the_scalar_path() {
-        // An estimator scheme and a scenario observer both hook the scalar
-        // per-branch loop; Multilane must quietly produce the same result.
+        // An estimator scheme hooks the scalar per-branch loop, and the
+        // shared-predictor pass is scalar; Multilane must quietly produce
+        // the same result.
         let estimator = SweepPoint::over_suite(
             PredictorSpec::parse("tage-16k").unwrap(),
             SchemeSpec::parse("self-confidence").unwrap(),
@@ -1582,8 +1657,12 @@ mod tests {
             SchemeSpec::StorageFree,
             &mini(),
         )
-        .with_scenario(ScenarioSpec::RecoveryEnergy);
+        .with_scenario(ScenarioSpec::SharedPredictor);
         for point in [estimator, scenario] {
+            assert_eq!(
+                CellPath::of_group(&[&point], EngineKind::Multilane),
+                CellPath::Scalar
+            );
             let scalar = run_point(
                 &point,
                 1_000,
@@ -1649,7 +1728,7 @@ mod tests {
         assert!(result.scenario_metrics.is_empty());
     }
 
-    /// Observer-style scenarios must not perturb the prediction stream: the
+    /// The derived scenarios must not perturb the prediction stream: the
     /// point's counters and aggregate report are bit-identical to the
     /// baseline run, with the metrics added on top.
     #[test]
@@ -1829,18 +1908,14 @@ mod tests {
     fn assert_group_equals_cells_alone(predictor: &str, suite: &SourceSuite, branches: usize) {
         let points = every_cell_of(predictor, suite);
         let options = RunOptions::default();
-        let groups = pass_groups(
-            points.iter().map(|point| (point, branches)),
-            &options,
-            EngineKind::Scalar,
-        );
+        let groups = pass_groups(points.iter().map(|point| (point, branches)), &options);
         assert_eq!(
             groups,
             [(0..points.len()).collect::<Vec<_>>()],
             "{predictor}"
         );
         let refs: Vec<&SweepPoint> = points.iter().collect();
-        let grouped = run_point_group(&refs, branches, &options).unwrap();
+        let grouped = run_point_group(&refs, branches, &options, EngineKind::Scalar).unwrap();
         assert_eq!(grouped.len(), points.len());
         for (point, together) in points.iter().zip(&grouped) {
             let alone = run_point(point, branches, &options, EngineKind::Scalar, None).unwrap();
@@ -1902,14 +1977,10 @@ mod tests {
         ];
         let cells = || points.iter().map(|point| (point, 1_000));
         let default = RunOptions::default();
+        // Lane-batchable cells group like any other, on either engine.
         assert_eq!(
-            pass_groups(cells(), &default, EngineKind::Scalar),
+            pass_groups(cells(), &default),
             [vec![0, 2, 5], vec![1, 4], vec![3]]
-        );
-        // The lane-batchable cell runs on lanes, alone.
-        assert_eq!(
-            pass_groups(cells(), &default, EngineKind::Multilane),
-            [vec![0], vec![1, 4], vec![2, 5], vec![3]]
         );
         // A warm-up or an adaptive target leaves each storage-free cell
         // alone; the estimator cells ignore both.
@@ -1919,7 +1990,7 @@ mod tests {
         };
         for options in [warmup, RunOptions::adaptive()] {
             assert_eq!(
-                pass_groups(cells(), &options, EngineKind::Scalar),
+                pass_groups(cells(), &options),
                 [vec![0], vec![1, 4], vec![2], vec![3], vec![5]],
                 "{options:?}"
             );
@@ -1935,14 +2006,11 @@ mod tests {
             (&points[4], 2_000),
             (&other_suite, 1_000),
         ];
-        assert_eq!(
-            pass_groups(mixed, &default, EngineKind::Scalar),
-            [vec![0], vec![1], vec![2]]
-        );
+        assert_eq!(pass_groups(mixed, &default), [vec![0], vec![1], vec![2]]);
 
         // Sampled cells share one decode and plan per trace whatever their
-        // predictor, engine and options, but only over the same suite name
-        // and digest, sampling plan and branches per trace.
+        // predictor and options, but only over the same suite name and
+        // digest, sampling plan and branches per trace.
         let sampled = |predictor: &str, suite: SourceSuite| SweepPoint {
             predictor: PredictorSpec::parse(predictor).unwrap(),
             suite,
@@ -1971,18 +2039,16 @@ mod tests {
                 .zip(branches)
                 .map(|(&cell, branches)| (&cells[cell], branches))
         };
-        for engine in [EngineKind::Scalar, EngineKind::Multilane] {
-            let warmup = RunOptions {
-                warmup_branches: 100,
-                ..RunOptions::default()
-            };
-            for options in [RunOptions::default(), warmup, RunOptions::adaptive()] {
-                assert_eq!(
-                    pass_groups(sampled_cells(), &options, engine),
-                    [vec![0, 1, 5], vec![2], vec![3], vec![4]],
-                    "{engine:?} {options:?}"
-                );
-            }
+        let warmup = RunOptions {
+            warmup_branches: 100,
+            ..RunOptions::default()
+        };
+        for options in [RunOptions::default(), warmup, RunOptions::adaptive()] {
+            assert_eq!(
+                pass_groups(sampled_cells(), &options),
+                [vec![0, 1, 5], vec![2], vec![3], vec![4]],
+                "{options:?}"
+            );
         }
 
         // Geometry specs that differ only in their automaton share a label,
@@ -2003,8 +2069,7 @@ mod tests {
         assert_eq!(
             pass_groups(
                 [(&standard, 1_000), (&modified, 1_000), (&standard, 1_000)],
-                &default,
-                EngineKind::Scalar
+                &default
             ),
             [vec![0, 2], vec![1]]
         );
@@ -2024,6 +2089,7 @@ mod tests {
             &[&cell("gshare"), &cell("bimodal")],
             500,
             &RunOptions::default(),
+            EngineKind::Scalar,
         );
     }
 

@@ -249,8 +249,9 @@ pub fn run_source<S: BranchSource + ?Sized>(
 }
 
 /// [`run_source`] with an extra [`EngineObserver`] riding along — the hook
-/// the scenario observers (`crate::scenarios`) use to watch the *exact*
-/// canonical TAGE + storage-free run without duplicating its assembly.
+/// a per-branch observer (such as the scenario models of
+/// `crate::scenarios`) uses to watch the *exact* canonical TAGE +
+/// storage-free run without duplicating its assembly.
 ///
 /// The extra observer runs after the report observer (and the adaptive
 /// controller, when enabled) for every branch and instruction notification;

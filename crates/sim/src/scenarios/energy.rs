@@ -7,8 +7,7 @@
 //! checkpoint at the shaky branch) to make the eventual recovery far
 //! cheaper than a full front-end refill.
 //!
-//! [`RecoveryEnergyObserver`] charges that model per branch, simultaneously
-//! for two machines over the *same* prediction stream:
+//! The model charges two machines over the *same* prediction stream:
 //!
 //! * the **baseline** machine has no confidence information: every
 //!   misprediction pays the full refill energy;
@@ -18,13 +17,18 @@
 //!   such a branch mispredicts; high-confidence mispredictions — rare by
 //!   construction — still pay the full refill.
 //!
+//! Every charge depends on a branch's confidence level and outcome alone,
+//! so [`metrics`] derives the scenario from a run's per-level counts in its
+//! [`ConfidenceReport`]. [`RecoveryEnergyObserver`] charges the same model
+//! branch by branch; the tests hold the derivation to it bit for bit.
+//!
 //! Energy is reported per kilo-instruction (EPKI) off the measured
-//! instruction stream, which the observer accounts itself from both
+//! instruction stream. The report, like the observer, counts it from both
 //! delivery paths ([`BranchEvent::instructions`] for conditional records,
 //! [`EngineObserver::on_instructions`] for the rest) — each instruction
 //! exactly once, the contract `crate::engine`'s accounting tests pin.
 
-use tage_confidence::ConfidenceLevel;
+use tage_confidence::{ConfidenceLevel, ConfidenceReport};
 use tage_predictors::PredictorCore;
 
 use crate::engine::{BranchEvent, EngineObserver};
@@ -133,12 +137,51 @@ impl RecoveryEnergyObserver {
     /// energy — compare the raw [`RecoveryEnergyObserver::baseline_nj`] /
     /// [`RecoveryEnergyObserver::confidence_nj`] fields for that case.
     pub fn savings_pct(&self) -> f64 {
-        if self.baseline_nj == 0.0 {
-            0.0
-        } else {
-            (self.baseline_nj - self.confidence_nj) * 100.0 / self.baseline_nj
-        }
+        savings_pct(self.baseline_nj, self.confidence_nj)
     }
+}
+
+/// The share of `baseline_nj` that `confidence_nj` saves, in percent; 0
+/// against a zero baseline.
+fn savings_pct(baseline_nj: f64, confidence_nj: f64) -> f64 {
+    if baseline_nj == 0.0 {
+        0.0
+    } else {
+        (baseline_nj - confidence_nj) * 100.0 / baseline_nj
+    }
+}
+
+/// The recovery-energy scenario metrics of a run, derived from its report:
+/// `baseline_epki_nj`, `confidence_epki_nj`, `savings_pct` and
+/// `checkpoints`, in that order. With M mispredictions and P predictions
+/// per confidence level, and I measured instructions,
+///
+/// * baseline energy = `refill_nj` · M(all levels),
+/// * confidence energy = `refill_nj` · M(high) + `checkpoint_nj` ·
+///   P(low, medium) + `checkpoint_recovery_nj` · M(low, medium),
+/// * checkpoints = P(low, medium),
+///
+/// and each energy is reported per 1,000 of the I instructions. These are
+/// the sums [`RecoveryEnergyObserver`] accumulates branch by branch. When
+/// every cost is a small multiple of a power of two, as the default ones
+/// are, each partial sum is exact in `f64`, so the derived values equal the
+/// observer's bit for bit.
+pub fn metrics(report: &ConfidenceReport, model: &RecoveryEnergyModel) -> Vec<(String, f64)> {
+    let [low, medium, high] = ConfidenceLevel::ALL.map(|level| report.level(level));
+    let checkpoints = low.predictions + medium.predictions;
+    let baseline_nj = model.refill_nj * report.total().mispredictions as f64;
+    let confidence_nj = model.refill_nj * high.mispredictions as f64
+        + model.checkpoint_nj * checkpoints as f64
+        + model.checkpoint_recovery_nj * (low.mispredictions + medium.mispredictions) as f64;
+    let per_ki = |nj| per_kilo_instruction(nj, report.instructions());
+    [
+        ("baseline_epki_nj", per_ki(baseline_nj)),
+        ("confidence_epki_nj", per_ki(confidence_nj)),
+        ("savings_pct", savings_pct(baseline_nj, confidence_nj)),
+        ("checkpoints", checkpoints as f64),
+    ]
+    .map(|(name, value)| (name.to_string(), value))
+    .into()
 }
 
 impl Default for RecoveryEnergyObserver {

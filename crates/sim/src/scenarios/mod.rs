@@ -1,5 +1,4 @@
-//! Confidence-driven application scenarios as composable
-//! [`EngineObserver`](crate::engine::EngineObserver)s.
+//! Confidence-driven application scenarios.
 //!
 //! The paper's storage-free confidence estimator matters through its
 //! *applications*. This module houses the three the grid runs:
@@ -12,6 +11,16 @@
 //!   the MPKI cost of cross-core aliasing vs private predictors;
 //! * [`prefetch`] — confidence-driven prefetch throttling: useless
 //!   wrong-path prefetch traffic avoided vs useful coverage lost.
+//!
+//! The energy and prefetch models charge each branch by its confidence
+//! level and outcome alone, so [`energy::metrics`] and
+//! [`prefetch::metrics`] derive them from a run's
+//! [`ConfidenceReport`](tage_confidence::ConfidenceReport), and a cell of
+//! either scenario needs no simulation beyond its baseline cell's. Each
+//! module also keeps its model as a per-branch
+//! [`EngineObserver`](crate::engine::EngineObserver), which the tests hold
+//! the derivation to. The interference scenario runs an interleaved pass
+//! of its own.
 //!
 //! Each scenario is campaign-runnable: [`ScenarioSpec`] is the grid token
 //! the sweep-point layer ([`crate::point`]) and the `tage-bench` campaign
@@ -27,7 +36,7 @@ use core::fmt;
 /// One value of the scenario axis of a sweep grid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScenarioSpec {
-    /// Plain measurement — no scenario observer attached.
+    /// Plain measurement — no scenario metrics.
     #[default]
     Baseline,
     /// The misprediction-recovery energy model ([`energy`]), with the

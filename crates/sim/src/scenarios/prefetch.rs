@@ -7,14 +7,13 @@
 //! is the natural throttle — suppress prefetch issue behind predictions the
 //! scheme grades shaky, keep it running behind confident ones.
 //!
-//! [`PrefetchObserver`] charges an analytical per-branch model of that
-//! trade-off, the same shadow model as classic fetch gating (Manne et al.):
-//! every measured branch carries a shadow of
-//! [`PrefetchModel::shadow_prefetches`] would-be prefetch issues, of which
-//! a [`PrefetchModel::useful_fraction`] would have been useful had the
-//! prediction been correct (wrong-path prefetches are useless by
-//! definition). A [`PrefetchPolicy`] maps each confidence level to
-//! issue/suppress; the observer accumulates
+//! The scenario charges an analytical per-branch model of that trade-off,
+//! the same shadow model as classic fetch gating (Manne et al.): every
+//! measured branch carries a shadow of [`PrefetchModel::shadow_prefetches`]
+//! would-be prefetch issues, of which a [`PrefetchModel::useful_fraction`]
+//! would have been useful had the prediction been correct (wrong-path
+//! prefetches are useless by definition). A [`PrefetchPolicy`] maps each
+//! confidence level to issue/suppress, and the model accumulates
 //!
 //! * **useless traffic avoided** — suppressed prefetches that would have
 //!   been useless (the win), and
@@ -22,6 +21,10 @@
 //!   (the cost),
 //!
 //! reported per kilo-instruction off the measured instruction stream.
+//! Every charge depends on a branch's confidence level and outcome alone,
+//! so [`metrics`] derives the scenario from a run's per-level counts in its
+//! [`ConfidenceReport`]. [`PrefetchObserver`] charges the same model branch
+//! by branch; the tests hold the derivation to it bit for bit.
 //!
 //! Fetch gating reads off the same accumulators. Gating fetch behind
 //! low-confidence predictions, with 64 wrong-path instructions per shadow,
@@ -33,7 +36,7 @@
 
 use core::fmt;
 
-use tage_confidence::ConfidenceLevel;
+use tage_confidence::{ConfidenceLevel, ConfidenceReport};
 use tage_predictors::PredictorCore;
 
 use crate::engine::{BranchEvent, EngineObserver};
@@ -184,6 +187,50 @@ impl PrefetchObserver {
     pub fn useful_issued_pki(&self) -> f64 {
         per_kilo_instruction(self.useful_issued, self.instructions)
     }
+}
+
+/// The prefetch-throttling scenario metrics of a run, derived from its
+/// report: `useless_avoided_pki`, `coverage_lost_pki`, `useless_issued_pki`
+/// and `useful_issued_pki`, in that order. With S =
+/// [`PrefetchModel::shadow_prefetches`], U = S ·
+/// [`PrefetchModel::useful_fraction`], and M mispredictions and C correct
+/// predictions per confidence level, a level contributes S · M + (S − U) ·
+/// C useless and U · C useful prefetches. Behind the levels `policy`
+/// suppresses, the useless ones count as avoided and the useful ones as
+/// coverage lost; behind the others, as issued. Each sum is reported per
+/// 1,000 measured instructions. These are the sums [`PrefetchObserver`]
+/// accumulates branch by branch. When S and U are small multiples of a
+/// power of two, as the default ones are, each partial sum is exact in
+/// `f64`, so the derived values equal the observer's bit for bit.
+pub fn metrics(
+    report: &ConfidenceReport,
+    policy: &PrefetchPolicy,
+    model: &PrefetchModel,
+) -> Vec<(String, f64)> {
+    let shadow = model.shadow_prefetches;
+    let useful = shadow * model.useful_fraction;
+    let (mut useful_issued, mut useless_issued) = (0.0, 0.0);
+    let (mut coverage_lost, mut useless_avoided) = (0.0, 0.0);
+    for level in ConfidenceLevel::ALL {
+        let stats = report.level(level);
+        let wrong = stats.mispredictions as f64;
+        let right = (stats.predictions - stats.mispredictions) as f64;
+        let (useful_sum, useless_sum) = match policy.action(level) {
+            PrefetchAction::Issue => (&mut useful_issued, &mut useless_issued),
+            PrefetchAction::Suppress => (&mut coverage_lost, &mut useless_avoided),
+        };
+        *useful_sum += useful * right;
+        *useless_sum += shadow * wrong + (shadow - useful) * right;
+    }
+    let per_ki = |sum| per_kilo_instruction(sum, report.instructions());
+    [
+        ("useless_avoided_pki", per_ki(useless_avoided)),
+        ("coverage_lost_pki", per_ki(coverage_lost)),
+        ("useless_issued_pki", per_ki(useless_issued)),
+        ("useful_issued_pki", per_ki(useful_issued)),
+    ]
+    .map(|(name, value)| (name.to_string(), value))
+    .into()
 }
 
 impl Default for PrefetchObserver {

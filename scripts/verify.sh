@@ -59,11 +59,14 @@ cargo run --release --bin tage-bench -- --branches 10000 --label verify \
 cargo run --release --bin tage-bench -- --check target/campaign-smoke.json
 
 echo "== engine parity smoke (multilane vs scalar) =="
-# Six grid cells through each engine; the timing-free schema-4 reports must
+# Two grids through each engine; the timing-free schema-4 reports must
 # byte-match — the multilane engine's bit-parity contract, observed end to
-# end at the report level (docs/BENCHMARKS.md). Under multilane the
-# storage-free baseline cell runs on lanes; under scalar it shares one
-# predictor pass with the other five cells.
+# end at the report level (docs/BENCHMARKS.md). The first grid's six cells
+# form one group with estimator and shared-predictor cells, so its
+# storage-free baseline cell rides the group's scalar pass on either
+# engine. The second grid's cells all run on lanes under multilane: one
+# lane pass per predictor, from which the recovery-energy and
+# prefetch-throttle cells derive their metrics.
 cargo run --release --bin tage-bench -- \
   --predictors tage-16k --schemes storage-free,jrs-enhanced \
   --scenario baseline,recovery-energy,shared-predictor --suites cbp1-mini \
@@ -75,6 +78,17 @@ cargo run --release --bin tage-bench -- \
   --branches 10000 --label verify-engine --engine scalar --no-timing \
   --out target/campaign-scalar.json
 cmp target/campaign-multilane.json target/campaign-scalar.json
+cargo run --release --bin tage-bench -- \
+  --predictors tage-16k,tage-64k --schemes storage-free \
+  --scenario baseline,recovery-energy,prefetch-throttle --suites cbp1-mini \
+  --branches 10000 --label verify-engine-lanes --engine multilane --no-timing \
+  --out target/campaign-lanes-multilane.json
+cargo run --release --bin tage-bench -- \
+  --predictors tage-16k,tage-64k --schemes storage-free \
+  --scenario baseline,recovery-energy,prefetch-throttle --suites cbp1-mini \
+  --branches 10000 --label verify-engine-lanes --engine scalar --no-timing \
+  --out target/campaign-lanes-scalar.json
+cmp target/campaign-lanes-multilane.json target/campaign-lanes-scalar.json
 
 echo "== paper artefacts (tage-bench --paper) =="
 # The paper's tables and figures from campaign cells (docs/CAMPAIGNS.md):

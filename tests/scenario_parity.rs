@@ -7,6 +7,9 @@
 //! * every scenario observer accumulates **bit-identical** state whether
 //!   the run is materialized (`run(&Trace)`), slice-streamed, file-streamed
 //!   (through the binary writer round-trip) or generator-streamed;
+//! * the recovery-energy and prefetch-throttle metrics that cells derive
+//!   from their report equal those per-branch observers bit for bit on
+//!   each of those paths;
 //! * the shared-predictor interleaved pass is source-kind independent, and
 //!   at N = 1 it degenerates to the private sequential run exactly;
 //! * `run_point` scenario cells are deterministic and identical across
@@ -14,17 +17,21 @@
 
 use std::path::PathBuf;
 
+use tage_confidence_suite::confidence::estimators::EstimatorSpec;
+use tage_confidence_suite::confidence::scheme::ConfidenceScheme;
 use tage_confidence_suite::confidence::TageConfidenceClassifier;
-use tage_confidence_suite::sim::engine::SimEngine;
+use tage_confidence_suite::sim::engine::{ReportObserver, SimEngine};
 use tage_confidence_suite::sim::point::{run_point, PredictorSpec, SchemeSpec, SweepPoint};
-use tage_confidence_suite::sim::scenarios::energy::RecoveryEnergyObserver;
+use tage_confidence_suite::sim::scenarios::energy::{
+    self, RecoveryEnergyModel, RecoveryEnergyObserver,
+};
 use tage_confidence_suite::sim::scenarios::interference::run_shared_predictor;
 use tage_confidence_suite::sim::scenarios::prefetch::{
-    PrefetchModel, PrefetchObserver, PrefetchPolicy,
+    self, PrefetchModel, PrefetchObserver, PrefetchPolicy,
 };
 use tage_confidence_suite::sim::scenarios::ScenarioSpec;
 use tage_confidence_suite::sim::{EngineKind, RunOptions};
-use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePredictor};
+use tage_confidence_suite::tage::{CounterAutomaton, TageGeometry, TagePrediction, TagePredictor};
 use tage_confidence_suite::traces::source::{
     BinaryFileSource, SliceSource, SourceSuite, SyntheticSource,
 };
@@ -110,6 +117,108 @@ fn prefetch_observer_is_bit_identical_across_ingestion_paths() {
             PrefetchModel::default(),
         )
     });
+}
+
+/// Asserts that `derived` names the same metrics as `oracle`, in the same
+/// order, with the same bits.
+fn assert_same_bits(derived: &[(String, f64)], oracle: &[(&str, f64)], context: &str) {
+    let names: Vec<&str> = derived.iter().map(|(name, _)| name.as_str()).collect();
+    let oracle_names: Vec<&str> = oracle.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, oracle_names, "{context}");
+    for ((name, value), (_, expected)) in derived.iter().zip(oracle) {
+        assert_eq!(
+            value.to_bits(),
+            expected.to_bits(),
+            "{context}: {name} derived {value} vs observed {expected}"
+        );
+    }
+}
+
+/// The recovery-energy and prefetch-throttle metrics a cell derives from
+/// its report equal the per-branch observers' accumulators bit for bit:
+/// on each ingestion path, for the storage-free classifier and a
+/// storage-based estimator, measured from the first branch and after a
+/// 1,000-branch warm-up, and for two prefetch policies.
+#[test]
+fn derived_scenario_metrics_equal_the_per_branch_observers_bit_for_bit() {
+    let spec = spec("MM-5");
+    let branches = 6_000;
+    let trace = spec.generate(branches);
+    let path = temp_path("derived");
+    std::fs::write(&path, TraceWriter::to_binary_bytes(&trace)).unwrap();
+    let config = config();
+    let policies = [
+        PrefetchPolicy::throttle_low(),
+        PrefetchPolicy::throttle_low_medium(),
+    ];
+    for scheme in ["storage-free", "jrs-enhanced"] {
+        for warmup in [0, 1_000] {
+            for ingestion in ["materialized", "slice", "generator", "file"] {
+                let context = format!("{scheme}, warm-up {warmup}, {ingestion}");
+                let grader: Box<dyn ConfidenceScheme<TagePrediction> + Send> = match scheme {
+                    "storage-free" => Box::new(TageConfidenceClassifier::new(&config)),
+                    token => EstimatorSpec::parse(token).unwrap().build(2),
+                };
+                let mut engine =
+                    SimEngine::new(TagePredictor::new(config.clone()), grader).with_warmup(warmup);
+                let mut observers = (
+                    ReportObserver::default(),
+                    RecoveryEnergyObserver::default(),
+                    PrefetchObserver::new(policies[0], PrefetchModel::default()),
+                    PrefetchObserver::new(policies[1], PrefetchModel::default()),
+                );
+                let summary = match ingestion {
+                    "materialized" => engine.run(&trace, &mut observers),
+                    "slice" => engine
+                        .run_source(&mut SliceSource::from_trace(&trace), &mut observers)
+                        .unwrap(),
+                    "generator" => engine
+                        .run_source(
+                            &mut SyntheticSource::from_spec(&spec, branches),
+                            &mut observers,
+                        )
+                        .unwrap(),
+                    _ => engine
+                        .run_source(&mut BinaryFileSource::open(&path).unwrap(), &mut observers)
+                        .unwrap(),
+                };
+                let (report, energy_observer, low, low_medium) = observers;
+                let report = report.report;
+                assert_eq!(
+                    report.total().predictions,
+                    branches as u64 - warmup,
+                    "{context}"
+                );
+                assert_eq!(summary.measured_branches, report.total().predictions);
+                assert!(energy_observer.checkpoints > 0, "{context}");
+
+                assert_same_bits(
+                    &energy::metrics(&report, &RecoveryEnergyModel::default()),
+                    &[
+                        ("baseline_epki_nj", energy_observer.baseline_epki()),
+                        ("confidence_epki_nj", energy_observer.confidence_epki()),
+                        ("savings_pct", energy_observer.savings_pct()),
+                        ("checkpoints", energy_observer.checkpoints as f64),
+                    ],
+                    &context,
+                );
+                for (policy, observer) in policies.iter().zip([low, low_medium]) {
+                    assert!(observer.coverage_lost > 0.0, "{context}, {policy:?}");
+                    assert_same_bits(
+                        &prefetch::metrics(&report, policy, &PrefetchModel::default()),
+                        &[
+                            ("useless_avoided_pki", observer.useless_avoided_pki()),
+                            ("coverage_lost_pki", observer.coverage_lost_pki()),
+                            ("useless_issued_pki", observer.useless_issued_pki()),
+                            ("useful_issued_pki", observer.useful_issued_pki()),
+                        ],
+                        &format!("{context}, {policy:?}"),
+                    );
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The shared-predictor interleaved pass produces identical per-core
