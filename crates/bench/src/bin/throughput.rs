@@ -27,7 +27,7 @@
 //! (generate-on-the-fly, no materialized trace).
 //!
 //! `--baseline` seeds the written trajectory from a different file than
-//! `--out`: CI and `scripts/verify.sh` point `--baseline` at the committed
+//! `--out`: `scripts/verify/bench.sh` points `--baseline` at the committed
 //! milestone file and `--out` at an untracked path, so routine runs never
 //! dirty the working tree (this replaces the old copy-the-file-first dance).
 //! `--check-regression` compares this run against the latest baseline
@@ -36,7 +36,9 @@
 //! engine_reference_nested_vec` speedup ratio whenever both sides carry it
 //! (host-speed-immune; raw branches/sec only as a fallback for old
 //! milestones), so the gate catches hot-path collapses without going red on
-//! slower CI hosts.
+//! slower CI hosts. The three engine loops the gates read run
+//! `GATED_TRIALS` interleaved trials each, and the gates and the written
+//! entry use each loop's median trial.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,11 +93,27 @@ fn timed_counting<R>(f: impl FnOnce() -> R) -> (R, f64, u64) {
     (result, seconds, allocations)
 }
 
+/// Timed trials of each engine loop whose rates the regression gates divide.
+/// The gates and the written entry read each loop's median trial, so one
+/// stall of a shared host cannot fail a gate on its own.
+const GATED_TRIALS: usize = 5;
+
 struct Measurement {
     name: &'static str,
     branches: u64,
     seconds: f64,
     allocations: u64,
+}
+
+/// The median-time trial of one loop's `trials` (every trial does the same
+/// work), carrying the most heap allocations any trial performed, so the
+/// allocation gate still judges every trial.
+fn median_trial(mut trials: Vec<Measurement>) -> Measurement {
+    let allocations = trials.iter().map(|m| m.allocations).max().unwrap_or(0);
+    trials.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
+    let mut median = trials.swap_remove(trials.len() / 2);
+    median.allocations = allocations;
+    median
 }
 
 impl Measurement {
@@ -261,72 +279,80 @@ fn main() {
         allocations,
     });
 
-    // 2. Single-trace engine throughput (predict + classify + train).
-    let mut engine = SimEngine::new(
-        TagePredictor::new(config.clone()),
-        TageConfidenceClassifier::new(&config),
-    );
-    let mut report = ReportObserver::default();
-    let (summary, seconds, allocations) = timed_counting(|| engine.run(&trace, &mut report));
-    measurements.push(Measurement {
-        name: "engine_single_trace",
-        branches: summary.measured_branches,
-        seconds,
-        allocations,
-    });
+    // 2–4. The three engine loops the regression gates divide, timed
+    //    GATED_TRIALS times each and interleaved, so a slow stretch of the
+    //    host slows every loop alike, and each loop records its median trial
+    //    (`median_trial`). A trial builds its scalar engines outside the
+    //    timed region.
+    //    2. engine_single_trace: the single-trace engine (predict +
+    //       classify + train), from a fresh predictor.
+    //    3. engine_reference_nested_vec: the same loop with the nested-Vec
+    //       reference predictor, a same-host, same-run baseline, so every
+    //       trajectory entry carries the honest before/after ratio of the
+    //       SoA + scratch refactor (entries recorded on different hosts are
+    //       not directly comparable).
+    //    4. engine_multilane: the lane-batched lockstep engine,
+    //       DEFAULT_LANES copies of the same stream advanced one branch per
+    //       cycle through per-component passes. The engine, sources and
+    //       result slots are built (and warmed by one full run) before the
+    //       trials, so each timed rerun measures the steady state and must
+    //       be exactly allocation-free. Reported throughput is the
+    //       *aggregate* over all lanes.
+    let mut lanes = MultilaneEngine::new(config.clone(), &RunOptions::default(), DEFAULT_LANES);
+    let mut sources: Vec<SliceSource<'_>> = (0..DEFAULT_LANES)
+        .map(|_| SliceSource::from_trace(&trace))
+        .collect();
+    let mut results: Vec<_> = (0..DEFAULT_LANES)
+        .map(|_| MultilaneEngine::placeholder_result())
+        .collect();
+    lanes
+        .run_into(&mut sources, &mut results)
+        .expect("slice sources are infallible");
+    let (mut single, mut reference, mut multilane) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..GATED_TRIALS {
+        let mut engine = SimEngine::new(
+            TagePredictor::new(config.clone()),
+            TageConfidenceClassifier::new(&config),
+        );
+        let mut report = ReportObserver::default();
+        let (summary, seconds, allocations) = timed_counting(|| engine.run(&trace, &mut report));
+        single.push(Measurement {
+            name: "engine_single_trace",
+            branches: summary.measured_branches,
+            seconds,
+            allocations,
+        });
 
-    // 3. The same engine loop with the nested-Vec reference predictor: a
-    //    same-host, same-run baseline, so every trajectory entry carries the
-    //    honest before/after ratio of the SoA + scratch refactor (entries
-    //    recorded on different hosts are not directly comparable).
-    let mut engine = SimEngine::new(
-        ReferenceTagePredictor::new(config.clone()),
-        TageConfidenceClassifier::new(&config),
-    );
-    let mut report = ReportObserver::default();
-    let (summary, seconds, allocations) = timed_counting(|| engine.run(&trace, &mut report));
-    measurements.push(Measurement {
-        name: "engine_reference_nested_vec",
-        branches: summary.measured_branches,
-        seconds,
-        allocations,
-    });
+        let mut engine = SimEngine::new(
+            ReferenceTagePredictor::new(config.clone()),
+            TageConfidenceClassifier::new(&config),
+        );
+        let mut report = ReportObserver::default();
+        let (summary, seconds, allocations) = timed_counting(|| engine.run(&trace, &mut report));
+        reference.push(Measurement {
+            name: "engine_reference_nested_vec",
+            branches: summary.measured_branches,
+            seconds,
+            allocations,
+        });
 
-    // 4. The lane-batched lockstep engine: DEFAULT_LANES copies of the same
-    //    stream advanced one branch per cycle through per-component passes.
-    //    The engine, sources and result slots are built (and warmed by one
-    //    full run) outside the timed region, so the timed rerun measures the
-    //    steady state and must be exactly allocation-free. Reported
-    //    throughput is the *aggregate* over all lanes; the regression gate
-    //    compares it against engine_single_trace as a same-host ratio.
-    {
-        let mut engine =
-            MultilaneEngine::new(config.clone(), &RunOptions::default(), DEFAULT_LANES);
-        let mut sources: Vec<SliceSource<'_>> = (0..DEFAULT_LANES)
-            .map(|_| SliceSource::from_trace(&trace))
-            .collect();
-        let mut results: Vec<_> = (0..DEFAULT_LANES)
-            .map(|_| MultilaneEngine::placeholder_result())
-            .collect();
-        engine
-            .run_into(&mut sources, &mut results)
-            .expect("slice sources are infallible");
         for source in &mut sources {
             source.reset().expect("slice sources rewind");
         }
         let (aggregate_branches, seconds, allocations) = timed_counting(|| {
-            engine
+            lanes
                 .run_into(&mut sources, &mut results)
                 .expect("slice sources are infallible");
             results.iter().map(|r| r.conditional_branches).sum::<u64>()
         });
-        measurements.push(Measurement {
+        multilane.push(Measurement {
             name: "engine_multilane",
             branches: aggregate_branches,
             seconds,
             allocations,
         });
     }
+    measurements.extend([single, reference, multilane].map(median_trial));
 
     // 5. Streamed ingestion through the BranchSource API. Engines are
     //    constructed outside the timed regions (their fixed batch buffer is
@@ -457,6 +483,10 @@ fn main() {
             m.allocations_per_branch()
         );
     }
+    println!(
+        "engine_single_trace, engine_reference_nested_vec, engine_multilane: median of \
+         {GATED_TRIALS} interleaved trials"
+    );
     println!();
     println!("workers available: {}", default_parallelism());
 
@@ -494,9 +524,9 @@ fn main() {
 
     // Append to the machine-readable trajectory (hand-rolled JSON: no deps).
     // Entries are seeded from --baseline when given (the committed milestone
-    // file), otherwise from the output file itself; CI and verify.sh use a
-    // committed baseline with an untracked --out so routine runs never dirty
-    // the working tree.
+    // file), otherwise from the output file itself; scripts/verify/bench.sh
+    // uses a committed baseline with an untracked --out so routine runs never
+    // dirty the working tree.
     let seed_path = options.baseline.as_deref().unwrap_or(&options.out);
     // Never clobber history: the trajectory file is an append-only record
     // across PRs, so an existing file that cannot be read or yields no

@@ -349,7 +349,7 @@ pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignRepor
 /// steals groups (a sampled group trace by trace); the engine choice only
 /// changes how a group burns its worker. Reports are bit-identical across
 /// engines — the campaign determinism contract extends over this axis, and
-/// `scripts/verify.sh` byte-diffs the two.
+/// `scripts/verify/campaign.sh` byte-diffs the two.
 pub fn run_campaign_with_engine(
     spec: &CampaignSpec,
     workers: usize,

@@ -25,18 +25,21 @@
 //! checksummed snapshot framing of [`tage_traces::snapshot`] with the cell
 //! key as spec digest. Restored cells are pasted verbatim into reports,
 //! which is what makes a resumed or cache-served report byte-identical to a
-//! clean one-shot run's — the CI campaign- and service-smoke jobs `cmp` the
-//! two.
+//! clean one-shot run's — `scripts/verify/campaign.sh` and `service.sh`
+//! `cmp` the two.
 //!
 //! # Keying and validation
 //!
 //! [`cell_key`] digests the cell's full content identity: the per-trace
 //! length, the predictor/scheme/scenario labels, and the suite's name plus
-//! its [content digest](tage_traces::source::SourceSuite::digest) (so a
-//! rewritten trace directory invalidates its cells instead of serving
-//! stale bytes). The campaign label is deliberately **not** part of the
-//! key — it only appears in the report header, so differently-labelled
-//! campaigns share cells.
+//! its [content digest](tage_traces::source::SourceSuite::digest). A
+//! file-backed trace's digest covers its path and byte length only
+//! ([`SourceSpec::digest`](tage_traces::source::SourceSpec::digest)), so a
+//! rewritten trace file invalidates its cells only when its length
+//! changes: a same-length rewrite in place is served the old cells' bytes.
+//! Keying a file on its contents is `ROADMAP.md` item 10. The campaign
+//! label is deliberately **not** part of the key — it only appears in the
+//! report header, so differently-labelled campaigns share cells.
 //!
 //! On load the framing (checksum, key) and then the stored cell's identity
 //! fields are checked against the requesting point; a mismatch — a key

@@ -106,7 +106,7 @@ pub mod trajectory {
     //! file with a new entry appended.
     //!
     //! Re-running with the *same* label replaces the last entry instead of
-    //! appending, so repeated local `verify.sh` runs do not grow the file.
+    //! appending, so repeated default-label runs do not grow the file.
 
     /// Current schema version of the trajectory file.
     pub const SCHEMA_VERSION: u32 = 2;
@@ -315,58 +315,9 @@ pub mod trajectory {
     }
 }
 
-pub mod harness {
-    //! A tiny, dependency-free micro-benchmark harness.
-    //!
-    //! The workspace must build and run without network access, so the
-    //! benches under `benches/` cannot use criterion. This harness provides
-    //! the small subset they need: warm up, run a fixed number of timed
-    //! iterations, and report throughput in million elements per second.
-
-    use std::time::Instant;
-
-    /// Number of timed iterations per measurement.
-    pub const DEFAULT_ITERATIONS: u32 = 5;
-
-    /// Times `f` and prints `group/name: <rate> Melem/s (<ms>/iter)`.
-    ///
-    /// `elements_per_iter` is the number of logical work items (branches,
-    /// bytes, ...) one call to `f` processes. The closure's return value is
-    /// accumulated and printed so the compiler cannot discard the work.
-    pub fn bench<R: std::fmt::Debug>(
-        group: &str,
-        name: &str,
-        elements_per_iter: u64,
-        mut f: impl FnMut() -> R,
-    ) {
-        // Warm-up iteration (untimed): touches caches and page tables.
-        let mut sink = f();
-        let start = Instant::now();
-        for _ in 0..DEFAULT_ITERATIONS {
-            sink = f();
-        }
-        let elapsed = start.elapsed();
-        let per_iter = elapsed / DEFAULT_ITERATIONS;
-        let rate = if per_iter.as_nanos() == 0 {
-            f64::INFINITY
-        } else {
-            elements_per_iter as f64 / per_iter.as_secs_f64() / 1.0e6
-        };
-        println!(
-            "{group}/{name}: {rate:.2} Melem/s ({:.2} ms/iter, last result {sink:?})",
-            per_iter.as_secs_f64() * 1.0e3,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn harness_reports_without_panicking() {
-        harness::bench("test", "noop", 1, || 42u64);
-    }
 
     #[test]
     fn default_is_used_without_args() {

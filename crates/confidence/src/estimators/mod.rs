@@ -3,7 +3,7 @@
 //! The paper's point is that TAGE needs *none* of these — confidence falls
 //! out of observing the predictor. To quantify that claim the workspace also
 //! implements the storage-based estimators the related-work section
-//! discusses, so the benches can compare them head-to-head:
+//! discusses, so campaign grids can compare them head-to-head:
 //!
 //! * [`JrsEstimator`] — the resetting-counter estimator of Jacobsen,
 //!   Rotenberg and Smith (MICRO 1996), a gshare-indexed table of saturating

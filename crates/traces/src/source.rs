@@ -902,9 +902,11 @@ impl SourceSuite {
 
     /// A stable digest of the whole suite's content identity: the suite
     /// name folded with every member's [`SourceSpec::digest`], in suite
-    /// order. Two suites digest equal exactly when they would stream the
-    /// same named record sets — the suite half of a campaign-cell cache
-    /// key (see `tage_bench`'s cell store).
+    /// order — the suite half of a campaign-cell cache key (see
+    /// `tage_bench`'s cell store). Two synthetic suites digest equal exactly
+    /// when they would stream the same named record sets; a file-backed
+    /// member digests its path and byte length only, so a same-length
+    /// rewrite in place keeps the suite's digest.
     pub fn digest(&self, conditional_branches: usize) -> u64 {
         let mut identity = format!("suite|{}", self.name);
         for source in &self.sources {

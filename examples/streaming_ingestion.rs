@@ -12,7 +12,7 @@
 //! 3. the result is checked bit-for-bit against the materialized path.
 //!
 //! Run with: `cargo run --release --example streaming_ingestion`
-//! (exercised by `scripts/verify.sh`).
+//! (run by `scripts/verify/campaign.sh`).
 
 use tage_confidence_suite::sim::runner::{run_source, run_trace, RunOptions};
 use tage_confidence_suite::tage::TageGeometry;
