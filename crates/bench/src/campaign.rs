@@ -2,33 +2,33 @@
 //!
 //! A campaign is a declarative grid — predictor × confidence-scheme × suite
 //! × scenario — expanded into [`SweepPoint`]s and executed through the
-//! generic engine with a **work-stealing queue over groups of points**
-//! ([`tage_sim::engine::steal_map`]). A group holds the cells that can
-//! share a pass over each trace ([`tage_sim::point::pass_groups`]): cells
-//! that differ only in scheme or scenario run one predictor per trace
-//! between them (or one lane pass, when every cell of the group can run on
-//! lanes), sampled cells that differ only in predictor decode and
-//! phase-plan each trace once between them, and a cell that shares with
-//! nothing is a group of one. An unsampled group is one task; a sampled
-//! group is one task per trace, and the task that finishes its last trace
-//! assembles and persists its cells. Each worker owns a deque of tasks,
-//! drains its own front, and steals from the back of the most-loaded
-//! sibling when it runs dry. A grid mixes 256 Kbit TAGE groups with tiny
-//! bimodal ones, so static round-robin placement alone would leave workers
-//! idle behind the heavy tail.
+//! generic engine with a **work-stealing queue over the tasks of planned
+//! groups** ([`tage_sim::engine::steal_map`]). [`plan`] groups the cells
+//! that can share a pass over each trace: cells that differ only in scheme
+//! or scenario run one predictor per trace between them (or one lane pass,
+//! when every cell of the group can run on lanes), sampled cells that
+//! differ only in predictor decode and phase-plan each trace once between
+//! them, and a cell that shares with nothing is a group of one. An
+//! unsampled group is one task; a sampled group is one task per trace.
+//! Whichever task of a group finishes last assembles and persists the
+//! group's cells. Each worker owns a deque of tasks, drains its own front,
+//! and steals from the back of the most-loaded sibling when it runs dry. A
+//! grid mixes 256 Kbit TAGE groups with tiny bimodal ones, so static
+//! round-robin placement alone would leave workers idle behind the heavy
+//! tail.
 //!
 //! Results land in per-point slots and are reported in grid-expansion order,
 //! so the campaign report is **deterministic**: the same grid produces a
 //! byte-identical report at any worker count, except for the explicitly
 //! timing-carrying fields (per-point `wall_seconds` / `branches_per_sec` /
-//! `shared_pass_cells` / `path` and the trailing `timing` object), which
-//! [`CampaignReport::render_json`] can omit. A grouped cell's
-//! `wall_seconds` is its equal share of the group's time: its pass, or its
-//! trace tasks' summed time for a sampled group. Its `path` names the
-//! engine that ran the group ([`CellPath`]). The JSON schema
-//! is versioned ([`SCHEMA_VERSION`]) and [`validate_report`] structurally
-//! checks a rendered report, which is what `tage-bench --check` and the CI
-//! campaign-smoke job run.
+//! `shared_pass_cells` / `path` / `fallback` and the trailing `timing`
+//! object), which [`CampaignReport::render_json`] can omit. A grouped
+//! cell's `wall_seconds` is its equal share of the group's summed task
+//! time. Its `path` names the engine that ran the group ([`CellPath`]),
+//! and a cell that ran scalar under `--engine multilane` names why
+//! ([`Fallback`]). The JSON schema is versioned ([`SCHEMA_VERSION`]) and
+//! [`validate_report`] structurally checks a rendered report, which is what
+//! `tage-bench --check` and the CI campaign-smoke job run.
 //!
 //! Campaigns can also run **checkpointed**
 //! ([`run_campaign_checkpointed`], `tage-bench --checkpoint/--resume`):
@@ -39,15 +39,14 @@
 //! died and the resumed timing-free report byte-matches an uninterrupted
 //! one. The same store backs the `tage-serve` campaign daemon
 //! ([`crate::service`]), so CLI runs and daemon campaigns memoize into one
-//! cache, and both run their cells through one cell executor
-//! (`execute_cell`): same persistence, same predictor warm cache for
+//! cache, and both run their cells through one executor (`execute_cells`):
+//! same plan, same persistence, same predictor warm cache for
 //! phase-sampled cells. Only the scheduling differs: the CLI deals a grid's
-//! groups through `steal_map` and runs a larger unsampled group through
-//! `execute_group` and a sampled group trace by trace, persisting each cell
-//! as `execute_cell` does; the daemon's workers take queued cells one at a
-//! time as they free up, and a sampled cell alone still decodes each trace
-//! once. A failed campaign names its first failed cell in grid order
-//! ([`CampaignError`]), and the source error inside it names the file.
+//! tasks to its workers, and each daemon worker runs one queued cell as a
+//! one-job campaign on one worker, so a sampled cell alone still decodes
+//! each trace once. A failed campaign names its first failed cell in grid
+//! order ([`CampaignError`]), and the source error inside it names the
+//! file.
 
 use core::fmt;
 use std::sync::Mutex;
@@ -55,10 +54,9 @@ use std::time::Instant;
 
 use tage_confidence::ConfidenceLevel;
 use tage_sim::engine::{steal_map, StealStats};
-use tage_sim::phase::SampledRunResult;
 use tage_sim::point::{
-    pass_groups, run_point, run_point_group, run_sampled_trace, CellPath, PointError, PointResult,
-    PredictorSpec, SchemeSpec, SweepPoint,
+    plan, CellPath, Fallback, GroupPlan, PointError, PointResult, PredictorSpec, SchemeSpec,
+    SweepPoint, TaskRun,
 };
 use tage_sim::scenarios::{ScenarioSpec, BASELINE_TOKEN};
 use tage_sim::warmcache::WarmCache;
@@ -208,8 +206,11 @@ pub struct CampaignPointReport {
     /// Cells that ran in the cell's predictor pass, itself included (1 for
     /// a cell that ran alone).
     pub shared_pass_cells: usize,
-    /// The engine that ran the cell's group ([`CellPath::of_group`]).
+    /// The engine that ran the cell's group.
     pub path: CellPath,
+    /// Why the cell ran scalar although the campaign asked for
+    /// [`EngineKind::Multilane`]; `None` otherwise.
+    pub fallback: Option<Fallback>,
 }
 
 /// One grid cell of a campaign report: either executed in this run, or
@@ -344,12 +345,13 @@ pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignRepor
 /// [`EngineKind::Multilane`] lane-batches the suite of each group whose
 /// every cell can run on lanes (storage-free TAGE cells outside the
 /// shared-predictor scenario); any other group, estimator cells and all,
-/// runs its one scalar pass, and a timing report's `path` says which ran.
-/// This composes with the cross-point work stealing: the scheduler still
-/// steals groups (a sampled group trace by trace); the engine choice only
-/// changes how a group burns its worker. Reports are bit-identical across
-/// engines — the campaign determinism contract extends over this axis, and
-/// `scripts/verify/campaign.sh` byte-diffs the two.
+/// runs its one scalar pass, and a timing report's `path` says which ran
+/// and its `fallback` why. This composes with the cross-point work
+/// stealing: the scheduler still steals tasks (a sampled group trace by
+/// trace); the engine choice only changes how a task burns its worker.
+/// Reports are bit-identical across engines — the campaign determinism
+/// contract extends over this axis, and `campaign_determinism.rs`
+/// byte-compares the two on the CI-size engine-parity grids.
 pub fn run_campaign_with_engine(
     spec: &CampaignSpec,
     workers: usize,
@@ -465,7 +467,7 @@ fn run_grid(
     }
     let restored = cells.len() - pending.len();
     let cap = max_cells.unwrap_or(pending.len()).min(pending.len());
-    let run = execute_cells(&pending[..cap], workers, engine, store);
+    let run = execute_cells(&pending[..cap], workers, engine, store, Warm::AtStore);
     // Executed cells fill the unrestored slots in grid order; slots past the
     // cap stay empty and drop out of the report.
     let mut executed = pending.iter().zip(run.cells);
@@ -500,7 +502,7 @@ pub(crate) struct CellJob {
     pub(crate) branches_per_trace: usize,
 }
 
-/// One cell [`execute_cell`] ran: its report and its rendered
+/// One cell [`execute_cells`] ran: its report and its rendered
 /// timing-free bytes (what a store persists and a report pastes).
 pub(crate) struct ExecutedCell {
     pub(crate) report: CampaignPointReport,
@@ -520,64 +522,55 @@ pub(crate) struct Execution {
     pub(crate) store_errors: usize,
 }
 
-/// One task [`execute_cells`] hands to [`steal_map`]: a whole group, or
-/// one trace of a sampled group.
-enum Task {
-    Group(usize),
-    Trace { group: usize, trace: usize },
+/// Where [`execute_cells`] finds the predictor warm cache that
+/// phase-sampled cells restore and store checkpoints in.
+pub(crate) enum Warm<'a> {
+    /// `<store>/warm`, opened only when a planned group is sampled.
+    AtStore,
+    /// A cache the caller keeps open across calls, if any.
+    Held(Option<&'a WarmCache>),
 }
 
-/// Runs `jobs` in the groups of [`pass_groups`], and returns the cells in
-/// job order. [`steal_map`] deals the groups to workers in the order of
-/// their first cell. An unsampled group is one task: a group of one runs
-/// through [`execute_cell`], a larger one through [`execute_group`]. A
-/// sampled group is one task per trace, as `--paper` shards a cell's
-/// traces: each runs the trace for every cell of the group through
-/// [`run_sampled_trace`], and the task that finishes the group's last trace
-/// assembles, renders and persists its cells. Only phase-sampled cells
-/// checkpoint predictor state, so the [`WarmCache`] at `<store>/warm` is
-/// opened only when a job is sampled.
+/// Runs `jobs` as [`plan`] groups them on `engine`, and returns the cells
+/// in job order. [`steal_map`] deals every group's tasks to `workers`, in
+/// the order of each group's first cell, as `--paper` shards a cell's
+/// traces. Whichever of a group's tasks finishes last assembles, renders
+/// and persists the group's cells ([`Completion`]).
 pub(crate) fn execute_cells(
     jobs: &[CellJob],
     workers: usize,
     engine: EngineKind,
     store: Option<&CellStore>,
+    warm: Warm<'_>,
 ) -> Execution {
-    let sampled = jobs.iter().any(|job| job.point.suite.sampling().is_some());
-    let warm = store.filter(|_| sampled).and_then(open_warm_cache);
-    let groups = pass_groups(
+    let plans = plan(
         jobs.iter().map(|job| (&job.point, job.branches_per_trace)),
         &RunOptions::default(),
+        engine,
     );
-    let traced: Vec<Option<SampledGroup>> = groups
-        .iter()
-        .map(|group| SampledGroup::new(&jobs[group[0]]))
-        .collect();
-    let tasks: Vec<Task> = traced
+    let opened = match warm {
+        Warm::AtStore if plans.iter().any(|plan| plan.path() == CellPath::Sampled) => {
+            store.and_then(open_warm_cache)
+        }
+        _ => None,
+    };
+    let warm = match warm {
+        Warm::AtStore => opened.as_ref(),
+        Warm::Held(warm) => warm,
+    };
+    let groups: Vec<Completion> = plans.iter().map(Completion::new).collect();
+    let tasks: Vec<(usize, usize)> = plans
         .iter()
         .enumerate()
-        .flat_map(|(group, traced)| match traced {
-            Some(traced) => (0..traced.traces)
-                .map(|trace| Task::Trace { group, trace })
-                .collect(),
-            None => vec![Task::Group(group)],
-        })
+        .flat_map(|(group, plan)| (0..plan.tasks()).map(move |task| (group, task)))
         .collect();
-    let (ran, stats) = steal_map(&tasks, workers, |task| match *task {
-        Task::Group(group) => match groups[group].as_slice() {
-            [index] => vec![execute_cell(&jobs[*index], engine, store, warm.as_ref())],
-            cells => execute_group(jobs, cells, engine, store),
-        },
-        Task::Trace { group, trace } => traced[group]
-            .as_ref()
-            .expect("trace tasks belong to sampled groups")
-            .run_trace(jobs, &groups[group], trace, store, warm.as_ref()),
+    let (ran, stats) = steal_map(&tasks, workers, |&(group, task)| {
+        groups[group].run_task(&plans[group], task, jobs, store, warm)
     });
     let mut slots: Vec<Option<Result<ExecutedCell, PointError>>> =
         jobs.iter().map(|_| None).collect();
-    for (task, cells) in tasks.iter().zip(ran) {
-        let (Task::Group(group) | Task::Trace { group, .. }) = *task;
-        for (&index, cell) in groups[group].iter().zip(cells) {
+    for (&(group, _), cells) in tasks.iter().zip(ran) {
+        for (&index, cell) in plans[group].cells().iter().zip(cells) {
             slots[index] = Some(cell);
         }
     }
@@ -596,130 +589,75 @@ pub(crate) fn execute_cells(
     }
 }
 
-/// Runs the jobs at `indexes`, cells that share one predictor pass, through
-/// [`run_point_group`] on `engine`, then renders and persists each as
-/// [`execute_cell`] does. Each cell's wall time is its equal share of the
-/// pass. A source error fails every cell of the group.
-fn execute_group(
-    jobs: &[CellJob],
-    indexes: &[usize],
-    engine: EngineKind,
-    store: Option<&CellStore>,
-) -> Vec<Result<ExecutedCell, PointError>> {
-    let start = Instant::now();
-    let points: Vec<&SweepPoint> = indexes.iter().map(|&index| &jobs[index].point).collect();
-    let results = run_point_group(
-        &points,
-        jobs[indexes[0]].branches_per_trace,
-        &RunOptions::default(),
-        engine,
-    );
-    let wall_seconds = start.elapsed().as_secs_f64() / indexes.len() as f64;
-    let results = match results {
-        Ok(results) => results,
-        Err(error) => return indexes.iter().map(|_| Err(error.clone())).collect(),
-    };
-    let path = CellPath::of_group(&points, engine);
-    indexes
-        .iter()
-        .zip(results)
-        .map(|(&index, result)| {
-            Ok(persist(
-                &jobs[index],
-                CampaignPointReport {
-                    result,
-                    wall_seconds,
-                    shared_pass_cells: indexes.len(),
-                    path,
-                },
-                store,
-            ))
-        })
-        .collect()
+/// One task's run, or why it failed.
+type TaskOutcome = Result<TaskRun, PointError>;
+
+/// A planned group's task runs as its tasks finish: one slot per task, in
+/// task order, and their summed time.
+struct Completion {
+    ran: Mutex<(Vec<Option<TaskOutcome>>, f64)>,
 }
 
-/// The sampled runs of one trace for every cell of a group, in cell order.
-type TraceRuns = Result<Vec<SampledRunResult>, PointError>;
-
-/// A sampled group dealt to workers one task per trace: the runs of the
-/// traces that have finished, in suite order, and their summed task time.
-struct SampledGroup {
-    traces: usize,
-    ran: Mutex<(Vec<Option<TraceRuns>>, f64)>,
-}
-
-impl SampledGroup {
-    /// The group whose first job is `first`, when its cells are sampled
-    /// over at least one trace.
-    fn new(first: &CellJob) -> Option<Self> {
-        let traces = first.point.suite.sources().len();
-        (first.point.suite.sampling().is_some() && traces > 0).then(|| SampledGroup {
-            traces,
-            ran: Mutex::new(((0..traces).map(|_| None).collect(), 0.0)),
-        })
+impl Completion {
+    fn new(plan: &GroupPlan<'_>) -> Self {
+        Completion {
+            ran: Mutex::new(((0..plan.tasks()).map(|_| None).collect(), 0.0)),
+        }
     }
 
-    /// Runs trace `trace` for the jobs at `indexes`. When it is the group's
-    /// last trace to finish, assembles, renders and persists the group's
-    /// cells and returns them; otherwise returns none. Each cell's wall time
-    /// is its equal share of the group's summed task time. The first trace
-    /// in suite order that failed fails every cell of the group.
-    fn run_trace(
+    /// Runs task `task` of `plan`, whose cells are the `jobs` at its
+    /// indexes. When it is the group's last task to finish, assembles,
+    /// renders and persists the group's cells and returns them; otherwise
+    /// returns none. Each cell's wall time is its equal share of the group's
+    /// summed task time. The first failed task in task order, which is
+    /// suite order, fails every cell of the group.
+    fn run_task(
         &self,
+        plan: &GroupPlan<'_>,
+        task: usize,
         jobs: &[CellJob],
-        indexes: &[usize],
-        trace: usize,
         store: Option<&CellStore>,
         warm: Option<&WarmCache>,
     ) -> Vec<Result<ExecutedCell, PointError>> {
         let start = Instant::now();
-        let points: Vec<&SweepPoint> = indexes.iter().map(|&index| &jobs[index].point).collect();
-        let runs = run_sampled_trace(
-            &points,
-            trace,
-            jobs[indexes[0]].branches_per_trace,
-            &RunOptions::default(),
-            warm,
-        );
-        let (traces, seconds) = {
-            let mut ran = self.ran.lock().expect("a sampled trace task panicked");
-            ran.0[trace] = Some(runs);
+        let run = plan.run_task(task, warm);
+        let (runs, seconds) = {
+            let mut ran = self.ran.lock().expect("a task of the group panicked");
+            ran.0[task] = Some(run);
             ran.1 += start.elapsed().as_secs_f64();
             if ran.0.iter().any(Option::is_none) {
                 return Vec::new();
             }
-            let traces: Vec<TraceRuns> = ran.0.drain(..).flatten().collect();
-            (traces, ran.1)
+            let runs: Result<Vec<TaskRun>, PointError> = ran.0.drain(..).flatten().collect();
+            (runs, ran.1)
         };
-        let mut cells: Vec<Vec<SampledRunResult>> = indexes
+        let cells = plan.cells();
+        let results = match runs {
+            Ok(runs) => plan.assemble(runs),
+            Err(error) => return cells.iter().map(|_| Err(error.clone())).collect(),
+        };
+        let wall_seconds = seconds / cells.len() as f64;
+        cells
             .iter()
-            .map(|_| Vec::with_capacity(traces.len()))
-            .collect();
-        for runs in traces {
-            match runs {
-                Ok(runs) => {
-                    for (cell, run) in cells.iter_mut().zip(runs) {
-                        cell.push(run);
-                    }
-                }
-                Err(error) => return indexes.iter().map(|_| Err(error.clone())).collect(),
-            }
-        }
-        let wall_seconds = seconds / indexes.len() as f64;
-        indexes
-            .iter()
-            .zip(cells)
-            .map(|(&index, runs)| {
-                Ok(persist(
-                    &jobs[index],
-                    CampaignPointReport {
-                        result: PointResult::assemble_sampled(&jobs[index].point, runs),
-                        wall_seconds,
-                        shared_pass_cells: indexes.len(),
-                        path: CellPath::Sampled,
-                    },
-                    store,
-                ))
+            .zip(results)
+            .zip(plan.fallbacks())
+            .map(|((&index, result), &fallback)| {
+                let report = CampaignPointReport {
+                    result,
+                    wall_seconds,
+                    shared_pass_cells: cells.len(),
+                    path: plan.path(),
+                    fallback,
+                };
+                let job = &jobs[index];
+                let rendered = render_point_json(&report, false);
+                let store_failed =
+                    store.is_some_and(|store| store.store_cell(job.key, &rendered).is_err());
+                Ok(ExecutedCell {
+                    report,
+                    rendered,
+                    store_failed,
+                })
             })
             .collect()
     }
@@ -729,47 +667,6 @@ impl SampledGroup {
 /// just degrades phase-sampled cells to gap replays.
 pub(crate) fn open_warm_cache(store: &CellStore) -> Option<WarmCache> {
     WarmCache::new(store.dir().join("warm")).ok()
-}
-
-/// The one cell executor, shared by `tage-bench` campaigns (through
-/// [`execute_cells`]) and the `tage-serve` workers: runs one cell on
-/// `engine` and renders its timing-free bytes. With a `store`, the cell is
-/// persisted before this returns; a failed store write is flagged, never
-/// fatal. Phase-sampled cells restore and store predictor checkpoints in
-/// `warm`.
-pub(crate) fn execute_cell(
-    job: &CellJob,
-    engine: EngineKind,
-    store: Option<&CellStore>,
-    warm: Option<&WarmCache>,
-) -> Result<ExecutedCell, PointError> {
-    let start = Instant::now();
-    let result = run_point(
-        &job.point,
-        job.branches_per_trace,
-        &RunOptions::default(),
-        engine,
-        warm,
-    )?;
-    let report = CampaignPointReport {
-        result,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        shared_pass_cells: 1,
-        path: CellPath::of_group(&[&job.point], engine),
-    };
-    Ok(persist(job, report, store))
-}
-
-/// Renders `job`'s finished `report` timing-free and, with a `store`,
-/// persists those bytes; a failed store write is flagged, never fatal.
-fn persist(job: &CellJob, report: CampaignPointReport, store: Option<&CellStore>) -> ExecutedCell {
-    let rendered = render_point_json(&report, false);
-    let store_failed = store.is_some_and(|store| store.store_cell(job.key, &rendered).is_err());
-    ExecutedCell {
-        report,
-        rendered,
-        store_failed,
-    }
 }
 
 fn render_token_array(tokens: &[String]) -> String {
@@ -801,7 +698,8 @@ impl CampaignReport {
     ///
     /// With `include_timing == false` every field that depends on how the
     /// run went (per-point `wall_seconds` / `branches_per_sec` /
-    /// `shared_pass_cells` / `path`, the trailing `timing` object) is
+    /// `shared_pass_cells` / `path`, the `fallback` of a cell that ran
+    /// scalar under `--engine multilane`, the trailing `timing` object) is
     /// omitted, and the rendered bytes are identical for any worker count
     /// and engine — the determinism contract the campaign tests pin.
     pub fn render_json(&self, include_timing: bool) -> String {
@@ -950,6 +848,9 @@ pub(crate) fn render_point_json(point: &CampaignPointReport, include_timing: boo
             point.shared_pass_cells
         ));
         fields.push(format!("\"path\": \"{}\"", point.path.label()));
+        if let Some(fallback) = point.fallback {
+            fields.push(format!("\"fallback\": \"{}\"", fallback.label()));
+        }
     }
     format!("  {{{}}}", fields.join(", "))
 }
@@ -1299,7 +1200,7 @@ mod tests {
                 branches_per_trace: file_spec.branches_per_trace,
             })
             .collect();
-        let run = execute_cells(&jobs, 2, EngineKind::Scalar, None);
+        let run = execute_cells(&jobs, 2, EngineKind::Scalar, None, Warm::AtStore);
         assert_eq!(run.cells.len(), 2);
         for cell in &run.cells {
             let Err(failure) = cell else {
@@ -1387,11 +1288,12 @@ mod tests {
                         branches_per_trace: 2_000,
                     })
                     .collect();
-                let failures: Vec<String> = execute_cells(&jobs, 2, EngineKind::Scalar, None)
-                    .cells
-                    .iter()
-                    .map(|cell| cell.as_ref().err().expect("the group failed").to_string())
-                    .collect();
+                let failures: Vec<String> =
+                    execute_cells(&jobs, 2, EngineKind::Scalar, None, Warm::AtStore)
+                        .cells
+                        .iter()
+                        .map(|cell| cell.as_ref().err().expect("the group failed").to_string())
+                        .collect();
                 assert_eq!(failures.len(), 2, "{case}");
                 assert_eq!(failures[0], failures[1], "{case}");
             }

@@ -4,12 +4,13 @@
 //! The service turns the one-shot campaign runner ([`crate::campaign`])
 //! into a long-lived process: clients `POST /campaigns` declarative grids
 //! ([`grid::GridRequest`]), the daemon expands them into cells, and a pool
-//! of long-lived workers runs them through the same cell executor the CLI
-//! uses — the same persistence, the same predictor warm cache under
-//! `<store>/warm` for phase-sampled cells — memoizing every finished cell
-//! into a shared [`CellStore`]. Each worker takes the oldest queued cell
-//! as soon as it is free, so a small grid never waits for a whole batch
-//! ahead of it. Three properties fall out of that design:
+//! of long-lived workers runs them through the same executor the CLI uses,
+//! one cell at a time as a one-job campaign — the same plan, the same
+//! persistence, the same predictor warm cache under `<store>/warm` for
+//! phase-sampled cells — memoizing every finished cell into a shared
+//! [`CellStore`]. Each worker takes the oldest queued cell as soon as it is
+//! free, so a small grid never waits for a whole batch ahead of it. Three
+//! properties fall out of that design:
 //!
 //! - **Resubmission is free.** A campaign's id is the fnv64 of its
 //!   canonical grid JSON, and cell keys are content-addressed, so an
@@ -59,8 +60,8 @@ use tage_sim::EngineKind;
 use tage_traces::snapshot::write_atomic;
 
 use crate::campaign::{
-    assemble_report, execute_cell, open_warm_cache, CampaignCell, CampaignError, CampaignSpec,
-    CellJob, ExecutedCell, SkippedPoint,
+    assemble_report, execute_cells, open_warm_cache, CampaignCell, CampaignError, CampaignSpec,
+    CellJob, ExecutedCell, SkippedPoint, Warm,
 };
 use crate::cellstore::{cell_key, CellStore};
 use crate::jsonish;
@@ -619,7 +620,7 @@ fn write_journal(journal_dir: &Path, id: &str, canonical_json: &str) -> Result<(
 }
 
 /// One worker: takes the oldest queued cell as soon as it is free, runs it
-/// through the campaign cell executor (which persists it to the store
+/// through the campaign executor (which persists it to the store
 /// before this loop publishes it), and hands the bytes to every waiting
 /// campaign. A cell that panics fails its campaigns, not the worker. On
 /// shutdown the worker exits after its current cell; queued cells stay
@@ -659,7 +660,8 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one cell through the campaign cell executor, turning a panic into
+/// Runs one cell through the campaign executor, as a one-job campaign on
+/// one worker over the daemon's store and warm cache, turning a panic into
 /// the cell's failure message.
 ///
 /// The cell runs on a short-lived thread of its own, as `steal_map` runs a
@@ -671,12 +673,9 @@ fn worker_loop(shared: &Shared) {
 /// cell runs on the worker.
 fn run_cell(shared: &Shared, job: &CellJob) -> Result<ExecutedCell, String> {
     let run = || {
-        execute_cell(
-            job,
-            shared.engine,
-            Some(&shared.store),
-            shared.warm.as_ref(),
-        )
+        let (jobs, warm) = (std::slice::from_ref(job), Warm::Held(shared.warm.as_ref()));
+        let mut run = execute_cells(jobs, 1, shared.engine, Some(&shared.store), warm);
+        run.cells.pop().expect("one cell per job")
     };
     let outcome = std::thread::scope(|scope| {
         let thread = std::thread::Builder::new().spawn_scoped(scope, run);

@@ -26,7 +26,7 @@ use tage::{CounterAutomaton, TageGeometry, TagePredictor};
 use tage_confidence::TageConfidenceClassifier;
 use tage_sim::engine::{ReportObserver, SimEngine};
 use tage_sim::multilane::{EngineKind, MultilaneEngine, DEFAULT_LANES};
-use tage_sim::point::{run_point_group, PredictorSpec, SchemeSpec, SweepPoint};
+use tage_sim::point::{plan, PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::runner::RunOptions;
 use tage_sim::scenarios::ScenarioSpec;
 use tage_sim::suite::SuiteScratch;
@@ -181,8 +181,9 @@ fn suite_parallel(setup: &Setup) -> u64 {
 }
 
 /// Twelve cells of one predictor, three schemes × the four scenarios,
-/// through one predictor pass per trace of CBP-1-mini: how far the
-/// allocations at `BRANCHES` per trace are from those at half that.
+/// planned as one group and run through its one task, one predictor pass
+/// per trace of CBP-1-mini: how far the allocations at `BRANCHES` per
+/// trace are from those at half that.
 fn shared_pass_group(setup: &Setup) -> u64 {
     let suite = SourceSuite::from_suite(&suites::cbp1_mini());
     let mut points = Vec::new();
@@ -196,13 +197,18 @@ fn shared_pass_group(setup: &Setup) -> u64 {
             });
         }
     }
-    let group: Vec<&SweepPoint> = points.iter().collect();
+    let options = RunOptions::default();
     let run = |branches| {
+        let cells = points.iter().map(|point| (point, branches));
+        let [group] = &plan(cells, &options, EngineKind::Scalar)[..] else {
+            panic!("the twelve cells share one pass");
+        };
         allocations_of(|| {
-            let results =
-                run_point_group(&group, branches, &RunOptions::default(), EngineKind::Scalar)
-                    .expect("synthetic sources are infallible");
-            black_box(results);
+            let runs = (0..group.tasks())
+                .map(|task| group.run_task(task, None))
+                .collect::<Result<_, _>>()
+                .expect("synthetic sources are infallible");
+            black_box(group.assemble(runs));
         })
     };
     // A first run settles any lazily built state.

@@ -7,9 +7,10 @@ use tage_bench::campaign::{
 };
 use tage_bench::jsonish;
 use tage_sim::engine::steal_map;
-use tage_sim::point::{PredictorSpec, SchemeSpec};
+use tage_sim::point::{plan, PredictorSpec, SchemeSpec};
 use tage_sim::scenarios::ScenarioSpec;
-use tage_sim::EngineKind;
+use tage_sim::{EngineKind, RunOptions};
+use tage_traces::source::{SamplingSpec, SourceSuite};
 use tage_traces::suites;
 
 fn grid() -> CampaignSpec {
@@ -138,7 +139,7 @@ fn steal_map_with_heterogeneous_point_costs_stays_deterministic() {
     }
 }
 
-/// A grid over CBP-1-mini at 2,000 branches per trace.
+/// A grid over CBP-1-mini at 20,000 branches per trace.
 fn mini_grid(predictors: &[&str], schemes: &[&str], scenarios: &[&str]) -> CampaignSpec {
     CampaignSpec {
         label: "paths".to_string(),
@@ -155,26 +156,35 @@ fn mini_grid(predictors: &[&str], schemes: &[&str], scenarios: &[&str]) -> Campa
             .iter()
             .map(|token| ScenarioSpec::parse(token).unwrap())
             .collect(),
-        branches_per_trace: 2_000,
+        branches_per_trace: 20_000,
     }
 }
 
-/// `spec` run on `engine`: each cell's `path` in the timing render, and
-/// the timing-free render.
-fn paths_and_bytes(spec: &CampaignSpec, engine: EngineKind) -> (Vec<String>, String) {
+/// `spec` run on `engine` on 2 workers: each cell's `path` and `fallback`
+/// in the timing render, and the timing-free render.
+fn paths_and_bytes(
+    spec: &CampaignSpec,
+    engine: EngineKind,
+) -> (Vec<(String, Option<String>)>, String) {
     let report = run_campaign_with_engine(spec, 2, engine).unwrap();
     let paths = jsonish::extract_array_objects(&report.render_json(true), "points")
         .iter()
-        .map(|point| jsonish::string_field(point, "path").expect("a timed cell names its path"))
+        .map(|point| {
+            let path = jsonish::string_field(point, "path").expect("a timed cell names its path");
+            (path, jsonish::string_field(point, "fallback"))
+        })
         .collect();
-    (paths, report.render_json(false))
+    let bytes = report.render_json(false);
+    assert!(!bytes.contains("\"fallback\""));
+    (paths, bytes)
 }
 
-/// The timing render names the engine that ran each cell's group. Under
-/// multilane, the storage-free baseline cell of the engine-parity grid
-/// rides its group's scalar pass, while a grid of storage-free TAGE cells
-/// runs one lane pass per predictor and renders the same timing-free
-/// bytes as the scalar engine.
+/// The two engine-parity grids, at CI size (CBP-1-mini, 20,000 branches
+/// per trace, 2 workers): each renders the same timing-free bytes on both
+/// engines, and the timing render names the engine that ran each
+/// cell's group and, under multilane, why a cell ran scalar. The
+/// storage-free cells of the first grid ride their group's scalar pass,
+/// while the second grid's cells run one lane pass per predictor.
 #[test]
 fn the_timing_render_names_the_engine_that_ran_each_cell() {
     let parity = mini_grid(
@@ -185,17 +195,107 @@ fn the_timing_render_names_the_engine_that_ran_each_cell() {
     let (points, _) = parity.expand();
     assert_eq!(points[0].scheme, SchemeSpec::StorageFree);
     assert_eq!(points[0].scenario, ScenarioSpec::Baseline);
-    let (paths, _) = paths_and_bytes(&parity, EngineKind::Multilane);
-    assert_eq!(paths, vec!["scalar"; 6]);
-
     let lanes = mini_grid(
         &["tage-16k", "tage-64k"],
         &["storage-free"],
         &["baseline", "recovery-energy", "prefetch-throttle"],
     );
-    let (multilane_paths, multilane_bytes) = paths_and_bytes(&lanes, EngineKind::Multilane);
-    let (scalar_paths, scalar_bytes) = paths_and_bytes(&lanes, EngineKind::Scalar);
-    assert_eq!(multilane_paths, vec!["multilane"; 6]);
-    assert_eq!(scalar_paths, vec!["scalar"; 6]);
-    assert_eq!(multilane_bytes, scalar_bytes);
+    let scalar = |fallback: &str| ("scalar".to_string(), Some(fallback.to_string()));
+    for (name, grid, multilane_paths) in [
+        (
+            "parity",
+            parity,
+            ["group", "group", "scenario", "scheme", "scheme", "scheme"].map(scalar),
+        ),
+        (
+            "lanes",
+            lanes,
+            [(); 6].map(|()| ("multilane".to_string(), None)),
+        ),
+    ] {
+        let (multilane, multilane_bytes) = paths_and_bytes(&grid, EngineKind::Multilane);
+        let (scalar_paths, scalar_bytes) = paths_and_bytes(&grid, EngineKind::Scalar);
+        assert_eq!(multilane, multilane_paths, "{name}");
+        assert_eq!(
+            scalar_paths,
+            vec![("scalar".to_string(), None); 6],
+            "{name}"
+        );
+        assert_eq!(multilane_bytes, scalar_bytes, "{name}");
+    }
+}
+
+/// The groups and tasks the four perfbench workloads plan to under the
+/// multilane engine: the benchmark's schedule. A plan reads axes, suite
+/// names and digests, never the seeds the benchmark varies.
+#[test]
+fn the_benchmark_workloads_plan_to_pinned_groups_and_tasks() {
+    let tokens = |list: &str| list.split(',').map(str::to_string).collect::<Vec<_>>();
+    let spec =
+        |predictors: &str, schemes: &str, suites: Vec<SourceSuite>, scenarios: &str| CampaignSpec {
+            label: "benchmark".to_string(),
+            predictors: tokens(predictors)
+                .iter()
+                .map(|token| PredictorSpec::parse(token).unwrap())
+                .collect(),
+            schemes: tokens(schemes)
+                .iter()
+                .map(|token| SchemeSpec::parse(token).unwrap())
+                .collect(),
+            suites,
+            scenarios: tokens(scenarios)
+                .iter()
+                .map(|token| ScenarioSpec::parse(token).unwrap())
+                .collect(),
+            branches_per_trace: 50_000,
+        };
+    let plan_of = |spec: &CampaignSpec| -> Vec<(usize, &'static str, usize)> {
+        let (points, _) = spec.expand();
+        let cells = points.iter().map(|point| (point, spec.branches_per_trace));
+        plan(cells, &RunOptions::default(), EngineKind::Multilane)
+            .iter()
+            .map(|group| (group.cells().len(), group.path().label(), group.tasks()))
+            .collect()
+    };
+    let skewed = spec(
+        "tage-256k,tage-16k,bimodal,gshare,perceptron",
+        "storage-free,jrs-enhanced,self-confidence",
+        vec![suites::cbp1_mini().into()],
+        "baseline,recovery-energy,prefetch-throttle,shared-predictor",
+    );
+    assert_eq!(skewed.expand().0.len(), 48);
+    assert_eq!(
+        plan_of(&skewed),
+        [12, 12, 8, 8, 8].map(|cells| (cells, "scalar", 1))
+    );
+    let lanes = spec(
+        "tage-16k,tage-64k,tage-256k",
+        "storage-free",
+        vec![suites::cbp1_like().into(), suites::cbp2_like().into()],
+        "baseline",
+    );
+    assert_eq!(plan_of(&lanes), [(1, "multilane", 1); 6]);
+    let sampled = SourceSuite::from(suites::cbp1_mini()).with_sampling(SamplingSpec {
+        interval: 1_000,
+        k: 4,
+        seed: 1,
+    });
+    assert_eq!(sampled.sources().len(), 4);
+    let sampled = CampaignSpec {
+        branches_per_trace: 800_100,
+        ..spec(
+            "tage-64k,tage-256k",
+            "storage-free",
+            vec![sampled],
+            "baseline",
+        )
+    };
+    assert_eq!(plan_of(&sampled), [(2, "sampled", 4)]);
+    let serve = spec(
+        "tage-16k",
+        "storage-free",
+        vec![suites::cbp1_mini().into()],
+        "baseline",
+    );
+    assert_eq!(plan_of(&serve), [(1, "multilane", 1)]);
 }

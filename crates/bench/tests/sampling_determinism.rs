@@ -10,7 +10,7 @@ use tage_bench::campaign::{
     run_campaign_checkpointed, run_campaign_with_engine, validate_report, CampaignSpec,
 };
 use tage_bench::cellstore::CellStore;
-use tage_sim::point::{run_point, PointResult, PredictorSpec, SchemeSpec};
+use tage_sim::point::{plan, run_point, CellPath, PointResult, PredictorSpec, SchemeSpec};
 use tage_sim::scenarios::ScenarioSpec;
 use tage_sim::{EngineKind, RunOptions};
 use tage_traces::inflate::gzip_compress;
@@ -191,6 +191,25 @@ fn a_sampled_group_over_four_trace_formats_renders_each_cell_alone() {
     let predictors = ["tage-16k", "tage-16k-std", "tage-64k"];
     let grid = spec(&predictors);
 
+    // The plan makes the three cells one sampled group, one task per
+    // trace. Its tasks run in any order; assembled in task order, they
+    // give the cells the campaign reports.
+    let (points, _) = grid.expand();
+    let options = RunOptions::default();
+    let cells = points.iter().map(|point| (point, 20_000));
+    let [group] = &plan(cells, &options, EngineKind::Multilane)[..] else {
+        panic!("the three cells form one group");
+    };
+    assert_eq!(group.cells(), [0, 1, 2]);
+    assert_eq!(group.path(), CellPath::Sampled);
+    assert_eq!(group.tasks(), 4);
+    let mut runs: Vec<_> = (0..group.tasks())
+        .rev()
+        .map(|task| group.run_task(task, None).unwrap())
+        .collect();
+    runs.reverse();
+    let together = group.assemble(runs);
+
     let reference = run_campaign_with_engine(&grid, 1, EngineKind::Multilane).unwrap();
     let timed: Vec<_> = reference
         .points
@@ -219,16 +238,10 @@ fn a_sampled_group_over_four_trace_formats_renders_each_cell_alone() {
             .cell_bytes();
         assert_eq!(alone, [grouped[index].clone()], "{predictor}");
         let (points, _) = spec(&[predictor]).expand();
-        let result = run_point(
-            &points[0],
-            20_000,
-            &RunOptions::default(),
-            EngineKind::Multilane,
-            None,
-        )
-        .unwrap();
+        let result = run_point(&points[0], 20_000, &options, EngineKind::Multilane, None).unwrap();
         let grouped = &reference.points[index].computed().unwrap().result;
         assert_eq!(&result, grouped, "{predictor}");
+        assert_eq!(result, together[index], "{predictor}");
     }
 
     // A kill after one cell, then a resume that runs the other two as a

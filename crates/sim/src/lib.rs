@@ -29,15 +29,17 @@
 //!   either way;
 //! * [`point`] — sweep points, the one unit of work behind campaign grids
 //!   (`tage-bench`, `tage-serve`) and the paper's tables and figures
-//!   (`tage-bench --paper`): one predictor × confidence-scheme × suite cell
-//!   executed by [`run_point`] with deterministic,
-//!   thread-placement-independent results;
+//!   (`tage-bench --paper`): one predictor × confidence-scheme × suite cell,
+//!   planned by [`point::plan`] and executed by [`run_point`] or a
+//!   campaign's workers with deterministic, thread-placement-independent
+//!   results;
 //! * [`baseline`] — runs the storage-based baseline confidence estimators
 //!   (JRS, enhanced JRS, self-confidence on perceptron/GEHL) for comparison;
-//! * [`scenarios`] — the campaign-runnable confidence scenarios
-//!   (misprediction-recovery energy, N-core shared-predictor interference,
-//!   confidence-driven prefetch throttling) as composable engine
-//!   observers, with the [`scenarios::ScenarioSpec`] grid axis;
+//! * [`scenarios`] — the campaign-runnable confidence scenarios, with the
+//!   [`scenarios::ScenarioSpec`] grid axis: misprediction-recovery energy
+//!   and confidence-driven prefetch throttling, derived from a cell's
+//!   report, and N-core shared-predictor interference, one interleaved
+//!   pass over the suite;
 //! * [`report`] — plain-text table rendering for the paper-style tables
 //!   of `tage-bench --paper` and the `estimators` binary.
 //!

@@ -56,8 +56,9 @@
 //! record. Every [`tage_traces::source::AnySource`] does. A compressed or
 //! CBP-format file is decoded into memory when it is opened, so it is
 //! decoded once, not twice. Campaign cells that sample the same trace go
-//! further: [`crate::point::run_sampled_trace`] opens it and plans it once
-//! for all of them, and rewinds it before each cell's predictor runs.
+//! further: one task of their sampled group
+//! ([`crate::point::GroupPlan::run_task`]) opens it and plans it once for
+//! all of them, and rewinds it before each cell's predictor runs.
 
 use tage::{TageBlueprint, TagePredictor};
 use tage_confidence::ConfidenceReport;

@@ -12,32 +12,37 @@
 //! `tage-bench --paper`, whose artefacts are named lists of storage-free
 //! TAGE points.
 //!
-//! # Cells that share a predictor pass
+//! # Plan, then execute
 //!
-//! Every unsampled run goes through one executor, [`run_point_group`], over
-//! a group of cells; [`run_point`]'s unsampled path is its one-cell case.
-//! [`pass_groups`] forms the groups: cells share a pass when they have the
-//! same predictor (label, and spec digest and automaton for TAGE), the same
-//! unsampled suite (name and digest) and the same branches per trace, on
-//! either engine. A storage-free cell whose [`RunOptions`] set a warm-up or
-//! an adaptive target runs alone. Cells that differ only in scenario read
-//! the same per-trace results, so a group runs one scheme per distinct
-//! scheme among its cells. [`CellPath::of_group`] picks the engine: a group
-//! under [`EngineKind::Multilane`] whose every cell is storage-free TAGE
-//! outside the shared-predictor scenario runs one lane pass over the suite;
-//! any other group runs on the scalar engine, where, per trace, one
-//! predictor predicts and trains once and each scheme grades that same
-//! lookup with its own [`ReportObserver`]. The group's shared-predictor
-//! cells share one interleaved pass.
+//! Every run takes one path: [`plan`] decides, [`GroupPlan::run_task`]
+//! runs and [`GroupPlan::assemble`] collects. [`plan`] is the one place
+//! that decides, for a list of cells, which cells share a pass over each
+//! trace, which [`CellPath`] each group takes, why a cell that asked for
+//! lanes runs scalar ([`Fallback`]), and how a group splits into tasks.
+//! [`run_point`] is the one-cell case and runs its tasks in order; a
+//! campaign deals every group's tasks to its workers.
+//!
+//! Unsampled cells share a group when they have the same predictor (label,
+//! and spec digest and automaton for TAGE), the same suite (name and
+//! digest) and the same branches per trace, on either engine. A
+//! storage-free cell whose [`RunOptions`] set a warm-up or an adaptive
+//! target runs alone. Such a group is one task. Cells that differ only in
+//! scenario read the same per-trace results, so the task runs one scheme
+//! per distinct scheme among its cells. Under [`EngineKind::Multilane`], a
+//! group whose every cell is storage-free TAGE outside the shared-predictor
+//! scenario, over a geometry that fits the lane layout, runs one lane pass
+//! over the suite. Any other group runs on the scalar engine, where, per
+//! trace, one predictor predicts and trains once and each scheme grades
+//! that same lookup with its own [`ReportObserver`]. The group's
+//! shared-predictor cells share one interleaved pass.
 //!
 //! Phase-sampled cells are TAGE × storage-free × baseline, so sampled
-//! cells over one suite differ only in predictor. [`pass_groups`] groups
-//! those with the same suite (name and digest), sampling plan and branches
-//! per trace, and [`run_sampled_trace`] runs such a group one trace at a
-//! time: it opens, and so decodes, the trace once, builds its phase plan
-//! once, and runs each cell's predictor from that plan over the rewound
-//! stream. The plan depends on the stream and the sampling spec alone.
-//! [`run_point`]'s sampled path is the one-cell case, trace by trace.
+//! cells over one suite differ only in predictor. Those with the same suite
+//! (name and digest), sampling plan and branches per trace share a group,
+//! which is one task per trace: the task opens, and so decodes, the trace
+//! once, builds its phase plan once, and runs each cell's predictor from
+//! that plan over the rewound stream. The plan depends on the stream and
+//! the sampling spec alone.
 //!
 //! No byte moves. The engine runs predict → assess → observe → observers →
 //! update, and only `update` writes the predictor. The schemes and the
@@ -72,7 +77,7 @@
 //! them (counting the skips) instead of failing the grid.
 
 use core::fmt;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 
 use tage::{
     CounterAutomaton, LaneGroup, TageBlueprint, TageGeometry, TagePrediction, TagePredictor,
@@ -585,36 +590,15 @@ pub enum CellPath {
     /// The lane-batched engine ([`crate::multilane`]): one lane pass over
     /// the suite serves every cell of the group.
     Multilane,
-    /// The scalar [`SimEngine`] through [`run_point_group`]: one predictor
-    /// pass per trace serves every cell of the group.
+    /// The scalar [`SimEngine`]: one predictor pass per trace serves every
+    /// cell of the group.
     Scalar,
-    /// The phase-sampled runner, through [`run_sampled_trace`].
+    /// The phase-sampled runner: one decode and one phase plan per trace
+    /// serve every cell of the group.
     Sampled,
 }
 
 impl CellPath {
-    /// The path a group of cells takes under `engine` (a group of
-    /// [`pass_groups`]; one cell alone is a group of one): sampled for
-    /// sampled cells; multilane when `engine` is [`EngineKind::Multilane`]
-    /// and every cell of the group can run on lanes; scalar otherwise. A
-    /// cell can run on lanes when it is the storage-free TAGE pairing under
-    /// any scenario but `shared-predictor` (whose interleaved pass is
-    /// scalar), over a geometry that fits the lane group's packed layout
-    /// (explored geometries may exceed it). The lane engine runs a cell
-    /// under an adaptive target one stream at a time
-    /// ([`crate::multilane::run_specs_multilane`]).
-    pub fn of_group(points: &[&SweepPoint], engine: EngineKind) -> Self {
-        if points.iter().any(|point| point.suite.sampling().is_some()) {
-            CellPath::Sampled
-        } else if engine == EngineKind::Multilane
-            && points.iter().all(|point| point_is_lane_batchable(point))
-        {
-            CellPath::Multilane
-        } else {
-            CellPath::Scalar
-        }
-    }
-
     /// The path's name in a timing report: `multilane`, `scalar` or
     /// `sampled`.
     pub fn label(self) -> &'static str {
@@ -623,6 +607,369 @@ impl CellPath {
             CellPath::Scalar => "scalar",
             CellPath::Sampled => "sampled",
         }
+    }
+}
+
+/// Why a cell that asked for [`EngineKind::Multilane`] runs on the scalar
+/// engine: the first of these that applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fallback {
+    /// A baseline predictor: lanes run TAGE only.
+    Predictor,
+    /// A TAGE geometry outside the lane group's packed layout (explored
+    /// geometries may exceed it).
+    Geometry,
+    /// An estimator scheme, which hooks the scalar per-branch loop.
+    Scheme,
+    /// The shared-predictor scenario, whose interleaved pass is scalar.
+    Scenario,
+    /// A cell that could run on lanes, riding a group-mate's scalar pass,
+    /// which is paid anyway.
+    Group,
+}
+
+impl Fallback {
+    /// The reason's name in a timing report: `predictor`, `geometry`,
+    /// `scheme`, `scenario` or `group`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fallback::Predictor => "predictor",
+            Fallback::Geometry => "geometry",
+            Fallback::Scheme => "scheme",
+            Fallback::Scenario => "scenario",
+            Fallback::Group => "group",
+        }
+    }
+
+    /// Why `point` on its own cannot run on lanes, or `None` when it can:
+    /// the storage-free TAGE pairing under any scenario but
+    /// `shared-predictor`, over a geometry that fits the lane layout. The
+    /// lane engine runs a cell under an adaptive target one stream at a
+    /// time ([`crate::multilane::run_specs_multilane`]).
+    fn of(point: &SweepPoint) -> Option<Self> {
+        match &point.predictor {
+            PredictorSpec::Baseline(_) => Some(Fallback::Predictor),
+            PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. }
+                if !LaneGroup::supports(geometry) =>
+            {
+                Some(Fallback::Geometry)
+            }
+            _ if point.scheme != SchemeSpec::StorageFree => Some(Fallback::Scheme),
+            _ if point.scenario == ScenarioSpec::SharedPredictor => Some(Fallback::Scenario),
+            _ => None,
+        }
+    }
+}
+
+/// What the cells of a group share per trace (see [`plan`]).
+#[derive(PartialEq, Eq, Hash)]
+enum Share {
+    /// One predictor pass: the cells' predictor label, and the spec digest
+    /// and automaton of a TAGE predictor. The label names a programmatic
+    /// [`PredictorSpec::Tage`] by size and automaton only, and a
+    /// [`PredictorSpec::Geometry`] by a 32-bit digest.
+    Predictor(String, Option<(u64, CounterAutomaton)>),
+    /// One decoded stream and its phase plan.
+    Plan(SamplingSpec),
+}
+
+/// Plans `cells`, each a point and its branches per trace, run under
+/// `options` on `engine`: the groups of cells that share a pass over each
+/// trace, in the order of each group's first cell, each listing its cells
+/// in input order.
+///
+/// Unsampled cells share a group when they have the same predictor, the
+/// same suite (name and digest) and the same branches per trace, and
+/// `options` steer (the adaptive controller) or window (a warm-up) none of
+/// them: those options leave each storage-free cell alone, and estimator
+/// cells ignore them. Sampled cells share a group when they have the same
+/// suite, sampling plan and branches per trace, whatever their predictor
+/// and options. An invalid cell, and a sampled cell over a suite with no
+/// trace, is a group of its own, so cells that share with nothing come
+/// back one per group, in input order. The engine plays no part in the
+/// grouping, only in each group's [`CellPath`].
+pub fn plan<'a>(
+    cells: impl IntoIterator<Item = (&'a SweepPoint, usize)>,
+    options: &RunOptions,
+    engine: EngineKind,
+) -> Vec<GroupPlan<'a>> {
+    let mut groups: Vec<(Vec<usize>, Vec<&'a SweepPoint>, usize)> = Vec::new();
+    let mut by_key = HashMap::new();
+    for (index, (point, branches_per_trace)) in cells.into_iter().enumerate() {
+        let share = match point.suite.sampling() {
+            _ if point.validate().is_err() => None,
+            Some(_) if point.suite.sources().is_empty() => None,
+            Some(sampling) => Some(Share::Plan(sampling)),
+            None if point.scheme == SchemeSpec::StorageFree
+                && (options.warmup_branches > 0 || options.adaptive_target_mkp.is_some()) =>
+            {
+                None
+            }
+            None => Some(Share::Predictor(
+                point.predictor.label(),
+                match &point.predictor {
+                    PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
+                        Some((geometry.spec_digest(), geometry.automaton))
+                    }
+                    PredictorSpec::Baseline(_) => None,
+                },
+            )),
+        };
+        let group = match share {
+            Some(share) => {
+                let key = (
+                    share,
+                    point.suite.name().to_string(),
+                    point.suite.digest(branches_per_trace),
+                    branches_per_trace,
+                );
+                *by_key.entry(key).or_insert(groups.len())
+            }
+            None => groups.len(),
+        };
+        if group == groups.len() {
+            groups.push((Vec::new(), Vec::new(), branches_per_trace));
+        }
+        groups[group].0.push(index);
+        groups[group].1.push(point);
+    }
+    groups
+        .into_iter()
+        .map(|(cells, points, branches_per_trace)| {
+            GroupPlan::new(cells, points, branches_per_trace, options, engine)
+        })
+        .collect()
+}
+
+/// One group of [`plan`]: cells that share a pass over each trace, the
+/// path they take, why a cell that asked for lanes runs scalar, and the
+/// tasks that run them. Only [`plan`] builds one.
+#[derive(Debug)]
+pub struct GroupPlan<'a> {
+    /// The cells' indexes into the planned list, ascending.
+    cells: Vec<usize>,
+    points: Vec<&'a SweepPoint>,
+    /// Per cell, why a multilane request runs scalar.
+    fallbacks: Vec<Option<Fallback>>,
+    /// The distinct schemes of the cells, and each cell's among them.
+    schemes: Vec<SchemeSpec>,
+    scheme_of: Vec<usize>,
+    path: CellPath,
+    tasks: usize,
+    branches_per_trace: usize,
+    options: RunOptions,
+}
+
+/// The outcome of one task of a [`GroupPlan`], for
+/// [`GroupPlan::assemble`].
+#[derive(Debug)]
+pub struct TaskRun(Run);
+
+#[derive(Debug)]
+enum Run {
+    /// An unsampled group's pass: each distinct scheme's per-trace results,
+    /// and the shared-predictor pass when a cell measures it.
+    Pass {
+        traces: Vec<Vec<PointTraceMetrics>>,
+        shared: Option<SharedRunResult>,
+    },
+    /// One trace of a sampled group: each cell's sampled run, in cell
+    /// order. Empty for the one task of a suite with no trace.
+    Trace(Vec<SampledRunResult>),
+}
+
+impl<'a> GroupPlan<'a> {
+    fn new(
+        cells: Vec<usize>,
+        points: Vec<&'a SweepPoint>,
+        branches_per_trace: usize,
+        options: &RunOptions,
+        engine: EngineKind,
+    ) -> Self {
+        let multilane = engine == EngineKind::Multilane;
+        let sampled = points[0].suite.sampling().is_some();
+        let blockers: Vec<Option<Fallback>> =
+            points.iter().map(|point| Fallback::of(point)).collect();
+        let path = if sampled {
+            CellPath::Sampled
+        } else if multilane && blockers.iter().all(Option::is_none) {
+            CellPath::Multilane
+        } else {
+            CellPath::Scalar
+        };
+        let fallbacks = blockers
+            .into_iter()
+            .map(|blocker| {
+                (multilane && path == CellPath::Scalar).then(|| blocker.unwrap_or(Fallback::Group))
+            })
+            .collect();
+        let mut schemes: Vec<SchemeSpec> = Vec::new();
+        let scheme_of = points
+            .iter()
+            .map(|point| {
+                schemes
+                    .iter()
+                    .position(|&scheme| scheme == point.scheme)
+                    .unwrap_or_else(|| {
+                        schemes.push(point.scheme);
+                        schemes.len() - 1
+                    })
+            })
+            .collect();
+        GroupPlan {
+            tasks: if sampled {
+                points[0].suite.sources().len().max(1)
+            } else {
+                1
+            },
+            cells,
+            points,
+            fallbacks,
+            schemes,
+            scheme_of,
+            path,
+            branches_per_trace,
+            options: options.clone(),
+        }
+    }
+
+    /// The group's cells, as indexes into the list [`plan`] was given, in
+    /// ascending order.
+    pub fn cells(&self) -> &[usize] {
+        &self.cells
+    }
+
+    /// The engine that runs every cell of the group.
+    pub fn path(&self) -> CellPath {
+        self.path
+    }
+
+    /// Per cell of [`GroupPlan::cells`], why it runs scalar although it
+    /// asked for [`EngineKind::Multilane`]; `None` on lanes, on sampled
+    /// cells and under [`EngineKind::Scalar`].
+    pub fn fallbacks(&self) -> &[Option<Fallback>] {
+        &self.fallbacks
+    }
+
+    /// How many tasks run the group: one per trace of a sampled group (one
+    /// for a suite with no trace), one for an unsampled group.
+    pub fn tasks(&self) -> usize {
+        self.tasks
+    }
+
+    /// Runs task `task` of the group. An unsampled group's one task is its
+    /// pass: the lane pass, or the scalar pass (one predictor per trace
+    /// graded by each distinct scheme) plus the shared-predictor pass when
+    /// a cell measures it. A sampled group's task `t` runs trace `t` for
+    /// every cell: it opens, and so decodes, the trace once, builds its
+    /// phase plan once ([`crate::phase::build_plan`]), and runs each cell's
+    /// predictor from that plan over the rewound stream, restoring and
+    /// storing its checkpoints in `warm`.
+    ///
+    /// # Errors
+    ///
+    /// An invalid cell fails the task with [`PointError::Invalid`]. A source
+    /// that cannot be opened or read fails it with [`PointError::Source`].
+    ///
+    /// # Panics
+    ///
+    /// When `task` is not below [`GroupPlan::tasks`].
+    pub fn run_task(&self, task: usize, warm: Option<&WarmCache>) -> Result<TaskRun, PointError> {
+        assert!(task < self.tasks, "task {task} of {}", self.tasks);
+        for point in &self.points {
+            point.validate()?;
+        }
+        let first = self.points[0];
+        let branches_per_trace = self.branches_per_trace;
+        if self.path == CellPath::Sampled {
+            let Some(spec) = first.suite.sources().get(task) else {
+                return Ok(TaskRun(Run::Trace(Vec::new())));
+            };
+            let sampling = first.suite.sampling().expect("a sampled group samples");
+            let located = source_error(spec);
+            let mut source = spec.open(branches_per_trace).map_err(&located)?;
+            let phases = build_plan(&mut source, sampling).map_err(&located)?;
+            let warm = warm.map(|cache| (cache, spec.digest(branches_per_trace)));
+            let runs = self
+                .points
+                .iter()
+                .map(|point| {
+                    let Some(blueprint) = point.predictor.tage_blueprint() else {
+                        unreachable!("validate() restricts sampled points to TAGE predictors")
+                    };
+                    run_from_plan(blueprint, &self.options, &phases, warm, &mut source)
+                        .map_err(&located)
+                })
+                .collect::<Result<_, _>>()?;
+            return Ok(TaskRun(Run::Trace(runs)));
+        }
+        let traces = if self.path == CellPath::Multilane {
+            // Cells on lanes are storage-free, so `schemes` holds that one.
+            vec![run_lanes(first, branches_per_trace, &self.options)?]
+        } else {
+            run_schemes(first, &self.schemes, branches_per_trace, &self.options)?
+        };
+        let shared = self
+            .points
+            .iter()
+            .any(|point| point.scenario == ScenarioSpec::SharedPredictor)
+            .then(|| run_shared_pass(&first.predictor, &first.suite, branches_per_trace))
+            .transpose()?;
+        Ok(TaskRun(Run::Pass { traces, shared }))
+    }
+
+    /// The results of the group's cells, in the order of
+    /// [`GroupPlan::cells`], from the runs of its tasks in task order. Each
+    /// equals the result of running the cell alone: a cell assembles its
+    /// scheme's traces ([`PointResult::assemble`]), or its sampled runs in
+    /// suite order ([`PointResult::assemble_sampled`]), and a
+    /// shared-predictor cell reads the group's interleaved pass.
+    ///
+    /// # Panics
+    ///
+    /// When `runs` are not the runs of this group's tasks.
+    pub fn assemble(&self, runs: Vec<TaskRun>) -> Vec<PointResult> {
+        assert_eq!(runs.len(), self.tasks, "one run per task");
+        if self.path == CellPath::Sampled {
+            let mut cells: Vec<Vec<SampledRunResult>> = self
+                .points
+                .iter()
+                .map(|_| Vec::with_capacity(runs.len()))
+                .collect();
+            for TaskRun(run) in runs {
+                let Run::Trace(trace) = run else {
+                    unreachable!("a sampled group's tasks run traces")
+                };
+                for (cell, run) in cells.iter_mut().zip(trace) {
+                    cell.push(run);
+                }
+            }
+            return self
+                .points
+                .iter()
+                .zip(cells)
+                .map(|(point, runs)| PointResult::assemble_sampled(point, runs))
+                .collect();
+        }
+        let Some(TaskRun(Run::Pass { traces, shared })) = runs.into_iter().next() else {
+            unreachable!("an unsampled group's one task runs its pass")
+        };
+        self.points
+            .iter()
+            .zip(&self.scheme_of)
+            .map(|(point, &scheme)| {
+                let mut result = PointResult::assemble(point, traces[scheme].clone());
+                if point.scenario == ScenarioSpec::SharedPredictor {
+                    result.scenario_metrics = shared_predictor_metrics(
+                        shared
+                            .as_ref()
+                            .expect("a shared-predictor cell runs the pass"),
+                        &result.traces,
+                    );
+                }
+                result
+            })
+            .collect()
     }
 }
 
@@ -643,13 +990,12 @@ impl CellPath {
 /// [`RunOptions::default`]. The estimator-scheme path and the
 /// shared-predictor pass ignore them.
 ///
-/// `engine` picks the execution path ([`CellPath::of_group`] over this one
-/// cell). [`EngineKind::Multilane`] routes the point through the
+/// `engine` picks the execution path, as [`plan`] decides it for this one
+/// cell. [`EngineKind::Multilane`] routes the point through the
 /// lane-batched lockstep engine when the cell is the storage-free TAGE
-/// pairing under any scenario but `shared-predictor`. The storage-based
-/// estimator schemes hook the scalar per-branch loop, and the
-/// shared-predictor pass is scalar, so those cells run on the scalar path:
-/// [`run_point_group`] over this one cell.
+/// pairing under any scenario but `shared-predictor`, over a geometry that
+/// fits the lane layout. Other cells run on the scalar engine
+/// ([`Fallback`] names why).
 ///
 /// `warm` only matters for phase-sampled suites: the sampled runner
 /// checkpoints the sequential predictor state at each representative
@@ -666,12 +1012,13 @@ pub fn run_point(
     engine: EngineKind,
     warm: Option<&WarmCache>,
 ) -> Result<PointResult, PointError> {
-    point.validate()?;
-    if CellPath::of_group(&[point], engine) == CellPath::Sampled {
-        return run_point_sampled(point, branches_per_trace, options, warm);
-    }
-    let mut results = run_point_group(&[point], branches_per_trace, options, engine)?;
-    Ok(results.pop().expect("one result per cell"))
+    let group = plan([(point, branches_per_trace)], options, engine)
+        .pop()
+        .expect("one cell plans one group");
+    let runs = (0..group.tasks())
+        .map(|task| group.run_task(task, warm))
+        .collect::<Result<_, _>>()?;
+    Ok(group.assemble(runs).pop().expect("one result per cell"))
 }
 
 impl From<TraceRunResult> for PointTraceMetrics {
@@ -693,7 +1040,7 @@ impl PointResult {
     /// functions of that aggregate — the recovery-energy
     /// ([`energy::metrics`]) and prefetch-throttle ([`prefetch::metrics`])
     /// scenarios at their default models. Shared-predictor metrics, which
-    /// need a pass of their own ([`run_point_group`] adds them), and
+    /// need a pass of their own ([`GroupPlan::assemble`] adds them), and
     /// sampling accounting start empty. Traces run apart (each from a cold
     /// predictor) assemble into the result of running them together.
     pub fn assemble(point: &SweepPoint, traces: Vec<PointTraceMetrics>) -> Self {
@@ -761,100 +1108,6 @@ impl PointResult {
     }
 }
 
-/// The phase-sampled point path: [`run_sampled_trace`] over each trace of
-/// the suite with this one cell, then [`PointResult::assemble_sampled`].
-fn run_point_sampled(
-    point: &SweepPoint,
-    branches_per_trace: usize,
-    options: &RunOptions,
-    warm: Option<&WarmCache>,
-) -> Result<PointResult, PointError> {
-    let traces = (0..point.suite.sources().len())
-        .map(|trace| {
-            run_sampled_trace(&[point], trace, branches_per_trace, options, warm)
-                .map(|mut cells| cells.pop().expect("one result per cell"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(PointResult::assemble_sampled(point, traces))
-}
-
-/// The one sampled executor: runs trace `trace` of the suite that sampled
-/// cells share (a group of [`pass_groups`]; [`run_point`] passes a single
-/// cell, one trace at a time) and returns each cell's sampled run, in
-/// input order, each equal to the cell's run of that trace alone.
-///
-/// The trace is opened, and so decoded, once, and planned once
-/// ([`crate::phase::build_plan`]). Then each cell's predictor runs from that
-/// plan over the rewound stream, restoring and storing its checkpoints in
-/// `warm`. The plan depends on the stream and the sampling spec only, so
-/// every cell would have built the same one.
-///
-/// # Errors
-///
-/// An invalid cell fails the group with [`PointError::Invalid`]. A trace
-/// that cannot be opened or read fails it with [`PointError::Source`].
-///
-/// # Panics
-///
-/// When a cell is not sampled, when the cells do not share one sampled
-/// suite and branch count, so that [`pass_groups`] would have put them in
-/// different groups, or when `trace` is out of the suite's range.
-pub fn run_sampled_trace(
-    points: &[&SweepPoint],
-    trace: usize,
-    branches_per_trace: usize,
-    options: &RunOptions,
-    warm: Option<&WarmCache>,
-) -> Result<Vec<SampledRunResult>, PointError> {
-    let Some(first) = points.first() else {
-        return Ok(Vec::new());
-    };
-    for point in points {
-        point.validate()?;
-    }
-    let sampling = first
-        .suite
-        .sampling()
-        .expect("run_sampled_trace runs sampled cells");
-    if points.len() > 1 {
-        let key = |point| pass_key(point, branches_per_trace, options);
-        let first_key = key(first);
-        assert!(
-            first_key.is_some() && points.iter().all(|point| key(point) == first_key),
-            "run_sampled_trace runs sampled cells that share one suite"
-        );
-    }
-    let spec = &first.suite.sources()[trace];
-    let located = source_error(spec);
-    let mut source = spec.open(branches_per_trace).map_err(&located)?;
-    let plan = build_plan(&mut source, sampling).map_err(&located)?;
-    let warm = warm.map(|cache| (cache, spec.digest(branches_per_trace)));
-    points
-        .iter()
-        .map(|point| {
-            let Some(blueprint) = point.predictor.tage_blueprint() else {
-                unreachable!("validate() restricts sampled points to TAGE predictors")
-            };
-            run_from_plan(blueprint, options, &plan, warm, &mut source).map_err(&located)
-        })
-        .collect()
-}
-
-/// Whether [`EngineKind::Multilane`] can run this cell on lanes: the
-/// storage-free TAGE pairing under any scenario the lane pass serves (all
-/// but `shared-predictor`), and a geometry that fits the lane group's
-/// packed layout (explored geometries may exceed it; those run scalar).
-fn point_is_lane_batchable(point: &SweepPoint) -> bool {
-    point.scheme == SchemeSpec::StorageFree
-        && point.scenario != ScenarioSpec::SharedPredictor
-        && match &point.predictor {
-            PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
-                LaneGroup::supports(geometry)
-            }
-            PredictorSpec::Baseline(_) => false,
-        }
-}
-
 /// The lane-batched pass of a group: all suite sources through one
 /// [`crate::multilane::MultilaneEngine`], [`DEFAULT_LANES`] streams in
 /// lockstep, one result per trace in suite order.
@@ -864,209 +1117,12 @@ fn run_lanes(
     options: &RunOptions,
 ) -> Result<Vec<PointTraceMetrics>, PointError> {
     let Some(blueprint) = point.predictor.tage_blueprint() else {
-        unreachable!("point_is_lane_batchable() requires a TAGE predictor")
+        unreachable!("a lane group runs TAGE predictors")
     };
     let specs = point.suite.sources();
     let results = run_specs_located(blueprint, specs, branches_per_trace, options, DEFAULT_LANES)
         .map_err(|(index, error)| source_error(&specs[index])(error))?;
     Ok(results.into_iter().map(PointTraceMetrics::from).collect())
-}
-
-/// What cells must have in common to share a pass over each trace (see
-/// [`pass_groups`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PassKey {
-    shared: SharedPass,
-    suite: String,
-    suite_digest: u64,
-    branches_per_trace: usize,
-}
-
-/// What the cells of a group share per trace.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum SharedPass {
-    /// One predictor: the cells' predictor label, and the spec digest and
-    /// automaton of a TAGE predictor. The label names a programmatic
-    /// [`PredictorSpec::Tage`] by size and automaton only, and a
-    /// [`PredictorSpec::Geometry`] by a 32-bit digest.
-    Predictor {
-        label: String,
-        geometry: Option<(u64, CounterAutomaton)>,
-    },
-    /// One decoded stream and its phase plan: sampled cells, which differ
-    /// only in predictor, each run their own from the plan.
-    Plan(SamplingSpec),
-}
-
-/// The pass `point` can share with other cells, or `None` when it runs
-/// alone: an invalid cell, a sampled cell over a suite with no trace to
-/// share, or a storage-free cell whose options steer its predictor (the
-/// adaptive controller) or window its measurement (a warm-up). Estimator
-/// cells ignore the options, and sampled cells share only the plan, which
-/// no option changes. The engine plays no part: a group runs on lanes or
-/// on the scalar engine as a whole ([`CellPath::of_group`]).
-fn pass_key(
-    point: &SweepPoint,
-    branches_per_trace: usize,
-    options: &RunOptions,
-) -> Option<PassKey> {
-    if point.validate().is_err() {
-        return None;
-    }
-    let shared = match point.suite.sampling() {
-        Some(_) if point.suite.sources().is_empty() => return None,
-        Some(sampling) => SharedPass::Plan(sampling),
-        None if point.scheme == SchemeSpec::StorageFree
-            && (options.warmup_branches > 0 || options.adaptive_target_mkp.is_some()) =>
-        {
-            return None
-        }
-        None => SharedPass::Predictor {
-            label: point.predictor.label(),
-            geometry: match &point.predictor {
-                PredictorSpec::Tage(geometry) | PredictorSpec::Geometry { geometry, .. } => {
-                    Some((geometry.spec_digest(), geometry.automaton))
-                }
-                PredictorSpec::Baseline(_) => None,
-            },
-        },
-    };
-    Some(PassKey {
-        shared,
-        suite: point.suite.name().to_string(),
-        suite_digest: point.suite.digest(branches_per_trace),
-        branches_per_trace,
-    })
-}
-
-/// Partitions cells into groups that share a pass over each trace, each a
-/// list of indexes into `cells`, in the order of each group's first cell.
-/// A cell is a point and its branches per trace.
-///
-/// Unsampled cells share a group, which [`run_point_group`] runs over one
-/// predictor pass per trace (or one lane pass, see [`CellPath::of_group`]),
-/// when they have the same predictor, the same suite and the same branches
-/// per trace, and none of them is steered or windowed by `options`.
-/// Sampled cells share a group, which [`run_sampled_trace`] runs over one
-/// decoded stream and one phase plan per trace, when they have the same
-/// suite, sampling plan and branches per trace; a sampled cell is TAGE ×
-/// storage-free × baseline, so such cells differ only in predictor. Every
-/// other cell is a group of its own, so cells that share with nothing come
-/// back one per group, in input order.
-pub fn pass_groups<'a>(
-    cells: impl IntoIterator<Item = (&'a SweepPoint, usize)>,
-    options: &RunOptions,
-) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut by_key: HashMap<PassKey, usize> = HashMap::new();
-    for (index, (point, branches_per_trace)) in cells.into_iter().enumerate() {
-        let Some(key) = pass_key(point, branches_per_trace, options) else {
-            groups.push(vec![index]);
-            continue;
-        };
-        match by_key.entry(key) {
-            Entry::Occupied(group) => groups[*group.get()].push(index),
-            Entry::Vacant(slot) => {
-                slot.insert(groups.len());
-                groups.push(vec![index]);
-            }
-        }
-    }
-    groups
-}
-
-/// The one unsampled executor: runs a group of cells that share one
-/// predictor pass (a group of [`pass_groups`]; [`run_point`] passes a
-/// single cell) and returns their results in input order, each equal to the
-/// result of running the cell alone.
-///
-/// Cells that differ only in scenario read the same per-trace results, so
-/// the group runs one scheme per distinct scheme among its cells. Under
-/// [`EngineKind::Multilane`], a group whose every cell can run on lanes
-/// ([`CellPath::of_group`]) — storage-free cells, so one scheme — runs one
-/// lane pass over the suite. Otherwise, per trace, one cold predictor
-/// predicts and trains once, and each scheme grades every lookup from cold
-/// into its own report; a storage-free cell under an adaptive target also
-/// steers the predictor, which it then has to itself. Each cell then
-/// assembles its scheme's traces ([`PointResult::assemble`], which derives
-/// the recovery-energy and prefetch-throttle metrics). When a cell measures
-/// the shared-predictor scenario, one interleaved pass over the suite
-/// follows the per-source runs, and every such cell reads it.
-///
-/// # Errors
-///
-/// An invalid cell fails the group with [`PointError::Invalid`]. A source
-/// that cannot be opened or read fails it with [`PointError::Source`].
-///
-/// # Panics
-///
-/// When a cell is sampled ([`run_sampled_trace`] runs those), or when the
-/// cells cannot share a pass, so that [`pass_groups`] would have put them
-/// in different groups.
-pub fn run_point_group(
-    points: &[&SweepPoint],
-    branches_per_trace: usize,
-    options: &RunOptions,
-    engine: EngineKind,
-) -> Result<Vec<PointResult>, PointError> {
-    let Some(first) = points.first() else {
-        return Ok(Vec::new());
-    };
-    for point in points {
-        point.validate()?;
-    }
-    assert!(
-        first.suite.sampling().is_none(),
-        "run_point_group runs unsampled cells"
-    );
-    if points.len() > 1 {
-        let key = |point| pass_key(point, branches_per_trace, options);
-        let first_key = key(first);
-        assert!(
-            first_key.is_some() && points.iter().all(|point| key(point) == first_key),
-            "run_point_group runs cells that share one predictor pass"
-        );
-    }
-    let mut schemes: Vec<SchemeSpec> = Vec::new();
-    let scheme_of: Vec<usize> = points
-        .iter()
-        .map(|point| {
-            schemes
-                .iter()
-                .position(|&scheme| scheme == point.scheme)
-                .unwrap_or_else(|| {
-                    schemes.push(point.scheme);
-                    schemes.len() - 1
-                })
-        })
-        .collect();
-    let traces = if CellPath::of_group(points, engine) == CellPath::Multilane {
-        // Cells on lanes are storage-free, so `schemes` holds that one.
-        vec![run_lanes(first, branches_per_trace, options)?]
-    } else {
-        run_schemes(first, &schemes, branches_per_trace, options)?
-    };
-    let shared = points
-        .iter()
-        .any(|point| point.scenario == ScenarioSpec::SharedPredictor)
-        .then(|| run_shared_pass(&first.predictor, &first.suite, branches_per_trace))
-        .transpose()?;
-    Ok(points
-        .iter()
-        .zip(scheme_of)
-        .map(|(point, scheme)| {
-            let mut result = PointResult::assemble(point, traces[scheme].clone());
-            if point.scenario == ScenarioSpec::SharedPredictor {
-                result.scenario_metrics = shared_predictor_metrics(
-                    shared
-                        .as_ref()
-                        .expect("a shared-predictor cell runs the pass"),
-                    &result.traces,
-                );
-            }
-            result
-        })
-        .collect())
 }
 
 /// The scalar pass of a group: every source of `first`'s suite through one
@@ -1586,6 +1642,15 @@ mod tests {
         assert_eq!(scalar, multilane);
     }
 
+    /// Runs every task of `group` in order and assembles its cells.
+    fn run_group(group: &GroupPlan<'_>) -> Vec<PointResult> {
+        let runs = (0..group.tasks())
+            .map(|task| group.run_task(task, None))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        group.assemble(runs)
+    }
+
     /// Storage-free TAGE cells of the baseline, recovery-energy and
     /// prefetch-throttle scenarios form one group that runs one lane pass;
     /// each cell equals its scalar run alone. One estimator or
@@ -1609,36 +1674,44 @@ mod tests {
         .collect();
         let options = RunOptions::default();
         let cells = || points.iter().map(|point| (point, 2_000));
-        assert_eq!(pass_groups(cells(), &options), [vec![0, 1, 2]]);
-        let refs: Vec<&SweepPoint> = points.iter().collect();
-        assert_eq!(
-            CellPath::of_group(&refs, EngineKind::Multilane),
-            CellPath::Multilane
-        );
-        assert_eq!(
-            CellPath::of_group(&refs, EngineKind::Scalar),
-            CellPath::Scalar
-        );
-        let grouped = run_point_group(&refs, 2_000, &options, EngineKind::Multilane).unwrap();
+        let groups = plan(cells(), &options, EngineKind::Multilane);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].cells(), [0, 1, 2]);
+        assert_eq!(groups[0].path(), CellPath::Multilane);
+        assert_eq!(groups[0].fallbacks(), [None; 3]);
+        assert_eq!(groups[0].tasks(), 1);
+        let scalar = plan(cells(), &options, EngineKind::Scalar);
+        assert_eq!(scalar[0].path(), CellPath::Scalar);
+        assert_eq!(scalar[0].fallbacks(), [None; 3]);
+        let grouped = run_group(&groups[0]);
         for (point, together) in points.iter().zip(&grouped) {
             let alone = run_point(point, 2_000, &options, EngineKind::Scalar, None).unwrap();
             assert_eq!(*together, alone, "{}", point.scenario);
         }
-        for other in [
-            SweepPoint {
-                scheme: SchemeSpec::parse("jrs-enhanced").unwrap(),
-                ..points[0].clone()
-            },
-            points[0]
-                .clone()
-                .with_scenario(ScenarioSpec::SharedPredictor),
+        for (other, reason) in [
+            (
+                SweepPoint {
+                    scheme: SchemeSpec::parse("jrs-enhanced").unwrap(),
+                    ..points[0].clone()
+                },
+                Fallback::Scheme,
+            ),
+            (
+                points[0]
+                    .clone()
+                    .with_scenario(ScenarioSpec::SharedPredictor),
+                Fallback::Scenario,
+            ),
         ] {
-            let mut mixed = refs.clone();
-            mixed.push(&other);
-            assert_eq!(
-                CellPath::of_group(&mixed, EngineKind::Multilane),
-                CellPath::Scalar
+            let mixed = plan(
+                points.iter().chain([&other]).map(|point| (point, 2_000)),
+                &options,
+                EngineKind::Multilane,
             );
+            assert_eq!(mixed.len(), 1);
+            assert_eq!(mixed[0].path(), CellPath::Scalar);
+            let group = Some(Fallback::Group);
+            assert_eq!(mixed[0].fallbacks(), [group, group, group, Some(reason)]);
         }
     }
 
@@ -1658,11 +1731,17 @@ mod tests {
             &mini(),
         )
         .with_scenario(ScenarioSpec::SharedPredictor);
-        for point in [estimator, scenario] {
-            assert_eq!(
-                CellPath::of_group(&[&point], EngineKind::Multilane),
-                CellPath::Scalar
+        for (point, reason) in [
+            (estimator, Fallback::Scheme),
+            (scenario, Fallback::Scenario),
+        ] {
+            let groups = plan(
+                [(&point, 1_000)],
+                &RunOptions::default(),
+                EngineKind::Multilane,
             );
+            assert_eq!(groups[0].path(), CellPath::Scalar);
+            assert_eq!(groups[0].fallbacks(), [Some(reason)]);
             let scalar = run_point(
                 &point,
                 1_000,
@@ -1908,14 +1987,18 @@ mod tests {
     fn assert_group_equals_cells_alone(predictor: &str, suite: &SourceSuite, branches: usize) {
         let points = every_cell_of(predictor, suite);
         let options = RunOptions::default();
-        let groups = pass_groups(points.iter().map(|point| (point, branches)), &options);
+        let groups = plan(
+            points.iter().map(|point| (point, branches)),
+            &options,
+            EngineKind::Scalar,
+        );
+        assert_eq!(groups.len(), 1, "{predictor}");
         assert_eq!(
-            groups,
-            [(0..points.len()).collect::<Vec<_>>()],
+            groups[0].cells(),
+            (0..points.len()).collect::<Vec<_>>(),
             "{predictor}"
         );
-        let refs: Vec<&SweepPoint> = points.iter().collect();
-        let grouped = run_point_group(&refs, branches, &options, EngineKind::Scalar).unwrap();
+        let grouped = run_group(&groups[0]);
         assert_eq!(grouped.len(), points.len());
         for (point, together) in points.iter().zip(&grouped) {
             let alone = run_point(point, branches, &options, EngineKind::Scalar, None).unwrap();
@@ -1958,6 +2041,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The cells of each group [`plan`] makes of `cells`, which is the
+    /// same on either engine.
+    fn groups_of<'a>(
+        cells: impl IntoIterator<Item = (&'a SweepPoint, usize)> + Clone,
+        options: &RunOptions,
+    ) -> Vec<Vec<usize>> {
+        let groups = |engine| -> Vec<Vec<usize>> {
+            plan(cells.clone(), options, engine)
+                .iter()
+                .map(|group| group.cells().to_vec())
+                .collect()
+        };
+        let scalar = groups(EngineKind::Scalar);
+        assert_eq!(groups(EngineKind::Multilane), scalar);
+        scalar
+    }
+
     #[test]
     fn pass_groups_share_only_what_one_predictor_pass_serves() {
         let suite = SourceSuite::from_suite(&mini());
@@ -1979,7 +2079,7 @@ mod tests {
         let default = RunOptions::default();
         // Lane-batchable cells group like any other, on either engine.
         assert_eq!(
-            pass_groups(cells(), &default),
+            groups_of(cells(), &default),
             [vec![0, 2, 5], vec![1, 4], vec![3]]
         );
         // A warm-up or an adaptive target leaves each storage-free cell
@@ -1990,7 +2090,7 @@ mod tests {
         };
         for options in [warmup, RunOptions::adaptive()] {
             assert_eq!(
-                pass_groups(cells(), &options),
+                groups_of(cells(), &options),
                 [vec![0], vec![1, 4], vec![2], vec![3], vec![5]],
                 "{options:?}"
             );
@@ -2006,7 +2106,7 @@ mod tests {
             (&points[4], 2_000),
             (&other_suite, 1_000),
         ];
-        assert_eq!(pass_groups(mixed, &default), [vec![0], vec![1], vec![2]]);
+        assert_eq!(groups_of(mixed, &default), [vec![0], vec![1], vec![2]]);
 
         // Sampled cells share one decode and plan per trace whatever their
         // predictor and options, but only over the same suite name and
@@ -2045,7 +2145,7 @@ mod tests {
         };
         for options in [RunOptions::default(), warmup, RunOptions::adaptive()] {
             assert_eq!(
-                pass_groups(sampled_cells(), &options),
+                groups_of(sampled_cells(), &options),
                 [vec![0, 1, 5], vec![2], vec![3], vec![4]],
                 "{options:?}"
             );
@@ -2067,7 +2167,7 @@ mod tests {
         };
         assert_eq!(standard.predictor.label(), modified.predictor.label());
         assert_eq!(
-            pass_groups(
+            groups_of(
                 [(&standard, 1_000), (&modified, 1_000), (&standard, 1_000)],
                 &default
             ),
@@ -2075,22 +2175,122 @@ mod tests {
         );
     }
 
+    /// Under multilane, each cell that runs scalar names the first reason
+    /// that applies: a baseline predictor, a geometry outside the lane
+    /// layout, an estimator scheme, the shared-predictor scenario, or a
+    /// group-mate's scalar pass. Lane, sampled and scalar-engine cells name
+    /// none. A group is one task, or one per trace when sampled.
     #[test]
-    #[should_panic(expected = "share one predictor pass")]
-    fn cells_that_cannot_share_a_pass_are_refused_as_a_group() {
-        let cell = |predictor: &str| {
-            SweepPoint::over_suite(
-                PredictorSpec::parse(predictor).unwrap(),
-                SchemeSpec::parse("jrs-classic").unwrap(),
-                &mini(),
-            )
+    fn plans_name_why_each_multilane_cell_runs_scalar() {
+        let suite = SourceSuite::from_suite(&mini());
+        let mut wide = TageGeometry::small();
+        wide.tables[0].index_bits = 22;
+        wide.validate().expect("a 22-bit index is a valid geometry");
+        assert!(!LaneGroup::supports(&wide));
+        let cell =
+            |predictor: PredictorSpec, scheme: &str, scenario, suite: &SourceSuite| SweepPoint {
+                predictor,
+                scheme: SchemeSpec::parse(scheme).unwrap(),
+                suite: suite.clone(),
+                scenario,
+            };
+        let tage = || PredictorSpec::parse("tage-16k").unwrap();
+        let empty = SourceSuite::new("none", Vec::new()).with_sampling(small_sampling());
+        let points = [
+            cell(
+                PredictorSpec::parse("gshare").unwrap(),
+                "jrs-classic",
+                ScenarioSpec::SharedPredictor,
+                &suite,
+            ),
+            cell(
+                PredictorSpec::Geometry {
+                    geometry: wide,
+                    source: "wide.json".to_string(),
+                },
+                "jrs-classic",
+                ScenarioSpec::Baseline,
+                &suite,
+            ),
+            cell(tage(), "jrs-classic", ScenarioSpec::SharedPredictor, &suite),
+            cell(
+                tage(),
+                "storage-free",
+                ScenarioSpec::SharedPredictor,
+                &suite,
+            ),
+            cell(tage(), "storage-free", ScenarioSpec::Baseline, &suite),
+            cell(
+                PredictorSpec::parse("tage-64k").unwrap(),
+                "storage-free",
+                ScenarioSpec::RecoveryEnergy,
+                &suite,
+            ),
+            cell(
+                tage(),
+                "storage-free",
+                ScenarioSpec::Baseline,
+                &sampled_mini(small_sampling()),
+            ),
+            cell(tage(), "storage-free", ScenarioSpec::Baseline, &empty),
+        ];
+        let cells = || points.iter().map(|point| (point, 1_000));
+        let options = RunOptions::default();
+        let summary = |engine| -> Vec<_> {
+            plan(cells(), &options, engine)
+                .iter()
+                .map(|group| {
+                    (
+                        group.cells().to_vec(),
+                        group.path(),
+                        group.fallbacks().to_vec(),
+                        group.tasks(),
+                    )
+                })
+                .collect()
         };
-        let _ = run_point_group(
-            &[&cell("gshare"), &cell("bimodal")],
-            500,
-            &RunOptions::default(),
-            EngineKind::Scalar,
+        let reason = Some;
+        assert_eq!(
+            summary(EngineKind::Multilane),
+            [
+                (
+                    vec![0],
+                    CellPath::Scalar,
+                    vec![reason(Fallback::Predictor)],
+                    1
+                ),
+                (
+                    vec![1],
+                    CellPath::Scalar,
+                    vec![reason(Fallback::Geometry)],
+                    1
+                ),
+                (
+                    vec![2, 3, 4],
+                    CellPath::Scalar,
+                    vec![
+                        reason(Fallback::Scheme),
+                        reason(Fallback::Scenario),
+                        reason(Fallback::Group)
+                    ],
+                    1
+                ),
+                (vec![5], CellPath::Multilane, vec![None], 1),
+                (vec![6], CellPath::Sampled, vec![None], 4),
+                (vec![7], CellPath::Sampled, vec![None], 1),
+            ]
         );
+        let scalar = summary(EngineKind::Scalar);
+        assert_eq!(scalar[3].1, CellPath::Scalar);
+        for (_, _, fallbacks, _) in &scalar {
+            assert!(fallbacks.iter().all(Option::is_none), "{scalar:?}");
+        }
+
+        // The one task of a sampled suite with no trace yields its empty
+        // cell.
+        let nothing = run_point(&points[7], 1_000, &options, EngineKind::Multilane, None).unwrap();
+        assert!(nothing.traces.is_empty());
+        assert_eq!(nothing.sampling.map(|s| s.total_records), Some(0));
     }
 
     fn sampled_mini(spec: SamplingSpec) -> SourceSuite {

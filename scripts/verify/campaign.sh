@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI job `campaign`: every tage-bench grid and the gates on its reports.
 # Reports must pass `tage-bench --check`, timing-free reports must byte-match
-# (`cmp`) across engines, trace encodings, worker counts and kill/--resume
-# splits, and `--paper all` must equal docs/RESULTS.md. Needs `gzip` on
-# PATH. Writes under target/verify-campaign (removed first).
+# (`cmp`) across trace encodings, worker counts and kill/--resume splits, and
+# `--paper all` must equal docs/RESULTS.md. Engine parity of the CI grids is
+# a tier-1 test (campaign_determinism.rs). Needs `gzip` on PATH. Writes
+# under target/verify-campaign (removed first).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 out=target/verify-campaign
@@ -18,27 +19,6 @@ echo "== campaign smoke (tage-bench grid + schema check) =="
 "$tb" "${grid[@]}" --suites cbp1-mini --label verify-smoke \
   --out "$out/campaign-smoke.json"
 "$tb" --check "$out/campaign-smoke.json"
-
-echo "== engine parity (multilane vs scalar) =="
-# Two grids through each engine; the timing-free reports must byte-match,
-# the multilane bit-parity contract observed at the report level. The first
-# grid's six cells form one group with estimator and shared-predictor
-# cells, so its storage-free baseline cell rides the group's scalar pass on
-# either engine. The second grid's cells all run on lanes under multilane:
-# one lane pass per predictor, from which the recovery-energy and
-# prefetch-throttle cells derive their metrics.
-parity=(--predictors tage-16k --schemes storage-free,jrs-enhanced
-  --scenario baseline,recovery-energy,shared-predictor --suites cbp1-mini
-  --branches 20000 --label verify-engine --no-timing)
-"$tb" "${parity[@]}" --engine multilane --out "$out/campaign-multilane.json"
-"$tb" "${parity[@]}" --engine scalar --out "$out/campaign-scalar.json"
-cmp "$out/campaign-multilane.json" "$out/campaign-scalar.json"
-lanes=(--predictors tage-16k,tage-64k --schemes storage-free
-  --scenario baseline,recovery-energy,prefetch-throttle --suites cbp1-mini
-  --branches 20000 --label verify-engine-lanes --no-timing)
-"$tb" "${lanes[@]}" --engine multilane --out "$out/campaign-lanes-multilane.json"
-"$tb" "${lanes[@]}" --engine scalar --out "$out/campaign-lanes-scalar.json"
-cmp "$out/campaign-lanes-multilane.json" "$out/campaign-lanes-scalar.json"
 
 echo "== scenario smoke (tage-bench --scenario) =="
 # One cell per scenario kind and the schema-4 validation of the
