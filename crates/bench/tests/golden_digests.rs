@@ -17,6 +17,7 @@ use tage_bench::campaign::{run_campaign_checkpointed, run_campaign_with_engine, 
 use tage_bench::cellstore::{cell_key, CellStore};
 use tage_bench::explore::{attach_explore_section, enumerate_geometries, explore_predictors};
 use tage_bench::paper;
+use tage_bench::service::grid::GridRequest;
 use tage_sim::point::{PredictorSpec, SchemeSpec, SweepPoint};
 use tage_sim::scenarios::ScenarioSpec;
 use tage_sim::EngineKind;
@@ -36,6 +37,10 @@ const PLAIN_CELL_KEY: u64 = 0x4471_2d18_534f_a9c3;
 const SAMPLED_CELL_KEY: u64 = 0x161c_3562_042b_cfc0;
 const WARM_ENTRY_NAMES: u64 = 0x3b65_0023_d608_2284;
 const WARM_ENTRY_BYTES: u64 = 0x8119_3c3e_bf61_c621;
+const SAMPLED_CELL_FILE_NAME: u64 = 0x74cd_d6a6_0238_26c6;
+const SAMPLED_CELL_FILE_BYTES: u64 = 0x1d34_f991_7aed_a510;
+const JOURNAL_FILE_NAME: u64 = 0xf497_bb06_ab3b_f416;
+const JOURNAL_FILE_BYTES: u64 = 0x3203_c2ad_f7b0_3898;
 const PRESET_DIGESTS: [(&str, &str, u64); 3] = [
     ("tage-16k", "tage-16k.json", 0x9f89_572f_1567_65a5),
     ("tage-64k", "tage-64k.json", 0xaee5_643c_1c40_28c6),
@@ -140,9 +145,10 @@ fn sampled_cell_report_bytes_are_pinned() {
     );
 }
 
-/// The warm-cache entries a sampled cell leaves under `<store>/warm`: their
-/// file names are the entry keys, their bytes the checkpointed states. A
-/// store written by an earlier build keeps hitting only while both hold.
+/// The cell file and the warm-cache entries a sampled cell leaves in its
+/// store: their file names are the keys, their bytes the framed cell and
+/// the checkpointed states. A store written by an earlier build keeps
+/// hitting only while both hold.
 #[test]
 fn warm_cache_keys_and_bytes_are_pinned() {
     let dir = std::env::temp_dir().join(format!("tage-golden-warm-{}", std::process::id()));
@@ -151,6 +157,22 @@ fn warm_cache_keys_and_bytes_are_pinned() {
     let run =
         run_campaign_checkpointed(&sampled_spec(), 2, EngineKind::Multilane, &store, None).unwrap();
     assert_eq!(run.executed, 1);
+    let cells: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".cell"))
+        .collect();
+    assert_eq!(cells.len(), 1, "one cell file: {cells:?}");
+    pinned(
+        "sampled cell file name",
+        fnv1a64(cells[0].as_bytes()),
+        SAMPLED_CELL_FILE_NAME,
+    );
+    pinned(
+        "sampled cell file bytes",
+        fnv1a64(&fs::read(dir.join(&cells[0])).unwrap()),
+        SAMPLED_CELL_FILE_BYTES,
+    );
     let mut names: Vec<String> = fs::read_dir(dir.join("warm"))
         .unwrap()
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
@@ -209,6 +231,34 @@ fn cell_keys_are_pinned() {
         "sampled cell key",
         cell_key(SAMPLED_BRANCHES, &sampled),
         SAMPLED_CELL_KEY,
+    );
+}
+
+/// A `tage-serve` journal file is `<id>.grid` holding the canonical grid
+/// JSON; a daemon re-opens an earlier build's journal only while both hold.
+#[test]
+fn journal_file_name_and_bytes_are_pinned() {
+    let request = GridRequest {
+        label: "golden-journal".to_string(),
+        predictors: vec!["tage-16k".to_string(), "gshare".to_string()],
+        schemes: vec!["storage-free".to_string(), "jrs-classic".to_string()],
+        suites: vec![
+            "cbp1-mini".to_string(),
+            "sample:cbp1-mini:500:4:1".to_string(),
+        ],
+        trace_dirs: vec!["traces".to_string()],
+        scenarios: vec!["baseline".to_string(), "recovery-energy".to_string()],
+        branches_per_trace: BRANCHES,
+    };
+    pinned(
+        "journal file name",
+        fnv1a64(request.id().as_bytes()),
+        JOURNAL_FILE_NAME,
+    );
+    pinned(
+        "journal file bytes",
+        fnv1a64(request.to_json().as_bytes()),
+        JOURNAL_FILE_BYTES,
     );
 }
 

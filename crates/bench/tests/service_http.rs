@@ -179,6 +179,11 @@ fn resubmitted_and_relabelled_grids_are_answered_from_cache() {
         })
         .collect();
     assert_eq!(journaled, vec![format!("{}.grid", request.id())]);
+    assert_eq!(
+        std::fs::read(journal.join(&journaled[0])).unwrap(),
+        request.to_json().as_bytes(),
+        "a journal file holds the canonical grid JSON"
+    );
 
     // Only the label line may differ between the two reports.
     let diff: Vec<(&str, &str)> = first
@@ -261,6 +266,44 @@ fn killed_daemon_rehydrates_and_finishes_to_identical_bytes() {
     let report = wait_finished(&second, &request.id());
     assert_eq!(report, expected, "resumed report must byte-match the CLI");
     shutdown(second);
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}
+
+#[test]
+fn rehydrate_skips_bad_journal_files_and_leaves_them_in_place() {
+    let (store, journal) = temp_dirs("bad-journal");
+    std::fs::create_dir_all(&journal).unwrap();
+    let request = grid("rehydrated");
+    std::fs::write(
+        journal.join(format!("{}.grid", request.id())),
+        request.to_json(),
+    )
+    .unwrap();
+    let misfiled = grid("misfiled");
+    let bad: [(&str, Vec<u8>); 3] = [
+        ("0000000000000001.grid", vec![b'{', 0xff, 0xfe, b'}']),
+        ("0000000000000002.grid", b"{\"label\": ".to_vec()),
+        ("0000000000000003.grid", misfiled.to_json().into_bytes()),
+    ];
+    for (name, bytes) in &bad {
+        std::fs::write(journal.join(name), bytes).unwrap();
+    }
+
+    let handle = serve(&store, &journal);
+    assert_eq!(handle.rehydrated(), 1, "only the good grid re-opens");
+    assert_eq!(metric(&handle, "campaigns_rehydrated"), 1.0);
+    for (name, bytes) in &bad {
+        assert_eq!(
+            &std::fs::read(journal.join(name)).unwrap(),
+            bytes,
+            "{name} stays on disk for inspection"
+        );
+    }
+    let (status, _) = get(&handle, &format!("/campaigns/{}", misfiled.id()));
+    assert_eq!(status, 404, "a misfiled grid is not submitted");
+    let report = wait_finished(&handle, &request.id());
+    assert_eq!(report, one_shot_report(&request));
+    shutdown(handle);
     let _ = std::fs::remove_dir_all(store.parent().unwrap());
 }
 
