@@ -350,6 +350,19 @@ mod tests {
         point_b.suite = SourceSuite::from_dir(&dir).unwrap();
         assert_eq!(point_a.suite.name(), point_b.suite.name());
         assert_ne!(key_a, cell_key(1_000, &point_b));
+        // The same directory spelled relative to the working directory
+        // names the same files, hence the same cell.
+        let up: PathBuf = std::env::current_dir()
+            .unwrap()
+            .components()
+            .skip(1)
+            .map(|_| "..")
+            .collect();
+        let relative = up.join(dir.strip_prefix("/").unwrap());
+        assert!(relative.is_relative());
+        let mut point_c = point();
+        point_c.suite = SourceSuite::from_dir(&relative).unwrap();
+        assert_eq!(cell_key(1_000, &point_b), cell_key(1_000, &point_c));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -52,7 +52,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// The 64-bit FNV-1a hash of `bytes` — the workspace's standard digest for
 /// snapshot checksums, predictor spec digests and warm-cache keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
+    fnv1a64_extend(FNV_OFFSET_BASIS, bytes)
+}
+
+/// Extends the FNV-1a hash `hash` by `bytes`: `fnv1a64_extend(fnv1a64(a),
+/// b)` equals `fnv1a64` of `a` followed by `b`, so a stream hashes chunk
+/// by chunk.
+pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -768,6 +774,7 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

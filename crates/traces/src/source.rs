@@ -25,14 +25,18 @@
 //! describe *how to open* sources so suite and campaign runners can re-open
 //! independent streams per worker.
 
+use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
+use std::time::SystemTime;
 
 use crate::decoder::{self, DecodedSource};
 use crate::format::{decode_record, FormatError, RECORD_BYTES};
 use crate::reader::read_binary_header;
 use crate::record::BranchRecord;
+use crate::snapshot::{fnv1a64, fnv1a64_extend};
 use crate::suites::{Suite, TraceSpec};
 use crate::synthetic::{StreamCursor, SyntheticProgram, WorkloadProfile};
 use crate::trace::Trace;
@@ -575,30 +579,30 @@ impl SourceSpec {
     ///
     /// Synthetic sources hash their full generation recipe (name, seed,
     /// profile, record budget), so two specs digest equal exactly when they
-    /// stream identical records. File-backed sources hash the path plus the
-    /// file's current byte length; rewriting a trace file in place with the
-    /// same length defeats this, so regenerated traces should go to fresh
-    /// paths (or the cache directory should be cleared).
+    /// stream identical records. File-backed sources hash their format, the
+    /// file name (which names the label and a decoded file's decoder), the
+    /// byte length and a hash of the bytes ([`file_content`]). The
+    /// directory is left out, so one file digests alike however its
+    /// directory is spelled.
     pub fn digest(&self, conditional_branches: usize) -> u64 {
-        match self {
-            SourceSpec::Synthetic(spec) => crate::snapshot::fnv1a64(
-                format!(
-                    "synthetic|{}|seed={}|{:?}|branches={conditional_branches}",
-                    spec.name(),
-                    spec.seed(),
-                    spec.profile()
+        let (format, path) = match self {
+            SourceSpec::Synthetic(spec) => {
+                return fnv1a64(
+                    format!(
+                        "synthetic|{}|seed={}|{:?}|branches={conditional_branches}",
+                        spec.name(),
+                        spec.seed(),
+                        spec.profile()
+                    )
+                    .as_bytes(),
                 )
-                .as_bytes(),
-            ),
-            SourceSpec::BinaryFile(path) => {
-                let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                crate::snapshot::fnv1a64(format!("file|{}|len={len}", path.display()).as_bytes())
             }
-            SourceSpec::DecodedFile(path) => {
-                let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                crate::snapshot::fnv1a64(format!("decoded|{}|len={len}", path.display()).as_bytes())
-            }
-        }
+            SourceSpec::BinaryFile(path) => ("file", path),
+            SourceSpec::DecodedFile(path) => ("decoded", path),
+        };
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let (len, content) = file_content(path);
+        fnv1a64(format!("{format}|{name}|len={len}|content={content:016x}").as_bytes())
     }
 
     /// Opens a fresh stream.
@@ -620,6 +624,50 @@ impl SourceSpec {
             }
         }
     }
+}
+
+/// The byte length of the file at `path` and the [`fnv1a64`] of its bytes,
+/// read through a fixed-size buffer; `(0, 0)` when the file is missing and
+/// a zero hash when it cannot be read.
+///
+/// A process hashes each file once, and again only when its length or
+/// modification time changes. Its one blind spot: a rewrite to the same
+/// length within one filesystem timestamp tick of the previous write, in a
+/// process that has already hashed the file, keeps the old hash.
+fn file_content(path: &Path) -> (u64, u64) {
+    static HASHED: Mutex<BTreeMap<PathBuf, (u64, SystemTime, u64)>> = Mutex::new(BTreeMap::new());
+    let Ok(metadata) = std::fs::metadata(path) else {
+        return (0, 0);
+    };
+    let (len, modified) = (metadata.len(), metadata.modified().ok());
+    let key = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
+    // Held while hashing, so concurrent callers hash a file once. Every
+    // update is one insert, so a poisoned map is still valid.
+    let mut hashed = HASHED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(seen_len, seen_modified, hash)) = hashed.get(&key) {
+        if seen_len == len && Some(seen_modified) == modified {
+            return (len, hash);
+        }
+    }
+    let hash = File::open(path).and_then(|mut file| {
+        let mut buffer = vec![0u8; 1 << 16];
+        let mut hash = fnv1a64(b"");
+        loop {
+            match file.read(&mut buffer) {
+                Ok(0) => return Ok(hash),
+                Ok(filled) => hash = fnv1a64_extend(hash, &buffer[..filled]),
+                Err(error) if error.kind() == ErrorKind::Interrupted => {}
+                Err(error) => return Err(error),
+            }
+        }
+    });
+    let Ok(hash) = hash else {
+        return (len, 0);
+    };
+    if let Some(modified) = modified {
+        hashed.insert(key, (len, modified, hash));
+    }
+    (len, hash)
 }
 
 /// An opened [`SourceSpec`] stream (closed enum so suite runners stay free
@@ -903,10 +951,8 @@ impl SourceSuite {
     /// A stable digest of the whole suite's content identity: the suite
     /// name folded with every member's [`SourceSpec::digest`], in suite
     /// order — the suite half of a campaign-cell cache key (see
-    /// `tage_bench`'s cell store). Two synthetic suites digest equal exactly
-    /// when they would stream the same named record sets; a file-backed
-    /// member digests its path and byte length only, so a same-length
-    /// rewrite in place keeps the suite's digest.
+    /// `tage_bench`'s cell store). Two suites digest equal exactly when
+    /// they would stream the same named record sets.
     pub fn digest(&self, conditional_branches: usize) -> u64 {
         let mut identity = format!("suite|{}", self.name);
         for source in &self.sources {
@@ -916,7 +962,7 @@ impl SourceSuite {
                 source.digest(conditional_branches)
             ));
         }
-        crate::snapshot::fnv1a64(identity.as_bytes())
+        fnv1a64(identity.as_bytes())
     }
 }
 
