@@ -59,7 +59,6 @@ use tage_sim::point::{
     SweepPoint, TaskRun,
 };
 use tage_sim::scenarios::{ScenarioSpec, BASELINE_TOKEN};
-use tage_sim::warmcache::WarmCache;
 use tage_sim::{EngineKind, RunOptions};
 use tage_traces::source::SourceSuite;
 
@@ -467,7 +466,7 @@ fn run_grid(
     }
     let restored = cells.len() - pending.len();
     let cap = max_cells.unwrap_or(pending.len()).min(pending.len());
-    let run = execute_cells(&pending[..cap], workers, engine, store, Warm::AtStore);
+    let run = execute_cells(&pending[..cap], workers, engine, store);
     // Executed cells fill the unrestored slots in grid order; slots past the
     // cap stay empty and drop out of the report.
     let mut executed = pending.iter().zip(run.cells);
@@ -522,15 +521,6 @@ pub(crate) struct Execution {
     pub(crate) store_errors: usize,
 }
 
-/// Where [`execute_cells`] finds the predictor warm cache that
-/// phase-sampled cells restore and store checkpoints in.
-pub(crate) enum Warm<'a> {
-    /// `<store>/warm`, opened only when a planned group is sampled.
-    AtStore,
-    /// A cache the caller keeps open across calls, if any.
-    Held(Option<&'a WarmCache>),
-}
-
 /// Runs `jobs` as [`plan`] groups them on `engine`, and returns the cells
 /// in job order. [`steal_map`] deals every group's tasks to `workers`, in
 /// the order of each group's first cell, as `--paper` shards a cell's
@@ -541,23 +531,12 @@ pub(crate) fn execute_cells(
     workers: usize,
     engine: EngineKind,
     store: Option<&CellStore>,
-    warm: Warm<'_>,
 ) -> Execution {
     let plans = plan(
         jobs.iter().map(|job| (&job.point, job.branches_per_trace)),
         &RunOptions::default(),
         engine,
     );
-    let opened = match warm {
-        Warm::AtStore if plans.iter().any(|plan| plan.path() == CellPath::Sampled) => {
-            store.and_then(open_warm_cache)
-        }
-        _ => None,
-    };
-    let warm = match warm {
-        Warm::AtStore => opened.as_ref(),
-        Warm::Held(warm) => warm,
-    };
     let groups: Vec<Completion> = plans.iter().map(Completion::new).collect();
     let tasks: Vec<(usize, usize)> = plans
         .iter()
@@ -565,7 +544,7 @@ pub(crate) fn execute_cells(
         .flat_map(|(group, plan)| (0..plan.tasks()).map(move |task| (group, task)))
         .collect();
     let (ran, stats) = steal_map(&tasks, workers, |&(group, task)| {
-        groups[group].run_task(&plans[group], task, jobs, store, warm)
+        groups[group].run_task(&plans[group], task, jobs, store)
     });
     let mut slots: Vec<Option<Result<ExecutedCell, PointError>>> =
         jobs.iter().map(|_| None).collect();
@@ -606,7 +585,9 @@ impl Completion {
     }
 
     /// Runs task `task` of `plan`, whose cells are the `jobs` at its
-    /// indexes. When it is the group's last task to finish, assembles,
+    /// indexes; a phase-sampled task restores and stores checkpoints in the
+    /// store's warm cache ([`CellStore::warm`]), which only such tasks
+    /// open. When it is the group's last task to finish, assembles,
     /// renders and persists the group's cells and returns them; otherwise
     /// returns none. Each cell's wall time is its equal share of the group's
     /// summed task time. The first failed task in task order, which is
@@ -617,10 +598,10 @@ impl Completion {
         task: usize,
         jobs: &[CellJob],
         store: Option<&CellStore>,
-        warm: Option<&WarmCache>,
     ) -> Vec<Result<ExecutedCell, PointError>> {
         let start = Instant::now();
-        let run = plan.run_task(task, warm);
+        let warm = store.filter(|_| plan.path() == CellPath::Sampled);
+        let run = plan.run_task(task, warm.and_then(CellStore::warm));
         let (runs, seconds) = {
             let mut ran = self.ran.lock().expect("a task of the group panicked");
             ran.0[task] = Some(run);
@@ -661,12 +642,6 @@ impl Completion {
             })
             .collect()
     }
-}
-
-/// The predictor warm cache at `<store>/warm`; an uncreatable directory
-/// just degrades phase-sampled cells to gap replays.
-pub(crate) fn open_warm_cache(store: &CellStore) -> Option<WarmCache> {
-    WarmCache::new(store.dir().join("warm")).ok()
 }
 
 fn render_token_array(tokens: &[String]) -> String {
@@ -1200,7 +1175,7 @@ mod tests {
                 branches_per_trace: file_spec.branches_per_trace,
             })
             .collect();
-        let run = execute_cells(&jobs, 2, EngineKind::Scalar, None, Warm::AtStore);
+        let run = execute_cells(&jobs, 2, EngineKind::Scalar, None);
         assert_eq!(run.cells.len(), 2);
         for cell in &run.cells {
             let Err(failure) = cell else {
@@ -1288,12 +1263,11 @@ mod tests {
                         branches_per_trace: 2_000,
                     })
                     .collect();
-                let failures: Vec<String> =
-                    execute_cells(&jobs, 2, EngineKind::Scalar, None, Warm::AtStore)
-                        .cells
-                        .iter()
-                        .map(|cell| cell.as_ref().err().expect("the group failed").to_string())
-                        .collect();
+                let failures: Vec<String> = execute_cells(&jobs, 2, EngineKind::Scalar, None)
+                    .cells
+                    .iter()
+                    .map(|cell| cell.as_ref().err().expect("the group failed").to_string())
+                    .collect();
                 assert_eq!(failures.len(), 2, "{case}");
                 assert_eq!(failures[0], failures[1], "{case}");
             }

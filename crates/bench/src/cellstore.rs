@@ -9,13 +9,6 @@
 //! `tage-serve` campaign, or a second in-flight campaign overlapping the
 //! first — restores the bytes instead of recomputing the cell.
 //!
-//! The store grew out of the PR 7 campaign checkpoint (which keyed cells
-//! per campaign label): the label left two campaigns over the same grid
-//! blind to each other's finished cells, which is exactly the sharing the
-//! `tage-serve` daemon needs. Keys now digest only what determines the
-//! cell's bytes, so `--checkpoint/--resume` and the daemon share one
-//! store format.
-//!
 //! # What a cell file holds
 //!
 //! Each `<fnv64 key>.cell` file stores the **exact rendered bytes** of the
@@ -32,43 +25,38 @@
 //!
 //! [`cell_key`] digests the cell's full content identity: the per-trace
 //! length, the predictor/scheme/scenario labels, and the suite's name plus
-//! its [content digest](tage_traces::source::SourceSuite::digest). A
-//! file-backed trace's digest covers its path and byte length only
-//! ([`SourceSpec::digest`](tage_traces::source::SourceSpec::digest)), so a
-//! rewritten trace file invalidates its cells only when its length
-//! changes: a same-length rewrite in place is served the old cells' bytes.
-//! Keying a file on its contents is `ROADMAP.md` item 10. The campaign
-//! label is deliberately **not** part of the key — it only appears in the
-//! report header, so differently-labelled campaigns share cells.
+//! its [content digest](tage_traces::source::SourceSuite::digest), which
+//! hashes a file-backed trace's bytes. The campaign label is deliberately
+//! **not** part of the key — it only appears in the report header, so
+//! differently-labelled campaigns share cells.
 //!
 //! On load the framing (checksum, key) and then the stored cell's identity
 //! fields are checked against the requesting point; a mismatch — a key
 //! collision, a stale, torn or bit-flipped file, or an unframed cell from
 //! an older build — is treated as absent and the cell is recomputed and
-//! rewritten. Stores go through
-//! [`write_atomic`], so a kill can
+//! rewritten. The cells live in a [`KeyedFiles`] directory, so a kill can
 //! never leave a torn cell behind and concurrent writers of the same cell
 //! are harmless (either complete file wins — the bytes are identical).
+//!
+//! The store also holds the predictor warm cache of phase-sampled cells,
+//! under `<store>/warm` ([`CellStore::warm`]).
 
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use tage_sim::point::{PredictorSpec, SweepPoint};
-use tage_traces::snapshot::{fnv1a64, write_atomic, SnapshotReader, SnapshotWriter};
+use tage_sim::WarmCache;
+use tage_traces::snapshot::{fnv1a64, KeyedFiles, SnapshotReader, SnapshotWriter};
 
 use crate::jsonish;
 
-/// File extension of stored cells.
-const CELL_EXTENSION: &str = "cell";
-
 /// A directory of finished campaign cells, each stored as its rendered
-/// timing-free report element under its content-addressed key.
+/// timing-free report element under its content-addressed key, and the
+/// warm cache beside them.
 #[derive(Debug)]
 pub struct CellStore {
-    dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    cells: KeyedFiles,
+    warm: OnceLock<Option<WarmCache>>,
 }
 
 impl CellStore {
@@ -78,38 +66,31 @@ impl CellStore {
     ///
     /// Propagates the [`std::io::Error`] from creating the directory.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<CellStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
         Ok(CellStore {
-            dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            cells: KeyedFiles::new(dir, "cell")?,
+            warm: OnceLock::new(),
         })
     }
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.cells.dir()
     }
 
     /// Number of loads served from a valid stored cell so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.cells.hits()
     }
 
     /// Number of loads that found no (valid) cell so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.cells.misses()
     }
 
     /// Whether a cell file exists under `key`, without reading or counting
     /// it; only [`CellStore::load_cell`] tells whether it is valid.
     pub fn has_cell(&self, key: u64) -> bool {
-        self.path_for(key).exists()
-    }
-
-    fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.{CELL_EXTENSION}"))
+        self.cells.path(key).exists()
     }
 
     /// Loads the finished cell stored under `key`, if it exists, its
@@ -117,37 +98,39 @@ impl CellStore {
     /// unreadable, corrupt or mismatched cell returns `None` — the caller
     /// recomputes (and rewrites) it.
     pub fn load_cell(&self, key: u64, point: &SweepPoint) -> Option<String> {
-        let Some(rendered) = fs::read(self.path_for(key))
-            .ok()
-            .and_then(|bytes| unframe(&bytes, key))
-        else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let expected = [
-            ("predictor", point.predictor.label()),
-            ("scheme", point.scheme.label()),
-            ("suite", point.suite.name().to_string()),
-            ("scenario", point.scenario.label().to_string()),
-        ];
-        for (field, value) in expected {
-            if jsonish::string_field(&rendered, field).as_deref() != Some(value.as_str()) {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(rendered)
+        self.cells.load(key, |bytes| {
+            let rendered = unframe(&bytes, key)?;
+            let expected = [
+                ("predictor", point.predictor.label()),
+                ("scheme", point.scheme.label()),
+                ("suite", point.suite.name().to_string()),
+                ("scenario", point.scenario.label().to_string()),
+            ];
+            expected
+                .iter()
+                .all(|(field, value)| {
+                    jsonish::string_field(&rendered, field).as_deref() == Some(value.as_str())
+                })
+                .then_some(rendered)
+        })
     }
 
     /// Atomically stores a finished cell's rendered bytes under `key`,
-    /// framed and checksummed, through
-    /// [`write_atomic`]: concurrent
-    /// workers and killed runs only ever leave complete cells.
+    /// framed and checksummed: concurrent workers and killed runs only
+    /// ever leave complete cells.
     pub fn store_cell(&self, key: u64, rendered: &str) -> std::io::Result<()> {
         let mut framed = SnapshotWriter::new(key);
         framed.write_bytes(rendered.as_bytes());
-        write_atomic(&self.path_for(key), &framed.finish())
+        self.cells.store(key, &framed.finish())
+    }
+
+    /// The predictor warm cache at `<store>/warm`, opened on first use;
+    /// none when that directory cannot be created, which degrades
+    /// phase-sampled cells to gap replays.
+    pub fn warm(&self) -> Option<&WarmCache> {
+        self.warm
+            .get_or_init(|| WarmCache::new(self.dir().join("warm")).ok())
+            .as_ref()
     }
 }
 
@@ -195,6 +178,7 @@ pub fn cell_key(branches_per_trace: usize, point: &SweepPoint) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use tage_sim::point::SchemeSpec;
     use tage_sim::scenarios::ScenarioSpec;
     use tage_traces::suites;

@@ -72,7 +72,13 @@ impl GridRequest {
     /// the canonical JSON's fnv64. Stable across clients, restarts, and
     /// formatting differences.
     pub fn id(&self) -> String {
-        format!("{:016x}", fnv1a64(self.to_json().as_bytes()))
+        format!("{:016x}", self.key())
+    }
+
+    /// The campaign id as a number: the fnv64 of [`GridRequest::to_json`],
+    /// which keys the campaign's journal file.
+    pub fn key(&self) -> u64 {
+        fnv1a64(self.to_json().as_bytes())
     }
 
     /// Parses a request object (already [`jsonish::validate_document`]-ed

@@ -47,7 +47,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, Scope};
@@ -55,13 +55,13 @@ use std::time::{Duration, Instant};
 
 use tage_sim::engine::StealStats;
 use tage_sim::point::SweepPoint;
-use tage_sim::warmcache::{self, WarmCache};
+use tage_sim::warmcache;
 use tage_sim::EngineKind;
-use tage_traces::snapshot::write_atomic;
+use tage_traces::snapshot::KeyedFiles;
 
 use crate::campaign::{
-    assemble_report, execute_cells, open_warm_cache, CampaignCell, CampaignError, CampaignSpec,
-    CellJob, ExecutedCell, SkippedPoint, Warm,
+    assemble_report, execute_cells, CampaignCell, CampaignError, CampaignSpec, CellJob,
+    ExecutedCell, SkippedPoint,
 };
 use crate::cellstore::{cell_key, CellStore};
 use crate::jsonish;
@@ -299,10 +299,8 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Metrics,
     store: CellStore,
-    /// The predictor warm cache under `<store>/warm`, opened once for
-    /// every worker.
-    warm: Option<WarmCache>,
-    journal_dir: PathBuf,
+    /// One `<id>.grid` file per journaled campaign.
+    journal: KeyedFiles,
     engine: EngineKind,
     workers: usize,
     max_body_bytes: usize,
@@ -398,7 +396,7 @@ fn wake_address(bound: SocketAddr) -> SocketAddr {
 pub fn start(options: ServeOptions) -> Result<ServerHandle, String> {
     let store = CellStore::new(&options.store_dir)
         .map_err(|e| format!("cell store {}: {e}", options.store_dir.display()))?;
-    std::fs::create_dir_all(&options.journal_dir)
+    let journal = KeyedFiles::new(&options.journal_dir, "grid")
         .map_err(|e| format!("journal dir {}: {e}", options.journal_dir.display()))?;
     let listener = TcpListener::bind(&options.addr)
         .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
@@ -417,9 +415,8 @@ pub fn start(options: ServeOptions) -> Result<ServerHandle, String> {
         progress: Condvar::new(),
         shutdown: AtomicBool::new(false),
         metrics: Metrics::default(),
-        warm: open_warm_cache(&store),
         store,
-        journal_dir: options.journal_dir.clone(),
+        journal,
         engine: options.engine,
         workers,
         max_body_bytes: options.max_body_bytes,
@@ -444,21 +441,21 @@ pub fn start(options: ServeOptions) -> Result<ServerHandle, String> {
     })
 }
 
-/// Re-opens every journaled campaign: parses `<id>.grid`, checks the id
-/// still matches the content, and resubmits without re-journaling. Grids
-/// that no longer parse or resolve (e.g. a vanished trace directory) are
-/// reported on stderr and skipped — the journal file stays for inspection.
+/// Re-opens every journaled campaign (each `<id>.grid` file), in id
+/// order: parses it, checks the id still matches the content, and
+/// resubmits without re-journaling. Grids that no longer parse or resolve
+/// (e.g. a vanished trace directory) are reported on stderr and skipped —
+/// the journal file stays for inspection.
 fn rehydrate(shared: &Arc<Shared>) {
-    let Ok(entries) = std::fs::read_dir(&shared.journal_dir) else {
+    let Ok(keys) = shared.journal.keys() else {
         return;
     };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| path.extension().is_some_and(|ext| ext == "grid"))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let Ok(text) = std::fs::read_to_string(&path) else {
+    for key in keys {
+        let path = shared.journal.path(key);
+        let Some(text) = shared
+            .journal
+            .load(key, |bytes| String::from_utf8(bytes).ok())
+        else {
             eprintln!(
                 "tage-serve: journal {} is unreadable; skipped",
                 path.display()
@@ -466,10 +463,9 @@ fn rehydrate(shared: &Arc<Shared>) {
             continue;
         };
         let outcome = GridRequest::parse(&text).and_then(|request| {
-            let expected = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-            if request.id() != expected {
+            if request.key() != key {
                 return Err(format!(
-                    "content hashes to {} but the file claims {expected}",
+                    "content hashes to {} but the file claims {key:016x}",
                     request.id()
                 ));
             }
@@ -551,7 +547,10 @@ fn submit(
         .map(|(&key, point)| shared.store.load_cell(key, point))
         .collect();
     if journal && cells.contains(&None) {
-        write_journal(&shared.journal_dir, &id, &request.to_json())?;
+        shared
+            .journal
+            .store(request.key(), request.to_json().as_bytes())
+            .map_err(|e| format!("cannot journal campaign {id}: {e}"))?;
     }
     let (outcome, queued) = {
         let mut state = shared.state.lock().expect("service state poisoned");
@@ -610,15 +609,6 @@ fn submit(
     Ok(outcome)
 }
 
-/// Atomically writes `<journal_dir>/<id>.grid` ([`write_atomic`]).
-fn write_journal(journal_dir: &Path, id: &str, canonical_json: &str) -> Result<(), String> {
-    write_atomic(
-        &journal_dir.join(format!("{id}.grid")),
-        canonical_json.as_bytes(),
-    )
-    .map_err(|e| format!("cannot journal campaign {id}: {e}"))
-}
-
 /// One worker: takes the oldest queued cell as soon as it is free, runs it
 /// through the campaign executor (which persists it to the store
 /// before this loop publishes it), and hands the bytes to every waiting
@@ -673,8 +663,8 @@ fn worker_loop(shared: &Shared) {
 /// cell runs on the worker.
 fn run_cell(shared: &Shared, job: &CellJob) -> Result<ExecutedCell, String> {
     let run = || {
-        let (jobs, warm) = (std::slice::from_ref(job), Warm::Held(shared.warm.as_ref()));
-        let mut run = execute_cells(jobs, 1, shared.engine, Some(&shared.store), warm);
+        let jobs = std::slice::from_ref(job);
+        let mut run = execute_cells(jobs, 1, shared.engine, Some(&shared.store));
         run.cells.pop().expect("one cell per job")
     };
     let outcome = std::thread::scope(|scope| {

@@ -36,20 +36,17 @@
 //!   key text still carries the origin `0` ahead of `target`, so entries
 //!   written by earlier builds keep their names.
 //!
-//! Entries live as `<fnv64 of the key>.warmstate` files; the state digest is
-//! also embedded in each entry's snapshot header, so a key collision, a
-//! stale file or a torn or bit-flipped one is detected at decode time and
-//! treated as a miss (the records are replayed and the entry rewritten).
-//! Stores go through [`write_atomic`], so concurrent workers and killed runs
-//! can never leave a torn entry behind.
+//! Entries live in a [`KeyedFiles`] directory as `<fnv64 of the
+//! key>.warmstate` files; the state digest is also embedded in each entry's
+//! snapshot header, so a key collision, a stale file or a torn or
+//! bit-flipped one is detected at decode time and treated as a miss (the
+//! records are replayed and the entry rewritten).
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 
 use tage::{CounterAutomaton, TageBlueprint, TagePredictor};
 use tage_traces::format::FormatError;
-use tage_traces::snapshot::{fnv1a64, write_atomic, SnapshotError, SnapshotReader, SnapshotWriter};
+use tage_traces::snapshot::{fnv1a64, KeyedFiles, SnapshotError, SnapshotReader, SnapshotWriter};
 use tage_traces::source::{BranchSource, Take};
 
 use crate::runner::{RunOptions, TageRun};
@@ -57,15 +54,10 @@ use crate::runner::{RunOptions, TageRun};
 /// File extension of cache entries.
 const ENTRY_EXTENSION: &str = "warmstate";
 
-/// A directory of content-addressed warm simulation states. Cheap to clone
-/// conceptually (it is just a path plus counters); share it by reference
-/// across campaign workers.
+/// A directory of content-addressed warm simulation states; share it by
+/// reference across campaign workers.
 #[derive(Debug)]
-pub struct WarmCache {
-    dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub struct WarmCache(KeyedFiles);
 
 impl WarmCache {
     /// Opens (creating if needed) a warm-state cache rooted at `dir`.
@@ -74,72 +66,25 @@ impl WarmCache {
     ///
     /// Propagates the [`std::io::Error`] from creating the directory.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<WarmCache> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(WarmCache {
-            dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// The cache's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        KeyedFiles::new(dir, ENTRY_EXTENSION).map(WarmCache)
     }
 
     /// Number of successful warm-state restores served so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.0.hits()
     }
 
     /// Number of lookups that found no (valid) entry so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.{ENTRY_EXTENSION}"))
-    }
-
-    /// Reads the raw entry bytes under `key`, if present. Validation happens
-    /// at decode time; an unreadable file is a miss.
-    fn load(&self, key: u64) -> Option<Vec<u8>> {
-        fs::read(self.path_for(key)).ok()
-    }
-
-    /// Atomically stores `bytes` under `key` ([`write_atomic`]), so readers
-    /// only ever observe complete entries.
-    fn store(&self, key: u64, bytes: &[u8]) -> std::io::Result<()> {
-        write_atomic(&self.path_for(key), bytes)
-    }
-
-    fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
+        self.0.misses()
     }
 }
-
-/// Process-wide warm-cache counters, accumulated across every [`WarmCache`]
-/// instance (a long-lived daemon opens one cache per campaign run, so the
-/// per-instance counters alone cannot answer "how often has warm-state
-/// restore saved a replay since this process started").
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide `(hits, misses)` accumulated across every [`WarmCache`]
 /// this process has used — what `tage-serve`'s `GET /metrics` reports as
 /// `warmcache_hits` / `warmcache_misses`.
 pub fn global_counters() -> (u64, u64) {
-    (
-        GLOBAL_HITS.load(Ordering::Relaxed),
-        GLOBAL_MISSES.load(Ordering::Relaxed),
-    )
+    KeyedFiles::process_counters(ENTRY_EXTENSION)
 }
 
 /// Digest of everything about the *simulation configuration* that the warm
@@ -324,10 +269,8 @@ pub(crate) fn advance<S: BranchSource>(
     });
     if let Some((c, key)) = entry {
         if restore(run, c, key) {
-            c.cache.note_hit();
             return Ok((source.skip_records(gap)? == gap).then_some(0));
         }
-        c.cache.note_miss();
     }
     run.engine.run_source(
         &mut Take::new(&mut *source, gap),
@@ -346,51 +289,52 @@ pub(crate) fn advance<S: BranchSource>(
         // Best effort: an unwritable cache degrades to replays.
         let _ = c
             .cache
+            .0
             .store(key, &encode_warm_state(c.state_digest, &state));
     }
     Ok(Some(gap))
 }
 
-/// Restores the entry under `key` into `run`; `false` (with `run`
-/// untouched) when there is no usable entry.
+/// Restores the entry under `key` into `run`, counting a cache hit;
+/// `false` (with `run` untouched, and a miss counted) when there is no
+/// usable entry.
 ///
 /// Without the adaptive controller the run's automaton never changes, so
 /// an entry carrying another automaton is a miss. Builds that keyed no
 /// automaton wrote the standard automaton's states under the paper
 /// default's key, and a restore would install that automaton.
 fn restore(run: &mut TageRun<'_>, checkpoints: Checkpoints<'_>, key: u64) -> bool {
-    let Some(state) = checkpoints
-        .cache
-        .load(key)
-        .and_then(|bytes| decode_warm_state(&bytes, checkpoints.state_digest).ok())
-    else {
-        return false;
-    };
-    let predictor = run.engine.predictor_mut();
-    let foreign_automaton = run.adaptive.is_none()
-        && predictor.snapshot_automaton(&state.predictor).ok()
-            != Some(predictor.geometry().automaton);
-    if foreign_automaton
-        || run.adaptive.is_some() != state.adaptive.is_some()
-        || predictor.restore(&state.predictor).is_err()
-    {
-        return false;
-    }
-    // The restored predictor already carries the automaton the controller
-    // had installed; only the controller's own window needs restoring.
-    if let (Some(observer), Some(dynamic)) = (run.adaptive.as_mut(), state.adaptive) {
-        observer.controller.restore_dynamic_state(dynamic);
-    }
-    run.engine
-        .scheme_mut()
-        .set_window_remaining(state.window_remaining);
-    run.engine.set_branches_executed(state.branches_executed);
-    true
+    let restored = checkpoints.cache.0.load(key, |bytes| {
+        let state = decode_warm_state(&bytes, checkpoints.state_digest).ok()?;
+        let predictor = run.engine.predictor_mut();
+        let foreign_automaton = run.adaptive.is_none()
+            && predictor.snapshot_automaton(&state.predictor).ok()
+                != Some(predictor.geometry().automaton);
+        if foreign_automaton
+            || run.adaptive.is_some() != state.adaptive.is_some()
+            || predictor.restore(&state.predictor).is_err()
+        {
+            return None;
+        }
+        // The restored predictor already carries the automaton the
+        // controller had installed; only the controller's own window needs
+        // restoring.
+        if let (Some(observer), Some(dynamic)) = (run.adaptive.as_mut(), state.adaptive) {
+            observer.controller.restore_dynamic_state(dynamic);
+        }
+        run.engine
+            .scheme_mut()
+            .set_window_remaining(state.window_remaining);
+        run.engine.set_branches_executed(state.branches_executed);
+        Some(())
+    });
+    restored.is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use tage::TageGeometry;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -438,19 +382,17 @@ mod tests {
     fn store_then_load_round_trips_and_counts() {
         let dir = temp_dir("roundtrip");
         let cache = WarmCache::new(&dir).unwrap();
-        assert!(cache.load(42).is_none());
-        cache.store(42, b"hello").unwrap();
-        assert_eq!(cache.load(42).unwrap(), b"hello");
         let (global_hits, global_misses) = global_counters();
-        cache.note_miss();
-        cache.note_hit();
+        assert!(cache.0.load(42, Some).is_none());
+        cache.0.store(42, b"hello").unwrap();
+        assert_eq!(cache.0.load(42, Some).unwrap(), b"hello");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // The process-wide counters advance alongside the per-instance
         // ones (other tests may also bump them; only the delta is ours).
         let (now_hits, now_misses) = global_counters();
         assert!(now_hits > global_hits);
         assert!(now_misses > global_misses);
-        assert_eq!(cache.dir(), dir.as_path());
+        assert!(dir.join(format!("{:016x}.warmstate", 42)).is_file());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -491,10 +433,13 @@ mod tests {
         );
         let mut planted = 0;
         for target in 0..=fresh.plan.total_records {
-            if let Some(bytes) = written.load(entry_key(from, digest, target)) {
+            if let Some(bytes) = written.0.load(entry_key(from, digest, target), Some) {
                 let state = decode_warm_state(&bytes, from).unwrap();
                 let entry = encode_warm_state(to, &state);
-                cache.store(entry_key(to, digest, target), &entry).unwrap();
+                cache
+                    .0
+                    .store(entry_key(to, digest, target), &entry)
+                    .unwrap();
                 planted += 1;
             }
         }

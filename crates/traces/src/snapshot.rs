@@ -24,15 +24,18 @@
 //! commit them to live state only after the final [`SnapshotReader::finish`]
 //! succeeds.
 //!
-//! Every file the workspace persists — warm-state checkpoints, campaign
-//! cells, the daemon's journal — goes to disk through [`write_atomic`].
+//! Every file the workspace persists — campaign cells, warm-state
+//! checkpoints, the daemon's journal — lives in a [`KeyedFiles`]
+//! directory and goes to disk through its one atomic write.
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Magic bytes opening every snapshot ("TAGe Snapshot").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TAGS";
@@ -76,7 +79,7 @@ pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 /// # Errors
 ///
 /// The first [`io::Error`] from creating, writing, syncing or renaming.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().unwrap_or_default().to_string_lossy();
     let temp = path.with_file_name(format!(
@@ -94,6 +97,114 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = fs::remove_file(&temp);
     }
     result
+}
+
+/// A directory of files named `<key as 16 hex digits>.<extension>`, each
+/// replaced whole (written to a synced temp file, then renamed into
+/// place), with counters of the loads that found a usable file (hits) and
+/// of those that did not (misses). Readers therefore see a file's old
+/// bytes or its new ones, never a torn file, and concurrent writers of one
+/// key are harmless. Each user keeps only its own framing and checks; see
+/// [`KeyedFiles::load`].
+#[derive(Debug)]
+pub struct KeyedFiles {
+    dir: PathBuf,
+    extension: &'static str,
+    /// Hits, then misses.
+    loads: [AtomicU64; 2],
+}
+
+/// Hits and misses of every [`KeyedFiles`] this process loaded from, per
+/// extension.
+static LOADS: Mutex<BTreeMap<&'static str, [u64; 2]>> = Mutex::new(BTreeMap::new());
+
+impl KeyedFiles {
+    /// Opens (creating if needed) the directory `dir` of `.<extension>`
+    /// files.
+    ///
+    /// # Errors
+    ///
+    /// The [`io::Error`] from creating the directory.
+    pub fn new(dir: impl Into<PathBuf>, extension: &'static str) -> io::Result<KeyedFiles> {
+        let dir = dir.into();
+        fs::create_dir_all(&dir)?;
+        Ok(KeyedFiles {
+            dir,
+            extension,
+            loads: [AtomicU64::new(0), AtomicU64::new(0)],
+        })
+    }
+
+    /// The directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// The path of the file under `key`.
+    pub fn path(&self, key: u64) -> PathBuf {
+        self.dir.join(format!("{key:016x}.{}", self.extension))
+    }
+
+    /// Reads the file under `key` and hands its bytes to `decode`, which
+    /// checks them and returns what they hold. A hit when the file was
+    /// read and `decode` returned a value, a miss otherwise.
+    pub fn load<T>(&self, key: u64, decode: impl FnOnce(Vec<u8>) -> Option<T>) -> Option<T> {
+        let loaded = fs::read(self.path(key)).ok().and_then(decode);
+        let outcome = usize::from(loaded.is_none());
+        self.loads[outcome].fetch_add(1, Ordering::Relaxed);
+        // Every update is one increment, so a poisoned map is still valid.
+        let mut totals = LOADS.lock().unwrap_or_else(PoisonError::into_inner);
+        totals.entry(self.extension).or_default()[outcome] += 1;
+        loaded
+    }
+
+    /// Atomically replaces the file under `key` with `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// The first [`io::Error`] from creating, writing, syncing or renaming
+    /// the temp file, which is then removed.
+    pub fn store(&self, key: u64, bytes: &[u8]) -> io::Result<()> {
+        write_atomic(&self.path(key), bytes)
+    }
+
+    /// The keys of the directory's files, in ascending order. Names that
+    /// [`KeyedFiles::path`] would not give (another extension, upper-case
+    /// hex, a temp file) are not keys and are left out.
+    ///
+    /// # Errors
+    ///
+    /// The [`io::Error`] from reading the directory.
+    pub fn keys(&self) -> io::Result<Vec<u64>> {
+        let suffix = format!(".{}", self.extension);
+        let mut keys: Vec<u64> = fs::read_dir(&self.dir)?
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                let key = u64::from_str_radix(name.strip_suffix(&suffix)?, 16).ok()?;
+                (name == format!("{key:016x}{suffix}")).then_some(key)
+            })
+            .collect();
+        keys.sort_unstable();
+        Ok(keys)
+    }
+
+    /// Loads that found a usable file so far.
+    pub fn hits(&self) -> u64 {
+        self.loads[0].load(Ordering::Relaxed)
+    }
+
+    /// Loads that found no usable file so far.
+    pub fn misses(&self) -> u64 {
+        self.loads[1].load(Ordering::Relaxed)
+    }
+
+    /// `(hits, misses)` summed over every directory of `.<extension>`
+    /// files this process has loaded from.
+    pub fn process_counters(extension: &str) -> (u64, u64) {
+        let totals = LOADS.lock().unwrap_or_else(PoisonError::into_inner);
+        let [hits, misses] = totals.get(extension).copied().unwrap_or_default();
+        (hits, misses)
+    }
 }
 
 /// Everything that can go wrong decoding a snapshot. Every variant other
@@ -767,6 +878,41 @@ mod tests {
         // A vanished directory is an error, not a panic.
         fs::remove_dir_all(&dir).unwrap();
         assert!(write_atomic(&path, b"x").is_err());
+    }
+
+    #[test]
+    fn keyed_files_store_load_count_and_list_only_keys() {
+        let dir = std::env::temp_dir().join(format!("tage-keyed-files-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let files = KeyedFiles::new(dir.join("store"), "keyed-test").unwrap();
+        assert_eq!(files.dir(), dir.join("store"));
+        assert_eq!(
+            files.path(7),
+            dir.join("store").join("0000000000000007.keyed-test")
+        );
+        assert_eq!(files.load(7, Some), None);
+        files.store(7, b"seven").unwrap();
+        files.store(0xabc, b"x").unwrap();
+        assert_eq!(files.load(7, Some).as_deref(), Some(&b"seven"[..]));
+        // A file `decode` rejects is a miss.
+        assert_eq!(files.load(7, |_| None::<()>), None);
+        assert_eq!((files.hits(), files.misses()), (1, 2));
+        assert_eq!(KeyedFiles::process_counters("keyed-test"), (1, 2));
+        assert_eq!(KeyedFiles::process_counters("never-loaded"), (0, 0));
+        // Only names `path` gives are keys.
+        for name in [
+            "00000000000000AB.keyed-test",
+            "+000000000000007.keyed-test",
+            "000000000000000007.keyed-test",
+            "notes.keyed-test",
+            "0000000000000009.other",
+        ] {
+            fs::write(dir.join("store").join(name), b"").unwrap();
+        }
+        assert_eq!(files.keys().unwrap(), vec![7, 0xabc]);
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(files.keys().is_err());
+        assert!(files.store(7, b"x").is_err());
     }
 
     #[test]

@@ -581,9 +581,14 @@ impl SourceSpec {
     /// profile, record budget), so two specs digest equal exactly when they
     /// stream identical records. File-backed sources hash their format, the
     /// file name (which names the label and a decoded file's decoder), the
-    /// byte length and a hash of the bytes ([`file_content`]). The
-    /// directory is left out, so one file digests alike however its
-    /// directory is spelled.
+    /// byte length and the [`fnv1a64`] of the bytes. The directory is left
+    /// out, so one file digests alike however its directory is spelled.
+    ///
+    /// A process reads each file once, and again only when its length or
+    /// modification time changes. Its one blind spot: a rewrite to the
+    /// same length within one filesystem timestamp tick of the previous
+    /// write, in a process that has already hashed the file, keeps the old
+    /// digest.
     pub fn digest(&self, conditional_branches: usize) -> u64 {
         let (format, path) = match self {
             SourceSpec::Synthetic(spec) => {
@@ -628,12 +633,8 @@ impl SourceSpec {
 
 /// The byte length of the file at `path` and the [`fnv1a64`] of its bytes,
 /// read through a fixed-size buffer; `(0, 0)` when the file is missing and
-/// a zero hash when it cannot be read.
-///
-/// A process hashes each file once, and again only when its length or
-/// modification time changes. Its one blind spot: a rewrite to the same
-/// length within one filesystem timestamp tick of the previous write, in a
-/// process that has already hashed the file, keeps the old hash.
+/// a zero hash when it cannot be read. Memoized on the canonical path,
+/// length and modification time (see [`SourceSpec::digest`]).
 fn file_content(path: &Path) -> (u64, u64) {
     static HASHED: Mutex<BTreeMap<PathBuf, (u64, SystemTime, u64)>> = Mutex::new(BTreeMap::new());
     let Ok(metadata) = std::fs::metadata(path) else {

@@ -2,7 +2,9 @@
 # CI job `service`: the tage-serve campaign daemon end to end
 # (docs/SERVICE.md). A file-backed grid served over HTTP must byte-match a
 # one-shot CLI run; a relabelled resubmission must be answered entirely from
-# the cell cache (zero recompute); a phase-sampled grid served must
+# the cell cache (zero recompute); after one trace is rewritten in place at
+# the same length, a resubmission must recompute and byte-match a fresh
+# one-shot run over the rewritten traces; a phase-sampled grid served must
 # byte-match its one-shot run; a SIGTERM mid-grid must exit 0, and the
 # daemon restarted over the same store and journal must finish the
 # rehydrated campaign to a byte-identical report. Writes under
@@ -55,6 +57,26 @@ computed=$(cells_computed)
   --out "$out/report-relabelled.json"
 recomputed=$(cells_computed)
 test "$computed" = "$recomputed"
+# Overwrite FP-1.trace's records in place with INT-2.trace's first records:
+# valid records, the same total length. A native header is 20 bytes plus
+# the trace name; each record is 21 bytes. The daemon hashed the old bytes,
+# so this checks that its memo sees the new modification time.
+victim="$out/traces/FP-1.trace"
+size=$(stat -c %s "$victim")
+dd if="$out/traces/INT-2.trace" of="$victim" iflag=skip_bytes,count_bytes \
+  oflag=seek_bytes skip=25 seek=24 count=$((size - 24)) conv=notrunc status=none
+test "$(stat -c %s "$victim")" = "$size"
+"$tb" --submit "$url" "${grid[@]}" --label verify-serve-rewritten \
+  --out "$out/report-rewritten.json"
+test "$(cells_computed)" -gt "$recomputed"
+"$tb" "${grid[@]}" --label verify-serve-rewritten --no-timing \
+  --out "$out/report-rewritten-clean.json"
+cmp "$out/report-rewritten.json" "$out/report-rewritten-clean.json"
+if cmp -s <(grep -v '^ "label": ' "$out/report-served.json") \
+  <(grep -v '^ "label": ' "$out/report-rewritten.json"); then
+  echo "the rewritten trace was served its old cells" >&2
+  exit 1
+fi
 # A phase-sampled grid runs through the same cell executor as the CLI
 # (predictor checkpoints under <store>/warm).
 sampled=(--predictors tage-16k --schemes storage-free --suites sample:cbp1-mini:500:4:1
